@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 class InvalidPrimeError(ValueError):
@@ -50,14 +51,17 @@ def as_rational(x) -> Fraction:
     return value
 
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes as Miller-Rabin bases: deterministic below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).  The first twelve
+# alone are fooled by psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid below 3.3e24)."""
+    """Deterministic Miller-Rabin primality test, valid below psi_13 ~ 3.3e24."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -95,16 +99,10 @@ def _pollard_rho(n: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
+            d = gcd(abs(x - y), n)
         if d != n:
             return d
     raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -180,9 +178,19 @@ def check_odd_prime(p: int) -> None:
         raise InvalidPrimeError(f"{p} is not an odd prime")
 
 
+# Each public function below validates its prime once and then calls a
+# kernel (leading underscore) that trusts p.  Code that already holds
+# certified primes, such as those of a Factorization, calls the kernels,
+# local_part, local_data or Point directly.
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p."""
     check_odd_prime(p)
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
@@ -197,8 +205,12 @@ def sqrt_mod(a: int, p: int) -> int | None:
     [1, (p-1)/2], so results are reproducible.
     """
     check_odd_prime(p)
+    return _sqrt_mod(a, p)
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
     a %= p
-    if a == 0 or legendre(a, p) != 1:
+    if a == 0 or _legendre(a, p) != 1:
         return None
     if p % 4 == 3:
         s = pow(a, (p + 1) // 4, p)
@@ -209,7 +221,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
         q //= 2
         e += 1
     z = 2
-    while legendre(z, p) != -1:
+    while _legendre(z, p) != -1:
         z += 1
     c = pow(z, q, p)
     x = pow(a, (q + 1) // 2, p)
@@ -231,19 +243,26 @@ def sqrt_mod(a: int, p: int) -> int | None:
 def is_fourth_power_mod(a: int, p: int) -> bool:
     """Whether a is a nonzero fourth power mod the odd prime p."""
     check_odd_prime(p)
+    return _is_fourth_power_mod(a, p)
+
+
+def _is_fourth_power_mod(a: int, p: int) -> bool:
     a %= p
     if a == 0:
         raise NotAUnitError(f"{p} divides the argument")
     # The fourth powers are the image of x -> x^4, a subgroup of index
     # gcd(4, p-1) in F_p^*.
-    return pow(a, (p - 1) // _gcd(4, p - 1), p) == 1
+    return pow(a, (p - 1) // gcd(4, p - 1), p) == 1
 
 
 def valuation(x, p: int) -> int:
     """Exponent of the prime p in the nonzero rational x."""
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
-    value = as_rational(x)
+    return _valuation(as_rational(x), p)
+
+
+def _valuation(value: Fraction, p: int) -> int:
     v = 0
     num = abs(value.numerator)
     while num % p == 0:
@@ -259,8 +278,57 @@ def valuation(x, p: int) -> int:
 def unit_residue(x, p: int) -> int:
     """Residue mod p of the p-unit part x * p^(-v_p(x))."""
     value = as_rational(x)
-    v = valuation(value, p)
-    unit = value / Fraction(p) ** v
-    num = unit.numerator % p
-    den = unit.denominator % p
+    return _unit_residue(value, valuation(value, p), p)
+
+
+def _unit_residue(value: Fraction, v: int, p: int) -> int:
+    num, den = value.numerator, value.denominator
+    if v > 0:
+        num //= p**v
+    elif v < 0:
+        den //= p**-v
     return num * pow(den, -1, p) % p
+
+
+def local_part(value: Fraction, p: int) -> tuple[int, int]:
+    """(v, u): the valuation of the nonzero Fraction value at the certified
+    prime p and the residue mod p of its p-unit part."""
+    v = _valuation(value, p)
+    return v, _unit_residue(value, v, p)
+
+
+def local_data(b: Fraction, a: Fraction, p: int) -> tuple[int, int, int, int]:
+    """(v_b, u_b, v_a, u_a): ``local_part`` of b and of a at the certified prime p."""
+    return (*local_part(b, p), *local_part(a, p))
+
+
+@dataclass(frozen=True)
+class Point:
+    """A point (b, a), each coordinate factored exactly once.
+
+    ``local`` holds one entry ``(p, v_b, u_b, v_a, u_a)`` (see
+    ``local_data``) per odd prime p dividing b or a, plus the extra prime if
+    one was asked for, sorted by p.  Every such p is a certified odd prime:
+    the support comes from ``factor`` and the extra prime is checked here, so
+    code reading these entries validates nothing again.
+    """
+
+    b: Fraction
+    a: Fraction
+    fb: Factorization
+    fa: Factorization
+    local: tuple[tuple[int, int, int, int, int], ...]
+
+    @classmethod
+    def of(cls, b, a, extra_prime: int | None = None) -> "Point":
+        b, a = as_rational(b), as_rational(a)
+        fb, fa = factor(b), factor(a)
+        primes = (set(fb.primes()) | set(fa.primes())) - {2}
+        if extra_prime is not None and extra_prime not in primes:
+            check_odd_prime(extra_prime)
+            primes.add(extra_prime)
+        local = tuple((p, *local_data(b, a, p)) for p in sorted(primes))
+        return cls(b, a, fb, fa, local)
+
+    def primes(self) -> tuple[int, ...]:
+        return tuple(entry[0] for entry in self.local)

@@ -18,7 +18,9 @@ from .obstruct import (
     report,
     report_json,
 )
-from .verify import run_suites
+
+# A report note carrying one of these words records a failed self-check.
+_FAILED_CHECK_WORDS = ("INCONSISTENT", "DISAGREES")
 
 
 def _parse_place(text: str):
@@ -116,7 +118,8 @@ def _dispatch(args) -> int:
                 show_delta3=args.command in ("delta3", "report"),
                 place=place,
             )
-        return 0
+        failed = any(word in note for note in rep.notes for word in _FAILED_CHECK_WORDS)
+        return 1 if failed else 0
 
     if args.command == "family":
         if args.family_command == "specific-lift":
@@ -133,6 +136,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
+        from .verify import run_suites
+
         results = run_suites(
             suite=args.suite,
             max_order=args.max_group_order,

@@ -16,7 +16,8 @@ identities valid over any profinite group with any character.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import gcd
 
 
 class InvalidDefiningSystemError(ValueError):
@@ -130,7 +131,7 @@ def klein_model(chi: tuple[int, int, int, int] = (1, 7, 1, 7), name: str = "Z/2x
 
 def units_model(n: int, name: str | None = None) -> GaloisModel:
     """(Z/n)^* with chi the identity character mod n."""
-    elems = [u for u in range(1, n) if _coprime(u, n)]
+    elems = [u for u in range(1, n) if gcd(u, n) == 1]
     if elems[0] != 1:
         raise ValueError("unit group must start at 1")
     table = _table_from_op(elems, lambda a, b: a * b % n)
@@ -159,12 +160,6 @@ def _parity(perm) -> int:
             length += 1
         swaps += length - 1
     return swaps % 2
-
-
-def _coprime(a: int, b: int) -> bool:
-    while b:
-        a, b = b, a % b
-    return a == 1
 
 
 def real_place_model() -> GaloisModel:
@@ -365,16 +360,10 @@ def f_cocycle(model: GaloisModel) -> Cochain1:
     values = []
     for g in model.elements():
         chi = model.chi[g] % 48
-        if _gcd(chi, 48) != 1:
+        if gcd(chi, 48) != 1:
             raise ValueError(f"chi value {chi} is not a unit mod 48")
         values.append((chi * chi - 1) // 24 % 2)
     return Cochain1(model, 2, 2, tuple(values))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -557,9 +546,3 @@ def f_homs(model: GaloisModel) -> list[Cochain1]:
     """All admissible f cochains: mod-2 cocycles of weight 2 (= homs G -> Z/2)."""
     return all_twisted_cocycles(model, 2, weight=2)
 
-
-def identity_suite(model: GaloisModel, exhaustive: bool = False, seed: int = 0):
-    """Run every cochain/boundary identity over one model; see verify."""
-    from .verify import identity_suite as _suite
-
-    return _suite(model, exhaustive=exhaustive, seed=seed)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import as_rational, check_odd_prime, factor, legendre, unit_residue, valuation
+from .arith import Point, _legendre, _valuation, as_rational, check_odd_prime, local_data
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,15 @@ class Delta2GlobalVerdict:
 def tame_symbol_odd(b, a, p: int) -> TameSymbolValue:
     """Tame symbol (b,a)_p in F_p^* at an odd prime p."""
     check_odd_prime(p)
-    b = as_rational(b)
-    a = as_rational(a)
-    vb = valuation(b, p)
-    va = valuation(a, p)
-    # With b = p^vb * ub and a = p^va * ua the uniformizer powers cancel and
-    # the symbol reduces to a pure unit expression mod p.
-    ub = unit_residue(b, p)
-    ua = unit_residue(a, p)
-    value = pow(ub, va, p) * pow(ua, -vb, p) % p
-    if (vb * va) % 2 == 1:
+    return tame_symbol_vu(*local_data(as_rational(b), as_rational(a), p), p)
+
+
+def tame_symbol_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> TameSymbolValue:
+    """tame_symbol_odd from the local data (see arith.local_data) at a certified odd prime."""
+    # With b = p^v_b * u_b and a = p^v_a * u_a the uniformizer powers cancel
+    # and the symbol reduces to a pure unit expression mod p.
+    value = pow(u_b, v_a, p) * pow(u_a, -v_b, p) % p
+    if (v_b * v_a) % 2 == 1:
         value = (p - value) % p
     return TameSymbolValue(p, value)
 
@@ -71,7 +70,7 @@ _IK_FROM_MOD8 = {1: (0, 0), 5: (0, 1), 7: (1, 0), 3: (1, 1)}
 def decompose_2adic(x) -> tuple[int, int, int]:
     """(i, j, k) with x = (-1)^i 2^j 5^k u and u = 1 mod 8 as a 2-adic unit."""
     value = as_rational(x)
-    j = valuation(value, 2)
+    j = _valuation(value, 2)
     odd = value / Fraction(2) ** j
     residue = odd.numerator * pow(odd.denominator, -1, 8) % 8
     i, k = _IK_FROM_MOD8[residue]
@@ -93,9 +92,7 @@ def support_odd_primes(b, a) -> tuple[int, ...]:
     where the valuations cancel (v_p(b) = -v_p(a) != 0) the symbol and the
     local invariant can still be nontrivial.
     """
-    primes = set(factor(as_rational(b)).primes()) | set(factor(as_rational(a)).primes())
-    primes.discard(2)
-    return tuple(sorted(primes))
+    return Point.of(b, a).primes()
 
 
 def delta2_global(b, a) -> Delta2GlobalVerdict:
@@ -106,17 +103,21 @@ def delta2_global(b, a) -> Delta2GlobalVerdict:
     are the symbols that are non-squares in F_p^* (resp. -1 at 2); the K2
     witnesses are the symbols different from 1.
     """
-    b = as_rational(b)
-    a = as_rational(a)
+    return delta2_global_point(Point.of(b, a))
+
+
+def delta2_global_point(point: Point) -> Delta2GlobalVerdict:
+    """delta2_global of a factored point; an extra prime outside the support
+    has symbol 1 and changes nothing."""
     witnesses = []
     k2_witnesses = []
-    for p in support_odd_primes(b, a):
-        symbol = tame_symbol_odd(b, a, p)
+    for p, v_b, u_b, v_a, u_a in point.local:
+        symbol = tame_symbol_vu(v_b, u_b, v_a, u_a, p)
         if not symbol.trivial:
             k2_witnesses.append(symbol)
-            if legendre(symbol.value, p) == -1:
+            if _legendre(symbol.value, p) == -1:
                 witnesses.append(symbol)
-    two = symbol_at_2(b, a)
+    two = symbol_at_2(point.b, point.a)
     if not two.trivial:
         k2_witnesses.append(two)
         witnesses.append(two)

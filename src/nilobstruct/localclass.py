@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import (
-    as_rational,
-    check_odd_prime,
-    legendre,
-    sqrt_mod,
-    unit_residue,
-    valuation,
-)
+from .arith import _legendre, _sqrt_mod, as_rational, check_odd_prime, local_data, local_part
 
 REAL = "R"
 # A place for local evaluation: an odd prime or the real place.
@@ -86,10 +79,12 @@ INV_HALF = LocalInvariant(1)
 def square_class_qp(x, p: int) -> LocalSquareClass:
     """Square class of a nonzero rational in Q_p*, p odd."""
     check_odd_prime(p)
-    value = as_rational(x)
-    v = valuation(value, p)
-    e_u = 1 if legendre(unit_residue(value, p), p) == -1 else 0
-    return LocalSquareClass(p, e_u, v % 2)
+    return square_class_vu(*local_part(as_rational(x), p), p)
+
+
+def square_class_vu(v: int, u: int, p: int) -> LocalSquareClass:
+    """Square class of p^v times a p-unit with residue u, p a certified odd prime."""
+    return LocalSquareClass(p, 1 if _legendre(u, p) == -1 else 0, v % 2)
 
 
 def sqrt_square_class_qp(x, p: int) -> LocalSquareClass:
@@ -100,15 +95,21 @@ def sqrt_square_class_qp(x, p: int) -> LocalSquareClass:
     holds, the canonical choice just pins the reported class.
     """
     check_odd_prime(p)
-    value = as_rational(x)
-    v = valuation(value, p)
-    if v % 2 != 0:
-        raise NotASquareError(f"{x} has odd valuation at {p}")
-    root = sqrt_mod(unit_residue(value, p), p)
+    root = sqrt_square_class_vu(*local_part(as_rational(x), p), p)
     if root is None:
-        raise NotASquareError(f"unit part of {x} is not a square mod {p}")
-    e_u = 1 if legendre(root, p) == -1 else 0
-    return LocalSquareClass(p, e_u, (v // 2) % 2)
+        raise NotASquareError(f"{x} is not a square in Q_{p}")
+    return root
+
+
+def sqrt_square_class_vu(v: int, u: int, p: int) -> LocalSquareClass | None:
+    """Class of the canonical root of p^v u (see sqrt_square_class_qp), or
+    None if that is not a square; p a certified odd prime."""
+    if v % 2 != 0:
+        return None
+    root = _sqrt_mod(u, p)
+    if root is None:
+        return None
+    return square_class_vu(v // 2, root, p)
 
 
 def neg_one_class(p: int) -> LocalSquareClass:
@@ -143,4 +144,10 @@ def delta2_local(b, a, place: Place) -> LocalInvariant:
     """Local mod-2 cup value of the Kummer classes of b and a at a place."""
     if place == REAL:
         return cup_r(square_class_r(b), square_class_r(a))
-    return cup_qp(square_class_qp(b, place), square_class_qp(a, place))
+    check_odd_prime(place)
+    return delta2_local_vu(*local_data(as_rational(b), as_rational(a), place), place)
+
+
+def delta2_local_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> LocalInvariant:
+    """delta2_local from the local data (see arith.local_data) at a certified odd prime."""
+    return cup_qp(square_class_vu(v_b, u_b, p), square_class_vu(v_a, u_a, p))

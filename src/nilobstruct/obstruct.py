@@ -16,16 +16,20 @@ it the report carries local vectors only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
     InvalidPrimeError,
+    Point,
+    _is_fourth_power_mod,
+    _legendre,
+    _valuation,
     as_rational,
-    is_fourth_power_mod,
+    check_odd_prime,
     is_prime,
-    legendre,
-    valuation,
+    local_data,
 )
 from .cohomology import (
     Cochain1,
@@ -34,19 +38,19 @@ from .cohomology import (
     real_place_model,
     zero1,
 )
-from .k2global import Delta2GlobalVerdict, delta2_global, support_odd_primes, symbol_at_2
+from .k2global import Delta2GlobalVerdict, delta2_global_point, support_odd_primes, symbol_at_2
 from .localclass import (
     INV_ZERO,
     REAL,
     LocalInvariant,
     LocalSquareClass,
-    NotASquareError,
     Place,
     cup_qp,
     delta2_local,
-    neg_one_class,
+    delta2_local_vu,
     square_class_qp,
-    sqrt_square_class_qp,
+    square_class_vu,
+    sqrt_square_class_vu,
     two_class,
 )
 
@@ -118,29 +122,44 @@ def delta3_local_odd(b, a, p: int, flip_roots: bool = False) -> Delta3LocalResul
         raise UnsupportedPlaceError("local delta3 is not evaluated at the place 2")
     b = as_rational(b)
     a = as_rational(a)
-    cls_b = square_class_qp(b, p)
-    cls_a = square_class_qp(a, p)
-    cls_nb = square_class_qp(-b, p)
-    cls_na = square_class_qp(-a, p)
-    cls_ab = square_class_qp(a * b, p)
-    two = two_class(p)
-    classes = [("-b", cls_nb), ("-a", cls_na), ("ab", cls_ab), ("2", two)]
+    check_odd_prime(p)
+    return delta3_local_odd_vu(*local_data(b, a, p), p, flip_roots)
+
+
+def delta3_local_odd_vu(
+    v_b: int, u_b: int, v_a: int, u_a: int, p: int, flip_roots: bool = False
+) -> Delta3LocalResult:
+    """delta3_local_odd from the local data (see arith.local_data) at a
+    certified odd prime.  The classes of -b, -a and ab come from the same
+    data: -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a)."""
+    cls_b = square_class_vu(v_b, u_b, p)
+    cls_a = square_class_vu(v_a, u_a, p)
+    neg_b = (v_b, -u_b % p)
+    neg_a = (v_a, -u_a % p)
+    prod = (v_b + v_a, u_b * u_a % p)
+    two = square_class_vu(0, 2, p)
+    classes = [
+        ("-b", square_class_vu(*neg_b, p)),
+        ("-a", square_class_vu(*neg_a, p)),
+        ("ab", square_class_vu(*prod, p)),
+        ("2", two),
+    ]
     if cup_qp(cls_b, cls_a).half:
         return Delta3LocalResult(p, BLOCKED, (), tuple(classes))
 
-    twist = neg_one_class(p) if flip_roots else LocalSquareClass(p, 0, 0)
+    twist = square_class_vu(0, p - 1, p) if flip_roots else LocalSquareClass(p, 0, 0)
     cases = []
     nonzero = False
     for name, square, partner, extra in (
-        ("i", -b, cls_a, INV_ZERO),
-        ("ii", -a, cls_b, cup_qp(two, cls_a)),
-        ("iii", a * b, cls_a, INV_ZERO),
+        ("i", neg_b, cls_a, INV_ZERO),
+        ("ii", neg_a, cls_b, cup_qp(two, cls_a)),
+        ("iii", prod, cls_a, INV_ZERO),
     ):
-        try:
-            root = sqrt_square_class_qp(square, p) ^ twist
-        except NotASquareError:
+        root = sqrt_square_class_vu(*square, p)
+        if root is None:
             cases.append(CaseTrace(name, False, 0))
             continue
+        root ^= twist
         classes.append((f"sqrt({name})", root))
         value = cup_qp(two ^ root, partner) ^ extra
         cases.append(CaseTrace(name, True, value.half))
@@ -158,12 +177,16 @@ def delta3_congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
         raise InapplicableError("fast path needs nonzero integers")
     if p == 2 or not is_prime(p):
         raise InvalidPrimeError(f"{p} is not an odd prime")
-    if valuation(Fraction(a) * b, p) != 1:
+    if _valuation(Fraction(a) * b, p) != 1:
         raise InapplicableError(f"{p} must divide ab exactly once")
+    return _congruence(b, a, p)
+
+
+def _congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
     s = (a + b) % p
-    if legendre(s, p) != 1:
+    if _legendre(s, p) != 1:
         return False, None
-    return True, is_fourth_power_mod(s, p)
+    return True, _is_fourth_power_mod(s, p)
 
 
 def delta3_local_real(b, a) -> Delta3LocalResult:
@@ -171,25 +194,36 @@ def delta3_local_real(b, a) -> Delta3LocalResult:
 
     The two lifts differ by the Kummer class of -1; one of them always
     evaluates to (0, 0), so on the kernel of real delta2 the status is ZERO.
+    The result depends only on the signs of b and a (see _real_place_table).
     """
-    b = as_rational(b)
-    a = as_rational(a)
-    if b < 0 and a < 0:
-        return Delta3LocalResult(REAL, BLOCKED, ())
+    return _real_place_table()[as_rational(b) < 0, as_rational(a) < 0]
+
+
+@functools.cache
+def _real_place_table() -> dict[tuple[bool, bool], Delta3LocalResult]:
+    """delta3 mod 2 at R for each sign pattern (b < 0, a < 0).
+
+    Derived on first use by running both lifts of the representatives
+    (+-1, +-1) through the closed-form evaluator over the order-2 model; the
+    Kummer cocycles over that model see only the sign.
+    """
     model = real_place_model()
-    b_coc = kummer_real_cocycle(b, model)
-    a_coc = kummer_real_cocycle(a, model)
     f = zero1(model, 2, 2)
-    lifts = []
-    vanishing = False
-    for label, c_tau in (("c=0", 0), ("c={-1}", 1)):
-        c = Cochain1(model, 2, 2, (0, c_tau))
-        comp_x, comp_y = delta3_closed_form(b_coc, a_coc, c, f)
-        vx, vy = comp_x.values[1][1], comp_y.values[1][1]
-        lifts.append(RealLift(label, vx, vy))
-        vanishing = vanishing or (vx == 0 and vy == 0)
-    status = ZERO if vanishing else NONZERO
-    return Delta3LocalResult(REAL, status, (), real_lifts=tuple(lifts))
+    table = {(True, True): Delta3LocalResult(REAL, BLOCKED, ())}
+    for b_negative, a_negative in ((False, False), (False, True), (True, False)):
+        b_coc = kummer_real_cocycle(-1 if b_negative else 1, model)
+        a_coc = kummer_real_cocycle(-1 if a_negative else 1, model)
+        lifts = []
+        vanishing = False
+        for label, c_tau in (("c=0", 0), ("c={-1}", 1)):
+            c = Cochain1(model, 2, 2, (0, c_tau))
+            comp_x, comp_y = delta3_closed_form(b_coc, a_coc, c, f)
+            vx, vy = comp_x.values[1][1], comp_y.values[1][1]
+            lifts.append(RealLift(label, vx, vy))
+            vanishing = vanishing or (vx == 0 and vy == 0)
+        status = ZERO if vanishing else NONZERO
+        table[b_negative, a_negative] = Delta3LocalResult(REAL, status, (), real_lifts=tuple(lifts))
+    return table
 
 
 @dataclass(frozen=True)
@@ -259,18 +293,16 @@ def report(b, a, extra_place: Place | None = None) -> ObstructionReport:
     ``extra_place`` forces one more place into the report even when it lies
     outside the support of ab (where everything provably vanishes).
     """
-    b = as_rational(b)
-    a = as_rational(a)
-    places = relevant_places(b, a)
-    if extra_place is not None and extra_place not in places:
-        # REAL is always present, so a missing extra place is an odd prime
-        places = sorted([p for p in places if p != REAL] + [extra_place]) + [REAL]
-    d2_local = tuple((v, delta2_local(b, a, v)) for v in places)
-    d2_global = delta2_global(b, a)
-    d3_local = tuple(
-        delta3_local_real(b, a) if v == REAL else delta3_local_odd(b, a, v)
-        for v in places
-    )
+    point = Point.of(b, a, None if extra_place == REAL else extra_place)
+    b, a = point.b, point.a
+    d2_local = []
+    d3_local = []
+    for p, *data in point.local:
+        d2_local.append((p, delta2_local_vu(*data, p)))
+        d3_local.append(delta3_local_odd_vu(*data, p))
+    d2_local.append((REAL, delta2_local(b, a, REAL)))
+    d3_local.append(delta3_local_real(b, a))
+    d2_global = delta2_global_point(point)
     notes = []
     if d2_global.zero != d2_global.k2_zero:
         detail = ", ".join(f"({w.place}: {w.value})" for w in d2_global.k2_witnesses)
@@ -288,18 +320,17 @@ def report(b, a, extra_place: Place | None = None) -> ObstructionReport:
         f"{two_symbol.value:+d} ({'consistent' if agree else 'INCONSISTENT'})"
     )
     if b.denominator == 1 and a.denominator == 1:
-        for v in places:
-            if v == REAL or valuation(b * a, v) != 1:
+        for (p, v_b, _, v_a, _), (_, inv), local in zip(point.local, d2_local, d3_local):
+            if v_b + v_a != 1:
                 continue
-            d2_zero, d3_zero = delta3_congruence(b.numerator, a.numerator, v)
-            local = next(r for r in d3_local if r.place == v)
-            d2_ok = d2_zero == (delta2_local(b, a, v).half == 0)
+            d2_zero, d3_zero = _congruence(b.numerator, a.numerator, p)
+            d2_ok = d2_zero == (inv.half == 0)
             d3_ok = d3_zero is None or d3_zero == (local.status == ZERO)
             notes.append(
-                f"congruence fast path at {v}: delta2 {'agrees' if d2_ok else 'DISAGREES'}"
+                f"congruence fast path at {p}: delta2 {'agrees' if d2_ok else 'DISAGREES'}"
                 + ("" if d3_zero is None else f", delta3 {'agrees' if d3_ok else 'DISAGREES'}")
             )
-    return ObstructionReport(b, a, d2_local, d2_global, d3_local, tuple(notes))
+    return ObstructionReport(b, a, tuple(d2_local), d2_global, tuple(d3_local), tuple(notes))
 
 
 # ---------------------------------------------------------------------------

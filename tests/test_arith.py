@@ -10,6 +10,7 @@ from nilobstruct.arith import (
     InvalidPrimeError,
     NotAUnitError,
     factor,
+    factor_int,
     is_fourth_power_mod,
     is_prime,
     legendre,
@@ -181,3 +182,16 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(561)
     assert not is_prime(1_000_003 * 1_000_033)
     assert is_prime(2**61 - 1)
+
+
+# Sorenson and Webster (Math. Comp. 2017): the least strong pseudoprime to
+# the twelve prime bases 2..37; base 41 exposes it.
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_psi_12():
+    assert not is_prime(PSI_12)
+
+
+def test_factor_int_splits_psi_12():
+    assert factor_int(PSI_12) == {399165290221: 1, 798330580441: 1}

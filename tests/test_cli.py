@@ -112,3 +112,30 @@ def test_verify_fast_subset(capsys):
     assert code == 0
     assert "[pass]" in out and "FAIL" not in out
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("command", ("delta2", "delta3", "report"))
+@pytest.mark.parametrize("as_json", (False, True))
+@pytest.mark.parametrize("word", ("INCONSISTENT", "DISAGREES"))
+def test_failed_self_check_exits_one_with_same_output(capsys, monkeypatch, command, as_json, word):
+    import dataclasses
+
+    from nilobstruct import cli
+    from nilobstruct.obstruct import report
+
+    rep = report(-1, 5)
+    bad = dataclasses.replace(rep, notes=rep.notes + (f"congruence fast path at 5: delta2 {word}",))
+    argv = [command, "-1", "5"] + (["--json"] if as_json else [])
+    monkeypatch.setattr(cli, "report", lambda *args, **kwargs: rep)
+    assert main(argv) == 0
+    good_out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "report", lambda *args, **kwargs: bad)
+    assert main(argv) == 1
+    bad_out = capsys.readouterr().out
+    if as_json:
+        assert json.loads(bad_out)["notes"] == list(bad.notes)
+        assert {k: v for k, v in json.loads(bad_out).items() if k != "notes"} == {
+            k: v for k, v in json.loads(good_out).items() if k != "notes"
+        }
+    else:
+        assert bad_out == good_out + f"note: {bad.notes[-1]}\n"

@@ -243,7 +243,7 @@ class TestRealKummer:
 
 
 def test_identity_suite_single_model():
-    from nilobstruct.cohomology import identity_suite
+    from nilobstruct.verify import identity_suite
 
     results = identity_suite(cyclic_model(2, 7))
     assert results and all(r.passed for r in results)

@@ -232,6 +232,12 @@ class TestReport:
         at_r = next(r for r in rep.delta3_local if r.place == REAL)
         assert at_r.status == ZERO
 
+    def test_psi_12_is_split_into_its_prime_places(self):
+        # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+        # pseudoprime to the bases 2..37 and must not be taken for a place.
+        rep = report(318665857834031151167461, 5)
+        assert [v for v, _ in rep.delta2_local] == [5, 399165290221, 798330580441, REAL]
+
     def test_notes_mention_reciprocity(self):
         rep = report(18, 5)
         assert any("reciprocity" in n and "consistent" in n for n in rep.notes)

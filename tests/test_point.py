@@ -1,0 +1,131 @@
+"""The factored point behind report(): each coordinate is factored once,
+and every per-place entry agrees with the standalone validated functions."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nilobstruct import arith
+from nilobstruct.arith import InvalidPrimeError, Point
+from nilobstruct.cohomology import (
+    delta3_closed_form,
+    kummer_real_cocycle,
+    lift_cochains,
+    real_place_model,
+    zero1,
+)
+from nilobstruct.k2global import delta2_global, support_odd_primes, tame_symbol_odd
+from nilobstruct.localclass import REAL, delta2_local
+from nilobstruct.obstruct import (
+    BLOCKED,
+    NONZERO,
+    ZERO,
+    Delta3LocalResult,
+    RealLift,
+    delta3_local_odd,
+    delta3_local_real,
+    report,
+)
+
+
+def _nonzero(rng, bound):
+    while True:
+        v = rng.randint(-bound, bound)
+        if v:
+            return v
+
+
+def _points(seed, count):
+    """Integer points |x| <= 1e6, rationals with parts <= 1e6 and tiny
+    integers, each with no extra place, the real place, or an odd prime."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            b, a = Fraction(_nonzero(rng, 10**6)), Fraction(_nonzero(rng, 10**6))
+        elif kind == 1:
+            b = Fraction(_nonzero(rng, 10**6), rng.randint(1, 10**6))
+            a = Fraction(_nonzero(rng, 10**6), rng.randint(1, 10**6))
+        else:
+            b, a = Fraction(_nonzero(rng, 100)), Fraction(_nonzero(rng, 100))
+        yield b, a, rng.choice((None, REAL, 3, 5, 7, 1000003))
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_report_entries_equal_standalone_functions(seed):
+    for b, a, extra in _points(seed, 60):
+        rep = report(b, a, extra)
+        odd = set(support_odd_primes(b, a))
+        if extra not in (None, REAL):
+            odd.add(extra)
+        places = [*sorted(odd), REAL]
+        assert [v for v, _ in rep.delta2_local] == places
+        assert [r.place for r in rep.delta3_local] == places
+        for v, inv in rep.delta2_local:
+            assert inv == delta2_local(b, a, v)
+        for r in rep.delta3_local:
+            want = delta3_local_real(b, a) if r.place == REAL else delta3_local_odd(b, a, r.place)
+            assert r == want
+        assert rep.delta2 == delta2_global(b, a)
+        symbols = [tame_symbol_odd(b, a, p) for p in places[:-1]]
+        odd_witnesses = [w for w in rep.delta2.k2_witnesses if w.place != 2]
+        assert odd_witnesses == [s for s in symbols if not s.trivial]
+
+
+@pytest.mark.parametrize("b_sign", (1, -1))
+@pytest.mark.parametrize("a_sign", (1, -1))
+def test_real_place_entry_rederived_from_cochain_engine(b_sign, a_sign):
+    """Every lift over the order-2 model of G_R, enumerated by the engine and
+    run through the closed forms; no lift exists exactly when real delta2
+    obstructs."""
+    b, a = Fraction(b_sign * 3, 11), Fraction(a_sign * 7)
+    model = real_place_model()
+    b_coc, a_coc = kummer_real_cocycle(b, model), kummer_real_cocycle(a, model)
+    lifts = lift_cochains(model, b_coc, a_coc)
+    if not lifts:
+        want = Delta3LocalResult(REAL, BLOCKED, ())
+    else:
+        f = zero1(model, 2, 2)
+        real_lifts = []
+        for c in lifts:
+            comp_x, comp_y = delta3_closed_form(b_coc, a_coc, c, f)
+            label = "c=0" if c.values[1] == 0 else "c={-1}"
+            real_lifts.append(RealLift(label, comp_x.values[1][1], comp_y.values[1][1]))
+        vanishing = any(lift.comp_x == lift.comp_y == 0 for lift in real_lifts)
+        want = Delta3LocalResult(REAL, ZERO if vanishing else NONZERO, (), real_lifts=tuple(real_lifts))
+    assert delta3_local_real(b, a) == want
+    assert (want.status == BLOCKED) == (b_sign < 0 and a_sign < 0)
+
+
+def test_report_factors_each_coordinate_once(monkeypatch):
+    calls = []
+    factor = arith.factor
+
+    def counting(x):
+        calls.append(x)
+        return factor(x)
+
+    monkeypatch.setattr(arith, "factor", counting)
+    for b, a, extra in ((-1, 5, None), (Fraction(12, 7), 10, 11), (18, 5, REAL), (1000003 * 3, -7, 5)):
+        calls.clear()
+        report(b, a, extra)
+        assert calls == [b, a]
+
+
+def test_point_holds_certified_local_data():
+    point = Point.of(Fraction(-45, 7), 10, extra_prime=11)
+    assert point.primes() == (3, 5, 7, 11)
+    # -45/7 = -(3^2 * 5) / 7 and 10 = 2 * 5: (v_b, u_b, v_a, u_a) per prime
+    assert point.local[0] == (3, 2, -5 * pow(7, -1, 3) % 3, 0, 10 % 3)
+    assert point.local[2] == (7, -1, -45 % 7, 0, 10 % 7)
+    assert point.local[3] == (11, 0, -45 * pow(7, -1, 11) % 11, 0, 10)
+    assert Point.of(-1, 5, extra_prime=5).local == Point.of(-1, 5).local
+
+
+@pytest.mark.parametrize("extra", (2, 9, 1, -5))
+def test_extra_prime_is_validated(extra):
+    with pytest.raises(InvalidPrimeError):
+        Point.of(3, 7, extra_prime=extra)
+    with pytest.raises(InvalidPrimeError):
+        report(3, 7, extra_place=extra)

@@ -1,5 +1,5 @@
-from nilobstruct.cohomology import identity_suite, standard_models, units_model
-from nilobstruct.verify import run_suites
+from nilobstruct.cohomology import standard_models, units_model
+from nilobstruct.verify import identity_suite, run_suites
 
 
 def test_all_suites_pass():
