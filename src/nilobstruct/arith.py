@@ -315,20 +315,17 @@ class Point:
 
     b: Fraction
     a: Fraction
-    fb: Factorization
-    fa: Factorization
     local: tuple[tuple[int, int, int, int, int], ...]
 
     @classmethod
     def of(cls, b, a, extra_prime: int | None = None) -> "Point":
         b, a = as_rational(b), as_rational(a)
-        fb, fa = factor(b), factor(a)
-        primes = (set(fb.primes()) | set(fa.primes())) - {2}
+        primes = (set(factor(b).primes()) | set(factor(a).primes())) - {2}
         if extra_prime is not None and extra_prime not in primes:
             check_odd_prime(extra_prime)
             primes.add(extra_prime)
         local = tuple((p, *local_data(b, a, p)) for p in sorted(primes))
-        return cls(b, a, fb, fa, local)
+        return cls(b, a, local)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(entry[0] for entry in self.local)

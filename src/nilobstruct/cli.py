@@ -81,7 +81,11 @@ def main(argv=None) -> int:
 
     verify = sub.add_parser("verify")
     verify.add_argument("--max-group-order", type=int, default=8)
-    verify.add_argument("--exhaustive", action="store_true")
+    verify.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="enumerate every D(cb) cochain on cochain-suite models of order <= 4",
+    )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--suite", choices=("cochain", "nilpotent", "all"), default="all")
 

@@ -19,6 +19,8 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
+from .arith import as_rational
+
 
 class InvalidDefiningSystemError(ValueError):
     """Raised when a Massey defining system fails its coboundary conditions."""
@@ -463,7 +465,6 @@ def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[C
     to pass between the two delta3 cocycle expressions, the second is its
     mirror-image analogue.
     """
-    model = b.model
     b2, a2 = b.reduce2(), a.reduce2()
     w_x = c.pointwise_mul(b2)
     w_y = c.pointwise_mul(a2) + binom2(a).pointwise_mul(b2)
@@ -486,8 +487,6 @@ def kummer_real_cocycle(x, model: GaloisModel) -> Cochain1:
     tau fixes a real fourth root of a positive x (value 0) and moves the
     complex fourth root of a negative x by zeta_4^-1 (value 3).
     """
-    from .arith import as_rational
-
     if model.order != 2:
         raise ValueError("the real place model has order 2")
     value = 0 if as_rational(x) > 0 else 3

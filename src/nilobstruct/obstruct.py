@@ -38,7 +38,7 @@ from .cohomology import (
     real_place_model,
     zero1,
 )
-from .k2global import Delta2GlobalVerdict, delta2_global_point, support_odd_primes, symbol_at_2
+from .k2global import Delta2GlobalVerdict, delta2_global_point, support_odd_primes
 from .localclass import (
     INV_ZERO,
     REAL,
@@ -313,11 +313,12 @@ def report(b, a, extra_place: Place | None = None) -> ObstructionReport:
     xor = 0
     for _, inv in d2_local:
         xor ^= inv.half
-    two_symbol = symbol_at_2(b, a)
-    agree = (xor == 1) == (not two_symbol.trivial)
+    # delta2_global_point lists the symbol at 2 among the K2 witnesses iff it is -1.
+    two_value = -1 if any(w.place == 2 for w in d2_global.k2_witnesses) else 1
+    agree = (xor == 1) == (two_value == -1)
     notes.append(
         f"reciprocity: XOR of odd/real invariants = {xor}, 2-adic symbol = "
-        f"{two_symbol.value:+d} ({'consistent' if agree else 'INCONSISTENT'})"
+        f"{two_value:+d} ({'consistent' if agree else 'INCONSISTENT'})"
     )
     if b.denominator == 1 and a.denominator == 1:
         for (p, v_b, _, v_a, _), (_, inv), local in zip(point.local, d2_local, d3_local):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass, field
 
 from . import cohomology as coh
@@ -50,6 +51,8 @@ class CheckResult:
     scope: str
     cases: int
     failures: list[str] = field(default_factory=list)
+    # Wall-clock seconds of the check call, filled in by the suite runner.
+    seconds: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -59,6 +62,14 @@ class CheckResult:
         status = "pass" if self.passed else "FAIL"
         extra = "" if self.passed else f"  e.g. {self.failures[0]}"
         return f"[{status}] {self.name} ({self.scope}): {self.cases} cases{extra}"
+
+
+def _timed(check, *args) -> CheckResult:
+    """Run one check and record its wall-clock time on the result."""
+    start = time.perf_counter()
+    result = check(*args)
+    result.seconds = time.perf_counter() - start
+    return result
 
 
 def _cocycle_data(model: GaloisModel, sample: int | None, rng: random.Random):
@@ -293,24 +304,24 @@ def identity_suite(model: GaloisModel, exhaustive: bool = False, seed: int = 0) 
     """Every degree-1/2 identity, exhaustively verified over one model."""
     rng = random.Random(seed)
     results = [
-        check_dd_zero(model),
-        check_dbchoose2(model),
-        check_dcb_lemma(model, rng, exhaustive),
-        check_graded_symmetry(model),
-        check_cup_cocycle(model),
-        check_boundary_n2(model),
+        _timed(check_dd_zero, model),
+        _timed(check_dbchoose2, model),
+        _timed(check_dcb_lemma, model, rng, exhaustive),
+        _timed(check_graded_symmetry, model),
+        _timed(check_cup_cocycle, model),
+        _timed(check_boundary_n2, model),
     ]
     if model.order <= 4:
-        results.append(check_boundary_n3(model))
-        results.append(check_massey(model))
-        results.append(check_lift_shift(model))
-        results.append(check_fourth_power_lift(model))
+        results.append(_timed(check_boundary_n3, model))
+        results.append(_timed(check_massey, model))
+        results.append(_timed(check_lift_shift, model))
+        results.append(_timed(check_fourth_power_lift, model))
     return results
 
 
 def run_cochain_suite(max_order: int = 8, exhaustive: bool = False, seed: int = 0) -> list[CheckResult]:
     models = [m for m in standard_models() + extra_models(max_order) if m.order <= max_order]
-    results = [check_binomial_addition(), check_fbar_mod48()]
+    results = [_timed(check_binomial_addition), _timed(check_fbar_mod48)]
     for model in models:
         results += identity_suite(model, exhaustive=exhaustive, seed=seed)
     return results
@@ -455,7 +466,7 @@ def check_quotient_compat(rng: random.Random, samples: int = 2000) -> CheckResul
     return result
 
 
-def run_nilpotent_suite(exhaustive: bool = False, seed: int = 0) -> list[CheckResult]:
+def run_nilpotent_suite(seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
     spec8 = nil.full4(8)
     random_pairs = [
@@ -467,28 +478,32 @@ def run_nilpotent_suite(exhaustive: bool = False, seed: int = 0) -> list[CheckRe
     ]
     tower4 = nil.all_elements(nil.TOWER4)
     tower3 = nil.all_elements(nil.TOWER3)
-    results = [
-        check_associativity_tower4(),
-        check_inverses_tower4(),
-        check_switch_identity(),
-        check_commutator_exact(),
-        check_magnus_roundtrip(),
-        check_magnus(nil.TOWER3, itertools.product(tower3, tower3), "TOWER3 exhaustive"),
-        check_magnus(nil.TOWER4, itertools.product(tower4, tower4), "TOWER4 exhaustive"),
-        check_magnus(spec8, random_pairs, "FULL4(8), 10^4 random pairs"),
-        check_galois_automorphism(),
-        check_galois_composition(),
-        check_quotient_compat(rng),
+    return [
+        _timed(check_associativity_tower4),
+        _timed(check_inverses_tower4),
+        _timed(check_switch_identity),
+        _timed(check_commutator_exact),
+        _timed(check_magnus_roundtrip),
+        _timed(check_magnus, nil.TOWER3, itertools.product(tower3, tower3), "TOWER3 exhaustive"),
+        _timed(check_magnus, nil.TOWER4, itertools.product(tower4, tower4), "TOWER4 exhaustive"),
+        _timed(check_magnus, spec8, random_pairs, "FULL4(8), 10^4 random pairs"),
+        _timed(check_galois_automorphism),
+        _timed(check_galois_composition),
+        _timed(check_quotient_compat, rng),
     ]
-    return results
 
 
 def run_suites(
     suite: str = "all", max_order: int = 8, exhaustive: bool = False, seed: int = 0
 ) -> list[CheckResult]:
+    """Run the chosen suites; each result carries the seconds its check took.
+
+    ``exhaustive`` reaches only the cochain suite: there it enumerates every
+    D(cb) cochain on models of order <= 4 instead of sampling 32.
+    """
     results: list[CheckResult] = []
     if suite in ("cochain", "all"):
         results += run_cochain_suite(max_order=max_order, exhaustive=exhaustive, seed=seed)
     if suite in ("nilpotent", "all"):
-        results += run_nilpotent_suite(exhaustive=exhaustive, seed=seed)
+        results += run_nilpotent_suite(seed=seed)
     return results

@@ -1,4 +1,7 @@
 import hypothesis
+import pytest
+
+from nilobstruct.verify import run_suites
 
 hypothesis.settings.register_profile(
     "default", max_examples=60, deadline=None
@@ -12,3 +15,41 @@ ODD_PRIMES_TO_97 = (
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
     61, 67, 71, 73, 79, 83, 89, 97,
 )
+
+# The ten checks identity_suite runs on a model of order <= 4.
+IDENTITY_CHECKS = (
+    "D compose D = 0",
+    "D(b choose 2) identity",
+    "D(cb) product rule",
+    "graded symmetry via D(ab)",
+    "cup of cocycles is a cocycle",
+    "level-2 boundary == b cup a",
+    "level-3 boundary == delta3 formulas",
+    "massey == closed form",
+    "lift shift law",
+    "fourth-power partner vanishing",
+)
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """The session's one ``run_suites`` pass with the ``obstruct verify`` defaults.
+
+    Tests that assert on oracle checks read them from here with ``lookup``
+    instead of running the checks again.
+    """
+    return run_suites("all", max_order=8, seed=0)
+
+
+def lookup(results, keys):
+    """The results with these ``(name, scope)`` keys, in the order given.
+
+    Every key must match exactly one result, so a renamed check fails the
+    test instead of leaving it to pass on an empty list.
+    """
+    found = {}
+    for r in results:
+        found.setdefault((r.name, r.scope), []).append(r)
+    wrong = [k for k in keys if len(found.get(k, ())) != 1]
+    assert not wrong, f"expected exactly one check for each of {wrong}"
+    return [found[k][0] for k in keys]

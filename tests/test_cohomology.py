@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import IDENTITY_CHECKS, lookup
 from nilobstruct.cohomology import (
     Cochain1,
     DefiningSystem,
@@ -242,10 +243,8 @@ class TestRealKummer:
         assert kummer_real_cocycle(-1, model).is_cocycle()
 
 
-def test_identity_suite_single_model():
-    from nilobstruct.verify import identity_suite
-
-    results = identity_suite(cyclic_model(2, 7))
+def test_identity_suite_single_model(oracle):
+    results = lookup(oracle, [(name, cyclic_model(2, 7).name) for name in IDENTITY_CHECKS])
     assert results and all(r.passed for r in results)
 
 

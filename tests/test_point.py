@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilobstruct import arith
+from nilobstruct import arith, k2global, obstruct
 from nilobstruct.arith import InvalidPrimeError, Point
 from nilobstruct.cohomology import (
     delta3_closed_form,
@@ -111,6 +111,22 @@ def test_report_factors_each_coordinate_once(monkeypatch):
         calls.clear()
         report(b, a, extra)
         assert calls == [b, a]
+
+
+def test_report_computes_the_symbol_at_2_once(monkeypatch):
+    calls = []
+    symbol_at_2 = k2global.symbol_at_2
+
+    def counting(b, a):
+        calls.append((b, a))
+        return symbol_at_2(b, a)
+
+    monkeypatch.setattr(k2global, "symbol_at_2", counting)
+    monkeypatch.setattr(obstruct, "symbol_at_2", counting, raising=False)
+    for b, a, extra in ((-1, 5, None), (Fraction(12, 7), 10, 11), (18, 5, REAL), (2, 2, None)):
+        calls.clear()
+        report(b, a, extra)
+        assert calls == [(b, a)]
 
 
 def test_point_holds_certified_local_data():

@@ -1,22 +1,40 @@
+import random
+
+from conftest import IDENTITY_CHECKS, lookup
 from nilobstruct.cohomology import standard_models, units_model
-from nilobstruct.verify import identity_suite, run_suites
+from nilobstruct.verify import check_dcb_lemma
 
 
-def test_all_suites_pass():
-    results = run_suites("all", max_order=8, seed=0)
-    failed = [r for r in results if not r.passed]
+def test_all_suites_pass(oracle):
+    failed = [r for r in oracle if not r.passed]
     assert not failed, "\n".join(r.line() for r in failed)
-    assert len(results) >= 60
-    assert all(r.cases > 0 for r in results)
+    assert len(oracle) >= 60
+    assert all(r.cases > 0 for r in oracle)
 
 
-def test_identity_suite_on_every_standard_model():
+def test_every_check_is_timed(oracle):
+    assert all(r.seconds > 0 for r in oracle)
+
+
+def test_identity_suite_on_every_standard_model(oracle):
     for model in standard_models():
-        assert all(r.passed for r in identity_suite(model))
+        results = lookup(oracle, [(name, model.name) for name in IDENTITY_CHECKS])
+        assert all(r.passed for r in results)
 
 
-def test_identity_suite_units8():
-    results = identity_suite(units_model(8))
+def test_identity_suite_units8(oracle):
+    results = lookup(oracle, [(name, units_model(8).name) for name in IDENTITY_CHECKS])
     names = {r.name for r in results}
     assert "level-3 boundary == delta3 formulas" in names
     assert all(r.passed for r in results)
+
+
+def test_dcb_lemma_exhaustive_on_every_standard_model():
+    # every mod-4 cochain with c(1) = 0, against every twisted mod-4 cocycle b
+    want = {"Z/2": 16, "Z/4": 256, "Z/2xZ/2": 512, "(Z/8)^*": 512}
+    models = standard_models()
+    assert {m.name for m in models} == set(want)
+    for model in models:
+        result = check_dcb_lemma(model, random.Random(0), exhaustive=True)
+        assert result.passed, result.line()
+        assert result.cases == want[model.name]
