@@ -79,9 +79,6 @@ class GaloisModel:
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def inv(self, i: int) -> int:
-        return self.table[i].index(0)
-
     def elements(self) -> range:
         return range(self.order)
 

@@ -441,20 +441,17 @@ def boundary_of_section(
         [galois_act(model.chi[g] % 8, model.fbit(g), sect[h]) for h in model.elements()]
         for g in model.elements()
     ]
-    # Cocycle validation happens at the level the section covers: the first
-    # `width` coordinates of s(p(g)) g(s(p(h))) must reproduce s(p(gh)).
-    for g in model.elements():
-        for h in model.elements():
-            got = nf_mul(sect[g], acted[g][h])
-            want = sect[model.mul(g, h)]
-            if got.vec[:width] != want.vec[:width]:
-                raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
-
     rows_c, rows_d, rows_e = [], [], []
     for g in model.elements():
         rc, rd, re = [], [], []
         for h in model.elements():
-            z = nf_mul(nf_mul(sect[g], acted[g][h]), nf_inv(sect[model.mul(g, h)]))
+            got = nf_mul(sect[g], acted[g][h])
+            want = sect[model.mul(g, h)]
+            # Cocycle validation happens at the level the section covers: the
+            # first `width` coordinates of s(p(g)) g(s(p(h))) must reproduce s(p(gh)).
+            if got.vec[:width] != want.vec[:width]:
+                raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
+            z = nf_mul(got, nf_inv(want))
             rc.append(z.c)
             rd.append(z.d)
             re.append(z.e)

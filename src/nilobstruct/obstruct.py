@@ -8,20 +8,19 @@ three-case criterion (on the kernel of local delta2):
   (ii)  -a is a local square   and {2 sqrt(-a)} cup b + {2} cup a != 0
   (iii) ab is a local square   and {2 sqrt(b) sqrt(a)} cup a != 0
 
-and at the real place by running both lifts of the point through the
-closed-form cochain evaluator over the order-2 model of G_R.  A global
-delta3 verdict is only ever emitted for the proven (-p^3, p) family; outside
-it the report carries local vectors only.
+and at the real place from a literal table keyed by the signs of b and a:
+the values of both lifts of the point over the order-2 model of G_R, which
+the tests re-derive with the cochain engine.  A global delta3 verdict is only
+ever emitted for the proven (-p^3, p) family; outside it the report carries
+local vectors only.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
-    InvalidPrimeError,
     Point,
     _is_fourth_power_mod,
     _legendre,
@@ -30,13 +29,6 @@ from .arith import (
     check_odd_prime,
     is_prime,
     local_data,
-)
-from .cohomology import (
-    Cochain1,
-    delta3_closed_form,
-    kummer_real_cocycle,
-    real_place_model,
-    zero1,
 )
 from .k2global import Delta2GlobalVerdict, delta2_global_point, support_odd_primes
 from .localclass import (
@@ -90,9 +82,7 @@ class Delta3LocalResult:
     place: Place
     status: str
     cases: tuple[CaseTrace, ...]
-    classes_used: tuple[tuple[str, LocalSquareClass], ...] = ()
     real_lifts: tuple[RealLift, ...] = ()
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,7 @@ class ObstructionReport:
 def relevant_places(b, a) -> list[Place]:
     """Odd primes in the support of b or a, then R; at every other odd place
     all classes involved are unit classes, so nothing can be obstructed."""
-    return [*support_odd_primes(as_rational(b), as_rational(a)), REAL]
+    return [*support_odd_primes(b, a), REAL]
 
 
 def delta3_local_odd(b, a, p: int, flip_roots: bool = False) -> Delta3LocalResult:
@@ -134,37 +124,27 @@ def delta3_local_odd_vu(
     data: -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a)."""
     cls_b = square_class_vu(v_b, u_b, p)
     cls_a = square_class_vu(v_a, u_a, p)
-    neg_b = (v_b, -u_b % p)
-    neg_a = (v_a, -u_a % p)
-    prod = (v_b + v_a, u_b * u_a % p)
-    two = square_class_vu(0, 2, p)
-    classes = [
-        ("-b", square_class_vu(*neg_b, p)),
-        ("-a", square_class_vu(*neg_a, p)),
-        ("ab", square_class_vu(*prod, p)),
-        ("2", two),
-    ]
     if cup_qp(cls_b, cls_a).half:
-        return Delta3LocalResult(p, BLOCKED, (), tuple(classes))
+        return Delta3LocalResult(p, BLOCKED, ())
 
+    two = square_class_vu(0, 2, p)
     twist = square_class_vu(0, p - 1, p) if flip_roots else LocalSquareClass(p, 0, 0)
     cases = []
     nonzero = False
     for name, square, partner, extra in (
-        ("i", neg_b, cls_a, INV_ZERO),
-        ("ii", neg_a, cls_b, cup_qp(two, cls_a)),
-        ("iii", prod, cls_a, INV_ZERO),
+        ("i", (v_b, -u_b % p), cls_a, INV_ZERO),
+        ("ii", (v_a, -u_a % p), cls_b, cup_qp(two, cls_a)),
+        ("iii", (v_b + v_a, u_b * u_a % p), cls_a, INV_ZERO),
     ):
         root = sqrt_square_class_vu(*square, p)
         if root is None:
             cases.append(CaseTrace(name, False, 0))
             continue
         root ^= twist
-        classes.append((f"sqrt({name})", root))
         value = cup_qp(two ^ root, partner) ^ extra
         cases.append(CaseTrace(name, True, value.half))
         nonzero = nonzero or bool(value.half)
-    return Delta3LocalResult(p, NONZERO if nonzero else ZERO, tuple(cases), tuple(classes))
+    return Delta3LocalResult(p, NONZERO if nonzero else ZERO, tuple(cases))
 
 
 def delta3_congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
@@ -175,8 +155,7 @@ def delta3_congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
     """
     if not isinstance(b, int) or not isinstance(a, int) or b == 0 or a == 0:
         raise InapplicableError("fast path needs nonzero integers")
-    if p == 2 or not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not an odd prime")
+    check_odd_prime(p)
     if _valuation(Fraction(a) * b, p) != 1:
         raise InapplicableError(f"{p} must divide ab exactly once")
     return _congruence(b, a, p)
@@ -189,41 +168,27 @@ def _congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
     return True, _is_fourth_power_mod(s, p)
 
 
+# delta3 mod 2 at R for each sign pattern (b < 0, a < 0): the components of
+# both lifts over the order-2 model of G_R, whose Kummer cocycles see only the
+# sign.  The lifts differ by the class of -1, and c = 0 always vanishes.
+# tests/test_point.py re-derives every entry with the cochain engine.
+_C0 = RealLift("c=0", 0, 0)
+_REAL_PLACE = {
+    (True, True): Delta3LocalResult(REAL, BLOCKED, ()),
+    (False, False): Delta3LocalResult(REAL, ZERO, (), (_C0, RealLift("c={-1}", 1, 1))),
+    (False, True): Delta3LocalResult(REAL, ZERO, (), (_C0, RealLift("c={-1}", 1, 0))),
+    (True, False): Delta3LocalResult(REAL, ZERO, (), (_C0, RealLift("c={-1}", 0, 1))),
+}
+
+
 def delta3_local_real(b, a) -> Delta3LocalResult:
-    """delta3 mod 2 at R: evaluate both lifts over the order-2 model.
+    """delta3 mod 2 at R: both lifts over the order-2 model of G_R.
 
-    The two lifts differ by the Kummer class of -1; one of them always
-    evaluates to (0, 0), so on the kernel of real delta2 the status is ZERO.
-    The result depends only on the signs of b and a (see _real_place_table).
+    One of the two lifts always evaluates to (0, 0), so on the kernel of real
+    delta2 the status is ZERO.  The result depends only on the signs of b and
+    a (see _REAL_PLACE).
     """
-    return _real_place_table()[as_rational(b) < 0, as_rational(a) < 0]
-
-
-@functools.cache
-def _real_place_table() -> dict[tuple[bool, bool], Delta3LocalResult]:
-    """delta3 mod 2 at R for each sign pattern (b < 0, a < 0).
-
-    Derived on first use by running both lifts of the representatives
-    (+-1, +-1) through the closed-form evaluator over the order-2 model; the
-    Kummer cocycles over that model see only the sign.
-    """
-    model = real_place_model()
-    f = zero1(model, 2, 2)
-    table = {(True, True): Delta3LocalResult(REAL, BLOCKED, ())}
-    for b_negative, a_negative in ((False, False), (False, True), (True, False)):
-        b_coc = kummer_real_cocycle(-1 if b_negative else 1, model)
-        a_coc = kummer_real_cocycle(-1 if a_negative else 1, model)
-        lifts = []
-        vanishing = False
-        for label, c_tau in (("c=0", 0), ("c={-1}", 1)):
-            c = Cochain1(model, 2, 2, (0, c_tau))
-            comp_x, comp_y = delta3_closed_form(b_coc, a_coc, c, f)
-            vx, vy = comp_x.values[1][1], comp_y.values[1][1]
-            lifts.append(RealLift(label, vx, vy))
-            vanishing = vanishing or (vx == 0 and vy == 0)
-        status = ZERO if vanishing else NONZERO
-        table[b_negative, a_negative] = Delta3LocalResult(REAL, status, (), real_lifts=tuple(lifts))
-    return table
+    return _REAL_PLACE[as_rational(b) < 0, as_rational(a) < 0]
 
 
 @dataclass(frozen=True)

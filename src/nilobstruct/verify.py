@@ -72,19 +72,14 @@ def _timed(check, *args) -> CheckResult:
     return result
 
 
-def _cocycle_data(model: GaloisModel, sample: int | None, rng: random.Random):
-    """Triples (b, a, c) over the model, with all valid lifts c.
-
-    ``sample`` caps the number of (b, a) pairs for big models; None means
-    exhaustive.
-    """
+def _cocycle_data(model: GaloisModel):
+    """Triples (b, a, c) over the model: every pair of twisted mod-4 cocycles
+    with every valid lift c."""
     cocs = all_twisted_cocycles(model, 4, 1)
-    pairs = [(b, a) for b in cocs for a in cocs]
-    if sample is not None and len(pairs) > sample:
-        pairs = rng.sample(pairs, sample)
-    for b, a in pairs:
-        for c in lift_cochains(model, b, a):
-            yield b, a, c
+    for b in cocs:
+        for a in cocs:
+            for c in lift_cochains(model, b, a):
+                yield b, a, c
 
 
 def check_binomial_addition() -> CheckResult:
@@ -206,10 +201,10 @@ def check_boundary_n3(model: GaloisModel) -> CheckResult:
     c, and every admissible f, with the f-bits fed to both engines.
     """
     result = CheckResult("level-3 boundary == delta3 formulas", model.name, 0)
-    for b, a, c in _cocycle_data(model, None, random.Random(0)):
+    fs = [(f, model.with_fbits(tuple(f.values))) for f in f_homs(model)]
+    for b, a, c in _cocycle_data(model):
         p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
-        for f in f_homs(model):
-            fmodel = model.with_fbits(tuple(f.values))
+        for f, fmodel in fs:
             bd_x, bd_y = nil.boundary_of_section(fmodel, p, 3)
             direct = delta3_cocycle_direct(b, a, c, f)
             closed = delta3_closed_form(b, a, c, f)
@@ -229,10 +224,11 @@ def check_massey(model: GaloisModel) -> CheckResult:
     """Massey products with the canonical defining systems equal the closed forms."""
     result = CheckResult("massey == closed form", model.name, 0)
     rho = chi_minus1_over2(model)
-    for b, a, c in _cocycle_data(model, None, random.Random(0)):
+    fs = f_homs(model)
+    for b, a, c in _cocycle_data(model):
         b2, a2 = b.reduce2(), a.reduce2()
         ab2 = a2.pointwise_mul(b2)
-        for f in f_homs(model):
+        for f in fs:
             result.cases += 1
             closed = delta3_closed_form(b, a, c, f)
             mx = massey_triple(b2 + rho, b2, a2, DefiningSystem(-binom2(b), -c))
@@ -249,7 +245,7 @@ def check_lift_shift(model: GaloisModel) -> CheckResult:
     rho = chi_minus1_over2(model)
     epsilons = all_twisted_cocycles(model, 2, 2)
     f = coh.zero1(model, 2, 2)
-    for b, a, c in _cocycle_data(model, None, random.Random(0)):
+    for b, a, c in _cocycle_data(model):
         base = delta3_closed_form(b, a, c, f)
         for eps in epsilons:
             result.cases += 1
@@ -272,8 +268,9 @@ def check_fourth_power_lift(model: GaloisModel) -> CheckResult:
     result = CheckResult("fourth-power partner vanishing", model.name, 0)
     a = coh.zero1(model, 4, 1)
     c = coh.zero1(model, 2, 2)
+    fs = f_homs(model)
     for b in all_twisted_cocycles(model, 4, 1):
-        for f in f_homs(model):
+        for f in fs:
             result.cases += 1
             comp_x, comp_y = delta3_closed_form(b, a, c, f)
             direct = delta3_cocycle_direct(b, a, c, f)
@@ -332,12 +329,19 @@ def run_cochain_suite(max_order: int = 8, exhaustive: bool = False, seed: int = 
 # ---------------------------------------------------------------------------
 
 
-def check_associativity_tower4() -> CheckResult:
-    """All 128^3 triples associate, via the precomputed multiplication table."""
-    result = CheckResult("TOWER4 exhaustive associativity", "TOWER4", 128**3)
+def _tower4_table():
+    """TOWER4's elements, their index by vector, and the multiplication table
+    on indices."""
     els = nil.all_elements(nil.TOWER4)
     index = {e.vec: i for i, e in enumerate(els)}
     table = [[index[nil.nf_mul(g, h).vec] for h in els] for g in els]
+    return els, index, table
+
+
+def check_associativity_tower4() -> CheckResult:
+    """All 128^3 triples associate, via the precomputed multiplication table."""
+    result = CheckResult("TOWER4 exhaustive associativity", "TOWER4", 128**3)
+    els, _, table = _tower4_table()
     for i in range(128):
         row_i = table[i]
         for j in range(128):
@@ -415,17 +419,20 @@ def check_magnus_roundtrip() -> CheckResult:
 
 
 def check_galois_automorphism() -> CheckResult:
+    """g(xy) = g(x) g(y) for every (chi, f) and every pair, on indices: each
+    action is tabulated once per (chi, f) and compared through the
+    multiplication table."""
     result = CheckResult("galois_act is an automorphism", "TOWER4, all (chi, f)", 0)
-    els = nil.all_elements(nil.TOWER4)
+    els, index, table = _tower4_table()
     for chi in (1, 3, 5, 7):
         for f in (0, 1):
-            for g in els:
-                for h in els:
+            act = [index[nil.galois_act(chi, f, g).vec] for g in els]
+            for i, row in enumerate(table):
+                act_row = table[act[i]]
+                for j, ij in enumerate(row):
                     result.cases += 1
-                    lhs = nil.galois_act(chi, f, nil.nf_mul(g, h))
-                    rhs = nil.nf_mul(nil.galois_act(chi, f, g), nil.galois_act(chi, f, h))
-                    if lhs != rhs:
-                        result.failures.append(f"chi={chi} f={f} g={g.vec} h={h.vec}")
+                    if act[ij] != act_row[act[j]]:
+                        result.failures.append(f"chi={chi} f={f} g={els[i].vec} h={els[j].vec}")
                         return result
     return result
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +143,21 @@ def test_failed_self_check_exits_one_with_same_output(capsys, monkeypatch, comma
         }
     else:
         assert bad_out == good_out + f"note: {bad.notes[-1]}\n"
+
+
+def test_report_loads_neither_oracle_engine():
+    """report() and the report command need arith, localclass, k2global and
+    obstruct only; the cochain and nilpotent engines are loaded by verify."""
+    code = (
+        "import sys\n"
+        "import nilobstruct\n"
+        "from nilobstruct import cli\n"
+        "nilobstruct.report(-1, 5)\n"
+        "assert cli.main(['report', '-1', '5', '--json']) == 0\n"
+        "engines = ('nilobstruct.cohomology', 'nilobstruct.nilpotent', 'nilobstruct.verify')\n"
+        "print(sorted(m for m in engines if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

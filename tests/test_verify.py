@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from conftest import IDENTITY_CHECKS, lookup
+from nilobstruct import nilpotent as nil
 from nilobstruct.cohomology import standard_models, units_model
-from nilobstruct.verify import check_dcb_lemma
+from nilobstruct.verify import check_dcb_lemma, check_galois_automorphism
 
 
 def test_all_suites_pass(oracle):
@@ -38,3 +41,23 @@ def test_dcb_lemma_exhaustive_on_every_standard_model():
         result = check_dcb_lemma(model, random.Random(0), exhaustive=True)
         assert result.passed, result.line()
         assert result.cases == want[model.name]
+
+
+@pytest.mark.parametrize("bad_chi, checked", ((None, 1), (7, 6 * 128**2 + 1)))
+def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, bad_chi, checked):
+    """Shifting [x,y] by one breaks g(xy) = g(x) g(y) already at x = y = 1; the
+    check stops at the first failing (chi, f, g, h) and counts the cases run."""
+    galois_act = nil.galois_act
+
+    def shifted(chi, f, e):
+        g = galois_act(chi, f, e)
+        if bad_chi not in (None, chi):
+            return g
+        return nil.element(g.spec, g.a, g.b, g.c + 1, g.d, g.e)
+
+    monkeypatch.setattr(nil, "galois_act", shifted)
+    result = check_galois_automorphism()
+    one = nil.identity(nil.TOWER4).vec
+    assert not result.passed
+    assert result.failures == [f"chi={bad_chi or 1} f=0 g={one} h={one}"]
+    assert result.cases == checked
