@@ -85,13 +85,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_TRIAL_BOUND = 10**6
-
-
 def _pollard_rho(n: int) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
+    """Floyd-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -106,30 +101,24 @@ def _pollard_rho(n: int) -> int:
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Factor a positive integer into {prime: exponent}."""
+    """Factor a positive integer into {prime: exponent}: divide out
+    ``_SMALL_PRIMES``, then certify or split each cofactor by rho."""
     if n <= 0:
         raise ValueError("factor_int needs a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 7
-    while d * d <= n and d <= _TRIAL_BOUND:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            f = _pollard_rho(m)
-            stack.append(f)
-            stack.append(m // f)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        f = _pollard_rho(m)
+        stack.append(f)
+        stack.append(m // f)
     return out
 
 
@@ -232,6 +221,10 @@ def _sqrt_mod(a: int, p: int) -> int | None:
         while tt != 1:
             tt = tt * tt % p
             i += 1
+            if i == m:
+                # For a prime p, t has order 2^i with i < m; reaching m
+                # means p fooled Miller-Rabin.
+                raise InvalidPrimeError(f"{p} is not prime")
         b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p
         c = b * b % p

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97
+from nilobstruct import cli
 from nilobstruct.arith import (
     Factorization,
     InvalidPrimeError,
@@ -19,6 +20,7 @@ from nilobstruct.arith import (
     unit_residue,
     valuation,
 )
+from nilobstruct.obstruct import report
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -195,3 +197,44 @@ def test_is_prime_rejects_psi_12():
 
 def test_factor_int_splits_psi_12():
     assert factor_int(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+# The least strong pseudoprime to the thirteen prime bases 2..41 (same
+# source).  is_prime still accepts it; Tonelli-Shanks then finds a unit
+# whose 2-power order reaches the bound no prime modulus allows.
+PSI_13 = 3317044064679887385961981
+
+
+def test_report_rejects_psi_13():
+    with pytest.raises(InvalidPrimeError):
+        report(-PSI_13, 345997)
+
+
+def test_cli_rejects_psi_13(capsys):
+    assert cli.main(["report", str(-PSI_13), "345997"]) == 2
+    assert "is not prime" in capsys.readouterr().err
+
+
+def _trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factor_int_matches_trial_division():
+    """Every small n, and the shapes Pollard rho meets first once the primes
+    up to 47 are divided out: prime powers and products of primes above 47."""
+    primes = [p for p in range(53, 1000) if _trial_division(p) == {p: 1}]
+    mid = [p for p in primes if p < 500]
+    cases = list(range(1, 20000))
+    cases += [p**k for p in primes for k in range(1, 5)]
+    cases += [p * q for p in mid for q in mid] + [p * p * q for p in mid for q in mid]
+    cases.append(1000003 * 53**2)
+    for n in cases:
+        assert factor_int(n) == _trial_division(n), n

@@ -1,0 +1,27 @@
+"""The experiment scripts the README documents run and finish cleanly."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_congruence_scan_finds_no_disagreement():
+    proc = run_script("congruence_scan.py", "--count", "200")
+    assert proc.returncode == 0, proc.stderr
+    assert "disagreements: 0" in proc.stdout
+
+
+def test_specific_lift_scan_runs():
+    proc = run_script("specific_lift_scan.py", "--max-p", "60")
+    assert proc.returncode == 0, proc.stderr
+    assert "global delta3" in proc.stdout
