@@ -88,6 +88,7 @@ def main(argv=None) -> int:
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--suite", choices=("cochain", "nilpotent", "all"), default="all")
+    verify.add_argument("--json", action="store_true", help="print one JSON object per check")
 
     try:
         args = parser.parse_args(argv)
@@ -148,10 +149,21 @@ def _dispatch(args) -> int:
             exhaustive=args.exhaustive,
             seed=args.seed,
         )
-        for r in results:
-            print(r.line())
         failed = [r for r in results if not r.passed]
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+        if args.json:
+            for r in results:
+                print(json.dumps({
+                    "name": r.name,
+                    "scope": r.scope,
+                    "cases": r.cases,
+                    "seconds": r.seconds,
+                    "passed": r.passed,
+                    "first_failure": r.failures[0] if r.failures else None,
+                }))
+        else:
+            for r in results:
+                print(r.line())
+            print(f"{len(results) - len(failed)}/{len(results)} checks passed")
         return 1 if failed else 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

@@ -400,6 +400,12 @@ def delta3_closed_form(
     All values mod 2.
     """
     _check_delta3_inputs(b, a, c, f)
+    return _delta3_closed_form(b, a, c, f)
+
+
+def _delta3_closed_form(
+    b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1
+) -> tuple[Cochain2, Cochain2]:
     model = b.model
     rho = chi_minus1_over2(model)
     b2, a2 = b.reduce2(), a.reduce2()
@@ -421,6 +427,12 @@ def delta3_cocycle_direct(
     and differ from the closed forms by explicit coboundaries (see verify).
     """
     _check_delta3_inputs(b, a, c, f)
+    return _delta3_cocycle_direct(b, a, c, f)
+
+
+def _delta3_cocycle_direct(
+    b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1
+) -> tuple[Cochain2, Cochain2]:
     model = b.model
     n = model.order
     rho = chi_minus1_over2(model).values
@@ -468,10 +480,11 @@ def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[C
     return w_x, w_y
 
 
-def _check_delta3_inputs(b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1) -> None:
+def _check_delta3_inputs(b: Cochain1, a: Cochain1, c: Cochain1, *fs: Cochain1) -> None:
+    """Validate the lift (b, a)_c once, together with every f it is paired with."""
     if b.modulus != 4 or a.modulus != 4:
         raise ValueError("b and a must be mod-4 cochains")
-    if c.modulus != 2 or f.modulus != 2:
+    if c.modulus != 2 or any(f.modulus != 2 for f in fs):
         raise ValueError("c and f must be mod-2 cochains")
     if not (b.is_cocycle() and a.is_cocycle()):
         raise InvalidLiftError("b and a must be twisted cocycles")

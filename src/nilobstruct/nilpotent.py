@@ -20,6 +20,7 @@ required to agree with embed/series-multiply/extract round trips.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .cohomology import Cochain2, GaloisModel
@@ -138,7 +139,7 @@ def act_vec(u: Vec, chi: int, f: int) -> Vec:
 
 
 def _reduce(u: Vec, moduli: Vec) -> Vec:
-    return tuple(x % m for x, m in zip(u, moduli))
+    return tuple(map(operator.mod, u, moduli))
 
 
 @dataclass(frozen=True)
@@ -264,20 +265,28 @@ _WORDS = (
 _WIDX = {w: i for i, w in enumerate(_WORDS)}
 _NWORDS = len(_WORDS)
 
-# Precomputed convolution: products of word pairs of total length <= 3.
-_MUL_PAIRS: list[tuple[int, int, int]] = [
-    (_WIDX[w1 + w2], i, j)
-    for i, w1 in enumerate(_WORDS)
-    for j, w2 in enumerate(_WORDS)
-    if len(w1) + len(w2) <= 3
-]
-
-
 def _seriesmul_vec(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * _NWORDS
-    for target, i, j in _MUL_PAIRS:
-        out[target] += s[i] * t[j]
-    return tuple(out)
+    # Coefficient of word w: the sum of s[u] * t[v] over the splits w = uv,
+    # written out for every word of _WORDS.
+    s0, sx, sy, sxx, sxy, syx, syy, sxxx, sxxy, sxyx, sxyy, syxx, syxy, syyx, syyy = s
+    t0, tx, ty, txx, txy, tyx, tyy, txxx, txxy, txyx, txyy, tyxx, tyxy, tyyx, tyyy = t
+    return (
+        s0 * t0,
+        s0 * tx + sx * t0,
+        s0 * ty + sy * t0,
+        s0 * txx + sx * tx + sxx * t0,
+        s0 * txy + sx * ty + sxy * t0,
+        s0 * tyx + sy * tx + syx * t0,
+        s0 * tyy + sy * ty + syy * t0,
+        s0 * txxx + sx * txx + sxx * tx + sxxx * t0,
+        s0 * txxy + sx * txy + sxx * ty + sxxy * t0,
+        s0 * txyx + sx * tyx + sxy * tx + sxyx * t0,
+        s0 * txyy + sx * tyy + sxy * ty + sxyy * t0,
+        s0 * tyxx + sy * txx + syx * tx + syxx * t0,
+        s0 * tyxy + sy * txy + syx * ty + syxy * t0,
+        s0 * tyyx + sy * tyx + syy * tx + syyx * t0,
+        s0 * tyyy + sy * tyy + syy * ty + syyy * t0,
+    )
 
 
 def _seriesinv_vec(s: tuple[int, ...]) -> tuple[int, ...]:
@@ -334,7 +343,7 @@ _W2_SERIES = _commutator_series(_Z_SERIES, _ypow(1))
 def _central_pow(base: tuple[int, ...], n: int) -> tuple[int, ...]:
     # For series 1 + (degree >= 2 tail), the n-th power is 1 + n*tail up to
     # degree 3, because tail*tail already has degree >= 4.
-    return tuple(coef if i == 0 else n * coef for i, coef in enumerate(base))
+    return (base[0], *[n * coef for coef in base[1:]])
 
 
 @dataclass(frozen=True)
@@ -397,9 +406,10 @@ def nf_from_magnus(s: MagnusSeries, spec: QuotientSpec) -> NilpotentElement:
     a = s.coeff("Y") % m
     b = s.coeff("X") % m
     c = s.coeff("XY") % m
-    head = _seriesmul_vec(_ypow(a), _xpow(b))
-    head = _seriesmul_vec(head, _central_pow(_Z_SERIES, c))
-    tail = _seriesmul_vec(_seriesinv_vec(head), s.coeffs)
+    # (y^a x^b [x,y]^c)^-1 = [x,y]^-c x^-b y^-a; the binomial series of the
+    # generator powers are exact for negative exponents too.
+    head_inv = _seriesmul_vec(_central_pow(_Z_SERIES, -c), _xpow(-b))
+    tail = _seriesmul_vec(_seriesmul_vec(head_inv, _ypow(-a)), s.coeffs)
     # tail = 1 + d*W1 + e*W2 with W1 = [[X,Y],X]-series, W2 = [[X,Y],Y]-series;
     # the XXY coefficient of W1 is -1 and the YYX coefficient of W2 is +1.
     d = -tail[_WIDX["XXY"]] % m
@@ -431,30 +441,28 @@ def boundary_of_section(
     if any(len(t) != width for t in p):
         raise InvalidCocycleError(f"level-{n} values need {width} coordinates")
 
-    def lift(t):
-        if n == 2:
-            return element(TOWER4, a=t[0], b=t[1])
-        return element(TOWER4, a=t[0], b=t[1], c=t[2])
-
-    sect = [lift(t) for t in p]
-    acted = [
-        [galois_act(model.chi[g] % 8, model.fbit(g), sect[h]) for h in model.elements()]
-        for g in model.elements()
-    ]
+    # Reduced exponent vectors in TOWER4: the arithmetic of nf_mul, galois_act
+    # and nf_inv without an element object per product.
+    moduli = TOWER4.moduli
+    sect = [_reduce((*t, 0, 0, 0)[:5], moduli) for t in p]
+    sect_inv = [_reduce(inv_vec(s), moduli) for s in sect]
     rows_c, rows_d, rows_e = [], [], []
     for g in model.elements():
+        chi, f, s_g = model.chi[g] % 8, model.fbit(g), sect[g]
+        products = [
+            _reduce(mul_vec(s_g, _reduce(act_vec(s_h, chi, f), moduli)), moduli) for s_h in sect
+        ]
         rc, rd, re = [], [], []
-        for h in model.elements():
-            got = nf_mul(sect[g], acted[g][h])
-            want = sect[model.mul(g, h)]
+        for h, got in enumerate(products):
+            gh = model.mul(g, h)
             # Cocycle validation happens at the level the section covers: the
             # first `width` coordinates of s(p(g)) g(s(p(h))) must reproduce s(p(gh)).
-            if got.vec[:width] != want.vec[:width]:
+            if got[:width] != sect[gh][:width]:
                 raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
-            z = nf_mul(got, nf_inv(want))
-            rc.append(z.c)
-            rd.append(z.d)
-            re.append(z.e)
+            _, _, zc, zd, ze = _reduce(mul_vec(got, sect_inv[gh]), moduli)
+            rc.append(zc)
+            rd.append(zd)
+            re.append(ze)
         rows_c.append(tuple(rc))
         rows_d.append(tuple(rd))
         rows_e.append(tuple(re))

@@ -118,6 +118,39 @@ def test_verify_fast_subset(capsys):
     assert "checks passed" in out
 
 
+def test_verify_json_schema(capsys):
+    argv = ("verify", "--suite", "cochain", "--max-group-order", "2")
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    _, text = run(capsys, *argv)
+    lines = text.splitlines()
+    # one object per check, in the order of the text lines, with no summary line
+    assert len(records) == len(lines) - 1 == 12
+    assert lines[-1] == "12/12 checks passed"
+    for record, line in zip(records, lines):
+        assert set(record) == {"name", "scope", "cases", "seconds", "passed", "first_failure"}
+        assert line == f"[pass] {record['name']} ({record['scope']}): {record['cases']} cases"
+        assert record["passed"] is True and record["first_failure"] is None
+        assert isinstance(record["cases"], int) and record["cases"] > 0
+        assert isinstance(record["seconds"], float) and record["seconds"] > 0
+
+
+def test_verify_json_reports_the_first_failure(capsys, monkeypatch):
+    from nilobstruct import verify
+
+    def failing(*args):
+        result = verify.CheckResult("binomial addition law", "Z/4 x Z/4", 16)
+        result.failures += ["d1=1 d2=1", "d1=3 d2=3"]
+        return result
+
+    monkeypatch.setattr(verify, "check_binomial_addition", failing)
+    code, out = run(capsys, "verify", "--suite", "cochain", "--max-group-order", "2", "--json")
+    assert code == 1
+    first = json.loads(out.splitlines()[0])
+    assert first["passed"] is False and first["first_failure"] == "d1=1 d2=1"
+
+
 @pytest.mark.parametrize("command", ("delta2", "delta3", "report"))
 @pytest.mark.parametrize("as_json", (False, True))
 @pytest.mark.parametrize("word", ("INCONSISTENT", "DISAGREES"))

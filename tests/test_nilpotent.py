@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nilobstruct import nilpotent as nil
-from nilobstruct.cohomology import cyclic_model, units_model
+from nilobstruct.cohomology import (
+    all_twisted_cocycles,
+    cyclic_model,
+    extra_models,
+    f_homs,
+    lift_cochains,
+    standard_models,
+    units_model,
+)
 from nilobstruct.nilpotent import (
     TOWER3,
     TOWER4,
@@ -228,3 +236,88 @@ class TestBoundary:
             boundary_of_section(model, [(0, 0)], 2)
         with pytest.raises(ValueError):
             boundary_of_section(model, [(0, 0)] * 4, 5)
+
+
+def _word_convolution(s, t):
+    """Reference series product: concatenate every pair of words and keep the
+    words of total length <= 3."""
+    out = [0] * len(nil._WORDS)
+    for i, u in enumerate(nil._WORDS):
+        for j, v in enumerate(nil._WORDS):
+            if len(u) + len(v) <= 3:
+                out[nil._WIDX[u + v]] += s[i] * t[j]
+    return tuple(out)
+
+
+def test_seriesmul_matches_word_convolution():
+    rng = random.Random(11)
+    for _ in range(2000):
+        s = tuple(rng.randint(-50, 50) for _ in nil._WORDS)
+        t = tuple(rng.randint(-50, 50) for _ in nil._WORDS)
+        assert nil._seriesmul_vec(s, t) == _word_convolution(s, t)
+
+
+def test_nf_from_magnus_round_trips_full4_8():
+    rng = random.Random(12)
+    spec = full4(8)
+    ms = min_magnus_modulus(spec)
+    for _ in range(2000):
+        g = element(spec, *(rng.randrange(8) for _ in range(5)))
+        assert nf_from_magnus(magnus_embed(g, ms), spec) == g
+
+
+def _boundary_by_elements(model, p, n):
+    """Reference section boundary through NilpotentElement products: nf_mul,
+    galois_act and nf_inv on every (g, h), validating as boundary_of_section
+    does."""
+    width = 2 if n == 2 else 3
+    sect = [element(TOWER4, *t) for t in p]
+    rows_c, rows_d, rows_e = [], [], []
+    for g in model.elements():
+        rc, rd, re = [], [], []
+        for h in model.elements():
+            got = nf_mul(sect[g], galois_act(model.chi[g] % 8, model.fbit(g), sect[h]))
+            want = sect[model.mul(g, h)]
+            if got.vec[:width] != want.vec[:width]:
+                raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
+            z = nf_mul(got, nf_inv(want))
+            rc.append(z.c)
+            rd.append(z.d)
+            re.append(z.e)
+        rows_c.append(tuple(rc))
+        rows_d.append(tuple(rd))
+        rows_e.append(tuple(re))
+    if n == 2:
+        return (rows_c,)
+    return (rows_d, rows_e)
+
+
+def _error_text(fn, *args):
+    with pytest.raises(InvalidCocycleError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("model", standard_models() + extra_models(8), ids=lambda m: m.name)
+def test_boundary_of_section_matches_element_route(model):
+    cocycles = all_twisted_cocycles(model, 4, 1)
+    fmodels = [model.with_fbits(f.values) for f in f_homs(model)]
+    for b in cocycles:
+        for a in cocycles:
+            p2 = [(a.values[g], b.values[g]) for g in model.elements()]
+            lifts = [
+                [(*p2[g], c.values[g]) for g in model.elements()]
+                for c in lift_cochains(model, b, a)
+            ]
+            for fmodel in fmodels:
+                for p, n in [(p2, 2)] + [(p3, 3) for p3 in lifts]:
+                    got = boundary_of_section(fmodel, p, n)
+                    assert [bd.values for bd in got] == [
+                        tuple(rows) for rows in _boundary_by_elements(fmodel, p, n)
+                    ]
+    # A section that breaks the cocycle law is rejected with the same text.
+    p = [(0, 0, 0)] * model.order
+    p[-1] = (1, 1, 0)
+    assert _error_text(boundary_of_section, model, p, 3) == _error_text(
+        _boundary_by_elements, model, p, 3
+    )

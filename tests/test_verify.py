@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from conftest import IDENTITY_CHECKS, lookup
 from nilobstruct import nilpotent as nil
 from nilobstruct.cohomology import standard_models, units_model
-from nilobstruct.verify import check_dcb_lemma, check_galois_automorphism
+from nilobstruct.verify import _tower4_table, check_dcb_lemma, check_galois_automorphism, check_magnus
 
 
 def test_all_suites_pass(oracle):
@@ -56,8 +57,52 @@ def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, bad_
         return nil.element(g.spec, g.a, g.b, g.c + 1, g.d, g.e)
 
     monkeypatch.setattr(nil, "galois_act", shifted)
-    result = check_galois_automorphism()
+    result = check_galois_automorphism(_tower4_table())
     one = nil.identity(nil.TOWER4).vec
     assert not result.passed
     assert result.failures == [f"chi={bad_chi or 1} f=0 g={one} h={one}"]
     assert result.cases == checked
+
+
+def _flipped_e(nf_mul):
+    """nf_mul with e shifted by one whenever the product's a and b are both odd."""
+
+    def wrong(g, h):
+        gh = nf_mul(g, h)
+        if gh.a % 2 and gh.b % 2:
+            return nil.element(gh.spec, gh.a, gh.b, gh.c, gh.d, gh.e + 1)
+        return gh
+
+    return wrong
+
+
+def test_magnus_check_catches_a_wrong_collection_on_tower4(monkeypatch):
+    """TOWER4 embeds each element once; a wrong product must still show."""
+    monkeypatch.setattr(nil, "nf_mul", _flipped_e(nil.nf_mul))
+    tower4 = nil.all_elements(nil.TOWER4)
+    result = check_magnus(nil.TOWER4, itertools.product(tower4, tower4), "TOWER4 exhaustive")
+    assert not result.passed
+    assert result.cases == 128**2
+    # a and b of the product are both odd for a quarter of all pairs
+    assert len(result.failures) == 128**2 // 4
+    assert result.failures[0] == "(0, 0, 0, 0, 0) * (1, 1, 0, 0, 0): (1, 1, 0, 0, 1) != (1, 1, 0, 0, 0)"
+
+
+def test_magnus_check_catches_a_wrong_collection_on_full4_8(monkeypatch):
+    rng = random.Random(5)
+    spec = nil.full4(8)
+    pairs = [
+        tuple(nil.element(spec, *(rng.randrange(8) for _ in range(5))) for _ in range(2))
+        for _ in range(200)
+    ]
+    right = nil.nf_mul
+    bad = [(g, h) for g, h in pairs if right(g, h).a % 2 and right(g, h).b % 2]
+    g, h = bad[0]
+    want = right(g, h).vec
+    wrong = (*want[:4], (want[4] + 1) % 8)
+    monkeypatch.setattr(nil, "nf_mul", _flipped_e(right))
+    result = check_magnus(spec, pairs, "FULL4(8), 200 random pairs")
+    assert not result.passed
+    assert result.cases == 200
+    assert len(result.failures) == len(bad) > 0
+    assert result.failures[0] == f"{g.vec} * {h.vec}: {wrong} != {want}"
