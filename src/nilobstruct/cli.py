@@ -28,7 +28,7 @@ def _parse_place(text: str):
         return REAL
     p = int(text)
     if p == 2:
-        raise ValueError("local delta3 is not evaluated at the place 2")
+        raise argparse.ArgumentTypeError("local delta3 is not evaluated at the place 2")
     return p
 
 

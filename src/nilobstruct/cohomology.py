@@ -2,8 +2,8 @@
 
 A GaloisModel is a finite group G given by a multiplication table together
 with a character chi: G -> (Z/2^k)^* (lifted mod 48 when the weight-2 unit
-cocycle f is needed) and an optional mod-2 cocycle of f-bits.  Inhomogeneous
-cochains on G with Z/m coefficients twisted by chi^w support the coboundary
+cocycle f is needed).  Inhomogeneous cochains on G with Z/m coefficients
+twisted by chi^w support the coboundary
 
     Dc(g, h) = c(g) + chi(g)^w c(h) - c(gh)
 
@@ -32,17 +32,12 @@ class InvalidLiftError(ValueError):
 
 @dataclass(frozen=True)
 class GaloisModel:
-    """Finite group with a character into the units of Z/chi_mod.
-
-    The identity element has index 0.  ``fbits`` models the weight-2 mod-2
-    cocycle f; since squares of units act trivially mod 2, any group
-    homomorphism G -> Z/2 is admissible.
-    """
+    """Finite group with a character into the units of Z/chi_mod; the
+    identity element has index 0."""
 
     table: tuple[tuple[int, ...], ...]
     chi: tuple[int, ...]
     chi_mod: int = 8
-    fbits: tuple[int, ...] | None = None
     name: str = "model"
 
     def __post_init__(self):
@@ -64,13 +59,6 @@ class GaloisModel:
                     raise ValueError("chi is not a homomorphism")
             if self.chi[i] % 2 == 0:
                 raise ValueError("chi takes a non-unit value")
-        if self.fbits is not None:
-            if len(self.fbits) != n:
-                raise ValueError("fbits must assign a bit to every element")
-            for i in range(n):
-                for j in range(n):
-                    if self.fbits[self.mul(i, j)] % 2 != (self.fbits[i] + self.fbits[j]) % 2:
-                        raise ValueError("fbits is not a mod-2 cocycle")
 
     @property
     def order(self) -> int:
@@ -81,12 +69,6 @@ class GaloisModel:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def fbit(self, i: int) -> int:
-        return 0 if self.fbits is None else self.fbits[i]
-
-    def with_fbits(self, fbits: tuple[int, ...]) -> "GaloisModel":
-        return GaloisModel(self.table, self.chi, self.chi_mod, tuple(fbits), self.name)
 
     def generators(self) -> tuple[int, ...]:
         """A (greedy, not necessarily minimal) generating set."""
@@ -406,15 +388,10 @@ def delta3_closed_form(
 def _delta3_closed_form(
     b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1
 ) -> tuple[Cochain2, Cochain2]:
-    model = b.model
-    rho = chi_minus1_over2(model)
+    rho = chi_minus1_over2(b.model)
     b2, a2 = b.reduce2(), a.reduce2()
-    ab2 = Cochain1(model, 2, 2, tuple(x * y % 2 for x, y in zip(a2.values, b2.values)))
-    minus_b = Cochain1(model, 2, 1, (b2 + rho).values)
-    minus_a = Cochain1(model, 2, 1, (a2 + rho).values)
-    ab_minus_c = Cochain1(model, 2, 2, tuple((x - y) % 2 for x, y in zip(ab2.values, c.values)))
-    comp_x = -cup(minus_b, c) - cup(binom2(b), a2)
-    comp_y = cup(minus_a, ab_minus_c) + cup(binom2(a), b2) - cup(f, a2)
+    comp_x = -cup(b2 + rho, c) - cup(binom2(b), a2)
+    comp_y = cup(a2 + rho, a2.pointwise_mul(b2) - c) + cup(binom2(a), b2) - cup(f, a2)
     return comp_x, comp_y
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .cohomology import Cochain2, GaloisModel
+from .cohomology import Cochain1, Cochain2, GaloisModel
 
 
 class SpecMismatchError(ValueError):
@@ -423,7 +423,7 @@ def nf_from_magnus(s: MagnusSeries, spec: QuotientSpec) -> NilpotentElement:
 
 
 def boundary_of_section(
-    model: GaloisModel, p: list[tuple[int, ...]], n: int
+    model: GaloisModel, p: list[tuple[int, ...]], n: int, f: Cochain1 | None = None
 ) -> tuple[Cochain2, ...]:
     """Extract the kernel coordinates of (g,h) -> s(p(g)) g(s(p(h))) s(p(gh))^-1.
 
@@ -431,10 +431,14 @@ def boundary_of_section(
     the abelianization) and the output is the [x,y]-coordinate mod 2.  For
     n = 3, p lists (a, b, c) forming a cocycle into the level-3 tower group
     and the output is the pair of degree-3 coordinates mod 2.  The Galois
-    action uses chi mod 8 and the model's f-bits.
+    action uses chi mod 8 and the mod-2 cocycle f on the model, the same
+    cochain the delta3 formulas take; None means f = 0.
     """
     if n not in (2, 3):
         raise ValueError("n must be 2 or 3")
+    if f is not None and not (f.model is model and f.modulus == 2 and f.is_cocycle()):
+        raise InvalidCocycleError("f must be a mod-2 cocycle on the model")
+    f_values = (0,) * model.order if f is None else f.values
     if len(p) != model.order:
         raise InvalidCocycleError("cocycle must assign a value to every element")
     width = 2 if n == 2 else 3
@@ -448,9 +452,9 @@ def boundary_of_section(
     sect_inv = [_reduce(inv_vec(s), moduli) for s in sect]
     rows_c, rows_d, rows_e = [], [], []
     for g in model.elements():
-        chi, f, s_g = model.chi[g] % 8, model.fbit(g), sect[g]
+        chi, f_g, s_g = model.chi[g] % 8, f_values[g], sect[g]
         products = [
-            _reduce(mul_vec(s_g, _reduce(act_vec(s_h, chi, f), moduli)), moduli) for s_h in sect
+            _reduce(mul_vec(s_g, _reduce(act_vec(s_h, chi, f_g), moduli)), moduli) for s_h in sect
         ]
         rc, rd, re = [], [], []
         for h, got in enumerate(products):

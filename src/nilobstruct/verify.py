@@ -32,8 +32,6 @@ from .cohomology import (
     chi_minus1_over2,
     coboundary,
     cup,
-    delta3_closed_form,
-    delta3_cocycle_direct,
     delta3_correction_cochains,
     extra_models,
     f_cocycle,
@@ -72,14 +70,17 @@ def _timed(check, *args) -> CheckResult:
     return result
 
 
-def _cocycle_data(model: GaloisModel):
-    """Triples (b, a, c) over the model: every pair of twisted mod-4 cocycles
-    with every valid lift c."""
+def _level3_data(model: GaloisModel):
+    """(homs, triples): the admissible f, and every pair of twisted mod-4
+    cocycles (b, a) with every valid lift c.  Each triple is validated here,
+    with every f, once; the level-3 checks then call the formula kernels.
+    """
+    homs = f_homs(model)
     cocs = all_twisted_cocycles(model, 4, 1)
-    for b in cocs:
-        for a in cocs:
-            for c in lift_cochains(model, b, a):
-                yield b, a, c
+    triples = [(b, a, c) for b in cocs for a in cocs for c in lift_cochains(model, b, a)]
+    for b, a, c in triples:
+        coh._check_delta3_inputs(b, a, c, *homs)
+    return homs, triples
 
 
 def check_binomial_addition() -> CheckResult:
@@ -194,22 +195,20 @@ def check_boundary_n2(model: GaloisModel) -> CheckResult:
     return result
 
 
-def check_boundary_n3(model: GaloisModel) -> CheckResult:
+def check_boundary_n3(model: GaloisModel, data) -> CheckResult:
     """Level-3 boundary == direct cocycles pointwise == closed forms + D(corr).
 
     Runs over every twisted mod-4 cocycle pair admitting a lift, every valid
-    c, and every admissible f, with the f-bits fed to both engines.  Each
-    lift is validated once; the formula kernels then run for every f.
+    c, and every admissible f, with the same f cochain fed to both engines.
+    ``data`` is _level3_data(model).
     """
     result = CheckResult("level-3 boundary == delta3 formulas", model.name, 0)
-    homs = f_homs(model)
-    fs = [(f, model.with_fbits(tuple(f.values))) for f in homs]
-    for b, a, c in _cocycle_data(model):
-        coh._check_delta3_inputs(b, a, c, *homs)
+    homs, triples = data
+    for b, a, c in triples:
         p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
         dwx, dwy = (coboundary(w) for w in delta3_correction_cochains(b, a, c))
-        for f, fmodel in fs:
-            bd_x, bd_y = nil.boundary_of_section(fmodel, p, 3)
+        for f in homs:
+            bd_x, bd_y = nil.boundary_of_section(model, p, 3, f)
             direct = coh._delta3_cocycle_direct(b, a, c, f)
             closed = coh._delta3_closed_form(b, a, c, f)
             result.cases += 1
@@ -223,23 +222,21 @@ def check_boundary_n3(model: GaloisModel) -> CheckResult:
     return result
 
 
-def check_massey(model: GaloisModel) -> CheckResult:
+def check_massey(model: GaloisModel, data) -> CheckResult:
     """Massey products with the canonical defining systems equal the closed forms.
 
-    The Massey products do not depend on f, so they are taken once per lift,
-    which is validated once; the closed form is evaluated for every f.
+    The Massey products do not depend on f, so they are taken once per lift;
+    the closed form is evaluated for every f.  ``data`` is _level3_data(model).
     """
     result = CheckResult("massey == closed form", model.name, 0)
     rho = chi_minus1_over2(model)
-    fs = f_homs(model)
-    for b, a, c in _cocycle_data(model):
-        coh._check_delta3_inputs(b, a, c, *fs)
+    homs, triples = data
+    for b, a, c in triples:
         b2, a2 = b.reduce2(), a.reduce2()
-        ab2 = a2.pointwise_mul(b2)
         mx = massey_triple(b2 + rho, b2, a2, DefiningSystem(-binom2(b), -c))
-        c_minus_ab = Cochain1(model, 2, 2, tuple((c.values[g] - ab2.values[g]) % 2 for g in model.elements()))
+        c_minus_ab = c - a2.pointwise_mul(b2)
         minus_my = massey_triple(a2 + rho, a2, b2, DefiningSystem(-binom2(a), c_minus_ab))
-        for f in fs:
+        for f in homs:
             result.cases += 1
             closed = coh._delta3_closed_form(b, a, c, f)
             my = -minus_my - cup(f, a2)
@@ -248,41 +245,56 @@ def check_massey(model: GaloisModel) -> CheckResult:
     return result
 
 
-def check_lift_shift(model: GaloisModel) -> CheckResult:
-    """Changing c by a cocycle eps shifts delta3 by ({-b} cup eps, {-a} cup eps)."""
+def check_lift_shift(model: GaloisModel, data) -> CheckResult:
+    """Changing c by a cocycle eps shifts delta3 by ({-b} cup eps, {-a} cup eps).
+
+    The lifts of (b, a) are a coset of the weight-2 mod-2 cocycles, i.e. of
+    the f in ``data``, so every c + eps is looked up among its lifts.
+    """
     result = CheckResult("lift shift law", model.name, 0)
     rho = chi_minus1_over2(model)
-    epsilons = all_twisted_cocycles(model, 2, 2)
-    f = coh.zero1(model, 2, 2)
-    for b, a, c in _cocycle_data(model):
-        base = delta3_closed_form(b, a, c, f)
-        for eps in epsilons:
+    homs, triples = data
+    zero = coh.zero1(model, 2, 2)
+    closed = {
+        (b.values, a.values, c.values): coh._delta3_closed_form(b, a, c, zero)
+        for b, a, c in triples
+    }
+    for b, a, c in triples:
+        base = closed[b.values, a.values, c.values]
+        minus_b, minus_a = b.reduce2() + rho, a.reduce2() + rho
+        for eps in homs:
             result.cases += 1
-            shifted = delta3_closed_form(b, a, c + eps, f)
+            key = (b.values, a.values, (c + eps).values)
+            shifted = closed.get(key)
+            if shifted is None:
+                result.failures.append(f"not a lift: b={key[0]} a={key[1]} c={key[2]}")
+                continue
             dx = shifted[0] - base[0]
             dy = shifted[1] - base[1]
-            if dx.values != cup(b.reduce2() + rho, eps).values:
+            if dx.values != cup(minus_b, eps).values:
                 result.failures.append(f"x-shift b={b.values} eps={eps.values}")
-            if dy.values != cup(a.reduce2() + rho, eps).values:
+            if dy.values != cup(minus_a, eps).values:
                 result.failures.append(f"y-shift a={a.values} eps={eps.values}")
     return result
 
 
-def check_fourth_power_lift(model: GaloisModel) -> CheckResult:
+def check_fourth_power_lift(model: GaloisModel, data) -> CheckResult:
     """a = 0 as a mod-4 cocycle and c = 0: both delta3 components vanish.
 
     Cochain shadow of the (b, fourth power) family: the second coordinate of
-    such a point has trivial mod-4 Kummer cocycle everywhere.
+    such a point has trivial mod-4 Kummer cocycle everywhere.  Each (b, 0, 0)
+    is validated once; the kernels run for every f of ``data``.
     """
     result = CheckResult("fourth-power partner vanishing", model.name, 0)
     a = coh.zero1(model, 4, 1)
     c = coh.zero1(model, 2, 2)
-    fs = f_homs(model)
+    homs, _ = data
     for b in all_twisted_cocycles(model, 4, 1):
-        for f in fs:
+        coh._check_delta3_inputs(b, a, c, *homs)
+        for f in homs:
             result.cases += 1
-            comp_x, comp_y = delta3_closed_form(b, a, c, f)
-            direct = delta3_cocycle_direct(b, a, c, f)
+            comp_x, comp_y = coh._delta3_closed_form(b, a, c, f)
+            direct = coh._delta3_cocycle_direct(b, a, c, f)
             if not (comp_x.is_zero() and comp_y.is_zero()):
                 result.failures.append(f"closed b={b.values}")
             if not (direct[0].is_zero() and direct[1].is_zero()):
@@ -318,10 +330,9 @@ def identity_suite(model: GaloisModel, exhaustive: bool = False, seed: int = 0) 
         _timed(check_boundary_n2, model),
     ]
     if model.order <= 4:
-        results.append(_timed(check_boundary_n3, model))
-        results.append(_timed(check_massey, model))
-        results.append(_timed(check_lift_shift, model))
-        results.append(_timed(check_fourth_power_lift, model))
+        data = _level3_data(model)
+        for check in (check_boundary_n3, check_massey, check_lift_shift, check_fourth_power_lift):
+            results.append(_timed(check, model, data))
     return results
 
 

@@ -68,6 +68,7 @@ class TestDelta3Command:
 
     def test_place_two_rejected(self, capsys):
         assert main(["delta3", "3", "7", "--place", "2"]) == 2
+        assert "local delta3 is not evaluated at the place 2" in capsys.readouterr().err
 
     def test_real_place_filter(self, capsys):
         code, payload = run_json(capsys, "delta3", "-3", "5", "--place", "R", "--json")

@@ -28,6 +28,7 @@ from nilobstruct.cohomology import (
     units_model,
     zero1,
 )
+from nilobstruct.nilpotent import InvalidCocycleError, boundary_of_section
 
 
 class TestModels:
@@ -43,10 +44,15 @@ class TestModels:
         with pytest.raises(ValueError):
             GaloisModel(table, (3, 1))  # chi(identity) != 1
 
-    def test_bad_fbits_rejected(self):
-        table = ((0, 1), (1, 0))
-        with pytest.raises(ValueError):
-            GaloisModel(table, (1, 7), fbits=(1, 0))
+    def test_bad_f_rejected_by_the_boundary(self):
+        # f is one cochain for both engines; the section boundary validates it.
+        model = cyclic_model(2, 7)
+        p = [(0, 0, 0)] * model.order
+        boundary_of_section(model, p, 3, Cochain1(model, 2, 2, (0, 1)))
+        with pytest.raises(InvalidCocycleError):
+            boundary_of_section(model, p, 3, Cochain1(model, 2, 2, (1, 0)))
+        with pytest.raises(InvalidCocycleError):
+            boundary_of_section(model, p, 3, Cochain1(cyclic_model(2, 7), 2, 2, (0, 1)))
 
     def test_s3_is_nonabelian_and_valid(self):
         model = s3_model()

@@ -33,7 +33,11 @@ PRIMES_1_MOD_4 = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
 
 def local_model(p):
-    """(model, mod-4 Kummer cocycle of p, mod-2 Kummer cocycle of 2)."""
+    """(model, mod-4 Kummer cocycle of p, mod-2 Kummer cocycle of 2, f).
+
+    f is the weight-2 mod-2 cocycle with the bits of {2}, fed to the delta3
+    formulas as fbar.
+    """
     assert p % 4 == 1
     d = 1 if p % 8 == 1 else 2
     elems = [(j, k) for j in range(4) for k in range(d)]
@@ -44,10 +48,10 @@ def local_model(p):
     )
     chi = tuple(pow(p, k, 8) for (j, k) in elems)
     two_bits = tuple(1 if pow(p, k, 8) == 5 else 0 for (j, k) in elems)
-    model = GaloisModel(table, chi, 8, fbits=two_bits, name=f"G_Q{p} quotient")
+    model = GaloisModel(table, chi, 8, name=f"G_Q{p} quotient")
     kummer_p = Cochain1(model, 4, 1, tuple(j for (j, k) in elems))
     kummer_2 = Cochain1(model, 2, 1, two_bits)
-    return model, kummer_p, kummer_2
+    return model, kummer_p, kummer_2, Cochain1(model, 2, 2, two_bits)
 
 
 def values_differ_by_coboundary(z, w):
@@ -69,15 +73,15 @@ def values_are_coboundary(z):
 
 @pytest.mark.parametrize("p", PRIMES_1_MOD_4)
 def test_kummer_cocycles_are_cocycles(p):
-    model, kp, k2 = local_model(p)
-    assert kp.is_cocycle() and k2.is_cocycle()
+    _, kp, k2, f = local_model(p)
+    assert kp.is_cocycle() and k2.is_cocycle() and f.is_cocycle()
     # {2} is trivial on the model exactly when 2 is a local square
     assert k2.is_zero() == (legendre(2, p) == 1)
 
 
 @pytest.mark.parametrize("p", PRIMES_1_MOD_4)
 def test_specific_lift_realizes_two_cup_p(p):
-    model, kp, k2 = local_model(p)
+    model, kp, k2, f = local_model(p)
     rho4 = Cochain1(model, 4, 1, tuple((model.chi[g] - 1) // 2 % 4 for g in model.elements()))
     # the distinguished lift: b = {-p^3} = 3(p + (chi-1)/2), a = {p},
     # c0 = 3 (p choose 2); fbar = {2} on this model
@@ -89,7 +93,6 @@ def test_specific_lift_realizes_two_cup_p(p):
         model, 2, 2,
         tuple(3 * (kp.values[g] * (kp.values[g] - 1) // 2) % 2 for g in model.elements()),
     )
-    f = Cochain1(model, 2, 2, model.fbits)
     # delta3 components carry weight 3 while {2} cup {p} carries weight 2;
     # with Z/2 coefficients the action is trivial, so compare raw values
     # (this is the documented weight shift, not an oversight).
@@ -104,7 +107,7 @@ def test_specific_lift_realizes_two_cup_p(p):
 
 @pytest.mark.parametrize("p", PRIMES_1_MOD_4)
 def test_closed_form_agrees_on_the_model(p):
-    model, kp, k2 = local_model(p)
+    model, kp, k2, f = local_model(p)
     rho4 = Cochain1(model, 4, 1, tuple((model.chi[g] - 1) // 2 % 4 for g in model.elements()))
     b = Cochain1(
         model, 4, 1, tuple(3 * (kp.values[g] + rho4.values[g]) % 4 for g in model.elements())
@@ -113,7 +116,6 @@ def test_closed_form_agrees_on_the_model(p):
         model, 2, 2,
         tuple(3 * (kp.values[g] * (kp.values[g] - 1) // 2) % 2 for g in model.elements()),
     )
-    f = Cochain1(model, 2, 2, model.fbits)
     want = cup(k2, kp.reduce2())
     for z in delta3_closed_form(b, kp, c0, f):
         assert z.is_cocycle()
@@ -124,7 +126,7 @@ def test_closed_form_agrees_on_the_model(p):
 def test_binomial_of_even_kummer_cocycle_is_root_class(p):
     # the mod-4 cocycle of p^2 with chosen fourth root sqrt(p) is 2*{p};
     # its binomial cochain is the mod-2 class of the square root, {p} mod 2
-    model, kp, _ = local_model(p)
+    model, kp, _, _ = local_model(p)
     doubled = Cochain1(model, 4, 1, tuple(2 * v % 4 for v in kp.values))
     assert doubled.is_cocycle()
     assert binom2(doubled).values == kp.reduce2().values

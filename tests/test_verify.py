@@ -1,12 +1,24 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import IDENTITY_CHECKS, lookup
+from nilobstruct import cohomology as coh
 from nilobstruct import nilpotent as nil
-from nilobstruct.cohomology import standard_models, units_model
-from nilobstruct.verify import _tower4_table, check_dcb_lemma, check_galois_automorphism, check_magnus
+from nilobstruct.cohomology import klein_model, standard_models, units_model
+from nilobstruct.verify import (
+    _level3_data,
+    _tower4_table,
+    check_dcb_lemma,
+    check_galois_automorphism,
+    check_lift_shift,
+    check_magnus,
+)
+
+VERIFY_BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "verify_baseline.json"
 
 
 def test_all_suites_pass(oracle):
@@ -14,6 +26,15 @@ def test_all_suites_pass(oracle):
     assert not failed, "\n".join(r.line() for r in failed)
     assert len(oracle) >= 60
     assert all(r.cases > 0 for r in oracle)
+
+
+def test_oracle_runs_every_recorded_check_in_full(oracle):
+    """The defaults run exactly the recorded checks, in order, with the recorded
+    case counts, so a dropped or shrunk check fails here."""
+    baseline = json.loads(VERIFY_BASELINE.read_text())
+    assert [[r.name, r.scope, r.cases] for r in oracle] == baseline
+    assert len(baseline) == 65
+    assert sum(cases for _, _, cases in baseline) == 2_273_396
 
 
 def test_every_check_is_timed(oracle):
@@ -106,3 +127,36 @@ def test_magnus_check_catches_a_wrong_collection_on_full4_8(monkeypatch):
     assert result.cases == 200
     assert len(result.failures) == len(bad) > 0
     assert result.failures[0] == f"{g.vec} * {h.vec}: {wrong} != {want}"
+
+
+def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
+    """A closed form that picks up c(gh) whenever c is nonzero no longer shifts
+    by a cup product; the check still runs every (lift, eps) case."""
+    closed_form = coh._delta3_closed_form
+
+    def wrong(b, a, c, f):
+        x, y = closed_form(b, a, c, f)
+        if c.is_zero():
+            return x, y
+        m = c.model
+        extra = tuple(tuple(c.values[m.mul(g, h)] for h in m.elements()) for g in m.elements())
+        return x + coh.Cochain2(m, 2, x.weight, extra), y
+
+    model = klein_model()
+    data = _level3_data(model)
+    monkeypatch.setattr(coh, "_delta3_closed_form", wrong)
+    result = check_lift_shift(model, data)
+    assert not result.passed
+    assert result.cases == 768
+    assert all(line.startswith("x-shift ") for line in result.failures)
+
+
+def test_lift_shift_check_records_a_missing_lift():
+    model = klein_model()
+    homs, triples = _level3_data(model)
+    b, a, c = triples[0]
+    result = check_lift_shift(model, (homs, triples[1:]))
+    assert not result.passed
+    assert result.cases == 768 - len(homs)
+    # every other lift of (b, a) reaches the missing c by exactly one eps
+    assert result.failures == [f"not a lift: b={b.values} a={a.values} c={c.values}"] * (len(homs) - 1)
