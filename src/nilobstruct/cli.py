@@ -26,7 +26,10 @@ _FAILED_CHECK_WORDS = ("INCONSISTENT", "DISAGREES")
 def _parse_place(text: str):
     if text.upper() == "R":
         return REAL
-    p = int(text)
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"a place is an odd prime or R, not {text!r}") from None
     if p == 2:
         raise argparse.ArgumentTypeError("local delta3 is not evaluated at the place 2")
     return p

@@ -93,39 +93,39 @@ def _table_from_op(elems: list, op) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(index[op(a, b)] for b in elems) for a in elems)
 
 
-def cyclic_model(n: int, chi_gen: int, chi_mod: int = 8, name: str | None = None) -> GaloisModel:
-    """Cyclic group of order n with chi(generator) = chi_gen mod chi_mod."""
-    if pow(chi_gen, n, chi_mod) != 1 % chi_mod:
+def cyclic_model(n: int, chi_gen: int, name: str | None = None) -> GaloisModel:
+    """Cyclic group of order n with chi(generator) = chi_gen mod 8."""
+    if pow(chi_gen, n, 8) != 1:
         raise ValueError("chi_gen does not define a character on Z/n")
     elems = list(range(n))
     table = _table_from_op(elems, lambda a, b: (a + b) % n)
-    chi = tuple(pow(chi_gen, i, chi_mod) for i in range(n))
-    return GaloisModel(table, chi, chi_mod, name=name or f"Z/{n}")
+    chi = tuple(pow(chi_gen, i, 8) for i in range(n))
+    return GaloisModel(table, chi, 8, name=name or f"Z/{n}")
 
 
-def klein_model(chi: tuple[int, int, int, int] = (1, 7, 1, 7), name: str = "Z/2xZ/2") -> GaloisModel:
-    """Klein four-group, elements ordered (0,0), (1,0), (0,1), (1,1)."""
+def klein_model() -> GaloisModel:
+    """Klein four-group, elements ordered (0,0), (1,0), (0,1), (1,1); chi = (1, 7, 1, 7)."""
     elems = [(0, 0), (1, 0), (0, 1), (1, 1)]
     table = _table_from_op(elems, lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2))
-    return GaloisModel(table, chi, 8, name=name)
+    return GaloisModel(table, (1, 7, 1, 7), 8, name="Z/2xZ/2")
 
 
-def units_model(n: int, name: str | None = None) -> GaloisModel:
+def units_model(n: int) -> GaloisModel:
     """(Z/n)^* with chi the identity character mod n."""
     elems = [u for u in range(1, n) if gcd(u, n) == 1]
     if elems[0] != 1:
         raise ValueError("unit group must start at 1")
     table = _table_from_op(elems, lambda a, b: a * b % n)
-    return GaloisModel(table, tuple(elems), n, name=name or f"(Z/{n})^*")
+    return GaloisModel(table, tuple(elems), n, name=f"(Z/{n})^*")
 
 
-def s3_model(name: str = "S3") -> GaloisModel:
+def s3_model() -> GaloisModel:
     """Symmetric group on 3 letters; chi = 7 on transpositions."""
     perms = list(itertools.permutations((0, 1, 2)))
     perms.sort(key=lambda s: (s != (0, 1, 2), s))
     table = _table_from_op(perms, lambda a, b: tuple(a[b[i]] for i in range(3)))
     chi = tuple(7 if _parity(s) else 1 for s in perms)
-    return GaloisModel(table, chi, 8, name=name)
+    return GaloisModel(table, chi, 8, name="S3")
 
 
 def _parity(perm) -> int:
@@ -458,11 +458,14 @@ def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[C
 
 
 def _check_delta3_inputs(b: Cochain1, a: Cochain1, c: Cochain1, *fs: Cochain1) -> None:
-    """Validate the lift (b, a)_c once, together with every f it is paired with."""
+    """Validate the lift (b, a)_c once, together with every f it is paired with;
+    each f must be a mod-2 cocycle on b's model, as boundary_of_section asks."""
     if b.modulus != 4 or a.modulus != 4:
         raise ValueError("b and a must be mod-4 cochains")
-    if c.modulus != 2 or any(f.modulus != 2 for f in fs):
-        raise ValueError("c and f must be mod-2 cochains")
+    if c.modulus != 2:
+        raise ValueError("c must be a mod-2 cochain")
+    if not all(f.model is b.model and f.modulus == 2 and f.is_cocycle() for f in fs):
+        raise ValueError("f must be a mod-2 cocycle on b's model")
     if not (b.is_cocycle() and a.is_cocycle()):
         raise InvalidLiftError("b and a must be twisted cocycles")
     check_lift(b, a, c)

@@ -35,7 +35,6 @@ from .localclass import (
     INV_ZERO,
     REAL,
     LocalInvariant,
-    LocalSquareClass,
     Place,
     cup_qp,
     delta2_local,
@@ -101,24 +100,22 @@ def relevant_places(b, a) -> list[Place]:
     return [*support_odd_primes(b, a), REAL]
 
 
-def delta3_local_odd(b, a, p: int, flip_roots: bool = False) -> Delta3LocalResult:
+def delta3_local_odd(b, a, p: int) -> Delta3LocalResult:
     """Three-case local delta3 mod 2 at an odd prime.
 
-    ``flip_roots`` replaces each canonical square-root class by its {-1}
-    twist; under the delta2 precondition the verdict is provably unchanged,
-    and the property tests exercise exactly that.
+    Each case takes the canonical square-root class; under the delta2
+    precondition its {-1} twist gives the same verdict, and the property
+    tests exercise exactly that.
     """
     if p == 2:
         raise UnsupportedPlaceError("local delta3 is not evaluated at the place 2")
     b = as_rational(b)
     a = as_rational(a)
     check_odd_prime(p)
-    return delta3_local_odd_vu(*local_data(b, a, p), p, flip_roots)
+    return delta3_local_odd_vu(*local_data(b, a, p), p)
 
 
-def delta3_local_odd_vu(
-    v_b: int, u_b: int, v_a: int, u_a: int, p: int, flip_roots: bool = False
-) -> Delta3LocalResult:
+def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta3LocalResult:
     """delta3_local_odd from the local data (see arith.local_data) at a
     certified odd prime.  The classes of -b, -a and ab come from the same
     data: -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a)."""
@@ -128,7 +125,6 @@ def delta3_local_odd_vu(
         return Delta3LocalResult(p, BLOCKED, ())
 
     two = square_class_vu(0, 2, p)
-    twist = square_class_vu(0, p - 1, p) if flip_roots else LocalSquareClass(p, 0, 0)
     cases = []
     nonzero = False
     for name, square, partner, extra in (
@@ -140,7 +136,6 @@ def delta3_local_odd_vu(
         if root is None:
             cases.append(CaseTrace(name, False, 0))
             continue
-        root ^= twist
         value = cup_qp(two ^ root, partner) ^ extra
         cases.append(CaseTrace(name, True, value.half))
         nonzero = nonzero or bool(value.half)

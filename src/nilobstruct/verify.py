@@ -70,17 +70,23 @@ def _timed(check, *args) -> CheckResult:
     return result
 
 
-def _level3_data(model: GaloisModel):
-    """(homs, triples): the admissible f, and every pair of twisted mod-4
-    cocycles (b, a) with every valid lift c.  Each triple is validated here,
-    with every f, once; the level-3 checks then call the formula kernels.
-    """
-    homs = f_homs(model)
+def _model_data(model: GaloisModel):
+    """(cocs, homs, lifts): the twisted mod-4 cocycles, and on a model of order
+    <= 4 the admissible f and every lift (b, a, c, forms) of a pair of cocs,
+    validated once with every f; forms holds (closed form, direct cocycles)
+    per f, in homs order.  Larger models get no homs and no lifts."""
     cocs = all_twisted_cocycles(model, 4, 1)
-    triples = [(b, a, c) for b in cocs for a in cocs for c in lift_cochains(model, b, a)]
-    for b, a, c in triples:
-        coh._check_delta3_inputs(b, a, c, *homs)
-    return homs, triples
+    if model.order > 4:
+        return cocs, [], []
+    homs = f_homs(model)
+    closed, direct = coh._delta3_closed_form, coh._delta3_cocycle_direct
+    lifts = []
+    for b in cocs:
+        for a in cocs:
+            for c in lift_cochains(model, b, a):
+                coh._check_delta3_inputs(b, a, c, *homs)
+                lifts.append((b, a, c, [(closed(b, a, c, f), direct(b, a, c, f)) for f in homs]))
+    return cocs, homs, lifts
 
 
 def check_binomial_addition() -> CheckResult:
@@ -108,11 +114,11 @@ def check_dd_zero(model: GaloisModel) -> CheckResult:
     return result
 
 
-def check_dbchoose2(model: GaloisModel) -> CheckResult:
+def check_dbchoose2(model: GaloisModel, data) -> CheckResult:
     """D(b choose 2) = -(b + (chi-1)/2) cup b mod 2 for every mod-4 cocycle."""
     result = CheckResult("D(b choose 2) identity", model.name, 0)
     rho = chi_minus1_over2(model)
-    for b in all_twisted_cocycles(model, 4, 1):
+    for b in data[0]:
         result.cases += 1
         lhs = coboundary(binom2(b))
         rhs = -cup(b.reduce2() + rho, b.reduce2())
@@ -121,10 +127,9 @@ def check_dbchoose2(model: GaloisModel) -> CheckResult:
     return result
 
 
-def check_dcb_lemma(model: GaloisModel, rng: random.Random, exhaustive: bool) -> CheckResult:
+def check_dcb_lemma(model: GaloisModel, data, rng: random.Random, exhaustive: bool) -> CheckResult:
     """D(cb) + b cup c + c cup b = Dc(g,h) (b(g) + chi(g)^w b(h)), mod 4."""
     result = CheckResult("D(cb) product rule", model.name, 0)
-    cocycles = all_twisted_cocycles(model, 4, 1)
     n = model.order
     if exhaustive and n <= 4:
         cochains = [
@@ -136,7 +141,7 @@ def check_dcb_lemma(model: GaloisModel, rng: random.Random, exhaustive: bool) ->
             Cochain1(model, 4, 2, (0, *(rng.randrange(4) for _ in range(n - 1))))
             for _ in range(32)
         ]
-    for b in cocycles:
+    for b in data[0]:
         for c in cochains:
             result.cases += 1
             dc = coboundary(c)
@@ -155,10 +160,10 @@ def check_dcb_lemma(model: GaloisModel, rng: random.Random, exhaustive: bool) ->
     return result
 
 
-def check_graded_symmetry(model: GaloisModel) -> CheckResult:
+def check_graded_symmetry(model: GaloisModel, data) -> CheckResult:
     """b cup a + a cup b = -D(ab) pointwise for mod-4 cocycles."""
     result = CheckResult("graded symmetry via D(ab)", model.name, 0)
-    cocycles = all_twisted_cocycles(model, 4, 1)
+    cocycles, _, _ = data
     for b in cocycles:
         for a in cocycles:
             result.cases += 1
@@ -169,10 +174,10 @@ def check_graded_symmetry(model: GaloisModel) -> CheckResult:
     return result
 
 
-def check_cup_cocycle(model: GaloisModel) -> CheckResult:
+def check_cup_cocycle(model: GaloisModel, data) -> CheckResult:
     """cocycle cup cocycle is a degree-2 cocycle."""
     result = CheckResult("cup of cocycles is a cocycle", model.name, 0)
-    cocycles = all_twisted_cocycles(model, 4, 1)
+    cocycles, _, _ = data
     for b in cocycles:
         for a in cocycles:
             result.cases += 1
@@ -181,10 +186,10 @@ def check_cup_cocycle(model: GaloisModel) -> CheckResult:
     return result
 
 
-def check_boundary_n2(model: GaloisModel) -> CheckResult:
+def check_boundary_n2(model: GaloisModel, data) -> CheckResult:
     """Section boundary at level 2 equals b cup a pointwise."""
     result = CheckResult("level-2 boundary == b cup a", model.name, 0)
-    cocycles = all_twisted_cocycles(model, 4, 1)
+    cocycles, _, _ = data
     for b in cocycles:
         for a in cocycles:
             result.cases += 1
@@ -199,18 +204,15 @@ def check_boundary_n3(model: GaloisModel, data) -> CheckResult:
     """Level-3 boundary == direct cocycles pointwise == closed forms + D(corr).
 
     Runs over every twisted mod-4 cocycle pair admitting a lift, every valid
-    c, and every admissible f, with the same f cochain fed to both engines.
-    ``data`` is _level3_data(model).
+    c, and every admissible f, against the formulas stored in ``data``.
     """
     result = CheckResult("level-3 boundary == delta3 formulas", model.name, 0)
-    homs, triples = data
-    for b, a, c in triples:
+    _, homs, lifts = data
+    for b, a, c, forms in lifts:
         p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
         dwx, dwy = (coboundary(w) for w in delta3_correction_cochains(b, a, c))
-        for f in homs:
+        for f, (closed, direct) in zip(homs, forms):
             bd_x, bd_y = nil.boundary_of_section(model, p, 3, f)
-            direct = coh._delta3_cocycle_direct(b, a, c, f)
-            closed = coh._delta3_closed_form(b, a, c, f)
             result.cases += 1
             if (bd_x.values, bd_y.values) != (direct[0].values, direct[1].values):
                 result.failures.append(f"direct: b={b.values} a={a.values} c={c.values}")
@@ -225,20 +227,19 @@ def check_boundary_n3(model: GaloisModel, data) -> CheckResult:
 def check_massey(model: GaloisModel, data) -> CheckResult:
     """Massey products with the canonical defining systems equal the closed forms.
 
-    The Massey products do not depend on f, so they are taken once per lift;
-    the closed form is evaluated for every f.  ``data`` is _level3_data(model).
+    The Massey products do not depend on f, so they are taken once per lift
+    and compared with the closed form stored for every f in ``data``.
     """
     result = CheckResult("massey == closed form", model.name, 0)
     rho = chi_minus1_over2(model)
-    homs, triples = data
-    for b, a, c in triples:
+    _, homs, lifts = data
+    for b, a, c, forms in lifts:
         b2, a2 = b.reduce2(), a.reduce2()
         mx = massey_triple(b2 + rho, b2, a2, DefiningSystem(-binom2(b), -c))
         c_minus_ab = c - a2.pointwise_mul(b2)
         minus_my = massey_triple(a2 + rho, a2, b2, DefiningSystem(-binom2(a), c_minus_ab))
-        for f in homs:
+        for f, (closed, _) in zip(homs, forms):
             result.cases += 1
-            closed = coh._delta3_closed_form(b, a, c, f)
             my = -minus_my - cup(f, a2)
             if (mx.values, my.values) != (closed[0].values, closed[1].values):
                 result.failures.append(f"b={b.values} a={a.values} c={c.values}")
@@ -249,17 +250,15 @@ def check_lift_shift(model: GaloisModel, data) -> CheckResult:
     """Changing c by a cocycle eps shifts delta3 by ({-b} cup eps, {-a} cup eps).
 
     The lifts of (b, a) are a coset of the weight-2 mod-2 cocycles, i.e. of
-    the f in ``data``, so every c + eps is looked up among its lifts.
+    the f in ``data``, so every c + eps is looked up among its lifts, by the
+    closed form stored at f = 0.
     """
     result = CheckResult("lift shift law", model.name, 0)
     rho = chi_minus1_over2(model)
-    homs, triples = data
-    zero = coh.zero1(model, 2, 2)
-    closed = {
-        (b.values, a.values, c.values): coh._delta3_closed_form(b, a, c, zero)
-        for b, a, c in triples
-    }
-    for b, a, c in triples:
+    _, homs, lifts = data
+    zero = homs.index(coh.zero1(model, 2, 2))
+    closed = {(b.values, a.values, c.values): forms[zero][0] for b, a, c, forms in lifts}
+    for b, a, c, _ in lifts:
         base = closed[b.values, a.values, c.values]
         minus_b, minus_a = b.reduce2() + rho, a.reduce2() + rho
         for eps in homs:
@@ -269,11 +268,9 @@ def check_lift_shift(model: GaloisModel, data) -> CheckResult:
             if shifted is None:
                 result.failures.append(f"not a lift: b={key[0]} a={key[1]} c={key[2]}")
                 continue
-            dx = shifted[0] - base[0]
-            dy = shifted[1] - base[1]
-            if dx.values != cup(minus_b, eps).values:
+            if (shifted[0] - base[0]).values != cup(minus_b, eps).values:
                 result.failures.append(f"x-shift b={b.values} eps={eps.values}")
-            if dy.values != cup(minus_a, eps).values:
+            if (shifted[1] - base[1]).values != cup(minus_a, eps).values:
                 result.failures.append(f"y-shift a={a.values} eps={eps.values}")
     return result
 
@@ -282,19 +279,15 @@ def check_fourth_power_lift(model: GaloisModel, data) -> CheckResult:
     """a = 0 as a mod-4 cocycle and c = 0: both delta3 components vanish.
 
     Cochain shadow of the (b, fourth power) family: the second coordinate of
-    such a point has trivial mod-4 Kummer cocycle everywhere.  Each (b, 0, 0)
-    is validated once; the kernels run for every f of ``data``.
+    such a point has trivial mod-4 Kummer cocycle everywhere.  The (b, 0, 0)
+    are the lifts of ``data`` with a = 0 and c = 0, one for each b.
     """
     result = CheckResult("fourth-power partner vanishing", model.name, 0)
-    a = coh.zero1(model, 4, 1)
-    c = coh.zero1(model, 2, 2)
-    homs, _ = data
-    for b in all_twisted_cocycles(model, 4, 1):
-        coh._check_delta3_inputs(b, a, c, *homs)
-        for f in homs:
+    for b, a, c, forms in data[2]:
+        if not (a.is_zero() and c.is_zero()):
+            continue
+        for (comp_x, comp_y), direct in forms:
             result.cases += 1
-            comp_x, comp_y = coh._delta3_closed_form(b, a, c, f)
-            direct = coh._delta3_cocycle_direct(b, a, c, f)
             if not (comp_x.is_zero() and comp_y.is_zero()):
                 result.failures.append(f"closed b={b.values}")
             if not (direct[0].is_zero() and direct[1].is_zero()):
@@ -319,18 +312,19 @@ def check_fbar_mod48() -> CheckResult:
 
 
 def identity_suite(model: GaloisModel, exhaustive: bool = False, seed: int = 0) -> list[CheckResult]:
-    """Every degree-1/2 identity, exhaustively verified over one model."""
+    """Every degree-1/2 identity over one model, and every level-3 check where
+    _model_data(model) has lifts; its build is timed by no check."""
     rng = random.Random(seed)
+    data = _model_data(model)
     results = [
         _timed(check_dd_zero, model),
-        _timed(check_dbchoose2, model),
-        _timed(check_dcb_lemma, model, rng, exhaustive),
-        _timed(check_graded_symmetry, model),
-        _timed(check_cup_cocycle, model),
-        _timed(check_boundary_n2, model),
+        _timed(check_dbchoose2, model, data),
+        _timed(check_dcb_lemma, model, data, rng, exhaustive),
+        _timed(check_graded_symmetry, model, data),
+        _timed(check_cup_cocycle, model, data),
+        _timed(check_boundary_n2, model, data),
     ]
-    if model.order <= 4:
-        data = _level3_data(model)
+    if data[2]:
         for check in (check_boundary_n3, check_massey, check_lift_shift, check_fourth_power_lift):
             results.append(_timed(check, model, data))
     return results
@@ -350,18 +344,22 @@ def run_cochain_suite(max_order: int = 8, exhaustive: bool = False, seed: int = 
 
 
 def _tower4_table():
-    """TOWER4's elements, their index by vector, and the multiplication table
-    on indices."""
+    """TOWER4's elements, the multiplication table on their indices, and
+    act[chi, f]: the index of galois_act(chi, f, g) for each element g."""
     els = nil.all_elements(nil.TOWER4)
     index = {e.vec: i for i, e in enumerate(els)}
     table = [[index[nil.nf_mul(g, h).vec] for h in els] for g in els]
-    return els, index, table
+    act = {
+        (chi, f): [index[nil.galois_act(chi, f, g).vec] for g in els]
+        for chi, f in itertools.product((1, 3, 5, 7), (0, 1))
+    }
+    return els, table, act
 
 
 def check_associativity_tower4(tower4_table) -> CheckResult:
     """All 128^3 triples associate, via the multiplication table of _tower4_table()."""
     result = CheckResult("TOWER4 exhaustive associativity", "TOWER4", 128**3)
-    els, _, table = tower4_table
+    els, table, _ = tower4_table
     for i in range(128):
         row_i = table[i]
         for j in range(128):
@@ -448,43 +446,42 @@ def check_magnus_roundtrip() -> CheckResult:
 
 
 def check_galois_automorphism(tower4_table) -> CheckResult:
-    """g(xy) = g(x) g(y) for every (chi, f) and every pair, on indices: each
-    action is tabulated once per (chi, f) and compared through the
-    multiplication table of _tower4_table()."""
+    """g(xy) = g(x) g(y) for every (chi, f) and every pair, on indices: the
+    action and multiplication tables of _tower4_table()."""
     result = CheckResult("galois_act is an automorphism", "TOWER4, all (chi, f)", 0)
-    els, index, table = tower4_table
-    for chi in (1, 3, 5, 7):
-        for f in (0, 1):
-            act = [index[nil.galois_act(chi, f, g).vec] for g in els]
-            for i, row in enumerate(table):
-                act_row = table[act[i]]
-                for j, ij in enumerate(row):
-                    result.cases += 1
-                    if act[ij] != act_row[act[j]]:
-                        result.failures.append(f"chi={chi} f={f} g={els[i].vec} h={els[j].vec}")
-                        return result
+    els, table, act = tower4_table
+    for (chi, f), a in act.items():
+        for i, row in enumerate(table):
+            a_row = table[a[i]]
+            for j, ij in enumerate(row):
+                result.cases += 1
+                if a[ij] != a_row[a[j]]:
+                    result.failures.append(f"chi={chi} f={f} g={els[i].vec} h={els[j].vec}")
+                    return result
     return result
 
 
-def check_galois_composition() -> CheckResult:
+def check_galois_composition(tower4_table) -> CheckResult:
+    """(chi1, f1) after (chi2, f2) acts as (chi1 chi2, f1 + chi1^2 f2), on the
+    action tables of _tower4_table()."""
     result = CheckResult("galois composition cocycle law", "TOWER4", 0)
-    els = nil.all_elements(nil.TOWER4)
+    els, _, act = tower4_table
     for chi1, chi2 in itertools.product((1, 3, 5, 7), repeat=2):
         for f1, f2 in itertools.product((0, 1), repeat=2):
-            for g in els:
+            outer, inner = act[chi1, f1], act[chi2, f2]
+            both = act[chi1 * chi2 % 8, (f1 + chi1 * chi1 * f2) % 2]
+            for i, g in enumerate(els):
                 result.cases += 1
-                lhs = nil.galois_act(chi1, f1, nil.galois_act(chi2, f2, g))
-                rhs = nil.galois_act(chi1 * chi2 % 8, (f1 + chi1 * chi1 * f2) % 2, g)
-                if lhs != rhs:
+                if outer[inner[i]] != both[i]:
                     result.failures.append(f"chi=({chi1},{chi2}) f=({f1},{f2}) g={g.vec}")
                     return result
     return result
 
 
-def check_quotient_compat(rng: random.Random, samples: int = 2000) -> CheckResult:
+def check_quotient_compat(rng: random.Random) -> CheckResult:
     result = CheckResult("FULL4(4) -> TOWER4 -> TOWER3 compatibility", "projections", 0)
     spec4 = nil.full4(4)
-    for _ in range(samples):
+    for _ in range(2000):
         g = nil.element(spec4, *(rng.randrange(4) for _ in range(5)))
         h = nil.element(spec4, *(rng.randrange(4) for _ in range(5)))
         chi = rng.choice((1, 3, 5, 7))
@@ -514,7 +511,7 @@ def run_nilpotent_suite(seed: int = 0) -> list[CheckResult]:
     ]
     tower4 = nil.all_elements(nil.TOWER4)
     tower3 = nil.all_elements(nil.TOWER3)
-    # Built once per pass and shared by the two table-driven checks.
+    # Built once per pass, timed by no check, shared by the table-driven checks.
     tower4_table = _tower4_table()
     return [
         _timed(check_associativity_tower4, tower4_table),
@@ -526,7 +523,7 @@ def run_nilpotent_suite(seed: int = 0) -> list[CheckResult]:
         _timed(check_magnus, nil.TOWER4, itertools.product(tower4, tower4), "TOWER4 exhaustive"),
         _timed(check_magnus, spec8, random_pairs, "FULL4(8), 10^4 random pairs"),
         _timed(check_galois_automorphism, tower4_table),
-        _timed(check_galois_composition),
+        _timed(check_galois_composition, tower4_table),
         _timed(check_quotient_compat, rng),
     ]
 

@@ -70,6 +70,12 @@ class TestDelta3Command:
         assert main(["delta3", "3", "7", "--place", "2"]) == 2
         assert "local delta3 is not evaluated at the place 2" in capsys.readouterr().err
 
+    def test_place_that_is_not_a_number_rejected(self, capsys):
+        assert main(["delta3", "3", "7", "--place", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --place: a place is an odd prime or R, not 'x'" in err
+        assert "_parse_place" not in err
+
     def test_real_place_filter(self, capsys):
         code, payload = run_json(capsys, "delta3", "-3", "5", "--place", "R", "--json")
         assert code == 0

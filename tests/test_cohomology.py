@@ -16,6 +16,7 @@ from nilobstruct.cohomology import (
     cup,
     cyclic_model,
     delta3_closed_form,
+    delta3_cocycle_direct,
     f_cocycle,
     f_homs,
     klein_model,
@@ -205,6 +206,17 @@ class TestDelta3Forms:
         # Dc = -(b cup a) has (tau,tau) value 1, but every c has Dc = 0 here
         with pytest.raises(InvalidLiftError):
             delta3_closed_form(b, a, Cochain1(model, 2, 2, (0, 0)), zero1(model, 2, 2))
+
+    @pytest.mark.parametrize("formula", (delta3_closed_form, delta3_cocycle_direct))
+    def test_bad_f_rejected(self, formula):
+        # the f that boundary_of_section rejects: a non-cocycle, or one on another model
+        model = cyclic_model(2, 7)
+        z4 = zero1(model, 4, 1)
+        c = zero1(model, 2, 2)
+        formula(z4, z4, c, Cochain1(model, 2, 2, (0, 1)))
+        for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(cyclic_model(2, 7), 2, 2, (0, 1))):
+            with pytest.raises(ValueError, match="f must be a mod-2 cocycle"):
+                formula(z4, z4, c, f)
 
 
 class TestEnumeration:

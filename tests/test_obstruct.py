@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ODD_PRIMES_TO_97
+from nilobstruct import localclass
 from nilobstruct.arith import InvalidPrimeError
 from nilobstruct.localclass import REAL, delta2_local
 from nilobstruct.obstruct import (
@@ -85,20 +86,29 @@ class TestDelta3LocalOdd:
             x = p * rng.choice([k for k in range(-40, 41) if k])
             assert delta3_local_odd((1 - x) * -x, x, p).status == ZERO
 
-    def test_root_choice_independence(self):
+    def test_root_choice_independence(self, monkeypatch):
+        """The other square root -r has the class of r times {-1}: the verdict
+        and every case trace stay the same."""
+        sqrt_mod = localclass._sqrt_mod
+
+        def other_root(u, p):
+            r = sqrt_mod(u, p)
+            return None if r is None else p - r
+
         rng = random.Random(17)
-        count = 0
-        while count < 200:
+        points = []
+        while len(points) < 200:
             p = rng.choice(ODD_PRIMES_TO_97)
             b = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
             a = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
-            if not (b and a):
-                continue
-            base = delta3_local_odd(b, a, p)
-            flipped = delta3_local_odd(b, a, p, flip_roots=True)
-            assert base.status == flipped.status
-            assert base.cases == flipped.cases
-            count += 1
+            if b and a:
+                points.append((b, a, p))
+        base = [delta3_local_odd(b, a, p) for b, a, p in points]
+        monkeypatch.setattr(localclass, "_sqrt_mod", other_root)
+        for want, (b, a, p) in zip(base, points):
+            flipped = delta3_local_odd(b, a, p)
+            assert want.status == flipped.status
+            assert want.cases == flipped.cases
 
     def test_fourth_power_coset_invariance(self):
         rng = random.Random(18)

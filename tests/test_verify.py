@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -6,16 +7,19 @@ from pathlib import Path
 import pytest
 
 from conftest import IDENTITY_CHECKS, lookup
+from nilobstruct import verify
 from nilobstruct import cohomology as coh
 from nilobstruct import nilpotent as nil
 from nilobstruct.cohomology import klein_model, standard_models, units_model
 from nilobstruct.verify import (
-    _level3_data,
+    _model_data,
     _tower4_table,
     check_dcb_lemma,
     check_galois_automorphism,
+    check_galois_composition,
     check_lift_shift,
     check_magnus,
+    identity_suite,
 )
 
 VERIFY_BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "verify_baseline.json"
@@ -60,7 +64,7 @@ def test_dcb_lemma_exhaustive_on_every_standard_model():
     models = standard_models()
     assert {m.name for m in models} == set(want)
     for model in models:
-        result = check_dcb_lemma(model, random.Random(0), exhaustive=True)
+        result = check_dcb_lemma(model, _model_data(model), random.Random(0), exhaustive=True)
         assert result.passed, result.line()
         assert result.cases == want[model.name]
 
@@ -143,8 +147,8 @@ def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
         return x + coh.Cochain2(m, 2, x.weight, extra), y
 
     model = klein_model()
-    data = _level3_data(model)
     monkeypatch.setattr(coh, "_delta3_closed_form", wrong)
+    data = _model_data(model)
     result = check_lift_shift(model, data)
     assert not result.passed
     assert result.cases == 768
@@ -153,10 +157,47 @@ def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
 
 def test_lift_shift_check_records_a_missing_lift():
     model = klein_model()
-    homs, triples = _level3_data(model)
-    b, a, c = triples[0]
-    result = check_lift_shift(model, (homs, triples[1:]))
+    cocs, homs, lifts = _model_data(model)
+    b, a, c, _ = lifts[0]
+    result = check_lift_shift(model, (cocs, homs, lifts[1:]))
     assert not result.passed
     assert result.cases == 768 - len(homs)
     # every other lift of (b, a) reaches the missing c by exactly one eps
     assert result.failures == [f"not a lift: b={b.values} a={a.values} c={c.values}"] * (len(homs) - 1)
+
+
+def _count_calls(monkeypatch, counts, *targets):
+    """Wrap each (module, name) so that its calls add to counts[name]."""
+    for module, name in targets:
+        fn = getattr(module, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+
+def test_identity_suite_builds_each_value_once(monkeypatch):
+    """Each formula runs once per (lift, f), i.e. once per level-3 case, and
+    the cocycles are listed once for the model and once inside f_homs."""
+    counts = collections.Counter()
+    _count_calls(
+        monkeypatch, counts,
+        (coh, "_delta3_closed_form"), (coh, "_delta3_cocycle_direct"),
+        (coh, "all_twisted_cocycles"), (verify, "all_twisted_cocycles"),
+    )
+    model = klein_model()
+    results = identity_suite(model)
+    (level3,) = lookup(results, [("level-3 boundary == delta3 formulas", model.name)])
+    assert level3.cases == 768
+    assert counts == {"_delta3_closed_form": 768, "_delta3_cocycle_direct": 768, "all_twisted_cocycles": 2}
+
+
+def test_tower4_galois_actions_are_tabulated_once(monkeypatch):
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, (nil, "galois_act"))
+    tower4_table = _tower4_table()
+    assert check_galois_automorphism(tower4_table).passed
+    assert check_galois_composition(tower4_table).passed
+    assert counts == {"galois_act": 1024}
