@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 class InvalidPrimeError(ValueError):
@@ -51,17 +51,40 @@ def as_rational(x) -> Fraction:
     return value
 
 
-# The first thirteen primes as Miller-Rabin bases: deterministic below
-# psi_13 = 3317044064679887385961981 (Sorenson and Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 2017).  The first twelve
-# alone are fooled by psi_12 = 318665857834031151167461.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The first thirteen primes as Miller-Rabin bases, each paired with psi_k,
+# the least strong pseudoprime to the first k of them (OEIS A014233;
+# Jaeschke, Math. Comp. 1993; Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017).  An n that passes the first k
+# bases and is below psi_k is prime.
+_MR_BASES = (
+    (2, 2047),
+    (3, 1373653),
+    (5, 25326001),
+    (7, 3215031751),
+    (11, 2152302898747),
+    (13, 3474749660383),
+    (17, 341550071728321),
+    (19, 341550071728321),
+    (23, 3825123056546413051),
+    (29, 3825123056546413051),
+    (31, 3825123056546413051),
+    (37, 318665857834031151167461),
+    (41, 3317044064679887385961981),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, valid below psi_13 ~ 3.3e24."""
+    """Primality of n: deterministic below psi_13 ~ 3.3e24, BPSW above.
+
+    After trial division by ``_SMALL_PRIMES``, Miller-Rabin runs the bases of
+    ``_MR_BASES`` in order and stops at the first k with n < psi_k, so a
+    7-digit n costs at most three modular powers.  An n >= psi_13 that
+    passes all thirteen bases (base 2 among them) must also pass a strong
+    Lucas test with Selfridge's parameters: together that is the
+    Baillie-PSW test, which no known composite passes.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -72,31 +95,112 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a, psi in _MR_BASES:
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        if x != 1 and x != n - 1:
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    return _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1, Selfridge's parameters:
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1-D)/4
+    (Baillie and Wagstaff, "Lucas pseudoprimes", Math. Comp. 1980)."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    # n + 1 = d * 2^s with d odd; U_d, V_d by the binary ladder from U_1 = V_1 = 1.
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u = u * v % n
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            # Halve mod the odd n: add n to an odd value first.
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+# Brent's rho takes one gcd per this many steps: the product of the
+# differences is accumulated mod n in between.
+_RHO_BATCH = 128
 
 
 def _pollard_rho(n: int) -> int:
-    """Floyd-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
+    """Brent's Pollard rho (Brent, BIT 1980); returns a nontrivial factor of
+    composite odd n.
+
+    Each step makes one squaring and one product into q, with one gcd(q, n)
+    per batch of ``_RHO_BATCH`` steps.  A batch whose gcd is n is replayed
+    from its saved start one step at a time; a failed c moves to the next.
+    """
     for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
     raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
 
 
@@ -223,7 +327,7 @@ def _sqrt_mod(a: int, p: int) -> int | None:
             i += 1
             if i == m:
                 # For a prime p, t has order 2^i with i < m; reaching m
-                # means p fooled Miller-Rabin.
+                # means p fooled is_prime.
                 raise InvalidPrimeError(f"{p} is not prime")
         b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p

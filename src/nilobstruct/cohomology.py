@@ -30,6 +30,11 @@ class InvalidLiftError(ValueError):
     """Raised when c does not satisfy Dc = -(b cup a) mod 2."""
 
 
+class InvalidCocycleError(ValueError):
+    """Raised when a cochain that must be a cocycle (an f, or the section
+    data of boundary_of_section) is not one."""
+
+
 @dataclass(frozen=True)
 class GaloisModel:
     """Finite group with a character into the units of Z/chi_mod; the
@@ -457,15 +462,23 @@ def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[C
     return w_x, w_y
 
 
+def check_f(model: GaloisModel, *fs: Cochain1) -> None:
+    """The one rule for f, shared by the delta3 formulas and
+    boundary_of_section: each f must be a mod-2 cocycle on model."""
+    if not all(f.model is model and f.modulus == 2 and f.is_cocycle() for f in fs):
+        raise InvalidCocycleError("f must be a mod-2 cocycle on the model")
+
+
 def _check_delta3_inputs(b: Cochain1, a: Cochain1, c: Cochain1, *fs: Cochain1) -> None:
-    """Validate the lift (b, a)_c once, together with every f it is paired with;
-    each f must be a mod-2 cocycle on b's model, as boundary_of_section asks."""
+    """Validate the lift (b, a)_c once, together with every f it is paired with
+    (none when the caller has checked its f already)."""
     if b.modulus != 4 or a.modulus != 4:
         raise ValueError("b and a must be mod-4 cochains")
     if c.modulus != 2:
         raise ValueError("c must be a mod-2 cochain")
-    if not all(f.model is b.model and f.modulus == 2 and f.is_cocycle() for f in fs):
-        raise ValueError("f must be a mod-2 cocycle on b's model")
+    if a.model is not b.model or c.model is not b.model:
+        raise ValueError("a and c must live on b's model")
+    check_f(b.model, *fs)
     if not (b.is_cocycle() and a.is_cocycle()):
         raise InvalidLiftError("b and a must be twisted cocycles")
     check_lift(b, a, c)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .cohomology import Cochain1, Cochain2, GaloisModel
+from .cohomology import Cochain1, Cochain2, GaloisModel, InvalidCocycleError, check_f
 
 
 class SpecMismatchError(ValueError):
@@ -36,10 +36,6 @@ class InvalidCharacterError(ValueError):
 
 class PrecisionError(ValueError):
     """Raised when a Magnus modulus is too small for the target quotient."""
-
-
-class InvalidCocycleError(ValueError):
-    """Raised when boundary_of_section is fed a non-cocycle."""
 
 
 @dataclass(frozen=True)
@@ -436,8 +432,8 @@ def boundary_of_section(
     """
     if n not in (2, 3):
         raise ValueError("n must be 2 or 3")
-    if f is not None and not (f.model is model and f.modulus == 2 and f.is_cocycle()):
-        raise InvalidCocycleError("f must be a mod-2 cocycle on the model")
+    if f is not None:
+        check_f(model, f)
     f_values = (0,) * model.order if f is None else f.values
     if len(p) != model.order:
         raise InvalidCocycleError("cocycle must assign a value to every element")

@@ -72,19 +72,20 @@ def _timed(check, *args) -> CheckResult:
 
 def _model_data(model: GaloisModel):
     """(cocs, homs, lifts): the twisted mod-4 cocycles, and on a model of order
-    <= 4 the admissible f and every lift (b, a, c, forms) of a pair of cocs,
-    validated once with every f; forms holds (closed form, direct cocycles)
+    <= 4 the admissible f, checked once, and every lift (b, a, c, forms) of a
+    pair of cocs, validated once; forms holds (closed form, direct cocycles)
     per f, in homs order.  Larger models get no homs and no lifts."""
     cocs = all_twisted_cocycles(model, 4, 1)
     if model.order > 4:
         return cocs, [], []
     homs = f_homs(model)
+    coh.check_f(model, *homs)
     closed, direct = coh._delta3_closed_form, coh._delta3_cocycle_direct
     lifts = []
     for b in cocs:
         for a in cocs:
             for c in lift_cochains(model, b, a):
-                coh._check_delta3_inputs(b, a, c, *homs)
+                coh._check_delta3_inputs(b, a, c)
                 lifts.append((b, a, c, [(closed(b, a, c, f), direct(b, a, c, f)) for f in homs]))
     return cocs, homs, lifts
 

@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97
-from nilobstruct import cli
+from nilobstruct import arith, cli
 from nilobstruct.arith import (
     Factorization,
     InvalidPrimeError,
@@ -200,19 +202,25 @@ def test_factor_int_splits_psi_12():
 
 
 # The least strong pseudoprime to the thirteen prime bases 2..41 (same
-# source).  is_prime still accepts it; Tonelli-Shanks then finds a unit
-# whose 2-power order reaches the bound no prime modulus allows.
+# source).  Miller-Rabin passes it; the strong Lucas test of BPSW does not,
+# so rho splits it and its two factors become places.
 PSI_13 = 3317044064679887385961981
+PSI_13_FACTORS = (1287836182261, 2575672364521)
 
 
-def test_report_rejects_psi_13():
-    with pytest.raises(InvalidPrimeError):
-        report(-PSI_13, 345997)
+@pytest.mark.parametrize("b, a", ((PSI_13, 5), (5 * PSI_13, 7)), ids=("psi13_5", "5psi13_7"))
+def test_report_splits_psi_13(b, a):
+    places = {place for place, _ in report(b, a).delta2_local}
+    assert places >= set(PSI_13_FACTORS) and PSI_13 not in places
 
 
-def test_cli_rejects_psi_13(capsys):
-    assert cli.main(["report", str(-PSI_13), "345997"]) == 2
-    assert "is not prime" in capsys.readouterr().err
+def test_cli_splits_psi_13(capsys):
+    """Taken as a prime, psi_13 would send this point's Tonelli-Shanks run
+    into the composite-modulus guard (exit 2)."""
+    assert cli.main(["report", "--json", str(-PSI_13), "345997"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    places = {entry["place"] for entry in payload["delta2"]["local"]}
+    assert places >= {str(p) for p in PSI_13_FACTORS} and str(PSI_13) not in places
 
 
 def _trial_division(n):
@@ -238,3 +246,141 @@ def test_factor_int_matches_trial_division():
     cases.append(1000003 * 53**2)
     for n in cases:
         assert factor_int(n) == _trial_division(n), n
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, for
+# k = 1..13 (OEIS A014233; Jaeschke 1993; Sorenson and Webster 2017).
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def test_mr_bases_are_the_first_primes_paired_with_psi():
+    assert [a for a, _ in arith._MR_BASES] == [p for p in range(2, 42) if _trial_division(p) == {p: 1}]
+    assert [psi for _, psi in arith._MR_BASES] == list(A014233)
+
+
+@pytest.mark.parametrize("k, psi", enumerate(A014233, 1))
+def test_psi_k_fools_exactly_its_bases(k, psi):
+    """psi_k is composite (a failed strong test is a witness) and fools the
+    first k bases; base k+1 catches it unless psi_(k+1) is the same number,
+    so the early exit after base k stops where it has to."""
+    bases = [a for a, _ in arith._MR_BASES]
+    assert not all(_strong_probable_prime(psi, a) for a in (43, 47, 53))
+    assert all(_strong_probable_prime(psi, a) for a in bases[:k])
+    assert k == len(bases) or _strong_probable_prime(psi, bases[k]) == (A014233[k] == psi)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 300_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+# Sinclair's seven bases make Miller-Rabin deterministic below 2^64.
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def _reference_is_prime(n):
+    for p in (2, 3, 5, 7, 11, 13):
+        if n % p == 0:
+            return n == p
+    return n > 1 and all(a % n == 0 or _strong_probable_prime(n, a % n) for a in _SINCLAIR_BASES)
+
+
+def test_is_prime_matches_a_reference_below_1e15():
+    rng = random.Random(20171)
+    for _ in range(200_000):
+        n = rng.randrange(3, 10**15, 2)
+        assert is_prime(n) == _reference_is_prime(n), n
+
+
+@pytest.mark.parametrize("p", (1000003, 1373677, 9999991))
+def test_seven_digit_prime_costs_at_most_three_powers(monkeypatch, p):
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+    assert is_prime(p)
+    assert 1 <= len(calls) <= 3
+
+
+# The strong Lucas pseudoprimes (Selfridge's parameters) below 2e4, OEIS A217255.
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+
+
+def test_strong_lucas_test_alone():
+    accepted = {n for n in range(3, 20000, 2) if arith._is_strong_lucas_prp(n)}
+    primes = {n for n in range(3, 20000, 2) if _trial_division(n) == {n: 1}}
+    assert accepted == primes | set(STRONG_LUCAS_PSEUDOPRIMES)
+
+
+def test_is_prime_above_psi_13():
+    """Primes there pass the Lucas step too; composites, a Carmichael number
+    (6k+1)(12k+1)(18k+1) among them, are rejected."""
+    k = 14000240
+    assert all(is_prime(m * k + 1) for m in (6, 12, 18))
+    assert not is_prime((6 * k + 1) * (12 * k + 1) * (18 * k + 1))
+    assert not is_prime(PSI_13 * 1000003)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+
+
+def _brent_one_gcd_per_step(n):
+    """Brent's rho of arith._pollard_rho with a gcd after every step: the
+    divisor the batched version must find for a product of two primes."""
+    for c in range(1, 100):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+    raise ArithmeticError(n)
+
+
+def test_pollard_rho_finds_a_proper_divisor():
+    """Every odd composite below 2e5 with no prime factor up to 47; for a
+    product of two primes the batched gcd, backtrack included, finds the
+    divisor a gcd per step finds."""
+    for n in range(53 * 53, 200_000, 2):
+        if any(n % p == 0 for p in arith._SMALL_PRIMES):
+            continue
+        factors = _trial_division(n)
+        if factors == {n: 1}:
+            continue
+        d = arith._pollard_rho(n)
+        assert 1 < d < n and n % d == 0, n
+        if sum(factors.values()) == 2:
+            assert d == _brent_one_gcd_per_step(n), n

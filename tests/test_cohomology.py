@@ -218,6 +218,16 @@ class TestDelta3Forms:
             with pytest.raises(ValueError, match="f must be a mod-2 cocycle"):
                 formula(z4, z4, c, f)
 
+    @pytest.mark.parametrize("formula", (delta3_closed_form, delta3_cocycle_direct))
+    def test_inputs_on_another_model_rejected(self, formula):
+        # a second model of the same order: the values alone would pass
+        model, other = cyclic_model(2, 7), cyclic_model(2, 7)
+        z4, c, f = zero1(model, 4, 1), zero1(model, 2, 2), zero1(model, 2, 2)
+        formula(z4, z4, c, f)
+        for a, c_other in ((zero1(other, 4, 1), c), (z4, zero1(other, 2, 2))):
+            with pytest.raises(ValueError, match="a and c must live on b's model"):
+                formula(z4, a, c_other, f)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("modulus,weight", ((4, 1), (2, 1), (2, 2)))

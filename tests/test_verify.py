@@ -194,6 +194,22 @@ def test_identity_suite_builds_each_value_once(monkeypatch):
     assert counts == {"_delta3_closed_form": 768, "_delta3_cocycle_direct": 768, "all_twisted_cocycles": 2}
 
 
+def test_model_data_checks_each_f_once(monkeypatch):
+    """The admissible f are checked once per model, not once per lift."""
+    checked = []
+    is_cocycle = coh.Cochain1.is_cocycle
+
+    def counting(self):
+        if self.modulus == 2:
+            checked.append(self.values)
+        return is_cocycle(self)
+
+    monkeypatch.setattr(coh.Cochain1, "is_cocycle", counting)
+    cocs, homs, lifts = _model_data(klein_model())
+    assert len(lifts) == 192
+    assert sorted(checked) == sorted(f.values for f in homs) and len(homs) == 4
+
+
 def test_tower4_galois_actions_are_tabulated_once(monkeypatch):
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, (nil, "galois_act"))
