@@ -1,9 +1,10 @@
 """Square classes and the mod-2 cup product over Q_p (p odd) and R.
 
 A class in Q_p*/(Q_p*)^2 is a bit pair over the basis {u, p} where u is the
-smallest positive quadratic non-residue mod p; a class in R*/(R*)^2 is a sign
-bit.  Cup products of two degree-1 classes land in the 2-torsion {0, 1/2} of
-Q/Z via the local invariant map, with the table
+smallest positive quadratic non-residue mod p.  R*/(R*)^2 is just the sign,
+so R has no class type here: delta2_local reads the two signs directly.
+Cup products of two degree-1 classes land in the 2-torsion {0, 1/2} of Q/Z
+via the local invariant map, with the table
 
     u  cup u  = 0
     u  cup p  = p cup u = 1/2
@@ -43,20 +44,6 @@ class LocalSquareClass:
     @property
     def is_trivial(self) -> bool:
         return self.e_u == 0 and self.e_p == 0
-
-
-@dataclass(frozen=True)
-class RealSquareClass:
-    """Element of R*/(R*)^2; the nontrivial class is {-1}."""
-
-    negative: int
-
-    def __xor__(self, other: "RealSquareClass") -> "RealSquareClass":
-        return RealSquareClass(self.negative ^ other.negative)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.negative == 0
 
 
 @dataclass(frozen=True)
@@ -132,22 +119,11 @@ def cup_qp(c1: LocalSquareClass, c2: LocalSquareClass) -> LocalInvariant:
     return LocalInvariant(bit)
 
 
-def square_class_r(x) -> RealSquareClass:
-    return RealSquareClass(1 if as_rational(x) < 0 else 0)
-
-
-def cup_r(c1: RealSquareClass, c2: RealSquareClass) -> LocalInvariant:
-    return LocalInvariant(c1.negative * c2.negative)
-
-
 def delta2_local(b, a, place: Place) -> LocalInvariant:
     """Local mod-2 cup value of the Kummer classes of b and a at a place."""
     if place == REAL:
-        return cup_r(square_class_r(b), square_class_r(a))
+        b, a = as_rational(b), as_rational(a)
+        return LocalInvariant(int(b < 0 and a < 0))
     check_odd_prime(place)
-    return delta2_local_vu(*local_data(as_rational(b), as_rational(a), place), place)
-
-
-def delta2_local_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> LocalInvariant:
-    """delta2_local from the local data (see arith.local_data) at a certified odd prime."""
-    return cup_qp(square_class_vu(v_b, u_b, p), square_class_vu(v_a, u_a, p))
+    v_b, u_b, v_a, u_a = local_data(as_rational(b), as_rational(a), place)
+    return cup_qp(square_class_vu(v_b, u_b, place), square_class_vu(v_a, u_a, place))

@@ -32,13 +32,12 @@ from .arith import (
 )
 from .k2global import Delta2GlobalVerdict, delta2_global_point, support_odd_primes
 from .localclass import (
+    INV_HALF,
     INV_ZERO,
     REAL,
     LocalInvariant,
     Place,
     cup_qp,
-    delta2_local,
-    delta2_local_vu,
     square_class_qp,
     square_class_vu,
     sqrt_square_class_vu,
@@ -255,13 +254,10 @@ def report(b, a, extra_place: Place | None = None) -> ObstructionReport:
     """
     point = Point.of(b, a, None if extra_place == REAL else extra_place)
     b, a = point.b, point.a
-    d2_local = []
-    d3_local = []
-    for p, *data in point.local:
-        d2_local.append((p, delta2_local_vu(*data, p)))
-        d3_local.append(delta3_local_odd_vu(*data, p))
-    d2_local.append((REAL, delta2_local(b, a, REAL)))
-    d3_local.append(delta3_local_real(b, a))
+    d3_local = [delta3_local_odd_vu(*data, p) for p, *data in point.local]
+    d3_local.append(_REAL_PLACE[b < 0, a < 0])
+    # delta3 is blocked exactly where local delta2 is 1/2.
+    d2_local = [(r.place, INV_HALF if r.status == BLOCKED else INV_ZERO) for r in d3_local]
     d2_global = delta2_global_point(point)
     notes = []
     if d2_global.zero != d2_global.k2_zero:

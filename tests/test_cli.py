@@ -201,3 +201,24 @@ def test_report_loads_neither_oracle_engine():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _run_module(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "nilobstruct", *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_module_entry_point_exit_codes(capsys):
+    """`python -m nilobstruct` in a real process passes main()'s exit code
+    on to the interpreter and prints what main() prints in process."""
+    proc = _run_module("report", "-1", "5", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, "report", "-1", "5", "--json")[1]
+
+    proc = _run_module("delta3", "3", "7", "--place", "2")
+    assert proc.returncode == 2
+    assert "the place 2" in proc.stderr
+
+    assert _run_module("report", "0", "5").returncode == 2

@@ -12,11 +12,9 @@ from nilobstruct.localclass import (
     LocalSquareClass,
     NotASquareError,
     cup_qp,
-    cup_r,
     delta2_local,
     neg_one_class,
     square_class_qp,
-    square_class_r,
     sqrt_square_class_qp,
     two_class,
 )
@@ -110,16 +108,19 @@ class TestCupTable:
 
 class TestRealPlace:
     def test_sign_classes(self):
-        assert square_class_r(-3).negative == 1
-        assert square_class_r(3).negative == 0
-        assert square_class_r(-1).negative == 1
+        # paired with -1, the cup at R is 1/2 exactly when the class is {-1}
+        for x in (-3, -1, Fraction(-2, 7)):
+            assert delta2_local(x, -1, REAL) == INV_HALF
+            assert delta2_local(-1, x, REAL) == INV_HALF
+        for x in (3, 1, Fraction(2, 7)):
+            assert delta2_local(x, -1, REAL) == INV_ZERO
+            assert delta2_local(-1, x, REAL) == INV_ZERO
 
     def test_cup(self):
-        neg = square_class_r(-1)
-        pos = square_class_r(1)
-        assert cup_r(neg, neg).half == 1
-        assert cup_r(neg, pos).half == 0
-        assert cup_r(pos, pos).half == 0
+        assert delta2_local(-1, -1, REAL).half == 1
+        assert delta2_local(-1, 1, REAL).half == 0
+        assert delta2_local(1, -1, REAL).half == 0
+        assert delta2_local(1, 1, REAL).half == 0
 
 
 class TestDelta2Local:
@@ -131,6 +132,13 @@ class TestDelta2Local:
 
     def test_minus_one_five_vanishes(self):
         assert delta2_local(-1, 5, 5).half == 0
+
+    @pytest.mark.parametrize("place", (5, REAL))
+    def test_zero_rejected_at_every_place(self, place):
+        # both coordinates are validated, whatever the sign of the other
+        for b, a in ((0, 5), (5, 0), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                delta2_local(b, a, place)
 
     @given(nonzero_rationals, nonzero_rationals, st.sampled_from(ODD_PRIMES_TO_97))
     def test_unramified_vanishes(self, b, a, p):

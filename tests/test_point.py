@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilobstruct import arith, k2global, obstruct
+from nilobstruct import arith, k2global, localclass, obstruct
 from nilobstruct.arith import InvalidPrimeError, Point
 from nilobstruct.cohomology import (
     delta3_closed_form,
@@ -26,6 +26,7 @@ from nilobstruct.obstruct import (
     delta3_local_odd,
     delta3_local_real,
     report,
+    report_json,
 )
 
 
@@ -127,6 +128,22 @@ def test_report_computes_the_symbol_at_2_once(monkeypatch):
         calls.clear()
         report(b, a, extra)
         assert calls == [(b, a)]
+
+
+def test_report_calls_no_public_per_place_evaluator(monkeypatch):
+    """report() evaluates each place once from the factored point: local
+    delta2 is read off the delta3 evaluation, never recomputed."""
+    points = ((-1, 5), (18, 5), (Fraction(12, 7), 10, 11), (-3, -7, REAL), (1000003 * 3, -7, 5))
+    want = [report_json(report(*args)) for args in points]
+
+    def forbidden(*args):
+        raise AssertionError("report() called a public per-place evaluator")
+
+    monkeypatch.setattr(obstruct, "delta3_local_real", forbidden)
+    monkeypatch.setattr(obstruct, "delta3_local_odd", forbidden)
+    monkeypatch.setattr(localclass, "delta2_local", forbidden)
+    monkeypatch.setattr(obstruct, "delta2_local", forbidden, raising=False)
+    assert [report_json(report(*args)) for args in points] == want
 
 
 def test_point_holds_certified_local_data():
