@@ -26,7 +26,7 @@ class NotAUnitError(ValueError):
 # already guarantees the normal form; nonzero-ness is checked at the border.
 RationalNZ = Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:

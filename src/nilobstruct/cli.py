@@ -8,9 +8,6 @@ import re
 import sys
 
 from .arith import parse_rational
-
-# Lets bare negative rationals like -1 or -3/5 parse as positionals.
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 from .localclass import REAL
 from .obstruct import (
     delta3_global_family,
@@ -19,6 +16,9 @@ from .obstruct import (
     report_json,
 )
 
+# Lets bare negative rationals like -1 or -3/5 parse as positionals.
+_NEGATIVE_RATIONAL = re.compile(r"^-[0-9]+(/[0-9]+)?$")
+
 # A report note carrying one of these words records a failed self-check.
 _FAILED_CHECK_WORDS = ("INCONSISTENT", "DISAGREES")
 
@@ -26,10 +26,9 @@ _FAILED_CHECK_WORDS = ("INCONSISTENT", "DISAGREES")
 def _parse_place(text: str):
     if text.upper() == "R":
         return REAL
-    try:
-        p = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"a place is an odd prime or R, not {text!r}") from None
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"a place is an odd prime or R, not {text!r}")
+    p = int(text)
     if p == 2:
         raise argparse.ArgumentTypeError("local delta3 is not evaluated at the place 2")
     return p

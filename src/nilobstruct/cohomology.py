@@ -9,8 +9,10 @@ twisted by chi^w support the coboundary
 
 and the cup product (c cup d)(g, h) = c(g) * chi(g)^{w_d} * d(h).  All the
 degree-1/2 identities used by the obstruction evaluators are checkable here
-by exhaustive enumeration of twisted cocycles, because they are cochain
-identities valid over any profinite group with any character.
+on every twisted cocycle and every lift, because they are cochain identities
+valid over any profinite group with any character.  Cocycles (Dc = 0), the
+admissible f and the lifts (Dc = -(b cup a)) are listed by one solver: a
+solution of Dc = t is fixed by its values on generators.
 """
 
 from __future__ import annotations
@@ -496,52 +498,44 @@ def kummer_real_cocycle(x, model: GaloisModel) -> Cochain1:
     return Cochain1(model, 4, 1, (0, value))
 
 
-def all_twisted_cocycles(model: GaloisModel, modulus: int, weight: int = 1) -> list[Cochain1]:
-    """All cocycles c(gh) = c(g) + chi(g)^w c(h) by generator propagation."""
+def _solutions(model: GaloisModel, modulus: int, weight: int, target: Cochain2) -> list[Cochain1]:
+    """Every c with c(1) = 0 and Dc = target, in itertools.product order of the
+    generator values that fix it: walking from the identity by right
+    multiplication, c(gs) = c(g) + chi(g)^w c(s) - target(g, s)."""
     gens = model.generators()
+    twist = [pow(chi, weight, modulus) for chi in model.chi]
+    reached, steps = [0], []
+    for g in reached:
+        for s in gens:
+            gs = model.mul(g, s)
+            if gs not in reached:
+                reached.append(gs)
+                steps.append((gs, g, s))
     out = []
     for gen_values in itertools.product(range(modulus), repeat=len(gens)):
-        values = _propagate(model, modulus, weight, dict(zip(gens, gen_values)))
-        if values is not None:
-            out.append(Cochain1(model, modulus, weight, values))
-    return out
-
-
-def _propagate(
-    model: GaloisModel, modulus: int, weight: int, seed: dict[int, int]
-) -> tuple[int, ...] | None:
-    known: dict[int, int] = {0: 0}
-    known.update(seed)
-    if known.get(0, 0) != 0:
-        return None
-    changed = True
-    while changed:
-        changed = False
-        for g, vg in list(known.items()):
-            chi_g = pow(model.chi[g], weight, modulus)
-            for h, vh in list(known.items()):
-                gh = model.mul(g, h)
-                value = (vg + chi_g * vh) % modulus
-                if gh in known:
-                    if known[gh] != value:
-                        return None
-                else:
-                    known[gh] = value
-                    changed = True
-    if len(known) != model.order:
-        return None
-    return tuple(known[g] for g in model.elements())
-
-
-def lift_cochains(model: GaloisModel, b: Cochain1, a: Cochain1) -> list[Cochain1]:
-    """All mod-2 cochains c with Dc = -(b cup a) mod 2, i.e. all lifts (b,a)_c."""
-    target = cup(b.reduce2(), a.reduce2())
-    out = []
-    for tail in itertools.product((0, 1), repeat=model.order - 1):
-        c = Cochain1(model, 2, 2, (0, *tail))
+        values = [0] * model.order
+        for s, v in zip(gens, gen_values):
+            values[s] = v
+        for gs, g, s in steps[len(gens):]:  # the identity's steps reach the generators
+            values[gs] = (values[g] + twist[g] * values[s] - target.values[g][s]) % modulus
+        c = Cochain1(model, modulus, weight, tuple(values))
         if coboundary(c).values == target.values:
             out.append(c)
     return out
+
+
+def all_twisted_cocycles(model: GaloisModel, modulus: int, weight: int = 1) -> list[Cochain1]:
+    """All cocycles c(gh) = c(g) + chi(g)^w c(h): the solutions of Dc = 0,
+    in itertools.product order of their generator values."""
+    zero = Cochain2(model, modulus, weight, ((0,) * model.order,) * model.order)
+    return _solutions(model, modulus, weight, zero)
+
+
+def lift_cochains(model: GaloisModel, b: Cochain1, a: Cochain1) -> list[Cochain1]:
+    """All lifts (b,a)_c: the mod-2 cochains c with Dc = -(b cup a) mod 2,
+    sorted by their values."""
+    target = -cup(b.reduce2(), a.reduce2())
+    return sorted(_solutions(model, 2, 2, target), key=lambda c: c.values)
 
 
 def f_homs(model: GaloisModel) -> list[Cochain1]:

@@ -74,7 +74,9 @@ def _model_data(model: GaloisModel):
     """(cocs, homs, lifts): the twisted mod-4 cocycles, and on a model of order
     <= 4 the admissible f, checked once, and every lift (b, a, c, forms) of a
     pair of cocs, validated once; forms holds (closed form, direct cocycles)
-    per f, in homs order.  Larger models get no homs and no lifts."""
+    per f, in homs order.  Larger models get no homs and no lifts: lifts are
+    cheap at any order, but the level-3 checks of S3 and Z/8 would change the
+    check list that perfbench/verify_baseline.json records exactly."""
     cocs = all_twisted_cocycles(model, 4, 1)
     if model.order > 4:
         return cocs, [], []

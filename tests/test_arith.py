@@ -170,7 +170,11 @@ class TestParse:
     def test_valid(self, text, want):
         assert parse_rational(text) == want
 
-    @pytest.mark.parametrize("text", ("", "0", "0/5", "1.5", "1/0", "a", "--3", "1/-2"))
+    # The last two are an Arabic-Indic three and a fullwidth one-two over it,
+    # which Fraction() alone would read.
+    @pytest.mark.parametrize(
+        "text", ("", "0", "0/5", "1.5", "1/0", "a", "--3", "1/-2", "\u0663", "\uff11\uff12/\u0663")
+    )
     def test_invalid(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

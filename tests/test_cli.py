@@ -117,6 +117,15 @@ class TestErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        (["report", "\u0663", "5"], ["report", "-\u0663", "5"], ["delta3", "3", "7", "--place", "\u0663"]),
+    )
+    def test_non_ascii_digits_rejected(self, capsys, argv):
+        # an Arabic-Indic three is not in the grammar -?digits(/digits)?
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
 
 def test_verify_fast_subset(capsys):
     code, out = run(capsys, "verify", "--suite", "cochain", "--max-group-order", "2")

@@ -11,12 +11,14 @@ from nilobstruct.cohomology import (
     InvalidLiftError,
     all_twisted_cocycles,
     binom2,
+    check_lift,
     chi_minus1_over2,
     coboundary,
     cup,
     cyclic_model,
     delta3_closed_form,
     delta3_cocycle_direct,
+    extra_models,
     f_cocycle,
     f_homs,
     klein_model,
@@ -229,29 +231,65 @@ class TestDelta3Forms:
                 formula(z4, a, c_other, f)
 
 
+# Small enough for brute force over all cochains: orders 2 to 8.
+BRUTE_FORCE_MODELS = standard_models() + extra_models(8) + (units_model(16),)
+
+
+def _brute_force_lifts(model, b, a):
+    """Every mod-2 cochain c with Dc = -(b cup a), by trying all 2^(|G|-1)."""
+    target = cup(b.reduce2(), a.reduce2())
+    out = []
+    for tail in itertools.product((0, 1), repeat=model.order - 1):
+        c = Cochain1(model, 2, 2, (0, *tail))
+        if coboundary(c).values == target.values:
+            out.append(c)
+    return out
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("modulus,weight", ((4, 1), (2, 1), (2, 2)))
     def test_matches_brute_force(self, modulus, weight):
-        for model in standard_models():
-            fast = {c.values for c in all_twisted_cocycles(model, modulus, weight)}
+        for model in BRUTE_FORCE_MODELS:
+            fast = [c.values for c in all_twisted_cocycles(model, modulus, weight)]
             slow = set()
             for values in itertools.product(range(modulus), repeat=model.order - 1):
                 c = Cochain1(model, modulus, weight, (0, *values))
                 if c.is_cocycle():
                     slow.add(c.values)
-            assert fast == slow
+            assert len(fast) == len(slow) and set(fast) == slow
 
     def test_lift_cochains_solve_the_lift_equation(self):
-        model = units_model(8)
-        cocs = all_twisted_cocycles(model, 4, 1)
+        # the same lifts in the same order as brute force, on every pair
         found_any = False
+        for model in BRUTE_FORCE_MODELS:
+            cocs = all_twisted_cocycles(model, 4, 1)
+            for b in cocs:
+                for a in cocs:
+                    want = -cup(b.reduce2(), a.reduce2())
+                    lifts = lift_cochains(model, b, a)
+                    assert lifts == _brute_force_lifts(model, b, a)
+                    for c in lifts:
+                        found_any = True
+                        assert coboundary(c).values == want.values
+        assert found_any
+
+    @pytest.mark.parametrize("n", (32, 64))
+    def test_lifts_are_one_coset_of_the_f_homs(self, n):
+        # orders 16 and 32, where brute force would try 2^15 and 2^31 cochains
+        model = units_model(n)
+        homs = f_homs(model)
+        cocs = all_twisted_cocycles(model, 4, 1)
+        sizes = set()
         for b in cocs:
             for a in cocs:
-                want = -cup(b.reduce2(), a.reduce2())
-                for c in lift_cochains(model, b, a):
-                    found_any = True
-                    assert coboundary(c).values == want.values
-        assert found_any
+                lifts = lift_cochains(model, b, a)
+                for c in lifts:
+                    check_lift(b, a, c)
+                if lifts:
+                    assert {c.values for c in lifts} == {(lifts[0] + f).values for f in homs}
+                    assert len(lifts) == len(homs)
+                sizes.add(len(lifts))
+        assert sizes == {0, len(homs)}
 
     def test_f_homs_are_cocycles(self):
         for model in standard_models():
