@@ -31,7 +31,7 @@ _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``-?digits(/digits)?`` into a nonzero Fraction."""
-    text = text.strip()
+    text = text.strip(" \t\n\r\f\v")
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     try:

@@ -23,12 +23,21 @@ _NEGATIVE_RATIONAL = re.compile(r"^-[0-9]+(/[0-9]+)?$")
 _FAILED_CHECK_WORDS = ("INCONSISTENT", "DISAGREES")
 
 
+def _parse_int(text: str) -> int:
+    """An ASCII integer literal, -?[0-9]+; int() alone would also read other
+    Unicode digits, a sign, spaces and underscores."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_place(text: str):
     if text.upper() == "R":
         return REAL
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"a place is an odd prime or R, not {text!r}")
-    p = int(text)
+    try:
+        p = _parse_int(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"a place is an odd prime or R, not {text!r}") from None
     if p == 2:
         raise argparse.ArgumentTypeError("local delta3 is not evaluated at the place 2")
     return p
@@ -77,18 +86,18 @@ def main(argv=None) -> int:
 
     family = sub.add_parser("family").add_subparsers(dest="family_command", required=True)
     lift = family.add_parser("specific-lift")
-    lift.add_argument("p", type=int)
+    lift.add_argument("p", type=_parse_int)
     glob = family.add_parser("global")
-    glob.add_argument("p", type=int)
+    glob.add_argument("p", type=_parse_int)
 
     verify = sub.add_parser("verify")
-    verify.add_argument("--max-group-order", type=int, default=8)
+    verify.add_argument("--max-group-order", type=_parse_int, default=8)
     verify.add_argument(
         "--exhaustive",
         action="store_true",
         help="enumerate every D(cb) cochain on cochain-suite models of order <= 4",
     )
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_parse_int, default=0)
     verify.add_argument("--suite", choices=("cochain", "nilpotent", "all"), default="all")
     verify.add_argument("--json", action="store_true", help="print one JSON object per check")
 
@@ -154,14 +163,7 @@ def _dispatch(args) -> int:
         failed = [r for r in results if not r.passed]
         if args.json:
             for r in results:
-                print(json.dumps({
-                    "name": r.name,
-                    "scope": r.scope,
-                    "cases": r.cases,
-                    "seconds": r.seconds,
-                    "passed": r.passed,
-                    "first_failure": r.failures[0] if r.failures else None,
-                }))
+                print(json.dumps(r.json()))
         else:
             for r in results:
                 print(r.line())

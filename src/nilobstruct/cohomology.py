@@ -18,7 +18,7 @@ solution of Dc = t is fixed by its values on generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .arith import as_rational
@@ -77,37 +77,20 @@ class GaloisModel:
     def elements(self) -> range:
         return range(self.order)
 
-    def generators(self) -> tuple[int, ...]:
-        """A (greedy, not necessarily minimal) generating set."""
-        gens: list[int] = []
-        reached = {0}
-        for g in self.elements():
-            if g in reached:
-                continue
-            gens.append(g)
-            frontier = set(reached)
-            while frontier:
-                nxt = {self.mul(x, h) for x in reached for h in gens} | {
-                    self.mul(h, x) for x in reached for h in gens
-                }
-                frontier = nxt - reached
-                reached |= nxt
-        return tuple(gens)
-
 
 def _table_from_op(elems: list, op) -> tuple[tuple[int, ...], ...]:
     index = {e: i for i, e in enumerate(elems)}
     return tuple(tuple(index[op(a, b)] for b in elems) for a in elems)
 
 
-def cyclic_model(n: int, chi_gen: int, name: str | None = None) -> GaloisModel:
+def cyclic_model(n: int, chi_gen: int) -> GaloisModel:
     """Cyclic group of order n with chi(generator) = chi_gen mod 8."""
     if pow(chi_gen, n, 8) != 1:
         raise ValueError("chi_gen does not define a character on Z/n")
     elems = list(range(n))
     table = _table_from_op(elems, lambda a, b: (a + b) % n)
     chi = tuple(pow(chi_gen, i, 8) for i in range(n))
-    return GaloisModel(table, chi, 8, name=name or f"Z/{n}")
+    return GaloisModel(table, chi, 8, name=f"Z/{n}")
 
 
 def klein_model() -> GaloisModel:
@@ -119,9 +102,9 @@ def klein_model() -> GaloisModel:
 
 def units_model(n: int) -> GaloisModel:
     """(Z/n)^* with chi the identity character mod n."""
+    if n < 2:
+        raise ValueError("units_model needs n >= 2")
     elems = [u for u in range(1, n) if gcd(u, n) == 1]
-    if elems[0] != 1:
-        raise ValueError("unit group must start at 1")
     table = _table_from_op(elems, lambda a, b: a * b % n)
     return GaloisModel(table, tuple(elems), n, name=f"(Z/{n})^*")
 
@@ -131,32 +114,20 @@ def s3_model() -> GaloisModel:
     perms = list(itertools.permutations((0, 1, 2)))
     perms.sort(key=lambda s: (s != (0, 1, 2), s))
     table = _table_from_op(perms, lambda a, b: tuple(a[b[i]] for i in range(3)))
-    chi = tuple(7 if _parity(s) else 1 for s in perms)
-    return GaloisModel(table, chi, 8, name="S3")
-
-
-def _parity(perm) -> int:
-    swaps = 0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        swaps += length - 1
-    return swaps % 2
+    chi = []
+    for s in perms:
+        inversions = sum(s[i] > s[j] for i, j in itertools.combinations(range(3), 2))
+        chi.append(7 if inversions % 2 else 1)
+    return GaloisModel(table, tuple(chi), 8, name="S3")
 
 
 def real_place_model() -> GaloisModel:
     """Order-2 model of G_R: complex conjugation with chi(tau) = 7 mod 8."""
-    return cyclic_model(2, 7, name="G_R")
+    return replace(cyclic_model(2, 7), name="G_R")
 
 
 def standard_models() -> tuple[GaloisModel, ...]:
-    """The default verification models (order at most 4)."""
+    """The four models of order at most 4 that the verify suite always runs."""
     return (
         cyclic_model(2, 7),
         cyclic_model(4, 3),
@@ -165,14 +136,10 @@ def standard_models() -> tuple[GaloisModel, ...]:
     )
 
 
-def extra_models(max_order: int) -> tuple[GaloisModel, ...]:
-    """Optional larger models gated by the suite's max group order."""
-    extras = []
-    if max_order >= 6:
-        extras.append(s3_model())
-    if max_order >= 8:
-        extras.append(cyclic_model(8, 3))
-    return tuple(extras)
+def extra_models() -> tuple[GaloisModel, ...]:
+    """The larger models, S3 and Z/8; the verify suite runs each one whose
+    order is within its max group order."""
+    return (s3_model(), cyclic_model(8, 3))
 
 
 @dataclass(frozen=True)
@@ -500,17 +467,22 @@ def kummer_real_cocycle(x, model: GaloisModel) -> Cochain1:
 
 def _solutions(model: GaloisModel, modulus: int, weight: int, target: Cochain2) -> list[Cochain1]:
     """Every c with c(1) = 0 and Dc = target, in itertools.product order of the
-    generator values that fix it: walking from the identity by right
-    multiplication, c(gs) = c(g) + chi(g)^w c(s) - target(g, s)."""
-    gens = model.generators()
+    generator values that fix it.  The generators are picked greedily: the
+    least element not yet reached joins them, and the group is walked again
+    from the identity by right multiplication, c(gs) = c(g) + chi(g)^w c(s)
+    - target(g, s), until the walk reaches every element."""
     twist = [pow(chi, weight, modulus) for chi in model.chi]
+    gens: list[int] = []
     reached, steps = [0], []
-    for g in reached:
-        for s in gens:
-            gs = model.mul(g, s)
-            if gs not in reached:
-                reached.append(gs)
-                steps.append((gs, g, s))
+    while len(reached) < model.order:
+        gens.append(min(set(model.elements()) - set(reached)))
+        reached, steps = [0], []
+        for g in reached:
+            for s in gens:
+                gs = model.mul(g, s)
+                if gs not in reached:
+                    reached.append(gs)
+                    steps.append((gs, g, s))
     out = []
     for gen_values in itertools.product(range(modulus), repeat=len(gens)):
         values = [0] * model.order

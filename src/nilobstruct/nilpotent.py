@@ -153,15 +153,6 @@ class NilpotentElement:
     def vec(self) -> Vec:
         return (self.a, self.b, self.c, self.d, self.e)
 
-    def __mul__(self, other: "NilpotentElement") -> "NilpotentElement":
-        return nf_mul(self, other)
-
-    def __invert__(self) -> "NilpotentElement":
-        return nf_inv(self)
-
-    def __pow__(self, n: int) -> "NilpotentElement":
-        return nf_pow(self, n)
-
     @property
     def is_identity(self) -> bool:
         return self.vec == (0, 0, 0, 0, 0)

@@ -295,10 +295,6 @@ def report(b, a, extra_place: Place | None = None) -> ObstructionReport:
 # ---------------------------------------------------------------------------
 
 
-def _place_str(place: Place) -> str:
-    return place if place == REAL else str(place)
-
-
 def delta2_json(rep: ObstructionReport) -> dict:
     return {
         "global": "zero" if rep.delta2.zero else "nonzero",
@@ -306,7 +302,7 @@ def delta2_json(rep: ObstructionReport) -> dict:
             {"place": str(w.place), "value": str(w.value)} for w in rep.delta2.witnesses
         ],
         "local": [
-            {"place": _place_str(v), "invariant": inv.half} for v, inv in rep.delta2_local
+            {"place": str(v), "invariant": inv.half} for v, inv in rep.delta2_local
         ],
     }
 
@@ -318,7 +314,7 @@ def delta3_json(rep: ObstructionReport, place: Place | None = None) -> dict:
             continue
         entries.append(
             {
-                "place": _place_str(r.place),
+                "place": str(r.place),
                 "status": r.status,
                 "cases": [
                     {"case": t.case, "applicable": t.applicable, "cup": t.cup}

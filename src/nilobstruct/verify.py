@@ -61,6 +61,17 @@ class CheckResult:
         extra = "" if self.passed else f"  e.g. {self.failures[0]}"
         return f"[{status}] {self.name} ({self.scope}): {self.cases} cases{extra}"
 
+    def json(self) -> dict:
+        """The ``verify --json`` record of this check."""
+        return {
+            "name": self.name,
+            "scope": self.scope,
+            "cases": self.cases,
+            "seconds": self.seconds,
+            "passed": self.passed,
+            "first_failure": self.failures[0] if self.failures else None,
+        }
+
 
 def _timed(check, *args) -> CheckResult:
     """Run one check and record its wall-clock time on the result."""
@@ -334,7 +345,7 @@ def identity_suite(model: GaloisModel, exhaustive: bool = False, seed: int = 0) 
 
 
 def run_cochain_suite(max_order: int = 8, exhaustive: bool = False, seed: int = 0) -> list[CheckResult]:
-    models = [m for m in standard_models() + extra_models(max_order) if m.order <= max_order]
+    models = [m for m in standard_models() + extra_models() if m.order <= max_order]
     results = [_timed(check_binomial_addition), _timed(check_fbar_mod48)]
     for model in models:
         results += identity_suite(model, exhaustive=exhaustive, seed=seed)

@@ -170,10 +170,12 @@ class TestParse:
     def test_valid(self, text, want):
         assert parse_rational(text) == want
 
-    # The last two are an Arabic-Indic three and a fullwidth one-two over it,
-    # which Fraction() alone would read.
+    # Then an Arabic-Indic three and a fullwidth one-two over it, which
+    # Fraction() alone would read, and a 7 beside an ideographic or a
+    # no-break space, which str.strip() alone would remove.
     @pytest.mark.parametrize(
-        "text", ("", "0", "0/5", "1.5", "1/0", "a", "--3", "1/-2", "\u0663", "\uff11\uff12/\u0663")
+        "text",
+        ("", "0", "0/5", "1.5", "1/0", "a", "--3", "1/-2", "\u0663", "\uff11\uff12/\u0663", "\u30007", "7\u00a0"),
     )
     def test_invalid(self, text):
         with pytest.raises(ValueError):

@@ -110,7 +110,7 @@ class TestFamilyCommands:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("bad", ("0", "1.5", "x", "1/0"))
+    @pytest.mark.parametrize("bad", ("0", "1.5", "x", "1/0", "\u30007"))
     def test_bad_rational(self, capsys, bad):
         assert main(["delta2", bad, "5"]) == 2
 
@@ -119,10 +119,18 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        (["report", "\u0663", "5"], ["report", "-\u0663", "5"], ["delta3", "3", "7", "--place", "\u0663"]),
+        (
+            ["report", "\u0663", "5"],
+            ["report", "-\u0663", "5"],
+            ["delta3", "3", "7", "--place", "\u0663"],
+            ["family", "global", "\u0661\u0663"],
+            ["family", "specific-lift", "\u0661\u0663"],
+            ["verify", "--suite", "cochain", "--max-group-order", "\u0662"],
+            ["verify", "--suite", "cochain", "--max-group-order", "2", "--seed", "\u0661"],
+        ),
     )
     def test_non_ascii_digits_rejected(self, capsys, argv):
-        # an Arabic-Indic three is not in the grammar -?digits(/digits)?
+        # Arabic-Indic digits are in neither -?digits(/digits)? nor -?digits
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
 

@@ -57,6 +57,11 @@ class TestModels:
         with pytest.raises(InvalidCocycleError):
             boundary_of_section(model, p, 3, Cochain1(cyclic_model(2, 7), 2, 2, (0, 1)))
 
+    @pytest.mark.parametrize("n", (0, 1))
+    def test_units_model_needs_n_at_least_2(self, n):
+        with pytest.raises(ValueError):
+            units_model(n)
+
     def test_s3_is_nonabelian_and_valid(self):
         model = s3_model()
         assert model.order == 6
@@ -232,7 +237,7 @@ class TestDelta3Forms:
 
 
 # Small enough for brute force over all cochains: orders 2 to 8.
-BRUTE_FORCE_MODELS = standard_models() + extra_models(8) + (units_model(16),)
+BRUTE_FORCE_MODELS = standard_models() + extra_models() + (units_model(16),)
 
 
 def _brute_force_lifts(model, b, a):

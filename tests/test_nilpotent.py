@@ -299,7 +299,7 @@ def _error_text(fn, *args):
     return str(info.value)
 
 
-@pytest.mark.parametrize("model", standard_models() + extra_models(8), ids=lambda m: m.name)
+@pytest.mark.parametrize("model", standard_models() + extra_models(), ids=lambda m: m.name)
 def test_boundary_of_section_matches_element_route(model):
     cocycles = all_twisted_cocycles(model, 4, 1)
     fs = f_homs(model)
