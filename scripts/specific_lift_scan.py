@@ -9,6 +9,7 @@ and for p = 5 mod 8 the global mod-2 verdict.
 import argparse
 
 from nilobstruct.arith import is_prime
+from nilobstruct.localclass import half_str
 from nilobstruct.obstruct import delta3_global_family, delta3_specific_lift_family
 
 
@@ -23,7 +24,7 @@ def main() -> None:
             continue
         lift = delta3_specific_lift_family(p)
         verdict = delta3_global_family(p).verdict if p % 8 == 5 else "-"
-        print(f"{p:>6} {p % 8:>8} {str(lift.at_p[0]):>16} {verdict:>14}")
+        print(f"{p:>6} {p % 8:>8} {half_str(lift.at_p[0]):>16} {verdict:>14}")
 
 
 if __name__ == "__main__":

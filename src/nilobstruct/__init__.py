@@ -1,7 +1,7 @@
 """Exact 2- and 3-nilpotent obstruction arithmetic for Jacobian points of
 the thrice-punctured projective line over Q, Q_p (p odd) and R."""
 
-from .arith import RationalNZ, factor, is_fourth_power_mod, legendre, parse_rational, sqrt_mod, valuation
+from .arith import factor, is_fourth_power_mod, legendre, parse_rational, sqrt_mod, valuation
 from .k2global import delta2_global, symbol_at_2, tame_symbol_odd
 from .localclass import REAL, delta2_local
 from .obstruct import (
@@ -17,7 +17,6 @@ from .obstruct import (
 
 __all__ = [
     "REAL",
-    "RationalNZ",
     "delta2_global",
     "delta2_local",
     "delta3_at",

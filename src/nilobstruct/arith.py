@@ -22,10 +22,6 @@ class NotAUnitError(ValueError):
     """Raised when an argument required to be prime to p is divisible by p."""
 
 
-# A nonzero rational in lowest terms with positive denominator.  Fraction
-# already guarantees the normal form; nonzero-ness is checked at the border.
-RationalNZ = Fraction
-
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 

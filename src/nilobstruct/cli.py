@@ -8,7 +8,7 @@ import re
 import sys
 
 from .arith import parse_rational
-from .localclass import REAL
+from .localclass import REAL, half_str
 from .obstruct import (
     delta3_global_family,
     delta3_specific_lift_family,
@@ -18,9 +18,6 @@ from .obstruct import (
 
 # Lets bare negative rationals like -1 or -3/5 parse as positionals.
 _NEGATIVE_RATIONAL = re.compile(r"^-[0-9]+(/[0-9]+)?$")
-
-# A report note carrying one of these words records a failed self-check.
-_FAILED_CHECK_WORDS = ("INCONSISTENT", "DISAGREES")
 
 
 def _parse_int(text: str) -> int:
@@ -53,14 +50,14 @@ def _print_report(rep, show_delta2: bool, show_delta3: bool, place=None) -> None
         for w in rep.delta2.k2_witnesses:
             print(f"  K2 symbol at {w.place}: {w.value}")
         for v, inv in rep.delta2_local:
-            print(f"  delta2 local at {v}: {inv}")
+            print(f"  delta2 local at {v}: {half_str(inv)}")
     if show_delta3:
         for r in rep.delta3_local:
             if place is not None and r.place != place:
                 continue
             print(f"delta3 mod 2 at {r.place}: {r.status}")
             for t in r.cases:
-                value = "n/a" if not t.applicable else ("1/2" if t.cup else "0")
+                value = half_str(t.cup) if t.applicable else "n/a"
                 print(f"  case ({t.case}): applicable={t.applicable} cup={value}")
             for lift in r.real_lifts:
                 print(f"  lift {lift.label}: components ({lift.comp_x}, {lift.comp_y})")
@@ -134,14 +131,13 @@ def _dispatch(args) -> int:
                 show_delta3=args.command in ("delta3", "report"),
                 place=place,
             )
-        failed = any(word in note for note in rep.notes for word in _FAILED_CHECK_WORDS)
-        return 1 if failed else 0
+        return 0 if rep.consistent else 1
 
     if args.command == "family":
         if args.family_command == "specific-lift":
             result = delta3_specific_lift_family(args.p)
             print(f"point (-{args.p}^3, {args.p}), lift c0 = 3*(p choose 2)")
-            print(f"components at {result.p}: ({result.at_p[0]}, {result.at_p[1]})")
+            print(f"components at {result.p}: ({', '.join(map(half_str, result.at_p))})")
             for note in result.notes:
                 print(f"note: {note}")
         else:

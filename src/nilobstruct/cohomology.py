@@ -321,21 +321,16 @@ def f_cocycle(model: GaloisModel) -> Cochain1:
     return Cochain1(model, 2, 2, tuple(values))
 
 
-@dataclass(frozen=True)
-class DefiningSystem:
-    """Cochains A, B with DA = alpha cup beta and DB = beta cup gamma."""
-
-    A: Cochain1
-    B: Cochain1
-
-
-def massey_triple(alpha: Cochain1, beta: Cochain1, gamma: Cochain1, ds: DefiningSystem) -> Cochain2:
-    """<alpha, beta, gamma> = A cup gamma + alpha cup B for the given system."""
-    if coboundary(ds.A).values != cup(alpha, beta).values:
+def massey_triple(
+    alpha: Cochain1, beta: Cochain1, gamma: Cochain1, A: Cochain1, B: Cochain1
+) -> Cochain2:
+    """<alpha, beta, gamma> = A cup gamma + alpha cup B for the defining
+    system A, B, which must have DA = alpha cup beta and DB = beta cup gamma."""
+    if coboundary(A).values != cup(alpha, beta).values:
         raise InvalidDefiningSystemError("DA != alpha cup beta")
-    if coboundary(ds.B).values != cup(beta, gamma).values:
+    if coboundary(B).values != cup(beta, gamma).values:
         raise InvalidDefiningSystemError("DB != beta cup gamma")
-    return cup(ds.A, gamma) + cup(alpha, ds.B)
+    return cup(A, gamma) + cup(alpha, B)
 
 
 def check_lift(b: Cochain1, a: Cochain1, c: Cochain1) -> None:

@@ -4,7 +4,9 @@ A class in Q_p*/(Q_p*)^2 is a bit pair over the basis {u, p} where u is the
 smallest positive quadratic non-residue mod p.  R*/(R*)^2 is just the sign,
 so R has no class type here: delta2_local reads the two signs directly.
 Cup products of two degree-1 classes land in the 2-torsion {0, 1/2} of Q/Z
-via the local invariant map, with the table
+via the local invariant map.  Such an invariant is carried as an int bit,
+1 meaning 1/2 (so invariants add by xor), and printed by half_str.  The
+basis table is
 
     u  cup u  = 0
     u  cup p  = p cup u = 1/2
@@ -46,21 +48,9 @@ class LocalSquareClass:
         return self.e_u == 0 and self.e_p == 0
 
 
-@dataclass(frozen=True)
-class LocalInvariant:
-    """Element of the 2-torsion of Q/Z: half=0 means 0, half=1 means 1/2."""
-
-    half: int
-
-    def __xor__(self, other: "LocalInvariant") -> "LocalInvariant":
-        return LocalInvariant(self.half ^ other.half)
-
-    def __str__(self) -> str:
-        return "1/2" if self.half else "0"
-
-
-INV_ZERO = LocalInvariant(0)
-INV_HALF = LocalInvariant(1)
+def half_str(bit: int) -> str:
+    """The local invariant with bit 1 printed as 1/2, bit 0 as 0."""
+    return "1/2" if bit else "0"
 
 
 def square_class_qp(x, p: int) -> LocalSquareClass:
@@ -109,21 +99,23 @@ def two_class(p: int) -> LocalSquareClass:
     return square_class_qp(2, p)
 
 
-def cup_qp(c1: LocalSquareClass, c2: LocalSquareClass) -> LocalInvariant:
-    """Bilinear extension of the basis cup table at the odd prime c1.p."""
+def cup_qp(c1: LocalSquareClass, c2: LocalSquareClass) -> int:
+    """Bilinear extension of the basis cup table at the odd prime c1.p, as
+    an invariant bit."""
     if c1.p != c2.p:
         raise ValueError(f"cup of classes over different primes {c1.p} != {c2.p}")
     bit = c1.e_u * c2.e_p ^ c1.e_p * c2.e_u
     if c1.p % 4 == 3:
         bit ^= c1.e_p * c2.e_p
-    return LocalInvariant(bit)
+    return bit
 
 
-def delta2_local(b, a, place: Place) -> LocalInvariant:
-    """Local mod-2 cup value of the Kummer classes of b and a at a place."""
+def delta2_local(b, a, place: Place) -> int:
+    """Local mod-2 cup value of the Kummer classes of b and a at a place,
+    as an invariant bit."""
     if place == REAL:
         b, a = as_rational(b), as_rational(a)
-        return LocalInvariant(int(b < 0 and a < 0))
+        return int(b < 0 and a < 0)
     check_odd_prime(place)
     v_b, u_b, v_a, u_a = local_data(as_rational(b), as_rational(a), place)
     return cup_qp(square_class_vu(v_b, u_b, place), square_class_vu(v_a, u_a, place))

@@ -32,12 +32,10 @@ from .arith import (
 )
 from .k2global import Delta2GlobalVerdict, delta2_global_point, support_odd_primes
 from .localclass import (
-    INV_HALF,
-    INV_ZERO,
     REAL,
-    LocalInvariant,
     Place,
     cup_qp,
+    half_str,
     square_class_qp,
     square_class_vu,
     sqrt_square_class_vu,
@@ -85,12 +83,17 @@ class Delta3LocalResult:
 
 @dataclass(frozen=True)
 class ObstructionReport:
+    """delta2_local pairs each place with its invariant bit (1 means 1/2).
+    consistent is False iff a self-check failed, which is exactly when a
+    note reads INCONSISTENT or DISAGREES."""
+
     b: Fraction
     a: Fraction
-    delta2_local: tuple[tuple[Place, LocalInvariant], ...]
+    delta2_local: tuple[tuple[Place, int], ...]
     delta2: Delta2GlobalVerdict
     delta3_local: tuple[Delta3LocalResult, ...]
     notes: tuple[str, ...]
+    consistent: bool
 
 
 def relevant_places(b, a) -> list[Place]:
@@ -120,24 +123,24 @@ def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta
     data: -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a)."""
     cls_b = square_class_vu(v_b, u_b, p)
     cls_a = square_class_vu(v_a, u_a, p)
-    if cup_qp(cls_b, cls_a).half:
+    if cup_qp(cls_b, cls_a):
         return Delta3LocalResult(p, BLOCKED, ())
 
     two = square_class_vu(0, 2, p)
     cases = []
     nonzero = False
     for name, square, partner, extra in (
-        ("i", (v_b, -u_b % p), cls_a, INV_ZERO),
+        ("i", (v_b, -u_b % p), cls_a, 0),
         ("ii", (v_a, -u_a % p), cls_b, cup_qp(two, cls_a)),
-        ("iii", (v_b + v_a, u_b * u_a % p), cls_a, INV_ZERO),
+        ("iii", (v_b + v_a, u_b * u_a % p), cls_a, 0),
     ):
         root = sqrt_square_class_vu(*square, p)
         if root is None:
             cases.append(CaseTrace(name, False, 0))
             continue
         value = cup_qp(two ^ root, partner) ^ extra
-        cases.append(CaseTrace(name, True, value.half))
-        nonzero = nonzero or bool(value.half)
+        cases.append(CaseTrace(name, True, value))
+        nonzero = nonzero or bool(value)
     return Delta3LocalResult(p, NONZERO if nonzero else ZERO, tuple(cases))
 
 
@@ -187,10 +190,11 @@ def delta3_local_real(b, a) -> Delta3LocalResult:
 
 @dataclass(frozen=True)
 class SpecificLiftResult:
-    """Per-place delta3 values of the lift c0 = 3*(p choose 2) of (-p^3, p)."""
+    """Per-place delta3 values of the lift c0 = 3*(p choose 2) of (-p^3, p);
+    at_p holds the two invariant bits at p."""
 
     p: int
-    at_p: tuple[LocalInvariant, LocalInvariant]
+    at_p: tuple[int, int]
     notes: tuple[str, ...]
 
 
@@ -200,7 +204,7 @@ def delta3_specific_lift_family(p: int) -> SpecificLiftResult:
         raise InapplicableError(f"{p} is not a prime congruent to 1 mod 4")
     inv = cup_qp(two_class(p), square_class_qp(p, p))
     notes = (
-        f"components at {p}: both equal {{2}} cup {{p}} = {inv}"
+        f"components at {p}: both equal {{2}} cup {{p}} = {half_str(inv)}"
         f" (1/2 iff p = 5 mod 8; here p = {p % 8} mod 8)",
         "components at R and at every odd prime other than p: 0"
         " (the lift is unramified there)",
@@ -257,7 +261,7 @@ def report(b, a, extra_place: Place | None = None) -> ObstructionReport:
     d3_local = [delta3_local_odd_vu(*data, p) for p, *data in point.local]
     d3_local.append(_REAL_PLACE[b < 0, a < 0])
     # delta3 is blocked exactly where local delta2 is 1/2.
-    d2_local = [(r.place, INV_HALF if r.status == BLOCKED else INV_ZERO) for r in d3_local]
+    d2_local = [(r.place, int(r.status == BLOCKED)) for r in d3_local]
     d2_global = delta2_global_point(point)
     notes = []
     if d2_global.zero != d2_global.k2_zero:
@@ -268,26 +272,29 @@ def report(b, a, extra_place: Place | None = None) -> ObstructionReport:
         )
     xor = 0
     for _, inv in d2_local:
-        xor ^= inv.half
+        xor ^= inv
     # delta2_global_point lists the symbol at 2 among the K2 witnesses iff it is -1.
     two_value = -1 if any(w.place == 2 for w in d2_global.k2_witnesses) else 1
-    agree = (xor == 1) == (two_value == -1)
+    consistent = (xor == 1) == (two_value == -1)
     notes.append(
         f"reciprocity: XOR of odd/real invariants = {xor}, 2-adic symbol = "
-        f"{two_value:+d} ({'consistent' if agree else 'INCONSISTENT'})"
+        f"{two_value:+d} ({'consistent' if consistent else 'INCONSISTENT'})"
     )
     if b.denominator == 1 and a.denominator == 1:
         for (p, v_b, _, v_a, _), (_, inv), local in zip(point.local, d2_local, d3_local):
             if v_b + v_a != 1:
                 continue
             d2_zero, d3_zero = _congruence(b.numerator, a.numerator, p)
-            d2_ok = d2_zero == (inv.half == 0)
+            d2_ok = d2_zero == (inv == 0)
             d3_ok = d3_zero is None or d3_zero == (local.status == ZERO)
+            consistent = consistent and d2_ok and d3_ok
             notes.append(
                 f"congruence fast path at {p}: delta2 {'agrees' if d2_ok else 'DISAGREES'}"
                 + ("" if d3_zero is None else f", delta3 {'agrees' if d3_ok else 'DISAGREES'}")
             )
-    return ObstructionReport(b, a, tuple(d2_local), d2_global, tuple(d3_local), tuple(notes))
+    return ObstructionReport(
+        b, a, tuple(d2_local), d2_global, tuple(d3_local), tuple(notes), consistent
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +309,7 @@ def delta2_json(rep: ObstructionReport) -> dict:
             {"place": str(w.place), "value": str(w.value)} for w in rep.delta2.witnesses
         ],
         "local": [
-            {"place": str(v), "invariant": inv.half} for v, inv in rep.delta2_local
+            {"place": str(v), "invariant": inv} for v, inv in rep.delta2_local
         ],
     }
 

@@ -25,7 +25,6 @@ from . import cohomology as coh
 from . import nilpotent as nil
 from .cohomology import (
     Cochain1,
-    DefiningSystem,
     GaloisModel,
     all_twisted_cocycles,
     binom2,
@@ -249,9 +248,9 @@ def check_massey(model: GaloisModel, data) -> CheckResult:
     _, homs, lifts = data
     for b, a, c, forms in lifts:
         b2, a2 = b.reduce2(), a.reduce2()
-        mx = massey_triple(b2 + rho, b2, a2, DefiningSystem(-binom2(b), -c))
+        mx = massey_triple(b2 + rho, b2, a2, -binom2(b), -c)
         c_minus_ab = c - a2.pointwise_mul(b2)
-        minus_my = massey_triple(a2 + rho, a2, b2, DefiningSystem(-binom2(a), c_minus_ab))
+        minus_my = massey_triple(a2 + rho, a2, b2, -binom2(a), c_minus_ab)
         for f, (closed, _) in zip(homs, forms):
             result.cases += 1
             my = -minus_my - cup(f, a2)
@@ -346,6 +345,8 @@ def identity_suite(model: GaloisModel, exhaustive: bool = False, seed: int = 0) 
 
 def run_cochain_suite(max_order: int = 8, exhaustive: bool = False, seed: int = 0) -> list[CheckResult]:
     models = [m for m in standard_models() + extra_models() if m.order <= max_order]
+    if not models:
+        raise ValueError(f"no cochain model has order <= {max_order}")
     results = [_timed(check_binomial_addition), _timed(check_fbar_mod48)]
     for model in models:
         results += identity_suite(model, exhaustive=exhaustive, seed=seed)

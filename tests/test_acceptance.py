@@ -68,7 +68,7 @@ def test_criterion_2_separation_at_five():
     result = delta3_local_odd(-1, 5, 5)
     case_i = next(t for t in result.cases if t.case == "i")
     ok = (
-        d2.half == 0
+        d2 == 0
         and result.status == "nonzero"
         and case_i.applicable
         and case_i.cup == 1
@@ -94,7 +94,7 @@ def test_criterion_3_congruence_equivalence():
         b, a = (divisible, r) if rng.random() < 0.5 else (r, divisible)
         d2_zero, d3_zero = delta3_congruence(b, a, p)
         ok = ok and d2_zero == (legendre(a + b, p) == 1)
-        ok = ok and d2_zero == (delta2_local(b, a, p).half == 0)
+        ok = ok and d2_zero == (delta2_local(b, a, p) == 0)
         result = delta3_local_odd(b, a, p)
         if not d2_zero:
             ok = ok and result.status == BLOCKED
@@ -129,7 +129,7 @@ def test_criterion_5_specific_lift_and_global_family():
             continue
         result = delta3_specific_lift_family(p)
         want = 1 if p % 8 == 5 else 0
-        ok = ok and result.at_p[0].half == want and result.at_p[1].half == want
+        ok = ok and result.at_p[0] == want and result.at_p[1] == want
         if p % 8 == 5:
             ok = ok and delta3_global_family(p).verdict == ZERO
     _line(5, ok, "specific lift at p == 1/2 iff p = 5 mod 8, and family global ZERO, p <= 1000")
@@ -206,7 +206,7 @@ def test_criterion_10_reciprocity():
             continue
         xor = 0
         for v in [*support_odd_primes(b, a), REAL]:
-            xor ^= delta2_local(b, a, v).half
+            xor ^= delta2_local(b, a, v)
         ok = ok and (xor == 1) == (symbol_at_2(b, a).value == -1)
         checked += 1
     _line(10, ok, f"XOR of odd/real invariants == 2-adic symbol on {checked} random pairs")

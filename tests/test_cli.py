@@ -142,6 +142,15 @@ def test_verify_fast_subset(capsys):
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("bound", ("0", "1", "-3"))
+def test_verify_group_order_below_every_model_is_an_error(capsys, bound):
+    # no cochain model is that small, so the cochain suite would run no model
+    assert main(["verify", "--suite", "cochain", "--max-group-order", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_json_schema(capsys):
     argv = ("verify", "--suite", "cochain", "--max-group-order", "2")
     code, out = run(capsys, *argv, "--json")
@@ -175,6 +184,35 @@ def test_verify_json_reports_the_first_failure(capsys, monkeypatch):
     assert first["passed"] is False and first["first_failure"] == "d1=1 d2=1"
 
 
+def _fail_self_check(monkeypatch, word):
+    """Make report() fail one self-check for real; return the point it fails on.
+
+    DISAGREES: the congruence fast path at 5 for (-1, 5) reports the wrong
+    delta2.  INCONSISTENT: (-1, -1) has real invariant 1/2 and symbol -1 at 2;
+    hiding that K2 witness breaks reciprocity.
+    """
+    import dataclasses
+
+    from nilobstruct import obstruct
+
+    if word == "DISAGREES":
+        real_congruence = obstruct._congruence
+        monkeypatch.setattr(
+            obstruct, "_congruence", lambda b, a, p: (not real_congruence(b, a, p)[0], None)
+        )
+        return "-1", "5"
+    real_global = obstruct.delta2_global_point
+
+    def without_two(point):
+        verdict = real_global(point)
+        witnesses = tuple(w for w in verdict.k2_witnesses if w.place != 2)
+        assert witnesses != verdict.k2_witnesses
+        return dataclasses.replace(verdict, k2_witnesses=witnesses)
+
+    monkeypatch.setattr(obstruct, "delta2_global_point", without_two)
+    return "-1", "-1"
+
+
 @pytest.mark.parametrize("command", ("delta2", "delta3", "report"))
 @pytest.mark.parametrize("as_json", (False, True))
 @pytest.mark.parametrize("word", ("INCONSISTENT", "DISAGREES"))
@@ -182,24 +220,20 @@ def test_failed_self_check_exits_one_with_same_output(capsys, monkeypatch, comma
     import dataclasses
 
     from nilobstruct import cli
+    from nilobstruct.arith import parse_rational
     from nilobstruct.obstruct import report
 
-    rep = report(-1, 5)
-    bad = dataclasses.replace(rep, notes=rep.notes + (f"congruence fast path at 5: delta2 {word}",))
-    argv = [command, "-1", "5"] + (["--json"] if as_json else [])
-    monkeypatch.setattr(cli, "report", lambda *args, **kwargs: rep)
-    assert main(argv) == 0
-    good_out = capsys.readouterr().out
-    monkeypatch.setattr(cli, "report", lambda *args, **kwargs: bad)
+    point = _fail_self_check(monkeypatch, word)
+    argv = [command, *point] + (["--json"] if as_json else [])
     assert main(argv) == 1
     bad_out = capsys.readouterr().out
-    if as_json:
-        assert json.loads(bad_out)["notes"] == list(bad.notes)
-        assert {k: v for k, v in json.loads(bad_out).items() if k != "notes"} == {
-            k: v for k, v in json.loads(good_out).items() if k != "notes"
-        }
-    else:
-        assert bad_out == good_out + f"note: {bad.notes[-1]}\n"
+    assert word in bad_out
+    # The same report with its verdict flipped prints the same text and exits 0.
+    bad = report(*map(parse_rational, point))
+    assert not bad.consistent
+    monkeypatch.setattr(cli, "report", lambda *args, **kwargs: dataclasses.replace(bad, consistent=True))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == bad_out
 
 
 def test_report_loads_neither_oracle_engine():

@@ -5,7 +5,6 @@ import pytest
 from conftest import IDENTITY_CHECKS, lookup
 from nilobstruct.cohomology import (
     Cochain1,
-    DefiningSystem,
     GaloisModel,
     InvalidDefiningSystemError,
     InvalidLiftError,
@@ -172,7 +171,7 @@ class TestMassey:
         model = cyclic_model(2, 7)
         z1 = zero1(model, 2, 1)
         z2 = zero1(model, 2, 2)
-        got = massey_triple(z1, z1, z1, DefiningSystem(z2, z2))
+        got = massey_triple(z1, z1, z1, z2, z2)
         assert got.is_zero()
 
     def test_invalid_defining_system(self):
@@ -183,7 +182,7 @@ class TestMassey:
         if coboundary(bad).values == cup(alpha, alpha).values:
             bad = Cochain1(model, 2, 2, (0, 0, 1, 0))
         with pytest.raises(InvalidDefiningSystemError):
-            massey_triple(alpha, alpha, alpha, DefiningSystem(bad, bad))
+            massey_triple(alpha, alpha, alpha, bad, bad)
 
     def test_shift_B_by_cocycle(self):
         # changing ds.B by a cocycle z shifts the product by alpha cup z
@@ -191,9 +190,9 @@ class TestMassey:
         z1 = zero1(model, 2, 1)
         z2 = zero1(model, 2, 2)
         for alpha in all_twisted_cocycles(model, 2, 1):
-            base = massey_triple(alpha, z1, z1, DefiningSystem(z2, z2))
+            base = massey_triple(alpha, z1, z1, z2, z2)
             for z in all_twisted_cocycles(model, 2, 2):
-                shifted = massey_triple(alpha, z1, z1, DefiningSystem(z2, z2 + z))
+                shifted = massey_triple(alpha, z1, z1, z2, z2 + z)
                 assert (shifted - base).values == cup(alpha, z).values
 
 

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97
 from nilobstruct.localclass import (
-    INV_HALF,
-    INV_ZERO,
     REAL,
     LocalSquareClass,
     NotASquareError,
@@ -77,17 +75,17 @@ class TestCupTable:
     def test_u_cup_p(self):
         u = LocalSquareClass(5, 1, 0)
         pi = LocalSquareClass(5, 0, 1)
-        assert cup_qp(u, pi) == INV_HALF == cup_qp(pi, u)
-        assert cup_qp(u, u) == INV_ZERO
+        assert cup_qp(u, pi) == 1 == cup_qp(pi, u)
+        assert cup_qp(u, u) == 0
 
     @pytest.mark.parametrize("p", ODD_PRIMES_TO_97)
     def test_u_cup_u(self, p):
         u = LocalSquareClass(p, 1, 0)
-        assert cup_qp(u, u).half == 0
+        assert cup_qp(u, u) == 0
 
     def test_p_cup_p(self):
-        assert cup_qp(LocalSquareClass(7, 0, 1), LocalSquareClass(7, 0, 1)).half == 1
-        assert cup_qp(LocalSquareClass(5, 0, 1), LocalSquareClass(5, 0, 1)).half == 0
+        assert cup_qp(LocalSquareClass(7, 0, 1), LocalSquareClass(7, 0, 1)) == 1
+        assert cup_qp(LocalSquareClass(5, 0, 1), LocalSquareClass(5, 0, 1)) == 0
 
     @pytest.mark.parametrize("p", ODD_PRIMES_TO_97)
     def test_p_cup_p_is_neg_one_cup_p(self, p):
@@ -110,17 +108,21 @@ class TestRealPlace:
     def test_sign_classes(self):
         # paired with -1, the cup at R is 1/2 exactly when the class is {-1}
         for x in (-3, -1, Fraction(-2, 7)):
-            assert delta2_local(x, -1, REAL) == INV_HALF
-            assert delta2_local(-1, x, REAL) == INV_HALF
+            assert delta2_local(x, -1, REAL) == 1
+            assert delta2_local(-1, x, REAL) == 1
         for x in (3, 1, Fraction(2, 7)):
-            assert delta2_local(x, -1, REAL) == INV_ZERO
-            assert delta2_local(-1, x, REAL) == INV_ZERO
+            assert delta2_local(x, -1, REAL) == 0
+            assert delta2_local(-1, x, REAL) == 0
+
+    def test_invariant_is_an_int_bit(self):
+        assert type(delta2_local(-1, -1, REAL)) is int
+        assert type(delta2_local(3, 7, 7)) is int
 
     def test_cup(self):
-        assert delta2_local(-1, -1, REAL).half == 1
-        assert delta2_local(-1, 1, REAL).half == 0
-        assert delta2_local(1, -1, REAL).half == 0
-        assert delta2_local(1, 1, REAL).half == 0
+        assert delta2_local(-1, -1, REAL) == 1
+        assert delta2_local(-1, 1, REAL) == 0
+        assert delta2_local(1, -1, REAL) == 0
+        assert delta2_local(1, 1, REAL) == 0
 
 
 class TestDelta2Local:
@@ -128,10 +130,10 @@ class TestDelta2Local:
     def test_nonresidue_times_uniformizer(self, p):
         u = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
         for x, y in ((1, 1), (3, 2), (Fraction(5, 7), 4)):
-            assert delta2_local(u * y * y, p * x * x, p).half == 1
+            assert delta2_local(u * y * y, p * x * x, p) == 1
 
     def test_minus_one_five_vanishes(self):
-        assert delta2_local(-1, 5, 5).half == 0
+        assert delta2_local(-1, 5, 5) == 0
 
     @pytest.mark.parametrize("place", (5, REAL))
     def test_zero_rejected_at_every_place(self, place):
@@ -148,7 +150,7 @@ class TestDelta2Local:
 
         if valuation(b, p) != 0 or valuation(a, p) != 0:
             return
-        assert delta2_local(b, a, p).half == 0
+        assert delta2_local(b, a, p) == 0
 
     @given(nonzero_rationals, nonzero_rationals, nonzero_rationals, st.sampled_from([*ODD_PRIMES_TO_97, REAL]))
     def test_bilinear(self, b1, b2, a, v):
@@ -175,7 +177,7 @@ def test_steinberg_locally():
         from nilobstruct.obstruct import relevant_places
 
         for v in relevant_places(x, 1 - x):
-            assert delta2_local(x, 1 - x, v).half == 0
+            assert delta2_local(x, 1 - x, v) == 0
 
 
 def test_bilinearity_500_random_triples():
@@ -196,4 +198,4 @@ def test_tangential_images_unobstructed():
             from nilobstruct.obstruct import relevant_places
 
             for v in relevant_places(b, a):
-                assert delta2_local(b, a, v).half == 0
+                assert delta2_local(b, a, v) == 0

@@ -1,6 +1,7 @@
 """The factored point behind report(): each coordinate is factored once,
 and every per-place entry agrees with the standalone validated functions."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -144,6 +145,37 @@ def test_report_calls_no_public_per_place_evaluator(monkeypatch):
     monkeypatch.setattr(localclass, "delta2_local", forbidden)
     monkeypatch.setattr(obstruct, "delta2_local", forbidden, raising=False)
     assert [report_json(report(*args)) for args in points] == want
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_consistent_iff_no_note_reports_a_failed_check(monkeypatch, seed):
+    """rep.consistent is False exactly when a note reads INCONSISTENT or
+    DISAGREES; checked on honest reports and on reports whose fast path or
+    symbol at 2 is corrupted."""
+    real_congruence = obstruct._congruence
+    real_global = obstruct.delta2_global_point
+
+    def flipped_congruence(b, a, p):
+        return not real_congruence(b, a, p)[0], None
+
+    def toggled_two(point):
+        verdict = real_global(point)
+        odd = tuple(w for w in verdict.k2_witnesses if w.place != 2)
+        if odd == verdict.k2_witnesses:
+            odd += (k2global.TameSymbolValue(2, -1),)
+        return dataclasses.replace(verdict, k2_witnesses=odd)
+
+    seen = set()
+    for patch in (None, ("_congruence", flipped_congruence), ("delta2_global_point", toggled_two)):
+        with monkeypatch.context() as m:
+            if patch:
+                m.setattr(obstruct, *patch)
+            for b, a, extra in _points(seed, 60):
+                rep = report(b, a, extra)
+                failed = any(w in note for note in rep.notes for w in ("INCONSISTENT", "DISAGREES"))
+                assert rep.consistent is not failed
+                seen.add((patch is None, rep.consistent))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_point_holds_certified_local_data():

@@ -21,6 +21,13 @@ def test_congruence_scan_finds_no_disagreement():
     assert "disagreements: 0" in proc.stdout
 
 
+def test_congruence_scan_rejects_a_bound_below_the_largest_prime():
+    proc = run_script("congruence_scan.py", "--bound", "50", "--count", "10")
+    assert proc.returncode == 2
+    assert "--bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_specific_lift_scan_runs():
     proc = run_script("specific_lift_scan.py", "--max-p", "60")
     assert proc.returncode == 0, proc.stderr

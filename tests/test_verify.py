@@ -45,6 +45,11 @@ def test_every_check_is_timed(oracle):
     assert all(r.seconds > 0 for r in oracle)
 
 
+def test_cochain_suite_with_no_model_in_bound_raises():
+    with pytest.raises(ValueError, match="order <= 1"):
+        verify.run_suites("cochain", max_order=1)
+
+
 def test_identity_suite_on_every_standard_model(oracle):
     for model in standard_models():
         results = lookup(oracle, [(name, model.name) for name in IDENTITY_CHECKS])
