@@ -23,6 +23,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--bound", type=int, default=10**6)
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error("--count must be at least 1")
     if args.bound < max(PRIMES):
         parser.error(f"--bound must be at least {max(PRIMES)}")
 

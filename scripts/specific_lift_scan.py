@@ -17,6 +17,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-p", type=int, default=200)
     args = parser.parse_args()
+    if args.max_p < 5:
+        parser.error("--max-p must be at least 5, the least prime of the family")
 
     print(f"{'p':>6} {'p mod 8':>8} {'lift value at p':>16} {'global delta3':>14}")
     for p in range(5, args.max_p + 1, 4):

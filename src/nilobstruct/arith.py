@@ -40,7 +40,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_rational(x) -> Fraction:
-    """Coerce an int or Fraction to a nonzero Fraction."""
+    """Coerce an int or Fraction to a nonzero Fraction; any other type, a
+    string or a float too, is a TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
     value = Fraction(x)
     if value == 0:
         raise ValueError("zero is not allowed here")

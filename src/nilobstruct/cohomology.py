@@ -460,12 +460,14 @@ def kummer_real_cocycle(x, model: GaloisModel) -> Cochain1:
     return Cochain1(model, 4, 1, (0, value))
 
 
-def _solutions(model: GaloisModel, modulus: int, weight: int, target: Cochain2) -> list[Cochain1]:
-    """Every c with c(1) = 0 and Dc = target, in itertools.product order of the
-    generator values that fix it.  The generators are picked greedily: the
-    least element not yet reached joins them, and the group is walked again
-    from the identity by right multiplication, c(gs) = c(g) + chi(g)^w c(s)
-    - target(g, s), until the walk reaches every element."""
+def _solutions(target: Cochain2) -> list[Cochain1]:
+    """Every c with c(1) = 0 and Dc = target, on target's model with its
+    modulus and weight, in itertools.product order of the generator values
+    that fix it.  The generators are picked greedily: the least element not
+    yet reached joins them, and the group is walked again from the identity
+    by right multiplication, c(gs) = c(g) + chi(g)^w c(s) - target(g, s),
+    until the walk reaches every element."""
+    model, modulus, weight = target.model, target.modulus, target.weight
     twist = [pow(chi, weight, modulus) for chi in model.chi]
     gens: list[int] = []
     reached, steps = [0], []
@@ -494,15 +496,13 @@ def _solutions(model: GaloisModel, modulus: int, weight: int, target: Cochain2) 
 def all_twisted_cocycles(model: GaloisModel, modulus: int, weight: int = 1) -> list[Cochain1]:
     """All cocycles c(gh) = c(g) + chi(g)^w c(h): the solutions of Dc = 0,
     in itertools.product order of their generator values."""
-    zero = Cochain2(model, modulus, weight, ((0,) * model.order,) * model.order)
-    return _solutions(model, modulus, weight, zero)
+    return _solutions(Cochain2(model, modulus, weight, ((0,) * model.order,) * model.order))
 
 
-def lift_cochains(model: GaloisModel, b: Cochain1, a: Cochain1) -> list[Cochain1]:
-    """All lifts (b,a)_c: the mod-2 cochains c with Dc = -(b cup a) mod 2,
-    sorted by their values."""
-    target = -cup(b.reduce2(), a.reduce2())
-    return sorted(_solutions(model, 2, 2, target), key=lambda c: c.values)
+def lift_cochains(b: Cochain1, a: Cochain1) -> list[Cochain1]:
+    """All lifts (b,a)_c: the mod-2 cochains c on b's model, of weight
+    b.weight + a.weight, with Dc = -(b cup a) mod 2, sorted by their values."""
+    return sorted(_solutions(-cup(b.reduce2(), a.reduce2())), key=lambda c: c.values)
 
 
 def f_homs(model: GaloisModel) -> list[Cochain1]:

@@ -15,7 +15,9 @@ arithmetic from the canonical representatives and reduced only at output.
 
 The Magnus embedding x -> 1 + X, y -> 1 + Y into noncommutative power series
 truncated in degree 3 provides an independent oracle: collection products are
-required to agree with embed/series-multiply/extract round trips.
+required to agree with embed/series-multiply/extract round trips.  A series
+carries the quotient it embeds, and its coefficients are kept mod
+min_magnus_modulus of that quotient.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ class SpecMismatchError(ValueError):
 
 class InvalidCharacterError(ValueError):
     """Raised when a Galois character value is even."""
-
-
-class PrecisionError(ValueError):
-    """Raised when a Magnus modulus is too small for the target quotient."""
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,8 @@ def gen_z(spec: QuotientSpec) -> NilpotentElement:
     return element(spec, c=1)
 
 
-def _check_same_spec(e1: NilpotentElement, e2: NilpotentElement) -> None:
+def _check_same_spec(e1, e2) -> None:
+    """Two elements, or two Magnus series, must live in one quotient."""
     if e1.spec != e2.spec:
         raise SpecMismatchError(f"elements live in {e1.spec} and {e2.spec}")
 
@@ -335,9 +334,10 @@ def _central_pow(base: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MagnusSeries:
-    """Truncated (degree <= 3) noncommutative series with Z/m coefficients."""
+    """Truncated (degree <= 3) noncommutative series of an element of spec,
+    with coefficients mod min_magnus_modulus(spec)."""
 
-    modulus: int
+    spec: QuotientSpec
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
@@ -358,38 +358,34 @@ def min_magnus_modulus(spec: QuotientSpec) -> int:
     return 4
 
 
-def _check_modulus(spec: QuotientSpec, m: int) -> None:
-    if m & (m - 1) or m < min_magnus_modulus(spec):
-        raise PrecisionError(
-            f"modulus {m} is not a power of 2 at least {min_magnus_modulus(spec)} for {spec}"
-        )
+def _series(spec: QuotientSpec, s: tuple[int, ...]) -> MagnusSeries:
+    m = min_magnus_modulus(spec)
+    return MagnusSeries(spec, tuple(x % m for x in s))
 
 
-def magnus_embed(e: NilpotentElement, m: int) -> MagnusSeries:
+def magnus_embed(e: NilpotentElement) -> MagnusSeries:
     """Embed a normal form via x -> 1 + X, y -> 1 + Y, truncated in degree 3."""
-    _check_modulus(e.spec, m)
     s = _seriesmul_vec(_ypow(e.a), _xpow(e.b))
     s = _seriesmul_vec(s, _central_pow(_Z_SERIES, e.c))
     s = _seriesmul_vec(s, _central_pow(_W1_SERIES, e.d))
     s = _seriesmul_vec(s, _central_pow(_W2_SERIES, e.e))
-    return MagnusSeries(m, tuple(x % m for x in s))
+    return _series(e.spec, s)
 
 
 def magnus_mul(s1: MagnusSeries, s2: MagnusSeries) -> MagnusSeries:
-    if s1.modulus != s2.modulus:
-        raise PrecisionError(f"series moduli differ: {s1.modulus} != {s2.modulus}")
-    return MagnusSeries(s1.modulus, tuple(x % s1.modulus for x in _seriesmul_vec(s1.coeffs, s2.coeffs)))
+    _check_same_spec(s1, s2)
+    return _series(s1.spec, _seriesmul_vec(s1.coeffs, s2.coeffs))
 
 
-def nf_from_magnus(s: MagnusSeries, spec: QuotientSpec) -> NilpotentElement:
+def nf_from_magnus(s: MagnusSeries) -> NilpotentElement:
     """Extract the normal form of a group-element series.
 
     Reads a, b, c from the degree <= 2 coefficients, divides off the embedded
     y^a x^b [x,y]^c, and reads d, e from the two independent degree-3 Lie
-    coordinates.  Exact whenever the modulus passes min_magnus_modulus.
+    coordinates.  Exact because the coefficients are kept mod
+    min_magnus_modulus(s.spec).
     """
-    _check_modulus(spec, s.modulus)
-    m = s.modulus
+    m = min_magnus_modulus(s.spec)
     a = s.coeff("Y") % m
     b = s.coeff("X") % m
     c = s.coeff("XY") % m
@@ -401,7 +397,7 @@ def nf_from_magnus(s: MagnusSeries, spec: QuotientSpec) -> NilpotentElement:
     # the XXY coefficient of W1 is -1 and the YYX coefficient of W2 is +1.
     d = -tail[_WIDX["XXY"]] % m
     e = tail[_WIDX["YYX"]] % m
-    return element(spec, a, b, c, d, e)
+    return element(s.spec, a, b, c, d, e)
 
 
 # ---------------------------------------------------------------------------
@@ -410,27 +406,26 @@ def nf_from_magnus(s: MagnusSeries, spec: QuotientSpec) -> NilpotentElement:
 
 
 def boundary_of_section(
-    model: GaloisModel, p: list[tuple[int, ...]], n: int, f: Cochain1 | None = None
+    model: GaloisModel, p: list[tuple[int, ...]], f: Cochain1 | None = None
 ) -> tuple[Cochain2, ...]:
     """Extract the kernel coordinates of (g,h) -> s(p(g)) g(s(p(h))) s(p(gh))^-1.
 
-    For n = 2, p lists (a, b) mod 4 per group element (a twisted cocycle into
-    the abelianization) and the output is the [x,y]-coordinate mod 2.  For
-    n = 3, p lists (a, b, c) forming a cocycle into the level-3 tower group
+    The level n of the section is the width of its values.  For n = 2, p
+    lists pairs (a, b) mod 4 per group element (a twisted cocycle into the
+    abelianization) and the output is the [x,y]-coordinate mod 2.  For n = 3,
+    p lists triples (a, b, c) forming a cocycle into the level-3 tower group
     and the output is the pair of degree-3 coordinates mod 2.  The Galois
     action uses chi mod 8 and the mod-2 cocycle f on the model, the same
     cochain the delta3 formulas take; None means f = 0.
     """
-    if n not in (2, 3):
-        raise ValueError("n must be 2 or 3")
     if f is not None:
         check_f(model, f)
     f_values = (0,) * model.order if f is None else f.values
     if len(p) != model.order:
         raise InvalidCocycleError("cocycle must assign a value to every element")
-    width = 2 if n == 2 else 3
-    if any(len(t) != width for t in p):
-        raise InvalidCocycleError(f"level-{n} values need {width} coordinates")
+    width = len(p[0])
+    if width not in (2, 3) or any(len(t) != width for t in p):
+        raise InvalidCocycleError("section values must be all pairs or all triples")
 
     # Reduced exponent vectors in TOWER4: the arithmetic of nf_mul, galois_act
     # and nf_inv without an element object per product.
@@ -457,7 +452,7 @@ def boundary_of_section(
         rows_c.append(tuple(rc))
         rows_d.append(tuple(rd))
         rows_e.append(tuple(re))
-    if n == 2:
+    if width == 2:
         return (Cochain2(model, 2, 2, tuple(rows_c)),)
     return (
         Cochain2(model, 2, 3, tuple(rows_d)),

@@ -96,7 +96,7 @@ def _model_data(model: GaloisModel):
     lifts = []
     for b in cocs:
         for a in cocs:
-            for c in lift_cochains(model, b, a):
+            for c in lift_cochains(b, a):
                 coh._check_delta3_inputs(b, a, c)
                 lifts.append((b, a, c, [(closed(b, a, c, f), direct(b, a, c, f)) for f in homs]))
     return cocs, homs, lifts
@@ -207,7 +207,7 @@ def check_boundary_n2(model: GaloisModel, data) -> CheckResult:
         for a in cocycles:
             result.cases += 1
             p = [(a.values[g], b.values[g]) for g in model.elements()]
-            (bd,) = nil.boundary_of_section(model, p, 2)
+            (bd,) = nil.boundary_of_section(model, p)
             if bd.values != cup(b.reduce2(), a.reduce2()).values:
                 result.failures.append(f"b={b.values} a={a.values}")
     return result
@@ -225,7 +225,7 @@ def check_boundary_n3(model: GaloisModel, data) -> CheckResult:
         p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
         dwx, dwy = (coboundary(w) for w in delta3_correction_cochains(b, a, c))
         for f, (closed, direct) in zip(homs, forms):
-            bd_x, bd_y = nil.boundary_of_section(model, p, 3, f)
+            bd_x, bd_y = nil.boundary_of_section(model, p, f)
             result.cases += 1
             if (bd_x.values, bd_y.values) != (direct[0].values, direct[1].values):
                 result.failures.append(f"direct: b={b.values} a={a.values} c={c.values}")
@@ -436,16 +436,14 @@ def check_magnus(spec: nil.QuotientSpec, pairs, label: str) -> CheckResult:
     where it is used and no series outlives its pair.
     """
     result = CheckResult("collection == magnus", label, 0)
-    ms = nil.min_magnus_modulus(spec)
     if spec.kind == "FULL4":
-        def embed(g):
-            return nil.magnus_embed(g, ms)
+        embed = nil.magnus_embed
     else:
-        embed = {g: nil.magnus_embed(g, ms) for g in nil.all_elements(spec)}.__getitem__
+        embed = {g: nil.magnus_embed(g) for g in nil.all_elements(spec)}.__getitem__
     for g, h in pairs:
         result.cases += 1
         lhs = nil.nf_mul(g, h)
-        rhs = nil.nf_from_magnus(nil.magnus_mul(embed(g), embed(h)), spec)
+        rhs = nil.nf_from_magnus(nil.magnus_mul(embed(g), embed(h)))
         if lhs != rhs:
             result.failures.append(f"{g.vec} * {h.vec}: {lhs.vec} != {rhs.vec}")
     return result
@@ -453,9 +451,8 @@ def check_magnus(spec: nil.QuotientSpec, pairs, label: str) -> CheckResult:
 
 def check_magnus_roundtrip() -> CheckResult:
     result = CheckResult("magnus round trip", "TOWER4", 128)
-    ms = nil.min_magnus_modulus(nil.TOWER4)
     for g in nil.all_elements(nil.TOWER4):
-        if nil.nf_from_magnus(nil.magnus_embed(g, ms), nil.TOWER4) != g:
+        if nil.nf_from_magnus(nil.magnus_embed(g)) != g:
             result.failures.append(str(g.vec))
     return result
 

@@ -181,6 +181,13 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_rational(text)
 
+    # The Python API takes an int or a Fraction; text goes through
+    # parse_rational, and a float is not an exact rational.
+    @pytest.mark.parametrize("x", ("7", 0.1, "1/0"))
+    def test_report_takes_only_int_or_fraction(self, x):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            report(x, 5)
+
 
 def test_is_prime_small():
     primes_below_100 = {p for p in range(100) if is_prime(p)}

@@ -50,11 +50,11 @@ class TestModels:
         # f is one cochain for both engines; the section boundary validates it.
         model = cyclic_model(2, 7)
         p = [(0, 0, 0)] * model.order
-        boundary_of_section(model, p, 3, Cochain1(model, 2, 2, (0, 1)))
+        boundary_of_section(model, p, Cochain1(model, 2, 2, (0, 1)))
         with pytest.raises(InvalidCocycleError):
-            boundary_of_section(model, p, 3, Cochain1(model, 2, 2, (1, 0)))
+            boundary_of_section(model, p, Cochain1(model, 2, 2, (1, 0)))
         with pytest.raises(InvalidCocycleError):
-            boundary_of_section(model, p, 3, Cochain1(cyclic_model(2, 7), 2, 2, (0, 1)))
+            boundary_of_section(model, p, Cochain1(cyclic_model(2, 7), 2, 2, (0, 1)))
 
     @pytest.mark.parametrize("n", (0, 1))
     def test_units_model_needs_n_at_least_2(self, n):
@@ -270,7 +270,7 @@ class TestEnumeration:
             for b in cocs:
                 for a in cocs:
                     want = -cup(b.reduce2(), a.reduce2())
-                    lifts = lift_cochains(model, b, a)
+                    lifts = lift_cochains(b, a)
                     assert lifts == _brute_force_lifts(model, b, a)
                     for c in lifts:
                         found_any = True
@@ -286,7 +286,7 @@ class TestEnumeration:
         sizes = set()
         for b in cocs:
             for a in cocs:
-                lifts = lift_cochains(model, b, a)
+                lifts = lift_cochains(b, a)
                 for c in lifts:
                     check_lift(b, a, c)
                 if lifts:
@@ -294,6 +294,12 @@ class TestEnumeration:
                     assert len(lifts) == len(homs)
                 sizes.add(len(lifts))
         assert sizes == {0, len(homs)}
+
+    def test_lift_cochains_rejects_a_on_another_model(self):
+        # a second model of the same order: the values alone would pass
+        model, other = cyclic_model(2, 7), cyclic_model(2, 7)
+        with pytest.raises(ValueError):
+            lift_cochains(zero1(model, 4, 1), zero1(other, 4, 1))
 
     def test_f_homs_are_cocycles(self):
         for model in standard_models():

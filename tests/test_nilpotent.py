@@ -18,7 +18,6 @@ from nilobstruct.nilpotent import (
     TOWER4,
     InvalidCharacterError,
     InvalidCocycleError,
-    PrecisionError,
     SpecMismatchError,
     boundary_of_section,
     commutator,
@@ -31,7 +30,6 @@ from nilobstruct.nilpotent import (
     inv_vec,
     magnus_embed,
     magnus_mul,
-    min_magnus_modulus,
     mul_vec,
     nf_from_magnus,
     nf_inv,
@@ -169,42 +167,32 @@ class TestProjection:
 
 class TestMagnus:
     def test_embed_x(self):
-        s = magnus_embed(gen_x(TOWER4), 16)
+        s = magnus_embed(gen_x(TOWER4))
         assert s.coeff("") == 1 and s.coeff("X") == 1
         assert all(s.coeff(w) == 0 for w in ("Y", "XX", "XY", "YX", "YY"))
 
     def test_embed_commutator_leading_term(self):
-        s = magnus_embed(gen_z(TOWER4), 16)
-        assert s.coeff("XY") == 1 and s.coeff("YX") == 16 - 1
+        # TOWER4 series keep their coefficients mod 4, so -1 reads 3
+        s = magnus_embed(gen_z(TOWER4))
+        assert s.coeff("XY") == 1 and s.coeff("YX") == 3
         assert s.coeff("X") == 0 and s.coeff("Y") == 0
 
     def test_round_trip_all_tower4(self):
-        ms = min_magnus_modulus(TOWER4)
         for g in nil.all_elements(TOWER4):
-            assert nf_from_magnus(magnus_embed(g, ms), TOWER4) == g
+            assert nf_from_magnus(magnus_embed(g)) == g
 
-    def test_insufficient_modulus(self):
-        with pytest.raises(PrecisionError):
-            magnus_embed(gen_x(TOWER4), 2)
-        with pytest.raises(PrecisionError):
-            magnus_embed(gen_x(full4(8)), 8)
-        with pytest.raises(PrecisionError):
-            magnus_embed(gen_x(TOWER4), 6)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(PrecisionError):
-            magnus_mul(magnus_embed(gen_x(TOWER4), 4), magnus_embed(gen_x(TOWER4), 8))
+    def test_spec_mismatch(self):
+        # TOWER3 and TOWER4 series share the modulus 4; their quotients differ
+        with pytest.raises(SpecMismatchError):
+            magnus_mul(magnus_embed(gen_x(TOWER3)), magnus_embed(gen_y(TOWER4)))
 
     @pytest.mark.parametrize("m,count", ((4, 1000), (8, 2000)))
     def test_collection_matches_magnus_random_full4(self, m, count):
         rng = random.Random(7)
         spec = full4(m)
-        ms = min_magnus_modulus(spec)
         for _ in range(count):
             g, h = rand_element(spec, rng), rand_element(spec, rng)
-            via_series = nf_from_magnus(
-                magnus_mul(magnus_embed(g, ms), magnus_embed(h, ms)), spec
-            )
+            via_series = nf_from_magnus(magnus_mul(magnus_embed(g), magnus_embed(h)))
             assert nf_mul(g, h) == via_series
 
 
@@ -212,17 +200,17 @@ class TestBoundary:
     def test_trivial_cocycle_gives_zero(self):
         model = units_model(8)
         p2 = [(0, 0)] * model.order
-        (bd,) = boundary_of_section(model, p2, 2)
+        (bd,) = boundary_of_section(model, p2)
         assert bd.is_zero()
         p3 = [(0, 0, 0)] * model.order
-        d, e = boundary_of_section(model, p3, 3)
+        d, e = boundary_of_section(model, p3)
         assert d.is_zero() and e.is_zero()
 
     def test_level2_product_formula(self):
         model = cyclic_model(2, 7)
         # a(tau) = 3, b(tau) = 1 is a twisted cocycle mod 4 for chi(tau) = 7
         p = [(0, 0), (3, 1)]
-        (bd,) = boundary_of_section(model, p, 2)
+        (bd,) = boundary_of_section(model, p)
         for g in model.elements():
             for h in model.elements():
                 want = p[g][1] * model.chi[g] * p[h][0] % 2
@@ -231,11 +219,13 @@ class TestBoundary:
     def test_invalid_cocycle_rejected(self):
         model = cyclic_model(4, 3)
         with pytest.raises(InvalidCocycleError):
-            boundary_of_section(model, [(0, 0), (1, 0), (0, 0), (0, 0)], 2)
+            boundary_of_section(model, [(0, 0), (1, 0), (0, 0), (0, 0)])
         with pytest.raises(InvalidCocycleError):
-            boundary_of_section(model, [(0, 0)], 2)
-        with pytest.raises(ValueError):
-            boundary_of_section(model, [(0, 0)] * 4, 5)
+            boundary_of_section(model, [(0, 0)])
+        # the level is the width of the values: 2 or 3, the same for every element
+        for p in ([(0, 0, 0, 0)] * 4, [(0, 0), (0, 0, 0), (0, 0), (0, 0)], [(0, 0, 0)] * 3 + [(0, 0)]):
+            with pytest.raises(InvalidCocycleError, match="all pairs"):
+                boundary_of_section(model, p)
 
 
 def _word_convolution(s, t):
@@ -260,10 +250,9 @@ def test_seriesmul_matches_word_convolution():
 def test_nf_from_magnus_round_trips_full4_8():
     rng = random.Random(12)
     spec = full4(8)
-    ms = min_magnus_modulus(spec)
     for _ in range(2000):
         g = element(spec, *(rng.randrange(8) for _ in range(5)))
-        assert nf_from_magnus(magnus_embed(g, ms), spec) == g
+        assert nf_from_magnus(magnus_embed(g)) == g
 
 
 def _boundary_by_elements(model, p, n, f=None):
@@ -308,17 +297,17 @@ def test_boundary_of_section_matches_element_route(model):
             p2 = [(a.values[g], b.values[g]) for g in model.elements()]
             lifts = [
                 [(*p2[g], c.values[g]) for g in model.elements()]
-                for c in lift_cochains(model, b, a)
+                for c in lift_cochains(b, a)
             ]
             for f in fs:
                 for p, n in [(p2, 2)] + [(p3, 3) for p3 in lifts]:
-                    got = boundary_of_section(model, p, n, f)
+                    got = boundary_of_section(model, p, f)
                     assert [bd.values for bd in got] == [
                         tuple(rows) for rows in _boundary_by_elements(model, p, n, f)
                     ]
     # A section that breaks the cocycle law is rejected with the same text.
     p = [(0, 0, 0)] * model.order
     p[-1] = (1, 1, 0)
-    assert _error_text(boundary_of_section, model, p, 3) == _error_text(
+    assert _error_text(boundary_of_section, model, p) == _error_text(
         _boundary_by_elements, model, p, 3
     )

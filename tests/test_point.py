@@ -84,7 +84,7 @@ def test_real_place_entry_rederived_from_cochain_engine(b_sign, a_sign):
     b, a = Fraction(b_sign * 3, 11), Fraction(a_sign * 7)
     model = real_place_model()
     b_coc, a_coc = kummer_real_cocycle(b, model), kummer_real_cocycle(a, model)
-    lifts = lift_cochains(model, b_coc, a_coc)
+    lifts = lift_cochains(b_coc, a_coc)
     if not lifts:
         want = Delta3LocalResult(REAL, BLOCKED, ())
     else:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,6 +27,21 @@ def test_congruence_scan_rejects_a_bound_below_the_largest_prime():
     proc = run_script("congruence_scan.py", "--bound", "50", "--count", "10")
     assert proc.returncode == 2
     assert "--bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("count", ("0", "-5"))
+def test_congruence_scan_rejects_a_count_with_nothing_to_scan(count):
+    proc = run_script("congruence_scan.py", "--count", count)
+    assert proc.returncode == 2
+    assert "--count" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_specific_lift_scan_rejects_a_max_p_below_the_least_prime():
+    proc = run_script("specific_lift_scan.py", "--max-p", "-5")
+    assert proc.returncode == 2
+    assert "--max-p" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
