@@ -403,9 +403,8 @@ class Point:
     """A point (b, a), each coordinate factored exactly once.
 
     ``local`` holds one entry ``(p, v_b, u_b, v_a, u_a)`` (see
-    ``local_data``) per odd prime p dividing b or a, plus the extra prime if
-    one was asked for, sorted by p.  Every such p is a certified odd prime:
-    the support comes from ``factor`` and the extra prime is checked here, so
+    ``local_data``) per odd prime p dividing b or a, sorted by p.  Every such
+    p is a certified odd prime, since the support comes from ``factor``, so
     code reading these entries validates nothing again.
     """
 
@@ -414,12 +413,9 @@ class Point:
     local: tuple[tuple[int, int, int, int, int], ...]
 
     @classmethod
-    def of(cls, b, a, extra_prime: int | None = None) -> "Point":
+    def of(cls, b, a) -> "Point":
         b, a = as_rational(b), as_rational(a)
         primes = (set(factor(b).primes()) | set(factor(a).primes())) - {2}
-        if extra_prime is not None and extra_prime not in primes:
-            check_odd_prime(extra_prime)
-            primes.add(extra_prime)
         local = tuple((p, *local_data(b, a, p)) for p in sorted(primes))
         return cls(b, a, local)
 

@@ -10,7 +10,9 @@ import sys
 from .arith import parse_rational
 from .localclass import REAL, half_str
 from .obstruct import (
+    delta3_at,
     delta3_global_family,
+    delta3_json,
     delta3_specific_lift_family,
     report,
     report_json,
@@ -32,15 +34,13 @@ def _parse_place(text: str):
     if text.upper() == "R":
         return REAL
     try:
-        p = _parse_int(text)
+        return _parse_int(text)
     except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"a place is an odd prime or R, not {text!r}") from None
-    if p == 2:
-        raise argparse.ArgumentTypeError("local delta3 is not evaluated at the place 2")
-    return p
 
 
-def _print_report(rep, show_delta2: bool, show_delta3: bool, place=None) -> None:
+def _print_report(rep, show_delta2: bool, delta3) -> None:
+    """rep as text, with one delta3 mod 2 block per entry of delta3."""
     print(f"point (b, a) = ({rep.b}, {rep.a})")
     if show_delta2:
         print(f"delta2 global (mod 2): {'zero' if rep.delta2.zero else 'nonzero'}")
@@ -51,16 +51,13 @@ def _print_report(rep, show_delta2: bool, show_delta3: bool, place=None) -> None
             print(f"  K2 symbol at {w.place}: {w.value}")
         for v, inv in rep.delta2_local:
             print(f"  delta2 local at {v}: {half_str(inv)}")
-    if show_delta3:
-        for r in rep.delta3_local:
-            if place is not None and r.place != place:
-                continue
-            print(f"delta3 mod 2 at {r.place}: {r.status}")
-            for t in r.cases:
-                value = half_str(t.cup) if t.applicable else "n/a"
-                print(f"  case ({t.case}): applicable={t.applicable} cup={value}")
-            for lift in r.real_lifts:
-                print(f"  lift {lift.label}: components ({lift.comp_x}, {lift.comp_y})")
+    for r in delta3:
+        print(f"delta3 mod 2 at {r.place}: {r.status}")
+        for t in r.cases:
+            value = half_str(t.cup) if t.applicable else "n/a"
+            print(f"  case ({t.case}): applicable={t.applicable} cup={value}")
+        for lift in r.real_lifts:
+            print(f"  lift {lift.label}: components ({lift.comp_x}, {lift.comp_y})")
     for note in rep.notes:
         print(f"note: {note}")
 
@@ -115,21 +112,26 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command in ("delta2", "delta3", "report"):
+        b, a = parse_rational(args.b), parse_rational(args.a)
         place = getattr(args, "place", None)
-        rep = report(parse_rational(args.b), parse_rational(args.a), extra_place=place)
+        # --place shows that place's entry alone, in or outside the support;
+        # a bad place fails here, before the point is factored.
+        picked = None if place is None else (delta3_at(b, a, place),)
+        rep = report(b, a)
         if args.json:
-            payload = report_json(rep, place)
+            payload = report_json(rep)
             if args.command == "delta2":
                 payload.pop("delta3_mod2")
             elif args.command == "delta3":
                 payload.pop("delta2")
+            if picked:
+                payload["delta3_mod2"] = delta3_json(picked)
             print(json.dumps(payload))
         else:
             _print_report(
                 rep,
                 show_delta2=args.command in ("delta2", "report"),
-                show_delta3=args.command in ("delta3", "report"),
-                place=place,
+                delta3=() if args.command == "delta2" else picked or rep.delta3_local,
             )
         return 0 if rep.consistent else 1
 

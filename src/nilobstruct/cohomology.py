@@ -49,6 +49,8 @@ class GaloisModel:
 
     def __post_init__(self):
         n = len(self.table)
+        if n == 0:
+            raise ValueError("multiplication table is empty")
         if any(len(row) != n for row in self.table):
             raise ValueError("multiplication table is not square")
         if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):

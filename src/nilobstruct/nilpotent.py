@@ -56,8 +56,8 @@ class QuotientSpec:
             raise ValueError(f"unknown quotient kind {self.kind!r}")
         if (self.kind == "FULL4") != (self.m is not None):
             raise ValueError("FULL4 takes a modulus; towers do not")
-        if self.m is not None and self.m < 2:
-            raise ValueError("FULL4 modulus must be at least 2")
+        if self.m is not None and (not isinstance(self.m, int) or self.m < 2):
+            raise ValueError("FULL4 modulus must be an int of at least 2")
 
     @property
     def moduli(self) -> tuple[int, int, int, int, int]:

@@ -250,13 +250,10 @@ def delta3_at(b, a, place: Place) -> Delta3LocalResult:
     return delta3_local_odd(b, a, place)
 
 
-def report(b, a, extra_place: Place | None = None) -> ObstructionReport:
-    """Full per-place delta2/delta3 report with fast-path and reciprocity notes.
-
-    ``extra_place`` forces one more place into the report even when it lies
-    outside the support of ab (where everything provably vanishes).
-    """
-    point = Point.of(b, a, None if extra_place == REAL else extra_place)
+def report(b, a) -> ObstructionReport:
+    """Full per-place delta2/delta3 report with fast-path and reciprocity
+    notes, at the places relevant_places(b, a)."""
+    point = Point.of(b, a)
     b, a = point.b, point.a
     d3_local = [delta3_local_odd_vu(*data, p) for p, *data in point.local]
     d3_local.append(_REAL_PLACE[b < 0, a < 0])
@@ -314,12 +311,10 @@ def delta2_json(rep: ObstructionReport) -> dict:
     }
 
 
-def delta3_json(rep: ObstructionReport, place: Place | None = None) -> dict:
-    entries = []
-    for r in rep.delta3_local:
-        if place is not None and r.place != place:
-            continue
-        entries.append(
+def delta3_json(entries) -> dict:
+    """The JSON form of the Delta3LocalResult values in entries, in order."""
+    return {
+        "local": [
             {
                 "place": str(r.place),
                 "status": r.status,
@@ -328,14 +323,15 @@ def delta3_json(rep: ObstructionReport, place: Place | None = None) -> dict:
                     for t in r.cases
                 ],
             }
-        )
-    return {"local": entries}
+            for r in entries
+        ]
+    }
 
 
-def report_json(rep: ObstructionReport, place: Place | None = None) -> dict:
+def report_json(rep: ObstructionReport) -> dict:
     return {
         "point": {"b": str(rep.b), "a": str(rep.a)},
         "delta2": delta2_json(rep),
-        "delta3_mod2": delta3_json(rep, place),
+        "delta3_mod2": delta3_json(rep.delta3_local),
         "notes": list(rep.notes),
     }

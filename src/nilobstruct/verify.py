@@ -384,6 +384,8 @@ def check_associativity_tower4(tower4_table) -> CheckResult:
             for k in range(128):
                 if row_ij[k] != row_i[row_j[k]]:
                     result.failures.append(f"({els[i].vec}, {els[j].vec}, {els[k].vec})")
+                    # the triples checked so far, this one included
+                    result.cases = (i * 128 + j) * 128 + k + 1
                     return result
     return result
 

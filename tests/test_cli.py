@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from nilobstruct.cli import main
+from nilobstruct.obstruct import delta3_at, delta3_json
 
 
 def run(capsys, *argv):
@@ -66,9 +67,32 @@ class TestDelta3Command:
         entries = {e["place"]: e for e in payload["delta3_mod2"]["local"]}
         assert entries["5"]["status"] == "zero"
 
+    def test_text_place_filter(self, capsys):
+        _, full = run(capsys, "delta3", "-15", "7")
+        code, out = run(capsys, "delta3", "-15", "7", "--place", "3")
+        assert code == 0
+        # the point, the block at 3 and the notes; not the blocks at 5, 7 and R
+        lines = full.splitlines()
+        end = lines.index("delta3 mod 2 at 5: blocked_by_delta2")
+        assert lines[1] == "delta3 mod 2 at 3: zero"
+        assert out.splitlines() == lines[:end] + [line for line in lines if line.startswith("note:")]
+
+    def test_place_outside_support_is_delta3_at(self, capsys):
+        code, payload = run_json(capsys, "delta3", "-15", "7", "--place", "11", "--json")
+        assert code == 0
+        assert payload["delta3_mod2"] == delta3_json([delta3_at(-15, 7, 11)])
+
     def test_place_two_rejected(self, capsys):
         assert main(["delta3", "3", "7", "--place", "2"]) == 2
-        assert "local delta3 is not evaluated at the place 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: local delta3 is not evaluated at the place 2\n"
+
+    @pytest.mark.parametrize("place", ("9", "1", "-5"))
+    def test_place_that_is_not_an_odd_prime_rejected(self, capsys, place):
+        assert main(["delta3", "3", "7", "--place", place]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {place} is not an odd prime\n"
 
     def test_place_that_is_not_a_number_rejected(self, capsys):
         assert main(["delta3", "3", "7", "--place", "x"]) == 2

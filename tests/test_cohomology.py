@@ -56,6 +56,16 @@ class TestModels:
         with pytest.raises(InvalidCocycleError):
             boundary_of_section(model, p, Cochain1(cyclic_model(2, 7), 2, 2, (0, 1)))
 
+    @pytest.mark.parametrize(
+        "build",
+        (lambda: GaloisModel((), ()), lambda: cyclic_model(0, 1), lambda: cyclic_model(-3, 1)),
+        ids=("table", "cyclic-0", "cyclic-negative"),
+    )
+    def test_empty_table_rejected(self, build):
+        # an order-0 "group" has no identity
+        with pytest.raises(ValueError, match="multiplication table is empty"):
+            build()
+
     @pytest.mark.parametrize("n", (0, 1))
     def test_units_model_needs_n_at_least_2(self, n):
         with pytest.raises(ValueError):

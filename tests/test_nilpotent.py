@@ -54,6 +54,9 @@ class TestSpecs:
             nil.QuotientSpec("FULL4")
         with pytest.raises(ValueError):
             nil.QuotientSpec("TOWER3", 4)
+        for m in (2.5, 4.0):
+            with pytest.raises(ValueError, match="an int"):
+                full4(m)
 
 
 class TestProduct:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from nilobstruct import arith, k2global, localclass, obstruct
-from nilobstruct.arith import InvalidPrimeError, Point
+from nilobstruct.arith import Point
 from nilobstruct.cohomology import (
     delta3_closed_form,
     kummer_real_cocycle,
@@ -40,7 +40,7 @@ def _nonzero(rng, bound):
 
 def _points(seed, count):
     """Integer points |x| <= 1e6, rationals with parts <= 1e6 and tiny
-    integers, each with no extra place, the real place, or an odd prime."""
+    integers."""
     rng = random.Random(seed)
     for i in range(count):
         kind = i % 3
@@ -51,17 +51,14 @@ def _points(seed, count):
             a = Fraction(_nonzero(rng, 10**6), rng.randint(1, 10**6))
         else:
             b, a = Fraction(_nonzero(rng, 100)), Fraction(_nonzero(rng, 100))
-        yield b, a, rng.choice((None, REAL, 3, 5, 7, 1000003))
+        yield b, a
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_report_entries_equal_standalone_functions(seed):
-    for b, a, extra in _points(seed, 60):
-        rep = report(b, a, extra)
-        odd = set(support_odd_primes(b, a))
-        if extra not in (None, REAL):
-            odd.add(extra)
-        places = [*sorted(odd), REAL]
+    for b, a in _points(seed, 60):
+        rep = report(b, a)
+        places = [*support_odd_primes(b, a), REAL]
         assert [v for v, _ in rep.delta2_local] == places
         assert [r.place for r in rep.delta3_local] == places
         for v, inv in rep.delta2_local:
@@ -109,9 +106,9 @@ def test_report_factors_each_coordinate_once(monkeypatch):
         return factor(x)
 
     monkeypatch.setattr(arith, "factor", counting)
-    for b, a, extra in ((-1, 5, None), (Fraction(12, 7), 10, 11), (18, 5, REAL), (1000003 * 3, -7, 5)):
+    for b, a in ((-1, 5), (Fraction(12, 7), 10), (18, 5), (1000003 * 3, -7)):
         calls.clear()
-        report(b, a, extra)
+        report(b, a)
         assert calls == [b, a]
 
 
@@ -125,16 +122,16 @@ def test_report_computes_the_symbol_at_2_once(monkeypatch):
 
     monkeypatch.setattr(k2global, "symbol_at_2", counting)
     monkeypatch.setattr(obstruct, "symbol_at_2", counting, raising=False)
-    for b, a, extra in ((-1, 5, None), (Fraction(12, 7), 10, 11), (18, 5, REAL), (2, 2, None)):
+    for b, a in ((-1, 5), (Fraction(12, 7), 10), (18, 5), (2, 2)):
         calls.clear()
-        report(b, a, extra)
+        report(b, a)
         assert calls == [(b, a)]
 
 
 def test_report_calls_no_public_per_place_evaluator(monkeypatch):
     """report() evaluates each place once from the factored point: local
     delta2 is read off the delta3 evaluation, never recomputed."""
-    points = ((-1, 5), (18, 5), (Fraction(12, 7), 10, 11), (-3, -7, REAL), (1000003 * 3, -7, 5))
+    points = ((-1, 5), (18, 5), (Fraction(12, 7), 10), (-3, -7), (1000003 * 3, -7))
     want = [report_json(report(*args)) for args in points]
 
     def forbidden(*args):
@@ -170,8 +167,8 @@ def test_consistent_iff_no_note_reports_a_failed_check(monkeypatch, seed):
         with monkeypatch.context() as m:
             if patch:
                 m.setattr(obstruct, *patch)
-            for b, a, extra in _points(seed, 60):
-                rep = report(b, a, extra)
+            for b, a in _points(seed, 60):
+                rep = report(b, a)
                 failed = any(w in note for note in rep.notes for w in ("INCONSISTENT", "DISAGREES"))
                 assert rep.consistent is not failed
                 seen.add((patch is None, rep.consistent))
@@ -179,18 +176,8 @@ def test_consistent_iff_no_note_reports_a_failed_check(monkeypatch, seed):
 
 
 def test_point_holds_certified_local_data():
-    point = Point.of(Fraction(-45, 7), 10, extra_prime=11)
-    assert point.primes() == (3, 5, 7, 11)
+    point = Point.of(Fraction(-45, 7), 10)
+    assert point.primes() == (3, 5, 7)
     # -45/7 = -(3^2 * 5) / 7 and 10 = 2 * 5: (v_b, u_b, v_a, u_a) per prime
     assert point.local[0] == (3, 2, -5 * pow(7, -1, 3) % 3, 0, 10 % 3)
     assert point.local[2] == (7, -1, -45 % 7, 0, 10 % 7)
-    assert point.local[3] == (11, 0, -45 * pow(7, -1, 11) % 11, 0, 10)
-    assert Point.of(-1, 5, extra_prime=5).local == Point.of(-1, 5).local
-
-
-@pytest.mark.parametrize("extra", (2, 9, 1, -5))
-def test_extra_prime_is_validated(extra):
-    with pytest.raises(InvalidPrimeError):
-        Point.of(3, 7, extra_prime=extra)
-    with pytest.raises(InvalidPrimeError):
-        report(3, 7, extra_place=extra)

@@ -1,3 +1,4 @@
+import ast
 import collections
 import itertools
 import json
@@ -14,6 +15,7 @@ from nilobstruct.cohomology import klein_model, standard_models, units_model
 from nilobstruct.verify import (
     _model_data,
     _tower4_table,
+    check_associativity_tower4,
     check_dcb_lemma,
     check_galois_automorphism,
     check_galois_composition,
@@ -92,6 +94,19 @@ def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, bad_
     assert not result.passed
     assert result.failures == [f"chi={bad_chi or 1} f=0 g={one} h={one}"]
     assert result.cases == checked
+
+
+def test_associativity_check_counts_the_triples_it_ran():
+    """A wrong product stops the check at the first non-associating triple
+    (i, j, k), and cases counts the triples checked up to and including it."""
+    els, table, act = _tower4_table()
+    table = [row[:] for row in table]
+    table[5][9] = (table[5][9] + 1) % 128
+    result = check_associativity_tower4((els, table, act))
+    assert not result.passed
+    index = {e.vec: n for n, e in enumerate(els)}
+    i, j, k = (index[vec] for vec in ast.literal_eval(result.failures[0]))
+    assert result.cases == (i * 128 + j) * 128 + k + 1 < 128**3
 
 
 def _flipped_e(nf_mul):
