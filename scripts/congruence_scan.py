@@ -4,12 +4,14 @@
 Draw random integer points (b, a) with an odd prime p dividing ab exactly
 once, evaluate local delta2/delta3 both through the three-case machinery and
 through the square / fourth-power congruences on a + b, and tabulate the
-joint verdicts.  Any disagreement would be a bug; the table also shows how
-often each obstruction layer actually bites on random inputs.
+joint verdicts.  Any disagreement would be a bug, and the script then exits
+with status 1; the table also shows how often each obstruction layer
+actually bites on random inputs.
 """
 
 import argparse
 import random
+import sys
 from collections import Counter
 
 from nilobstruct.obstruct import BLOCKED, ZERO, delta3_congruence, delta3_local_odd
@@ -17,7 +19,7 @@ from nilobstruct.obstruct import BLOCKED, ZERO, delta3_congruence, delta3_local_
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=5000)
     parser.add_argument("--seed", type=int, default=0)
@@ -54,7 +56,8 @@ def main() -> None:
     for cell, count in sorted(cells.items()):
         print(f"  {cell:>22}: {count:6d}  ({100 * count / args.count:.1f}%)")
     print(f"case evaluator vs congruence disagreements: {disagreements}")
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

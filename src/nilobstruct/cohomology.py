@@ -39,8 +39,9 @@ class InvalidCocycleError(ValueError):
 
 @dataclass(frozen=True)
 class GaloisModel:
-    """Finite group with a character into the units of Z/chi_mod; the
-    identity element has index 0."""
+    """Finite group with a character into the units of Z/chi_mod, given by
+    odd representatives (a 2-adic unit, as (chi - 1)/2 needs); the identity
+    element has index 0."""
 
     table: tuple[tuple[int, ...], ...]
     chi: tuple[int, ...]
@@ -67,7 +68,7 @@ class GaloisModel:
                 if self.chi[self.mul(i, j)] % self.chi_mod != self.chi[i] * self.chi[j] % self.chi_mod:
                     raise ValueError("chi is not a homomorphism")
             if self.chi[i] % 2 == 0:
-                raise ValueError("chi takes a non-unit value")
+                raise ValueError(f"chi takes the even value {self.chi[i]}; its values must be odd")
 
     @property
     def order(self) -> int:
@@ -103,7 +104,8 @@ def klein_model() -> GaloisModel:
 
 
 def units_model(n: int) -> GaloisModel:
-    """(Z/n)^* with chi the identity character mod n."""
+    """(Z/n)^* with chi the identity character mod n; n must be even, as
+    GaloisModel needs chi odd."""
     if n < 2:
         raise ValueError("units_model needs n >= 2")
     elems = [u for u in range(1, n) if gcd(u, n) == 1]

@@ -107,8 +107,8 @@ def delta2_global(b, a) -> Delta2GlobalVerdict:
 
 
 def delta2_global_point(point: Point) -> Delta2GlobalVerdict:
-    """delta2_global of a factored point; an extra prime outside the support
-    has symbol 1 and changes nothing."""
+    """delta2_global of a factored point: the tame symbols at the odd primes
+    of point.local, then the symbol at 2."""
     witnesses = []
     k2_witnesses = []
     for p, v_b, u_b, v_a, u_a in point.local:

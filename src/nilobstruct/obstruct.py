@@ -13,6 +13,10 @@ the values of both lifts of the point over the order-2 model of G_R, which
 the tests re-derive with the cochain engine.  A global delta3 verdict is only
 ever emitted for the proven (-p^3, p) family; outside it the report carries
 local vectors only.
+
+Each square root enters a case only through its square class, which
+localclass reads from the quartic character of the unit part, so no root
+is computed; delta3_local_odd says why the choice of root does not matter.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .localclass import (
     square_class_qp,
     square_class_vu,
     sqrt_square_class_vu,
-    two_class,
 )
 
 ZERO = "zero"
@@ -105,9 +108,14 @@ def relevant_places(b, a) -> list[Place]:
 def delta3_local_odd(b, a, p: int) -> Delta3LocalResult:
     """Three-case local delta3 mod 2 at an odd prime.
 
-    Each case takes the canonical square-root class; under the delta2
-    precondition its {-1} twist gives the same verdict, and the property
-    tests exercise exactly that.
+    Each case takes the class of one square root from
+    localclass.sqrt_square_class_vu.  The other root differs by {-1}, which
+    changes the case's value by {-1} cup partner, and that is 0 once
+    delta2 = b cup a vanishes:
+      (i)   {-b} = 0 gives {-1} cup a = b cup a;
+      (ii)  {-a} = 0 gives {-1} cup b = a cup b;
+      (iii) {ab} = 0 gives {-1} cup a = a cup a = b cup a.
+    So every case trace, not only the verdict, is independent of the root.
     """
     if p == 2:
         raise UnsupportedPlaceError("local delta3 is not evaluated at the place 2")
@@ -123,7 +131,7 @@ def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta
     data: -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a)."""
     cls_b = square_class_vu(v_b, u_b, p)
     cls_a = square_class_vu(v_a, u_a, p)
-    if cup_qp(cls_b, cls_a):
+    if cup_qp(cls_b, cls_a, p):
         return Delta3LocalResult(p, BLOCKED, ())
 
     two = square_class_vu(0, 2, p)
@@ -131,14 +139,14 @@ def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta
     nonzero = False
     for name, square, partner, extra in (
         ("i", (v_b, -u_b % p), cls_a, 0),
-        ("ii", (v_a, -u_a % p), cls_b, cup_qp(two, cls_a)),
+        ("ii", (v_a, -u_a % p), cls_b, cup_qp(two, cls_a, p)),
         ("iii", (v_b + v_a, u_b * u_a % p), cls_a, 0),
     ):
         root = sqrt_square_class_vu(*square, p)
         if root is None:
             cases.append(CaseTrace(name, False, 0))
             continue
-        value = cup_qp(two ^ root, partner) ^ extra
+        value = cup_qp(two ^ root, partner, p) ^ extra
         cases.append(CaseTrace(name, True, value))
         nonzero = nonzero or bool(value)
     return Delta3LocalResult(p, NONZERO if nonzero else ZERO, tuple(cases))
@@ -202,7 +210,7 @@ def delta3_specific_lift_family(p: int) -> SpecificLiftResult:
     """Both components at p equal {2} cup {p}; zero at R and all other odd primes."""
     if not is_prime(p) or p % 4 != 1:
         raise InapplicableError(f"{p} is not a prime congruent to 1 mod 4")
-    inv = cup_qp(two_class(p), square_class_qp(p, p))
+    inv = cup_qp(square_class_qp(2, p), square_class_qp(p, p), p)
     notes = (
         f"components at {p}: both equal {{2}} cup {{p}} = {half_str(inv)}"
         f" (1/2 iff p = 5 mod 8; here p = {p % 8} mod 8)",

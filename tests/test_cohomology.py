@@ -66,6 +66,12 @@ class TestModels:
         with pytest.raises(ValueError, match="multiplication table is empty"):
             build()
 
+    @pytest.mark.parametrize("n", (3, 9))
+    def test_even_chi_is_named_as_such(self, n):
+        # 2 is a unit mod 3 and mod 9, but chi must be odd
+        with pytest.raises(ValueError, match="chi takes the even value 2; its values must be odd"):
+            units_model(n)
+
     @pytest.mark.parametrize("n", (0, 1))
     def test_units_model_needs_n_at_least_2(self, n):
         with pytest.raises(ValueError):

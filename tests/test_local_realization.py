@@ -27,7 +27,7 @@ from nilobstruct.cohomology import (
     delta3_closed_form,
     delta3_cocycle_direct,
 )
-from nilobstruct.localclass import cup_qp, square_class_qp, two_class
+from nilobstruct.localclass import cup_qp, square_class_qp
 
 PRIMES_1_MOD_4 = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
@@ -101,7 +101,7 @@ def test_specific_lift_realizes_two_cup_p(p):
         assert z.is_cocycle()
         assert values_differ_by_coboundary(z, want)
         assert values_are_coboundary(z) == (p % 8 == 1)
-    inv = cup_qp(two_class(p), square_class_qp(p, p))
+    inv = cup_qp(square_class_qp(2, p), square_class_qp(p, p), p)
     assert inv == (1 if p % 8 == 5 else 0)
 
 

@@ -5,40 +5,49 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97
+from nilobstruct.arith import is_prime, legendre, sqrt_mod
 from nilobstruct.localclass import (
     REAL,
-    LocalSquareClass,
     NotASquareError,
     cup_qp,
     delta2_local,
-    neg_one_class,
     square_class_qp,
+    square_class_vu,
     sqrt_square_class_qp,
-    two_class,
+    sqrt_square_class_vu,
 )
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**5), max_value=Fraction(10**5), max_denominator=10**3
 ).filter(lambda q: q != 0)
 
+# Classes are e_p << 1 | e_u over the basis {u, p}.
+U, PI = 1, 2
+CLASSES = (0, U, PI, U | PI)
+
 
 class TestSquareClass:
     def test_uniformizer(self):
-        assert square_class_qp(5, 5) == LocalSquareClass(5, 0, 1)
+        assert square_class_qp(5, 5) == PI
 
     def test_identity(self):
-        assert square_class_qp(1, 5) == LocalSquareClass(5, 0, 0)
+        assert square_class_qp(1, 5) == 0
 
     def test_minus_one_split_prime(self):
         # 4 = -1 mod 5 is a square
-        assert square_class_qp(-1, 5) == LocalSquareClass(5, 0, 0)
+        assert square_class_qp(-1, 5) == 0
 
     def test_minus_one_inert_prime(self):
-        assert square_class_qp(-1, 7) == LocalSquareClass(7, 1, 0)
+        assert square_class_qp(-1, 7) == U
+
+    def test_class_is_an_int(self):
+        for x in (1, 3, 5, Fraction(-10, 3)):
+            assert type(square_class_qp(x, 5)) is int
+            assert type(sqrt_square_class_qp(x * x, 5)) is int
 
     @given(nonzero_rationals, st.sampled_from(ODD_PRIMES_TO_97))
     def test_square_has_trivial_class(self, x, p):
-        assert square_class_qp(x * x, p).is_trivial
+        assert square_class_qp(x * x, p) == 0
 
     @given(nonzero_rationals, nonzero_rationals, st.sampled_from(ODD_PRIMES_TO_97))
     def test_multiplicative(self, x, y, p):
@@ -47,14 +56,15 @@ class TestSquareClass:
 
 class TestSqrtClass:
     def test_square_of_uniformizer(self):
-        assert sqrt_square_class_qp(25, 5) == LocalSquareClass(5, 0, 1)
+        assert sqrt_square_class_qp(25, 5) == PI
 
     def test_root_of_four(self):
-        # sqrt_mod(4,5) = 2, a non-residue mod 5
-        assert sqrt_square_class_qp(4, 5) == LocalSquareClass(5, 1, 0)
+        # both roots 2 and 3 of 4 mod 5 are non-residues: 4 is no fourth power
+        assert sqrt_square_class_qp(4, 5) == U
 
     def test_root_of_nine_mod_seven(self):
-        assert sqrt_square_class_qp(9, 7) == LocalSquareClass(7, 1, 0)
+        # of the roots 3 and 4 of 9 mod 7, the class is that of the square 4
+        assert sqrt_square_class_qp(9, 7) == 0
 
     def test_odd_valuation_rejected(self):
         with pytest.raises(NotASquareError):
@@ -66,42 +76,64 @@ class TestSqrtClass:
 
     @given(nonzero_rationals, st.sampled_from(ODD_PRIMES_TO_97))
     def test_root_class_against_known_root(self, r, p):
-        # the canonical root of r^2 is +-r, so the class matches r up to {-1}
+        # the roots of r^2 are +-r, so the class matches r up to {-1}
         cls = sqrt_square_class_qp(r * r, p)
-        assert cls in (square_class_qp(r, p), square_class_qp(r, p) ^ neg_one_class(p))
+        assert cls in (square_class_qp(r, p), square_class_qp(r, p) ^ square_class_qp(-1, p))
+
+    def test_against_tonelli_shanks(self):
+        """Every odd p < 200, unit u and v in 0..3: the class is that of the
+        root r = p^(v/2) sqrt_mod(u, p) or of -r; it is that of r for
+        p = 1 mod 4, and has unit bit 0 for p = 3 mod 4."""
+        for p in filter(is_prime, range(3, 200, 2)):
+            minus_one = square_class_vu(0, -1, p)
+            differs = False
+            for v in range(4):
+                for u in range(1, p):
+                    got = sqrt_square_class_vu(v, u, p)
+                    if v % 2 or legendre(u, p) != 1:
+                        assert got is None, (v, u, p)
+                        continue
+                    want = square_class_vu(v // 2, sqrt_mod(u, p), p)
+                    assert got in (want, want ^ minus_one), (v, u, p)
+                    if p % 4 == 1:
+                        assert got == want, (v, u, p)
+                    else:
+                        assert got & U == 0, (v, u, p)
+                        differs = differs or got != want
+            # past p = 3 some canonical root is a non-residue mod p = 3 mod 4
+            assert differs == (p % 4 == 3 and p > 3), p
 
 
 class TestCupTable:
     def test_u_cup_p(self):
-        u = LocalSquareClass(5, 1, 0)
-        pi = LocalSquareClass(5, 0, 1)
-        assert cup_qp(u, pi) == 1 == cup_qp(pi, u)
-        assert cup_qp(u, u) == 0
+        assert cup_qp(U, PI, 5) == 1 == cup_qp(PI, U, 5)
+        assert cup_qp(U, U, 5) == 0
 
     @pytest.mark.parametrize("p", ODD_PRIMES_TO_97)
     def test_u_cup_u(self, p):
-        u = LocalSquareClass(p, 1, 0)
-        assert cup_qp(u, u) == 0
+        assert cup_qp(U, U, p) == 0
 
     def test_p_cup_p(self):
-        assert cup_qp(LocalSquareClass(7, 0, 1), LocalSquareClass(7, 0, 1)) == 1
-        assert cup_qp(LocalSquareClass(5, 0, 1), LocalSquareClass(5, 0, 1)) == 0
+        assert cup_qp(PI, PI, 7) == 1
+        assert cup_qp(PI, PI, 5) == 0
 
     @pytest.mark.parametrize("p", ODD_PRIMES_TO_97)
     def test_p_cup_p_is_neg_one_cup_p(self, p):
-        pi = LocalSquareClass(p, 0, 1)
-        assert cup_qp(pi, pi) == cup_qp(neg_one_class(p), pi)
+        assert cup_qp(PI, PI, p) == cup_qp(square_class_qp(-1, p), PI, p)
 
     @pytest.mark.parametrize("p", ODD_PRIMES_TO_97)
     def test_symmetry_all_pairs(self, p):
-        classes = [LocalSquareClass(p, i, j) for i in (0, 1) for j in (0, 1)]
-        for c1 in classes:
-            for c2 in classes:
-                assert cup_qp(c1, c2) == cup_qp(c2, c1)
+        for c1 in CLASSES:
+            for c2 in CLASSES:
+                assert cup_qp(c1, c2, p) == cup_qp(c2, c1, p)
 
-    def test_prime_mismatch(self):
-        with pytest.raises(ValueError):
-            cup_qp(LocalSquareClass(5, 0, 1), LocalSquareClass(7, 0, 1))
+    @pytest.mark.parametrize("p", ODD_PRIMES_TO_97)
+    def test_bilinear_all_triples(self, p):
+        for c1 in CLASSES:
+            for c2 in CLASSES:
+                for c3 in CLASSES:
+                    assert cup_qp(c1 ^ c2, c3, p) == cup_qp(c1, c3, p) ^ cup_qp(c2, c3, p)
+                    assert cup_qp(c3, c1 ^ c2, p) == cup_qp(c3, c1, p) ^ cup_qp(c3, c2, p)
 
 
 class TestRealPlace:

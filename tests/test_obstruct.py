@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import ODD_PRIMES_TO_97
-from nilobstruct import localclass
-from nilobstruct.arith import InvalidPrimeError
-from nilobstruct.localclass import REAL, delta2_local
+from nilobstruct import obstruct
+from nilobstruct.arith import InvalidPrimeError, sqrt_mod
+from nilobstruct.localclass import REAL, cup_qp, delta2_local, square_class_vu
 from nilobstruct.obstruct import (
     BLOCKED,
     NONZERO,
     ZERO,
+    CaseTrace,
     InapplicableError,
     OutOfFamilyError,
     RealLift,
@@ -18,6 +19,7 @@ from nilobstruct.obstruct import (
     delta3_congruence,
     delta3_global_family,
     delta3_local_odd,
+    delta3_local_odd_vu,
     delta3_local_real,
     delta3_specific_lift_family,
     relevant_places,
@@ -89,11 +91,11 @@ class TestDelta3LocalOdd:
     def test_root_choice_independence(self, monkeypatch):
         """The other square root -r has the class of r times {-1}: the verdict
         and every case trace stay the same."""
-        sqrt_mod = localclass._sqrt_mod
+        sqrt_class = obstruct.sqrt_square_class_vu
 
-        def other_root(u, p):
-            r = sqrt_mod(u, p)
-            return None if r is None else p - r
+        def other_root(v, u, p):
+            root = sqrt_class(v, u, p)
+            return None if root is None else root ^ square_class_vu(0, -1, p)
 
         rng = random.Random(17)
         points = []
@@ -104,7 +106,7 @@ class TestDelta3LocalOdd:
             if b and a:
                 points.append((b, a, p))
         base = [delta3_local_odd(b, a, p) for b, a, p in points]
-        monkeypatch.setattr(localclass, "_sqrt_mod", other_root)
+        monkeypatch.setattr(obstruct, "sqrt_square_class_vu", other_root)
         for want, (b, a, p) in zip(base, points):
             flipped = delta3_local_odd(b, a, p)
             assert want.status == flipped.status
@@ -125,6 +127,65 @@ class TestDelta3LocalOdd:
             moved = delta3_local_odd(b * s**4, a * t**4, p)
             assert base.status == moved.status
             count += 1
+
+
+def _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p):
+    """(status, cases) of the three-case loop with each root's class taken
+    from the canonical Tonelli-Shanks root sqrt_mod: a reference for
+    delta3_local_odd_vu that computes every root."""
+    cls_b = square_class_vu(v_b, u_b, p)
+    cls_a = square_class_vu(v_a, u_a, p)
+    if cup_qp(cls_b, cls_a, p):
+        return BLOCKED, ()
+    two = square_class_vu(0, 2, p)
+    cases = []
+    for name, (v, u), partner, extra in (
+        ("i", (v_b, -u_b), cls_a, 0),
+        ("ii", (v_a, -u_a), cls_b, cup_qp(two, cls_a, p)),
+        ("iii", (v_b + v_a, u_b * u_a), cls_a, 0),
+    ):
+        r = sqrt_mod(u, p)
+        if v % 2 or r is None:
+            cases.append(CaseTrace(name, False, 0))
+            continue
+        root = square_class_vu(v // 2, r, p)
+        cases.append(CaseTrace(name, True, cup_qp(two ^ root, partner, p) ^ extra))
+    status = NONZERO if any(t.cup for t in cases) else ZERO
+    return status, tuple(cases)
+
+
+def _canonical_root_mismatches():
+    """Local data (v_b, u_b, v_a, u_a, p) with p <= 23 and v_b, v_a in 0..3
+    where delta3_local_odd_vu differs from the canonical-root loop."""
+    bad = []
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for v_b in range(4):
+            for v_a in range(4):
+                for u_b in range(1, p):
+                    for u_a in range(1, p):
+                        got = delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)
+                        want = _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p)
+                        if (got.status, got.cases) != want:
+                            bad.append((v_b, u_b, v_a, u_a, p))
+    return bad
+
+
+class TestQuarticRootClass:
+    def test_matches_canonical_roots_on_a_full_grid(self):
+        assert _canonical_root_mismatches() == []
+
+    def test_grid_sees_a_wrong_unit_bit(self, monkeypatch):
+        # Dropping the quartic character at p = 1 mod 4 must show on the grid.
+        sqrt_class = obstruct.sqrt_square_class_vu
+
+        def square_root_always(v, u, p):
+            root = sqrt_class(v, u, p)
+            return None if root is None else root & ~1
+
+        monkeypatch.setattr(obstruct, "sqrt_square_class_vu", square_root_always)
+        bad = _canonical_root_mismatches()
+        assert bad
+        assert all(p % 4 == 1 for *_, p in bad)
 
 
 class TestCongruence:

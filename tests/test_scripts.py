@@ -1,5 +1,6 @@
 """The experiment scripts the README documents run and finish cleanly."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -21,6 +22,23 @@ def test_congruence_scan_finds_no_disagreement():
     proc = run_script("congruence_scan.py", "--count", "200")
     assert proc.returncode == 0, proc.stderr
     assert "disagreements: 0" in proc.stdout
+
+
+def test_congruence_scan_exits_1_on_a_disagreement(monkeypatch, capsys):
+    path = ROOT / "scripts" / "congruence_scan.py"
+    spec = importlib.util.spec_from_file_location("congruence_scan", path)
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    congruence = scan.delta3_congruence
+
+    def flipped(b, a, p):
+        d2_zero, d3_zero = congruence(b, a, p)
+        return d2_zero, None if d3_zero is None else not d3_zero
+
+    monkeypatch.setattr(scan, "delta3_congruence", flipped)
+    monkeypatch.setattr(sys, "argv", ["congruence_scan.py", "--count", "200"])
+    assert scan.main() == 1
+    assert "disagreements: 0" not in capsys.readouterr().out
 
 
 def test_congruence_scan_rejects_a_bound_below_the_largest_prime():
