@@ -82,8 +82,11 @@ def is_prime(n: int) -> bool:
     7-digit n costs at most three modular powers.  An n >= psi_13 that
     passes all thirteen bases (base 2 among them) must also pass a strong
     Lucas test with Selfridge's parameters: together that is the
-    Baillie-PSW test, which no known composite passes.
+    Baillie-PSW test, which no known composite passes.  Any n that is not
+    an int is a TypeError, so every check of a prime refuses it by type.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"expected an int, got {type(n).__name__}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

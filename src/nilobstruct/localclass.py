@@ -19,10 +19,13 @@ basis table is
 
 and over R the cup is nontrivial exactly on ({-1}, {-1}).
 
-The class of a square root of p^(2k) u is read from the quartic character
-of u, with no root computed: for p = 1 mod 4 both roots +-r share one class
-and r is a square iff u is a fourth power; for p = 3 mod 4 exactly one root
-is a square, and that root's class (unit bit 0) is the one returned.
+By the supplement laws the class of -1 is 1 iff p = 3 mod 4 and that of 2
+is 1 iff p = 3 or 5 mod 8, so neither costs a Legendre symbol.  The class
+of a square root of a local square p^(2k) u is read from the quartic
+character of u, with no root computed: for p = 1 mod 4 both roots +-r
+share one class and r is a square iff u is a fourth power; for p = 3 mod 4
+exactly one root is a square, and that root's class (unit bit 0) is the
+one returned, with no residue test at all.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ REAL = "R"
 Place = int | str
 
 
-class NotASquareError(ValueError):
-    """Raised when a square root is requested of a local non-square."""
-
-
 def half_str(bit: int) -> str:
     """The local invariant with bit 1 printed as 1/2, bit 0 as 0."""
     return "1/2" if bit else "0"
@@ -61,27 +60,14 @@ def square_class_vu(v: int, u: int, p: int) -> int:
     return v % 2 << 1 | (_legendre(u, p) == -1)
 
 
-def sqrt_square_class_qp(x, p: int) -> int:
-    """Square class of a square root of a local square x.
-
-    For p = 3 mod 4 the two roots differ by {-1}, and the class returned is
-    that of the root which is itself a square.  All downstream cup values
-    are independent of this choice whenever the delta2 precondition holds
-    (see obstruct.delta3_local_odd).
+def sqrt_square_class_vu(v: int, u: int, p: int) -> int:
+    """Class of a square root of the local square p^v u (v even, u a
+    residue), p a certified odd prime.  For p = 3 mod 4 the two roots differ
+    by {-1}, and the class returned is that of the root which is itself a
+    square.  All downstream cup values are independent of this choice
+    whenever the delta2 precondition holds (see obstruct.delta3_local_odd).
     """
-    check_odd_prime(p)
-    root = sqrt_square_class_vu(*local_part(as_rational(x), p), p)
-    if root is None:
-        raise NotASquareError(f"{x} is not a square in Q_{p}")
-    return root
-
-
-def sqrt_square_class_vu(v: int, u: int, p: int) -> int | None:
-    """Class of the root of p^v u chosen by sqrt_square_class_qp, or None if
-    that is not a square; p a certified odd prime."""
-    if v % 2 or _legendre(u, p) != 1:
-        return None
-    return v // 2 % 2 << 1 | (not _is_fourth_power_mod(u, p))
+    return v // 2 % 2 << 1 | (p % 4 == 1 and not _is_fourth_power_mod(u, p))
 
 
 def cup_qp(c1: int, c2: int, p: int) -> int:

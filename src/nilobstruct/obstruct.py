@@ -14,9 +14,12 @@ the tests re-derive with the cochain engine.  A global delta3 verdict is only
 ever emitted for the proven (-p^3, p) family; outside it the report carries
 local vectors only.
 
-Each square root enters a case only through its square class, which
-localclass reads from the quartic character of the unit part, so no root
-is computed; delta3_local_odd says why the choice of root does not matter.
+At an odd place two Legendre symbols give the classes of b and a.  Those
+of -b, -a and ab are their xors with each other and with the class of -1,
+which, like that of 2, is read from p mod 8.  Each square root enters a
+case only through its square class (localclass.sqrt_square_class_vu), so
+no root is computed; delta3_local_odd says why the choice of root does not
+matter.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .localclass import (
     Place,
     cup_qp,
     half_str,
-    square_class_qp,
     square_class_vu,
     sqrt_square_class_vu,
 )
@@ -108,7 +110,8 @@ def relevant_places(b, a) -> list[Place]:
 def delta3_local_odd(b, a, p: int) -> Delta3LocalResult:
     """Three-case local delta3 mod 2 at an odd prime.
 
-    Each case takes the class of one square root from
+    A case applies when its square's class, an xor of the classes of b, a
+    and -1, is trivial.  It then takes the class of one square root from
     localclass.sqrt_square_class_vu.  The other root differs by {-1}, which
     changes the case's value by {-1} cup partner, and that is 0 once
     delta2 = b cup a vanishes:
@@ -127,26 +130,27 @@ def delta3_local_odd(b, a, p: int) -> Delta3LocalResult:
 
 def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta3LocalResult:
     """delta3_local_odd from the local data (see arith.local_data) at a
-    certified odd prime.  The classes of -b, -a and ab come from the same
-    data: -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a)."""
+    certified odd prime.  A root's class is read from the square itself:
+    -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a)."""
     cls_b = square_class_vu(v_b, u_b, p)
     cls_a = square_class_vu(v_a, u_a, p)
     if cup_qp(cls_b, cls_a, p):
         return Delta3LocalResult(p, BLOCKED, ())
 
-    two = square_class_vu(0, 2, p)
+    # The classes of -1 and 2, by the first and second supplement laws.
+    neg_one = int(p % 4 == 3)
+    two = int(p % 8 in (3, 5))
     cases = []
     nonzero = False
-    for name, square, partner, extra in (
-        ("i", (v_b, -u_b % p), cls_a, 0),
-        ("ii", (v_a, -u_a % p), cls_b, cup_qp(two, cls_a, p)),
-        ("iii", (v_b + v_a, u_b * u_a % p), cls_a, 0),
+    for name, cls, square, partner, extra in (
+        ("i", cls_b ^ neg_one, (v_b, -u_b), cls_a, 0),
+        ("ii", cls_a ^ neg_one, (v_a, -u_a), cls_b, cup_qp(two, cls_a, p)),
+        ("iii", cls_b ^ cls_a, (v_b + v_a, u_b * u_a), cls_a, 0),
     ):
-        root = sqrt_square_class_vu(*square, p)
-        if root is None:
+        if cls:
             cases.append(CaseTrace(name, False, 0))
             continue
-        value = cup_qp(two ^ root, partner, p) ^ extra
+        value = cup_qp(two ^ sqrt_square_class_vu(*square, p), partner, p) ^ extra
         cases.append(CaseTrace(name, True, value))
         nonzero = nonzero or bool(value)
     return Delta3LocalResult(p, NONZERO if nonzero else ZERO, tuple(cases))
@@ -210,7 +214,7 @@ def delta3_specific_lift_family(p: int) -> SpecificLiftResult:
     """Both components at p equal {2} cup {p}; zero at R and all other odd primes."""
     if not is_prime(p) or p % 4 != 1:
         raise InapplicableError(f"{p} is not a prime congruent to 1 mod 4")
-    inv = cup_qp(square_class_qp(2, p), square_class_qp(p, p), p)
+    inv = cup_qp(square_class_vu(0, 2, p), square_class_vu(1, 1, p), p)
     notes = (
         f"components at {p}: both equal {{2}} cup {{p}} = {half_str(inv)}"
         f" (1/2 iff p = 5 mod 8; here p = {p % 8} mod 8)",
@@ -235,7 +239,8 @@ def delta3_global_family(p: int) -> GlobalFamilyResult:
     """
     if not is_prime(p) or p % 8 != 5:
         raise OutOfFamilyError(f"{p} is not a prime congruent to 5 mod 8")
-    local = delta3_local_odd(-(p**3), p, p)
+    # -p^3 and p have the local data (3, p - 1) and (1, 1) at p.
+    local = delta3_local_odd_vu(3, p - 1, 1, 1, p)
     real = delta3_local_real(-(p**3), p)
     if local.status != ZERO or real.status != ZERO:
         raise AssertionError(f"family hypothesis failed at p={p}")  # pragma: no cover

@@ -22,7 +22,15 @@ from nilobstruct.arith import (
     unit_residue,
     valuation,
 )
-from nilobstruct.obstruct import report
+from nilobstruct.k2global import tame_symbol_odd
+from nilobstruct.localclass import delta2_local, square_class_qp
+from nilobstruct.obstruct import (
+    delta3_at,
+    delta3_global_family,
+    delta3_local_odd,
+    delta3_specific_lift_family,
+    report,
+)
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -187,6 +195,30 @@ class TestParse:
     def test_report_takes_only_int_or_fraction(self, x):
         with pytest.raises(TypeError, match="int or Fraction"):
             report(x, 5)
+
+
+# Each public function that takes a prime, by name, applied to that prime.
+PRIME_TAKERS = {
+    "valuation": lambda p: valuation(50, p),
+    "legendre": lambda p: legendre(2, p),
+    "sqrt_mod": lambda p: sqrt_mod(2, p),
+    "square_class_qp": lambda p: square_class_qp(10, p),
+    "tame_symbol_odd": lambda p: tame_symbol_odd(3, 5, p),
+    "delta2_local": lambda p: delta2_local(3, 5, p),
+    "delta3_local_odd": lambda p: delta3_local_odd(3, 5, p),
+    "delta3_at": lambda p: delta3_at(3, 5, p),
+    "delta3_specific_lift_family": delta3_specific_lift_family,
+    "delta3_global_family": delta3_global_family,
+}
+
+
+# A prime that is not an int is refused by its type in is_prime, before any
+# arithmetic sees it.
+@pytest.mark.parametrize("p", (5.0, "5", "r"))
+@pytest.mark.parametrize("name", PRIME_TAKERS)
+def test_prime_must_be_an_int(name, p):
+    with pytest.raises(TypeError, match=f"expected an int, got {type(p).__name__}"):
+        PRIME_TAKERS[name](p)
 
 
 def test_is_prime_small():

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97
-from nilobstruct import obstruct
-from nilobstruct.arith import InvalidPrimeError, sqrt_mod
+from nilobstruct import arith, localclass, obstruct
+from nilobstruct.arith import InvalidPrimeError, is_prime, sqrt_mod
 from nilobstruct.localclass import REAL, cup_qp, delta2_local, square_class_vu
 from nilobstruct.obstruct import (
     BLOCKED,
@@ -94,8 +95,7 @@ class TestDelta3LocalOdd:
         sqrt_class = obstruct.sqrt_square_class_vu
 
         def other_root(v, u, p):
-            root = sqrt_class(v, u, p)
-            return None if root is None else root ^ square_class_vu(0, -1, p)
+            return sqrt_class(v, u, p) ^ square_class_vu(0, -1, p)
 
         rng = random.Random(17)
         points = []
@@ -154,20 +154,28 @@ def _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p):
     return status, tuple(cases)
 
 
-def _canonical_root_mismatches():
-    """Local data (v_b, u_b, v_a, u_a, p) with p <= 23 and v_b, v_a in 0..3
-    where delta3_local_odd_vu differs from the canonical-root loop."""
-    bad = []
+def _grid():
+    """Local data (v_b, u_b, v_a, u_a, p) with p <= 23 and v_b, v_a in 0..3."""
     for p in (3, 5, 7, 11, 13, 17, 19, 23):
         for v_b in range(4):
             for v_a in range(4):
                 for u_b in range(1, p):
                     for u_a in range(1, p):
-                        got = delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)
-                        want = _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p)
-                        if (got.status, got.cases) != want:
-                            bad.append((v_b, u_b, v_a, u_a, p))
+                        yield v_b, u_b, v_a, u_a, p
+
+
+def _canonical_root_mismatches():
+    """The grid points where delta3_local_odd_vu differs from the
+    canonical-root loop."""
+    bad = []
+    for data in _grid():
+        got = delta3_local_odd_vu(*data)
+        if (got.status, got.cases) != _delta3_with_canonical_roots(*data):
+            bad.append(data)
     return bad
+
+
+PRIMES_BELOW_2000 = tuple(filter(is_prime, range(3, 2000, 2)))
 
 
 class TestQuarticRootClass:
@@ -179,13 +187,42 @@ class TestQuarticRootClass:
         sqrt_class = obstruct.sqrt_square_class_vu
 
         def square_root_always(v, u, p):
-            root = sqrt_class(v, u, p)
-            return None if root is None else root & ~1
+            return sqrt_class(v, u, p) & ~1
 
         monkeypatch.setattr(obstruct, "sqrt_square_class_vu", square_root_always)
         bad = _canonical_root_mismatches()
         assert bad
         assert all(p % 4 == 1 for *_, p in bad)
+
+    @given(st.data())
+    def test_matches_canonical_roots_beyond_the_grid(self, data):
+        p = data.draw(st.sampled_from(PRIMES_BELOW_2000), label="p")
+        v_b, v_a = data.draw(st.tuples(st.integers(0, 7), st.integers(0, 7)), label="v_b, v_a")
+        units = st.integers(1, p - 1)
+        u_b, u_a = data.draw(st.tuples(units, units), label="u_b, u_a")
+        got = delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)
+        assert (got.status, got.cases) == _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p)
+
+    def test_two_legendre_symbols_per_place(self, monkeypatch):
+        """Square tests are class xors: each place costs the Legendre symbols
+        of b and a, plus a quartic test per applicable case at p = 1 mod 4
+        only."""
+        calls = {"_legendre": [], "_is_fourth_power_mod": []}
+        for name, log in calls.items():
+            real = getattr(localclass, name)
+
+            def counted(a, p, real=real, log=log):
+                log.append(p)
+                return real(a, p)
+
+            monkeypatch.setattr(localclass, name, counted)
+        places = [p for *_, p in _grid()]
+        for data in _grid():
+            delta3_local_odd_vu(*data)
+        assert sorted(calls["_legendre"]) == sorted(places * 2)
+        quartic = calls["_is_fourth_power_mod"]
+        assert quartic and all(p % 4 == 1 for p in quartic)
+        assert all(quartic.count(p) <= 3 * places.count(p) for p in set(quartic))
 
 
 class TestCongruence:
@@ -280,6 +317,20 @@ class TestGlobalFamily:
     def test_out_of_family(self, p):
         with pytest.raises(OutOfFamilyError):
             delta3_global_family(p)
+
+
+@pytest.mark.parametrize("family", (delta3_specific_lift_family, delta3_global_family))
+def test_family_certifies_p_once(monkeypatch, family):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(obstruct, "is_prime", counted)
+    family(13)
+    assert calls == [13]
 
 
 class TestReport:
