@@ -258,14 +258,15 @@ class Factorization:
 def factor(x) -> Factorization:
     """Exact signed factorization of a nonzero rational."""
     value = as_rational(x)
-    sign = 1 if value > 0 else -1
-    num = factor_int(abs(value.numerator))
-    den = factor_int(value.denominator)
-    merged = dict(num)
-    for p, e in den.items():
-        merged[p] = merged.get(p, 0) - e
-    factors = tuple(sorted((p, e) for p, e in merged.items() if e != 0))
-    return Factorization(sign, factors)
+    return Factorization(1 if value > 0 else -1, tuple(sorted(_exponents(value).items())))
+
+
+def _exponents(value: Fraction) -> dict[int, int]:
+    """{p: v_p(value) != 0}, from one factor_int call per integer part."""
+    exponents = factor_int(abs(value.numerator))
+    for p, e in factor_int(value.denominator).items():
+        exponents[p] = -e
+    return exponents
 
 
 def check_odd_prime(p: int) -> None:
@@ -275,8 +276,8 @@ def check_odd_prime(p: int) -> None:
 
 # Each public function below validates its prime once and then calls a
 # kernel (leading underscore) that trusts p.  Code that already holds
-# certified primes, such as those of a Factorization, calls the kernels,
-# local_part, local_data or Point directly.
+# certified primes, such as those of a Point, calls the kernels or
+# local_part directly.
 
 
 def legendre(a: int, p: int) -> int:
@@ -396,19 +397,21 @@ def local_part(value: Fraction, p: int) -> tuple[int, int]:
     return v, _unit_residue(value, v, p)
 
 
-def local_data(b: Fraction, a: Fraction, p: int) -> tuple[int, int, int, int]:
-    """(v_b, u_b, v_a, u_a): ``local_part`` of b and of a at the certified prime p."""
-    return (*local_part(b, p), *local_part(a, p))
+def local_data(b, a, p: int) -> tuple[int, int, int, int]:
+    """(v_b, u_b, v_a, u_a): ``local_part`` of b and of a at the odd prime p.
+    The one border of the per-place evaluators: it checks p, then b, then a."""
+    check_odd_prime(p)
+    return (*local_part(as_rational(b), p), *local_part(as_rational(a), p))
 
 
 @dataclass(frozen=True)
 class Point:
-    """A point (b, a), each coordinate factored exactly once.
+    """A point (b, a), validated and factored exactly once.
 
-    ``local`` holds one entry ``(p, v_b, u_b, v_a, u_a)`` (see
-    ``local_data``) per odd prime p dividing b or a, sorted by p.  Every such
-    p is a certified odd prime, since the support comes from ``factor``, so
-    code reading these entries validates nothing again.
+    ``local`` holds one entry ``(p, v_b, u_b, v_a, u_a)`` (as ``local_data``
+    gives it) per odd prime p dividing b or a, sorted by p.  The valuations
+    are the exponents of one factor_int pass over the four integer parts, so
+    every such p is a certified odd prime and no valuation is divided out again.
     """
 
     b: Fraction
@@ -418,9 +421,12 @@ class Point:
     @classmethod
     def of(cls, b, a) -> "Point":
         b, a = as_rational(b), as_rational(a)
-        primes = (set(factor(b).primes()) | set(factor(a).primes())) - {2}
-        local = tuple((p, *local_data(b, a, p)) for p in sorted(primes))
-        return cls(b, a, local)
+        exp_b, exp_a = _exponents(b), _exponents(a)
+        local = []
+        for p in sorted((exp_b.keys() | exp_a.keys()) - {2}):
+            v_b, v_a = exp_b.get(p, 0), exp_a.get(p, 0)
+            local.append((p, v_b, _unit_residue(b, v_b, p), v_a, _unit_residue(a, v_a, p)))
+        return cls(b, a, tuple(local))
 
     def primes(self) -> tuple[int, ...]:
         return tuple(entry[0] for entry in self.local)

@@ -12,9 +12,8 @@ The class {b} cup {a} vanishes globally iff every symbol is trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import Point, _legendre, _valuation, as_rational, check_odd_prime, local_data
+from .arith import Point, _legendre, _valuation, as_rational, local_data
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,7 @@ class Delta2GlobalVerdict:
 
 def tame_symbol_odd(b, a, p: int) -> TameSymbolValue:
     """Tame symbol (b,a)_p in F_p^* at an odd prime p."""
-    check_odd_prime(p)
-    return tame_symbol_vu(*local_data(as_rational(b), as_rational(a), p), p)
+    return tame_symbol_vu(*local_data(b, a, p), p)
 
 
 def tame_symbol_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> TameSymbolValue:
@@ -71,8 +69,8 @@ def decompose_2adic(x) -> tuple[int, int, int]:
     """(i, j, k) with x = (-1)^i 2^j 5^k u and u = 1 mod 8 as a 2-adic unit."""
     value = as_rational(x)
     j = _valuation(value, 2)
-    odd = value / Fraction(2) ** j
-    residue = odd.numerator * pow(odd.denominator, -1, 8) % 8
+    # The odd part's denominator is odd, so it is its own inverse mod 8.
+    residue = (value.numerator >> max(j, 0)) * (value.denominator >> max(-j, 0)) % 8
     i, k = _IK_FROM_MOD8[residue]
     return i, j, k
 

@@ -87,6 +87,5 @@ def delta2_local(b, a, place: Place) -> int:
     if place == REAL:
         b, a = as_rational(b), as_rational(a)
         return int(b < 0 and a < 0)
-    check_odd_prime(place)
-    v_b, u_b, v_a, u_a = local_data(as_rational(b), as_rational(a), place)
+    v_b, u_b, v_a, u_a = local_data(b, a, place)
     return cup_qp(square_class_vu(v_b, u_b, place), square_class_vu(v_a, u_a, place), place)

@@ -122,9 +122,6 @@ def delta3_local_odd(b, a, p: int) -> Delta3LocalResult:
     """
     if p == 2:
         raise UnsupportedPlaceError("local delta3 is not evaluated at the place 2")
-    b = as_rational(b)
-    a = as_rational(a)
-    check_odd_prime(p)
     return delta3_local_odd_vu(*local_data(b, a, p), p)
 
 

@@ -193,6 +193,22 @@ def test_verify_json_schema(capsys):
         assert isinstance(record["seconds"], float) and record["seconds"] > 0
 
 
+def test_verify_exhaustive_cochain_suite(capsys, oracle):
+    """--exhaustive enumerates every D(cb) cochain on the models of order <= 4
+    and leaves every other record as the default pass has it."""
+    code, out = run(capsys, "verify", "--exhaustive", "--suite", "cochain", "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert all(r["passed"] for r in records)
+    enumerated = {"Z/2": 16, "Z/4": 256, "Z/2xZ/2": 512, "(Z/8)^*": 512}
+    # The cochain suite runs first in the default pass.
+    want = [
+        (r.name, r.scope, enumerated.get(r.scope, r.cases) if r.name == "D(cb) product rule" else r.cases)
+        for r in oracle[: len(records)]
+    ]
+    assert [(r["name"], r["scope"], r["cases"]) for r in records] == want
+
+
 def test_verify_json_reports_the_first_failure(capsys, monkeypatch):
     from nilobstruct import verify
 

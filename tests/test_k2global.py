@@ -62,6 +62,9 @@ class TestSymbolAtTwo:
         assert decompose_2adic(5) == (0, 0, 1)
         assert decompose_2adic(-1) == (1, 0, 0)
         assert decompose_2adic(24) == (1, 3, 1)
+        assert decompose_2adic(Fraction(3, 8)) == (1, -3, 1)
+        assert decompose_2adic(Fraction(-5, 48)) == (0, -4, 0)
+        assert decompose_2adic(Fraction(7, 1024)) == (1, -10, 0)
 
     @given(nonzero_rationals)
     def test_decomposition_reconstructs(self, x):

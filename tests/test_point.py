@@ -1,14 +1,17 @@
 """The factored point behind report(): each coordinate is factored once,
 and every per-place entry agrees with the standalone validated functions."""
 
+import collections
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nilobstruct import arith, k2global, localclass, obstruct
-from nilobstruct.arith import Point
+from nilobstruct.arith import InvalidPrimeError, Point, local_data
 from nilobstruct.cohomology import (
     delta3_closed_form,
     kummer_real_cocycle,
@@ -24,6 +27,7 @@ from nilobstruct.obstruct import (
     ZERO,
     Delta3LocalResult,
     RealLift,
+    UnsupportedPlaceError,
     delta3_local_odd,
     delta3_local_real,
     report,
@@ -97,19 +101,90 @@ def test_real_place_entry_rederived_from_cochain_engine(b_sign, a_sign):
     assert (want.status == BLOCKED) == (b_sign < 0 and a_sign < 0)
 
 
-def test_report_factors_each_coordinate_once(monkeypatch):
-    calls = []
-    factor = arith.factor
+def _arith_calls(fn, *args):
+    """{name: [positional arguments, ...]} of the calls that fn(*args) makes
+    to the arith functions named below, in call order."""
+    code_names = {
+        getattr(arith, name).__code__: name
+        for name in ("as_rational", "_valuation", "factor", "factor_int", "local_data")
+    }
+    calls = collections.defaultdict(list)
 
-    def counting(x):
-        calls.append(x)
-        return factor(x)
+    def profile(frame, event, _):
+        name = code_names.get(frame.f_code) if event == "call" else None
+        if name:
+            code = frame.f_code
+            calls[name].append(tuple(frame.f_locals[v] for v in code.co_varnames[: code.co_argcount]))
 
-    monkeypatch.setattr(arith, "factor", counting)
-    for b, a in ((-1, 5), (Fraction(12, 7), 10), (18, 5), (1000003 * 3, -7)):
-        calls.clear()
-        report(b, a)
-        assert calls == [b, a]
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_report_factors_each_coordinate_once():
+    """Point.of validates b and a once and factors each of the four integer
+    parts once; every odd valuation is read off those exponents, so only the
+    symbol at 2 takes _valuation, and neither factor nor local_data runs."""
+    points = ((-1, 5), (Fraction(12, 7), 10), (18, 5), (1000003 * 3, -7), (Fraction(-5, 48), Fraction(3**7, 2**9)))
+    for b, a in points:
+        calls = _arith_calls(report, b, a)
+        fb, fa = Fraction(b), Fraction(a)
+        parts = (abs(fb.numerator), fb.denominator, abs(fa.numerator), fa.denominator)
+        assert calls["factor_int"] == [(n,) for n in parts]
+        assert [p for _, p in calls["_valuation"]] == [2, 2]
+        assert len(calls["as_rational"]) <= 4
+        assert set(calls) == {"as_rational", "_valuation", "factor_int"}
+
+
+_POWER_PRIMES = (2, 3, 5, 7, 47, 53, 97, 1009)
+
+
+@st.composite
+def _powerful_rationals(draw):
+    """p**i * u / q**j: high prime powers in the numerator and denominator."""
+    p, q = draw(st.sampled_from(_POWER_PRIMES)), draw(st.sampled_from(_POWER_PRIMES))
+    limit = 40 if max(p, q) < 50 else 6
+    i, j = draw(st.integers(0, limit)), draw(st.integers(0, limit))
+    u = draw(st.integers(-(10**6), 10**6).filter(bool))
+    return Fraction(p**i * u, q**j)
+
+
+@given(_powerful_rationals(), _powerful_rationals())
+def test_point_local_equals_local_data(b, a):
+    """The exponents of the factorization and the re-division of local_data
+    are two routes to the same valuations and unit residues."""
+    point = Point.of(b, a)
+    assert point.local == tuple((p, *local_data(b, a, p)) for p in point.primes())
+    assert point.primes() == tuple(sorted({*arith.factor(b).primes(), *arith.factor(a).primes()} - {2}))
+
+
+# Bad inputs to the public per-place evaluators and the error each raises.
+# local_data is their one border: it checks the prime, then b, then a, so
+# an input that is wrong twice fails on its prime.
+_BAD_PLACE_INPUTS = (
+    (("x", 5, 7), TypeError, "expected an int or Fraction, got str"),
+    ((3, "x", 7), TypeError, "expected an int or Fraction, got str"),
+    ((0, 5, 7), ValueError, "zero is not allowed here"),
+    ((3, 0, 7), ValueError, "zero is not allowed here"),
+    ((3, 5, 4), InvalidPrimeError, "4 is not an odd prime"),
+    ((3, 5, 2), InvalidPrimeError, "2 is not an odd prime"),
+    ((3, 5, 5.0), TypeError, "expected an int, got float"),
+    (("x", 5, 4), InvalidPrimeError, "4 is not an odd prime"),
+)
+
+
+@pytest.mark.parametrize("fn", (delta2_local, tame_symbol_odd, delta3_local_odd), ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("args, error, message", _BAD_PLACE_INPUTS, ids=[repr(x[0]) for x in _BAD_PLACE_INPUTS])
+def test_per_place_evaluators_share_one_error_order(fn, args, error, message):
+    if fn is delta3_local_odd and args[2] == 2:
+        error, message = UnsupportedPlaceError, "local delta3 is not evaluated at the place 2"
+    with pytest.raises(error) as info:
+        fn(*args)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_report_computes_the_symbol_at_2_once(monkeypatch):

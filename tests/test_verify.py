@@ -214,20 +214,40 @@ def test_identity_suite_builds_each_value_once(monkeypatch):
     assert counts == {"_delta3_closed_form": 768, "_delta3_cocycle_direct": 768, "all_twisted_cocycles": 2}
 
 
-def test_model_data_checks_each_f_once(monkeypatch):
-    """The admissible f are checked once per model, not once per lift."""
-    checked = []
+def test_model_data_validates_nothing(monkeypatch):
+    """_model_data trusts the solver: it makes no cocycle check on the f or
+    the lifts, and no lift check."""
+    checked = collections.Counter()
+    _count_calls(monkeypatch, checked, (coh, "check_f"), (coh, "check_lift"), (coh, "_check_delta3_inputs"))
     is_cocycle = coh.Cochain1.is_cocycle
 
     def counting(self):
         if self.modulus == 2:
-            checked.append(self.values)
+            checked["is_cocycle"] += 1
         return is_cocycle(self)
 
     monkeypatch.setattr(coh.Cochain1, "is_cocycle", counting)
     cocs, homs, lifts = _model_data(klein_model())
-    assert len(lifts) == 192
-    assert sorted(checked) == sorted(f.values for f in homs) and len(homs) == 4
+    assert len(lifts) == 192 and len(homs) == 4
+    assert checked == {}
+
+
+def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
+    """A cochain c with Dc != -(b cup a) slipped in among the lifts is refused
+    by boundary_of_section, whose section is then no cocycle."""
+    lift_cochains = verify.lift_cochains
+
+    def with_a_non_lift(b, a):
+        lifts = lift_cochains(b, a)
+        if not lifts:
+            return lifts
+        c = lifts[0]
+        bump = coh.Cochain1(c.model, 2, c.weight, tuple(int(g == 1) for g in c.model.elements()))
+        return [*lifts, c + bump]
+
+    monkeypatch.setattr(verify, "lift_cochains", with_a_non_lift)
+    with pytest.raises(coh.InvalidCocycleError, match=r"not a 1-cocycle at \(1, 2\)"):
+        verify.run_suites("cochain", max_order=4)
 
 
 def test_tower4_galois_actions_are_tabulated_once(monkeypatch):
