@@ -270,7 +270,9 @@ def _exponents(value: Fraction) -> dict[int, int]:
 
 
 def check_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
+    # is_prime first, so that a p that is not an int is a TypeError even
+    # where it compares equal to 2.
+    if not is_prime(p) or p == 2:
         raise InvalidPrimeError(f"{p} is not an odd prime")
 
 
@@ -412,11 +414,14 @@ class Point:
     gives it) per odd prime p dividing b or a, sorted by p.  The valuations
     are the exponents of one factor_int pass over the four integer parts, so
     every such p is a certified odd prime and no valuation is divided out again.
+    ``v2`` holds the exponents of 2 in b and in a from the same pass, for the
+    symbol at 2.
     """
 
     b: Fraction
     a: Fraction
     local: tuple[tuple[int, int, int, int, int], ...]
+    v2: tuple[int, int]
 
     @classmethod
     def of(cls, b, a) -> "Point":
@@ -426,7 +431,7 @@ class Point:
         for p in sorted((exp_b.keys() | exp_a.keys()) - {2}):
             v_b, v_a = exp_b.get(p, 0), exp_a.get(p, 0)
             local.append((p, v_b, _unit_residue(b, v_b, p), v_a, _unit_residue(a, v_a, p)))
-        return cls(b, a, tuple(local))
+        return cls(b, a, tuple(local), (exp_b.get(2, 0), exp_a.get(2, 0)))
 
     def primes(self) -> tuple[int, ...]:
         return tuple(entry[0] for entry in self.local)

@@ -158,7 +158,8 @@ class Cochain1:
     def __post_init__(self):
         if len(self.values) != self.model.order:
             raise ValueError("wrong number of values")
-        if any(v % self.modulus != v for v in self.values):
+        mod = self.modulus
+        if any([v % mod != v for v in self.values]):
             raise ValueError("values not reduced")
 
     def __add__(self, other: "Cochain1") -> "Cochain1":
@@ -191,12 +192,12 @@ class Cochain1:
         return Cochain1(self.model, 2, self.weight, tuple(v % 2 for v in self.values))
 
     def is_cocycle(self) -> bool:
-        m = self.model
-        return all(
-            self.values[m.mul(g, h)]
-            == (self.values[g] + pow(m.chi[g], self.weight, self.modulus) * self.values[h]) % self.modulus
-            for g in m.elements()
-            for h in m.elements()
+        v, mod = self.values, self.modulus
+        twist = [pow(chi, self.weight, mod) for chi in self.model.chi]
+        return not any(
+            (v_g + chi_g * v_h - v[gh]) % mod
+            for row, chi_g, v_g in zip(self.model.table, twist, v)
+            for v_h, gh in zip(v, row)
         )
 
     def is_zero(self) -> bool:
@@ -214,22 +215,21 @@ class Cochain2:
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
         _check_compatible(self, other)
+        mod = self.modulus
         return Cochain2(
             self.model,
-            self.modulus,
+            mod,
             self.weight,
-            tuple(
-                tuple((x + y) % self.modulus for x, y in zip(row1, row2))
+            tuple([
+                tuple([(x + y) % mod for x, y in zip(row1, row2)])
                 for row1, row2 in zip(self.values, other.values)
-            ),
+            ]),
         )
 
     def __neg__(self) -> "Cochain2":
+        mod = self.modulus
         return Cochain2(
-            self.model,
-            self.modulus,
-            self.weight,
-            tuple(tuple(-x % self.modulus for x in row) for row in self.values),
+            self.model, mod, self.weight, tuple([tuple([-x % mod for x in row]) for row in self.values])
         )
 
     def __sub__(self, other: "Cochain2") -> "Cochain2":
@@ -239,18 +239,17 @@ class Cochain2:
         return all(x == 0 for row in self.values for x in row)
 
     def is_cocycle(self) -> bool:
-        """Degree-2 cocycle condition D2 z = 0."""
-        m = self.model
-        z = self.values
-        for g in m.elements():
-            chi_g = pow(m.chi[g], self.weight, self.modulus)
-            for h in m.elements():
-                gh = m.mul(g, h)
-                for k in m.elements():
-                    lhs = (chi_g * z[h][k] - z[gh][k] + z[g][m.mul(h, k)] - z[g][h]) % self.modulus
-                    if lhs != 0:
-                        return False
-        return True
+        """Degree-2 cocycle condition D2 z = 0:
+        chi(g)^w z(h, k) - z(gh, k) + z(g, hk) - z(g, h) = 0 for all g, h, k,
+        with gh and hk read from the rows of the table."""
+        z, mod, table = self.values, self.modulus, self.model.table
+        twist = [pow(chi, self.weight, mod) for chi in self.model.chi]
+        return not any([
+            (chi_g * z_hk - z_ghk + z_g[hk] - z_gh) % mod
+            for row_g, chi_g, z_g in zip(table, twist, z)
+            for z_h, row_h, gh, z_gh in zip(z, table, row_g, z_g)
+            for z_hk, z_ghk, hk in zip(z_h, z[gh], row_h)
+        ])
 
 
 def _check_compatible(c, d) -> None:
@@ -268,17 +267,12 @@ def zero1(model: GaloisModel, modulus: int, weight: int) -> Cochain1:
 
 def coboundary(c: Cochain1) -> Cochain2:
     """Dc(g,h) = c(g) + chi(g)^w c(h) - c(gh)."""
-    m = c.model
+    v, mod = c.values, c.modulus
     rows = []
-    for g in m.elements():
-        chi_g = pow(m.chi[g], c.weight, c.modulus)
-        rows.append(
-            tuple(
-                (c.values[g] + chi_g * c.values[h] - c.values[m.mul(g, h)]) % c.modulus
-                for h in m.elements()
-            )
-        )
-    return Cochain2(m, c.modulus, c.weight, tuple(rows))
+    for row, chi, v_g in zip(c.model.table, c.model.chi, v):
+        chi_g = pow(chi, c.weight, mod)
+        rows.append(tuple([(v_g + chi_g * v_h - v[gh]) % mod for v_h, gh in zip(v, row)]))
+    return Cochain2(c.model, mod, c.weight, tuple(rows))
 
 
 def cup(c: Cochain1, d: Cochain1) -> Cochain2:
@@ -287,13 +281,14 @@ def cup(c: Cochain1, d: Cochain1) -> Cochain2:
         raise ValueError("cup of cochains on different models")
     if c.modulus != d.modulus:
         raise ValueError(f"cup needs a common modulus, got {c.modulus} and {d.modulus}")
-    m = c.model
+    mod, right = c.modulus, d.values
+    zero = (0,) * len(right)
     rows = []
-    for g in m.elements():
-        chi_g = pow(m.chi[g], d.weight, c.modulus)
-        left = c.values[g] * chi_g
-        rows.append(tuple(left * d.values[h] % c.modulus for h in m.elements()))
-    return Cochain2(m, c.modulus, c.weight + d.weight, tuple(rows))
+    for c_g, chi in zip(c.values, c.model.chi):
+        left = c_g * pow(chi, d.weight, mod) % mod
+        # d's values are reduced, so a left factor of 1 gives d's row itself.
+        rows.append(zero if left == 0 else right if left == 1 else tuple([left * x % mod for x in right]))
+    return Cochain2(c.model, mod, c.weight + d.weight, tuple(rows))
 
 
 # (n choose 2) mod 2 depends only on n mod 4: residues 0,1,2,3 -> 0,0,1,1.
@@ -384,33 +379,19 @@ def _delta3_cocycle_direct(
     b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1
 ) -> tuple[Cochain2, Cochain2]:
     model = b.model
-    n = model.order
+    bv, av, cv, fv = b.values, a.values, c.values, f.values
     rho = chi_minus1_over2(model).values
     x_rows, y_rows = [], []
-    for g in range(n):
-        chi_g = model.chi[g]
-        xr, yr = [], []
-        for h in range(n):
-            xr.append(
-                (
-                    c.values[g] * b.values[h]
-                    + _BINOM2_MOD2[(b.values[g] + 1) % 4] * a.values[h]
-                    + b.values[g] * a.values[h] * b.values[h]
-                    + rho[g] * c.values[h]
-                )
-                % 2
-            )
-            yr.append(
-                (
-                    c.values[g] * a.values[h]
-                    + b.values[g] * _BINOM2_MOD2[(chi_g * a.values[h] + 1) % 4]
-                    + rho[g] * c.values[h]
-                    + f.values[g] * a.values[h]
-                )
-                % 2
-            )
-        x_rows.append(tuple(xr))
-        y_rows.append(tuple(yr))
+    for chi_g, b_g, c_g, r_g, f_g in zip(model.chi, bv, cv, rho, fv):
+        t_g = _BINOM2_MOD2[(b_g + 1) % 4]
+        x_rows.append(tuple([
+            (c_g * b_h + t_g * a_h + b_g * a_h * b_h + r_g * c_h) % 2
+            for b_h, a_h, c_h in zip(bv, av, cv)
+        ]))
+        y_rows.append(tuple([
+            (c_g * a_h + b_g * _BINOM2_MOD2[(chi_g * a_h + 1) % 4] + r_g * c_h + f_g * a_h) % 2
+            for a_h, c_h in zip(av, cv)
+        ]))
     return (
         Cochain2(model, 2, 3, tuple(x_rows)),
         Cochain2(model, 2, 3, tuple(y_rows)),

@@ -12,6 +12,7 @@ The class {b} cup {a} vanishes globally iff every symbol is trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import Point, _legendre, _valuation, as_rational, local_data
 
@@ -68,7 +69,11 @@ _IK_FROM_MOD8 = {1: (0, 0), 5: (0, 1), 7: (1, 0), 3: (1, 1)}
 def decompose_2adic(x) -> tuple[int, int, int]:
     """(i, j, k) with x = (-1)^i 2^j 5^k u and u = 1 mod 8 as a 2-adic unit."""
     value = as_rational(x)
-    j = _valuation(value, 2)
+    return _decompose_2adic(value, _valuation(value, 2))
+
+
+def _decompose_2adic(value: Fraction, j: int) -> tuple[int, int, int]:
+    """decompose_2adic of a nonzero Fraction whose exponent of 2 is j."""
     # The odd part's denominator is odd, so it is its own inverse mod 8.
     residue = (value.numerator >> max(j, 0)) * (value.denominator >> max(-j, 0)) % 8
     i, k = _IK_FROM_MOD8[residue]
@@ -77,8 +82,13 @@ def decompose_2adic(x) -> tuple[int, int, int]:
 
 def symbol_at_2(b, a) -> TameSymbolValue:
     """The K2 symbol (b,a)_2 = (-1)^{iI + jK + kJ} in {+1, -1}."""
-    i, j, k = decompose_2adic(b)
-    big_i, big_j, big_k = decompose_2adic(a)
+    return _symbol_at_2(decompose_2adic(b), decompose_2adic(a))
+
+
+def _symbol_at_2(dec_b: tuple[int, int, int], dec_a: tuple[int, int, int]) -> TameSymbolValue:
+    """symbol_at_2 from the decompositions (i, j, k) of b and (I, J, K) of a."""
+    i, j, k = dec_b
+    big_i, big_j, big_k = dec_a
     exponent = i * big_i + j * big_k + k * big_j
     return TameSymbolValue(2, -1 if exponent % 2 else 1)
 
@@ -106,7 +116,7 @@ def delta2_global(b, a) -> Delta2GlobalVerdict:
 
 def delta2_global_point(point: Point) -> Delta2GlobalVerdict:
     """delta2_global of a factored point: the tame symbols at the odd primes
-    of point.local, then the symbol at 2."""
+    of point.local, then the symbol at 2, whose exponents of 2 are point.v2."""
     witnesses = []
     k2_witnesses = []
     for p, v_b, u_b, v_a, u_a in point.local:
@@ -115,7 +125,8 @@ def delta2_global_point(point: Point) -> Delta2GlobalVerdict:
             k2_witnesses.append(symbol)
             if _legendre(symbol.value, p) == -1:
                 witnesses.append(symbol)
-    two = symbol_at_2(point.b, point.a)
+    j_b, j_a = point.v2
+    two = _symbol_at_2(_decompose_2adic(point.b, j_b), _decompose_2adic(point.a, j_a))
     if not two.trivial:
         k2_witnesses.append(two)
         witnesses.append(two)

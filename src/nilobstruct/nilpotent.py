@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cohomology import Cochain1, Cochain2, GaloisModel, InvalidCocycleError, check_f
 
@@ -59,8 +60,10 @@ class QuotientSpec:
         if self.m is not None and (not isinstance(self.m, int) or self.m < 2):
             raise ValueError("FULL4 modulus must be an int of at least 2")
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, int, int, int, int]:
+        # Computed on first use and kept on the instance; a frozen dataclass
+        # compares and hashes its fields only, so the cache changes neither.
         if self.kind == "FULL4":
             return (self.m, self.m, self.m, self.m, self.m)
         if self.kind == "TOWER3":
@@ -179,7 +182,7 @@ def gen_z(spec: QuotientSpec) -> NilpotentElement:
 
 def _check_same_spec(e1, e2) -> None:
     """Two elements, or two Magnus series, must live in one quotient."""
-    if e1.spec != e2.spec:
+    if e1.spec is not e2.spec and e1.spec != e2.spec:
         raise SpecMismatchError(f"elements live in {e1.spec} and {e2.spec}")
 
 
@@ -326,10 +329,9 @@ _W1_SERIES = _commutator_series(_Z_SERIES, _xpow(1))
 _W2_SERIES = _commutator_series(_Z_SERIES, _ypow(1))
 
 
-def _central_pow(base: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # For series 1 + (degree >= 2 tail), the n-th power is 1 + n*tail up to
-    # degree 3, because tail*tail already has degree >= 4.
-    return (base[0], *[n * coef for coef in base[1:]])
+# The degree-3 coefficients of [x,y], [[x,y],x] and [[x,y],y], one
+# (z, w1, w2) triple per word XXX .. YYY in _WORDS order.
+_CUBIC = tuple(zip(_Z_SERIES[7:], _W1_SERIES[7:], _W2_SERIES[7:]))
 
 
 @dataclass(frozen=True)
@@ -351,25 +353,41 @@ class MagnusSeries:
 def min_magnus_modulus(spec: QuotientSpec) -> int:
     """Smallest power of 2 whose series arithmetic projects exactly to spec."""
     if spec.kind == "FULL4":
-        m = 1
-        while m < 2 * spec.m:
-            m *= 2
-        return m
+        return 1 << (2 * spec.m - 1).bit_length()
     return 4
 
 
 def _series(spec: QuotientSpec, s: tuple[int, ...]) -> MagnusSeries:
     m = min_magnus_modulus(spec)
-    return MagnusSeries(spec, tuple(x % m for x in s))
+    return MagnusSeries(spec, tuple([x % m for x in s]))
 
 
 def magnus_embed(e: NilpotentElement) -> MagnusSeries:
-    """Embed a normal form via x -> 1 + X, y -> 1 + Y, truncated in degree 3."""
-    s = _seriesmul_vec(_ypow(e.a), _xpow(e.b))
-    s = _seriesmul_vec(s, _central_pow(_Z_SERIES, e.c))
-    s = _seriesmul_vec(s, _central_pow(_W1_SERIES, e.d))
-    s = _seriesmul_vec(s, _central_pow(_W2_SERIES, e.e))
-    return _series(e.spec, s)
+    """Embed a normal form via x -> 1 + X, y -> 1 + Y, truncated in degree 3.
+
+    The series is written down with no series product.  The head
+    (1 + Y)^a (1 + X)^b has the coefficient C(a, i) C(b, j) on Y^i X^j.  A
+    commutator series is 1 + (degree >= 2 tail), so its n-th power is
+    1 + n * tail up to degree 3, and the product of the three commutator
+    powers is 1 + c*Z + d*W1 + e*W2 with Z, W1, W2 the tails of _Z_SERIES,
+    _W1_SERIES, _W2_SERIES: Z is XY - YX plus a cubic part, W1 and W2 are
+    cubic.  Times the head, the only product of degree <= 3 left is the
+    head's degree-1 part bX + aY times c(XY - YX).
+    """
+    spec = e.spec
+    a, b, c, d, e = e.vec
+    m = min_magnus_modulus(spec)
+    ab2, bb2 = _binom2(a), _binom2(b)
+    bc, ac = b * c, a * c
+    # The head's cubic words plus the cross terms bc(XXY - XYX) + ac(YXY - YYX).
+    head = (_binom3(b), bc, -bc, 0, a * bb2, ac, ab2 * b - ac, _binom3(a))
+    return MagnusSeries(
+        spec,
+        (
+            1, b % m, a % m, bb2 % m, c % m, (a * b - c) % m, ab2 % m,
+            *[(h + c * z + d * w1 + e * w2) % m for h, (z, w1, w2) in zip(head, _CUBIC)],
+        ),
+    )
 
 
 def magnus_mul(s1: MagnusSeries, s2: MagnusSeries) -> MagnusSeries:
@@ -380,23 +398,22 @@ def magnus_mul(s1: MagnusSeries, s2: MagnusSeries) -> MagnusSeries:
 def nf_from_magnus(s: MagnusSeries) -> NilpotentElement:
     """Extract the normal form of a group-element series.
 
-    Reads a, b, c from the degree <= 2 coefficients, divides off the embedded
-    y^a x^b [x,y]^c, and reads d, e from the two independent degree-3 Lie
-    coordinates.  Exact because the coefficients are kept mod
-    min_magnus_modulus(s.spec).
+    a, b, c are the coefficients of Y, X and XY.  d and e are read from the
+    words XXY and YYX: [x,y] has neither, [[x,y],x] has -1 on XXY and 0 on
+    YYX, [[x,y],y] has 0 on XXY and +1 on YYX.  So by magnus_embed
+
+        s[XXY] = bc - d,    s[YYX] = C(a, 2) b - ac + e,    s[YX] = ab - c,
+
+    and d = bc - s[XXY], e = s[YYX] - a s[YX] + b C(a + 1, 2), because
+    C(a, 2) - a^2 + C(a + 1, 2) = 0.  Exact because the coefficients are kept
+    mod min_magnus_modulus(s.spec); d and e are reduced mod that modulus
+    too before element() reduces them into the quotient.
     """
     m = min_magnus_modulus(s.spec)
-    a = s.coeff("Y") % m
-    b = s.coeff("X") % m
-    c = s.coeff("XY") % m
-    # (y^a x^b [x,y]^c)^-1 = [x,y]^-c x^-b y^-a; the binomial series of the
-    # generator powers are exact for negative exponents too.
-    head_inv = _seriesmul_vec(_central_pow(_Z_SERIES, -c), _xpow(-b))
-    tail = _seriesmul_vec(_seriesmul_vec(head_inv, _ypow(-a)), s.coeffs)
-    # tail = 1 + d*W1 + e*W2 with W1 = [[X,Y],X]-series, W2 = [[X,Y],Y]-series;
-    # the XXY coefficient of W1 is -1 and the YYX coefficient of W2 is +1.
-    d = -tail[_WIDX["XXY"]] % m
-    e = tail[_WIDX["YYX"]] % m
+    _, b, a, _, c, yx, _, _, xxy, _, _, _, _, yyx, _ = s.coeffs
+    a, b, c = a % m, b % m, c % m
+    d = (b * c - xxy) % m
+    e = (yyx - a * yx + b * _binom2(a + 1)) % m
     return element(s.spec, a, b, c, d, e)
 
 
@@ -416,10 +433,19 @@ def boundary_of_section(
     p lists triples (a, b, c) forming a cocycle into the level-3 tower group
     and the output is the pair of degree-3 coordinates mod 2.  The Galois
     action uses chi mod 8 and the mod-2 cocycle f on the model, the same
-    cochain the delta3 formulas take; None means f = 0.
+    cochain the delta3 formulas take; None means f = 0.  f is checked here,
+    the section in _boundary_of_section.
     """
     if f is not None:
         check_f(model, f)
+    return _boundary_of_section(model, p, f)
+
+
+def _boundary_of_section(
+    model: GaloisModel, p: list[tuple[int, ...]], f: Cochain1 | None = None
+) -> tuple[Cochain2, ...]:
+    """boundary_of_section for an f already checked by check_f.  The section
+    is still checked, as its cocycle law is read off the same products."""
     f_values = (0,) * model.order if f is None else f.values
     if len(p) != model.order:
         raise InvalidCocycleError("cocycle must assign a value to every element")
@@ -428,27 +454,31 @@ def boundary_of_section(
         raise InvalidCocycleError("section values must be all pairs or all triples")
 
     # Reduced exponent vectors in TOWER4: the arithmetic of nf_mul, galois_act
-    # and nf_inv without an element object per product.
+    # and nf_inv without an element object per product.  The acted section
+    # g(s(p(h))) depends on g only through (chi(g) mod 8, f(g)), so it is
+    # computed once per such pair.
     moduli = TOWER4.moduli
     sect = [_reduce((*t, 0, 0, 0)[:5], moduli) for t in p]
     sect_inv = [_reduce(inv_vec(s), moduli) for s in sect]
+    acted = {}
     rows_c, rows_d, rows_e = [], [], []
-    for g in model.elements():
-        chi, f_g, s_g = model.chi[g] % 8, f_values[g], sect[g]
-        products = [
-            _reduce(mul_vec(s_g, _reduce(act_vec(s_h, chi, f_g), moduli)), moduli) for s_h in sect
-        ]
+    for g, row in enumerate(model.table):
+        key = (model.chi[g] % 8, f_values[g])
+        if key not in acted:
+            acted[key] = [_reduce(act_vec(s_h, *key), moduli) for s_h in sect]
+        s_g = sect[g]
         rc, rd, re = [], [], []
-        for h, got in enumerate(products):
-            gh = model.mul(g, h)
+        for h, (t_h, gh) in enumerate(zip(acted[key], row)):
+            got = _reduce(mul_vec(s_g, t_h), moduli)
             # Cocycle validation happens at the level the section covers: the
             # first `width` coordinates of s(p(g)) g(s(p(h))) must reproduce s(p(gh)).
             if got[:width] != sect[gh][:width]:
                 raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
-            _, _, zc, zd, ze = _reduce(mul_vec(got, sect_inv[gh]), moduli)
-            rc.append(zc)
-            rd.append(zd)
-            re.append(ze)
+            # TOWER4 keeps c, d and e mod 2.
+            _, _, zc, zd, ze = mul_vec(got, sect_inv[gh])
+            rc.append(zc % 2)
+            rd.append(zd % 2)
+            re.append(ze % 2)
         rows_c.append(tuple(rc))
         rows_d.append(tuple(rd))
         rows_e.append(tuple(re))

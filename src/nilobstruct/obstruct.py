@@ -120,7 +120,9 @@ def delta3_local_odd(b, a, p: int) -> Delta3LocalResult:
       (iii) {ab} = 0 gives {-1} cup a = a cup a = b cup a.
     So every case trace, not only the verdict, is independent of the root.
     """
-    if p == 2:
+    # Only the int 2 is the place 2; any p that is not an int, 2.0 too, is
+    # refused by type in local_data.
+    if p == 2 and isinstance(p, int):
         raise UnsupportedPlaceError("local delta3 is not evaluated at the place 2")
     return delta3_local_odd_vu(*local_data(b, a, p), p)
 

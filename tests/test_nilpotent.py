@@ -258,6 +258,77 @@ def test_nf_from_magnus_round_trips_full4_8():
         assert nf_from_magnus(magnus_embed(g)) == g
 
 
+def _central_pow(base, n):
+    """n-th power of a series 1 + (degree >= 2 tail): 1 + n * tail up to degree 3."""
+    return (base[0], *[n * coef for coef in base[1:]])
+
+
+def _embed_by_products(g):
+    """Reference embedding: the product of the series of y^a x^b, [x,y]^c,
+    [[x,y],x]^d and [[x,y],y]^e, reduced as magnus_embed reduces."""
+    s = nil._seriesmul_vec(nil._ypow(g.a), nil._xpow(g.b))
+    s = nil._seriesmul_vec(s, _central_pow(nil._Z_SERIES, g.c))
+    s = nil._seriesmul_vec(s, _central_pow(nil._W1_SERIES, g.d))
+    s = nil._seriesmul_vec(s, _central_pow(nil._W2_SERIES, g.e))
+    return nil._series(g.spec, s)
+
+
+def _extract_by_division(s):
+    """Reference extraction: read a, b, c, divide off y^a x^b [x,y]^c by
+    multiplying with [x,y]^-c x^-b y^-a, and read d, e off the tail
+    1 + d*W1 + e*W2 (W1 is -1 on XXY, W2 is +1 on YYX)."""
+    m = nil.min_magnus_modulus(s.spec)
+    a, b, c = s.coeff("Y") % m, s.coeff("X") % m, s.coeff("XY") % m
+    head_inv = nil._seriesmul_vec(_central_pow(nil._Z_SERIES, -c), nil._xpow(-b))
+    tail = nil._seriesmul_vec(nil._seriesmul_vec(head_inv, nil._ypow(-a)), s.coeffs)
+    d = -tail[nil._WIDX["XXY"]] % m
+    e = tail[nil._WIDX["YYX"]] % m
+    return element(s.spec, a, b, c, d, e)
+
+
+@pytest.mark.parametrize("spec", (TOWER3, TOWER4), ids=str)
+def test_straight_line_magnus_matches_series_products_on_towers(spec):
+    """Every element and every product of a tower: the straight-line
+    magnus_embed and nf_from_magnus against the series-product references."""
+    els = nil.all_elements(spec)
+    series = {}
+    for g in els:
+        series[g] = magnus_embed(g)
+        assert series[g] == _embed_by_products(g)
+        assert nf_from_magnus(series[g]) == _extract_by_division(series[g]) == g
+    for g in els:
+        for h in els:
+            s = magnus_mul(series[g], series[h])
+            assert nf_from_magnus(s) == _extract_by_division(s) == nf_mul(g, h)
+
+
+_FULL4_MODULI = (2, 3, 4, 6, 8)
+_exponents = st.tuples(*[st.integers(0, 63)] * 5)
+
+
+@given(st.sampled_from(_FULL4_MODULI), _exponents, _exponents)
+def test_straight_line_magnus_matches_series_products_on_full4(m, u, v):
+    """FULL4(m), with m = 3 and 6 among the moduli whose min_magnus_modulus
+    is no multiple of m: the embedding, the extraction of an embedded
+    element and of a product, against the references."""
+    spec = full4(m)
+    g, h = element(spec, *u), element(spec, *v)
+    sg, sh = magnus_embed(g), magnus_embed(h)
+    assert sg == _embed_by_products(g) and sh == _embed_by_products(h)
+    assert nf_from_magnus(sg) == _extract_by_division(sg)
+    s = magnus_mul(sg, sh)
+    assert nf_from_magnus(s) == _extract_by_division(s)
+
+
+@given(st.sampled_from(_FULL4_MODULI), st.lists(st.integers(0, 63), min_size=14, max_size=14))
+def test_nf_from_magnus_matches_division_on_any_unit_series(m, tail):
+    """The extraction formulas are identities in the coefficients of any
+    series with constant term 1, group element or not."""
+    spec = full4(m)
+    s = nil._series(spec, (1, *tail))
+    assert nf_from_magnus(s) == _extract_by_division(s)
+
+
 def _boundary_by_elements(model, p, n, f=None):
     """Reference section boundary through NilpotentElement products: nf_mul,
     galois_act and nf_inv on every (g, h), validating as boundary_of_section

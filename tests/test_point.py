@@ -127,17 +127,16 @@ def _arith_calls(fn, *args):
 
 def test_report_factors_each_coordinate_once():
     """Point.of validates b and a once and factors each of the four integer
-    parts once; every odd valuation is read off those exponents, so only the
-    symbol at 2 takes _valuation, and neither factor nor local_data runs."""
+    parts once; every valuation, the exponent of 2 too, is read off those
+    exponents, so neither _valuation nor factor nor local_data runs."""
     points = ((-1, 5), (Fraction(12, 7), 10), (18, 5), (1000003 * 3, -7), (Fraction(-5, 48), Fraction(3**7, 2**9)))
     for b, a in points:
         calls = _arith_calls(report, b, a)
         fb, fa = Fraction(b), Fraction(a)
         parts = (abs(fb.numerator), fb.denominator, abs(fa.numerator), fa.denominator)
         assert calls["factor_int"] == [(n,) for n in parts]
-        assert [p for _, p in calls["_valuation"]] == [2, 2]
         assert len(calls["as_rational"]) <= 4
-        assert set(calls) == {"as_rational", "_valuation", "factor_int"}
+        assert set(calls) == {"as_rational", "factor_int"}
 
 
 _POWER_PRIMES = (2, 3, 5, 7, 47, 53, 97, 1009)
@@ -187,20 +186,29 @@ def test_per_place_evaluators_share_one_error_order(fn, args, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize("fn", (delta2_local, tame_symbol_odd, delta3_local_odd), ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("p", (2.0, 5.0), ids=repr)
+def test_a_float_prime_is_refused_by_type(fn, p):
+    """2.0 is no more the place 2 than 5.0 is the prime 5: both are TypeErrors."""
+    with pytest.raises(TypeError, match="expected an int, got float"):
+        fn(3, 5, p)
+
+
 def test_report_computes_the_symbol_at_2_once(monkeypatch):
+    """report() takes the symbol at 2 once, through its kernel, from the
+    decompositions that the public decompose_2adic gives."""
     calls = []
-    symbol_at_2 = k2global.symbol_at_2
+    kernel = k2global._symbol_at_2
 
-    def counting(b, a):
-        calls.append((b, a))
-        return symbol_at_2(b, a)
+    def counting(dec_b, dec_a):
+        calls.append((dec_b, dec_a))
+        return kernel(dec_b, dec_a)
 
-    monkeypatch.setattr(k2global, "symbol_at_2", counting)
-    monkeypatch.setattr(obstruct, "symbol_at_2", counting, raising=False)
-    for b, a in ((-1, 5), (Fraction(12, 7), 10), (18, 5), (2, 2)):
+    monkeypatch.setattr(k2global, "_symbol_at_2", counting)
+    for b, a in ((-1, 5), (Fraction(12, 7), 10), (18, 5), (2, 2), (Fraction(-5, 48), Fraction(3**7, 2**9))):
         calls.clear()
         report(b, a)
-        assert calls == [(b, a)]
+        assert calls == [(k2global.decompose_2adic(b), k2global.decompose_2adic(a))]
 
 
 def test_report_calls_no_public_per_place_evaluator(monkeypatch):

@@ -109,6 +109,29 @@ def test_associativity_check_counts_the_triples_it_ran():
     assert result.cases == (i * 128 + j) * 128 + k + 1 < 128**3
 
 
+def _associativity_by_triples(tower4_table):
+    """Reference: the (failures, cases) of a walk over every triple (i, j, k)
+    in order, stopping at the first one that does not associate."""
+    els, table, _ = tower4_table
+    for i, j, k in itertools.product(range(128), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return [f"({els[i].vec}, {els[j].vec}, {els[k].vec})"], (i * 128 + j) * 128 + k + 1
+    return [], 128**3
+
+
+@pytest.mark.parametrize("entry", ((5, 9), (1, 1), (77, 3), (127, 127)))
+def test_associativity_check_finds_the_first_bad_triple_of_the_triple_walk(entry):
+    """The row-at-a-time check reports the same first triple, with the same
+    cases, as the walk over single triples."""
+    els, table, act = _tower4_table()
+    table = [row[:] for row in table]
+    i, j = entry
+    table[i][j] = (table[i][j] + 1) % 128
+    result = check_associativity_tower4((els, table, act))
+    assert not result.passed
+    assert (result.failures, result.cases) == _associativity_by_triples((els, table, act))
+
+
 def _flipped_e(nf_mul):
     """nf_mul with e shifted by one whenever the product's a and b are both odd."""
 
@@ -212,6 +235,27 @@ def test_identity_suite_builds_each_value_once(monkeypatch):
     (level3,) = lookup(results, [("level-3 boundary == delta3 formulas", model.name)])
     assert level3.cases == 768
     assert counts == {"_delta3_closed_form": 768, "_delta3_cocycle_direct": 768, "all_twisted_cocycles": 2}
+
+
+def test_identity_suite_checks_each_f_once(monkeypatch):
+    """identity_suite checks the model's f once; the level-3 boundary check
+    then calls the section boundary's kernel, and the level-2 check the
+    public boundary with no f."""
+    counts = collections.Counter()
+    _count_calls(
+        monkeypatch, counts,
+        (coh, "check_f"), (nil, "check_f"), (nil, "boundary_of_section"), (nil, "_boundary_of_section"),
+    )
+    model = klein_model()
+    n2, n3 = lookup(
+        identity_suite(model),
+        [("level-2 boundary == b cup a", model.name), ("level-3 boundary == delta3 formulas", model.name)],
+    )
+    assert counts == {
+        "check_f": 1,
+        "boundary_of_section": n2.cases,
+        "_boundary_of_section": n2.cases + n3.cases,
+    }
 
 
 def test_model_data_validates_nothing(monkeypatch):
