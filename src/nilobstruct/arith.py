@@ -9,9 +9,9 @@ and canonical modular square roots.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 
 class InvalidPrimeError(ValueError):
@@ -228,8 +228,7 @@ def factor_int(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Signed prime factorization of a nonzero rational.
 
     ``factors`` is sorted by prime; exponents are nonzero (negative exponents
@@ -406,8 +405,7 @@ def local_data(b, a, p: int) -> tuple[int, int, int, int]:
     return (*local_part(as_rational(b), p), *local_part(as_rational(a), p))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """A point (b, a), validated and factored exactly once.
 
     ``local`` holds one entry ``(p, v_b, u_b, v_a, u_a)`` (as ``local_data``

@@ -11,14 +11,13 @@ The class {b} cup {a} vanishes globally iff every symbol is trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Point, _legendre, _valuation, as_rational, local_data
 
 
-@dataclass(frozen=True)
-class TameSymbolValue:
+class TameSymbolValue(NamedTuple):
     """Value of the K2 residue symbol at a place (odd prime, or 2)."""
 
     place: int
@@ -29,8 +28,7 @@ class TameSymbolValue:
         return self.value == 1
 
 
-@dataclass(frozen=True)
-class Delta2GlobalVerdict:
+class Delta2GlobalVerdict(NamedTuple):
     """Two layers, reported separately and never conflated.
 
     ``zero`` is the mod-2 verdict (every symbol trivial modulo squares),

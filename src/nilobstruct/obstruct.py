@@ -24,8 +24,8 @@ matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     Point,
@@ -64,30 +64,26 @@ class OutOfFamilyError(ValueError):
     """Raised when a family operation is called off its proven family."""
 
 
-@dataclass(frozen=True)
-class CaseTrace:
+class CaseTrace(NamedTuple):
     case: str
     applicable: bool
     cup: int
 
 
-@dataclass(frozen=True)
-class RealLift:
+class RealLift(NamedTuple):
     label: str
     comp_x: int
     comp_y: int
 
 
-@dataclass(frozen=True)
-class Delta3LocalResult:
+class Delta3LocalResult(NamedTuple):
     place: Place
     status: str
     cases: tuple[CaseTrace, ...]
     real_lifts: tuple[RealLift, ...] = ()
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """delta2_local pairs each place with its invariant bit (1 means 1/2).
     consistent is False iff a self-check failed, which is exactly when a
     note reads INCONSISTENT or DISAGREES."""
@@ -199,8 +195,7 @@ def delta3_local_real(b, a) -> Delta3LocalResult:
     return _REAL_PLACE[as_rational(b) < 0, as_rational(a) < 0]
 
 
-@dataclass(frozen=True)
-class SpecificLiftResult:
+class SpecificLiftResult(NamedTuple):
     """Per-place delta3 values of the lift c0 = 3*(p choose 2) of (-p^3, p);
     at_p holds the two invariant bits at p."""
 
@@ -223,8 +218,7 @@ def delta3_specific_lift_family(p: int) -> SpecificLiftResult:
     return SpecificLiftResult(p, (inv, inv), notes)
 
 
-@dataclass(frozen=True)
-class GlobalFamilyResult:
+class GlobalFamilyResult(NamedTuple):
     p: int
     verdict: str
     trace: tuple[str, ...]

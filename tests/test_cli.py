@@ -231,8 +231,6 @@ def _fail_self_check(monkeypatch, word):
     delta2.  INCONSISTENT: (-1, -1) has real invariant 1/2 and symbol -1 at 2;
     hiding that K2 witness breaks reciprocity.
     """
-    import dataclasses
-
     from nilobstruct import obstruct
 
     if word == "DISAGREES":
@@ -247,7 +245,7 @@ def _fail_self_check(monkeypatch, word):
         verdict = real_global(point)
         witnesses = tuple(w for w in verdict.k2_witnesses if w.place != 2)
         assert witnesses != verdict.k2_witnesses
-        return dataclasses.replace(verdict, k2_witnesses=witnesses)
+        return verdict._replace(k2_witnesses=witnesses)
 
     monkeypatch.setattr(obstruct, "delta2_global_point", without_two)
     return "-1", "-1"
@@ -257,8 +255,6 @@ def _fail_self_check(monkeypatch, word):
 @pytest.mark.parametrize("as_json", (False, True))
 @pytest.mark.parametrize("word", ("INCONSISTENT", "DISAGREES"))
 def test_failed_self_check_exits_one_with_same_output(capsys, monkeypatch, command, as_json, word):
-    import dataclasses
-
     from nilobstruct import cli
     from nilobstruct.arith import parse_rational
     from nilobstruct.obstruct import report
@@ -271,22 +267,28 @@ def test_failed_self_check_exits_one_with_same_output(capsys, monkeypatch, comma
     # The same report with its verdict flipped prints the same text and exits 0.
     bad = report(*map(parse_rational, point))
     assert not bad.consistent
-    monkeypatch.setattr(cli, "report", lambda *args, **kwargs: dataclasses.replace(bad, consistent=True))
+    monkeypatch.setattr(cli, "report", lambda *args, **kwargs: bad._replace(consistent=True))
     assert main(argv) == 0
     assert capsys.readouterr().out == bad_out
 
 
 def test_report_loads_neither_oracle_engine():
-    """report() and the report command need arith, localclass, k2global and
-    obstruct only; the cochain and nilpotent engines are loaded by verify."""
+    """report() and the delta2, delta3 and report commands need arith,
+    localclass, k2global and obstruct only; the cochain and nilpotent engines
+    are loaded by verify.  Their records are NamedTuples, so neither
+    dataclasses nor inspect is loaded either."""
     code = (
         "import sys\n"
         "import nilobstruct\n"
         "from nilobstruct import cli\n"
         "nilobstruct.report(-1, 5)\n"
         "assert cli.main(['report', '-1', '5', '--json']) == 0\n"
-        "engines = ('nilobstruct.cohomology', 'nilobstruct.nilpotent', 'nilobstruct.verify')\n"
-        "print(sorted(m for m in engines if m in sys.modules))\n"
+        "assert cli.main(['report', '-1', '5']) == 0\n"
+        "assert cli.main(['delta2', '-1', '5']) == 0\n"
+        "assert cli.main(['delta3', '-1', '5', '--place', '5']) == 0\n"
+        "modules = ('nilobstruct.cohomology', 'nilobstruct.nilpotent', 'nilobstruct.verify',\n"
+        "           'dataclasses', 'inspect')\n"
+        "print(sorted(m for m in modules if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

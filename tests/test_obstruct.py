@@ -404,3 +404,49 @@ def test_delta2_kernel_families():
             verdict = delta2_global(b, a)
             assert verdict.zero and verdict.k2_zero
         count += 1
+
+
+def test_report_repr_is_pinned():
+    """The records print field by field, nested records included."""
+    assert repr(report(-1, 5)) == (
+        "ObstructionReport(b=Fraction(-1, 1), a=Fraction(5, 1), "
+        "delta2_local=((5, 0), ('R', 0)), "
+        "delta2=Delta2GlobalVerdict(zero=True, witnesses=(), k2_zero=False, "
+        "k2_witnesses=(TameSymbolValue(place=5, value=4),)), "
+        "delta3_local=(Delta3LocalResult(place=5, status='nonzero', "
+        "cases=(CaseTrace(case='i', applicable=True, cup=1), "
+        "CaseTrace(case='ii', applicable=False, cup=0), "
+        "CaseTrace(case='iii', applicable=False, cup=0)), real_lifts=()), "
+        "Delta3LocalResult(place='R', status='zero', cases=(), "
+        "real_lifts=(RealLift(label='c=0', comp_x=0, comp_y=0), "
+        "RealLift(label='c={-1}', comp_x=0, comp_y=1)))), "
+        "notes=('full K2 layer differs from the mod-2 layer: nontrivial symbols "
+        "(5: 4) are squares locally, so only delta2 mod 2 vanishes', "
+        "'reciprocity: XOR of odd/real invariants = 0, 2-adic symbol = +1 (consistent)', "
+        "'congruence fast path at 5: delta2 agrees, delta3 agrees'), consistent=True)"
+    )
+
+
+def _records():
+    rep = report(-1, 5)
+    return {
+        "Factorization": arith.factor(-12),
+        "Point": arith.Point.of(-1, 5),
+        "TameSymbolValue": rep.delta2.k2_witnesses[0],
+        "Delta2GlobalVerdict": rep.delta2,
+        "CaseTrace": rep.delta3_local[0].cases[0],
+        "RealLift": rep.delta3_local[1].real_lifts[0],
+        "Delta3LocalResult": rep.delta3_local[0],
+        "ObstructionReport": rep,
+        "SpecificLiftResult": delta3_specific_lift_family(5),
+        "GlobalFamilyResult": delta3_global_family(5),
+    }
+
+
+@pytest.mark.parametrize("name", tuple(_records()))
+def test_records_are_immutable(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    field = type(record).__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))

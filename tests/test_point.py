@@ -2,7 +2,6 @@
 and every per-place entry agrees with the standalone validated functions."""
 
 import collections
-import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -243,7 +242,7 @@ def test_consistent_iff_no_note_reports_a_failed_check(monkeypatch, seed):
         odd = tuple(w for w in verdict.k2_witnesses if w.place != 2)
         if odd == verdict.k2_witnesses:
             odd += (k2global.TameSymbolValue(2, -1),)
-        return dataclasses.replace(verdict, k2_witnesses=odd)
+        return verdict._replace(k2_witnesses=odd)
 
     seen = set()
     for patch in (None, ("_congruence", flipped_congruence), ("delta2_global_point", toggled_two)):
