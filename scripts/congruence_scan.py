@@ -14,6 +14,7 @@ import random
 import sys
 from collections import Counter
 
+from nilobstruct.cli import parse_int
 from nilobstruct.obstruct import BLOCKED, ZERO, delta3_congruence, delta3_local_odd
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -21,9 +22,9 @@ PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 7
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=5000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--bound", type=int, default=10**6)
+    parser.add_argument("--count", type=parse_int, default=5000)
+    parser.add_argument("--seed", type=parse_int, default=0)
+    parser.add_argument("--bound", type=parse_int, default=10**6)
     args = parser.parse_args()
     if args.count < 1:
         parser.error("--count must be at least 1")

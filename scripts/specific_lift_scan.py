@@ -9,13 +9,14 @@ and for p = 5 mod 8 the global mod-2 verdict.
 import argparse
 
 from nilobstruct.arith import is_prime
+from nilobstruct.cli import parse_int
 from nilobstruct.localclass import half_str
 from nilobstruct.obstruct import delta3_global_family, delta3_specific_lift_family
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-p", type=int, default=200)
+    parser.add_argument("--max-p", type=parse_int, default=200)
     args = parser.parse_args()
     if args.max_p < 5:
         parser.error("--max-p must be at least 5, the least prime of the family")

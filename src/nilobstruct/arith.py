@@ -376,13 +376,8 @@ def _valuation(value: Fraction, p: int) -> int:
     return v
 
 
-def unit_residue(x, p: int) -> int:
-    """Residue mod p of the p-unit part x * p^(-v_p(x))."""
-    value = as_rational(x)
-    return _unit_residue(value, valuation(value, p), p)
-
-
 def _unit_residue(value: Fraction, v: int, p: int) -> int:
+    """Residue mod p of the p-unit part value * p^(-v), v = v_p(value)."""
     num, den = value.numerator, value.denominator
     if v > 0:
         num //= p**v

@@ -22,7 +22,7 @@ from .obstruct import (
 _NEGATIVE_RATIONAL = re.compile(r"^-[0-9]+(/[0-9]+)?$")
 
 
-def _parse_int(text: str) -> int:
+def parse_int(text: str) -> int:
     """An ASCII integer literal, -?[0-9]+; int() alone would also read other
     Unicode digits, a sign, spaces and underscores."""
     if not re.fullmatch(r"-?[0-9]+", text):
@@ -34,7 +34,7 @@ def _parse_place(text: str):
     if text.upper() == "R":
         return REAL
     try:
-        return _parse_int(text)
+        return parse_int(text)
     except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"a place is an odd prime or R, not {text!r}") from None
 
@@ -80,18 +80,18 @@ def main(argv=None) -> int:
 
     family = sub.add_parser("family").add_subparsers(dest="family_command", required=True)
     lift = family.add_parser("specific-lift")
-    lift.add_argument("p", type=_parse_int)
+    lift.add_argument("p", type=parse_int)
     glob = family.add_parser("global")
-    glob.add_argument("p", type=_parse_int)
+    glob.add_argument("p", type=parse_int)
 
     verify = sub.add_parser("verify")
-    verify.add_argument("--max-group-order", type=_parse_int, default=8)
+    verify.add_argument("--max-group-order", type=parse_int, default=8)
     verify.add_argument(
         "--exhaustive",
         action="store_true",
         help="enumerate every D(cb) cochain on cochain-suite models of order <= 4",
     )
-    verify.add_argument("--seed", type=_parse_int, default=0)
+    verify.add_argument("--seed", type=parse_int, default=0)
     verify.add_argument("--suite", choices=("cochain", "nilpotent", "all"), default="all")
     verify.add_argument("--json", action="store_true", help="print one JSON object per check")
 

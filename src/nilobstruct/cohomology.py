@@ -18,23 +18,17 @@ solution of Dc = t is fixed by its values on generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd
-
-from .arith import as_rational
 
 
 class InvalidDefiningSystemError(ValueError):
     """Raised when a Massey defining system fails its coboundary conditions."""
 
 
-class InvalidLiftError(ValueError):
-    """Raised when c does not satisfy Dc = -(b cup a) mod 2."""
-
-
 class InvalidCocycleError(ValueError):
-    """Raised when a cochain that must be a cocycle (an f, or the section
-    data of boundary_of_section) is not one."""
+    """Raised when a cochain that must be a cocycle (an f given to check_f,
+    or the section data of boundary_of_section) is not one."""
 
 
 @dataclass(frozen=True)
@@ -123,11 +117,6 @@ def s3_model() -> GaloisModel:
         inversions = sum(s[i] > s[j] for i, j in itertools.combinations(range(3), 2))
         chi.append(7 if inversions % 2 else 1)
     return GaloisModel(table, tuple(chi), 8, name="S3")
-
-
-def real_place_model() -> GaloisModel:
-    """Order-2 model of G_R: complex conjugation with chi(tau) = 7 mod 8."""
-    return replace(cyclic_model(2, 7), name="G_R")
 
 
 def standard_models() -> tuple[GaloisModel, ...]:
@@ -332,13 +321,6 @@ def massey_triple(
     return cup(A, gamma) + cup(alpha, B)
 
 
-def check_lift(b: Cochain1, a: Cochain1, c: Cochain1) -> None:
-    """Check Dc = -(b cup a) mod 2, the condition for (b,a)_c to be a cocycle."""
-    want = -cup(b.reduce2(), a.reduce2())
-    if coboundary(c).values != want.values:
-        raise InvalidLiftError("Dc != -(b cup a) mod 2")
-
-
 def delta3_closed_form(
     b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1
 ) -> tuple[Cochain2, Cochain2]:
@@ -347,15 +329,11 @@ def delta3_closed_form(
     Component along [[x,y],x]:  -(b + (chi-1)/2) cup c - (b choose 2) cup a
     Component along [[x,y],y]:  (a + (chi-1)/2) cup (ab - c)
                                 + (a choose 2) cup b - f cup a
-    All values mod 2.
+    All values mod 2.  b and a must be mod-4 twisted cocycles on one model,
+    c a lift of them (a mod-2 cochain with Dc = -(b cup a), as lift_cochains
+    gives) and f a mod-2 cocycle on that model (see check_f); nothing is
+    checked again here.
     """
-    _check_delta3_inputs(b, a, c, f)
-    return _delta3_closed_form(b, a, c, f)
-
-
-def _delta3_closed_form(
-    b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1
-) -> tuple[Cochain2, Cochain2]:
     rho = chi_minus1_over2(b.model)
     b2, a2 = b.reduce2(), a.reduce2()
     comp_x = -cup(b2 + rho, c) - cup(binom2(b), a2)
@@ -370,14 +348,8 @@ def delta3_cocycle_direct(
 
     These are the raw normal-form coordinates of s(p(g)) g s(p(h)) s(p(gh))^-1
     and differ from the closed forms by explicit coboundaries (see verify).
+    The inputs must be as delta3_closed_form asks; nothing is checked here.
     """
-    _check_delta3_inputs(b, a, c, f)
-    return _delta3_cocycle_direct(b, a, c, f)
-
-
-def _delta3_cocycle_direct(
-    b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1
-) -> tuple[Cochain2, Cochain2]:
     model = b.model
     bv, av, cv, fv = b.values, a.values, c.values, f.values
     rho = chi_minus1_over2(model).values
@@ -412,37 +384,11 @@ def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[C
 
 
 def check_f(model: GaloisModel, *fs: Cochain1) -> None:
-    """The one rule for f, shared by the delta3 formulas and
-    boundary_of_section: each f must be a mod-2 cocycle on model."""
+    """The one check of f: each f must be a mod-2 cocycle on model.  The
+    delta3 formulas and boundary_of_section take f as given; the oracle's
+    identity_suite runs this once per model on the f it hands them."""
     if not all(f.model is model and f.modulus == 2 and f.is_cocycle() for f in fs):
         raise InvalidCocycleError("f must be a mod-2 cocycle on the model")
-
-
-def _check_delta3_inputs(b: Cochain1, a: Cochain1, c: Cochain1, *fs: Cochain1) -> None:
-    """Validate the lift (b, a)_c once, together with every f it is paired with
-    (none when the caller has checked its f already)."""
-    if b.modulus != 4 or a.modulus != 4:
-        raise ValueError("b and a must be mod-4 cochains")
-    if c.modulus != 2:
-        raise ValueError("c must be a mod-2 cochain")
-    if a.model is not b.model or c.model is not b.model:
-        raise ValueError("a and c must live on b's model")
-    check_f(b.model, *fs)
-    if not (b.is_cocycle() and a.is_cocycle()):
-        raise InvalidLiftError("b and a must be twisted cocycles")
-    check_lift(b, a, c)
-
-
-def kummer_real_cocycle(x, model: GaloisModel) -> Cochain1:
-    """Mod-4 Kummer cocycle of a nonzero rational over the order-2 real model.
-
-    tau fixes a real fourth root of a positive x (value 0) and moves the
-    complex fourth root of a negative x by zeta_4^-1 (value 3).
-    """
-    if model.order != 2:
-        raise ValueError("the real place model has order 2")
-    value = 0 if as_rational(x) > 0 else 3
-    return Cochain1(model, 4, 1, (0, value))
 
 
 def _solutions(target: Cochain2) -> list[Cochain1]:

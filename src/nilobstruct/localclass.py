@@ -30,14 +30,7 @@ one returned, with no residue test at all.
 
 from __future__ import annotations
 
-from .arith import (
-    _is_fourth_power_mod,
-    _legendre,
-    as_rational,
-    check_odd_prime,
-    local_data,
-    local_part,
-)
+from .arith import _is_fourth_power_mod, _legendre, as_rational, local_data
 
 REAL = "R"
 # A place for local evaluation: an odd prime or the real place.
@@ -47,12 +40,6 @@ Place = int | str
 def half_str(bit: int) -> str:
     """The local invariant with bit 1 printed as 1/2, bit 0 as 0."""
     return "1/2" if bit else "0"
-
-
-def square_class_qp(x, p: int) -> int:
-    """Square class of a nonzero rational in Q_p*, p odd."""
-    check_odd_prime(p)
-    return square_class_vu(*local_part(as_rational(x), p), p)
 
 
 def square_class_vu(v: int, u: int, p: int) -> int:

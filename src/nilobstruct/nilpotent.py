@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cohomology import Cochain1, Cochain2, GaloisModel, InvalidCocycleError, check_f
+from .cohomology import Cochain1, Cochain2, GaloisModel, InvalidCocycleError
 
 
 class SpecMismatchError(ValueError):
@@ -173,11 +173,6 @@ def gen_x(spec: QuotientSpec) -> NilpotentElement:
 
 def gen_y(spec: QuotientSpec) -> NilpotentElement:
     return element(spec, a=1)
-
-
-def gen_z(spec: QuotientSpec) -> NilpotentElement:
-    """The commutator [x,y]."""
-    return element(spec, c=1)
 
 
 def _check_same_spec(e1, e2) -> None:
@@ -433,19 +428,12 @@ def boundary_of_section(
     p lists triples (a, b, c) forming a cocycle into the level-3 tower group
     and the output is the pair of degree-3 coordinates mod 2.  The Galois
     action uses chi mod 8 and the mod-2 cocycle f on the model, the same
-    cochain the delta3 formulas take; None means f = 0.  f is checked here,
-    the section in _boundary_of_section.
+    cochain the delta3 formulas take; None means f = 0.  f must be a mod-2
+    cocycle on model (see cohomology.check_f); it is not checked here.  The
+    section is: a p whose values are not all pairs or all triples, or that
+    breaks the cocycle law read off the same products, is refused with an
+    InvalidCocycleError.
     """
-    if f is not None:
-        check_f(model, f)
-    return _boundary_of_section(model, p, f)
-
-
-def _boundary_of_section(
-    model: GaloisModel, p: list[tuple[int, ...]], f: Cochain1 | None = None
-) -> tuple[Cochain2, ...]:
-    """boundary_of_section for an f already checked by check_f.  The section
-    is still checked, as its cocycle law is read off the same products."""
     f_values = (0,) * model.order if f is None else f.values
     if len(p) != model.order:
         raise InvalidCocycleError("cocycle must assign a value to every element")

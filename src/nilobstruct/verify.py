@@ -85,9 +85,10 @@ def _model_data(model: GaloisModel):
     """(cocs, homs, lifts): the twisted mod-4 cocycles, and on a model of order
     <= 4 the admissible f and every lift (b, a, c, forms) of a pair of cocs;
     forms holds (closed form, direct cocycles) per f, in homs order.  The
-    solver yields only c with Dc = target; identity_suite checks the homs
-    once and the section boundary checks each lift's section, so nothing is
-    checked here.
+    delta3 formulas check nothing: the solver yields only c with Dc = target,
+    the lifts they ask for, identity_suite checks the homs once with check_f,
+    and the section boundary checks each lift's section, so nothing is
+    checked here either.
     Larger models get no homs and no lifts: lifts are cheap at any order, but
     the level-3 checks of S3 and Z/8 would change the check list that
     perfbench/verify_baseline.json records exactly."""
@@ -95,7 +96,7 @@ def _model_data(model: GaloisModel):
     if model.order > 4:
         return cocs, [], []
     homs = f_homs(model)
-    closed, direct = coh._delta3_closed_form, coh._delta3_cocycle_direct
+    closed, direct = coh.delta3_closed_form, coh.delta3_cocycle_direct
     lifts = []
     for b in cocs:
         for a in cocs:
@@ -227,7 +228,7 @@ def check_boundary_n3(model: GaloisModel, data) -> CheckResult:
         p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
         dwx, dwy = (coboundary(w) for w in delta3_correction_cochains(b, a, c))
         for f, (closed, direct) in zip(homs, forms):
-            bd_x, bd_y = nil._boundary_of_section(model, p, f)
+            bd_x, bd_y = nil.boundary_of_section(model, p, f)
             result.cases += 1
             if (bd_x.values, bd_y.values) != (direct[0].values, direct[1].values):
                 result.failures.append(f"direct: b={b.values} a={a.values} c={c.values}")
@@ -328,9 +329,10 @@ def check_fbar_mod48() -> CheckResult:
 
 def identity_suite(model: GaloisModel, exhaustive: bool = False, seed: int = 0) -> list[CheckResult]:
     """Every degree-1/2 identity over one model, and every level-3 check where
-    _model_data(model) has lifts; its build is timed by no check.  Each f is
-    checked once here, so the level-3 boundary check calls the section
-    boundary's kernel, which still checks each lift's section."""
+    _model_data(model) has lifts; its build is timed by no check.  check_f
+    runs once here on the model's f, the oracle's one check of f: the delta3
+    formulas and the section boundary take f unchecked, and the boundary
+    still checks each lift's section."""
     rng = random.Random(seed)
     data = _model_data(model)
     coh.check_f(model, *data[1])

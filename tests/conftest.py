@@ -1,6 +1,7 @@
 import hypothesis
 import pytest
 
+from nilobstruct.cohomology import Cochain1, coboundary, cup
 from nilobstruct.verify import run_suites
 
 hypothesis.settings.register_profile(
@@ -53,3 +54,18 @@ def lookup(results, keys):
     wrong = [k for k in keys if len(found.get(k, ())) != 1]
     assert not wrong, f"expected exactly one check for each of {wrong}"
     return [found[k][0] for k in keys]
+
+
+def is_lift(b, a, c):
+    """Dc = -(b cup a) mod 2: c lifts (b, a), as the delta3 formulas ask."""
+    return coboundary(c).values == (-cup(b.reduce2(), a.reduce2())).values
+
+
+def kummer_real_cocycle(x, model):
+    """Mod-4 Kummer cocycle of a nonzero rational over cyclic_model(2, 7), the
+    order-2 model of G_R with chi(tau) = 7 mod 8.
+
+    tau fixes a real fourth root of a positive x (value 0) and moves the
+    complex fourth root of a negative x by zeta_4^-1 (value 3).
+    """
+    return Cochain1(model, 4, 1, (0, 0 if x > 0 else 3))

@@ -17,13 +17,13 @@ from nilobstruct.arith import (
     is_fourth_power_mod,
     is_prime,
     legendre,
+    local_part,
     parse_rational,
     sqrt_mod,
-    unit_residue,
     valuation,
 )
 from nilobstruct.k2global import tame_symbol_odd
-from nilobstruct.localclass import delta2_local, square_class_qp
+from nilobstruct.localclass import delta2_local
 from nilobstruct.obstruct import (
     delta3_at,
     delta3_global_family,
@@ -166,7 +166,8 @@ class TestValuation:
 
     @given(nonzero_rationals, st.sampled_from(ODD_PRIMES_TO_97))
     def test_unit_residue_is_a_unit(self, x, p):
-        r = unit_residue(x, p)
+        v, r = local_part(x, p)
+        assert v == valuation(x, p)
         assert 1 <= r < p and gcd(r, p) == 1
 
 
@@ -202,7 +203,6 @@ PRIME_TAKERS = {
     "valuation": lambda p: valuation(50, p),
     "legendre": lambda p: legendre(2, p),
     "sqrt_mod": lambda p: sqrt_mod(2, p),
-    "square_class_qp": lambda p: square_class_qp(10, p),
     "tame_symbol_odd": lambda p: tame_symbol_odd(3, 5, p),
     "delta2_local": lambda p: delta2_local(3, 5, p),
     "delta3_local_odd": lambda p: delta3_local_odd(3, 5, p),

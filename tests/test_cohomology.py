@@ -3,36 +3,32 @@ import random
 
 import pytest
 
-from conftest import IDENTITY_CHECKS, lookup
+from conftest import IDENTITY_CHECKS, is_lift, kummer_real_cocycle, lookup
 from nilobstruct.cohomology import (
     Cochain1,
     Cochain2,
     GaloisModel,
+    InvalidCocycleError,
     InvalidDefiningSystemError,
-    InvalidLiftError,
     all_twisted_cocycles,
     binom2,
-    check_lift,
+    check_f,
     chi_minus1_over2,
     coboundary,
     cup,
     cyclic_model,
     delta3_closed_form,
-    delta3_cocycle_direct,
     extra_models,
     f_cocycle,
     f_homs,
     klein_model,
-    kummer_real_cocycle,
     lift_cochains,
     massey_triple,
-    real_place_model,
     s3_model,
     standard_models,
     units_model,
     zero1,
 )
-from nilobstruct.nilpotent import InvalidCocycleError, boundary_of_section
 
 
 class TestModels:
@@ -48,15 +44,17 @@ class TestModels:
         with pytest.raises(ValueError):
             GaloisModel(table, (3, 1))  # chi(identity) != 1
 
-    def test_bad_f_rejected_by_the_boundary(self):
-        # f is one cochain for both engines; the section boundary validates it.
+    def test_bad_f_rejected_by_check_f(self):
+        # f is one cochain for both engines, checked once by check_f: a
+        # non-cocycle, or a cocycle on a second model of the same order.
         model = cyclic_model(2, 7)
-        p = [(0, 0, 0)] * model.order
-        boundary_of_section(model, p, Cochain1(model, 2, 2, (0, 1)))
-        with pytest.raises(InvalidCocycleError):
-            boundary_of_section(model, p, Cochain1(model, 2, 2, (1, 0)))
-        with pytest.raises(InvalidCocycleError):
-            boundary_of_section(model, p, Cochain1(cyclic_model(2, 7), 2, 2, (0, 1)))
+        good = Cochain1(model, 2, 2, (0, 1))
+        check_f(model, zero1(model, 2, 2), good)
+        for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(cyclic_model(2, 7), 2, 2, (0, 1))):
+            with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
+                check_f(model, f)
+            with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
+                check_f(model, good, f)
 
     @pytest.mark.parametrize(
         "build",
@@ -123,7 +121,7 @@ class TestCoboundaryAndCup:
 
 
 # Every model of the package, S3 and the order-16 units among them.
-KERNEL_MODELS = standard_models() + extra_models() + (real_place_model(), units_model(16))
+KERNEL_MODELS = standard_models() + extra_models() + (units_model(16),)
 
 
 def _twist(model, g, weight):
@@ -303,37 +301,9 @@ class TestDelta3Forms:
         z4 = zero1(model, 4, 1)
         c = zero1(model, 2, 2)
         f = zero1(model, 2, 2)
+        assert is_lift(z4, z4, c)
         comp_x, comp_y = delta3_closed_form(z4, z4, c, f)
         assert comp_x.is_zero() and comp_y.is_zero()
-
-    def test_invalid_lift_rejected(self):
-        model = cyclic_model(2, 7)
-        b = Cochain1(model, 4, 1, (0, 1))
-        a = Cochain1(model, 4, 1, (0, 1))
-        # Dc = -(b cup a) has (tau,tau) value 1, but every c has Dc = 0 here
-        with pytest.raises(InvalidLiftError):
-            delta3_closed_form(b, a, Cochain1(model, 2, 2, (0, 0)), zero1(model, 2, 2))
-
-    @pytest.mark.parametrize("formula", (delta3_closed_form, delta3_cocycle_direct))
-    def test_bad_f_rejected(self, formula):
-        # the f that boundary_of_section rejects: a non-cocycle, or one on another model
-        model = cyclic_model(2, 7)
-        z4 = zero1(model, 4, 1)
-        c = zero1(model, 2, 2)
-        formula(z4, z4, c, Cochain1(model, 2, 2, (0, 1)))
-        for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(cyclic_model(2, 7), 2, 2, (0, 1))):
-            with pytest.raises(ValueError, match="f must be a mod-2 cocycle"):
-                formula(z4, z4, c, f)
-
-    @pytest.mark.parametrize("formula", (delta3_closed_form, delta3_cocycle_direct))
-    def test_inputs_on_another_model_rejected(self, formula):
-        # a second model of the same order: the values alone would pass
-        model, other = cyclic_model(2, 7), cyclic_model(2, 7)
-        z4, c, f = zero1(model, 4, 1), zero1(model, 2, 2), zero1(model, 2, 2)
-        formula(z4, z4, c, f)
-        for a, c_other in ((zero1(other, 4, 1), c), (z4, zero1(other, 2, 2))):
-            with pytest.raises(ValueError, match="a and c must live on b's model"):
-                formula(z4, a, c_other, f)
 
 
 # Small enough for brute force over all cochains: orders 2 to 8.
@@ -389,7 +359,7 @@ class TestEnumeration:
             for a in cocs:
                 lifts = lift_cochains(b, a)
                 for c in lifts:
-                    check_lift(b, a, c)
+                    assert is_lift(b, a, c)
                 if lifts:
                     assert {c.values for c in lifts} == {(lifts[0] + f).values for f in homs}
                     assert len(lifts) == len(homs)
@@ -410,13 +380,16 @@ class TestEnumeration:
 
 
 class TestRealKummer:
+    """The test-side Kummer cocycle over G_R that tests/test_point.py and
+    tests/test_obstruct.py feed to the cochain engine."""
+
     def test_values(self):
-        model = real_place_model()
+        model = cyclic_model(2, 7)
         assert kummer_real_cocycle(3, model).values == (0, 0)
         assert kummer_real_cocycle(-3, model).values == (0, 3)
 
     def test_is_twisted_cocycle(self):
-        model = real_place_model()
+        model = cyclic_model(2, 7)
         assert kummer_real_cocycle(-1, model).is_cocycle()
 
 

@@ -13,9 +13,12 @@ model-level triviality tracks p mod 8.  This exercises the Kummer-cocycle
 realization that the abstract identity suites cannot see.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from nilobstruct.arith import legendre
+from conftest import is_lift
+from nilobstruct.arith import legendre, local_part
 from nilobstruct.cohomology import (
     Cochain1,
     Cochain2,
@@ -27,7 +30,7 @@ from nilobstruct.cohomology import (
     delta3_closed_form,
     delta3_cocycle_direct,
 )
-from nilobstruct.localclass import cup_qp, square_class_qp
+from nilobstruct.localclass import cup_qp, square_class_vu
 
 PRIMES_1_MOD_4 = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
@@ -88,12 +91,14 @@ def test_specific_lift_realizes_two_cup_p(p):
     # delta3 components carry weight 3 while {2} cup {p} carries weight 2;
     # with Z/2 coefficients the action is trivial, so compare raw values
     # (this is the documented weight shift, not an oversight).
+    assert is_lift(b, kp, c0)
     want = cup(k2, kp.reduce2())
     for z in delta3_cocycle_direct(b, kp, c0, f):
         assert z.is_cocycle()
         assert values_differ_by_coboundary(z, want)
         assert values_are_coboundary(z) == (p % 8 == 1)
-    inv = cup_qp(square_class_qp(2, p), square_class_qp(p, p), p)
+    two, uniformizer = (square_class_vu(*local_part(Fraction(x), p), p) for x in (2, p))
+    inv = cup_qp(two, uniformizer, p)
     assert inv == (1 if p % 8 == 5 else 0)
 
 
@@ -108,6 +113,7 @@ def test_closed_form_agrees_on_the_model(p):
         model, 2, 2,
         tuple(3 * (kp.values[g] * (kp.values[g] - 1) // 2) % 2 for g in model.elements()),
     )
+    assert is_lift(b, kp, c0)
     want = cup(k2, kp.reduce2())
     for z in delta3_closed_form(b, kp, c0, f):
         assert z.is_cocycle()

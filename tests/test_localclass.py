@@ -10,7 +10,6 @@ from nilobstruct.localclass import (
     REAL,
     cup_qp,
     delta2_local,
-    square_class_qp,
     square_class_vu,
     sqrt_square_class_vu,
 )
@@ -24,23 +23,31 @@ U, PI = 1, 2
 CLASSES = (0, U, PI, U | PI)
 
 
+def square_class(x, p):
+    return square_class_vu(*local_part(Fraction(x), p), p)
+
+
+def sqrt_class(x, p):
+    return sqrt_square_class_vu(*local_part(Fraction(x), p), p)
+
+
 class TestSquareClass:
     def test_uniformizer(self):
-        assert square_class_qp(5, 5) == PI
+        assert square_class(5, 5) == PI
 
     def test_identity(self):
-        assert square_class_qp(1, 5) == 0
+        assert square_class(1, 5) == 0
 
     def test_minus_one_split_prime(self):
         # 4 = -1 mod 5 is a square
-        assert square_class_qp(-1, 5) == 0
+        assert square_class(-1, 5) == 0
 
     def test_minus_one_inert_prime(self):
-        assert square_class_qp(-1, 7) == U
+        assert square_class(-1, 7) == U
 
     def test_class_is_an_int(self):
         for x in (1, 3, 5, Fraction(-10, 3)):
-            assert type(square_class_qp(x, 5)) is int
+            assert type(square_class(x, 5)) is int
             assert type(sqrt_class(x * x, 5)) is int
 
     def test_supplement_laws(self):
@@ -51,15 +58,11 @@ class TestSquareClass:
 
     @given(nonzero_rationals, st.sampled_from(ODD_PRIMES_TO_97))
     def test_square_has_trivial_class(self, x, p):
-        assert square_class_qp(x * x, p) == 0
+        assert square_class(x * x, p) == 0
 
     @given(nonzero_rationals, nonzero_rationals, st.sampled_from(ODD_PRIMES_TO_97))
     def test_multiplicative(self, x, y, p):
-        assert square_class_qp(x * y, p) == square_class_qp(x, p) ^ square_class_qp(y, p)
-
-
-def sqrt_class(x, p):
-    return sqrt_square_class_vu(*local_part(Fraction(x), p), p)
+        assert square_class(x * y, p) == square_class(x, p) ^ square_class(y, p)
 
 
 class TestSqrtClass:
@@ -78,7 +81,7 @@ class TestSqrtClass:
     def test_root_class_against_known_root(self, r, p):
         # the roots of r^2 are +-r, so the class matches r up to {-1}
         cls = sqrt_class(r * r, p)
-        assert cls in (square_class_qp(r, p), square_class_qp(r, p) ^ square_class_qp(-1, p))
+        assert cls in (square_class(r, p), square_class(r, p) ^ square_class(-1, p))
 
     def test_against_tonelli_shanks(self):
         """Every odd p < 200, v in {0, 2} and residue u: the class is that of
@@ -116,7 +119,7 @@ class TestCupTable:
 
     @pytest.mark.parametrize("p", ODD_PRIMES_TO_97)
     def test_p_cup_p_is_neg_one_cup_p(self, p):
-        assert cup_qp(PI, PI, p) == cup_qp(square_class_qp(-1, p), PI, p)
+        assert cup_qp(PI, PI, p) == cup_qp(square_class(-1, p), PI, p)
 
     @pytest.mark.parametrize("p", ODD_PRIMES_TO_97)
     def test_symmetry_all_pairs(self, p):

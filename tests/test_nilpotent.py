@@ -26,7 +26,6 @@ from nilobstruct.nilpotent import (
     galois_act,
     gen_x,
     gen_y,
-    gen_z,
     inv_vec,
     magnus_embed,
     magnus_mul,
@@ -99,7 +98,7 @@ class TestCommutator:
             assert commutator(g, g).is_identity
 
     def test_commutator_of_generators_is_z(self):
-        assert commutator(gen_x(TOWER4), gen_y(TOWER4)) == gen_z(TOWER4)
+        assert commutator(gen_x(TOWER4), gen_y(TOWER4)) == element(TOWER4, c=1)
 
     def test_power_law_exact_layer(self):
         # [x^a, y^a] = [x,y]^{a^2} [[x,y],x]^{-a C(a,2)} [[x,y],y]^{-a C(a,2)}
@@ -144,7 +143,7 @@ class TestGaloisAction:
     def test_matches_generator_images(self):
         # acting on a word equals the product of acted generators
         rng = random.Random(6)
-        x, y, z = gen_x(TOWER4), gen_y(TOWER4), gen_z(TOWER4)
+        x, y, z = gen_x(TOWER4), gen_y(TOWER4), element(TOWER4, c=1)
         for _ in range(200):
             chi, f = rng.choice((1, 3, 5, 7)), rng.randrange(2)
             a, b, c = rng.randrange(4), rng.randrange(4), rng.randrange(2)
@@ -176,7 +175,7 @@ class TestMagnus:
 
     def test_embed_commutator_leading_term(self):
         # TOWER4 series keep their coefficients mod 4, so -1 reads 3
-        s = magnus_embed(gen_z(TOWER4))
+        s = magnus_embed(element(TOWER4, c=1))
         assert s.coeff("XY") == 1 and s.coeff("YX") == 3
         assert s.coeff("X") == 0 and s.coeff("Y") == 0
 
@@ -229,6 +228,10 @@ class TestBoundary:
         for p in ([(0, 0, 0, 0)] * 4, [(0, 0), (0, 0, 0), (0, 0), (0, 0)], [(0, 0, 0)] * 3 + [(0, 0)]):
             with pytest.raises(InvalidCocycleError, match="all pairs"):
                 boundary_of_section(model, p)
+        # b = a = tau on the model of G_R has no lift (every c has Dc = 0,
+        # but b cup a is 1 at (tau, tau)), so the section of c = 0 is refused.
+        with pytest.raises(InvalidCocycleError, match=r"not a 1-cocycle at \(1, 1\)"):
+            boundary_of_section(cyclic_model(2, 7), [(0, 0, 0), (1, 1, 0)])
 
 
 def _word_convolution(s, t):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ODD_PRIMES_TO_97
+from conftest import ODD_PRIMES_TO_97, is_lift, kummer_real_cocycle
 from nilobstruct import arith, localclass, obstruct
 from nilobstruct.arith import InvalidPrimeError, is_prime, sqrt_mod
 from nilobstruct.localclass import REAL, cup_qp, delta2_local, square_class_vu
@@ -270,14 +270,13 @@ def test_real_place_lifts_match_direct_cocycles():
     at (tau, tau), so the two delta3 presentations must agree on the nose."""
     from nilobstruct.cohomology import (
         Cochain1,
+        cyclic_model,
         delta3_closed_form,
         delta3_cocycle_direct,
-        kummer_real_cocycle,
-        real_place_model,
         zero1,
     )
 
-    model = real_place_model()
+    model = cyclic_model(2, 7)
     f = zero1(model, 2, 2)
     for sb in (1, -1):
         for sa in (1, -1):
@@ -287,6 +286,7 @@ def test_real_place_lifts_match_direct_cocycles():
             a = kummer_real_cocycle(sa * 7, model)
             for c_tau in (0, 1):
                 c = Cochain1(model, 2, 2, (0, c_tau))
+                assert is_lift(b, a, c)
                 closed = delta3_closed_form(b, a, c, f)
                 direct = delta3_cocycle_direct(b, a, c, f)
                 for z, w in zip(closed, direct):
@@ -404,6 +404,67 @@ def test_delta2_kernel_families():
             verdict = delta2_global(b, a)
             assert verdict.zero and verdict.k2_zero
         count += 1
+
+
+# sigma(b, a) = (a, b) and tau(b, a) = (1/b, -a/b) generate an S3 acting on
+# the points: both are involutions and sigma tau has order 3.
+def _sigma(b, a):
+    return a, b
+
+
+def _tau(b, a):
+    return 1 / b, -a / b
+
+
+def _s3_orbit(b, a):
+    orbit, todo = {(b, a)}, [(b, a)]
+    while todo:
+        point = todo.pop()
+        for image in (_sigma(*point), _tau(*point)):
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _s3_invariants(b, a):
+    """What the S3 symmetry keeps in report(b, a): the global delta2 verdict,
+    the local delta2 bits and the delta3 status at every place.  The case
+    traces are not claimed to match."""
+    rep = report(b, a)
+    return rep.delta2.zero, rep.delta2_local, tuple((r.place, r.status) for r in rep.delta3_local)
+
+
+bounded_rationals = st.fractions(
+    min_value=Fraction(-10**4), max_value=Fraction(10**4), max_denominator=100
+).filter(lambda q: q != 0)
+
+
+@given(bounded_rationals, bounded_rationals)
+def test_report_is_invariant_under_the_s3_symmetry(b, a):
+    point = (b, a)
+    assert _tau(*_tau(*point)) == point
+    for _ in range(3):
+        point = _sigma(*_tau(*point))
+    assert point == (b, a)
+    orbit = _s3_orbit(b, a)
+    assert len(orbit) in (1, 2, 3, 6)
+    want = _s3_invariants(b, a)
+    for image in orbit:
+        assert _s3_invariants(*image) == want, image
+
+
+def test_s3_invariance_fails_for_the_sign_dropped_tau():
+    """(b, a) -> (1/b, a/b), tau without its sign, changes a status, so the
+    invariance above is no property of every such map: (-1, 5) is fixed by
+    tau and zero at R, and its sign-dropped image (-1, -5) is blocked there."""
+    b, a = Fraction(-1), Fraction(5)
+    assert _tau(b, a) == (b, a)
+    dropped = (1 / b, a / b)
+    assert dropped == (-1, -5)
+    assert _s3_invariants(b, a) != _s3_invariants(*dropped)
+    assert report(b, a).delta3_local[-1][:2] == (REAL, ZERO)
+    assert report(*dropped).delta3_local[-1][:2] == (REAL, BLOCKED)
 
 
 def test_report_repr_is_pinned():

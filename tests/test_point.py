@@ -9,15 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import kummer_real_cocycle
 from nilobstruct import arith, k2global, localclass, obstruct
 from nilobstruct.arith import InvalidPrimeError, Point, local_data
-from nilobstruct.cohomology import (
-    delta3_closed_form,
-    kummer_real_cocycle,
-    lift_cochains,
-    real_place_model,
-    zero1,
-)
+from nilobstruct.cohomology import cyclic_model, delta3_closed_form, lift_cochains, zero1
 from nilobstruct.k2global import delta2_global, support_odd_primes, tame_symbol_odd
 from nilobstruct.localclass import REAL, delta2_local
 from nilobstruct.obstruct import (
@@ -82,7 +77,7 @@ def test_real_place_entry_rederived_from_cochain_engine(b_sign, a_sign):
     run through the closed forms; no lift exists exactly when real delta2
     obstructs."""
     b, a = Fraction(b_sign * 3, 11), Fraction(a_sign * 7)
-    model = real_place_model()
+    model = cyclic_model(2, 7)
     b_coc, a_coc = kummer_real_cocycle(b, model), kummer_real_cocycle(a, model)
     lifts = lift_cochains(b_coc, a_coc)
     if not lifts:

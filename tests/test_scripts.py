@@ -63,6 +63,19 @@ def test_specific_lift_scan_rejects_a_max_p_below_the_least_prime():
     assert "Traceback" not in proc.stderr
 
 
+# An Arabic-Indic 13, and an Arabic-Indic 3 between spaces: int() reads
+# both, but the CLI's parse_int takes only ASCII -?[0-9]+.
+@pytest.mark.parametrize(
+    "script,option,value",
+    (("specific_lift_scan.py", "--max-p", "\u0661\u0663"), ("congruence_scan.py", "--count", " \u0663 ")),
+)
+def test_scripts_take_only_ascii_integers(script, option, value):
+    proc = run_script(script, option, value)
+    assert proc.returncode == 2
+    assert f"argument {option}: not an integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_specific_lift_scan_runs():
     proc = run_script("specific_lift_scan.py", "--max-p", "60")
     assert proc.returncode == 0, proc.stderr

@@ -179,7 +179,7 @@ def test_magnus_check_catches_a_wrong_collection_on_full4_8(monkeypatch):
 def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
     """A closed form that picks up c(gh) whenever c is nonzero no longer shifts
     by a cup product; the check still runs every (lift, eps) case."""
-    closed_form = coh._delta3_closed_form
+    closed_form = coh.delta3_closed_form
 
     def wrong(b, a, c, f):
         x, y = closed_form(b, a, c, f)
@@ -190,7 +190,7 @@ def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
         return x + coh.Cochain2(m, 2, x.weight, extra), y
 
     model = klein_model()
-    monkeypatch.setattr(coh, "_delta3_closed_form", wrong)
+    monkeypatch.setattr(coh, "delta3_closed_form", wrong)
     data = _model_data(model)
     result = check_lift_shift(model, data)
     assert not result.passed
@@ -227,42 +227,36 @@ def test_identity_suite_builds_each_value_once(monkeypatch):
     counts = collections.Counter()
     _count_calls(
         monkeypatch, counts,
-        (coh, "_delta3_closed_form"), (coh, "_delta3_cocycle_direct"),
+        (coh, "delta3_closed_form"), (coh, "delta3_cocycle_direct"),
         (coh, "all_twisted_cocycles"), (verify, "all_twisted_cocycles"),
     )
     model = klein_model()
     results = identity_suite(model)
     (level3,) = lookup(results, [("level-3 boundary == delta3 formulas", model.name)])
     assert level3.cases == 768
-    assert counts == {"_delta3_closed_form": 768, "_delta3_cocycle_direct": 768, "all_twisted_cocycles": 2}
+    assert counts == {"delta3_closed_form": 768, "delta3_cocycle_direct": 768, "all_twisted_cocycles": 2}
 
 
 def test_identity_suite_checks_each_f_once(monkeypatch):
-    """identity_suite checks the model's f once; the level-3 boundary check
-    then calls the section boundary's kernel, and the level-2 check the
-    public boundary with no f."""
+    """identity_suite checks the model's f once with check_f; the section
+    boundary, which takes f unchecked, runs once per level-2 case (with no
+    f) and once per level-3 case."""
     counts = collections.Counter()
-    _count_calls(
-        monkeypatch, counts,
-        (coh, "check_f"), (nil, "check_f"), (nil, "boundary_of_section"), (nil, "_boundary_of_section"),
-    )
+    _count_calls(monkeypatch, counts, (coh, "check_f"), (nil, "boundary_of_section"))
     model = klein_model()
     n2, n3 = lookup(
         identity_suite(model),
         [("level-2 boundary == b cup a", model.name), ("level-3 boundary == delta3 formulas", model.name)],
     )
-    assert counts == {
-        "check_f": 1,
-        "boundary_of_section": n2.cases,
-        "_boundary_of_section": n2.cases + n3.cases,
-    }
+    assert counts == {"check_f": 1, "boundary_of_section": n2.cases + n3.cases}
 
 
 def test_model_data_validates_nothing(monkeypatch):
-    """_model_data trusts the solver: it makes no cocycle check on the f or
-    the lifts, and no lift check."""
+    """_model_data trusts the solver: it makes no check_f call and no
+    cocycle check on the f or the lifts, and the delta3 formulas it runs
+    check nothing either."""
     checked = collections.Counter()
-    _count_calls(monkeypatch, checked, (coh, "check_f"), (coh, "check_lift"), (coh, "_check_delta3_inputs"))
+    _count_calls(monkeypatch, checked, (coh, "check_f"))
     is_cocycle = coh.Cochain1.is_cocycle
 
     def counting(self):
@@ -278,7 +272,8 @@ def test_model_data_validates_nothing(monkeypatch):
 
 def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
     """A cochain c with Dc != -(b cup a) slipped in among the lifts is refused
-    by boundary_of_section, whose section is then no cocycle."""
+    by boundary_of_section, whose section is then no cocycle; the delta3
+    formulas, which check no lift, have already run on it."""
     lift_cochains = verify.lift_cochains
 
     def with_a_non_lift(b, a):
