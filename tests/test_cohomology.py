@@ -18,6 +18,7 @@ from nilobstruct.cohomology import (
     cup,
     cyclic_model,
     delta3_closed_form,
+    delta3_cocycle_direct,
     extra_models,
     f_cocycle,
     f_homs,
@@ -29,6 +30,7 @@ from nilobstruct.cohomology import (
     units_model,
     zero1,
 )
+from nilobstruct.nilpotent import boundary_of_section
 
 
 class TestModels:
@@ -44,12 +46,15 @@ class TestModels:
         with pytest.raises(ValueError):
             GaloisModel(table, (3, 1))  # chi(identity) != 1
 
-    def test_bad_f_rejected_by_check_f(self):
-        # f is one cochain for both engines, checked once by check_f: a
-        # non-cocycle, or a cocycle on a second model of the same order.
+    def test_bad_f_rejected_by_the_boundary(self):
+        # The section boundary takes f as given; check_f, run once per model
+        # by identity_suite, guards it: a non-cocycle, or a cocycle on a
+        # second model of the same order, is refused, alone or after a good f.
         model = cyclic_model(2, 7)
+        p = [(0, 0, 0)] * model.order
         good = Cochain1(model, 2, 2, (0, 1))
         check_f(model, zero1(model, 2, 2), good)
+        boundary_of_section(model, p, good)
         for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(cyclic_model(2, 7), 2, 2, (0, 1))):
             with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
                 check_f(model, f)
@@ -304,6 +309,20 @@ class TestDelta3Forms:
         assert is_lift(z4, z4, c)
         comp_x, comp_y = delta3_closed_form(z4, z4, c, f)
         assert comp_x.is_zero() and comp_y.is_zero()
+
+    @pytest.mark.parametrize("formula", (delta3_closed_form, delta3_cocycle_direct))
+    def test_bad_f_rejected(self, formula):
+        # The formulas take f as given; the f they must not see, a
+        # non-cocycle or one on another model, is refused by check_f.
+        model = cyclic_model(2, 7)
+        z4 = zero1(model, 4, 1)
+        c = zero1(model, 2, 2)
+        good = Cochain1(model, 2, 2, (0, 1))
+        check_f(model, good)
+        formula(z4, z4, c, good)
+        for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(cyclic_model(2, 7), 2, 2, (0, 1))):
+            with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
+                check_f(model, f)
 
 
 # Small enough for brute force over all cochains: orders 2 to 8.
