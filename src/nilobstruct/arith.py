@@ -275,10 +275,10 @@ def check_odd_prime(p: int) -> None:
         raise InvalidPrimeError(f"{p} is not an odd prime")
 
 
-# Each public function below validates its prime once and then calls a
-# kernel (leading underscore) that trusts p.  Code that already holds
-# certified primes, such as those of a Point, calls the kernels or
-# local_part directly.
+# Each public function below validates its prime once.  Where other code
+# needs the same arithmetic, the work sits in a kernel (leading underscore)
+# that trusts p, and code that already holds certified primes, such as
+# those of a Point, calls the kernels or local_part directly.
 
 
 def legendre(a: int, p: int) -> int:
@@ -302,10 +302,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
     [1, (p-1)/2], so results are reproducible.
     """
     check_odd_prime(p)
-    return _sqrt_mod(a, p)
-
-
-def _sqrt_mod(a: int, p: int) -> int | None:
     a %= p
     if a == 0 or _legendre(a, p) != 1:
         return None

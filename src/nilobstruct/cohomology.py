@@ -63,6 +63,8 @@ class GaloisModel:
                     raise ValueError("chi is not a homomorphism")
             if self.chi[i] % 2 == 0:
                 raise ValueError(f"chi takes the even value {self.chi[i]}; its values must be odd")
+            if gcd(self.chi[i], self.chi_mod) != 1:
+                raise ValueError(f"chi value {self.chi[i]} is not a unit mod {self.chi_mod}")
 
     @property
     def order(self) -> int:
@@ -300,13 +302,8 @@ def f_cocycle(model: GaloisModel) -> Cochain1:
     """The mod-2 cocycle (chi^2 - 1)/24; requires chi lifted mod 48."""
     if model.chi_mod % 48 != 0:
         raise ValueError("f_cocycle needs chi values lifted mod 48")
-    values = []
-    for g in model.elements():
-        chi = model.chi[g] % 48
-        if gcd(chi, 48) != 1:
-            raise ValueError(f"chi value {chi} is not a unit mod 48")
-        values.append((chi * chi - 1) // 24 % 2)
-    return Cochain1(model, 2, 2, tuple(values))
+    # chi's values are units mod chi_mod, so mod 48 as well.
+    return Cochain1(model, 2, 2, tuple([(chi * chi - 1) // 24 % 2 for chi in model.chi]))
 
 
 def massey_triple(

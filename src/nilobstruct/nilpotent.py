@@ -15,16 +15,17 @@ arithmetic from the canonical representatives and reduced only at output.
 
 The Magnus embedding x -> 1 + X, y -> 1 + Y into noncommutative power series
 truncated in degree 3 provides an independent oracle: collection products are
-required to agree with embed/series-multiply/extract round trips.  A series
-carries the quotient it embeds, and its coefficients are kept mod
-min_magnus_modulus of that quotient.
+required to agree with embed/series-multiply/extract round trips.
+
+QuotientSpec, NilpotentElement and MagnusSeries are NamedTuples of their
+fields.  A series carries the quotient it embeds, and its coefficients are
+kept mod that quotient's magnus_modulus.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .cohomology import Cochain1, Cochain2, GaloisModel, InvalidCocycleError
 
@@ -37,9 +38,9 @@ class InvalidCharacterError(ValueError):
     """Raised when a Galois character value is even."""
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
-    """Which class-3 quotient the exponent vector lives in.
+class QuotientSpec(NamedTuple):
+    """Which class-3 quotient the exponent vector lives in: its name, the
+    moduli of (a, b, c, d, e) and the modulus its Magnus series are kept mod.
 
     TOWER3 is the mod-2 tower level 3 (a, b mod 4; c mod 2; no degree-3
     letters), TOWER4 its one-step extension with d, e mod 2, and FULL4(m)
@@ -47,28 +48,13 @@ class QuotientSpec:
     groups; FULL4(m) for even m is an exponent-vector container whose
     products are only compared representative-wise against the Magnus
     oracle (coordinate-wise reduction mod even m is not a group congruence).
+    The Magnus modulus is the smallest power of 2 whose series arithmetic
+    projects exactly to the quotient.
     """
 
-    kind: str
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("FULL4", "TOWER3", "TOWER4"):
-            raise ValueError(f"unknown quotient kind {self.kind!r}")
-        if (self.kind == "FULL4") != (self.m is not None):
-            raise ValueError("FULL4 takes a modulus; towers do not")
-        if self.m is not None and (not isinstance(self.m, int) or self.m < 2):
-            raise ValueError("FULL4 modulus must be an int of at least 2")
-
-    @cached_property
-    def moduli(self) -> tuple[int, int, int, int, int]:
-        # Computed on first use and kept on the instance; a frozen dataclass
-        # compares and hashes its fields only, so the cache changes neither.
-        if self.kind == "FULL4":
-            return (self.m, self.m, self.m, self.m, self.m)
-        if self.kind == "TOWER3":
-            return (4, 4, 2, 1, 1)
-        return (4, 4, 2, 2, 2)
+    name: str
+    moduli: tuple[int, int, int, int, int]
+    magnus_modulus: int
 
     @property
     def order(self) -> int:
@@ -76,15 +62,17 @@ class QuotientSpec:
         return ma * mb * mc * md * me
 
     def __str__(self) -> str:
-        return f"FULL4({self.m})" if self.kind == "FULL4" else self.kind
+        return self.name
 
 
-TOWER3 = QuotientSpec("TOWER3")
-TOWER4 = QuotientSpec("TOWER4")
+TOWER3 = QuotientSpec("TOWER3", (4, 4, 2, 1, 1), 4)
+TOWER4 = QuotientSpec("TOWER4", (4, 4, 2, 2, 2), 4)
 
 
 def full4(m: int) -> QuotientSpec:
-    return QuotientSpec("FULL4", m)
+    if not isinstance(m, int) or m < 2:
+        raise ValueError("FULL4 modulus must be an int of at least 2")
+    return QuotientSpec(f"FULL4({m})", (m,) * 5, 1 << (2 * m - 1).bit_length())
 
 
 def _binom2(n: int) -> int:
@@ -139,8 +127,7 @@ def _reduce(u: Vec, moduli: Vec) -> Vec:
     return tuple(map(operator.mod, u, moduli))
 
 
-@dataclass(frozen=True)
-class NilpotentElement:
+class NilpotentElement(NamedTuple):
     """Normal-form element y^a x^b [x,y]^c [[x,y],x]^d [[x,y],y]^e."""
 
     spec: QuotientSpec
@@ -152,7 +139,7 @@ class NilpotentElement:
 
     @property
     def vec(self) -> Vec:
-        return (self.a, self.b, self.c, self.d, self.e)
+        return self[1:]
 
     @property
     def is_identity(self) -> bool:
@@ -161,10 +148,6 @@ class NilpotentElement:
 
 def element(spec: QuotientSpec, a=0, b=0, c=0, d=0, e=0) -> NilpotentElement:
     return NilpotentElement(spec, *_reduce((a, b, c, d, e), spec.moduli))
-
-
-def identity(spec: QuotientSpec) -> NilpotentElement:
-    return element(spec)
 
 
 def gen_x(spec: QuotientSpec) -> NilpotentElement:
@@ -193,7 +176,7 @@ def nf_inv(e: NilpotentElement) -> NilpotentElement:
 def nf_pow(e: NilpotentElement, n: int) -> NilpotentElement:
     if n < 0:
         return nf_pow(nf_inv(e), -n)
-    out = identity(e.spec)
+    out = element(e.spec)
     for _ in range(n):
         out = nf_mul(out, e)
     return out
@@ -329,31 +312,19 @@ _W2_SERIES = _commutator_series(_Z_SERIES, _ypow(1))
 _CUBIC = tuple(zip(_Z_SERIES[7:], _W1_SERIES[7:], _W2_SERIES[7:]))
 
 
-@dataclass(frozen=True)
-class MagnusSeries:
+class MagnusSeries(NamedTuple):
     """Truncated (degree <= 3) noncommutative series of an element of spec,
-    with coefficients mod min_magnus_modulus(spec)."""
+    with coefficients mod spec.magnus_modulus."""
 
     spec: QuotientSpec
     coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != _NWORDS:
-            raise ValueError("wrong coefficient count")
 
     def coeff(self, word: str) -> int:
         return self.coeffs[_WIDX[word]]
 
 
-def min_magnus_modulus(spec: QuotientSpec) -> int:
-    """Smallest power of 2 whose series arithmetic projects exactly to spec."""
-    if spec.kind == "FULL4":
-        return 1 << (2 * spec.m - 1).bit_length()
-    return 4
-
-
 def _series(spec: QuotientSpec, s: tuple[int, ...]) -> MagnusSeries:
-    m = min_magnus_modulus(spec)
+    m = spec.magnus_modulus
     return MagnusSeries(spec, tuple([x % m for x in s]))
 
 
@@ -371,7 +342,7 @@ def magnus_embed(e: NilpotentElement) -> MagnusSeries:
     """
     spec = e.spec
     a, b, c, d, e = e.vec
-    m = min_magnus_modulus(spec)
+    m = spec.magnus_modulus
     ab2, bb2 = _binom2(a), _binom2(b)
     bc, ac = b * c, a * c
     # The head's cubic words plus the cross terms bc(XXY - XYX) + ac(YXY - YYX).
@@ -401,10 +372,10 @@ def nf_from_magnus(s: MagnusSeries) -> NilpotentElement:
 
     and d = bc - s[XXY], e = s[YYX] - a s[YX] + b C(a + 1, 2), because
     C(a, 2) - a^2 + C(a + 1, 2) = 0.  Exact because the coefficients are kept
-    mod min_magnus_modulus(s.spec); d and e are reduced mod that modulus
+    mod s.spec.magnus_modulus; d and e are reduced mod that modulus
     too before element() reduces them into the quotient.
     """
-    m = min_magnus_modulus(s.spec)
+    m = s.spec.magnus_modulus
     _, b, a, _, c, yx, _, _, xxy, _, _, _, _, yyx, _ = s.coeffs
     a, b, c = a % m, b % m, c % m
     d = (b * c - xxy) % m

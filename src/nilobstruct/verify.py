@@ -448,10 +448,10 @@ def check_magnus(spec: nil.QuotientSpec, pairs, label: str) -> CheckResult:
     where it is used and no series outlives its pair.
     """
     result = CheckResult("collection == magnus", label, 0)
-    if spec.kind == "FULL4":
-        embed = nil.magnus_embed
-    else:
+    if spec in (nil.TOWER3, nil.TOWER4):
         embed = {g: nil.magnus_embed(g) for g in nil.all_elements(spec)}.__getitem__
+    else:
+        embed = nil.magnus_embed
     for g, h in pairs:
         result.cases += 1
         lhs = nil.nf_mul(g, h)

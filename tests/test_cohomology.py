@@ -41,10 +41,32 @@ class TestModels:
 
     def test_bad_chi_rejected(self):
         table = ((0, 1), (1, 0))
-        with pytest.raises(ValueError):
-            GaloisModel(table, (1, 2))  # even value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chi is not a homomorphism"):
+            GaloisModel(table, (1, 2))  # chi(tau)^2 = 4 != chi(1)
+        with pytest.raises(ValueError, match="chi is not a homomorphism"):
             GaloisModel(table, (3, 1))  # chi(identity) != 1
+
+    @pytest.mark.parametrize(
+        "table, chi, message",
+        (
+            (((0, 1), (1,)), (1, 1), "multiplication table is not square"),
+            (((1, 0), (0, 1)), (1, 1), "index 0 is not an identity"),
+            # Z/3 but for 2 * 2 = 0: (1 * 1) * 2 = 0 while 1 * (1 * 2) = 1
+            (((0, 1, 2), (1, 2, 0), (2, 0, 0)), (1, 1, 1), "multiplication table is not associative"),
+            (((0, 1), (1, 0)), (1,), "chi must assign a unit to every element"),
+        ),
+        ids=("square", "identity", "associative", "chi-length"),
+    )
+    def test_malformed_model_rejected(self, table, chi, message):
+        with pytest.raises(ValueError, match=message):
+            GaloisModel(table, chi)
+
+    @pytest.mark.parametrize("table, chi", ((((0, 1), (1, 0)), (33, 9)), (((0,),), (33,))), ids=("Z/2", "trivial"))
+    def test_non_unit_chi_rejected(self, table, chi):
+        # 33 is odd and idempotent mod 48, so these pass the homomorphism law
+        # with chi(identity) = 33 != 1
+        with pytest.raises(ValueError, match="chi value 33 is not a unit mod 48"):
+            GaloisModel(table, chi, 48)
 
     def test_bad_f_rejected_by_the_boundary(self):
         # The section boundary takes f as given; check_f, run once per model
@@ -123,6 +145,45 @@ class TestCoboundaryAndCup:
         b = Cochain1(model, 4, 1, (0, 3))
         assert cup(b, b).weight == 2
         assert binom2(b).weight == 2
+
+
+class TestCochainChecks:
+    def test_cochain1_values_checked(self):
+        model = cyclic_model(2, 7)
+        with pytest.raises(ValueError, match="wrong number of values"):
+            Cochain1(model, 2, 1, (0,))
+        for values in ((0, 2), (0, -1)):
+            with pytest.raises(ValueError, match="values not reduced"):
+                Cochain1(model, 2, 1, values)
+
+    def test_pointwise_mul_needs_one_model_and_modulus(self):
+        model = cyclic_model(2, 7)
+        c = zero1(model, 4, 1)
+        for other in (zero1(cyclic_model(2, 7), 4, 1), zero1(model, 2, 1)):
+            with pytest.raises(ValueError, match="pointwise product needs one model and one modulus"):
+                c.pointwise_mul(other)
+
+    @pytest.mark.parametrize("degree", (1, 2))
+    def test_sum_needs_compatible_cochains(self, degree):
+        model = cyclic_model(2, 7)
+
+        def cochain(model, modulus, weight):
+            c = zero1(model, modulus, weight)
+            return c if degree == 1 else coboundary(c)
+
+        c = cochain(model, 4, 1)
+        for other, message in (
+            (cochain(cyclic_model(2, 7), 4, 1), "cochains live on different models"),
+            (cochain(model, 2, 1), "modulus mismatch 4 != 2"),
+            (cochain(model, 4, 2), "weight mismatch 1 != 2"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                c + other
+
+    def test_cup_needs_a_common_modulus(self):
+        model = cyclic_model(2, 7)
+        with pytest.raises(ValueError, match="cup needs a common modulus, got 4 and 2"):
+            cup(zero1(model, 4, 1), zero1(model, 2, 1))
 
 
 # Every model of the package, S3 and the order-16 units among them.

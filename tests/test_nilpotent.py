@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,13 +51,44 @@ class TestSpecs:
         assert full4(3).order == 3**5
 
     def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            nil.QuotientSpec("FULL4")
-        with pytest.raises(ValueError):
-            nil.QuotientSpec("TOWER3", 4)
         for m in (2.5, 4.0):
             with pytest.raises(ValueError, match="an int"):
                 full4(m)
+
+    def test_full4_is_its_name_and_moduli(self):
+        assert str(full4(8)) == "FULL4(8)"
+        assert full4(8) == full4(8)
+        assert full4(8).moduli == (8,) * 5
+
+    def test_magnus_moduli(self):
+        # the smallest power of 2 of at least 2m for FULL4(m); 4 for the towers
+        assert [spec.magnus_modulus for spec in (full4(8), full4(3), TOWER4)] == [16, 8, 4]
+
+
+class TestRecords:
+    def test_same_vec_in_two_quotients_unequal(self):
+        g3, g4 = element(TOWER3, 1, 1, 1), element(TOWER4, 1, 1, 1)
+        assert g3.vec == g4.vec
+        assert g3 != g4
+
+    def test_fields_are_read_only(self):
+        g = gen_x(TOWER4)
+        with pytest.raises(AttributeError):
+            g.a = 1
+        with pytest.raises(AttributeError):
+            TOWER4.moduli = (8,) * 5
+        with pytest.raises(AttributeError):
+            magnus_embed(g).coeffs = ()
+
+    def test_module_imports_no_dataclasses_or_functools(self):
+        tree = ast.parse(Path(nil.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        assert not imported & {"dataclasses", "functools"}
 
 
 class TestProduct:
@@ -65,7 +98,7 @@ class TestProduct:
             assert got.vec == tuple(v % m for v, m in zip((1, 1, 1, 1, 1), spec.moduli))
 
     def test_identity_and_inverses_exhaustive(self):
-        e = nil.identity(TOWER4)
+        e = element(TOWER4)
         for g in nil.all_elements(TOWER4):
             assert nf_mul(e, g) == g == nf_mul(g, e)
             assert nf_mul(g, nf_inv(g)) == e == nf_mul(nf_inv(g), g)
@@ -280,7 +313,7 @@ def _extract_by_division(s):
     """Reference extraction: read a, b, c, divide off y^a x^b [x,y]^c by
     multiplying with [x,y]^-c x^-b y^-a, and read d, e off the tail
     1 + d*W1 + e*W2 (W1 is -1 on XXY, W2 is +1 on YYX)."""
-    m = nil.min_magnus_modulus(s.spec)
+    m = s.spec.magnus_modulus
     a, b, c = s.coeff("Y") % m, s.coeff("X") % m, s.coeff("XY") % m
     head_inv = nil._seriesmul_vec(_central_pow(nil._Z_SERIES, -c), nil._xpow(-b))
     tail = nil._seriesmul_vec(nil._seriesmul_vec(head_inv, nil._ypow(-a)), s.coeffs)
@@ -311,7 +344,7 @@ _exponents = st.tuples(*[st.integers(0, 63)] * 5)
 
 @given(st.sampled_from(_FULL4_MODULI), _exponents, _exponents)
 def test_straight_line_magnus_matches_series_products_on_full4(m, u, v):
-    """FULL4(m), with m = 3 and 6 among the moduli whose min_magnus_modulus
+    """FULL4(m), with m = 3 and 6 among the moduli whose Magnus modulus
     is no multiple of m: the embedding, the extraction of an embedded
     element and of a product, against the references."""
     spec = full4(m)

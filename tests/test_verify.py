@@ -90,7 +90,7 @@ def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, bad_
 
     monkeypatch.setattr(nil, "galois_act", shifted)
     result = check_galois_automorphism(_tower4_table())
-    one = nil.identity(nil.TOWER4).vec
+    one = nil.element(nil.TOWER4).vec
     assert not result.passed
     assert result.failures == [f"chi={bad_chi or 1} f=0 g={one} h={one}"]
     assert result.cases == checked
