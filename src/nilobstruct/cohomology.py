@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import xor
 
 
 class InvalidDefiningSystemError(ValueError):
@@ -155,14 +156,17 @@ class Cochain1:
 
     def __add__(self, other: "Cochain1") -> "Cochain1":
         _check_compatible(self, other)
-        return Cochain1(
-            self.model,
-            self.modulus,
-            self.weight,
-            tuple((x + y) % self.modulus for x, y in zip(self.values, other.values)),
-        )
+        mod = self.modulus
+        if mod == 2:
+            values = tuple(map(xor, self.values, other.values))
+        else:
+            values = tuple([(x + y) % mod for x, y in zip(self.values, other.values)])
+        return Cochain1(self.model, mod, self.weight, values)
 
     def __neg__(self) -> "Cochain1":
+        # -z is z at modulus 2.
+        if self.modulus == 2:
+            return self
         return Cochain1(self.model, self.modulus, self.weight, tuple(-x % self.modulus for x in self.values))
 
     def __sub__(self, other: "Cochain1") -> "Cochain1":
@@ -197,7 +201,8 @@ class Cochain1:
 
 @dataclass(frozen=True)
 class Cochain2:
-    """Degree-2 cochain: values on G x G in Z/modulus."""
+    """Degree-2 cochain: values on G x G in Z/modulus, each reduced, so that
+    a sum at modulus 2 is an xor."""
 
     model: GaloisModel
     modulus: int
@@ -207,18 +212,20 @@ class Cochain2:
     def __add__(self, other: "Cochain2") -> "Cochain2":
         _check_compatible(self, other)
         mod = self.modulus
-        return Cochain2(
-            self.model,
-            mod,
-            self.weight,
-            tuple([
+        if mod == 2:
+            values = tuple([tuple(map(xor, row1, row2)) for row1, row2 in zip(self.values, other.values)])
+        else:
+            values = tuple([
                 tuple([(x + y) % mod for x, y in zip(row1, row2)])
                 for row1, row2 in zip(self.values, other.values)
-            ]),
-        )
+            ])
+        return Cochain2(self.model, mod, self.weight, values)
 
     def __neg__(self) -> "Cochain2":
         mod = self.modulus
+        # -z is z at modulus 2.
+        if mod == 2:
+            return self
         return Cochain2(
             self.model, mod, self.weight, tuple([tuple([-x % mod for x in row]) for row in self.values])
         )

@@ -182,11 +182,6 @@ def nf_pow(e: NilpotentElement, n: int) -> NilpotentElement:
     return out
 
 
-def commutator(e1: NilpotentElement, e2: NilpotentElement) -> NilpotentElement:
-    _check_same_spec(e1, e2)
-    return nf_mul(nf_mul(e1, e2), nf_mul(nf_inv(e1), nf_inv(e2)))
-
-
 def galois_act(chi: int, f: int, e: NilpotentElement) -> NilpotentElement:
     """Apply the automorphism with character value chi and f-value f.
 
@@ -197,14 +192,6 @@ def galois_act(chi: int, f: int, e: NilpotentElement) -> NilpotentElement:
     if chi % 2 == 0:
         raise InvalidCharacterError(f"chi = {chi} is even")
     return NilpotentElement(e.spec, *_reduce(act_vec(e.vec, chi, f), e.spec.moduli))
-
-
-def project(e: NilpotentElement, spec: QuotientSpec) -> NilpotentElement:
-    """Reduce into a coarser quotient (each target modulus must divide)."""
-    for source, target in zip(e.spec.moduli, spec.moduli):
-        if source % target != 0:
-            raise SpecMismatchError(f"no projection {e.spec} -> {spec}")
-    return element(spec, *e.vec)
 
 
 def all_elements(spec: QuotientSpec) -> list[NilpotentElement]:
@@ -328,32 +315,52 @@ def _series(spec: QuotientSpec, s: tuple[int, ...]) -> MagnusSeries:
     return MagnusSeries(spec, tuple([x % m for x in s]))
 
 
-def magnus_embed(e: NilpotentElement) -> MagnusSeries:
-    """Embed a normal form via x -> 1 + X, y -> 1 + Y, truncated in degree 3.
+def _embed_vec(v: Vec, m: int) -> tuple[int, ...]:
+    """The coefficients mod m of the series of y^a x^b [x,y]^c [[x,y],x]^d
+    [[x,y],y]^e, for v = (a, b, c, d, e), written down with no series product.
 
-    The series is written down with no series product.  The head
-    (1 + Y)^a (1 + X)^b has the coefficient C(a, i) C(b, j) on Y^i X^j.  A
-    commutator series is 1 + (degree >= 2 tail), so its n-th power is
-    1 + n * tail up to degree 3, and the product of the three commutator
-    powers is 1 + c*Z + d*W1 + e*W2 with Z, W1, W2 the tails of _Z_SERIES,
-    _W1_SERIES, _W2_SERIES: Z is XY - YX plus a cubic part, W1 and W2 are
-    cubic.  Times the head, the only product of degree <= 3 left is the
-    head's degree-1 part bX + aY times c(XY - YX).
+    The head (1 + Y)^a (1 + X)^b has the coefficient C(a, i) C(b, j) on
+    Y^i X^j.  A commutator series is 1 + (degree >= 2 tail), so its n-th
+    power is 1 + n * tail up to degree 3, and the product of the three
+    commutator powers is 1 + c*Z + d*W1 + e*W2 with Z, W1, W2 the tails of
+    _Z_SERIES, _W1_SERIES, _W2_SERIES: Z is XY - YX plus a cubic part, W1 and
+    W2 are cubic.  Times the head, the only product of degree <= 3 left is
+    the head's degree-1 part bX + aY times c(XY - YX).
     """
-    spec = e.spec
-    a, b, c, d, e = e.vec
-    m = spec.magnus_modulus
+    a, b, c, d, e = v
     ab2, bb2 = _binom2(a), _binom2(b)
     bc, ac = b * c, a * c
     # The head's cubic words plus the cross terms bc(XXY - XYX) + ac(YXY - YYX).
     head = (_binom3(b), bc, -bc, 0, a * bb2, ac, ab2 * b - ac, _binom3(a))
-    return MagnusSeries(
-        spec,
-        (
-            1, b % m, a % m, bb2 % m, c % m, (a * b - c) % m, ab2 % m,
-            *[(h + c * z + d * w1 + e * w2) % m for h, (z, w1, w2) in zip(head, _CUBIC)],
-        ),
+    return (
+        1, b % m, a % m, bb2 % m, c % m, (a * b - c) % m, ab2 % m,
+        *[(h + c * z + d * w1 + e * w2) % m for h, (z, w1, w2) in zip(head, _CUBIC)],
     )
+
+
+def _extract_vec(s: tuple[int, ...], m: int) -> Vec:
+    """The exponent vector mod m of a group-element series s, whose
+    coefficients need only be right mod m.
+
+    a, b, c are the coefficients of Y, X and XY.  d and e are read from the
+    words XXY and YYX: [x,y] has neither, [[x,y],x] has -1 on XXY and 0 on
+    YYX, [[x,y],y] has 0 on XXY and +1 on YYX.  So by _embed_vec
+
+        s[XXY] = bc - d,    s[YYX] = C(a, 2) b - ac + e,    s[YX] = ab - c,
+
+    and d = bc - s[XXY], e = s[YYX] - a s[YX] + b C(a + 1, 2), because
+    C(a, 2) - a^2 + C(a + 1, 2) = 0.  a, b, c are reduced mod m before they
+    enter d and e, whose other terms are linear in the coefficients.
+    """
+    _, b, a, _, c, yx, _, _, xxy, _, _, _, _, yyx, _ = s
+    a, b, c = a % m, b % m, c % m
+    return (a, b, c, (b * c - xxy) % m, (yyx - a * yx + b * _binom2(a + 1)) % m)
+
+
+def magnus_embed(e: NilpotentElement) -> MagnusSeries:
+    """Embed a normal form via x -> 1 + X, y -> 1 + Y, truncated in degree 3
+    (see _embed_vec)."""
+    return MagnusSeries(e.spec, _embed_vec(e.vec, e.spec.magnus_modulus))
 
 
 def magnus_mul(s1: MagnusSeries, s2: MagnusSeries) -> MagnusSeries:
@@ -362,25 +369,13 @@ def magnus_mul(s1: MagnusSeries, s2: MagnusSeries) -> MagnusSeries:
 
 
 def nf_from_magnus(s: MagnusSeries) -> NilpotentElement:
-    """Extract the normal form of a group-element series.
+    """Extract the normal form of a group-element series (see _extract_vec).
 
-    a, b, c are the coefficients of Y, X and XY.  d and e are read from the
-    words XXY and YYX: [x,y] has neither, [[x,y],x] has -1 on XXY and 0 on
-    YYX, [[x,y],y] has 0 on XXY and +1 on YYX.  So by magnus_embed
-
-        s[XXY] = bc - d,    s[YYX] = C(a, 2) b - ac + e,    s[YX] = ab - c,
-
-    and d = bc - s[XXY], e = s[YYX] - a s[YX] + b C(a + 1, 2), because
-    C(a, 2) - a^2 + C(a + 1, 2) = 0.  Exact because the coefficients are kept
-    mod s.spec.magnus_modulus; d and e are reduced mod that modulus
-    too before element() reduces them into the quotient.
+    Exact because the coefficients are kept mod s.spec.magnus_modulus; d and
+    e are reduced mod that modulus too before element() reduces them into
+    the quotient.
     """
-    m = s.spec.magnus_modulus
-    _, b, a, _, c, yx, _, _, xxy, _, _, _, _, yyx, _ = s.coeffs
-    a, b, c = a % m, b % m, c % m
-    d = (b * c - xxy) % m
-    e = (yyx - a * yx + b * _binom2(a + 1)) % m
-    return element(s.spec, a, b, c, d, e)
+    return element(s.spec, *_extract_vec(s.coeffs, s.spec.magnus_modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +407,12 @@ def boundary_of_section(
     if width not in (2, 3) or any(len(t) != width for t in p):
         raise InvalidCocycleError("section values must be all pairs or all triples")
 
-    # Reduced exponent vectors in TOWER4: the arithmetic of nf_mul, galois_act
-    # and nf_inv without an element object per product.  The acted section
+    # Reduced exponent vectors in TOWER4: the arithmetic of nf_mul and
+    # galois_act without an element object per product.  The acted section
     # g(s(p(h))) depends on g only through (chi(g) mod 8, f(g)), so it is
     # computed once per such pair.
     moduli = TOWER4.moduli
     sect = [_reduce((*t, 0, 0, 0)[:5], moduli) for t in p]
-    sect_inv = [_reduce(inv_vec(s), moduli) for s in sect]
     acted = {}
     rows_c, rows_d, rows_e = [], [], []
     for g, row in enumerate(model.table):
@@ -433,11 +427,16 @@ def boundary_of_section(
             # first `width` coordinates of s(p(g)) g(s(p(h))) must reproduce s(p(gh)).
             if got[:width] != sect[gh][:width]:
                 raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
+            # The boundary is z = got s(p(gh))^-1, so got = z s(p(gh)), and
+            # the section is 0 past the head.  At level 3, z holds only the
+            # central degree-3 letters, so got = s(p(gh)) z carries z's d and
+            # e.  At level 2, z is [x,y]^c times degree-3 letters, and moving
+            # it past s(p(gh)) changes only d and e, so got carries z's c.
             # TOWER4 keeps c, d and e mod 2.
-            _, _, zc, zd, ze = mul_vec(got, sect_inv[gh])
-            rc.append(zc % 2)
-            rd.append(zd % 2)
-            re.append(ze % 2)
+            _, _, zc, zd, ze = got
+            rc.append(zc)
+            rd.append(zd)
+            re.append(ze)
         rows_c.append(tuple(rc))
         rows_d.append(tuple(rd))
         rows_e.append(tuple(re))

@@ -16,11 +16,13 @@ from nilobstruct.verify import (
     _model_data,
     _tower4_table,
     check_associativity_tower4,
+    check_boundary_n3,
     check_dcb_lemma,
     check_galois_automorphism,
     check_galois_composition,
     check_lift_shift,
     check_magnus,
+    check_quotient_compat,
     identity_suite,
 )
 
@@ -132,21 +134,20 @@ def test_associativity_check_finds_the_first_bad_triple_of_the_triple_walk(entry
     assert (result.failures, result.cases) == _associativity_by_triples((els, table, act))
 
 
-def _flipped_e(nf_mul):
-    """nf_mul with e shifted by one whenever the product's a and b are both odd."""
+def _flipped_e(mul_vec):
+    """mul_vec with e shifted by one whenever the product's a and b are both
+    odd (the moduli are even, so the parity survives reduction)."""
 
-    def wrong(g, h):
-        gh = nf_mul(g, h)
-        if gh.a % 2 and gh.b % 2:
-            return nil.element(gh.spec, gh.a, gh.b, gh.c, gh.d, gh.e + 1)
-        return gh
+    def wrong(u, v):
+        a, b, c, d, e = mul_vec(u, v)
+        return (a, b, c, d, e + 1) if a % 2 and b % 2 else (a, b, c, d, e)
 
     return wrong
 
 
 def test_magnus_check_catches_a_wrong_collection_on_tower4(monkeypatch):
     """TOWER4 embeds each element once; a wrong product must still show."""
-    monkeypatch.setattr(nil, "nf_mul", _flipped_e(nil.nf_mul))
+    monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
     tower4 = nil.all_elements(nil.TOWER4)
     result = check_magnus(nil.TOWER4, itertools.product(tower4, tower4), "TOWER4 exhaustive")
     assert not result.passed
@@ -168,12 +169,96 @@ def test_magnus_check_catches_a_wrong_collection_on_full4_8(monkeypatch):
     g, h = bad[0]
     want = right(g, h).vec
     wrong = (*want[:4], (want[4] + 1) % 8)
-    monkeypatch.setattr(nil, "nf_mul", _flipped_e(right))
+    monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
     result = check_magnus(spec, pairs, "FULL4(8), 200 random pairs")
     assert not result.passed
     assert result.cases == 200
     assert len(result.failures) == len(bad) > 0
     assert result.failures[0] == f"{g.vec} * {h.vec}: {wrong} != {want}"
+
+
+def _high_c_bit(kernel, coordinate):
+    """kernel (mul_vec or act_vec) with one output coordinate shifted by
+    c // 2 of its first argument: a bit that reduction into TOWER4 drops."""
+
+    def wrong(u, *args):
+        out = list(kernel(u, *args))
+        out[coordinate] += u[2] // 2
+        return tuple(out)
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "kernel, coordinate, first",
+    (
+        ("mul_vec", 3, "mul (1, 0, 2, 1, 2) (0, 0, 2, 3, 0)"),
+        ("act_vec", 4, "act (1, 0, 2, 1, 2)"),
+    ),
+)
+def test_quotient_compat_check_catches_a_product_or_action_that_ignores_reduction(
+    monkeypatch, kernel, coordinate, first
+):
+    """A product or action that reads a bit of c that TOWER4 drops no longer
+    commutes with the reduction; every FULL4(4) draw with c >= 2 fails."""
+    monkeypatch.setattr(nil, kernel, _high_c_bit(getattr(nil, kernel), coordinate))
+    result = check_quotient_compat(random.Random(0))
+    assert result.cases == 2000
+    assert len(result.failures) == 1036
+    assert result.failures[0] == first
+    assert all(line.startswith(first.split()[0] + " ") for line in result.failures)
+
+
+def test_boundary_n3_check_records_a_boundary_that_is_no_cocycle(monkeypatch):
+    """A level-3 boundary with one entry flipped is no cocycle on the Klein
+    group (the law fails at (g, h, k) = (1, 1, k) for k not 0 or 1).  It is
+    flipped for every f but 0, so a memo that answered for the lift, not
+    for the values, would pass the flipped ones."""
+    boundary = nil.boundary_of_section
+
+    def flipped(model, p, f=None):
+        x, y = boundary(model, p, f)
+        if f.is_zero():
+            return x, y
+        rows = [list(row) for row in x.values]
+        rows[1][1] ^= 1
+        return coh.Cochain2(model, 2, x.weight, tuple(map(tuple, rows))), y
+
+    model = klein_model()
+    data = _model_data(model)
+    monkeypatch.setattr(nil, "boundary_of_section", flipped)
+    result = check_boundary_n3(model, data)
+    assert result.cases == 768
+    missed = [line for line in result.failures if line.startswith("not cocycle: ")]
+    b, a, c, _ = data[2][0]
+    # the Klein group has 4 f, one of them 0
+    assert len(missed) == 768 * 3 // 4
+    assert missed[0] == f"not cocycle: b={b.values} a={a.values} c={c.values}"
+
+
+def test_boundary_n3_check_tests_each_distinct_boundary_once(monkeypatch):
+    """The cocycle law runs once per distinct boundary values, and on every
+    one of them."""
+    model = klein_model()
+    data = _model_data(model)
+    _, homs, lifts = data
+    boundaries = set()
+    for b, a, c, _ in lifts:
+        p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
+        for f in homs:
+            boundaries.update(z.values for z in nil.boundary_of_section(model, p, f))
+    checked = collections.Counter()
+    is_cocycle = coh.Cochain2.is_cocycle
+
+    def counting(self):
+        checked[self.values] += 1
+        return is_cocycle(self)
+
+    monkeypatch.setattr(coh.Cochain2, "is_cocycle", counting)
+    assert check_boundary_n3(model, data).passed
+    assert set(checked) == boundaries
+    assert set(checked.values()) == {1}
+    assert len(boundaries) < 2 * 768
 
 
 def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
