@@ -1,41 +1,36 @@
 """Free-nilpotent-group engine on generators x, y.
 
-Elements of the class-3 quotients are kept in the normal form
+An element of a class-3 quotient is the exponent vector (a, b, c, d, e) of
+its normal form
 
     y^a x^b [x,y]^c [[x,y],x]^d [[x,y],y]^e
 
-with per-coordinate moduli fixed by a QuotientSpec.  Multiplication is by
+reduced by the per-coordinate moduli of a QuotientSpec.  Multiplication is by
 collection: the generator switch law
 
     x^b y^a = y^a x^b [x,y]^{ab} [[x,y],y]^{b C(a+1,2)} [[x,y],x]^{a C(b+1,2)}
 
 plus centrality of the degree-3 letters and the commutation of [x,y] with x
 and y up to degree-3 corrections.  Cross terms are computed in exact integer
-arithmetic from the canonical representatives and reduced only at output.
+arithmetic from the canonical representatives: the kernels mul_vec, inv_vec
+and act_vec work over the integers, and a caller reduces their output into a
+quotient with _reduce(v, spec.moduli).
 
 The Magnus embedding x -> 1 + X, y -> 1 + Y into noncommutative power series
 truncated in degree 3 provides an independent oracle: collection products are
-required to agree with embed/series-multiply/extract round trips.
-
-QuotientSpec, NilpotentElement and MagnusSeries are NamedTuples of their
-fields.  A series carries the quotient it embeds, and its coefficients are
-kept mod that quotient's magnus_modulus.
+required to agree with embed/series-multiply/extract round trips.  A series is
+the tuple of its coefficients on _WORDS, and a quotient's series arithmetic is
+exact mod its magnus_modulus.  QuotientSpec, a NamedTuple, is the engine's one
+record.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import NamedTuple
 
 from .cohomology import Cochain1, Cochain2, GaloisModel, InvalidCocycleError
-
-
-class SpecMismatchError(ValueError):
-    """Raised when elements of different quotients are combined."""
-
-
-class InvalidCharacterError(ValueError):
-    """Raised when a Galois character value is even."""
 
 
 class QuotientSpec(NamedTuple):
@@ -111,7 +106,12 @@ def inv_vec(u: Vec) -> Vec:
 
 
 def act_vec(u: Vec, chi: int, f: int) -> Vec:
-    """Galois action: x -> x^chi, y -> y^chi [[x,y],y]^{-f chi}, over Z."""
+    """Galois action: x -> x^chi, y -> y^chi [[x,y],y]^{-f chi}, over Z.
+
+    chi is odd (it comes from a GaloisModel); mod 8 it determines the action
+    on the towers.  Actions compose by the cocycle law: act(chi', f') first
+    and act(chi, f) second is act(chi*chi', f + chi^2 * f').
+    """
     a, b, c, d, e = u
     rho = (chi - 1) // 2
     return (
@@ -127,83 +127,9 @@ def _reduce(u: Vec, moduli: Vec) -> Vec:
     return tuple(map(operator.mod, u, moduli))
 
 
-class NilpotentElement(NamedTuple):
-    """Normal-form element y^a x^b [x,y]^c [[x,y],x]^d [[x,y],y]^e."""
-
-    spec: QuotientSpec
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-
-    @property
-    def vec(self) -> Vec:
-        return self[1:]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.vec == (0, 0, 0, 0, 0)
-
-
-def element(spec: QuotientSpec, a=0, b=0, c=0, d=0, e=0) -> NilpotentElement:
-    return NilpotentElement(spec, *_reduce((a, b, c, d, e), spec.moduli))
-
-
-def gen_x(spec: QuotientSpec) -> NilpotentElement:
-    return element(spec, b=1)
-
-
-def gen_y(spec: QuotientSpec) -> NilpotentElement:
-    return element(spec, a=1)
-
-
-def _check_same_spec(e1, e2) -> None:
-    """Two elements, or two Magnus series, must live in one quotient."""
-    if e1.spec is not e2.spec and e1.spec != e2.spec:
-        raise SpecMismatchError(f"elements live in {e1.spec} and {e2.spec}")
-
-
-def nf_mul(e1: NilpotentElement, e2: NilpotentElement) -> NilpotentElement:
-    _check_same_spec(e1, e2)
-    return NilpotentElement(e1.spec, *_reduce(mul_vec(e1.vec, e2.vec), e1.spec.moduli))
-
-
-def nf_inv(e: NilpotentElement) -> NilpotentElement:
-    return NilpotentElement(e.spec, *_reduce(inv_vec(e.vec), e.spec.moduli))
-
-
-def nf_pow(e: NilpotentElement, n: int) -> NilpotentElement:
-    if n < 0:
-        return nf_pow(nf_inv(e), -n)
-    out = element(e.spec)
-    for _ in range(n):
-        out = nf_mul(out, e)
-    return out
-
-
-def galois_act(chi: int, f: int, e: NilpotentElement) -> NilpotentElement:
-    """Apply the automorphism with character value chi and f-value f.
-
-    chi must be odd; mod 8 determines the action on the towers.  Actions
-    compose by the cocycle law: applying act(chi', f') first and act(chi, f)
-    second equals act(chi*chi', f + chi^2 * f').
-    """
-    if chi % 2 == 0:
-        raise InvalidCharacterError(f"chi = {chi} is even")
-    return NilpotentElement(e.spec, *_reduce(act_vec(e.vec, chi, f), e.spec.moduli))
-
-
-def all_elements(spec: QuotientSpec) -> list[NilpotentElement]:
-    ma, mb, mc, md, me = spec.moduli
-    return [
-        NilpotentElement(spec, a, b, c, d, e)
-        for a in range(ma)
-        for b in range(mb)
-        for c in range(mc)
-        for d in range(md)
-        for e in range(me)
-    ]
+def all_elements(spec: QuotientSpec) -> list[Vec]:
+    """Every reduced exponent vector of spec, in lexicographic order."""
+    return list(itertools.product(*map(range, spec.moduli)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +225,6 @@ _W2_SERIES = _commutator_series(_Z_SERIES, _ypow(1))
 _CUBIC = tuple(zip(_Z_SERIES[7:], _W1_SERIES[7:], _W2_SERIES[7:]))
 
 
-class MagnusSeries(NamedTuple):
-    """Truncated (degree <= 3) noncommutative series of an element of spec,
-    with coefficients mod spec.magnus_modulus."""
-
-    spec: QuotientSpec
-    coeffs: tuple[int, ...]
-
-    def coeff(self, word: str) -> int:
-        return self.coeffs[_WIDX[word]]
-
-
-def _series(spec: QuotientSpec, s: tuple[int, ...]) -> MagnusSeries:
-    m = spec.magnus_modulus
-    return MagnusSeries(spec, tuple([x % m for x in s]))
-
-
 def _embed_vec(v: Vec, m: int) -> tuple[int, ...]:
     """The coefficients mod m of the series of y^a x^b [x,y]^c [[x,y],x]^d
     [[x,y],y]^e, for v = (a, b, c, d, e), written down with no series product.
@@ -357,27 +267,6 @@ def _extract_vec(s: tuple[int, ...], m: int) -> Vec:
     return (a, b, c, (b * c - xxy) % m, (yyx - a * yx + b * _binom2(a + 1)) % m)
 
 
-def magnus_embed(e: NilpotentElement) -> MagnusSeries:
-    """Embed a normal form via x -> 1 + X, y -> 1 + Y, truncated in degree 3
-    (see _embed_vec)."""
-    return MagnusSeries(e.spec, _embed_vec(e.vec, e.spec.magnus_modulus))
-
-
-def magnus_mul(s1: MagnusSeries, s2: MagnusSeries) -> MagnusSeries:
-    _check_same_spec(s1, s2)
-    return _series(s1.spec, _seriesmul_vec(s1.coeffs, s2.coeffs))
-
-
-def nf_from_magnus(s: MagnusSeries) -> NilpotentElement:
-    """Extract the normal form of a group-element series (see _extract_vec).
-
-    Exact because the coefficients are kept mod s.spec.magnus_modulus; d and
-    e are reduced mod that modulus too before element() reduces them into
-    the quotient.
-    """
-    return element(s.spec, *_extract_vec(s.coeffs, s.spec.magnus_modulus))
-
-
 # ---------------------------------------------------------------------------
 # Boundary of the set-theoretic section: the delta_n representing cochains
 # ---------------------------------------------------------------------------
@@ -407,8 +296,8 @@ def boundary_of_section(
     if width not in (2, 3) or any(len(t) != width for t in p):
         raise InvalidCocycleError("section values must be all pairs or all triples")
 
-    # Reduced exponent vectors in TOWER4: the arithmetic of nf_mul and
-    # galois_act without an element object per product.  The acted section
+    # Reduced exponent vectors in TOWER4, the reduced mul_vec and act_vec
+    # products the nilpotent suite checks.  The acted section
     # g(s(p(h))) depends on g only through (chi(g) mod 8, f(g)), so it is
     # computed once per such pair.
     moduli = TOWER4.moduli

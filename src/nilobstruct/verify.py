@@ -378,12 +378,14 @@ def run_cochain_suite(max_order: int = 8, exhaustive: bool = False, seed: int = 
 
 def _tower4_table():
     """TOWER4's elements, the multiplication table on their indices, and
-    act[chi, f]: the index of galois_act(chi, f, g) for each element g."""
+    act[chi, f]: for each element g, the index of act_vec(g, chi, f).  Each
+    entry is a mul_vec or act_vec product reduced into TOWER4."""
     els = nil.all_elements(nil.TOWER4)
-    index = {e.vec: i for i, e in enumerate(els)}
-    table = [[index[nil.nf_mul(g, h).vec] for h in els] for g in els]
+    moduli, reduce, mul = nil.TOWER4.moduli, nil._reduce, nil.mul_vec
+    index = {g: i for i, g in enumerate(els)}
+    table = [[index[reduce(mul(g, h), moduli)] for h in els] for g in els]
     act = {
-        (chi, f): [index[nil.galois_act(chi, f, g).vec] for g in els]
+        (chi, f): [index[reduce(nil.act_vec(g, chi, f), moduli)] for g in els]
         for chi, f in itertools.product((1, 3, 5, 7), (0, 1))
     }
     return els, table, act
@@ -404,7 +406,7 @@ def check_associativity_tower4(tower4_table) -> CheckResult:
             row_ij, row_j = table[ij], table[j]
             for k in range(128):
                 if row_ij[k] != row_i[row_j[k]]:
-                    result.failures.append(f"({els[i].vec}, {els[j].vec}, {els[k].vec})")
+                    result.failures.append(f"({els[i]}, {els[j]}, {els[k]})")
                     # the triples checked so far, this one included
                     result.cases = (i * 128 + j) * 128 + k + 1
                     return result
@@ -413,24 +415,32 @@ def check_associativity_tower4(tower4_table) -> CheckResult:
 
 def check_inverses_tower4() -> CheckResult:
     result = CheckResult("TOWER4 inverses", "TOWER4", 128)
+    moduli, reduce, mul = nil.TOWER4.moduli, nil._reduce, nil.mul_vec
+    one = (0, 0, 0, 0, 0)
     for g in nil.all_elements(nil.TOWER4):
-        if not (nil.nf_mul(g, nil.nf_inv(g)).is_identity and nil.nf_mul(nil.nf_inv(g), g).is_identity):
-            result.failures.append(str(g.vec))
+        g_inv = reduce(nil.inv_vec(g), moduli)
+        if not (reduce(mul(g, g_inv), moduli) == one == reduce(mul(g_inv, g), moduli)):
+            result.failures.append(str(g))
     return result
 
 
 def check_switch_identity() -> CheckResult:
     """x^b y^a = y^a x^b [x,y]^{ab} [[x,y],y]^{b C(a+1,2)} [[x,y],x]^{a C(b+1,2)}."""
     result = CheckResult("generator switch law", "TOWER4, (a,b) mod 4", 16)
-    spec = nil.TOWER4
-    x, y = nil.gen_x(spec), nil.gen_y(spec)
+    moduli, reduce, mul = nil.TOWER4.moduli, nil._reduce, nil.mul_vec
+    x, y = (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)
+
+    def power(g, n):
+        # n-fold reduced products, so that the check exercises the product
+        out = (0, 0, 0, 0, 0)
+        for _ in range(n):
+            out = reduce(mul(out, g), moduli)
+        return out
+
     for a in range(4):
         for b in range(4):
-            lhs = nil.nf_mul(nil.nf_pow(x, b), nil.nf_pow(y, a))
-            rhs = nil.element(
-                spec, a=a, b=b, c=a * b,
-                d=a * (b * (b + 1) // 2), e=b * (a * (a + 1) // 2),
-            )
+            lhs = reduce(mul(power(x, b), power(y, a)), moduli)
+            rhs = reduce((a, b, a * b, a * (b * (b + 1) // 2), b * (a * (a + 1) // 2)), moduli)
             if lhs != rhs:
                 result.failures.append(f"a={a} b={b}")
     return result
@@ -464,25 +474,25 @@ def check_magnus(spec: nil.QuotientSpec, pairs, label: str) -> CheckResult:
     m, moduli, reduce = spec.magnus_modulus, spec.moduli, nil._reduce
     mul, seriesmul, extract = nil.mul_vec, nil._seriesmul_vec, nil._extract_vec
     if spec in (nil.TOWER3, nil.TOWER4):
-        embed = {g: nil._embed_vec(g.vec, m) for g in nil.all_elements(spec)}.__getitem__
+        embed = {g: nil._embed_vec(g, m) for g in nil.all_elements(spec)}.__getitem__
     else:
         def embed(g):
-            return nil._embed_vec(g.vec, m)
+            return nil._embed_vec(g, m)
     for g, h in pairs:
         result.cases += 1
-        gv, hv = g.vec, h.vec
-        lhs = reduce(mul(gv, hv), moduli)
+        lhs = reduce(mul(g, h), moduli)
         rhs = reduce(extract(seriesmul(embed(g), embed(h)), m), moduli)
         if lhs != rhs:
-            result.failures.append(f"{gv} * {hv}: {lhs} != {rhs}")
+            result.failures.append(f"{g} * {h}: {lhs} != {rhs}")
     return result
 
 
 def check_magnus_roundtrip() -> CheckResult:
     result = CheckResult("magnus round trip", "TOWER4", 128)
+    m, moduli = nil.TOWER4.magnus_modulus, nil.TOWER4.moduli
     for g in nil.all_elements(nil.TOWER4):
-        if nil.nf_from_magnus(nil.magnus_embed(g)) != g:
-            result.failures.append(str(g.vec))
+        if nil._reduce(nil._extract_vec(nil._embed_vec(g, m), m), moduli) != g:
+            result.failures.append(str(g))
     return result
 
 
@@ -497,7 +507,7 @@ def check_galois_automorphism(tower4_table) -> CheckResult:
             for j, ij in enumerate(row):
                 result.cases += 1
                 if a[ij] != a_row[a[j]]:
-                    result.failures.append(f"chi={chi} f={f} g={els[i].vec} h={els[j].vec}")
+                    result.failures.append(f"chi={chi} f={f} g={els[i]} h={els[j]}")
                     return result
     return result
 
@@ -514,7 +524,7 @@ def check_galois_composition(tower4_table) -> CheckResult:
             for i, g in enumerate(els):
                 result.cases += 1
                 if outer[inner[i]] != both[i]:
-                    result.failures.append(f"chi=({chi1},{chi2}) f=({f1},{f2}) g={g.vec}")
+                    result.failures.append(f"chi=({chi1},{chi2}) f=({f1},{f2}) g={g}")
                     return result
     return result
 
@@ -549,10 +559,7 @@ def run_nilpotent_suite(seed: int = 0) -> list[CheckResult]:
     spec8 = nil.full4(8)
     # The draws are already reduced mod 8.
     random_pairs = [
-        (
-            nil.NilpotentElement(spec8, *[rng.randrange(8) for _ in range(5)]),
-            nil.NilpotentElement(spec8, *[rng.randrange(8) for _ in range(5)]),
-        )
+        (tuple([rng.randrange(8) for _ in range(5)]), tuple([rng.randrange(8) for _ in range(5)]))
         for _ in range(10_000)
     ]
     tower4 = nil.all_elements(nil.TOWER4)

@@ -177,10 +177,7 @@ def test_criterion_8_nilpotent_engine(oracle):
     rng = random.Random(1003)
     spec8 = nil.full4(8)
     pairs = [
-        (
-            nil.element(spec8, *(rng.randrange(8) for _ in range(5))),
-            nil.element(spec8, *(rng.randrange(8) for _ in range(5))),
-        )
+        (tuple(rng.randrange(8) for _ in range(5)), tuple(rng.randrange(8) for _ in range(5)))
         for _ in range(10_000)
     ]
     results = [*shared, verify.check_magnus(spec8, pairs, "FULL4(8) random")]

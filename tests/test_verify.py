@@ -20,9 +20,12 @@ from nilobstruct.verify import (
     check_dcb_lemma,
     check_galois_automorphism,
     check_galois_composition,
+    check_inverses_tower4,
     check_lift_shift,
     check_magnus,
+    check_magnus_roundtrip,
     check_quotient_compat,
+    check_switch_identity,
     identity_suite,
 )
 
@@ -82,17 +85,17 @@ def test_dcb_lemma_exhaustive_on_every_standard_model():
 def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, bad_chi, checked):
     """Shifting [x,y] by one breaks g(xy) = g(x) g(y) already at x = y = 1; the
     check stops at the first failing (chi, f, g, h) and counts the cases run."""
-    galois_act = nil.galois_act
+    act_vec = nil.act_vec
 
-    def shifted(chi, f, e):
-        g = galois_act(chi, f, e)
+    def shifted(u, chi, f):
+        a, b, c, d, e = act_vec(u, chi, f)
         if bad_chi not in (None, chi):
-            return g
-        return nil.element(g.spec, g.a, g.b, g.c + 1, g.d, g.e)
+            return a, b, c, d, e
+        return a, b, c + 1, d, e
 
-    monkeypatch.setattr(nil, "galois_act", shifted)
+    monkeypatch.setattr(nil, "act_vec", shifted)
     result = check_galois_automorphism(_tower4_table())
-    one = nil.element(nil.TOWER4).vec
+    one = (0, 0, 0, 0, 0)
     assert not result.passed
     assert result.failures == [f"chi={bad_chi or 1} f=0 g={one} h={one}"]
     assert result.cases == checked
@@ -106,7 +109,7 @@ def test_associativity_check_counts_the_triples_it_ran():
     table[5][9] = (table[5][9] + 1) % 128
     result = check_associativity_tower4((els, table, act))
     assert not result.passed
-    index = {e.vec: n for n, e in enumerate(els)}
+    index = {g: n for n, g in enumerate(els)}
     i, j, k = (index[vec] for vec in ast.literal_eval(result.failures[0]))
     assert result.cases == (i * 128 + j) * 128 + k + 1 < 128**3
 
@@ -117,7 +120,7 @@ def _associativity_by_triples(tower4_table):
     els, table, _ = tower4_table
     for i, j, k in itertools.product(range(128), repeat=3):
         if table[table[i][j]][k] != table[i][table[j][k]]:
-            return [f"({els[i].vec}, {els[j].vec}, {els[k].vec})"], (i * 128 + j) * 128 + k + 1
+            return [f"({els[i]}, {els[j]}, {els[k]})"], (i * 128 + j) * 128 + k + 1
     return [], 128**3
 
 
@@ -160,21 +163,72 @@ def test_magnus_check_catches_a_wrong_collection_on_tower4(monkeypatch):
 def test_magnus_check_catches_a_wrong_collection_on_full4_8(monkeypatch):
     rng = random.Random(5)
     spec = nil.full4(8)
-    pairs = [
-        tuple(nil.element(spec, *(rng.randrange(8) for _ in range(5))) for _ in range(2))
-        for _ in range(200)
-    ]
-    right = nil.nf_mul
-    bad = [(g, h) for g, h in pairs if right(g, h).a % 2 and right(g, h).b % 2]
-    g, h = bad[0]
-    want = right(g, h).vec
+    pairs = [tuple(tuple(rng.randrange(8) for _ in range(5)) for _ in range(2)) for _ in range(200)]
+    right = [nil._reduce(nil.mul_vec(g, h), spec.moduli) for g, h in pairs]
+    bad = [(g, h, gh) for (g, h), gh in zip(pairs, right) if gh[0] % 2 and gh[1] % 2]
+    g, h, want = bad[0]
     wrong = (*want[:4], (want[4] + 1) % 8)
     monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
     result = check_magnus(spec, pairs, "FULL4(8), 200 random pairs")
     assert not result.passed
     assert result.cases == 200
     assert len(result.failures) == len(bad) > 0
-    assert result.failures[0] == f"{g.vec} * {h.vec}: {wrong} != {want}"
+    assert result.failures[0] == f"{g} * {h}: {wrong} != {want}"
+
+
+def test_inverses_check_catches_a_wrong_inverse(monkeypatch):
+    """An inverse with e off by one for odd b fails on those 64 elements."""
+    inv_vec = nil.inv_vec
+
+    def wrong(u):
+        a, b, c, d, e = inv_vec(u)
+        return a, b, c, d, e + u[1] % 2
+
+    monkeypatch.setattr(nil, "inv_vec", wrong)
+    result = check_inverses_tower4()
+    assert result.cases == 128
+    assert len(result.failures) == 64
+    assert result.failures[0] == "(0, 1, 0, 0, 0)"
+
+
+def test_switch_identity_check_catches_a_wrong_collection(monkeypatch):
+    """The powers x^b and y^a are built by products with a = 0 or b = 0, so
+    _flipped_e breaks only x^b y^a, where a and b are both odd."""
+    monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
+    result = check_switch_identity()
+    assert result.cases == 16
+    assert result.failures == ["a=1 b=1", "a=1 b=3", "a=3 b=1", "a=3 b=3"]
+
+
+def test_magnus_roundtrip_check_catches_a_wrong_extraction(monkeypatch):
+    """An extraction with d off by one for odd c fails on those 64 elements."""
+    extract = nil._extract_vec
+
+    def wrong(s, m):
+        a, b, c, d, e = extract(s, m)
+        return a, b, c, d + c % 2, e
+
+    monkeypatch.setattr(nil, "_extract_vec", wrong)
+    result = check_magnus_roundtrip()
+    assert result.cases == 128
+    assert len(result.failures) == 64
+    assert result.failures[0] == "(0, 0, 1, 0, 0)"
+
+
+def test_galois_composition_check_catches_a_wrong_action(monkeypatch):
+    """With e shifted by one on odd c under chi = 5 only, act(3) after act(5)
+    is no longer act(7).  The check stops at the first failure: the seventh
+    (chi1, chi2) pair, (3, 5), at f = (0, 0) and the fifth element."""
+    act_vec = nil.act_vec
+
+    def wrong(u, chi, f):
+        a, b, c, d, e = act_vec(u, chi, f)
+        return (a, b, c, d, e + 1) if chi == 5 and u[2] % 2 else (a, b, c, d, e)
+
+    monkeypatch.setattr(nil, "act_vec", wrong)
+    result = check_galois_composition(_tower4_table())
+    assert result.cases == 6 * 4 * 128 + 5
+    assert result.failures == ["chi=(3,5) f=(0,0) g=(0, 0, 1, 0, 0)"]
 
 
 def _high_c_bit(kernel, coordinate):
@@ -376,8 +430,8 @@ def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
 
 def test_tower4_galois_actions_are_tabulated_once(monkeypatch):
     counts = collections.Counter()
-    _count_calls(monkeypatch, counts, (nil, "galois_act"))
+    _count_calls(monkeypatch, counts, (nil, "act_vec"))
     tower4_table = _tower4_table()
     assert check_galois_automorphism(tower4_table).passed
     assert check_galois_composition(tower4_table).passed
-    assert counts == {"galois_act": 1024}
+    assert counts == {"act_vec": 1024}
