@@ -18,6 +18,7 @@ solution of Dc = t is fixed by its values on generators.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
 from operator import xor
@@ -326,52 +327,61 @@ def massey_triple(
 
 
 def delta3_closed_form(
-    b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1
-) -> tuple[Cochain2, Cochain2]:
-    """The two closed-form delta3 2-cochains for the lift (b,a)_c.
+    b: Cochain1, a: Cochain1, c: Cochain1, fs: Sequence[Cochain1]
+) -> list[tuple[Cochain2, Cochain2]]:
+    """The two closed-form delta3 2-cochains for the lift (b,a)_c, one pair
+    per f of fs, in the order of fs.
 
     Component along [[x,y],x]:  -(b + (chi-1)/2) cup c - (b choose 2) cup a
     Component along [[x,y],y]:  (a + (chi-1)/2) cup (ab - c)
                                 + (a choose 2) cup b - f cup a
-    All values mod 2.  b and a must be mod-4 twisted cocycles on one model,
-    c a lift of them (a mod-2 cochain with Dc = -(b cup a), as lift_cochains
-    gives) and f a mod-2 cocycle on that model (see check_f); nothing is
-    checked again here.
+    All values mod 2.  The x component does not depend on f, so every pair
+    shares one; the y component is its f = 0 part minus f cup a.  b and a
+    must be mod-4 twisted cocycles on one model, c a lift of them (a mod-2
+    cochain with Dc = -(b cup a), as lift_cochains gives) and each f a mod-2
+    cocycle on that model (see check_f); nothing is checked again here.
     """
     rho = chi_minus1_over2(b.model)
     b2, a2 = b.reduce2(), a.reduce2()
     comp_x = -cup(b2 + rho, c) - cup(binom2(b), a2)
-    comp_y = cup(a2 + rho, a2.pointwise_mul(b2) - c) + cup(binom2(a), b2) - cup(f, a2)
-    return comp_x, comp_y
+    comp_y0 = cup(a2 + rho, a2.pointwise_mul(b2) - c) + cup(binom2(a), b2)
+    return [(comp_x, comp_y0 - cup(f, a2)) for f in fs]
 
 
 def delta3_cocycle_direct(
-    b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1
-) -> tuple[Cochain2, Cochain2]:
-    """The boundary-of-section cocycles for delta3, written out directly.
+    b: Cochain1, a: Cochain1, c: Cochain1, fs: Sequence[Cochain1]
+) -> list[tuple[Cochain2, Cochain2]]:
+    """The boundary-of-section cocycles for delta3, written out directly, one
+    pair per f of fs, in the order of fs.
 
     These are the raw normal-form coordinates of s(p(g)) g s(p(h)) s(p(gh))^-1
     and differ from the closed forms by explicit coboundaries (see verify).
-    The inputs must be as delta3_closed_form asks; nothing is checked here.
+    The x component does not depend on f, so every pair shares one; the y
+    component is its f = 0 part plus the rows f(g) a(h).  The inputs must be
+    as delta3_closed_form asks; nothing is checked here.
     """
     model = b.model
-    bv, av, cv, fv = b.values, a.values, c.values, f.values
+    bv, av, cv = b.values, a.values, c.values
     rho = chi_minus1_over2(model).values
     x_rows, y_rows = [], []
-    for chi_g, b_g, c_g, r_g, f_g in zip(model.chi, bv, cv, rho, fv):
+    for chi_g, b_g, c_g, r_g in zip(model.chi, bv, cv, rho):
         t_g = _BINOM2_MOD2[(b_g + 1) % 4]
         x_rows.append(tuple([
             (c_g * b_h + t_g * a_h + b_g * a_h * b_h + r_g * c_h) % 2
             for b_h, a_h, c_h in zip(bv, av, cv)
         ]))
         y_rows.append(tuple([
-            (c_g * a_h + b_g * _BINOM2_MOD2[(chi_g * a_h + 1) % 4] + r_g * c_h + f_g * a_h) % 2
+            (c_g * a_h + b_g * _BINOM2_MOD2[(chi_g * a_h + 1) % 4] + r_g * c_h) % 2
             for a_h, c_h in zip(av, cv)
         ]))
-    return (
-        Cochain2(model, 2, 3, tuple(x_rows)),
-        Cochain2(model, 2, 3, tuple(y_rows)),
-    )
+    comp_x = Cochain2(model, 2, 3, tuple(x_rows))
+    # Row g of the y component for f(g) = 0 and for f(g) = 1.
+    a2 = [a_h % 2 for a_h in av]
+    y_rows = [(row, tuple(map(xor, row, a2))) for row in y_rows]
+    return [
+        (comp_x, Cochain2(model, 2, 3, tuple([row[f_g] for row, f_g in zip(y_rows, f.values)])))
+        for f in fs
+    ]
 
 
 def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[Cochain1, Cochain1]:

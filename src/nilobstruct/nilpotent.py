@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .cohomology import Cochain1, Cochain2, GaloisModel, InvalidCocycleError
@@ -273,65 +274,69 @@ def _extract_vec(s: tuple[int, ...], m: int) -> Vec:
 
 
 def boundary_of_section(
-    model: GaloisModel, p: list[tuple[int, ...]], f: Cochain1 | None = None
-) -> tuple[Cochain2, ...]:
+    model: GaloisModel, p: list[tuple[int, ...]], fs: Sequence[Cochain1] | None = None
+) -> tuple[Cochain2] | list[tuple[Cochain2, Cochain2]]:
     """Extract the kernel coordinates of (g,h) -> s(p(g)) g(s(p(h))) s(p(gh))^-1.
 
     The level n of the section is the width of its values.  For n = 2, p
     lists pairs (a, b) mod 4 per group element (a twisted cocycle into the
-    abelianization) and the output is the [x,y]-coordinate mod 2.  For n = 3,
-    p lists triples (a, b, c) forming a cocycle into the level-3 tower group
-    and the output is the pair of degree-3 coordinates mod 2.  The Galois
-    action uses chi mod 8 and the mod-2 cocycle f on the model, the same
-    cochain the delta3 formulas take; None means f = 0.  f must be a mod-2
+    abelianization) and the output is the one-tuple of the [x,y]-coordinate
+    mod 2.  For n = 3, p lists triples (a, b, c) forming a cocycle into the
+    level-3 tower group and the output is a list with one pair of degree-3
+    coordinates mod 2 per f of fs, in the order of fs.  The Galois action
+    uses chi mod 8 and the mod-2 cocycle f on the model, the same cochains
+    the delta3 formulas take; None means fs = (0,).  Each f must be a mod-2
     cocycle on model (see cohomology.check_f); it is not checked here.  The
-    section is: a p whose values are not all pairs or all triples, or that
-    breaks the cocycle law read off the same products, is refused with an
-    InvalidCocycleError.
+    level-2 boundary does not depend on f (act_vec moves only e by f), so
+    level 2 reads no f.  The section is: a p whose values are not all pairs
+    or all triples, or that breaks the cocycle law read off the same
+    products, is refused with an InvalidCocycleError.
     """
-    f_values = (0,) * model.order if f is None else f.values
     if len(p) != model.order:
         raise InvalidCocycleError("cocycle must assign a value to every element")
     width = len(p[0])
     if width not in (2, 3) or any(len(t) != width for t in p):
         raise InvalidCocycleError("section values must be all pairs or all triples")
+    f_values = [(0,) * model.order] if fs is None or width == 2 else [f.values for f in fs]
 
     # Reduced exponent vectors in TOWER4, the reduced mul_vec and act_vec
     # products the nilpotent suite checks.  The acted section
     # g(s(p(h))) depends on g only through (chi(g) mod 8, f(g)), so it is
-    # computed once per such pair.
+    # computed once per such pair, and the products of row g once per
+    # distinct f(g) among fs: at most two rows per g, whatever the number
+    # of f.
     moduli = TOWER4.moduli
     sect = [_reduce((*t, 0, 0, 0)[:5], moduli) for t in p]
     acted = {}
-    rows_c, rows_d, rows_e = [], [], []
+    # rows[g][f(g)]: the (c, d, e) rows of the products of row g.
+    rows = []
     for g, row in enumerate(model.table):
-        key = (model.chi[g] % 8, f_values[g])
-        if key not in acted:
-            acted[key] = [_reduce(act_vec(s_h, *key), moduli) for s_h in sect]
-        s_g = sect[g]
-        rc, rd, re = [], [], []
-        for h, (t_h, gh) in enumerate(zip(acted[key], row)):
-            got = _reduce(mul_vec(s_g, t_h), moduli)
+        s_g, by_f = sect[g], {}
+        for f_g in {f[g] for f in f_values}:
+            key = (model.chi[g] % 8, f_g)
+            if key not in acted:
+                acted[key] = [_reduce(act_vec(s_h, *key), moduli) for s_h in sect]
+            got = [_reduce(mul_vec(s_g, t_h), moduli) for t_h in acted[key]]
             # Cocycle validation happens at the level the section covers: the
-            # first `width` coordinates of s(p(g)) g(s(p(h))) must reproduce s(p(gh)).
-            if got[:width] != sect[gh][:width]:
-                raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
+            # first `width` coordinates of s(p(g)) g(s(p(h))) must reproduce
+            # s(p(gh)).
+            for h, (got_h, gh) in enumerate(zip(got, row)):
+                if got_h[:width] != sect[gh][:width]:
+                    raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
             # The boundary is z = got s(p(gh))^-1, so got = z s(p(gh)), and
             # the section is 0 past the head.  At level 3, z holds only the
             # central degree-3 letters, so got = s(p(gh)) z carries z's d and
             # e.  At level 2, z is [x,y]^c times degree-3 letters, and moving
             # it past s(p(gh)) changes only d and e, so got carries z's c.
             # TOWER4 keeps c, d and e mod 2.
-            _, _, zc, zd, ze = got
-            rc.append(zc)
-            rd.append(zd)
-            re.append(ze)
-        rows_c.append(tuple(rc))
-        rows_d.append(tuple(rd))
-        rows_e.append(tuple(re))
+            by_f[f_g] = tuple(zip(*got))[2:]
+        rows.append(by_f)
     if width == 2:
-        return (Cochain2(model, 2, 2, tuple(rows_c)),)
-    return (
-        Cochain2(model, 2, 3, tuple(rows_d)),
-        Cochain2(model, 2, 3, tuple(rows_e)),
-    )
+        return (Cochain2(model, 2, 2, tuple([by_f[0][0] for by_f in rows])),)
+    return [
+        (
+            Cochain2(model, 2, 3, tuple([by_f[f_g][1] for by_f, f_g in zip(rows, f)])),
+            Cochain2(model, 2, 3, tuple([by_f[f_g][2] for by_f, f_g in zip(rows, f)])),
+        )
+        for f in f_values
+    ]

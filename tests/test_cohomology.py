@@ -76,7 +76,7 @@ class TestModels:
         p = [(0, 0, 0)] * model.order
         good = Cochain1(model, 2, 2, (0, 1))
         check_f(model, zero1(model, 2, 2), good)
-        boundary_of_section(model, p, good)
+        boundary_of_section(model, p, (good,))
         for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(cyclic_model(2, 7), 2, 2, (0, 1))):
             with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
                 check_f(model, f)
@@ -368,7 +368,7 @@ class TestDelta3Forms:
         c = zero1(model, 2, 2)
         f = zero1(model, 2, 2)
         assert is_lift(z4, z4, c)
-        comp_x, comp_y = delta3_closed_form(z4, z4, c, f)
+        [(comp_x, comp_y)] = delta3_closed_form(z4, z4, c, (f,))
         assert comp_x.is_zero() and comp_y.is_zero()
 
     @pytest.mark.parametrize("formula", (delta3_closed_form, delta3_cocycle_direct))
@@ -380,7 +380,7 @@ class TestDelta3Forms:
         c = zero1(model, 2, 2)
         good = Cochain1(model, 2, 2, (0, 1))
         check_f(model, good)
-        formula(z4, z4, c, good)
+        formula(z4, z4, c, (good,))
         for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(cyclic_model(2, 7), 2, 2, (0, 1))):
             with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
                 check_f(model, f)

@@ -287,8 +287,8 @@ def test_real_place_lifts_match_direct_cocycles():
             for c_tau in (0, 1):
                 c = Cochain1(model, 2, 2, (0, c_tau))
                 assert is_lift(b, a, c)
-                closed = delta3_closed_form(b, a, c, f)
-                direct = delta3_cocycle_direct(b, a, c, f)
+                [closed] = delta3_closed_form(b, a, c, (f,))
+                [direct] = delta3_cocycle_direct(b, a, c, (f,))
                 for z, w in zip(closed, direct):
                     assert z.values[1][1] == w.values[1][1]
 

@@ -86,7 +86,7 @@ def test_real_place_entry_rederived_from_cochain_engine(b_sign, a_sign):
         f = zero1(model, 2, 2)
         real_lifts = []
         for c in lifts:
-            comp_x, comp_y = delta3_closed_form(b_coc, a_coc, c, f)
+            [(comp_x, comp_y)] = delta3_closed_form(b_coc, a_coc, c, (f,))
             label = "c=0" if c.values[1] == 0 else "c={-1}"
             real_lifts.append(RealLift(label, comp_x.values[1][1], comp_y.values[1][1]))
         vanishing = any(lift.comp_x == lift.comp_y == 0 for lift in real_lifts)

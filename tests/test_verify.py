@@ -13,6 +13,7 @@ from nilobstruct import cohomology as coh
 from nilobstruct import nilpotent as nil
 from nilobstruct.cohomology import klein_model, standard_models, units_model
 from nilobstruct.verify import (
+    _full4_8_pairs,
     _model_data,
     _tower4_table,
     check_associativity_tower4,
@@ -270,13 +271,15 @@ def test_boundary_n3_check_records_a_boundary_that_is_no_cocycle(monkeypatch):
     for the values, would pass the flipped ones."""
     boundary = nil.boundary_of_section
 
-    def flipped(model, p, f=None):
-        x, y = boundary(model, p, f)
-        if f.is_zero():
-            return x, y
-        rows = [list(row) for row in x.values]
-        rows[1][1] ^= 1
-        return coh.Cochain2(model, 2, x.weight, tuple(map(tuple, rows))), y
+    def flipped(model, p, fs):
+        out = []
+        for f, (x, y) in zip(fs, boundary(model, p, fs)):
+            if not f.is_zero():
+                rows = [list(row) for row in x.values]
+                rows[1][1] ^= 1
+                x = coh.Cochain2(model, 2, x.weight, tuple(map(tuple, rows)))
+            out.append((x, y))
+        return out
 
     model = klein_model()
     data = _model_data(model)
@@ -299,8 +302,8 @@ def test_boundary_n3_check_tests_each_distinct_boundary_once(monkeypatch):
     boundaries = set()
     for b, a, c, _ in lifts:
         p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
-        for f in homs:
-            boundaries.update(z.values for z in nil.boundary_of_section(model, p, f))
+        for pair in nil.boundary_of_section(model, p, homs):
+            boundaries.update(z.values for z in pair)
     checked = collections.Counter()
     is_cocycle = coh.Cochain2.is_cocycle
 
@@ -320,13 +323,13 @@ def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
     by a cup product; the check still runs every (lift, eps) case."""
     closed_form = coh.delta3_closed_form
 
-    def wrong(b, a, c, f):
-        x, y = closed_form(b, a, c, f)
+    def wrong(b, a, c, fs):
+        forms = closed_form(b, a, c, fs)
         if c.is_zero():
-            return x, y
+            return forms
         m = c.model
         extra = tuple(tuple(c.values[m.mul(g, h)] for h in m.elements()) for g in m.elements())
-        return x + coh.Cochain2(m, 2, x.weight, extra), y
+        return [(x + coh.Cochain2(m, 2, x.weight, extra), y) for x, y in forms]
 
     model = klein_model()
     monkeypatch.setattr(coh, "delta3_closed_form", wrong)
@@ -361,8 +364,9 @@ def _count_calls(monkeypatch, counts, *targets):
 
 
 def test_identity_suite_builds_each_value_once(monkeypatch):
-    """Each formula runs once per (lift, f), i.e. once per level-3 case, and
-    the cocycles are listed once for the model and once inside f_homs."""
+    """Each formula runs once per lift, for all f at once (the Klein group
+    has 4 f, so a quarter of the level-3 cases), and the cocycles are listed
+    once for the model and once inside f_homs."""
     counts = collections.Counter()
     _count_calls(
         monkeypatch, counts,
@@ -373,21 +377,23 @@ def test_identity_suite_builds_each_value_once(monkeypatch):
     results = identity_suite(model)
     (level3,) = lookup(results, [("level-3 boundary == delta3 formulas", model.name)])
     assert level3.cases == 768
-    assert counts == {"delta3_closed_form": 768, "delta3_cocycle_direct": 768, "all_twisted_cocycles": 2}
+    assert counts == {"delta3_closed_form": 192, "delta3_cocycle_direct": 192, "all_twisted_cocycles": 2}
 
 
 def test_identity_suite_checks_each_f_once(monkeypatch):
     """identity_suite checks the model's f once with check_f; the section
     boundary, which takes f unchecked, runs once per level-2 case (with no
-    f) and once per level-3 case."""
+    f) and once per lift, for all f at once."""
+    model = klein_model()
+    _, _, lifts = _model_data(model)
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, (coh, "check_f"), (nil, "boundary_of_section"))
-    model = klein_model()
     n2, n3 = lookup(
         identity_suite(model),
         [("level-2 boundary == b cup a", model.name), ("level-3 boundary == delta3 formulas", model.name)],
     )
-    assert counts == {"check_f": 1, "boundary_of_section": n2.cases + n3.cases}
+    assert n3.cases == 4 * len(lifts)
+    assert counts == {"check_f": 1, "boundary_of_section": n2.cases + len(lifts)}
 
 
 def test_model_data_validates_nothing(monkeypatch):
@@ -407,6 +413,34 @@ def test_model_data_validates_nothing(monkeypatch):
     cocs, homs, lifts = _model_data(klein_model())
     assert len(lifts) == 192 and len(homs) == 4
     assert checked == {}
+
+
+@pytest.mark.parametrize("model", standard_models(), ids=lambda m: m.name)
+def test_all_f_kernels_match_one_f_calls(model):
+    """On every lift, entry i of each level-3 kernel called with all the
+    model's f equals the same call with f_homs[i] alone."""
+    _, homs, lifts = _model_data(model)
+    for b, a, c, _ in lifts:
+        p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
+        for kernel, args in (
+            (coh.delta3_closed_form, (b, a, c)),
+            (coh.delta3_cocycle_direct, (b, a, c)),
+            (nil.boundary_of_section, (model, p)),
+        ):
+            assert kernel(*args, homs) == [kernel(*args, (f,))[0] for f in homs]
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_full4_8_pairs_draw_as_randrange(seed):
+    """The filtered getrandbits(4) draw gives the pairs of the randrange(8)
+    list comprehension and leaves the rng where it leaves it."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    want = [
+        (tuple([reference.randrange(8) for _ in range(5)]), tuple([reference.randrange(8) for _ in range(5)]))
+        for _ in range(10_000)
+    ]
+    assert list(_full4_8_pairs(rng)) == want
+    assert rng.random() == reference.random()
 
 
 def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
