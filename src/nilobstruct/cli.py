@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -20,6 +21,11 @@ from .obstruct import (
 
 # Lets bare negative rationals like -1 or -3/5 parse as positionals.
 _NEGATIVE_RATIONAL = re.compile(r"^-[0-9]+(/[0-9]+)?$")
+
+# The exit code when stdout's reader goes away before the output is written,
+# as with `obstruct report -1 5 | head -0`: 128 + SIGPIPE, what a shell
+# reports for a process that SIGPIPE ended.  0, 1 and 2 keep their meanings.
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_int(text: str) -> int:
@@ -96,12 +102,19 @@ def main(argv=None) -> int:
     verify.add_argument("--json", action="store_true", help="print one JSON object per check")
 
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-
-    try:
-        return _dispatch(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
+        code = _dispatch(args)
+        # A closed stdout shows here, not in the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's flush of stdout at exit would fail again: point stdout at
+        # devnull, as the note on SIGPIPE in the signal module's docs does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,16 +12,20 @@ degree-1/2 identities used by the obstruction evaluators are checkable here
 on every twisted cocycle and every lift, because they are cochain identities
 valid over any profinite group with any character.  Cocycles (Dc = 0), the
 admissible f and the lifts (Dc = -(b cup a)) are listed by one solver: a
-solution of Dc = t is fixed by its values on generators.
+solution of Dc = t is fixed by its values on generators.  A mod-2 cochain is
+the bits of one int, on which these operations are a few int operations
+(see _BitOps); a cochain at any other modulus is a tuple of its values.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from operator import xor
+from operator import lshift
+from typing import NamedTuple
 
 
 class InvalidDefiningSystemError(ValueError):
@@ -77,6 +81,10 @@ class GaloisModel:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def _bits(self) -> "_BitOps":
+        return _bit_ops(self)
 
 
 def _table_from_op(elems: list, op) -> tuple[tuple[int, ...], ...]:
@@ -139,56 +147,181 @@ def extra_models() -> tuple[GaloisModel, ...]:
     return (s3_model(), cyclic_model(8, 3))
 
 
-@dataclass(frozen=True)
-class Cochain1:
-    """Degree-1 cochain: values on G in Z/modulus, coefficients chi^weight."""
+class _BitOps(NamedTuple):
+    """A model's mod-2 cochain operations on bits.  A mod-2 1-cochain on a
+    group of order n is an n-bit int whose bit g is c(g); a mod-2 2-cochain
+    an n^2-bit int whose bit g*n + h is z(g, h).  chi is odd, so chi^w is 1
+    mod 2 and no operation reads a twist."""
 
-    model: GaloisModel
-    modulus: int
-    weight: int
-    values: tuple[int, ...]
+    n: int
+    full: int  # 2^n - 1: every element
+    spread: Callable[[int], int]
+    compose: Callable[[int], int]
+    coboundary: Callable[[int], int]
+    rho: int  # (chi - 1)/2 mod 2
 
-    def __post_init__(self):
-        if len(self.values) != self.model.order:
-            raise ValueError("wrong number of values")
-        mod = self.modulus
-        if any([v % mod != v for v in self.values]):
-            raise ValueError("values not reduced")
 
-    def __add__(self, other: "Cochain1") -> "Cochain1":
+def _bit_ops(model: GaloisModel) -> _BitOps:
+    """The model's _BitOps, built once per model from O(n) ints, none of
+    size 2^n."""
+    n = model.order
+    full = (1 << n) - 1
+    low, top, top_shift = full >> 1, n - 1, (n - 1) * n
+    diag = sum(1 << (g * n) for g in range(n))  # c * diag has c in every row
+    sieve = diag & ~(1 << top_shift)  # bit g*n for g < n - 1
+    rep = sum(1 << (g * top) for g in range(top))  # copies of an (n - 1)-bit int
+    products = [0] * n  # products[k]: the bits (g, h) with gh = k
+    for g, row in enumerate(model.table):
+        for h, gh in enumerate(row):
+            products[gh] |= 1 << (g * n + h)
+
+    def spread(u: int) -> int:
+        """Bit g of u moved to bit g*n, so that v * spread(u) is the cup
+        (g, h) -> u(g) v(h) of an n-bit v, with no carries.  Copy g of u's
+        low n - 1 bits, at g*(n - 1), has its bit g at g*n; u's top bit goes
+        alone."""
+        return ((u & low) * rep & sieve) | (u >> top) << top_shift
+
+    def compose(c: int) -> int:
+        """(g, h) -> c(gh): the union of products[k] over the k with c(k) = 1."""
+        out = 0
+        for mask in products:
+            if c & 1:
+                out |= mask
+            c >>= 1
+        return out
+
+    def coboundary(c: int) -> int:
+        """Dc(g, h) = c(g) + c(h) + c(gh) mod 2."""
+        return spread(c) * full ^ c * diag ^ compose(c)
+
+    rho = _pack([(chi - 1) // 2 % 2 for chi in model.chi])
+    return _BitOps(n, full, spread, compose, coboundary, rho)
+
+
+def _pack(values) -> int:
+    """The int whose bit i is values[i], for values of 0 and 1."""
+    return int("".join(map(str, reversed(values))), 2)
+
+
+def _unpack(bits: int, count: int) -> tuple[int, ...]:
+    """The first count bits of bits, bit 0 first."""
+    return tuple(map(int, reversed(format(bits, f"0{count}b"))))
+
+
+def _new(cls, model: GaloisModel, modulus: int, weight: int, data):
+    """A cochain from its stored data, unchecked: an int of bits at modulus
+    2, the reduced values otherwise."""
+    c = object.__new__(cls)
+    c.model = model
+    c.modulus = modulus
+    c.weight = weight
+    c._data = data
+    return c
+
+
+class _Cochain:
+    """What Cochain1 and Cochain2 share.  At modulus 2 a cochain stores its
+    values as the bits of one int (see _BitOps); at other moduli as a tuple.
+    ``values`` reads them as a tuple either way, and ``bits`` reads the int.
+    Two cochains are equal when their model, modulus, weight and values are,
+    and hash by their stored values.  No operation changes a cochain."""
+
+    __slots__ = ("model", "modulus", "weight", "_data")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.model, self.modulus, self.weight, self._data) == (
+            other.model, other.modulus, other.weight, other._data
+        )
+
+    def __hash__(self):
+        return hash((self.modulus, self.weight, self._data))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(model={self.model.name!r}, modulus={self.modulus}, "
+            f"weight={self.weight}, values={self.values})"
+        )
+
+    @classmethod
+    def from_bits(cls, model: GaloisModel, weight: int, bits: int):
+        """The mod-2 cochain on model with value bit g of bits at g (a
+        Cochain1), or bit g*n + h at (g, h) (a Cochain2)."""
+        return _new(cls, model, 2, weight, bits)
+
+    @property
+    def bits(self) -> int:
+        if self.modulus != 2:
+            raise ValueError(f"a mod-{self.modulus} cochain has no bits")
+        return self._data
+
+    def __add__(self, other):
         _check_compatible(self, other)
-        mod = self.modulus
-        if mod == 2:
-            values = tuple(map(xor, self.values, other.values))
-        else:
-            values = tuple([(x + y) % mod for x, y in zip(self.values, other.values)])
-        return Cochain1(self.model, mod, self.weight, values)
+        if self.modulus == 2:
+            return _new(type(self), self.model, 2, self.weight, self._data ^ other._data)
+        return _new(type(self), self.model, self.modulus, self.weight, self._add(other._data))
 
-    def __neg__(self) -> "Cochain1":
+    def __neg__(self):
         # -z is z at modulus 2.
         if self.modulus == 2:
             return self
-        return Cochain1(self.model, self.modulus, self.weight, tuple(-x % self.modulus for x in self.values))
+        return _new(type(self), self.model, self.modulus, self.weight, self._neg())
 
-    def __sub__(self, other: "Cochain1") -> "Cochain1":
+    def __sub__(self, other):
         return self + (-other)
+
+
+class Cochain1(_Cochain):
+    """Degree-1 cochain: values on G in Z/modulus, coefficients chi^weight."""
+
+    __slots__ = ()
+
+    def __init__(self, model: GaloisModel, modulus: int, weight: int, values: Sequence[int]):
+        if len(values) != model.order:
+            raise ValueError("wrong number of values")
+        if any([v % modulus != v for v in values]):
+            raise ValueError("values not reduced")
+        self.model, self.modulus, self.weight = model, modulus, weight
+        self._data = _pack(values) if modulus == 2 else tuple(values)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        if self.modulus == 2:
+            return _unpack(self._data, self.model.order)
+        return self._data
+
+    def is_zero(self) -> bool:
+        return not (self._data if self.modulus == 2 else any(self._data))
+
+    def _add(self, other):
+        mod = self.modulus
+        return tuple([(x + y) % mod for x, y in zip(self._data, other)])
+
+    def _neg(self):
+        return tuple([-x % self.modulus for x in self._data])
 
     def pointwise_mul(self, other: "Cochain1") -> "Cochain1":
         """The product cochain (cd)(g) = c(g) d(g); weights add."""
         if self.model is not other.model or self.modulus != other.modulus:
             raise ValueError("pointwise product needs one model and one modulus")
-        return Cochain1(
-            self.model,
-            self.modulus,
-            self.weight + other.weight,
-            tuple(x * y % self.modulus for x, y in zip(self.values, other.values)),
-        )
+        mod = self.modulus
+        if mod == 2:
+            product = self._data & other._data
+        else:
+            product = tuple([x * y % mod for x, y in zip(self._data, other._data)])
+        return _new(Cochain1, self.model, mod, self.weight + other.weight, product)
 
     def reduce2(self) -> "Cochain1":
-        return Cochain1(self.model, 2, self.weight, tuple(v % 2 for v in self.values))
+        if self.modulus == 2:
+            return self
+        return _new(Cochain1, self.model, 2, self.weight, _pack([v % 2 for v in self._data]))
 
     def is_cocycle(self) -> bool:
-        v, mod = self.values, self.modulus
+        if self.modulus == 2:
+            return not self.model._bits.coboundary(self._data)
+        v, mod = self._data, self.modulus
         twist = [pow(chi, self.weight, mod) for chi in self.model.chi]
         return not any(
             (v_g + chi_g * v_h - v[gh]) % mod
@@ -196,52 +329,62 @@ class Cochain1:
             for v_h, gh in zip(v, row)
         )
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
 
+class Cochain2(_Cochain):
+    """Degree-2 cochain: values on G x G in Z/modulus, given as one tuple of
+    values per row g."""
 
-@dataclass(frozen=True)
-class Cochain2:
-    """Degree-2 cochain: values on G x G in Z/modulus, each reduced, so that
-    a sum at modulus 2 is an xor."""
+    __slots__ = ()
 
-    model: GaloisModel
-    modulus: int
-    weight: int
-    values: tuple[tuple[int, ...], ...]
-
-    def __add__(self, other: "Cochain2") -> "Cochain2":
-        _check_compatible(self, other)
-        mod = self.modulus
-        if mod == 2:
-            values = tuple([tuple(map(xor, row1, row2)) for row1, row2 in zip(self.values, other.values)])
+    def __init__(self, model: GaloisModel, modulus: int, weight: int, values: Sequence[Sequence[int]]):
+        n = model.order
+        if len(values) != n or any(len(row) != n for row in values):
+            raise ValueError("wrong number of values")
+        if any([v % modulus != v for row in values for v in row]):
+            raise ValueError("values not reduced")
+        self.model, self.modulus, self.weight = model, modulus, weight
+        if modulus == 2:
+            self._data = _pack([v for row in values for v in row])
         else:
-            values = tuple([
-                tuple([(x + y) % mod for x, y in zip(row1, row2)])
-                for row1, row2 in zip(self.values, other.values)
-            ])
-        return Cochain2(self.model, mod, self.weight, values)
+            self._data = tuple(map(tuple, values))
 
-    def __neg__(self) -> "Cochain2":
-        mod = self.modulus
-        # -z is z at modulus 2.
-        if mod == 2:
-            return self
-        return Cochain2(
-            self.model, mod, self.weight, tuple([tuple([-x % mod for x in row]) for row in self.values])
-        )
-
-    def __sub__(self, other: "Cochain2") -> "Cochain2":
-        return self + (-other)
+    @property
+    def values(self) -> tuple[tuple[int, ...], ...]:
+        if self.modulus != 2:
+            return self._data
+        n = self.model.order
+        flat = _unpack(self._data, n * n)
+        return tuple([flat[g : g + n] for g in range(0, n * n, n)])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.values for x in row)
+        return not (self._data if self.modulus == 2 else any(map(any, self._data)))
+
+    def _add(self, other):
+        mod = self.modulus
+        return tuple([
+            tuple([(x + y) % mod for x, y in zip(row1, row2)]) for row1, row2 in zip(self._data, other)
+        ])
+
+    def _neg(self):
+        mod = self.modulus
+        return tuple([tuple([-x % mod for x in row]) for row in self._data])
 
     def is_cocycle(self) -> bool:
         """Degree-2 cocycle condition D2 z = 0:
         chi(g)^w z(h, k) - z(gh, k) + z(g, hk) - z(g, h) = 0 for all g, h, k,
-        with gh and hk read from the rows of the table."""
-        z, mod, table = self.values, self.modulus, self.model.table
+        with gh and hk read from the rows of the table.  At modulus 2 the law
+        for one g is one n^2-bit int over (h, k), with the rows of z read
+        through row g of the table for z(gh, k)."""
+        z, mod, table = self._data, self.modulus, self.model.table
+        if mod == 2:
+            ops = self.model._bits
+            shifts = range(0, ops.n * ops.n, ops.n)
+            rows = [z >> s & ops.full for s in shifts]
+            return not any(
+                z ^ sum(map(lshift, map(rows.__getitem__, row_g), shifts))
+                ^ ops.compose(z_g) ^ ops.spread(z_g) * ops.full
+                for row_g, z_g in zip(table, rows)
+            )
         twist = [pow(chi, self.weight, mod) for chi in self.model.chi]
         return not any([
             (chi_g * z_hk - z_ghk + z_g[hk] - z_gh) % mod
@@ -261,49 +404,60 @@ def _check_compatible(c, d) -> None:
 
 
 def zero1(model: GaloisModel, modulus: int, weight: int) -> Cochain1:
-    return Cochain1(model, modulus, weight, (0,) * model.order)
+    return _new(Cochain1, model, modulus, weight, 0 if modulus == 2 else (0,) * model.order)
 
 
 def coboundary(c: Cochain1) -> Cochain2:
     """Dc(g,h) = c(g) + chi(g)^w c(h) - c(gh)."""
-    v, mod = c.values, c.modulus
+    model, mod = c.model, c.modulus
+    if mod == 2:
+        return _new(Cochain2, model, 2, c.weight, model._bits.coboundary(c._data))
+    v = c._data
     rows = []
-    for row, chi, v_g in zip(c.model.table, c.model.chi, v):
+    for row, chi, v_g in zip(model.table, model.chi, v):
         chi_g = pow(chi, c.weight, mod)
         rows.append(tuple([(v_g + chi_g * v_h - v[gh]) % mod for v_h, gh in zip(v, row)]))
-    return Cochain2(c.model, mod, c.weight, tuple(rows))
+    return _new(Cochain2, model, mod, c.weight, tuple(rows))
 
 
 def cup(c: Cochain1, d: Cochain1) -> Cochain2:
-    """(c cup d)(g,h) = c(g) * chi(g)^{w_d} * d(h); weights add."""
+    """(c cup d)(g,h) = c(g) * chi(g)^{w_d} * d(h); weights add.  At modulus 2
+    chi(g)^{w_d} is 1, and the cup is d's bits times c's bits spread out."""
     if c.model is not d.model:
         raise ValueError("cup of cochains on different models")
     if c.modulus != d.modulus:
         raise ValueError(f"cup needs a common modulus, got {c.modulus} and {d.modulus}")
-    mod, right = c.modulus, d.values
+    model, mod, weight = c.model, c.modulus, c.weight + d.weight
+    if mod == 2:
+        return _new(Cochain2, model, 2, weight, d._data * model._bits.spread(c._data))
+    right = d._data
     zero = (0,) * len(right)
     rows = []
-    for c_g, chi in zip(c.values, c.model.chi):
+    for c_g, chi in zip(c._data, model.chi):
         left = c_g * pow(chi, d.weight, mod) % mod
         # d's values are reduced, so a left factor of 1 gives d's row itself.
         rows.append(zero if left == 0 else right if left == 1 else tuple([left * x % mod for x in right]))
-    return Cochain2(c.model, mod, c.weight + d.weight, tuple(rows))
+    return _new(Cochain2, model, mod, weight, tuple(rows))
 
 
 # (n choose 2) mod 2 depends only on n mod 4: residues 0,1,2,3 -> 0,0,1,1.
 _BINOM2_MOD2 = (0, 0, 1, 1)
 
 
+def _binom2_bits(c: Cochain1) -> int:
+    return _pack([_BINOM2_MOD2[v] for v in c._data])
+
+
 def binom2(c: Cochain1) -> Cochain1:
     """Pointwise profinite binomial coefficient (c choose 2), mod 4 -> mod 2."""
     if c.modulus != 4:
         raise ValueError("binom2 is defined on mod-4 cochains")
-    return Cochain1(c.model, 2, 2 * c.weight, tuple(_BINOM2_MOD2[v] for v in c.values))
+    return _new(Cochain1, c.model, 2, 2 * c.weight, _binom2_bits(c))
 
 
 def chi_minus1_over2(model: GaloisModel) -> Cochain1:
     """The mod-2 cocycle (chi-1)/2, i.e. the Kummer class of -1."""
-    return Cochain1(model, 2, 1, tuple((model.chi[g] - 1) // 2 % 2 for g in model.elements()))
+    return _new(Cochain1, model, 2, 1, model._bits.rho)
 
 
 def f_cocycle(model: GaloisModel) -> Cochain1:
@@ -311,7 +465,7 @@ def f_cocycle(model: GaloisModel) -> Cochain1:
     if model.chi_mod % 48 != 0:
         raise ValueError("f_cocycle needs chi values lifted mod 48")
     # chi's values are units mod chi_mod, so mod 48 as well.
-    return Cochain1(model, 2, 2, tuple([(chi * chi - 1) // 24 % 2 for chi in model.chi]))
+    return _new(Cochain1, model, 2, 2, _pack([(chi * chi - 1) // 24 % 2 for chi in model.chi]))
 
 
 def massey_triple(
@@ -319,9 +473,9 @@ def massey_triple(
 ) -> Cochain2:
     """<alpha, beta, gamma> = A cup gamma + alpha cup B for the defining
     system A, B, which must have DA = alpha cup beta and DB = beta cup gamma."""
-    if coboundary(A).values != cup(alpha, beta).values:
+    if coboundary(A) != cup(alpha, beta):
         raise InvalidDefiningSystemError("DA != alpha cup beta")
-    if coboundary(B).values != cup(beta, gamma).values:
+    if coboundary(B) != cup(beta, gamma):
         raise InvalidDefiningSystemError("DB != beta cup gamma")
     return cup(A, gamma) + cup(alpha, B)
 
@@ -355,33 +509,26 @@ def delta3_cocycle_direct(
     pair per f of fs, in the order of fs.
 
     These are the raw normal-form coordinates of s(p(g)) g s(p(h)) s(p(gh))^-1
-    and differ from the closed forms by explicit coboundaries (see verify).
-    The x component does not depend on f, so every pair shares one; the y
-    component is its f = 0 part plus the rows f(g) a(h).  The inputs must be
-    as delta3_closed_form asks; nothing is checked here.
+    and differ from the closed forms by explicit coboundaries (see verify):
+
+        x(g, h) = c(g) b(h) + C(b(g) + 1, 2) a(h) + b(g) a(h) b(h) + r(g) c(h)
+        y(g, h) = c(g) a(h) + b(g) C(chi(g) a(h) + 1, 2) + r(g) c(h) + f(g) a(h)
+
+    mod 2, with r = (chi - 1)/2.  Each term is a row mask times a column
+    mask.  C(b + 1, 2) = C(b, 2) + b, and C(chi a + 1, 2) is C(a, 2) where
+    chi = 3 mod 4 and C(a, 2) + a where chi = 1 mod 4.  The x component does
+    not depend on f, so every pair shares one.  The inputs must be as
+    delta3_closed_form asks; nothing is checked here.
     """
     model = b.model
-    bv, av, cv = b.values, a.values, c.values
-    rho = chi_minus1_over2(model).values
-    x_rows, y_rows = [], []
-    for chi_g, b_g, c_g, r_g in zip(model.chi, bv, cv, rho):
-        t_g = _BINOM2_MOD2[(b_g + 1) % 4]
-        x_rows.append(tuple([
-            (c_g * b_h + t_g * a_h + b_g * a_h * b_h + r_g * c_h) % 2
-            for b_h, a_h, c_h in zip(bv, av, cv)
-        ]))
-        y_rows.append(tuple([
-            (c_g * a_h + b_g * _BINOM2_MOD2[(chi_g * a_h + 1) % 4] + r_g * c_h) % 2
-            for a_h, c_h in zip(av, cv)
-        ]))
-    comp_x = Cochain2(model, 2, 3, tuple(x_rows))
-    # Row g of the y component for f(g) = 0 and for f(g) = 1.
-    a2 = [a_h % 2 for a_h in av]
-    y_rows = [(row, tuple(map(xor, row, a2))) for row in y_rows]
-    return [
-        (comp_x, Cochain2(model, 2, 3, tuple([row[f_g] for row, f_g in zip(y_rows, f.values)])))
-        for f in fs
-    ]
+    spread = model._bits.spread
+    r = chi_minus1_over2(model)._data
+    b2, a2, c2 = b.reduce2()._data, a.reduce2()._data, c._data
+    hb, ha = _binom2_bits(b), _binom2_bits(a)
+    x = spread(c2) * b2 ^ spread(hb ^ b2) * a2 ^ spread(b2) * (a2 & b2) ^ spread(r) * c2
+    y0 = spread(c2) * a2 ^ spread(b2) * ha ^ spread(b2 & ~r) * a2 ^ spread(r) * c2
+    comp_x = _new(Cochain2, model, 2, 3, x)
+    return [(comp_x, _new(Cochain2, model, 2, 3, y0 ^ spread(f._data) * a2)) for f in fs]
 
 
 def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[Cochain1, Cochain1]:
@@ -425,15 +572,22 @@ def _solutions(target: Cochain2) -> list[Cochain1]:
                 if gs not in reached:
                     reached.append(gs)
                     steps.append((gs, g, s))
+    walk = steps[len(gens):]  # the identity's steps reach the generators
+    t, n = target._data, model.order
+    # target(g, s) for each step of the walk
+    if modulus == 2:
+        walk_t = [t >> (g * n + s) & 1 for _, g, s in walk]
+    else:
+        walk_t = [t[g][s] for _, g, s in walk]
     out = []
     for gen_values in itertools.product(range(modulus), repeat=len(gens)):
-        values = [0] * model.order
+        values = [0] * n
         for s, v in zip(gens, gen_values):
             values[s] = v
-        for gs, g, s in steps[len(gens):]:  # the identity's steps reach the generators
-            values[gs] = (values[g] + twist[g] * values[s] - target.values[g][s]) % modulus
-        c = Cochain1(model, modulus, weight, tuple(values))
-        if coboundary(c).values == target.values:
+        for (gs, g, s), t_gs in zip(walk, walk_t):
+            values[gs] = (values[g] + twist[g] * values[s] - t_gs) % modulus
+        c = _new(Cochain1, model, modulus, weight, _pack(values) if modulus == 2 else tuple(values))
+        if coboundary(c) == target:
             out.append(c)
     return out
 
@@ -441,13 +595,16 @@ def _solutions(target: Cochain2) -> list[Cochain1]:
 def all_twisted_cocycles(model: GaloisModel, modulus: int, weight: int = 1) -> list[Cochain1]:
     """All cocycles c(gh) = c(g) + chi(g)^w c(h): the solutions of Dc = 0,
     in itertools.product order of their generator values."""
-    return _solutions(Cochain2(model, modulus, weight, ((0,) * model.order,) * model.order))
+    zero = 0 if modulus == 2 else ((0,) * model.order,) * model.order
+    return _solutions(_new(Cochain2, model, modulus, weight, zero))
 
 
 def lift_cochains(b: Cochain1, a: Cochain1) -> list[Cochain1]:
     """All lifts (b,a)_c: the mod-2 cochains c on b's model, of weight
     b.weight + a.weight, with Dc = -(b cup a) mod 2, sorted by their values."""
-    return sorted(_solutions(-cup(b.reduce2(), a.reduce2())), key=lambda c: c.values)
+    # c's values in order, as a string of 0s and 1s
+    fmt = f"0{b.model.order}b"
+    return sorted(_solutions(-cup(b.reduce2(), a.reduce2())), key=lambda c: format(c.bits, fmt)[::-1])
 
 
 def f_homs(model: GaloisModel) -> list[Cochain1]:

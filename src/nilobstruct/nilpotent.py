@@ -19,8 +19,9 @@ quotient with _reduce(v, spec.moduli).
 The Magnus embedding x -> 1 + X, y -> 1 + Y into noncommutative power series
 truncated in degree 3 provides an independent oracle: collection products are
 required to agree with embed/series-multiply/extract round trips.  A series is
-the tuple of its coefficients on _WORDS, and a quotient's series arithmetic is
-exact mod its magnus_modulus.  QuotientSpec, a NamedTuple, is the engine's one
+the tuple of its coefficients on _WORDS, the nine words the extraction reads
+and the words below them, and a quotient's series arithmetic is exact mod
+its magnus_modulus.  QuotientSpec, a NamedTuple, is the engine's one
 record.
 """
 
@@ -137,20 +138,20 @@ def all_elements(spec: QuotientSpec) -> list[Vec]:
 # Magnus series oracle
 # ---------------------------------------------------------------------------
 
-_WORDS = (
-    "",
-    "X", "Y",
-    "XX", "XY", "YX", "YY",
-    "XXX", "XXY", "XYX", "XYY", "YXX", "YXY", "YYX", "YYY",
-)
+# The words of degree <= 3 that _extract_vec reads, and the ones below them.
+# The other six cubic words span an ideal of the series truncated in degree
+# 3, so dropping them is an algebra map: a product's coefficients on these
+# nine words depend only on its factors' coefficients on them.
+_WORDS = ("", "X", "Y", "XX", "XY", "YX", "YY", "XXY", "YYX")
 _WIDX = {w: i for i, w in enumerate(_WORDS)}
 _NWORDS = len(_WORDS)
+
 
 def _seriesmul_vec(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     # Coefficient of word w: the sum of s[u] * t[v] over the splits w = uv,
     # written out for every word of _WORDS.
-    s0, sx, sy, sxx, sxy, syx, syy, sxxx, sxxy, sxyx, sxyy, syxx, syxy, syyx, syyy = s
-    t0, tx, ty, txx, txy, tyx, tyy, txxx, txxy, txyx, txyy, tyxx, tyxy, tyyx, tyyy = t
+    s0, sx, sy, sxx, sxy, syx, syy, sxxy, syyx = s
+    t0, tx, ty, txx, txy, tyx, tyy, txxy, tyyx = t
     return (
         s0 * t0,
         s0 * tx + sx * t0,
@@ -159,14 +160,8 @@ def _seriesmul_vec(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
         s0 * txy + sx * ty + sxy * t0,
         s0 * tyx + sy * tx + syx * t0,
         s0 * tyy + sy * ty + syy * t0,
-        s0 * txxx + sx * txx + sxx * tx + sxxx * t0,
         s0 * txxy + sx * txy + sxx * ty + sxxy * t0,
-        s0 * txyx + sx * tyx + sxy * tx + sxyx * t0,
-        s0 * txyy + sx * tyy + sxy * ty + sxyy * t0,
-        s0 * tyxx + sy * txx + syx * tx + syxx * t0,
-        s0 * tyxy + sy * txy + syx * ty + syxy * t0,
         s0 * tyyx + sy * tyx + syy * tx + syyx * t0,
-        s0 * tyyy + sy * tyy + syy * ty + syyy * t0,
     )
 
 
@@ -186,16 +181,11 @@ def _series_one() -> tuple[int, ...]:
     return (1,) + (0,) * (_NWORDS - 1)
 
 
-def _binom3(n: int) -> int:
-    return n * (n - 1) * (n - 2) // 6
-
-
 def _xpow(b: int) -> tuple[int, ...]:
     s = [0] * _NWORDS
     s[_WIDX[""]] = 1
     s[_WIDX["X"]] = b
     s[_WIDX["XX"]] = _binom2(b)
-    s[_WIDX["XXX"]] = _binom3(b)
     return tuple(s)
 
 
@@ -204,7 +194,6 @@ def _ypow(a: int) -> tuple[int, ...]:
     s[_WIDX[""]] = 1
     s[_WIDX["Y"]] = a
     s[_WIDX["YY"]] = _binom2(a)
-    s[_WIDX["YYY"]] = _binom3(a)
     return tuple(s)
 
 
@@ -222,7 +211,7 @@ _W2_SERIES = _commutator_series(_Z_SERIES, _ypow(1))
 
 
 # The degree-3 coefficients of [x,y], [[x,y],x] and [[x,y],y], one
-# (z, w1, w2) triple per word XXX .. YYY in _WORDS order.
+# (z, w1, w2) triple per word XXY, YYX.
 _CUBIC = tuple(zip(_Z_SERIES[7:], _W1_SERIES[7:], _W2_SERIES[7:]))
 
 
@@ -239,12 +228,12 @@ def _embed_vec(v: Vec, m: int) -> tuple[int, ...]:
     the head's degree-1 part bX + aY times c(XY - YX).
     """
     a, b, c, d, e = v
-    ab2, bb2 = _binom2(a), _binom2(b)
-    bc, ac = b * c, a * c
-    # The head's cubic words plus the cross terms bc(XXY - XYX) + ac(YXY - YYX).
-    head = (_binom3(b), bc, -bc, 0, a * bb2, ac, ab2 * b - ac, _binom3(a))
+    ab2 = _binom2(a)
+    # XXY has the cross term bc; YYX has the head's C(a, 2) b and the cross
+    # term -ac.
+    head = (b * c, ab2 * b - a * c)
     return (
-        1, b % m, a % m, bb2 % m, c % m, (a * b - c) % m, ab2 % m,
+        1, b % m, a % m, _binom2(b) % m, c % m, (a * b - c) % m, ab2 % m,
         *[(h + c * z + d * w1 + e * w2) % m for h, (z, w1, w2) in zip(head, _CUBIC)],
     )
 
@@ -263,7 +252,7 @@ def _extract_vec(s: tuple[int, ...], m: int) -> Vec:
     C(a, 2) - a^2 + C(a + 1, 2) = 0.  a, b, c are reduced mod m before they
     enter d and e, whose other terms are linear in the coefficients.
     """
-    _, b, a, _, c, yx, _, _, xxy, _, _, _, _, yyx, _ = s
+    _, b, a, _, c, yx, _, xxy, yyx = s
     a, b, c = a % m, b % m, c % m
     return (a, b, c, (b * c - xxy) % m, (yyx - a * yx + b * _binom2(a + 1)) % m)
 
@@ -297,7 +286,7 @@ def boundary_of_section(
     width = len(p[0])
     if width not in (2, 3) or any(len(t) != width for t in p):
         raise InvalidCocycleError("section values must be all pairs or all triples")
-    f_values = [(0,) * model.order] if fs is None or width == 2 else [f.values for f in fs]
+    f_bits = [0] if fs is None or width == 2 else [f.bits for f in fs]
 
     # Reduced exponent vectors in TOWER4, the reduced mul_vec and act_vec
     # products the nilpotent suite checks.  The acted section
@@ -306,13 +295,16 @@ def boundary_of_section(
     # distinct f(g) among fs: at most two rows per g, whatever the number
     # of f.
     moduli = TOWER4.moduli
+    n = model.order
+    columns = range(n)
     sect = [_reduce((*t, 0, 0, 0)[:5], moduli) for t in p]
     acted = {}
-    # rows[g][f(g)]: the (c, d, e) rows of the products of row g.
+    # rows[g][f(g)]: the (c, d, e) rows of the products of row g, each an
+    # n-bit int with bit h for the product of (g, h).
     rows = []
     for g, row in enumerate(model.table):
         s_g, by_f = sect[g], {}
-        for f_g in {f[g] for f in f_values}:
+        for f_g in {f >> g & 1 for f in f_bits}:
             key = (model.chi[g] % 8, f_g)
             if key not in acted:
                 acted[key] = [_reduce(act_vec(s_h, *key), moduli) for s_h in sect]
@@ -328,15 +320,16 @@ def boundary_of_section(
             # central degree-3 letters, so got = s(p(gh)) z carries z's d and
             # e.  At level 2, z is [x,y]^c times degree-3 letters, and moving
             # it past s(p(gh)) changes only d and e, so got carries z's c.
-            # TOWER4 keeps c, d and e mod 2.
-            by_f[f_g] = tuple(zip(*got))[2:]
+            # TOWER4 keeps c, d and e mod 2, so each is one bit.
+            by_f[f_g] = [sum(map(operator.lshift, bits, columns)) for bits in tuple(zip(*got))[2:]]
         rows.append(by_f)
+    # Row g of a cochain is bits g*n .. g*n + n - 1 of its int.
+    shifts = range(0, n * n, n)
+
+    def cochain(weight, coordinate, f):
+        row_bits = [by_f[f >> g & 1][coordinate] for g, by_f in enumerate(rows)]
+        return Cochain2.from_bits(model, weight, sum(map(operator.lshift, row_bits, shifts)))
+
     if width == 2:
-        return (Cochain2(model, 2, 2, tuple([by_f[0][0] for by_f in rows])),)
-    return [
-        (
-            Cochain2(model, 2, 3, tuple([by_f[f_g][1] for by_f, f_g in zip(rows, f)])),
-            Cochain2(model, 2, 3, tuple([by_f[f_g][2] for by_f, f_g in zip(rows, f)])),
-        )
-        for f in f_values
-    ]
+        return (cochain(2, 0, 0),)
+    return [(cochain(3, 1, f), cochain(3, 2, f)) for f in f_bits]

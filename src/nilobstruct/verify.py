@@ -139,7 +139,7 @@ def check_dbchoose2(model: GaloisModel, data) -> CheckResult:
         result.cases += 1
         lhs = coboundary(binom2(b))
         rhs = -cup(b.reduce2() + rho, b.reduce2())
-        if lhs.values != rhs.values:
+        if lhs != rhs:
             result.failures.append(f"b={b.values}")
     return result
 
@@ -158,21 +158,16 @@ def check_dcb_lemma(model: GaloisModel, data, rng: random.Random, exhaustive: bo
             Cochain1(model, 4, 2, (0, *(rng.randrange(4) for _ in range(n - 1))))
             for _ in range(32)
         ]
+    # Dc for each c, shared by every b.
+    dcs = [coboundary(c).values for c in cochains]
     for b in data[0]:
-        for c in cochains:
+        # b(g) + chi(g) b(h) mod 4, the factor of Dc(g, h); b has weight 1.
+        factor = [[(b_g + chi * b_h) % 4 for b_h in b.values] for b_g, chi in zip(b.values, model.chi)]
+        for c, dc in zip(cochains, dcs):
             result.cases += 1
-            dc = coboundary(c)
             lhs = coboundary(c.pointwise_mul(b)) + cup(b, c) + cup(c, b)
-            rows = []
-            for g in model.elements():
-                chi_g = pow(model.chi[g], 1, 4)
-                rows.append(
-                    tuple(
-                        dc.values[g][h] * (b.values[g] + chi_g * b.values[h]) % 4
-                        for h in model.elements()
-                    )
-                )
-            if lhs.values != tuple(rows):
+            rhs = tuple([tuple([x * y % 4 for x, y in zip(dc_g, f_g)]) for dc_g, f_g in zip(dc, factor)])
+            if lhs.values != rhs:
                 result.failures.append(f"b={b.values} c={c.values}")
     return result
 
@@ -186,7 +181,7 @@ def check_graded_symmetry(model: GaloisModel, data) -> CheckResult:
             result.cases += 1
             lhs = cup(b, a) + cup(a, b)
             rhs = -coboundary(a.pointwise_mul(b))
-            if lhs.values != rhs.values:
+            if lhs != rhs:
                 result.failures.append(f"b={b.values} a={a.values}")
     return result
 
@@ -210,9 +205,8 @@ def check_boundary_n2(model: GaloisModel, data) -> CheckResult:
     for b in cocycles:
         for a in cocycles:
             result.cases += 1
-            p = [(a.values[g], b.values[g]) for g in model.elements()]
-            (bd,) = nil.boundary_of_section(model, p)
-            if bd.values != cup(b.reduce2(), a.reduce2()).values:
+            (bd,) = nil.boundary_of_section(model, list(zip(a.values, b.values)))
+            if bd != cup(b.reduce2(), a.reduce2()):
                 result.failures.append(f"b={b.values} a={a.values}")
     return result
 
@@ -225,54 +219,66 @@ def check_boundary_n3(model: GaloisModel, data) -> CheckResult:
     section boundary is taken once per lift for all f, and D(w_x) is added
     to the closed form's x component once per lift, since that component
     does not depend on f.  The cocycle law of each distinct boundary is
-    checked once, through a memo keyed by its values that ends with the
-    check: every boundary here has modulus 2 and weight 3.
+    checked once, through a memo keyed by its bits that ends with the
+    check: every boundary here has modulus 2 and weight 3, so its bits name
+    it.
     """
     result = CheckResult("level-3 boundary == delta3 formulas", model.name, 0)
     _, homs, lifts = data
     cocycle = {}
 
     def is_cocycle(z):
-        ok = cocycle.get(z.values)
+        ok = cocycle.get(z.bits)
         if ok is None:
-            ok = cocycle[z.values] = z.is_cocycle()
+            ok = cocycle[z.bits] = z.is_cocycle()
         return ok
 
     for b, a, c, forms in lifts:
-        p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
+        p = list(zip(a.values, b.values, c.values))
         dwx, dwy = (coboundary(w) for w in delta3_correction_cochains(b, a, c))
         # The closed form's x component is one cochain for every f.
-        corrected_x = (forms[0][0][0] + dwx).values
-        for (bd_x, bd_y), (closed, direct) in zip(nil.boundary_of_section(model, p, homs), forms):
+        corrected_x = forms[0][0][0] + dwx
+        for bd, (closed, direct) in zip(nil.boundary_of_section(model, p, homs), forms):
+            bd_x, bd_y = bd
             result.cases += 1
-            if (bd_x.values, bd_y.values) != (direct[0].values, direct[1].values):
+            if bd != direct:
                 result.failures.append(f"direct: b={b.values} a={a.values} c={c.values}")
-            if (bd_x.values, bd_y.values) != (corrected_x, (closed[1] + dwy).values):
+            if bd != (corrected_x, closed[1] + dwy):
                 result.failures.append(f"closed+D: b={b.values} a={a.values} c={c.values}")
             if not (is_cocycle(bd_x) and is_cocycle(bd_y)):
                 result.failures.append(f"not cocycle: b={b.values} a={a.values} c={c.values}")
     return result
 
 
+def _by_pair(lifts):
+    """The lifts grouped by their pair (b, a): one group per run of lifts
+    with one pair, as _model_data lists them."""
+    return itertools.groupby(lifts, key=operator.itemgetter(0, 1))
+
+
 def check_massey(model: GaloisModel, data) -> CheckResult:
     """Massey products with the canonical defining systems equal the closed forms.
 
     The Massey products do not depend on f, so they are taken once per lift
-    and compared with the closed form stored for every f in ``data``.
+    and compared with the closed form stored for every f in ``data``; what
+    depends on (b, a) and f alone is built once per pair.
     """
     result = CheckResult("massey == closed form", model.name, 0)
     rho = chi_minus1_over2(model)
     _, homs, lifts = data
-    for b, a, c, forms in lifts:
+    for (b, a), pair in _by_pair(lifts):
         b2, a2 = b.reduce2(), a.reduce2()
-        mx = massey_triple(b2 + rho, b2, a2, -binom2(b), -c)
-        c_minus_ab = c - a2.pointwise_mul(b2)
-        minus_my = massey_triple(a2 + rho, a2, b2, -binom2(a), c_minus_ab)
-        for f, (closed, _) in zip(homs, forms):
-            result.cases += 1
-            my = -minus_my - cup(f, a2)
-            if (mx.values, my.values) != (closed[0].values, closed[1].values):
-                result.failures.append(f"b={b.values} a={a.values} c={c.values}")
+        alpha_x, alpha_y = b2 + rho, a2 + rho
+        minus_hb, minus_ha, ab = -binom2(b), -binom2(a), a2.pointwise_mul(b2)
+        f_cups = [cup(f, a2) for f in homs]
+        for _, _, c, forms in pair:
+            mx = massey_triple(alpha_x, b2, a2, minus_hb, -c)
+            minus_my = massey_triple(alpha_y, a2, b2, minus_ha, c - ab)
+            for f_cup, (closed, _) in zip(f_cups, forms):
+                result.cases += 1
+                my = -minus_my - f_cup
+                if (mx, my) != closed:
+                    result.failures.append(f"b={b.values} a={a.values} c={c.values}")
     return result
 
 
@@ -281,27 +287,31 @@ def check_lift_shift(model: GaloisModel, data) -> CheckResult:
 
     The lifts of (b, a) are a coset of the weight-2 mod-2 cocycles, i.e. of
     the f in ``data``, so every c + eps is looked up among its lifts, by the
-    closed form stored at f = 0.
+    closed form stored at f = 0.  The shifts depend on (b, a) and eps alone,
+    so they are built once per pair.
     """
     result = CheckResult("lift shift law", model.name, 0)
     rho = chi_minus1_over2(model)
     _, homs, lifts = data
     zero = homs.index(coh.zero1(model, 2, 2))
-    closed = {(b.values, a.values, c.values): forms[zero][0] for b, a, c, forms in lifts}
-    for b, a, c, _ in lifts:
-        base = closed[b.values, a.values, c.values]
+    # b and a are mod-4 cocycles, keyed by their values; c by its bits.
+    closed = {(b.values, a.values, c.bits): forms[zero][0] for b, a, c, forms in lifts}
+    for (b, a), pair in _by_pair(lifts):
         minus_b, minus_a = b.reduce2() + rho, a.reduce2() + rho
-        for eps in homs:
-            result.cases += 1
-            key = (b.values, a.values, (c + eps).values)
-            shifted = closed.get(key)
-            if shifted is None:
-                result.failures.append(f"not a lift: b={key[0]} a={key[1]} c={key[2]}")
-                continue
-            if (shifted[0] - base[0]).values != cup(minus_b, eps).values:
-                result.failures.append(f"x-shift b={b.values} eps={eps.values}")
-            if (shifted[1] - base[1]).values != cup(minus_a, eps).values:
-                result.failures.append(f"y-shift a={a.values} eps={eps.values}")
+        shifts = [(eps, cup(minus_b, eps), cup(minus_a, eps)) for eps in homs]
+        for _, _, c, _ in pair:
+            base = closed[b.values, a.values, c.bits]
+            for eps, x_shift, y_shift in shifts:
+                result.cases += 1
+                shifted_c = c + eps
+                shifted = closed.get((b.values, a.values, shifted_c.bits))
+                if shifted is None:
+                    result.failures.append(f"not a lift: b={b.values} a={a.values} c={shifted_c.values}")
+                    continue
+                if shifted[0] - base[0] != x_shift:
+                    result.failures.append(f"x-shift b={b.values} eps={eps.values}")
+                if shifted[1] - base[1] != y_shift:
+                    result.failures.append(f"y-shift a={a.values} eps={eps.values}")
     return result
 
 
@@ -330,11 +340,10 @@ def check_fbar_mod48() -> CheckResult:
     model = units_model(48)
     result = CheckResult("fbar on units mod 48", model.name, 0)
     f = f_cocycle(model)
-    for g in model.elements():
+    for chi, f_g in zip(model.chi, f.values):
         result.cases += 1
-        chi = model.chi[g]
         want = 1 if chi % 8 in (3, 5) else 0
-        if f.values[g] != want:
+        if f_g != want:
             result.failures.append(f"chi={chi}")
     if not f.is_cocycle():
         result.failures.append("fbar is not a cocycle")

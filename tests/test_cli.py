@@ -315,3 +315,21 @@ def test_module_entry_point_exit_codes(capsys):
     assert "the place 2" in proc.stderr
 
     assert _run_module("report", "0", "5").returncode == 2
+
+
+@pytest.mark.parametrize("argv", (("report", "-1", "5"), ("report", "-1", "5", "--json")))
+def test_a_closed_stdout_exits_141_with_no_error(argv):
+    """A reader that closes the pipe before the output is written (as `| head
+    -0` can) gets exit code 141, 128 + SIGPIPE, and nothing on stderr: no
+    "internal error" (exit 1 means an inconsistency) and no second error
+    from the interpreter's flush at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilobstruct", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

@@ -30,6 +30,7 @@ from nilobstruct.cohomology import (
     units_model,
     zero1,
 )
+from nilobstruct.cohomology import _solutions
 from nilobstruct.nilpotent import boundary_of_section
 
 
@@ -267,6 +268,109 @@ def test_cochain_kernels_match_their_definitions(model):
             )
             assert (-random_z).values == tuple(tuple(-x % modulus for x in r) for r in random_z.values)
     assert verdicts1 == verdicts2 == {True, False}
+
+
+def _mod2_samples(model, rng, count):
+    """The mod-2 value tuples of 1-cochains on model: every one at order <= 4,
+    and a seeded sample of count at the larger orders."""
+    n = model.order
+    if n <= 4:
+        return list(itertools.product((0, 1), repeat=n))
+    return [tuple(rng.randrange(2) for _ in range(n)) for _ in range(count)]
+
+
+def _rows(model, flat):
+    n = model.order
+    return tuple(tuple(flat[g * n : (g + 1) * n]) for g in range(n))
+
+
+@pytest.mark.parametrize("model", standard_models() + extra_models(), ids=lambda m: m.name)
+@pytest.mark.parametrize("weight", (1, 2, 3))
+def test_mod2_bits_match_the_tuple_definitions(model, weight):
+    """At modulus 2 a cochain is an int of bits; cup, coboundary, +,
+    pointwise_mul, both is_cocycle and the values view agree with the tuple
+    definitions, on every cochain and every pair of cochains at order <= 4
+    and on a seeded sample at orders 6 and 8.  The 2-cochains are every
+    coboundary, cup and sum built so, a seeded sample of random ones (all
+    of them at order 2), and each of those with one entry flipped."""
+    rng = random.Random(f"{model.name} {weight}")
+    n = model.order
+    singles = _mod2_samples(model, rng, 48)
+    pairs = list(itertools.product(singles, repeat=2)) if n <= 4 else list(zip(singles, reversed(singles)))
+    twos = set()
+    for u, v in pairs:
+        c, d = Cochain1(model, 2, weight, u), Cochain1(model, 2, weight, v)
+        assert (c.values, d.values) == (u, v)
+        assert c.bits == sum(x << g for g, x in enumerate(u))
+        dc, cd = coboundary(c), cup(c, d)
+        assert dc.values == _coboundary_by_definition(c)
+        assert (cd.values, cd.weight) == (_cup_by_definition(c, d), 2 * weight)
+        assert (c + d).values == (c - d).values == tuple((x + y) % 2 for x, y in zip(u, v))
+        assert c.pointwise_mul(d).values == tuple(x * y for x, y in zip(u, v))
+        assert c.is_cocycle() == _is_cocycle1_by_definition(c)
+        dd = coboundary(d)
+        assert (dc + dd).values == tuple(
+            tuple((x + y) % 2 for x, y in zip(r, s)) for r, s in zip(dc.values, dd.values)
+        )
+        twos.update((dc.values, cd.values, (dc + dd).values))
+    if n == 2:
+        twos.update(_rows(model, flat) for flat in itertools.product((0, 1), repeat=4))
+    twos.update(_rows(model, [rng.randrange(2) for _ in range(n * n)]) for _ in range(64))
+    verdicts = set()
+    for values in list(twos):
+        g, h = rng.randrange(n), rng.randrange(n)
+        flipped = [list(row) for row in values]
+        flipped[g][h] ^= 1
+        for rows in (values, tuple(map(tuple, flipped))):
+            z = Cochain2(model, 2, weight, rows)
+            assert z.values == rows
+            assert z.bits == sum(x << (g * n + h) for g, row in enumerate(rows) for h, x in enumerate(row))
+            assert z.is_zero() == (not any(map(any, rows)))
+            verdicts.add(z.is_cocycle())
+            assert z.is_cocycle() == _is_cocycle2_by_definition(z)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("model", standard_models() + extra_models(), ids=lambda m: m.name)
+def test_mod2_reductions_match_the_tuple_definitions(model):
+    """reduce2 and binom2 of mod-4 cochains, as bits, against v mod 2 and
+    C(v, 2) mod 2: every mod-4 cochain at order <= 4, a seeded sample at
+    orders 6 and 8."""
+    rng = random.Random(model.name)
+    n = model.order
+    if n <= 4:
+        samples = itertools.product(range(4), repeat=n)
+    else:
+        samples = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(256)]
+    for values in samples:
+        b = Cochain1(model, 4, 1, values)
+        assert b.values == values
+        assert b.reduce2().values == tuple(v % 2 for v in values)
+        assert binom2(b).values == tuple(v * (v - 1) // 2 % 2 for v in values)
+        assert binom2(b).weight == 2 and b.reduce2().weight == 1
+
+
+@pytest.mark.parametrize("model", standard_models() + extra_models(), ids=lambda m: m.name)
+@pytest.mark.parametrize("weight", (1, 2, 3))
+def test_mod2_solutions_match_brute_force(model, weight):
+    """_solutions at modulus 2 gives every c with c(1) = 0 and Dc = target,
+    as brute force over all 2^(n - 1) such c finds them, on coboundary
+    targets and on targets that are no coboundary (found by none)."""
+    rng = random.Random(f"{model.name} {weight}")
+    n = model.order
+    candidates = [Cochain1(model, 2, weight, (0, *tail)) for tail in itertools.product((0, 1), repeat=n - 1)]
+    by_target = {}
+    for c in candidates:
+        by_target.setdefault(_coboundary_by_definition(c), []).append(c.values)
+    targets = [coboundary(rng.choice(candidates)).values for _ in range(8)]
+    targets += [_rows(model, [rng.randrange(2) for _ in range(n * n)]) for _ in range(8)]
+    missed = 0
+    for rows in targets:
+        want = by_target.get(rows, [])
+        missed += not want
+        got = [c.values for c in _solutions(Cochain2(model, 2, weight, rows))]
+        assert sorted(got) == want and len(set(got)) == len(got)
+    assert missed > 0
 
 
 class TestBinom2:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -284,14 +285,15 @@ class TestBoundary:
             boundary_of_section(cyclic_model(2, 7), [(0, 0, 0), (1, 1, 0)])
 
 
-def _word_convolution(s, t):
-    """Reference series product: concatenate every pair of words and keep the
-    words of total length <= 3."""
-    out = [0] * len(nil._WORDS)
-    for i, u in enumerate(nil._WORDS):
-        for j, v in enumerate(nil._WORDS):
-            if len(u) + len(v) <= 3:
-                out[nil._WIDX[u + v]] += s[i] * t[j]
+def _word_convolution(s, t, words=nil._WORDS):
+    """Reference series product on the given words: concatenate every pair
+    of words and keep the concatenations that are among them."""
+    index = {w: i for i, w in enumerate(words)}
+    out = [0] * len(words)
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            if u + v in index:
+                out[index[u + v]] += s[i] * t[j]
     return tuple(out)
 
 
@@ -301,6 +303,24 @@ def test_seriesmul_matches_word_convolution():
         s = tuple(rng.randint(-50, 50) for _ in nil._WORDS)
         t = tuple(rng.randint(-50, 50) for _ in nil._WORDS)
         assert nil._seriesmul_vec(s, t) == _word_convolution(s, t)
+
+
+# Every word in X, Y of degree <= 3.
+_ALL_WORDS = tuple("".join(w) for k in range(4) for w in itertools.product("XY", repeat=k))
+
+
+def test_seriesmul_is_the_projection_of_the_full_degree_3_product():
+    """Dropping the cubic words that _extract_vec does not read is an algebra
+    map: the product on the kept words is the full product projected."""
+    assert len(_ALL_WORDS) == 15 and set(nil._WORDS) <= set(_ALL_WORDS)
+    keep = [_ALL_WORDS.index(w) for w in nil._WORDS]
+    rng = random.Random(13)
+    for _ in range(2000):
+        s = tuple(rng.randint(-50, 50) for _ in _ALL_WORDS)
+        t = tuple(rng.randint(-50, 50) for _ in _ALL_WORDS)
+        full = _word_convolution(s, t, _ALL_WORDS)
+        projected = nil._seriesmul_vec(*([x[i] for i in keep] for x in (s, t)))
+        assert projected == tuple(full[i] for i in keep)
 
 
 def test_extraction_round_trips_full4_8():
@@ -375,7 +395,10 @@ def test_straight_line_magnus_matches_series_products_on_full4(m, u, v):
     assert extract(spec, s) == _extract_by_division(spec, s)
 
 
-@given(st.sampled_from(_FULL4_MODULI), st.lists(st.integers(-999, 999), min_size=14, max_size=14))
+_TAIL = len(nil._WORDS) - 1
+
+
+@given(st.sampled_from(_FULL4_MODULI), st.lists(st.integers(-999, 999), min_size=_TAIL, max_size=_TAIL))
 def test_extraction_needs_the_coefficients_only_mod_the_magnus_modulus(m, tail):
     """check_magnus extracts from unreduced series products: the result is
     that of the reduced series."""
@@ -384,7 +407,7 @@ def test_extraction_needs_the_coefficients_only_mod_the_magnus_modulus(m, tail):
     assert _extract_vec(s, modulus) == _extract_vec(tuple(x % modulus for x in s), modulus)
 
 
-@given(st.sampled_from(_FULL4_MODULI), st.lists(st.integers(0, 63), min_size=14, max_size=14))
+@given(st.sampled_from(_FULL4_MODULI), st.lists(st.integers(0, 63), min_size=_TAIL, max_size=_TAIL))
 def test_extraction_matches_division_on_any_unit_series(m, tail):
     """The extraction formulas are identities in the coefficients of any
     series with constant term 1, group element or not."""

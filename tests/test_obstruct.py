@@ -511,3 +511,30 @@ def test_records_are_immutable(name):
     field = type(record).__match_args__[0]
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
+
+
+@given(bounded_rationals.filter(lambda z: z != 1))
+def test_curve_points_are_never_obstructed(z):
+    """A rational point z of P^1 - {0, 1, inf} gives a section of pi_1 over
+    Q, whose image in every nilpotent quotient is a section too, over Q and
+    over every Q_v; its Abel-Jacobi image is (z, 1 - z).  So delta2 vanishes
+    globally and at every place, and delta3 at every place."""
+    rep = report(z, 1 - z)
+    assert rep.delta2.zero
+    assert all(inv == 0 for _, inv in rep.delta2_local)
+    assert all(r.status == ZERO for r in rep.delta3_local)
+
+
+def test_a_non_curve_point_can_pass_delta2_and_fail_delta3():
+    """(z, z - 1) is no curve point: on a seeded set some such point has
+    delta2 zero and delta3 nonzero at a place, so the test above has power
+    at level 3 and cannot pass vacuously."""
+    rng = random.Random(3)
+    hits = 0
+    for _ in range(300):
+        z = Fraction(rng.randint(-3000, 3000), rng.randint(1, 3000))
+        if z in (0, 1):
+            continue
+        rep = report(z, z - 1)
+        hits += rep.delta2.zero and any(r.status == NONZERO for r in rep.delta3_local)
+    assert hits > 0

@@ -76,6 +76,32 @@ def test_scripts_take_only_ascii_integers(script, option, value):
     assert "Traceback" not in proc.stderr
 
 
+def test_curve_point_scan_finds_no_obstruction():
+    proc = run_script("curve_point_scan.py", "--bound", "300")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("599 curve points (z, 1 - z), integers with |z| <= 300: 0 obstructed\n")
+
+
+def test_curve_point_scan_exits_1_on_an_obstruction(monkeypatch, capsys):
+    """Reading the point (z, z - 1), no curve point, obstructs some z."""
+    path = ROOT / "scripts" / "curve_point_scan.py"
+    spec = importlib.util.spec_from_file_location("curve_point_scan", path)
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    report = scan.report
+    monkeypatch.setattr(scan, "report", lambda b, a: report(b, b - 1))
+    monkeypatch.setattr(sys, "argv", ["curve_point_scan.py", "--bound", "30"])
+    assert scan.main() == 1
+    assert "z = " in capsys.readouterr().out
+
+
+def test_curve_point_scan_rejects_a_bound_with_no_point():
+    proc = run_script("curve_point_scan.py", "--bound", "0")
+    assert proc.returncode == 2
+    assert "--bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_specific_lift_scan_runs():
     proc = run_script("specific_lift_scan.py", "--max-p", "60")
     assert proc.returncode == 0, proc.stderr
