@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 
 from nilobstruct.cli import parse_int
-from nilobstruct.obstruct import BLOCKED, ZERO, delta3_congruence, delta3_local_odd
+from nilobstruct.obstruct import BLOCKED, ZERO, delta3_at, delta3_congruence
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -43,7 +43,7 @@ def main() -> int:
             continue
         b, a = (ramified, unit) if rng.random() < 0.5 else (unit, ramified)
         d2_zero, d3_zero = delta3_congruence(b, a, p)
-        result = delta3_local_odd(b, a, p)
+        result = delta3_at(b, a, p)
         if d2_zero:
             agree = (result.status == ZERO) == d3_zero
             cells[f"delta2=0, delta3{'=0' if d3_zero else '!=0'}"] += 1

@@ -8,10 +8,7 @@ from .obstruct import (
     delta3_at,
     delta3_congruence,
     delta3_global_family,
-    delta3_local_odd,
-    delta3_local_real,
     delta3_specific_lift_family,
-    relevant_places,
     report,
 )
 
@@ -22,14 +19,11 @@ __all__ = [
     "delta3_at",
     "delta3_congruence",
     "delta3_global_family",
-    "delta3_local_odd",
-    "delta3_local_real",
     "delta3_specific_lift_family",
     "factor",
     "is_fourth_power_mod",
     "legendre",
     "parse_rational",
-    "relevant_places",
     "report",
     "sqrt_mod",
     "symbol_at_2",

@@ -400,9 +400,12 @@ class Point(NamedTuple):
     """A point (b, a), validated and factored exactly once.
 
     ``local`` holds one entry ``(p, v_b, u_b, v_a, u_a)`` (as ``local_data``
-    gives it) per odd prime p dividing b or a, sorted by p.  The valuations
-    are the exponents of one factor_int pass over the four integer parts, so
-    every such p is a certified odd prime and no valuation is divided out again.
+    gives it) per odd prime p dividing b or a, sorted by p: the union of the
+    two supports, not the support of ab, since where the valuations cancel
+    (v_p(b) = -v_p(a) != 0) the symbol and the local invariant can still be
+    nontrivial.  The valuations are the exponents of one factor_int pass
+    over the four integer parts, so every such p is a certified odd prime
+    and no valuation is divided out again.
     ``v2`` holds the exponents of 2 in b and in a from the same pass, for the
     symbol at 2.
     """

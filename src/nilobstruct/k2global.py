@@ -91,16 +91,6 @@ def _symbol_at_2(dec_b: tuple[int, int, int], dec_a: tuple[int, int, int]) -> Ta
     return TameSymbolValue(2, -1 if exponent % 2 else 1)
 
 
-def support_odd_primes(b, a) -> tuple[int, ...]:
-    """Sorted odd primes dividing the numerator or denominator of b or of a.
-
-    The union of the two supports, not the support of the product: at a prime
-    where the valuations cancel (v_p(b) = -v_p(a) != 0) the symbol and the
-    local invariant can still be nontrivial.
-    """
-    return Point.of(b, a).primes()
-
-
 def delta2_global(b, a) -> Delta2GlobalVerdict:
     """Global delta2 through K2(Q).
 

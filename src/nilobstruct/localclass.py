@@ -52,7 +52,7 @@ def sqrt_square_class_vu(v: int, u: int, p: int) -> int:
     residue), p a certified odd prime.  For p = 3 mod 4 the two roots differ
     by {-1}, and the class returned is that of the root which is itself a
     square.  All downstream cup values are independent of this choice
-    whenever the delta2 precondition holds (see obstruct.delta3_local_odd).
+    whenever the delta2 precondition holds (see obstruct.delta3_local_odd_vu).
     """
     return v // 2 % 2 << 1 | (p % 4 == 1 and not _is_fourth_power_mod(u, p))
 

@@ -18,8 +18,9 @@ At an odd place two Legendre symbols give the classes of b and a.  Those
 of -b, -a and ab are their xors with each other and with the class of -1,
 which, like that of 2, is read from p mod 8.  Each square root enters a
 case only through its square class (localclass.sqrt_square_class_vu), so
-no root is computed; delta3_local_odd says why the choice of root does not
-matter.
+no root is computed; delta3_local_odd_vu says why the choice of root does
+not matter.  delta3_at is the one public local delta3 and the one border
+for a place.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .arith import (
     is_prime,
     local_data,
 )
-from .k2global import Delta2GlobalVerdict, delta2_global_point, support_odd_primes
+from .k2global import Delta2GlobalVerdict, delta2_global_point
 from .localclass import (
     REAL,
     Place,
@@ -97,36 +98,21 @@ class ObstructionReport(NamedTuple):
     consistent: bool
 
 
-def relevant_places(b, a) -> list[Place]:
-    """Odd primes in the support of b or a, then R; at every other odd place
-    all classes involved are unit classes, so nothing can be obstructed."""
-    return [*support_odd_primes(b, a), REAL]
-
-
-def delta3_local_odd(b, a, p: int) -> Delta3LocalResult:
-    """Three-case local delta3 mod 2 at an odd prime.
+def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta3LocalResult:
+    """Three-case local delta3 mod 2 at a certified odd prime p, from the
+    local data (see arith.local_data).
 
     A case applies when its square's class, an xor of the classes of b, a
     and -1, is trivial.  It then takes the class of one square root from
-    localclass.sqrt_square_class_vu.  The other root differs by {-1}, which
-    changes the case's value by {-1} cup partner, and that is 0 once
-    delta2 = b cup a vanishes:
+    localclass.sqrt_square_class_vu, read from the square itself: -b is
+    (v_b, -u_b) and ab is (v_b + v_a, u_b u_a).  The other root differs by
+    {-1}, which changes the case's value by {-1} cup partner, and that is 0
+    once delta2 = b cup a vanishes:
       (i)   {-b} = 0 gives {-1} cup a = b cup a;
       (ii)  {-a} = 0 gives {-1} cup b = a cup b;
       (iii) {ab} = 0 gives {-1} cup a = a cup a = b cup a.
     So every case trace, not only the verdict, is independent of the root.
     """
-    # Only the int 2 is the place 2; any p that is not an int, 2.0 too, is
-    # refused by type in local_data.
-    if p == 2 and isinstance(p, int):
-        raise UnsupportedPlaceError("local delta3 is not evaluated at the place 2")
-    return delta3_local_odd_vu(*local_data(b, a, p), p)
-
-
-def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta3LocalResult:
-    """delta3_local_odd from the local data (see arith.local_data) at a
-    certified odd prime.  A root's class is read from the square itself:
-    -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a)."""
     cls_b = square_class_vu(v_b, u_b, p)
     cls_a = square_class_vu(v_a, u_a, p)
     if cup_qp(cls_b, cls_a, p):
@@ -185,16 +171,6 @@ _REAL_PLACE = {
 }
 
 
-def delta3_local_real(b, a) -> Delta3LocalResult:
-    """delta3 mod 2 at R: both lifts over the order-2 model of G_R.
-
-    One of the two lifts always evaluates to (0, 0), so on the kernel of real
-    delta2 the status is ZERO.  The result depends only on the signs of b and
-    a (see _REAL_PLACE).
-    """
-    return _REAL_PLACE[as_rational(b) < 0, as_rational(a) < 0]
-
-
 class SpecificLiftResult(NamedTuple):
     """Per-place delta3 values of the lift c0 = 3*(p choose 2) of (-p^3, p);
     at_p holds the two invariant bits at p."""
@@ -234,7 +210,7 @@ def delta3_global_family(p: int) -> GlobalFamilyResult:
         raise OutOfFamilyError(f"{p} is not a prime congruent to 5 mod 8")
     # -p^3 and p have the local data (3, p - 1) and (1, 1) at p.
     local = delta3_local_odd_vu(3, p - 1, 1, 1, p)
-    real = delta3_local_real(-(p**3), p)
+    real = _REAL_PLACE[True, False]  # -p^3 < 0 < p
     if local.status != ZERO or real.status != ZERO:
         raise AssertionError(f"family hypothesis failed at p={p}")  # pragma: no cover
     trace = (
@@ -250,15 +226,27 @@ def delta3_global_family(p: int) -> GlobalFamilyResult:
 
 
 def delta3_at(b, a, place: Place) -> Delta3LocalResult:
-    """Local delta3 at any single place (odd prime or R)."""
+    """Local delta3 mod 2 of (b, a) at one place: R or an odd prime.
+
+    At R the entry depends only on the signs of b and a (see _REAL_PLACE);
+    on the kernel of real delta2 one lift vanishes, so the status is ZERO.
+    The place 2 is refused here.  Any other place goes through
+    arith.local_data, which checks the prime, then b, then a.
+    """
     if place == REAL:
-        return delta3_local_real(b, a)
-    return delta3_local_odd(b, a, place)
+        return _REAL_PLACE[as_rational(b) < 0, as_rational(a) < 0]
+    # Only the int 2 is the place 2; any place that is not an int, 2.0 too,
+    # is refused by type in local_data.
+    if place == 2 and isinstance(place, int):
+        raise UnsupportedPlaceError("local delta3 is not evaluated at the place 2")
+    return delta3_local_odd_vu(*local_data(b, a, place), place)
 
 
 def report(b, a) -> ObstructionReport:
     """Full per-place delta2/delta3 report with fast-path and reciprocity
-    notes, at the places relevant_places(b, a)."""
+    notes, at the odd primes of Point.of(b, a) and then R; at every other
+    odd place all classes involved are unit classes, so nothing can be
+    obstructed."""
     point = Point.of(b, a)
     b, a = point.b, point.a
     d3_local = [delta3_local_odd_vu(*data, p) for p, *data in point.local]

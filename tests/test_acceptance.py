@@ -15,18 +15,17 @@ from fractions import Fraction
 from conftest import ODD_PRIMES_TO_97, lookup
 from nilobstruct import nilpotent as nil
 from nilobstruct import verify
-from nilobstruct.arith import is_fourth_power_mod, is_prime, legendre
+from nilobstruct.arith import Point, is_fourth_power_mod, is_prime, legendre
 from nilobstruct.cli import main
 from nilobstruct.cohomology import standard_models
-from nilobstruct.k2global import support_odd_primes, symbol_at_2
+from nilobstruct.k2global import symbol_at_2
 from nilobstruct.localclass import REAL, delta2_local
 from nilobstruct.obstruct import (
     BLOCKED,
     ZERO,
+    delta3_at,
     delta3_congruence,
     delta3_global_family,
-    delta3_local_odd,
-    delta3_local_real,
     delta3_specific_lift_family,
 )
 
@@ -65,7 +64,7 @@ def test_criterion_1_delta2_global():
 
 def test_criterion_2_separation_at_five():
     d2 = delta2_local(-1, 5, 5)
-    result = delta3_local_odd(-1, 5, 5)
+    result = delta3_at(-1, 5, 5)
     case_i = next(t for t in result.cases if t.case == "i")
     ok = (
         d2 == 0
@@ -95,7 +94,7 @@ def test_criterion_3_congruence_equivalence():
         d2_zero, d3_zero = delta3_congruence(b, a, p)
         ok = ok and d2_zero == (legendre(a + b, p) == 1)
         ok = ok and d2_zero == (delta2_local(b, a, p) == 0)
-        result = delta3_local_odd(b, a, p)
+        result = delta3_at(b, a, p)
         if not d2_zero:
             ok = ok and result.status == BLOCKED
         else:
@@ -111,14 +110,14 @@ def test_criterion_4_family_vanishing():
     ok = True
     for p in ODD_PRIMES_TO_97:
         for m in (1, 2, 3):
-            ok = ok and delta3_local_odd(-(p ** (2 * m + 1)), p, p).status == ZERO
-            ok = ok and delta3_local_odd(p ** (2 * m), p, p).status == ZERO
+            ok = ok and delta3_at(-(p ** (2 * m + 1)), p, p).status == ZERO
+            ok = ok and delta3_at(p ** (2 * m), p, p).status == ZERO
     rng = random.Random(1002)
     primes_3mod4 = [p for p in ODD_PRIMES_TO_97 if p % 4 == 3]
     for _ in range(100):
         p = rng.choice(primes_3mod4)
         x = p * rng.choice([k for k in range(-10**4 // p, 10**4 // p + 1) if k])
-        ok = ok and delta3_local_odd((1 - x) * -x, x, p).status == ZERO
+        ok = ok and delta3_at((1 - x) * -x, x, p).status == ZERO
     _line(4, ok, "(-p^{2m+1},p), (p^{2m},p) for p<=97, m<=3 and ((1-x)(-x),x) all ZERO")
 
 
@@ -202,7 +201,7 @@ def test_criterion_10_reciprocity():
         if not (b and a):
             continue
         xor = 0
-        for v in [*support_odd_primes(b, a), REAL]:
+        for v in [*Point.of(b, a).primes(), REAL]:
             xor ^= delta2_local(b, a, v)
         ok = ok and (xor == 1) == (symbol_at_2(b, a).value == -1)
         checked += 1
@@ -216,7 +215,7 @@ def test_criterion_11_real_place():
     while checked < 500:
         b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**3), rng.randint(1, 50))
         a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**3), rng.randint(1, 50))
-        result = delta3_local_real(b, a)
+        result = delta3_at(b, a, REAL)
         if b < 0 and a < 0:
             ok = ok and result.status == BLOCKED
         else:

@@ -27,7 +27,6 @@ from nilobstruct.localclass import delta2_local
 from nilobstruct.obstruct import (
     delta3_at,
     delta3_global_family,
-    delta3_local_odd,
     delta3_specific_lift_family,
     report,
 )
@@ -205,7 +204,6 @@ PRIME_TAKERS = {
     "sqrt_mod": lambda p: sqrt_mod(2, p),
     "tame_symbol_odd": lambda p: tame_symbol_odd(3, 5, p),
     "delta2_local": lambda p: delta2_local(3, 5, p),
-    "delta3_local_odd": lambda p: delta3_local_odd(3, 5, p),
     "delta3_at": lambda p: delta3_at(3, 5, p),
     "delta3_specific_lift_family": delta3_specific_lift_family,
     "delta3_global_family": delta3_global_family,

@@ -272,6 +272,29 @@ def test_failed_self_check_exits_one_with_same_output(capsys, monkeypatch, comma
     assert capsys.readouterr().out == bad_out
 
 
+def test_package_exports_resolve_and_star_import_binds_them():
+    """Every name in nilobstruct.__all__ resolves, no public non-module name
+    of the package is left out, and `from nilobstruct import *` binds
+    exactly the names of __all__."""
+    import inspect
+
+    import nilobstruct
+
+    exported = nilobstruct.__all__
+    assert len(set(exported)) == len(exported)
+    for name in exported:
+        assert hasattr(nilobstruct, name), name
+    public = {
+        name for name, value in vars(nilobstruct).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(exported)
+    namespace = {}
+    exec("from nilobstruct import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(exported)
+
+
 def test_report_loads_neither_oracle_engine():
     """report() and the delta2, delta3 and report commands need arith,
     localclass, k2global and obstruct only; the cochain and nilpotent engines

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97
-from nilobstruct.arith import legendre, local_part, valuation
+from nilobstruct.arith import Point, legendre, local_part, valuation
 from nilobstruct.k2global import (
     decompose_2adic,
     delta2_global,
-    support_odd_primes,
     symbol_at_2,
     tame_symbol_odd,
 )
@@ -132,7 +131,7 @@ def _random_pairs(count, seed):
 def test_reciprocity_500_random():
     """XOR of odd/real invariants == nontriviality of the symbol at 2."""
     for b, a in _random_pairs(500, seed=11):
-        places = [*support_odd_primes(b, a), REAL]
+        places = [*Point.of(b, a).primes(), REAL]
         xor = 0
         for v in places:
             xor ^= delta2_local(b, a, v)
@@ -141,7 +140,7 @@ def test_reciprocity_500_random():
 
 def test_tame_symbol_mod2_image_is_local_invariant():
     for b, a in _random_pairs(300, seed=12):
-        for p in support_odd_primes(b, a):
+        for p in Point.of(b, a).primes():
             if p > 97:
                 continue
             symbol = tame_symbol_odd(b, a, p)
@@ -152,5 +151,5 @@ def test_global_zero_implies_local_zero():
     for b, a in _random_pairs(400, seed=13):
         verdict = delta2_global(b, a)
         if verdict.zero:
-            for v in [*support_odd_primes(b, a), REAL]:
+            for v in [*Point.of(b, a).primes(), REAL]:
                 assert delta2_local(b, a, v) == 0

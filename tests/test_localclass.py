@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97
-from nilobstruct.arith import is_prime, local_part, sqrt_mod
+from nilobstruct.arith import Point, is_prime, local_part, sqrt_mod
 from nilobstruct.localclass import (
     REAL,
     cup_qp,
@@ -206,9 +206,7 @@ def _random_rationals(count, seed):
 def test_steinberg_locally():
     """delta2(x, 1-x) vanishes at every odd place and at R, 200 random x."""
     for x in _random_rationals(200, seed=7):
-        from nilobstruct.obstruct import relevant_places
-
-        for v in relevant_places(x, 1 - x):
+        for v in [*Point.of(x, 1 - x).primes(), REAL]:
             assert delta2_local(x, 1 - x, v) == 0
 
 
@@ -227,7 +225,5 @@ def test_tangential_images_unobstructed():
     for w in _random_rationals(50, seed=8):
         points = [(w, Fraction(1)), (Fraction(1), -w), (1 / w, -1 / w), (-w, w)]
         for b, a in points:
-            from nilobstruct.obstruct import relevant_places
-
-            for v in relevant_places(b, a):
+            for v in [*Point.of(b, a).primes(), REAL]:
                 assert delta2_local(b, a, v) == 0

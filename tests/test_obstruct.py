@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97, is_lift, kummer_real_cocycle
 from nilobstruct import arith, localclass, obstruct
-from nilobstruct.arith import InvalidPrimeError, is_prime, sqrt_mod
+from nilobstruct.arith import InvalidPrimeError, Point, is_prime, legendre, sqrt_mod
 from nilobstruct.localclass import REAL, cup_qp, delta2_local, square_class_vu
 from nilobstruct.obstruct import (
     BLOCKED,
@@ -17,46 +18,46 @@ from nilobstruct.obstruct import (
     OutOfFamilyError,
     RealLift,
     UnsupportedPlaceError,
+    delta3_at,
     delta3_congruence,
     delta3_global_family,
-    delta3_local_odd,
     delta3_local_odd_vu,
-    delta3_local_real,
     delta3_specific_lift_family,
-    relevant_places,
     report,
 )
 
 
+def _places(b, a):
+    """The places of a report: the odd primes of the point, then R."""
+    return [*Point.of(b, a).primes(), REAL]
+
+
 class TestRelevantPlaces:
     def test_examples(self):
-        assert relevant_places(-1, 5) == [5, REAL]
-        assert relevant_places(Fraction(12, 7), 10) == [3, 5, 7, REAL]
-        assert relevant_places(1, 1) == [REAL]
+        assert _places(-1, 5) == [5, REAL]
+        assert _places(Fraction(12, 7), 10) == [3, 5, 7, REAL]
+        assert _places(1, 1) == [REAL]
+        assert [r.place for r in report(Fraction(12, 7), 10).delta3_local] == [3, 5, 7, REAL]
 
     def test_cancelling_valuations_still_relevant(self):
         # v_7 cancels in the product but the place still carries invariants
         b, a = Fraction(7 * 3), Fraction(-1, 7)
-        assert 7 in relevant_places(b, a)
+        assert 7 in _places(b, a)
         assert delta2_local(b, a, 7) == 1
 
 
 class TestDelta3At:
     def test_dispatches_real(self):
-        from nilobstruct.obstruct import delta3_at
-
         assert delta3_at(-3, 5, REAL).status == ZERO
 
     def test_dispatches_odd_and_off_support(self):
-        from nilobstruct.obstruct import delta3_at
-
         assert delta3_at(-1, 5, 5).status == NONZERO
         assert delta3_at(3, 7, 5).status == ZERO
 
 
 class TestDelta3LocalOdd:
     def test_minus_one_five(self):
-        result = delta3_local_odd(-1, 5, 5)
+        result = delta3_at(-1, 5, 5)
         assert result.status == NONZERO
         by_case = {t.case: t for t in result.cases}
         assert by_case["i"].applicable and by_case["i"].cup == 1
@@ -64,30 +65,30 @@ class TestDelta3LocalOdd:
         assert not by_case["iii"].applicable
 
     def test_blocked_by_delta2(self):
-        result = delta3_local_odd(18, 5, 5)
+        result = delta3_at(18, 5, 5)
         assert result.status == BLOCKED
         assert result.cases == ()
 
     def test_place_two_rejected(self):
         with pytest.raises(UnsupportedPlaceError):
-            delta3_local_odd(3, 5, 2)
+            delta3_at(3, 5, 2)
 
     @pytest.mark.parametrize("p", (3, 5, 13, 17))
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_odd_power_family(self, p, m):
-        assert delta3_local_odd(-(p ** (2 * m + 1)), p, p).status == ZERO
+        assert delta3_at(-(p ** (2 * m + 1)), p, p).status == ZERO
 
     @pytest.mark.parametrize("p", (3, 5, 13, 17))
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_even_power_family(self, p, m):
-        assert delta3_local_odd(p ** (2 * m), p, p).status == ZERO
+        assert delta3_at(p ** (2 * m), p, p).status == ZERO
 
     @pytest.mark.parametrize("p", (3, 7, 11, 19))
     def test_curve_shadow_family(self, p):
         rng = random.Random(p)
         for _ in range(20):
             x = p * rng.choice([k for k in range(-40, 41) if k])
-            assert delta3_local_odd((1 - x) * -x, x, p).status == ZERO
+            assert delta3_at((1 - x) * -x, x, p).status == ZERO
 
     def test_root_choice_independence(self, monkeypatch):
         """The other square root -r has the class of r times {-1}: the verdict
@@ -105,10 +106,10 @@ class TestDelta3LocalOdd:
             a = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
             if b and a:
                 points.append((b, a, p))
-        base = [delta3_local_odd(b, a, p) for b, a, p in points]
+        base = [delta3_at(b, a, p) for b, a, p in points]
         monkeypatch.setattr(obstruct, "sqrt_square_class_vu", other_root)
         for want, (b, a, p) in zip(base, points):
-            flipped = delta3_local_odd(b, a, p)
+            flipped = delta3_at(b, a, p)
             assert want.status == flipped.status
             assert want.cases == flipped.cases
 
@@ -123,10 +124,37 @@ class TestDelta3LocalOdd:
             t = Fraction(rng.randint(1, 30), rng.randint(1, 30))
             if not (b and a and s and t):
                 continue
-            base = delta3_local_odd(b, a, p)
-            moved = delta3_local_odd(b * s**4, a * t**4, p)
+            base = delta3_at(b, a, p)
+            moved = delta3_at(b * s**4, a * t**4, p)
             assert base.status == moved.status
             count += 1
+
+
+# Status counts of delta3_at over every pair of classes in Q_p^*/Q_p^{*4},
+# (blocked_by_delta2, zero, nonzero), by p mod 4.
+_CLASS_PAIR_COUNTS = {1: (96, 88, 72), 3: (24, 37, 3)}
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 17))
+def test_every_class_pair_at_one_prime_per_residue_mod_8(p):
+    """Every pair of classes p^v u^e (v < 4) in Q_p^*/Q_p^{*4}: u is the least
+    non-residue and e < 4 at p = 1 mod 4, u = -1 and e < 2 at p = 3 mod 4.
+    The status is invariant under sigma(b, a) = (a, b) and tau(b, a) =
+    (1/b, -a/b), and is blocked_by_delta2 exactly where delta2_local is 1/2."""
+    if p % 4 == 1:
+        u, orders = next(n for n in range(2, p) if legendre(n, p) == -1), 4
+    else:
+        u, orders = -1, 2
+    classes = [Fraction(p**v * u**e) for v in range(4) for e in range(orders)]
+    counts = collections.Counter()
+    for b in classes:
+        for a in classes:
+            status = delta3_at(b, a, p).status
+            counts[status] += 1
+            assert delta3_at(a, b, p).status == status
+            assert delta3_at(1 / b, -a / b, p).status == status
+            assert (delta2_local(b, a, p) == 1) == (status == BLOCKED)
+    assert (counts[BLOCKED], counts[ZERO], counts[NONZERO]) == _CLASS_PAIR_COUNTS[p % 4]
 
 
 def _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p):
@@ -248,20 +276,20 @@ class TestCongruence:
 
 class TestRealPlace:
     def test_both_positive(self):
-        result = delta3_local_real(2, 3)
+        result = delta3_at(2, 3, REAL)
         assert result.status == ZERO
         assert result.real_lifts[0] == RealLift("c=0", 0, 0)
 
     def test_mixed_signs(self):
-        result = delta3_local_real(-3, 5)
+        result = delta3_at(-3, 5, REAL)
         assert result.status == ZERO
         assert any(l.comp_x == 0 and l.comp_y == 0 for l in result.real_lifts)
 
     def test_tangential_image(self):
-        assert delta3_local_real(-1, 1).status == ZERO
+        assert delta3_at(-1, 1, REAL).status == ZERO
 
     def test_both_negative_blocked(self):
-        assert delta3_local_real(-2, -3).status == BLOCKED
+        assert delta3_at(-2, -3, REAL).status == BLOCKED
 
 
 def test_real_place_lifts_match_direct_cocycles():

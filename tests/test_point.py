@@ -13,7 +13,7 @@ from conftest import kummer_real_cocycle
 from nilobstruct import arith, k2global, localclass, obstruct
 from nilobstruct.arith import InvalidPrimeError, Point, local_data
 from nilobstruct.cohomology import cyclic_model, delta3_closed_form, lift_cochains, zero1
-from nilobstruct.k2global import delta2_global, support_odd_primes, tame_symbol_odd
+from nilobstruct.k2global import delta2_global, tame_symbol_odd
 from nilobstruct.localclass import REAL, delta2_local
 from nilobstruct.obstruct import (
     BLOCKED,
@@ -22,8 +22,7 @@ from nilobstruct.obstruct import (
     Delta3LocalResult,
     RealLift,
     UnsupportedPlaceError,
-    delta3_local_odd,
-    delta3_local_real,
+    delta3_at,
     report,
     report_json,
 )
@@ -56,14 +55,13 @@ def _points(seed, count):
 def test_report_entries_equal_standalone_functions(seed):
     for b, a in _points(seed, 60):
         rep = report(b, a)
-        places = [*support_odd_primes(b, a), REAL]
+        places = [*Point.of(b, a).primes(), REAL]
         assert [v for v, _ in rep.delta2_local] == places
         assert [r.place for r in rep.delta3_local] == places
         for v, inv in rep.delta2_local:
             assert inv == delta2_local(b, a, v)
         for r in rep.delta3_local:
-            want = delta3_local_real(b, a) if r.place == REAL else delta3_local_odd(b, a, r.place)
-            assert r == want
+            assert r == delta3_at(b, a, r.place)
         assert rep.delta2 == delta2_global(b, a)
         symbols = [tame_symbol_odd(b, a, p) for p in places[:-1]]
         odd_witnesses = [w for w in rep.delta2.k2_witnesses if w.place != 2]
@@ -91,7 +89,7 @@ def test_real_place_entry_rederived_from_cochain_engine(b_sign, a_sign):
             real_lifts.append(RealLift(label, comp_x.values[1][1], comp_y.values[1][1]))
         vanishing = any(lift.comp_x == lift.comp_y == 0 for lift in real_lifts)
         want = Delta3LocalResult(REAL, ZERO if vanishing else NONZERO, (), real_lifts=tuple(real_lifts))
-    assert delta3_local_real(b, a) == want
+    assert delta3_at(b, a, REAL) == want
     assert (want.status == BLOCKED) == (b_sign < 0 and a_sign < 0)
 
 
@@ -170,17 +168,22 @@ _BAD_PLACE_INPUTS = (
 )
 
 
-@pytest.mark.parametrize("fn", (delta2_local, tame_symbol_odd, delta3_local_odd), ids=lambda fn: fn.__name__)
+# The public evaluators at an odd prime, keyed by the local quantity each
+# gives: local delta3 there is delta3_at.
+_PER_PLACE = {"delta2_local": delta2_local, "tame_symbol_odd": tame_symbol_odd, "delta3_local_odd": delta3_at}
+
+
+@pytest.mark.parametrize("fn", _PER_PLACE.values(), ids=_PER_PLACE)
 @pytest.mark.parametrize("args, error, message", _BAD_PLACE_INPUTS, ids=[repr(x[0]) for x in _BAD_PLACE_INPUTS])
 def test_per_place_evaluators_share_one_error_order(fn, args, error, message):
-    if fn is delta3_local_odd and args[2] == 2:
+    if fn is delta3_at and args[2] == 2:
         error, message = UnsupportedPlaceError, "local delta3 is not evaluated at the place 2"
     with pytest.raises(error) as info:
         fn(*args)
     assert type(info.value) is error and str(info.value) == message
 
 
-@pytest.mark.parametrize("fn", (delta2_local, tame_symbol_odd, delta3_local_odd), ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", _PER_PLACE.values(), ids=_PER_PLACE)
 @pytest.mark.parametrize("p", (2.0, 5.0), ids=repr)
 def test_a_float_prime_is_refused_by_type(fn, p):
     """2.0 is no more the place 2 than 5.0 is the prime 5: both are TypeErrors."""
@@ -214,8 +217,8 @@ def test_report_calls_no_public_per_place_evaluator(monkeypatch):
     def forbidden(*args):
         raise AssertionError("report() called a public per-place evaluator")
 
-    monkeypatch.setattr(obstruct, "delta3_local_real", forbidden)
-    monkeypatch.setattr(obstruct, "delta3_local_odd", forbidden)
+    monkeypatch.setattr(obstruct, "delta3_at", forbidden)
+    monkeypatch.setattr(obstruct, "local_data", forbidden)
     monkeypatch.setattr(localclass, "delta2_local", forbidden)
     monkeypatch.setattr(obstruct, "delta2_local", forbidden, raising=False)
     assert [report_json(report(*args)) for args in points] == want
