@@ -17,6 +17,7 @@ from nilobstruct.arith import (
     is_fourth_power_mod,
     is_prime,
     legendre,
+    local_data,
     local_part,
     parse_rational,
     sqrt_mod,
@@ -27,6 +28,7 @@ from nilobstruct.localclass import delta2_local
 from nilobstruct.obstruct import (
     delta3_at,
     delta3_global_family,
+    delta3_local_odd_vu,
     delta3_specific_lift_family,
     report,
 )
@@ -198,12 +200,15 @@ class TestParse:
 
 
 # Each public function that takes a prime, by name, applied to that prime.
+# "delta3_local_odd" is local delta3 at an odd prime by the route report()
+# takes, local_data and then the kernel, without delta3_at's dispatch.
 PRIME_TAKERS = {
     "valuation": lambda p: valuation(50, p),
     "legendre": lambda p: legendre(2, p),
     "sqrt_mod": lambda p: sqrt_mod(2, p),
     "tame_symbol_odd": lambda p: tame_symbol_odd(3, 5, p),
     "delta2_local": lambda p: delta2_local(3, 5, p),
+    "delta3_local_odd": lambda p: delta3_local_odd_vu(*local_data(3, 5, p), p),
     "delta3_at": lambda p: delta3_at(3, 5, p),
     "delta3_specific_lift_family": delta3_specific_lift_family,
     "delta3_global_family": delta3_global_family,
