@@ -14,7 +14,10 @@ plus centrality of the degree-3 letters and the commutation of [x,y] with x
 and y up to degree-3 corrections.  Cross terms are computed in exact integer
 arithmetic from the canonical representatives: the kernels mul_vec, inv_vec
 and act_vec work over the integers, and a caller reduces their output into a
-quotient with _reduce(v, spec.moduli).
+quotient with _reduce(v, spec.moduli).  These kernels, _reduce and the
+Magnus _embed_vec and _extract_vec are straight-line code with no helper
+calls (C(n + 1, 2) is written n(n + 1) >> 1), since one verify pass calls
+them some 10^5 times.
 
 The Magnus embedding x -> 1 + X, y -> 1 + Y into noncommutative power series
 truncated in degree 3 provides an independent oracle: collection products are
@@ -88,23 +91,29 @@ def mul_vec(u: Vec, v: Vec) -> Vec:
     """
     a1, b1, c1, d1, e1 = u
     a2, b2, c2, d2, e2 = v
+    # C(n + 1, 2) = n(n + 1) / 2 is written out: n(n + 1) is even, so the
+    # shift is exact for negative n too.
     return (
         a1 + a2,
         b1 + b2,
         c1 + c2 + b1 * a2,
-        d1 + d2 + c1 * b2 + a2 * _binom2(b1 + 1) + b1 * a2 * b2,
-        e1 + e2 + c1 * a2 + b1 * _binom2(a2 + 1),
+        d1 + d2 + c1 * b2 + a2 * (b1 * (b1 + 1) >> 1) + b1 * a2 * b2,
+        e1 + e2 + c1 * a2 + b1 * (a2 * (a2 + 1) >> 1),
     )
 
 
 def inv_vec(u: Vec) -> Vec:
     """Integer inverse: solve the triangular system mul(u, v) = 0."""
     a, b, c, d, e = u
-    ai, bi = -a, -b
-    ci = -c + b * a
-    di = -d - c * bi - ai * _binom2(b + 1) - b * ai * bi
-    ei = -e - c * ai - b * _binom2(ai + 1)
-    return (ai, bi, ci, di, ei)
+    # mul_vec's formulas with (a2, b2) = (-a, -b), solved for c2, d2, e2;
+    # C(1 - a, 2) = a(a - 1) / 2.
+    return (
+        -a,
+        -b,
+        b * a - c,
+        c * b + a * (b * (b + 1) >> 1) - a * b * b - d,
+        c * a - b * (a * (a - 1) >> 1) - e,
+    )
 
 
 def act_vec(u: Vec, chi: int, f: int) -> Vec:
@@ -115,18 +124,17 @@ def act_vec(u: Vec, chi: int, f: int) -> Vec:
     and act(chi, f) second is act(chi*chi', f + chi^2 * f').
     """
     a, b, c, d, e = u
-    rho = (chi - 1) // 2
-    return (
-        chi * a,
-        chi * b,
-        chi * chi * c,
-        chi**3 * d - rho * chi * chi * c,
-        chi**3 * e - rho * chi * chi * c - f * chi * a,
-    )
+    chi2 = chi * chi
+    chi3 = chi2 * chi
+    # The correction (chi - 1)/2 chi^2 c that d and e share.
+    rc = (chi - 1) // 2 * chi2 * c
+    return (chi * a, chi * b, chi2 * c, chi3 * d - rc, chi3 * e - rc - f * chi * a)
 
 
 def _reduce(u: Vec, moduli: Vec) -> Vec:
-    return tuple(map(operator.mod, u, moduli))
+    a, b, c, d, e = u
+    ma, mb, mc, md, me = moduli
+    return (a % ma, b % mb, c % mc, d % md, e % me)
 
 
 def all_elements(spec: QuotientSpec) -> list[Vec]:
@@ -213,6 +221,7 @@ _W2_SERIES = _commutator_series(_Z_SERIES, _ypow(1))
 # The degree-3 coefficients of [x,y], [[x,y],x] and [[x,y],y], one
 # (z, w1, w2) triple per word XXY, YYX.
 _CUBIC = tuple(zip(_Z_SERIES[7:], _W1_SERIES[7:], _W2_SERIES[7:]))
+(_Z_XXY, _W1_XXY, _W2_XXY), (_Z_YYX, _W1_YYX, _W2_YYX) = _CUBIC
 
 
 def _embed_vec(v: Vec, m: int) -> tuple[int, ...]:
@@ -228,13 +237,13 @@ def _embed_vec(v: Vec, m: int) -> tuple[int, ...]:
     the head's degree-1 part bX + aY times c(XY - YX).
     """
     a, b, c, d, e = v
-    ab2 = _binom2(a)
+    ab2 = a * (a - 1) >> 1
     # XXY has the cross term bc; YYX has the head's C(a, 2) b and the cross
     # term -ac.
-    head = (b * c, ab2 * b - a * c)
     return (
-        1, b % m, a % m, _binom2(b) % m, c % m, (a * b - c) % m, ab2 % m,
-        *[(h + c * z + d * w1 + e * w2) % m for h, (z, w1, w2) in zip(head, _CUBIC)],
+        1, b % m, a % m, (b * (b - 1) >> 1) % m, c % m, (a * b - c) % m, ab2 % m,
+        (b * c + c * _Z_XXY + d * _W1_XXY + e * _W2_XXY) % m,
+        (ab2 * b - a * c + c * _Z_YYX + d * _W1_YYX + e * _W2_YYX) % m,
     )
 
 
@@ -254,7 +263,7 @@ def _extract_vec(s: tuple[int, ...], m: int) -> Vec:
     """
     _, b, a, _, c, yx, _, xxy, yyx = s
     a, b, c = a % m, b % m, c % m
-    return (a, b, c, (b * c - xxy) % m, (yyx - a * yx + b * _binom2(a + 1)) % m)
+    return (a, b, c, (b * c - xxy) % m, (yyx - a * yx + b * (a * (a + 1) >> 1)) % m)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +307,14 @@ def boundary_of_section(
     n = model.order
     columns = range(n)
     sect = [_reduce((*t, 0, 0, 0)[:5], moduli) for t in p]
+    heads = [s[:width] for s in sect]
     acted = {}
     # rows[g][f(g)]: the (c, d, e) rows of the products of row g, each an
     # n-bit int with bit h for the product of (g, h).
     rows = []
     for g, row in enumerate(model.table):
         s_g, by_f = sect[g], {}
+        want = [heads[gh] for gh in row]
         for f_g in {f >> g & 1 for f in f_bits}:
             key = (model.chi[g] % 8, f_g)
             if key not in acted:
@@ -311,10 +322,11 @@ def boundary_of_section(
             got = [_reduce(mul_vec(s_g, t_h), moduli) for t_h in acted[key]]
             # Cocycle validation happens at the level the section covers: the
             # first `width` coordinates of s(p(g)) g(s(p(h))) must reproduce
-            # s(p(gh)).
-            for h, (got_h, gh) in enumerate(zip(got, row)):
-                if got_h[:width] != sect[gh][:width]:
-                    raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
+            # s(p(gh)).  The row is compared as one list; only a mismatch
+            # walks h, to name the first bad (g, h).
+            if [got_h[:width] for got_h in got] != want:
+                h = next(h for h, (got_h, want_h) in enumerate(zip(got, want)) if got_h[:width] != want_h)
+                raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
             # The boundary is z = got s(p(gh))^-1, so got = z s(p(gh)), and
             # the section is 0 past the head.  At level 3, z holds only the
             # central degree-3 letters, so got = s(p(gh)) z carries z's d and

@@ -16,7 +16,9 @@ local vectors only.
 
 At an odd place two Legendre symbols give the classes of b and a.  Those
 of -b, -a and ab are their xors with each other and with the class of -1,
-which, like that of 2, is read from p mod 8.  Each square root enters a
+which, like that of 2, is read from p mod 8.  Case (ii)'s {2} cup a is 0
+wherever the case applies (a has the class of -1 there), so it is not
+computed.  Each square root enters a
 case only through its square class (localclass.sqrt_square_class_vu), so
 no root is computed; delta3_local_odd_vu says why the choice of root does
 not matter.  delta3_at is the one public local delta3 and the one border
@@ -123,15 +125,18 @@ def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta
     two = int(p % 8 in (3, 5))
     cases = []
     nonzero = False
-    for name, cls, square, partner, extra in (
-        ("i", cls_b ^ neg_one, (v_b, -u_b), cls_a, 0),
-        ("ii", cls_a ^ neg_one, (v_a, -u_a), cls_b, cup_qp(two, cls_a, p)),
-        ("iii", cls_b ^ cls_a, (v_b + v_a, u_b * u_a), cls_a, 0),
+    # Case (ii)'s term {2} cup a is not computed: the case applies only when
+    # a has the class of -1, and {2} cup {-1} = 0 at every odd p, since both
+    # are unit classes (Steinberg: -1 = 1 - 2).
+    for name, cls, square, partner in (
+        ("i", cls_b ^ neg_one, (v_b, -u_b), cls_a),
+        ("ii", cls_a ^ neg_one, (v_a, -u_a), cls_b),
+        ("iii", cls_b ^ cls_a, (v_b + v_a, u_b * u_a), cls_a),
     ):
         if cls:
             cases.append(CaseTrace(name, False, 0))
             continue
-        value = cup_qp(two ^ sqrt_square_class_vu(*square, p), partner, p) ^ extra
+        value = cup_qp(two ^ sqrt_square_class_vu(*square, p), partner, p)
         cases.append(CaseTrace(name, True, value))
         nonzero = nonzero or bool(value)
     return Delta3LocalResult(p, NONZERO if nonzero else ZERO, tuple(cases))

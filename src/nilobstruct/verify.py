@@ -542,6 +542,47 @@ def check_galois_composition(tower4_table) -> CheckResult:
     return result
 
 
+def _top_bytes(rng: random.Random, count: int):
+    """An iterator over the top bytes of rng's next 32-bit outputs whose top
+    bit is 0, exactly count of them, drawn from rng as it is consumed.
+
+    On CPython, randrange(2**j) for 1 <= j <= 7 (and choice of a sequence of
+    length 2**j) draws getrandbits(j + 1), the top j + 1 bits of one 32-bit
+    output, until the value is below 2**j, that is until the output's top
+    bit is 0; the value is then the top byte shifted right by 7 - j.
+    randbytes(4 * k) is k outputs, little-endian, so byte 4i + 3 is the top
+    byte of output i.  A chunk never asks for more outputs than values
+    still needed, so no output past the last accepted one is drawn, and rng
+    is left where the randrange draws leave it.
+    """
+    high = bytes(range(128, 256))
+    while count > 0:
+        chunk = rng.randbytes(4 * min(count, 4096))[3::4].translate(None, high)
+        count -= len(chunk)
+        yield from chunk
+
+
+def _compat_cases(rng: random.Random):
+    """2000 random (g, h, chi, f), each as the code below draws it, leaving
+    rng where 2000 runs of it leave it:
+
+        g = tuple([rng.randrange(4) for _ in range(5)])
+        h = tuple([rng.randrange(4) for _ in range(5)])
+        chi = rng.choice((1, 3, 5, 7))
+        f = rng.randrange(2)
+
+    Each draw is one byte of _top_bytes, whose top bit is 0: randrange(4)
+    and the choice read the two bits after it, randrange(2) the one bit."""
+    draws = _top_bytes(rng, 12 * 2000)
+    for case in zip(*[draws] * 12):
+        yield (
+            tuple([byte >> 5 for byte in case[:5]]),
+            tuple([byte >> 5 for byte in case[5:10]]),
+            (1, 3, 5, 7)[case[10] >> 5],
+            case[11] >> 6,
+        )
+
+
 def check_quotient_compat(rng: random.Random) -> CheckResult:
     """Reducing FULL4(4) into TOWER4, and TOWER4 into TOWER3, respects the
     product and the Galois action, on 2000 random pairs.  Each side is a
@@ -550,11 +591,7 @@ def check_quotient_compat(rng: random.Random) -> CheckResult:
     result = CheckResult("FULL4(4) -> TOWER4 -> TOWER3 compatibility", "projections", 0)
     mul, act, reduce = nil.mul_vec, nil.act_vec, nil._reduce
     m4, m3 = nil.TOWER4.moduli, nil.TOWER3.moduli
-    for _ in range(2000):
-        g = tuple([rng.randrange(4) for _ in range(5)])
-        h = tuple([rng.randrange(4) for _ in range(5)])
-        chi = rng.choice((1, 3, 5, 7))
-        f = rng.randrange(2)
+    for g, h, chi, f in _compat_cases(rng):
         result.cases += 1
         g4, h4 = reduce(g, m4), reduce(h, m4)
         gh4 = mul(g4, h4)
@@ -571,15 +608,15 @@ def _full4_8_pairs(rng: random.Random):
     """An iterator over 10^4 random pairs of exponent vectors, already
     reduced mod 8, drawn from rng as it is consumed.
 
-    randrange(8) draws getrandbits(4) until a value is below 8; the filter
-    draws the same values through the same steps, so the pairs and the rng
-    state after the last of them are those of ten rng.randrange(8) per pair,
-    g's five before h's.  The pairs are never held at once: the caller
-    consumes them all before it draws from rng again.
+    Each exponent is a byte of _top_bytes shifted right by 4, which is
+    rng.randrange(8), so the pairs and the rng state after the last of them
+    are those of ten rng.randrange(8) per pair, g's five before h's.  The
+    pairs are never held at once, and at most 4096 outputs are drawn ahead:
+    the caller consumes them all before it draws from rng again.
     """
-    draws = filter((8).__gt__, map(rng.getrandbits, itertools.repeat(4)))
+    draws = map((4).__rrshift__, _top_bytes(rng, 100_000))
     vectors = zip(*[draws] * 5)
-    return itertools.islice(zip(vectors, vectors), 10_000)
+    return zip(vectors, vectors)
 
 
 def run_nilpotent_suite(seed: int = 0) -> list[CheckResult]:

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import operator
 import random
 from pathlib import Path
 
@@ -474,3 +475,94 @@ def test_boundary_of_section_matches_element_route(model):
     assert _error_text(boundary_of_section, model, p) == _error_text(
         _boundary_by_elements, model, p, 3
     )
+
+
+# Reference copies of the kernels as they were before they were written out
+# as straight-line code: C(n, 2) through a helper, the reduction through
+# map(operator.mod, ...) and the cubic coefficients through a comprehension
+# over _CUBIC.
+
+
+def _ref_binom2(n):
+    return n * (n - 1) // 2
+
+
+def _ref_mul_vec(u, v):
+    a1, b1, c1, d1, e1 = u
+    a2, b2, c2, d2, e2 = v
+    return (
+        a1 + a2,
+        b1 + b2,
+        c1 + c2 + b1 * a2,
+        d1 + d2 + c1 * b2 + a2 * _ref_binom2(b1 + 1) + b1 * a2 * b2,
+        e1 + e2 + c1 * a2 + b1 * _ref_binom2(a2 + 1),
+    )
+
+
+def _ref_inv_vec(u):
+    a, b, c, d, e = u
+    ai, bi = -a, -b
+    ci = -c + b * a
+    di = -d - c * bi - ai * _ref_binom2(b + 1) - b * ai * bi
+    ei = -e - c * ai - b * _ref_binom2(ai + 1)
+    return (ai, bi, ci, di, ei)
+
+
+def _ref_act_vec(u, chi, f):
+    a, b, c, d, e = u
+    rho = (chi - 1) // 2
+    return (
+        chi * a,
+        chi * b,
+        chi * chi * c,
+        chi**3 * d - rho * chi * chi * c,
+        chi**3 * e - rho * chi * chi * c - f * chi * a,
+    )
+
+
+def _ref_reduce(u, moduli):
+    return tuple(map(operator.mod, u, moduli))
+
+
+def _ref_embed_vec(v, m):
+    a, b, c, d, e = v
+    ab2 = _ref_binom2(a)
+    head = (b * c, ab2 * b - a * c)
+    return (
+        1, b % m, a % m, _ref_binom2(b) % m, c % m, (a * b - c) % m, ab2 % m,
+        *[(h + c * z + d * w1 + e * w2) % m for h, (z, w1, w2) in zip(head, nil._CUBIC)],
+    )
+
+
+def _ref_extract_vec(s, m):
+    _, b, a, _, c, yx, _, xxy, yyx = s
+    a, b, c = a % m, b % m, c % m
+    return (a, b, c, (b * c - xxy) % m, (yyx - a * yx + b * _ref_binom2(a + 1)) % m)
+
+
+_KERNEL_SPECS = (TOWER3, TOWER4, *map(full4, _FULL4_MODULI))
+_signed = st.integers(-10**6, 10**6)
+_signed_vectors = st.tuples(*[_signed] * 5)
+
+
+@given(
+    _signed_vectors,
+    _signed_vectors,
+    _signed.map(lambda n: 2 * n + 1),
+    st.integers(-3, 3),
+    st.lists(_signed, min_size=_TAIL, max_size=_TAIL),
+    st.sampled_from(_KERNEL_SPECS),
+)
+def test_straight_line_kernels_match_their_reference_forms(u, v, chi, f, tail, spec):
+    """Every written-out kernel against its reference form, on signed
+    vectors (n(n + 1) >> 1 and n(n + 1) // 2 must agree for negative n) and
+    odd chi of either sign, over the integers and reduced into each spec."""
+    assert mul_vec(u, v) == _ref_mul_vec(u, v)
+    assert inv_vec(u) == _ref_inv_vec(u)
+    assert act_vec(u, chi, f) == _ref_act_vec(u, chi, f)
+    assert _reduce(u, spec.moduli) == _ref_reduce(u, spec.moduli)
+    m = spec.magnus_modulus
+    assert _embed_vec(u, m) == _ref_embed_vec(u, m)
+    s = (1, *tail)
+    assert _extract_vec(s, m) == _ref_extract_vec(s, m)
+    assert _extract_vec(_embed_vec(u, m), m) == _ref_extract_vec(_ref_embed_vec(u, m), m)

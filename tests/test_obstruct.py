@@ -157,6 +157,16 @@ def test_every_class_pair_at_one_prime_per_residue_mod_8(p):
     assert (counts[BLOCKED], counts[ZERO], counts[NONZERO]) == _CLASS_PAIR_COUNTS[p % 4]
 
 
+def test_two_cup_minus_one_vanishes_at_every_odd_prime_below_10_4():
+    """{2} cup {-1} = 0 at every odd p, the reason delta3_local_odd_vu
+    drops case (ii)'s term {2} cup a: that case applies only when a has
+    the class of -1.  The classes are those of the supplement laws."""
+    primes = [p for p in range(3, 10_000, 2) if is_prime(p)]
+    assert len(primes) == 1228
+    for p in primes:
+        assert cup_qp(int(p % 8 in (3, 5)), int(p % 4 == 3), p) == 0, p
+
+
 def _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p):
     """(status, cases) of the three-case loop with each root's class taken
     from the canonical Tonelli-Shanks root sqrt_mod: a reference for

@@ -13,6 +13,7 @@ from nilobstruct import cohomology as coh
 from nilobstruct import nilpotent as nil
 from nilobstruct.cohomology import klein_model, standard_models, units_model
 from nilobstruct.verify import (
+    _compat_cases,
     _full4_8_pairs,
     _model_data,
     _tower4_table,
@@ -432,14 +433,34 @@ def test_all_f_kernels_match_one_f_calls(model):
 
 @pytest.mark.parametrize("seed", (0, 1))
 def test_full4_8_pairs_draw_as_randrange(seed):
-    """The filtered getrandbits(4) draw gives the pairs of the randrange(8)
-    list comprehension and leaves the rng where it leaves it."""
+    """The bulk draw, each exponent a top byte of _top_bytes shifted right
+    by 4, gives the pairs of the randrange(8) list comprehension and leaves
+    the rng where it leaves it."""
     rng, reference = random.Random(seed), random.Random(seed)
     want = [
         (tuple([reference.randrange(8) for _ in range(5)]), tuple([reference.randrange(8) for _ in range(5)]))
         for _ in range(10_000)
     ]
     assert list(_full4_8_pairs(rng)) == want
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_compat_cases_draw_as_randrange_and_choice(seed):
+    """The bulk draw of check_quotient_compat gives the (g, h, chi, f) of
+    the randrange/choice comprehension and leaves the rng where it leaves
+    it."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    want = [
+        (
+            tuple([reference.randrange(4) for _ in range(5)]),
+            tuple([reference.randrange(4) for _ in range(5)]),
+            reference.choice((1, 3, 5, 7)),
+            reference.randrange(2),
+        )
+        for _ in range(2000)
+    ]
+    assert list(_compat_cases(rng)) == want
     assert rng.random() == reference.random()
 
 
