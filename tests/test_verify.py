@@ -3,6 +3,7 @@ import collections
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from nilobstruct.verify import (
     _compat_cases,
     _full4_8_pairs,
     _model_data,
+    _top_bytes,
     _tower4_table,
     check_associativity_tower4,
     check_boundary_n3,
@@ -137,6 +139,64 @@ def test_associativity_check_finds_the_first_bad_triple_of_the_triple_walk(entry
     result = check_associativity_tower4((els, table, act))
     assert not result.passed
     assert (result.failures, result.cases) == _associativity_by_triples((els, table, act))
+
+
+def _automorphism_by_pairs(tower4_table):
+    """Reference: the (failures, cases) of a walk over every (chi, f, i, j)
+    in order, stopping at the first pair whose product the action does not
+    respect."""
+    els, table, act = tower4_table
+    cases = 0
+    for (chi, f), a in act.items():
+        for i, j in itertools.product(range(128), repeat=2):
+            cases += 1
+            if a[table[i][j]] != table[a[i]][a[j]]:
+                return [f"chi={chi} f={f} g={els[i]} h={els[j]}"], cases
+    return [], cases
+
+
+@pytest.mark.parametrize(
+    "corrupt, entry",
+    (
+        ("table", (0, 3)),
+        ("table", (64, 37)),
+        ("table", (127, 127)),
+        ("act", ((1, 0), 0)),
+        ("act", ((5, 0), 64)),
+        ("act", ((7, 1), 127)),
+    ),
+)
+def test_automorphism_check_finds_the_first_bad_pair_of_the_pair_walk(corrupt, entry):
+    """With one entry of the multiplication table or of one action table
+    off, the table-at-a-time check reports the same first (chi, f, g, h),
+    with the same cases, as the walk over single pairs.  Every action
+    fixes the elements of index 0 to 3, so 0 * h read as h + 1 for h < 3
+    breaks no law; (0, 3) is the first entry the check can see."""
+    els, table, act = _tower4_table()
+    table = [row[:] for row in table]
+    act = {key: a[:] for key, a in act.items()}
+    row, column = entry
+    target = table if corrupt == "table" else act
+    target[row][column] = (target[row][column] + 1) % 128
+    result = check_galois_automorphism((els, table, act))
+    assert not result.passed
+    assert (result.failures, result.cases) == _automorphism_by_pairs((els, table, act))
+
+
+def test_associativity_record_times_the_table_build(monkeypatch):
+    """The TOWER4 table is built for the associativity check, and that
+    check's seconds include the build."""
+    build = verify._tower4_table
+
+    def slow_build():
+        time.sleep(0.1)
+        return build()
+
+    monkeypatch.setattr(verify, "_tower4_table", slow_build)
+    associativity = verify.run_nilpotent_suite()[0]
+    assert associativity.name == "TOWER4 exhaustive associativity"
+    assert associativity.passed
+    assert associativity.seconds >= 0.1
 
 
 def _flipped_e(mul_vec):
@@ -445,6 +505,19 @@ def test_full4_8_pairs_draw_as_randrange(seed):
     assert rng.random() == reference.random()
 
 
+@pytest.mark.parametrize("count", (1, 4095, 4096, 4097, 8193))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_top_bytes_draw_as_randrange_across_chunk_edges(seed, count):
+    """count values of _top_bytes shifted right by 7 - j are count
+    randrange(2**j), for every j the shift table serves, and leave the rng
+    where they leave it, at counts on either side of the 4096-output chunk."""
+    for j in range(1, 8):
+        rng, reference = random.Random(seed), random.Random(seed)
+        want = [reference.randrange(2**j) for _ in range(count)]
+        assert list(itertools.chain.from_iterable(_top_bytes(rng, count, 7 - j))) == want
+        assert rng.random() == reference.random()
+
+
 @pytest.mark.parametrize("seed", (0, 1))
 def test_compat_cases_draw_as_randrange_and_choice(seed):
     """The bulk draw of check_quotient_compat gives the (g, h, chi, f) of
@@ -484,9 +557,13 @@ def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
 
 
 def test_tower4_galois_actions_are_tabulated_once(monkeypatch):
+    """The build makes each product and each action once; the table checks
+    then read only the tables, with no mul_vec or act_vec call."""
     counts = collections.Counter()
-    _count_calls(monkeypatch, counts, (nil, "act_vec"))
+    _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
     tower4_table = _tower4_table()
+    assert counts == {"mul_vec": 128**2, "act_vec": 1024}
+    assert check_associativity_tower4(tower4_table).passed
     assert check_galois_automorphism(tower4_table).passed
     assert check_galois_composition(tower4_table).passed
-    assert counts == {"act_vec": 1024}
+    assert counts == {"mul_vec": 128**2, "act_vec": 1024}
