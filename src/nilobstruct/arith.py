@@ -40,14 +40,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_rational(x) -> Fraction:
-    """Coerce an int or Fraction to a nonzero Fraction; any other type, a
-    string or a float too, is a TypeError."""
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
-    value = Fraction(x)
-    if value == 0:
+    """A nonzero int or Fraction as a Fraction, a Fraction itself and not a
+    copy; any other type, a string or a float too, is a TypeError."""
+    if type(x) is not Fraction:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+        x = Fraction(x)
+    if not x:
         raise ValueError("zero is not allowed here")
-    return value
+    return x
 
 
 # The first thirteen primes as Miller-Rabin bases, each paired with psi_k,
@@ -77,13 +78,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 def is_prime(n: int) -> bool:
     """Primality of n: deterministic below psi_13 ~ 3.3e24, BPSW above.
 
-    After trial division by ``_SMALL_PRIMES``, Miller-Rabin runs the bases of
-    ``_MR_BASES`` in order and stops at the first k with n < psi_k, so a
-    7-digit n costs at most three modular powers.  An n >= psi_13 that
-    passes all thirteen bases (base 2 among them) must also pass a strong
-    Lucas test with Selfridge's parameters: together that is the
-    Baillie-PSW test, which no known composite passes.  Any n that is not
-    an int is a TypeError, so every check of a prime refuses it by type.
+    Trial division by ``_SMALL_PRIMES`` settles every n with a prime factor
+    <= 47; any other n goes to ``_is_rough_prime``.  Any n that is not an int
+    is a TypeError, so every check of a prime refuses it by type.
     """
     if not isinstance(n, int):
         raise TypeError(f"expected an int, got {type(n).__name__}")
@@ -92,11 +89,24 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    return _is_rough_prime(n)
+
+
+def _is_rough_prime(n: int) -> bool:
+    """Primality of an n > 47 with no prime factor <= 47.
+
+    Such an n below 53^2 = 2809 is prime.  Above, Miller-Rabin runs the bases
+    of ``_MR_BASES`` in order and stops at the first k with n < psi_k, so a
+    7-digit n costs at most three modular powers.  An n >= psi_13 that
+    passes all thirteen bases (base 2 among them) must also pass a strong
+    Lucas test with Selfridge's parameters: together that is the
+    Baillie-PSW test, which no known composite passes.
+    """
+    if n < 2809:
+        return True
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
     for a, psi in _MR_BASES:
         x = pow(a, d, n)
         if x != 1 and x != n - 1:
@@ -208,7 +218,8 @@ def _pollard_rho(n: int) -> int:
 
 def factor_int(n: int) -> dict[int, int]:
     """Factor a positive integer into {prime: exponent}: divide out
-    ``_SMALL_PRIMES``, then certify or split each cofactor by rho."""
+    ``_SMALL_PRIMES``, then certify each cofactor by ``_is_rough_prime``,
+    with no second trial division, or split it by rho."""
     if n <= 0:
         raise ValueError("factor_int needs a positive integer")
     out: dict[int, int] = {}
@@ -219,7 +230,7 @@ def factor_int(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if _is_rough_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         f = _pollard_rho(m)
@@ -261,10 +272,12 @@ def factor(x) -> Factorization:
 
 
 def _exponents(value: Fraction) -> dict[int, int]:
-    """{p: v_p(value) != 0}, from one factor_int call per integer part."""
-    exponents = factor_int(abs(value.numerator))
-    for p, e in factor_int(value.denominator).items():
-        exponents[p] = -e
+    """{p: v_p(value) != 0}, from one factor_int call per integer part > 1."""
+    num, den = abs(value.numerator), value.denominator
+    exponents = factor_int(num) if num > 1 else {}
+    if den > 1:
+        for p, e in factor_int(den).items():
+            exponents[p] = -e
     return exponents
 
 
@@ -379,7 +392,7 @@ def _unit_residue(value: Fraction, v: int, p: int) -> int:
         num //= p**v
     elif v < 0:
         den //= p**-v
-    return num * pow(den, -1, p) % p
+    return num % p if den == 1 else num * pow(den, -1, p) % p
 
 
 def local_part(value: Fraction, p: int) -> tuple[int, int]:

@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Point, _legendre, _valuation, as_rational, local_data
+from .arith import Point, _valuation, as_rational, local_data
+from .localclass import cup_qp, square_class_vu
 
 
 class TameSymbolValue(NamedTuple):
@@ -97,21 +98,30 @@ def delta2_global(b, a) -> Delta2GlobalVerdict:
     Only odd primes dividing ab can carry a nontrivial tame symbol, so the
     check is finite: those primes plus the symbol at 2.  The mod-2 witnesses
     are the symbols that are non-squares in F_p^* (resp. -1 at 2); the K2
-    witnesses are the symbols different from 1.
+    witnesses are the symbols different from 1.  A tame symbol is a
+    non-square exactly where the local invariant b cup a is 1/2, so the odd
+    witnesses are read off the cups of the square classes.
     """
-    return delta2_global_point(Point.of(b, a))
+    point = Point.of(b, a)
+    invariants = [
+        cup_qp(square_class_vu(v_b, u_b, p), square_class_vu(v_a, u_a, p), p)
+        for p, v_b, u_b, v_a, u_a in point.local
+    ]
+    return delta2_global_point(point, invariants)
 
 
-def delta2_global_point(point: Point) -> Delta2GlobalVerdict:
+def delta2_global_point(point: Point, invariants) -> Delta2GlobalVerdict:
     """delta2_global of a factored point: the tame symbols at the odd primes
-    of point.local, then the symbol at 2, whose exponents of 2 are point.v2."""
+    of point.local, then the symbol at 2, whose exponents of 2 are point.v2.
+    invariants holds the local invariant bit of b cup a at each odd prime of
+    point.local, in order; a tame symbol is a mod-2 witness iff its bit is 1."""
     witnesses = []
     k2_witnesses = []
-    for p, v_b, u_b, v_a, u_a in point.local:
+    for (p, v_b, u_b, v_a, u_a), inv in zip(point.local, invariants):
         symbol = tame_symbol_vu(v_b, u_b, v_a, u_a, p)
         if not symbol.trivial:
             k2_witnesses.append(symbol)
-            if _legendre(symbol.value, p) == -1:
+            if inv:
                 witnesses.append(symbol)
     j_b, j_a = point.v2
     two = _symbol_at_2(_decompose_2adic(point.b, j_b), _decompose_2adic(point.a, j_a))

@@ -20,17 +20,16 @@ basis table is
 and over R the cup is nontrivial exactly on ({-1}, {-1}).
 
 By the supplement laws the class of -1 is 1 iff p = 3 mod 4 and that of 2
-is 1 iff p = 3 or 5 mod 8, so neither costs a Legendre symbol.  The class
-of a square root of a local square p^(2k) u is read from the quartic
-character of u, with no root computed: for p = 1 mod 4 both roots +-r
-share one class and r is a square iff u is a fourth power; for p = 3 mod 4
-exactly one root is a square, and that root's class (unit bit 0) is the
-one returned, with no residue test at all.
+is 1 iff p = 3 or 5 mod 8, so neither costs a Legendre symbol.  The classes
+of square roots, which the delta3 cases need, are read from the quartic
+character of the units, with no root computed, in
+obstruct.delta3_local_odd_vu; square_class_vu is the one reader of a class
+elsewhere.
 """
 
 from __future__ import annotations
 
-from .arith import _is_fourth_power_mod, _legendre, as_rational, local_data
+from .arith import _legendre, as_rational, local_data
 
 REAL = "R"
 # A place for local evaluation: an odd prime or the real place.
@@ -45,16 +44,6 @@ def half_str(bit: int) -> str:
 def square_class_vu(v: int, u: int, p: int) -> int:
     """Square class of p^v times a p-unit with residue u, p a certified odd prime."""
     return v % 2 << 1 | (_legendre(u, p) == -1)
-
-
-def sqrt_square_class_vu(v: int, u: int, p: int) -> int:
-    """Class of a square root of the local square p^v u (v even, u a
-    residue), p a certified odd prime.  For p = 3 mod 4 the two roots differ
-    by {-1}, and the class returned is that of the root which is itself a
-    square.  All downstream cup values are independent of this choice
-    whenever the delta2 precondition holds (see obstruct.delta3_local_odd_vu).
-    """
-    return v // 2 % 2 << 1 | (p % 4 == 1 and not _is_fourth_power_mod(u, p))
 
 
 def cup_qp(c1: int, c2: int, p: int) -> int:

@@ -14,15 +14,14 @@ the tests re-derive with the cochain engine.  A global delta3 verdict is only
 ever emitted for the proven (-p^3, p) family; outside it the report carries
 local vectors only.
 
-At an odd place two Legendre symbols give the classes of b and a.  Those
-of -b, -a and ab are their xors with each other and with the class of -1,
-which, like that of 2, is read from p mod 8.  Case (ii)'s {2} cup a is 0
-wherever the case applies (a has the class of -1 there), so it is not
-computed.  Each square root enters a
-case only through its square class (localclass.sqrt_square_class_vu), so
-no root is computed; delta3_local_odd_vu says why the choice of root does
-not matter.  delta3_at is the one public local delta3 and the one border
-for a place.
+At an odd place one modular power per unit, u^((p-1)/4) at p = 1 mod 4
+and the Legendre power at p = 3 mod 4, gives the classes of b and a and of
+the square roots the cases take, so no root is computed (delta3_local_odd_vu
+says how, and why the choice of root does not matter).  The classes of -b,
+-a and ab are xors with each other and with the class of -1, which, like
+that of 2, is read from p mod 8.  report() hands the local invariants on to
+k2global.delta2_global_point, which lists the mod-2 witnesses from them.
+delta3_at is the one public local delta3 and the one border for a place.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .localclass import (
     cup_qp,
     half_str,
     square_class_vu,
-    sqrt_square_class_vu,
 )
 
 ZERO = "zero"
@@ -100,46 +98,61 @@ class ObstructionReport(NamedTuple):
     consistent: bool
 
 
+# Every case trace: per case, applicable with cup 0, applicable with cup 1,
+# and not applicable (index 2).
+_TRACES_I = (CaseTrace("i", True, 0), CaseTrace("i", True, 1), CaseTrace("i", False, 0))
+_TRACES_II = (CaseTrace("ii", True, 0), CaseTrace("ii", True, 1), CaseTrace("ii", False, 0))
+_TRACES_III = (CaseTrace("iii", True, 0), CaseTrace("iii", True, 1), CaseTrace("iii", False, 0))
+
+
 def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta3LocalResult:
     """Three-case local delta3 mod 2 at a certified odd prime p, from the
-    local data (see arith.local_data).
+    local data (see arith.local_data), with one modular power per unit.
 
     A case applies when its square's class, an xor of the classes of b, a
-    and -1, is trivial.  It then takes the class of one square root from
-    localclass.sqrt_square_class_vu, read from the square itself: -b is
-    (v_b, -u_b) and ab is (v_b + v_a, u_b u_a).  The other root differs by
-    {-1}, which changes the case's value by {-1} cup partner, and that is 0
-    once delta2 = b cup a vanishes:
+    and -1, is trivial.  It then takes the class of one square root of that
+    square: -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a), and a root of
+    p^(2k) u has the class p^k times the root's unit class.  The other root
+    differs by {-1}, which changes the case's value by {-1} cup partner, and
+    that is 0 once delta2 = b cup a vanishes:
       (i)   {-b} = 0 gives {-1} cup a = b cup a;
       (ii)  {-a} = 0 gives {-1} cup b = a cup b;
       (iii) {ab} = 0 gives {-1} cup a = a cup a = b cup a.
     So every case trace, not only the verdict, is independent of the root.
+
+    For p = 1 mod 4, r = u^((p-1)/4) is +-1 for a residue u and a square
+    root of -1 otherwise.  A unit square's roots are squares iff it is a
+    fourth power: -u is one iff r (-1)^((p-1)/4) = 1, and u_b u_a iff
+    r_b r_a = 1.  For p = 3 mod 4 the root that is itself a square is taken,
+    so its unit class is trivial and one Legendre power per unit is all.
     """
-    cls_b = square_class_vu(v_b, u_b, p)
-    cls_a = square_class_vu(v_a, u_a, p)
+    if p % 4 == 1:
+        e = (p - 1) // 4
+        r_b, r_a = pow(u_b, e, p), pow(u_a, e, p)
+        n_b, n_a = r_b * r_b % p != 1, r_a * r_a % p != 1
+        sign = 1 if p % 8 == 1 else p - 1  # (-1)^((p-1)/4) mod p
+        root_b, root_a, root_ab = r_b != sign, r_a != sign, r_b * r_a % p != 1
+        neg_one = 0
+    else:
+        e = (p - 1) // 2
+        n_b, n_a = pow(u_b, e, p) != 1, pow(u_a, e, p) != 1
+        root_b = root_a = root_ab = 0
+        neg_one = 1
+    cls_b = v_b % 2 << 1 | n_b
+    cls_a = v_a % 2 << 1 | n_a
     if cup_qp(cls_b, cls_a, p):
         return Delta3LocalResult(p, BLOCKED, ())
 
-    # The classes of -1 and 2, by the first and second supplement laws.
-    neg_one = int(p % 4 == 3)
-    two = int(p % 8 in (3, 5))
-    cases = []
-    nonzero = False
-    # Case (ii)'s term {2} cup a is not computed: the case applies only when
-    # a has the class of -1, and {2} cup {-1} = 0 at every odd p, since both
-    # are unit classes (Steinberg: -1 = 1 - 2).
-    for name, cls, square, partner in (
-        ("i", cls_b ^ neg_one, (v_b, -u_b), cls_a),
-        ("ii", cls_a ^ neg_one, (v_a, -u_a), cls_b),
-        ("iii", cls_b ^ cls_a, (v_b + v_a, u_b * u_a), cls_a),
-    ):
-        if cls:
-            cases.append(CaseTrace(name, False, 0))
-            continue
-        value = cup_qp(two ^ sqrt_square_class_vu(*square, p), partner, p)
-        cases.append(CaseTrace(name, True, value))
-        nonzero = nonzero or bool(value)
-    return Delta3LocalResult(p, NONZERO if nonzero else ZERO, tuple(cases))
+    # The class of 2 by the second supplement law.  Case (ii)'s term {2} cup a
+    # is not computed: the case applies only when a has the class of -1, and
+    # {2} cup {-1} = 0 at every odd p, since both are unit classes
+    # (Steinberg: -1 = 1 - 2).
+    two = p % 8 in (3, 5)
+    t_i = 2 if cls_b ^ neg_one else cup_qp(v_b // 2 % 2 << 1 | (two ^ root_b), cls_a, p)
+    t_ii = 2 if cls_a ^ neg_one else cup_qp(v_a // 2 % 2 << 1 | (two ^ root_a), cls_b, p)
+    t_iii = 2 if cls_b ^ cls_a else cup_qp((v_b + v_a) // 2 % 2 << 1 | (two ^ root_ab), cls_a, p)
+    status = NONZERO if 1 in (t_i, t_ii, t_iii) else ZERO
+    return Delta3LocalResult(p, status, (_TRACES_I[t_i], _TRACES_II[t_ii], _TRACES_III[t_iii]))
 
 
 def delta3_congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
@@ -254,11 +267,11 @@ def report(b, a) -> ObstructionReport:
     obstructed."""
     point = Point.of(b, a)
     b, a = point.b, point.a
-    d3_local = [delta3_local_odd_vu(*data, p) for p, *data in point.local]
-    d3_local.append(_REAL_PLACE[b < 0, a < 0])
+    d3_local = [delta3_local_odd_vu(v_b, u_b, v_a, u_a, p) for p, v_b, u_b, v_a, u_a in point.local]
     # delta3 is blocked exactly where local delta2 is 1/2.
+    d2_global = delta2_global_point(point, [int(r.status == BLOCKED) for r in d3_local])
+    d3_local.append(_REAL_PLACE[b < 0, a < 0])
     d2_local = [(r.place, int(r.status == BLOCKED)) for r in d3_local]
-    d2_global = delta2_global_point(point)
     notes = []
     if d2_global.zero != d2_global.k2_zero:
         detail = ", ".join(f"({w.place}: {w.value})" for w in d2_global.k2_witnesses)

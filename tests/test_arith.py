@@ -284,16 +284,60 @@ def _trial_division(n):
 
 
 def test_factor_int_matches_trial_division():
-    """Every small n, and the shapes Pollard rho meets first once the primes
-    up to 47 are divided out: prime powers and products of primes above 47."""
+    """Every n <= 10^5, and the shapes Pollard rho meets first once the
+    primes up to 47 are divided out: prime powers and products of primes
+    above 47."""
     primes = [p for p in range(53, 1000) if _trial_division(p) == {p: 1}]
     mid = [p for p in primes if p < 500]
-    cases = list(range(1, 20000))
+    cases = list(range(1, 10**5 + 1))
     cases += [p**k for p in primes for k in range(1, 5)]
     cases += [p * q for p in mid for q in mid] + [p * p * q for p in mid for q in mid]
     cases.append(1000003 * 53**2)
     for n in cases:
         assert factor_int(n) == _trial_division(n), n
+
+
+# Around 53^2 = 2809, below which a cofactor with no prime factor <= 47 is
+# prime with no modular power: the primes 2801 and 2803, 53^2 itself, 53 * 59,
+# and 47 * 61, whose cofactor 61 is left after trial division.
+@pytest.mark.parametrize("n", (2801, 2803, 2809, 53 * 59, 47 * 61, 2809 * 53, 2801 * 2803))
+def test_factor_int_around_53_squared(n):
+    assert factor_int(n) == _trial_division(n)
+    rough = n // 47 if n % 47 == 0 else n
+    assert arith._is_rough_prime(rough) == (_trial_division(rough) == {rough: 1})
+
+
+@pytest.mark.parametrize(
+    "n, primes",
+    (
+        (2**5 * 3 * 1000003, (1000003,)),
+        (53 * 59 * 61, (53, 59, 61)),
+        (2801**3, (2801,) * 3),
+        (47 * 1000003 * 1000033, (1000003, 1000033)),
+        (1000003 * 1000033 * 1000037, (1000003, 1000033, 1000037)),
+    ),
+)
+def test_factor_int_trial_divides_each_cofactor_once(monkeypatch, n, primes):
+    """factor_int divides out the primes <= 47 once, up front.  Every
+    cofactor then goes to the kernel _is_rough_prime exactly once, never
+    through is_prime's trial division: k prime factors above 47, with
+    multiplicity, leave 2k - 1 cofactors (k primes and k - 1 splits)."""
+    seen = []
+    kernel = arith._is_rough_prime
+
+    def counted(m):
+        assert all(m % p for p in arith._SMALL_PRIMES), m
+        seen.append(m)
+        return kernel(m)
+
+    def forbidden(m):
+        raise AssertionError(f"factor_int trial-divided {m} again")
+
+    monkeypatch.setattr(arith, "is_prime", forbidden)
+    monkeypatch.setattr(arith, "_is_rough_prime", counted)
+    factor_int(n)
+    assert len(seen) == 2 * len(primes) - 1
+    assert sorted(m for m in seen if kernel(m)) == sorted(primes)
 
 
 def _strong_probable_prime(n, a):

@@ -241,8 +241,8 @@ def _fail_self_check(monkeypatch, word):
         return "-1", "5"
     real_global = obstruct.delta2_global_point
 
-    def without_two(point):
-        verdict = real_global(point)
+    def without_two(point, invariants):
+        verdict = real_global(point, invariants)
         witnesses = tuple(w for w in verdict.k2_witnesses if w.place != 2)
         assert witnesses != verdict.k2_witnesses
         return verdict._replace(k2_witnesses=witnesses)

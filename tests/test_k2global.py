@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97
-from nilobstruct.arith import Point, legendre, local_part, valuation
+from nilobstruct.arith import Point, is_prime, legendre, local_part, valuation
 from nilobstruct.k2global import (
     decompose_2adic,
     delta2_global,
@@ -13,6 +13,7 @@ from nilobstruct.k2global import (
     tame_symbol_odd,
 )
 from nilobstruct.localclass import REAL, delta2_local
+from nilobstruct.obstruct import report
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**5), max_value=Fraction(10**5), max_denominator=10**3
@@ -145,6 +146,31 @@ def test_tame_symbol_mod2_image_is_local_invariant():
                 continue
             symbol = tame_symbol_odd(b, a, p)
             assert (legendre(symbol.value, p) == -1) == (delta2_local(b, a, p) == 1)
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@given(st.data())
+def test_report_witnesses_are_the_non_square_tame_symbols(data):
+    """report() lists a tame symbol as a mod-2 witness from the local
+    invariant bits; the reference takes the Legendre symbol of each tame
+    symbol instead, at points built from primes up to 10^6."""
+    primes = data.draw(st.lists(st.integers(3, 999983).map(_next_prime), min_size=1, max_size=3))
+    exponents = st.integers(-3, 3)
+    units = st.integers(-60, 60).filter(bool)
+    b, a = Fraction(data.draw(units)), Fraction(data.draw(units))
+    for p in primes:
+        b *= Fraction(p) ** data.draw(exponents)
+        a *= Fraction(p) ** data.draw(exponents)
+    rep = report(b, a)
+    symbols = [tame_symbol_odd(b, a, p) for p in Point.of(b, a).primes()]
+    want = [s for s in symbols if legendre(s.value, s.place) == -1]
+    assert [w for w in rep.delta2.witnesses if w.place != 2] == want
+    assert rep.delta2 == delta2_global(b, a)
 
 
 def test_global_zero_implies_local_zero():

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97
-from nilobstruct.arith import Point, is_prime, local_part, sqrt_mod
-from nilobstruct.localclass import (
-    REAL,
-    cup_qp,
-    delta2_local,
-    square_class_vu,
-    sqrt_square_class_vu,
-)
+from nilobstruct.arith import Point, is_prime, legendre, local_part, sqrt_mod
+from nilobstruct.localclass import REAL, cup_qp, delta2_local, square_class_vu
+from nilobstruct.obstruct import delta3_at
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**5), max_value=Fraction(10**5), max_denominator=10**3
@@ -28,7 +23,18 @@ def square_class(x, p):
 
 
 def sqrt_class(x, p):
-    return sqrt_square_class_vu(*local_part(Fraction(x), p), p)
+    """The class of the square root of the local square x that
+    obstruct.delta3_local_odd_vu takes, read back from its case (i) at the
+    point (-x, a), where -b = x.  That case's cup is {2 sqrt(x)} cup a: with
+    a a non-residue unit it is the root's p bit, and at p = 1 mod 4, with
+    a = p, it is the unit bit of {2} times the root.  At p = 3 mod 4 the
+    two roots differ by {-1}, no case value sees which was taken (a = p is
+    blocked by delta2 there), and the unit bit reads 0."""
+    non_residue = next(n for n in range(2, p) if legendre(n, p) == -1)
+    p_bit = delta3_at(-x, non_residue, p).cases[0].cup
+    if p % 4 == 3:
+        return p_bit << 1
+    return p_bit << 1 | delta3_at(-x, p, p).cases[0].cup ^ square_class_vu(0, 2, p)
 
 
 class TestSquareClass:
@@ -48,7 +54,7 @@ class TestSquareClass:
     def test_class_is_an_int(self):
         for x in (1, 3, 5, Fraction(-10, 3)):
             assert type(square_class(x, 5)) is int
-            assert type(sqrt_class(x * x, 5)) is int
+            assert all(type(t.cup) is int for t in delta3_at(-x * x, 2, 5).cases)
 
     def test_supplement_laws(self):
         # -1 is a non-residue iff p = 3 mod 4, and 2 iff p = 3 or 5 mod 8
@@ -92,7 +98,7 @@ class TestSqrtClass:
             differs = False
             for v in (0, 2):
                 for u in {x * x % p for x in range(1, p)}:
-                    got = sqrt_square_class_vu(v, u, p)
+                    got = sqrt_class(p**v * u, p)
                     want = square_class_vu(v // 2, sqrt_mod(u, p), p)
                     assert got in (want, want ^ minus_one), (v, u, p)
                     if p % 4 == 1:

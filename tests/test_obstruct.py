@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97, is_lift, kummer_real_cocycle
 from nilobstruct import arith, localclass, obstruct
-from nilobstruct.arith import InvalidPrimeError, Point, is_prime, legendre, sqrt_mod
+from nilobstruct.arith import InvalidPrimeError, Point, is_prime, legendre, local_data, sqrt_mod
 from nilobstruct.localclass import REAL, cup_qp, delta2_local, square_class_vu
 from nilobstruct.obstruct import (
     BLOCKED,
@@ -90,14 +90,10 @@ class TestDelta3LocalOdd:
             x = p * rng.choice([k for k in range(-40, 41) if k])
             assert delta3_at((1 - x) * -x, x, p).status == ZERO
 
-    def test_root_choice_independence(self, monkeypatch):
-        """The other square root -r has the class of r times {-1}: the verdict
-        and every case trace stay the same."""
-        sqrt_class = obstruct.sqrt_square_class_vu
-
-        def other_root(v, u, p):
-            return sqrt_class(v, u, p) ^ square_class_vu(0, -1, p)
-
+    def test_root_choice_independence(self):
+        """The other square root -r has the class of r times {-1}: the
+        canonical-root reference with the other root p - sqrt_mod(u, p) gives
+        the verdict and every case trace of delta3_local_odd_vu."""
         rng = random.Random(17)
         points = []
         while len(points) < 200:
@@ -106,12 +102,14 @@ class TestDelta3LocalOdd:
             a = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
             if b and a:
                 points.append((b, a, p))
-        base = [delta3_at(b, a, p) for b, a, p in points]
-        monkeypatch.setattr(obstruct, "sqrt_square_class_vu", other_root)
-        for want, (b, a, p) in zip(base, points):
-            flipped = delta3_at(b, a, p)
-            assert want.status == flipped.status
-            assert want.cases == flipped.cases
+        other_class = 0
+        for b, a, p in points:
+            data = local_data(b, a, p)
+            got = delta3_local_odd_vu(*data, p)
+            assert (got.status, got.cases) == _delta3_with_canonical_roots(*data, p, root=_other_root)
+            # At p = 3 mod 4 -1 is a non-residue, so the other root's class differs.
+            other_class += p % 4 == 3 and any(t.applicable for t in got.cases)
+        assert other_class
 
     def test_fourth_power_coset_invariance(self):
         rng = random.Random(18)
@@ -167,10 +165,16 @@ def test_two_cup_minus_one_vanishes_at_every_odd_prime_below_10_4():
         assert cup_qp(int(p % 8 in (3, 5)), int(p % 4 == 3), p) == 0, p
 
 
-def _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p):
+def _other_root(u, p):
+    """The square root of u mod p that sqrt_mod does not return, or None."""
+    r = sqrt_mod(u, p)
+    return None if r is None else p - r
+
+
+def _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p, root=sqrt_mod):
     """(status, cases) of the three-case loop with each root's class taken
-    from the canonical Tonelli-Shanks root sqrt_mod: a reference for
-    delta3_local_odd_vu that computes every root."""
+    from the canonical Tonelli-Shanks root sqrt_mod (or from root(u, p)): a
+    reference for delta3_local_odd_vu that computes every root."""
     cls_b = square_class_vu(v_b, u_b, p)
     cls_a = square_class_vu(v_a, u_a, p)
     if cup_qp(cls_b, cls_a, p):
@@ -182,12 +186,12 @@ def _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p):
         ("ii", (v_a, -u_a), cls_b, cup_qp(two, cls_a, p)),
         ("iii", (v_b + v_a, u_b * u_a), cls_a, 0),
     ):
-        r = sqrt_mod(u, p)
+        r = root(u, p)
         if v % 2 or r is None:
             cases.append(CaseTrace(name, False, 0))
             continue
-        root = square_class_vu(v // 2, r, p)
-        cases.append(CaseTrace(name, True, cup_qp(two ^ root, partner, p) ^ extra))
+        root_class = square_class_vu(v // 2, r, p)
+        cases.append(CaseTrace(name, True, cup_qp(two ^ root_class, partner, p) ^ extra))
     status = NONZERO if any(t.cup for t in cases) else ZERO
     return status, tuple(cases)
 
@@ -216,25 +220,39 @@ def _canonical_root_mismatches():
 PRIMES_BELOW_2000 = tuple(filter(is_prime, range(3, 2000, 2)))
 
 
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
 class TestQuarticRootClass:
     def test_matches_canonical_roots_on_a_full_grid(self):
         assert _canonical_root_mismatches() == []
 
     def test_grid_sees_a_wrong_unit_bit(self, monkeypatch):
-        # Dropping the quartic character at p = 1 mod 4 must show on the grid.
-        sqrt_class = obstruct.sqrt_square_class_vu
+        """Dropping the quartic bit at p = 1 mod 4 must show on the grid: a
+        pow that reads u^((p-1)/4) = +-1 as (-1)^((p-1)/4) keeps every square
+        class but takes the roots of every unit square for squares."""
 
-        def square_root_always(v, u, p):
-            return sqrt_class(v, u, p) & ~1
+        def quartic_bit_dropped(base, exp, mod):
+            r = pow(base, exp, mod)
+            if mod % 4 == 1 and exp == (mod - 1) // 4 and r in (1, mod - 1):
+                return 1 if mod % 8 == 1 else mod - 1
+            return r
 
-        monkeypatch.setattr(obstruct, "sqrt_square_class_vu", square_root_always)
+        monkeypatch.setattr(obstruct, "pow", quartic_bit_dropped, raising=False)
         bad = _canonical_root_mismatches()
         assert bad
         assert all(p % 4 == 1 for *_, p in bad)
 
     @given(st.data())
     def test_matches_canonical_roots_beyond_the_grid(self, data):
-        p = data.draw(st.sampled_from(PRIMES_BELOW_2000), label="p")
+        """Primes below 2000, and primes of 7 to 15 digits, where the kernel
+        reads every class from u^((p-1)/4) or u^((p-1)/2) alone."""
+        small = st.sampled_from(PRIMES_BELOW_2000)
+        large = st.integers(10**6, 10**15 - 40).map(_next_prime)
+        p = data.draw(st.one_of(small, large), label="p")
         v_b, v_a = data.draw(st.tuples(st.integers(0, 7), st.integers(0, 7)), label="v_b, v_a")
         units = st.integers(1, p - 1)
         u_b, u_a = data.draw(st.tuples(units, units), label="u_b, u_a")
@@ -242,25 +260,26 @@ class TestQuarticRootClass:
         assert (got.status, got.cases) == _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p)
 
     def test_two_legendre_symbols_per_place(self, monkeypatch):
-        """Square tests are class xors: each place costs the Legendre symbols
-        of b and a, plus a quartic test per applicable case at p = 1 mod 4
-        only."""
-        calls = {"_legendre": [], "_is_fourth_power_mod": []}
-        for name, log in calls.items():
-            real = getattr(localclass, name)
+        """One residue pass: each place costs exactly two modular powers, of
+        u_b and u_a, to (p-1)/4 at p = 1 mod 4 and to (p-1)/2 at p = 3 mod 4,
+        and no Legendre symbol or quartic test beside them."""
+        calls = []
 
-            def counted(a, p, real=real, log=log):
-                log.append(p)
-                return real(a, p)
+        def counting_pow(base, exp, mod):
+            calls.append((base, exp, mod))
+            return pow(base, exp, mod)
 
-            monkeypatch.setattr(localclass, name, counted)
-        places = [p for *_, p in _grid()]
-        for data in _grid():
-            delta3_local_odd_vu(*data)
-        assert sorted(calls["_legendre"]) == sorted(places * 2)
-        quartic = calls["_is_fourth_power_mod"]
-        assert quartic and all(p % 4 == 1 for p in quartic)
-        assert all(quartic.count(p) <= 3 * places.count(p) for p in set(quartic))
+        def forbidden(*args):
+            raise AssertionError("delta3_local_odd_vu took a second residue test")
+
+        monkeypatch.setattr(obstruct, "pow", counting_pow, raising=False)
+        for module, name in ((localclass, "_legendre"), (arith, "_legendre"), (arith, "_is_fourth_power_mod")):
+            monkeypatch.setattr(module, name, forbidden)
+        for v_b, u_b, v_a, u_a, p in _grid():
+            calls.clear()
+            delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)
+            e = (p - 1) // 4 if p % 4 == 1 else (p - 1) // 2
+            assert calls == [(u_b, e, p), (u_a, e, p)]
 
 
 class TestCongruence:
