@@ -385,9 +385,9 @@ def _valuation(value: Fraction, p: int) -> int:
     return v
 
 
-def _unit_residue(value: Fraction, v: int, p: int) -> int:
-    """Residue mod p of the p-unit part value * p^(-v), v = v_p(value)."""
-    num, den = value.numerator, value.denominator
+def _unit_residue(num: int, den: int, v: int, p: int) -> int:
+    """Residue mod p of the p-unit part of num/den times p^(-v), where
+    v = v_p(num/den) and num/den is in lowest terms."""
     if v > 0:
         num //= p**v
     elif v < 0:
@@ -399,7 +399,7 @@ def local_part(value: Fraction, p: int) -> tuple[int, int]:
     """(v, u): the valuation of the nonzero Fraction value at the certified
     prime p and the residue mod p of its p-unit part."""
     v = _valuation(value, p)
-    return v, _unit_residue(value, v, p)
+    return v, _unit_residue(value.numerator, value.denominator, v, p)
 
 
 def local_data(b, a, p: int) -> tuple[int, int, int, int]:
@@ -433,9 +433,10 @@ class Point(NamedTuple):
         b, a = as_rational(b), as_rational(a)
         exp_b, exp_a = _exponents(b), _exponents(a)
         local = []
+        (n_b, d_b), (n_a, d_a) = b.as_integer_ratio(), a.as_integer_ratio()
         for p in sorted((exp_b.keys() | exp_a.keys()) - {2}):
             v_b, v_a = exp_b.get(p, 0), exp_a.get(p, 0)
-            local.append((p, v_b, _unit_residue(b, v_b, p), v_a, _unit_residue(a, v_a, p)))
+            local.append((p, v_b, _unit_residue(n_b, d_b, v_b, p), v_a, _unit_residue(n_a, d_a, v_a, p)))
         return cls(b, a, tuple(local), (exp_b.get(2, 0), exp_a.get(2, 0)))
 
     def primes(self) -> tuple[int, ...]:

@@ -119,7 +119,7 @@ def delta2_global_point(point: Point, invariants) -> Delta2GlobalVerdict:
     k2_witnesses = []
     for (p, v_b, u_b, v_a, u_a), inv in zip(point.local, invariants):
         symbol = tame_symbol_vu(v_b, u_b, v_a, u_a, p)
-        if not symbol.trivial:
+        if symbol.value != 1:
             k2_witnesses.append(symbol)
             if inv:
                 witnesses.append(symbol)
@@ -128,9 +128,4 @@ def delta2_global_point(point: Point, invariants) -> Delta2GlobalVerdict:
     if not two.trivial:
         k2_witnesses.append(two)
         witnesses.append(two)
-    return Delta2GlobalVerdict(
-        zero=not witnesses,
-        witnesses=tuple(witnesses),
-        k2_zero=not k2_witnesses,
-        k2_witnesses=tuple(k2_witnesses),
-    )
+    return Delta2GlobalVerdict(not witnesses, tuple(witnesses), not k2_witnesses, tuple(k2_witnesses))

@@ -270,7 +270,7 @@ def report(b, a) -> ObstructionReport:
     d3_local = [delta3_local_odd_vu(v_b, u_b, v_a, u_a, p) for p, v_b, u_b, v_a, u_a in point.local]
     # delta3 is blocked exactly where local delta2 is 1/2.
     d2_global = delta2_global_point(point, [int(r.status == BLOCKED) for r in d3_local])
-    d3_local.append(_REAL_PLACE[b < 0, a < 0])
+    d3_local.append(_REAL_PLACE[b.numerator < 0, a.numerator < 0])
     d2_local = [(r.place, int(r.status == BLOCKED)) for r in d3_local]
     notes = []
     if d2_global.zero != d2_global.k2_zero:

@@ -283,6 +283,40 @@ def _trial_division(n):
     return out
 
 
+def test_as_rational_returns_a_fraction_itself():
+    x = Fraction(-3, 5)
+    assert arith.as_rational(x) is x
+
+    class Sub(Fraction):
+        pass
+
+    for value in (Sub(3, 5), 7, True):
+        got = arith.as_rational(value)
+        assert type(got) is Fraction and got == value
+    with pytest.raises(ValueError):
+        arith.as_rational(Fraction(0))
+
+
+def test_unit_residues_of_integers_take_no_inverse(monkeypatch):
+    """Every factor of these points is at most 47, so factoring takes no
+    modular power, and Point.of's only powers are the inverses of the
+    denominators: none for an integer point, one per unit residue whose
+    denominator is not 1 after dividing out p."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+    point = arith.Point.of(-45 * 7**3, 110)
+    assert calls == [] and point.primes() == (3, 5, 7, 11)
+    point = arith.Point.of(Fraction(3, 7), Fraction(5, 49))
+    assert point.primes() == (3, 5, 7)
+    # Inverses of 7 and 49 at 3 and at 5; at 7 both unit parts are integers.
+    assert sorted(calls) == sorted([(7, -1, 3), (49, -1, 3), (7, -1, 5), (49, -1, 5)])
+
+
 def test_factor_int_matches_trial_division():
     """Every n <= 10^5, and the shapes Pollard rho meets first once the
     primes up to 47 are divided out: prime powers and products of primes
