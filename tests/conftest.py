@@ -1,6 +1,7 @@
 import hypothesis
 import pytest
 
+from nilobstruct.arith import is_prime
 from nilobstruct.cohomology import Cochain1, coboundary, cup
 from nilobstruct.verify import run_suites
 
@@ -16,6 +17,13 @@ ODD_PRIMES_TO_97 = (
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
     61, 67, 71, 73, 79, 83, 89, 97,
 )
+
+
+def next_prime(n):
+    """The least prime >= n."""
+    while not is_prime(n):
+        n += 1
+    return n
 
 # The ten checks identity_suite runs on a model of order <= 4.
 IDENTITY_CHECKS = (

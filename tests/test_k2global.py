@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ODD_PRIMES_TO_97
-from nilobstruct.arith import Point, is_prime, legendre, local_part, valuation
+from conftest import ODD_PRIMES_TO_97, next_prime
+from nilobstruct.arith import Point, legendre, local_part, valuation
 from nilobstruct.k2global import (
     decompose_2adic,
     delta2_global,
@@ -148,18 +148,12 @@ def test_tame_symbol_mod2_image_is_local_invariant():
             assert (legendre(symbol.value, p) == -1) == (delta2_local(b, a, p) == 1)
 
 
-def _next_prime(n):
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 @given(st.data())
 def test_report_witnesses_are_the_non_square_tame_symbols(data):
     """report() lists a tame symbol as a mod-2 witness from the local
     invariant bits; the reference takes the Legendre symbol of each tame
     symbol instead, at points built from primes up to 10^6."""
-    primes = data.draw(st.lists(st.integers(3, 999983).map(_next_prime), min_size=1, max_size=3))
+    primes = data.draw(st.lists(st.integers(3, 999983).map(next_prime), min_size=1, max_size=3))
     exponents = st.integers(-3, 3)
     units = st.integers(-60, 60).filter(bool)
     b, a = Fraction(data.draw(units)), Fraction(data.draw(units))

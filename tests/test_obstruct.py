@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ODD_PRIMES_TO_97, is_lift, kummer_real_cocycle
+from conftest import ODD_PRIMES_TO_97, is_lift, kummer_real_cocycle, next_prime
 from nilobstruct import arith, localclass, obstruct
 from nilobstruct.arith import InvalidPrimeError, Point, is_prime, legendre, local_data, sqrt_mod
 from nilobstruct.localclass import REAL, cup_qp, delta2_local, square_class_vu
@@ -220,12 +220,6 @@ def _canonical_root_mismatches():
 PRIMES_BELOW_2000 = tuple(filter(is_prime, range(3, 2000, 2)))
 
 
-def _next_prime(n):
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 class TestQuarticRootClass:
     def test_matches_canonical_roots_on_a_full_grid(self):
         assert _canonical_root_mismatches() == []
@@ -251,7 +245,7 @@ class TestQuarticRootClass:
         """Primes below 2000, and primes of 7 to 15 digits, where the kernel
         reads every class from u^((p-1)/4) or u^((p-1)/2) alone."""
         small = st.sampled_from(PRIMES_BELOW_2000)
-        large = st.integers(10**6, 10**15 - 40).map(_next_prime)
+        large = st.integers(10**6, 10**15 - 40).map(next_prime)
         p = data.draw(st.one_of(small, large), label="p")
         v_b, v_a = data.draw(st.tuples(st.integers(0, 7), st.integers(0, 7)), label="v_b, v_a")
         units = st.integers(1, p - 1)
