@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 from typing import NamedTuple
 
 
@@ -216,10 +216,32 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
 
 
+def _prime_power_root(m: int) -> tuple[int, int]:
+    """(r, k) with m = r^k for a prime k, else (m, 1), for an m with no prime
+    factor <= 47: so r >= 53 and 53^k <= m.  k runs over the primes <= 47 and
+    the k with no prime factor <= 47, which are prime below 53^2.  The root is
+    isqrt, or Newton from a float estimate raised by 2^-30, above the root."""
+    k, bound = 2, 2809
+    while bound <= m:
+        if k in _SMALL_PRIMES or all(k % q for q in _SMALL_PRIMES):
+            if k == 2:
+                r = isqrt(m)
+            else:
+                e = log2(m) / k
+                shift = max(int(e) - 50, 0)
+                r = int(2 ** (e - shift) * (1 + 2**-30) + 1) << shift
+                while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+                    r = s
+            if r**k == m:
+                return r, k
+        k, bound = k + 1, bound * 53
+    return m, 1
+
+
 def factor_int(n: int) -> dict[int, int]:
     """Factor a positive integer into {prime: exponent}: divide out
     ``_SMALL_PRIMES``, then certify each cofactor by ``_is_rough_prime``,
-    with no second trial division, or split it by rho."""
+    with no second trial division, or split it by its root or by rho."""
     if n <= 0:
         raise ValueError("factor_int needs a positive integer")
     out: dict[int, int] = {}
@@ -233,9 +255,8 @@ def factor_int(n: int) -> dict[int, int]:
         if _is_rough_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        f = _pollard_rho(m)
-        stack.append(f)
-        stack.append(m // f)
+        r, k = _prime_power_root(m)
+        stack += [r] * k if k > 1 else [f := _pollard_rho(m), m // f]
     return out
 
 

@@ -173,7 +173,8 @@ def _congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
     s = (a + b) % p
     if _legendre(s, p) != 1:
         return False, None
-    return True, _is_fourth_power_mod(s, p)
+    # At p = 3 mod 4 every square is a fourth power.
+    return True, p & 3 == 3 or _is_fourth_power_mod(s, p)
 
 
 # delta3 mod 2 at R for each sign pattern (b < 0, a < 0): the components of

@@ -392,7 +392,8 @@ def run_cochain_suite(max_order: int = 8, exhaustive: bool = False, seed: int = 
 def _tower4_table():
     """TOWER4's elements, the multiplication table on their indices, and
     act[chi, f]: for each element g, the index of act_vec(g, chi, f).  Each
-    entry is a mul_vec or act_vec product reduced into TOWER4."""
+    entry is a mul_vec or act_vec product reduced into TOWER4: the suite's
+    only TOWER4 products and actions, which check_magnus certifies."""
     els = nil.all_elements(nil.TOWER4)
     moduli, reduce, mul = nil.TOWER4.moduli, nil._reduce, nil.mul_vec
     index = {g: i for i, g in enumerate(els)}
@@ -437,36 +438,35 @@ def check_associativity_tower4(tower4_table) -> CheckResult:
     return result
 
 
-def check_inverses_tower4() -> CheckResult:
+def check_inverses_tower4(tower4_table) -> CheckResult:
+    """g g^-1 = 1 = g^-1 g for the reduced inv_vec of every g, with both
+    products read from the multiplication table of _tower4_table(), whose
+    index 0 is the identity."""
     result = CheckResult("TOWER4 inverses", "TOWER4", 128)
-    moduli, reduce, mul = nil.TOWER4.moduli, nil._reduce, nil.mul_vec
-    one = (0, 0, 0, 0, 0)
-    for g in nil.all_elements(nil.TOWER4):
-        g_inv = reduce(nil.inv_vec(g), moduli)
-        if not (reduce(mul(g, g_inv), moduli) == one == reduce(mul(g_inv, g), moduli)):
+    els, table, _ = tower4_table
+    index = {g: i for i, g in enumerate(els)}
+    for i, g in enumerate(els):
+        j = index[nil._reduce(nil.inv_vec(g), nil.TOWER4.moduli)]
+        if not table[i][j] == 0 == table[j][i]:
             result.failures.append(str(g))
     return result
 
 
-def check_switch_identity() -> CheckResult:
-    """x^b y^a = y^a x^b [x,y]^{ab} [[x,y],y]^{b C(a+1,2)} [[x,y],x]^{a C(b+1,2)}."""
+def check_switch_identity(tower4_table) -> CheckResult:
+    """x^b y^a = y^a x^b [x,y]^{ab} [[x,y],y]^{b C(a+1,2)} [[x,y],x]^{a C(b+1,2)},
+    with x^b, y^a and their product read from the table of _tower4_table()."""
     result = CheckResult("generator switch law", "TOWER4, (a,b) mod 4", 16)
-    moduli, reduce, mul = nil.TOWER4.moduli, nil._reduce, nil.mul_vec
-    x, y = (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)
-
-    def power(g, n):
-        # n-fold reduced products, so that the check exercises the product
-        out = (0, 0, 0, 0, 0)
-        for _ in range(n):
-            out = reduce(mul(out, g), moduli)
-        return out
-
-    for a in range(4):
-        for b in range(4):
-            lhs = reduce(mul(power(x, b), power(y, a)), moduli)
-            rhs = reduce((a, b, a * b, a * (b * (b + 1) // 2), b * (a * (a + 1) // 2)), moduli)
-            if lhs != rhs:
-                result.failures.append(f"a={a} b={b}")
+    els, table, _ = tower4_table
+    index = {g: i for i, g in enumerate(els)}
+    # n-fold products, so that the check exercises the table
+    x_pow, y_pow = [0], [0]
+    for _ in range(3):
+        x_pow.append(table[x_pow[-1]][index[0, 1, 0, 0, 0]])
+        y_pow.append(table[y_pow[-1]][index[1, 0, 0, 0, 0]])
+    for a, b in itertools.product(range(4), repeat=2):
+        rhs = (a, b, a * b, a * (b * (b + 1) // 2), b * (a * (a + 1) // 2))
+        if els[table[x_pow[b]][y_pow[a]]] != nil._reduce(rhs, nil.TOWER4.moduli):
+            result.failures.append(f"a={a} b={b}")
     return result
 
 
@@ -485,30 +485,43 @@ def check_commutator_exact() -> CheckResult:
     return result
 
 
-def check_magnus(spec: nil.QuotientSpec, pairs, label: str) -> CheckResult:
-    """Every pair's collection product equals its embed/multiply/extract product.
-
-    Both sides are exponent vectors: the reduced mul_vec product against
-    the extraction of the series product of the two embeddings, reduced
-    into the quotient.  A finite tower's elements are embedded once each and
-    looked up per pair; FULL4 pairs are random and barely repeat, so each
-    factor is embedded where it is used and no series outlives its pair.
-    """
+def check_magnus(spec: nil.QuotientSpec, products, label: str) -> CheckResult:
+    """Every collection product equals its embed/multiply/extract product:
+    products yields ((g, g's series), (h, h's series), gh), with gh the
+    collection product reduced into spec, and gh must equal the extraction
+    of the series product, reduced the same way.  Each factor comes with
+    its series, so a caller whose factors repeat embeds each once."""
     result = CheckResult("collection == magnus", label, 0)
     m, moduli, reduce = spec.magnus_modulus, spec.moduli, nil._reduce
-    mul, seriesmul, extract = nil.mul_vec, nil._seriesmul_vec, nil._extract_vec
-    if spec in (nil.TOWER3, nil.TOWER4):
-        embed = {g: nil._embed_vec(g, m) for g in nil.all_elements(spec)}.__getitem__
-    else:
-        def embed(g):
-            return nil._embed_vec(g, m)
-    for g, h in pairs:
+    seriesmul, extract = nil._seriesmul_vec, nil._extract_vec
+    for (g, g_series), (h, h_series), gh in products:
         result.cases += 1
-        lhs = reduce(mul(g, h), moduli)
-        rhs = reduce(extract(seriesmul(embed(g), embed(h)), m), moduli)
-        if lhs != rhs:
-            result.failures.append(f"{g} * {h}: {lhs} != {rhs}")
+        magnus = reduce(extract(seriesmul(g_series, h_series), m), moduli)
+        if gh != magnus:
+            result.failures.append(f"{g} * {h}: {gh} != {magnus}")
     return result
+
+
+def _table_products(tower4_table, spec: nil.QuotientSpec):
+    """check_magnus's products for every pair of elements of spec, TOWER3
+    or TOWER4, read from the multiplication table of _tower4_table() and
+    reduced into spec: TOWER3's elements are TOWER4's with d = e = 0, and
+    its moduli divide TOWER4's.  Each element is embedded once, when
+    check_magnus reads the first product."""
+    els, table, _ = tower4_table
+    m, moduli = spec.magnus_modulus, spec.moduli
+    reduced = [nil._reduce(g, moduli) for g in els]
+    factors = [(i, (g, nil._embed_vec(g, m))) for i, g in enumerate(els) if reduced[i] == g]
+    yield from ((g, h, reduced[table[i][j]]) for i, g in factors for j, h in factors)
+
+
+def _series_products(spec: nil.QuotientSpec, pairs):
+    """check_magnus's products for pairs of exponent vectors: the reduced
+    mul_vec product, with each factor embedded where it is used, since
+    random pairs barely repeat and no series need outlive its pair."""
+    m, moduli = spec.magnus_modulus, spec.moduli
+    for g, h in pairs:
+        yield (g, nil._embed_vec(g, m)), (h, nil._embed_vec(h, m)), nil._reduce(nil.mul_vec(g, h), moduli)
 
 
 def check_magnus_roundtrip() -> CheckResult:
@@ -565,109 +578,73 @@ def check_galois_composition(tower4_table) -> CheckResult:
     return result
 
 
-def _top_bytes(rng: random.Random, count: int, shift: int):
-    """An iterator over chunks (bytes) of the top bytes of rng's next 32-bit
-    outputs whose top bit is 0, each shifted right by shift, exactly count
-    of them in all, drawn from rng chunk by chunk as it is consumed.
-
-    On CPython, randrange(2**j) for 1 <= j <= 7 (and choice of a sequence of
-    length 2**j) draws getrandbits(j + 1), the top j + 1 bits of one 32-bit
-    output, until the value is below 2**j, that is until the output's top
-    bit is 0; the value is then the top byte shifted right by 7 - j.
-    randbytes(4 * k) is k outputs, little-endian, so byte 4i + 3 is the top
-    byte of output i.  One translate drops the bytes whose top bit is 1 and
-    shifts the rest, so no Python step is taken per byte.  A chunk never
-    asks for more outputs than values still needed, so no output past the
-    last accepted one is drawn, and rng is left where the randrange draws
-    leave it.
-    """
-    shifted = bytes([byte >> shift for byte in range(256)])
-    high = bytes(range(128, 256))
-    while count > 0:
-        chunk = rng.randbytes(4 * min(count, 4096))[3::4].translate(shifted, high)
-        count -= len(chunk)
-        yield chunk
-
-
 def _compat_cases(rng: random.Random):
-    """2000 random (g, h, chi, f), each as the code below draws it, leaving
-    rng where 2000 runs of it leave it:
-
-        g = tuple([rng.randrange(4) for _ in range(5)])
-        h = tuple([rng.randrange(4) for _ in range(5)])
-        chi = rng.choice((1, 3, 5, 7))
-        f = rng.randrange(2)
-
-    Each draw is one value of _top_bytes shifted right by 5, the two bits
-    after the top bit: randrange(4) and the choice read both, randrange(2)
-    the first of them."""
-    draws = itertools.chain.from_iterable(_top_bytes(rng, 12 * 2000, 5))
-    for case in zip(*[draws] * 12):
-        yield case[:5], case[5:10], (1, 3, 5, 7)[case[10]], case[11] >> 1
+    """2000 random (g, h, chi, f): g and h with exponents mod 4, chi one of
+    1, 3, 5, 7, and f mod 2.  Each value is the low bits of its own byte of
+    one rng.randbytes draw, which is uniform since 4 and 2 divide 256."""
+    draws = rng.randbytes(12 * 2000).translate(bytes(range(4)) * 64)
+    for case in zip(*[iter(draws)] * 12):
+        yield case[:5], case[5:10], (1, 3, 5, 7)[case[10]], case[11] & 1
 
 
-def check_quotient_compat(rng: random.Random) -> CheckResult:
+def check_quotient_compat(tower4_table, rng: random.Random) -> CheckResult:
     """Reducing FULL4(4) into TOWER4, and TOWER4 into TOWER3, respects the
-    product and the Galois action, on 2000 random pairs.  Each side is a
-    reduced exponent vector: reducing mod FULL4(4)'s moduli and then mod
-    TOWER4's is reducing mod TOWER4's, whose moduli divide them."""
+    product and the Galois action, on 2000 random pairs: each side is
+    reduced mod the coarser moduli, which divide the finer ones.  Only the
+    FULL4(4) side calls mul_vec and act_vec; the others read the tables of
+    _tower4_table(), where TOWER3's elements are those with d = e = 0."""
     result = CheckResult("FULL4(4) -> TOWER4 -> TOWER3 compatibility", "projections", 0)
-    mul, act, reduce = nil.mul_vec, nil.act_vec, nil._reduce
+    els, table, act = tower4_table
+    index = {g: i for i, g in enumerate(els)}
+    reduce = nil._reduce
     m4, m3 = nil.TOWER4.moduli, nil.TOWER3.moduli
     for g, h, chi, f in _compat_cases(rng):
         result.cases += 1
-        g4, h4 = reduce(g, m4), reduce(h, m4)
-        gh4 = mul(g4, h4)
-        if reduce(mul(g, h), m4) != reduce(gh4, m4):
+        i = index[reduce(g, m4)]
+        gh4 = els[table[i][index[reduce(h, m4)]]]
+        if reduce(nil.mul_vec(g, h), m4) != gh4:
             result.failures.append(f"mul {g} {h}")
-        if reduce(act(g, chi, f), m4) != reduce(act(g4, chi, f), m4):
+        if reduce(nil.act_vec(g, chi, f), m4) != els[act[chi, f][i]]:
             result.failures.append(f"act {g}")
-        if reduce(gh4, m3) != reduce(mul(reduce(g4, m3), reduce(h4, m3)), m3):
+        gh3 = els[table[index[reduce(g, m3)]][index[reduce(h, m3)]]]
+        if reduce(gh4, m3) != reduce(gh3, m3):
             result.failures.append(f"tower3 {g} {h}")
     return result
 
 
 def _full4_8_pairs(rng: random.Random):
-    """An iterator over 10^4 random pairs of exponent vectors, already
-    reduced mod 8, drawn from rng as it is consumed.
-
-    Each exponent is a value of _top_bytes shifted right by 4, which is
-    rng.randrange(8), so the pairs and the rng state after the last of them
-    are those of ten rng.randrange(8) per pair, g's five before h's.  The
-    pairs are never held at once, and at most 4096 outputs are drawn ahead:
-    the caller consumes them all before it draws from rng again.
-    """
-    draws = itertools.chain.from_iterable(_top_bytes(rng, 100_000, 4))
-    vectors = zip(*[draws] * 5)
-    return zip(vectors, vectors)
+    """An iterator over 10^4 random pairs of exponent vectors mod 8.  Each
+    exponent is the low three bits of its own byte of one rng.randbytes
+    draw, which is uniform since 8 divides 256; the draw is made when the
+    first pair is read."""
+    vectors = zip(*[iter(rng.randbytes(10 * 10_000).translate(bytes(range(8)) * 32))] * 5)
+    yield from zip(vectors, vectors)
 
 
 def run_nilpotent_suite(seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
     spec8 = nil.full4(8)
-    # check_magnus draws these as it goes, before check_quotient_compat
-    # draws from rng.
-    random_pairs = _full4_8_pairs(rng)
-    tower4 = nil.all_elements(nil.TOWER4)
-    tower3 = nil.all_elements(nil.TOWER3)
-    # Built once per pass and shared by the table-driven checks; the first
-    # of them, associativity, is timed from the start of the build.
+    # check_magnus draws these as it reads them, before
+    # check_quotient_compat draws from rng.
+    random_pairs = _series_products(spec8, _full4_8_pairs(rng))
+    # Built once per pass and read by every check of TOWER3 or TOWER4
+    # products; the first, associativity, is timed from the start of the build.
     start = time.perf_counter()
     tower4_table = _tower4_table()
     associativity = check_associativity_tower4(tower4_table)
     associativity.seconds = time.perf_counter() - start
     return [
         associativity,
-        _timed(check_inverses_tower4),
-        _timed(check_switch_identity),
+        _timed(check_inverses_tower4, tower4_table),
+        _timed(check_switch_identity, tower4_table),
         _timed(check_commutator_exact),
         _timed(check_magnus_roundtrip),
-        _timed(check_magnus, nil.TOWER3, itertools.product(tower3, tower3), "TOWER3 exhaustive"),
-        _timed(check_magnus, nil.TOWER4, itertools.product(tower4, tower4), "TOWER4 exhaustive"),
+        _timed(check_magnus, nil.TOWER3, _table_products(tower4_table, nil.TOWER3), "TOWER3 exhaustive"),
+        _timed(check_magnus, nil.TOWER4, _table_products(tower4_table, nil.TOWER4), "TOWER4 exhaustive"),
         _timed(check_magnus, spec8, random_pairs, "FULL4(8), 10^4 random pairs"),
         _timed(check_galois_automorphism, tower4_table),
         _timed(check_galois_composition, tower4_table),
-        _timed(check_quotient_compat, rng),
+        _timed(check_quotient_compat, tower4_table, rng),
     ]
 
 

@@ -355,7 +355,8 @@ def test_factor_int_trial_divides_each_cofactor_once(monkeypatch, n, primes):
     """factor_int divides out the primes <= 47 once, up front.  Every
     cofactor then goes to the kernel _is_rough_prime exactly once, never
     through is_prime's trial division: k prime factors above 47, with
-    multiplicity, leave 2k - 1 cofactors (k primes and k - 1 splits)."""
+    multiplicity, leave 2k - 1 cofactors (k primes and k - 1 splits), or
+    k + 1 if they are k > 1 copies of one prime, split at once by its root."""
     seen = []
     kernel = arith._is_rough_prime
 
@@ -370,8 +371,32 @@ def test_factor_int_trial_divides_each_cofactor_once(monkeypatch, n, primes):
     monkeypatch.setattr(arith, "is_prime", forbidden)
     monkeypatch.setattr(arith, "_is_rough_prime", counted)
     factor_int(n)
-    assert len(seen) == 2 * len(primes) - 1
+    assert len(seen) == (len(primes) + 1 if len(set(primes)) == 1 < len(primes) else 2 * len(primes) - 1)
     assert sorted(m for m in seen if kernel(m)) == sorted(primes)
+
+
+def test_factor_int_splits_prime_powers_without_rho(monkeypatch):
+    """A cofactor that is a prime power is split by its root, with no rho:
+    p^2, p^3, p^6 and 47 p^2 for the 15-digit prime p, and 53^3, the least
+    cube the root test sees."""
+
+    def forbidden(n):
+        raise AssertionError(f"factor_int ran rho on {n}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", forbidden)
+    p = 999999999999989
+    for n, want in ((p**2, {p: 2}), (p**3, {p: 3}), (p**6, {p: 6}), (47 * p**2, {47: 1, p: 2}), (53**3, {53: 3})):
+        assert factor_int(n) == want
+
+
+def test_prime_power_root_finds_every_prime_exponent():
+    """r^k gives (r, k) for primes r and k, from 53^2 up, with the root
+    taken by isqrt or by Newton from its float estimate; r^k + 2, no power,
+    gives (r^k + 2, 1)."""
+    for r in (53, 2801, 999999999999989, 2**127 - 1):
+        for k in (k for k in range(2, 60) if is_prime(k)):
+            assert arith._prime_power_root(r**k) == (r, k)
+            assert arith._prime_power_root(r**k + 2) == (r**k + 2, 1)
 
 
 def _strong_probable_prime(n, a):

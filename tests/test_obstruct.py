@@ -277,6 +277,34 @@ class TestQuarticRootClass:
             assert calls == [(u_b, e, p), (u_a, e, p)]
 
 
+def test_congruence_tests_fourth_powers_only_at_p_1_mod_4(monkeypatch):
+    """At p = 3 mod 4 every square is a fourth power, so the congruence
+    fast path takes no fourth-power test there; its answers still equal
+    the Legendre symbol and the fourth-power test of a + b."""
+    fourth_power = arith.is_fourth_power_mod
+    tested = []
+
+    def counting(s, p):
+        tested.append(p)
+        return fourth_power(s, p)
+
+    monkeypatch.setattr(obstruct, "_is_fourth_power_mod", counting)
+    squares = collections.Counter()
+    for b in range(-40, 41):
+        for a in range(-40, 41):
+            if not (a and b):
+                continue
+            report(b, a)
+            for p in Point.of(b, a).primes():
+                if a * b % p == 0 != a * b % (p * p):
+                    square = legendre(a + b, p) == 1
+                    want = (square, fourth_power(a + b, p) if square else None)
+                    assert delta3_congruence(b, a, p) == want
+                    squares[p % 4] += square
+    assert tested and all(p % 4 == 1 for p in tested)
+    assert squares[3] > 100 and squares[1] > 100
+
+
 class TestCongruence:
     def test_minus_one_five(self):
         assert delta3_congruence(-1, 5, 5) == (True, False)

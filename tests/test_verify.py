@@ -17,7 +17,8 @@ from nilobstruct.verify import (
     _compat_cases,
     _full4_8_pairs,
     _model_data,
-    _top_bytes,
+    _series_products,
+    _table_products,
     _tower4_table,
     check_associativity_tower4,
     check_boundary_n3,
@@ -31,6 +32,7 @@ from nilobstruct.verify import (
     check_quotient_compat,
     check_switch_identity,
     identity_suite,
+    run_nilpotent_suite,
 )
 
 VERIFY_BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "verify_baseline.json"
@@ -211,10 +213,11 @@ def _flipped_e(mul_vec):
 
 
 def test_magnus_check_catches_a_wrong_collection_on_tower4(monkeypatch):
-    """TOWER4 embeds each element once; a wrong product must still show."""
+    """TOWER4 embeds each element once and reads the products from the
+    table; a table built with a wrong product must still show."""
     monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
-    tower4 = nil.all_elements(nil.TOWER4)
-    result = check_magnus(nil.TOWER4, itertools.product(tower4, tower4), "TOWER4 exhaustive")
+    products = _table_products(_tower4_table(), nil.TOWER4)
+    result = check_magnus(nil.TOWER4, products, "TOWER4 exhaustive")
     assert not result.passed
     assert result.cases == 128**2
     # a and b of the product are both odd for a quarter of all pairs
@@ -231,7 +234,7 @@ def test_magnus_check_catches_a_wrong_collection_on_full4_8(monkeypatch):
     g, h, want = bad[0]
     wrong = (*want[:4], (want[4] + 1) % 8)
     monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
-    result = check_magnus(spec, pairs, "FULL4(8), 200 random pairs")
+    result = check_magnus(spec, _series_products(spec, pairs), "FULL4(8), 200 random pairs")
     assert not result.passed
     assert result.cases == 200
     assert len(result.failures) == len(bad) > 0
@@ -247,17 +250,18 @@ def test_inverses_check_catches_a_wrong_inverse(monkeypatch):
         return a, b, c, d, e + u[1] % 2
 
     monkeypatch.setattr(nil, "inv_vec", wrong)
-    result = check_inverses_tower4()
+    result = check_inverses_tower4(_tower4_table())
     assert result.cases == 128
     assert len(result.failures) == 64
     assert result.failures[0] == "(0, 1, 0, 0, 0)"
 
 
 def test_switch_identity_check_catches_a_wrong_collection(monkeypatch):
-    """The powers x^b and y^a are built by products with a = 0 or b = 0, so
-    _flipped_e breaks only x^b y^a, where a and b are both odd."""
+    """The powers x^b and y^a are read from products with a = 0 or b = 0, so
+    a table built with _flipped_e is wrong only at x^b y^a, where a and b
+    are both odd."""
     monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
-    result = check_switch_identity()
+    result = check_switch_identity(_tower4_table())
     assert result.cases == 16
     assert result.failures == ["a=1 b=1", "a=1 b=3", "a=3 b=1", "a=3 b=3"]
 
@@ -308,19 +312,20 @@ def _high_c_bit(kernel, coordinate):
 @pytest.mark.parametrize(
     "kernel, coordinate, first",
     (
-        ("mul_vec", 3, "mul (1, 0, 2, 1, 2) (0, 0, 2, 3, 0)"),
-        ("act_vec", 4, "act (1, 0, 2, 1, 2)"),
+        ("mul_vec", 3, "mul (2, 2, 3, 3, 1) (0, 2, 3, 0, 3)"),
+        ("act_vec", 4, "act (2, 2, 3, 3, 1)"),
     ),
 )
 def test_quotient_compat_check_catches_a_product_or_action_that_ignores_reduction(
     monkeypatch, kernel, coordinate, first
 ):
     """A product or action that reads a bit of c that TOWER4 drops no longer
-    commutes with the reduction; every FULL4(4) draw with c >= 2 fails."""
+    commutes with the reduction; every FULL4(4) draw with c >= 2 fails.  The
+    TOWER4 side, read from a table of reduced elements, has c < 2."""
     monkeypatch.setattr(nil, kernel, _high_c_bit(getattr(nil, kernel), coordinate))
-    result = check_quotient_compat(random.Random(0))
+    result = check_quotient_compat(_tower4_table(), random.Random(0))
     assert result.cases == 2000
-    assert len(result.failures) == 1036
+    assert len(result.failures) == sum(g[2] >= 2 for g, *_ in _compat_cases(random.Random(0))) == 986
     assert result.failures[0] == first
     assert all(line.startswith(first.split()[0] + " ") for line in result.failures)
 
@@ -492,49 +497,39 @@ def test_all_f_kernels_match_one_f_calls(model):
 
 
 @pytest.mark.parametrize("seed", (0, 1))
-def test_full4_8_pairs_draw_as_randrange(seed):
-    """The bulk draw, each exponent a top byte of _top_bytes shifted right
-    by 4, gives the pairs of the randrange(8) list comprehension and leaves
-    the rng where it leaves it."""
+def test_full4_8_pairs_draw_in_range_by_seed(seed):
+    """10^4 pairs of exponent vectors mod 8, from one draw of 10^5 bytes:
+    two draws with the seed give the same pairs, the other seed gives
+    others, every value mod 8 occurs in every coordinate, and the rng is
+    left where one randbytes(10^5) leaves it."""
     rng, reference = random.Random(seed), random.Random(seed)
-    want = [
-        (tuple([reference.randrange(8) for _ in range(5)]), tuple([reference.randrange(8) for _ in range(5)]))
-        for _ in range(10_000)
-    ]
-    assert list(_full4_8_pairs(rng)) == want
+    pairs = list(_full4_8_pairs(rng))
+    reference.randbytes(100_000)
     assert rng.random() == reference.random()
-
-
-@pytest.mark.parametrize("count", (1, 4095, 4096, 4097, 8193))
-@pytest.mark.parametrize("seed", (0, 1))
-def test_top_bytes_draw_as_randrange_across_chunk_edges(seed, count):
-    """count values of _top_bytes shifted right by 7 - j are count
-    randrange(2**j), for every j the shift table serves, and leave the rng
-    where they leave it, at counts on either side of the 4096-output chunk."""
-    for j in range(1, 8):
-        rng, reference = random.Random(seed), random.Random(seed)
-        want = [reference.randrange(2**j) for _ in range(count)]
-        assert list(itertools.chain.from_iterable(_top_bytes(rng, count, 7 - j))) == want
-        assert rng.random() == reference.random()
+    assert list(_full4_8_pairs(random.Random(seed))) == pairs
+    assert list(_full4_8_pairs(random.Random(1 - seed))) != pairs
+    assert len(pairs) == 10_000
+    vectors = [v for pair in pairs for v in pair]
+    assert all(len(v) == 5 for v in vectors)
+    assert all(set(column) == set(range(8)) for column in zip(*vectors))
 
 
 @pytest.mark.parametrize("seed", (0, 1))
-def test_compat_cases_draw_as_randrange_and_choice(seed):
-    """The bulk draw of check_quotient_compat gives the (g, h, chi, f) of
-    the randrange/choice comprehension and leaves the rng where it leaves
-    it."""
+def test_compat_cases_draw_in_range_by_seed(seed):
+    """2000 cases (g, h, chi, f) from one draw of 24,000 bytes: g and h mod
+    4, chi in (1, 3, 5, 7), f mod 2, every value occurring; two draws with
+    the seed give the same cases, the other seed gives others, and the rng
+    is left where one randbytes(24000) leaves it."""
     rng, reference = random.Random(seed), random.Random(seed)
-    want = [
-        (
-            tuple([reference.randrange(4) for _ in range(5)]),
-            tuple([reference.randrange(4) for _ in range(5)]),
-            reference.choice((1, 3, 5, 7)),
-            reference.randrange(2),
-        )
-        for _ in range(2000)
-    ]
-    assert list(_compat_cases(rng)) == want
+    cases = list(_compat_cases(rng))
+    reference.randbytes(24_000)
     assert rng.random() == reference.random()
+    assert list(_compat_cases(random.Random(seed))) == cases
+    assert list(_compat_cases(random.Random(1 - seed))) != cases
+    assert len(cases) == 2000
+    gs, hs, chis, fs = zip(*cases)
+    assert all(set(column) == set(range(4)) for column in zip(*gs, *hs))
+    assert set(chis) == {1, 3, 5, 7} and set(fs) == {0, 1}
 
 
 def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
@@ -557,8 +552,12 @@ def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
 
 
 def test_tower4_galois_actions_are_tabulated_once(monkeypatch):
-    """The build makes each product and each action once; the table checks
-    then read only the tables, with no mul_vec or act_vec call."""
+    """The build makes each product and each action once, the suite's only
+    TOWER4 products and actions.  The table checks, the Magnus checks on
+    TOWER3 and TOWER4, the inverses and switch-law checks, and the TOWER4
+    and TOWER3 sides of the compatibility check then read the tables: the
+    last makes one mul_vec and one act_vec call per case, on its FULL4(4)
+    draw."""
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
     tower4_table = _tower4_table()
@@ -566,4 +565,22 @@ def test_tower4_galois_actions_are_tabulated_once(monkeypatch):
     assert check_associativity_tower4(tower4_table).passed
     assert check_galois_automorphism(tower4_table).passed
     assert check_galois_composition(tower4_table).passed
+    assert check_inverses_tower4(tower4_table).passed
+    assert check_switch_identity(tower4_table).passed
+    for spec in (nil.TOWER3, nil.TOWER4):
+        assert check_magnus(spec, _table_products(tower4_table, spec), spec.name).cases == spec.order**2
     assert counts == {"mul_vec": 128**2, "act_vec": 1024}
+    compat = check_quotient_compat(tower4_table, random.Random(0))
+    assert compat.passed and compat.cases == 2000
+    assert counts == {"mul_vec": 128**2 + 2000, "act_vec": 1024 + 2000}
+
+
+def test_nilpotent_suite_forms_tower4_products_only_in_the_table_build(monkeypatch):
+    """Over one nilpotent pass, mul_vec runs 16,384 times for the table, 24
+    times for the exact commutator law (three products per a < 8), 10^4
+    times for the FULL4(8) pairs and 2000 times for the FULL4(4) cases, and
+    act_vec 1024 times for the table and 2000 times for the cases."""
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
+    assert all(r.passed for r in run_nilpotent_suite())
+    assert counts == {"mul_vec": 128**2 + 24 + 10_000 + 2000, "act_vec": 1024 + 2000}
