@@ -241,7 +241,9 @@ def _prime_power_root(m: int) -> tuple[int, int]:
 def factor_int(n: int) -> dict[int, int]:
     """Factor a positive integer into {prime: exponent}: divide out
     ``_SMALL_PRIMES``, then certify each cofactor by ``_is_rough_prime``,
-    with no second trial division, or split it by its root or by rho."""
+    with no second trial division, or split it by its root or by rho.  The
+    stack holds (cofactor, exponent) pairs, so a root r of m = r^k is split
+    once, with its exponent times k."""
     if n <= 0:
         raise ValueError("factor_int needs a positive integer")
     out: dict[int, int] = {}
@@ -249,14 +251,14 @@ def factor_int(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if _is_rough_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
             continue
         r, k = _prime_power_root(m)
-        stack += [r] * k if k > 1 else [f := _pollard_rho(m), m // f]
+        stack += [(r, e * k)] if k > 1 else [(f := _pollard_rho(m), e), (m // f, e)]
     return out
 
 

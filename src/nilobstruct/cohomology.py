@@ -12,9 +12,11 @@ degree-1/2 identities used by the obstruction evaluators are checkable here
 on every twisted cocycle and every lift, because they are cochain identities
 valid over any profinite group with any character.  Cocycles (Dc = 0), the
 admissible f and the lifts (Dc = -(b cup a)) are listed by one solver: a
-solution of Dc = t is fixed by its values on generators.  A mod-2 cochain is
-the bits of one int, on which these operations are a few int operations
-(see _BitOps); a cochain at any other modulus is a tuple of its values.
+solution of Dc = t is fixed by its values on generators.  A cochain's
+values are in one order at every modulus, c(g) at index g and z(g, h) at
+index g*n + h: at modulus 2 as the bits of one int, on which these
+operations are a few int operations (see _BitOps), and at any other modulus
+as one flat tuple.
 """
 
 from __future__ import annotations
@@ -209,9 +211,14 @@ def _unpack(bits: int, count: int) -> tuple[int, ...]:
     return tuple(map(int, reversed(format(bits, f"0{count}b"))))
 
 
+def _stored(modulus: int, values):
+    """The stored data of values in bit order: their int of bits at modulus
+    2, their tuple otherwise."""
+    return _pack(values) if modulus == 2 else tuple(values)
+
+
 def _new(cls, model: GaloisModel, modulus: int, weight: int, data):
-    """A cochain from its stored data, unchecked: an int of bits at modulus
-    2, the reduced values otherwise."""
+    """A cochain from its stored data (see _stored), unchecked."""
     c = object.__new__(cls)
     c.model = model
     c.modulus = modulus
@@ -221,13 +228,23 @@ def _new(cls, model: GaloisModel, modulus: int, weight: int, data):
 
 
 class _Cochain:
-    """What Cochain1 and Cochain2 share.  At modulus 2 a cochain stores its
-    values as the bits of one int (see _BitOps); at other moduli as a tuple.
-    ``values`` reads them as a tuple either way, and ``bits`` reads the int.
-    Two cochains are equal when their model, modulus, weight and values are,
-    and hash by their stored values.  No operation changes a cochain."""
+    """What Cochain1 and Cochain2 share.  A cochain stores its values in bit
+    order, c(g) at g and z(g, h) at g*n + h: at modulus 2 as the bits of one
+    int (see _BitOps), at other moduli as a flat tuple.  ``_flat`` reads
+    them as a tuple either way, and ``bits`` reads the int.  Two cochains
+    are equal when their model, modulus, weight and values are, and hash by
+    their stored values.  No operation changes a cochain."""
 
     __slots__ = ("model", "modulus", "weight", "_data")
+    _degree = 1
+
+    def __init__(self, model: GaloisModel, modulus: int, weight: int, values: Sequence[int]):
+        if len(values) != model.order**self._degree:
+            raise ValueError("wrong number of values")
+        if any([v % modulus != v for v in values]):
+            raise ValueError("values not reduced")
+        self.model, self.modulus, self.weight = model, modulus, weight
+        self._data = _stored(modulus, values)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -257,17 +274,28 @@ class _Cochain:
             raise ValueError(f"a mod-{self.modulus} cochain has no bits")
         return self._data
 
+    @property
+    def _flat(self) -> tuple[int, ...]:
+        """The values in bit order."""
+        if self.modulus == 2:
+            return _unpack(self._data, self.model.order**self._degree)
+        return self._data
+
+    def is_zero(self) -> bool:
+        return not (self._data if self.modulus == 2 else any(self._data))
+
     def __add__(self, other):
         _check_compatible(self, other)
-        if self.modulus == 2:
-            return _new(type(self), self.model, 2, self.weight, self._data ^ other._data)
-        return _new(type(self), self.model, self.modulus, self.weight, self._add(other._data))
+        x, y, mod = self._data, other._data, self.modulus
+        data = x ^ y if mod == 2 else tuple([(u + v) % mod for u, v in zip(x, y)])
+        return _new(type(self), self.model, mod, self.weight, data)
 
     def __neg__(self):
         # -z is z at modulus 2.
-        if self.modulus == 2:
+        mod = self.modulus
+        if mod == 2:
             return self
-        return _new(type(self), self.model, self.modulus, self.weight, self._neg())
+        return _new(type(self), self.model, mod, self.weight, tuple([-x % mod for x in self._data]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -277,30 +305,7 @@ class Cochain1(_Cochain):
     """Degree-1 cochain: values on G in Z/modulus, coefficients chi^weight."""
 
     __slots__ = ()
-
-    def __init__(self, model: GaloisModel, modulus: int, weight: int, values: Sequence[int]):
-        if len(values) != model.order:
-            raise ValueError("wrong number of values")
-        if any([v % modulus != v for v in values]):
-            raise ValueError("values not reduced")
-        self.model, self.modulus, self.weight = model, modulus, weight
-        self._data = _pack(values) if modulus == 2 else tuple(values)
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        if self.modulus == 2:
-            return _unpack(self._data, self.model.order)
-        return self._data
-
-    def is_zero(self) -> bool:
-        return not (self._data if self.modulus == 2 else any(self._data))
-
-    def _add(self, other):
-        mod = self.modulus
-        return tuple([(x + y) % mod for x, y in zip(self._data, other)])
-
-    def _neg(self):
-        return tuple([-x % self.modulus for x in self._data])
+    values = _Cochain._flat
 
     def pointwise_mul(self, other: "Cochain1") -> "Cochain1":
         """The product cochain (cd)(g) = c(g) d(g); weights add."""
@@ -319,55 +324,25 @@ class Cochain1(_Cochain):
         return _new(Cochain1, self.model, 2, self.weight, _pack([v % 2 for v in self._data]))
 
     def is_cocycle(self) -> bool:
-        if self.modulus == 2:
-            return not self.model._bits.coboundary(self._data)
-        v, mod = self._data, self.modulus
-        twist = [pow(chi, self.weight, mod) for chi in self.model.chi]
-        return not any(
-            (v_g + chi_g * v_h - v[gh]) % mod
-            for row, chi_g, v_g in zip(self.model.table, twist, v)
-            for v_h, gh in zip(v, row)
-        )
+        return coboundary(self).is_zero()
 
 
 class Cochain2(_Cochain):
-    """Degree-2 cochain: values on G x G in Z/modulus, given as one tuple of
-    values per row g."""
+    """Degree-2 cochain: values on G x G in Z/modulus, given and read as one
+    tuple of values per row g."""
 
     __slots__ = ()
+    _degree = 2
 
     def __init__(self, model: GaloisModel, modulus: int, weight: int, values: Sequence[Sequence[int]]):
-        n = model.order
-        if len(values) != n or any(len(row) != n for row in values):
+        if any(len(row) != model.order for row in values):
             raise ValueError("wrong number of values")
-        if any([v % modulus != v for row in values for v in row]):
-            raise ValueError("values not reduced")
-        self.model, self.modulus, self.weight = model, modulus, weight
-        if modulus == 2:
-            self._data = _pack([v for row in values for v in row])
-        else:
-            self._data = tuple(map(tuple, values))
+        super().__init__(model, modulus, weight, [v for row in values for v in row])
 
     @property
     def values(self) -> tuple[tuple[int, ...], ...]:
-        if self.modulus != 2:
-            return self._data
-        n = self.model.order
-        flat = _unpack(self._data, n * n)
+        n, flat = self.model.order, self._flat
         return tuple([flat[g : g + n] for g in range(0, n * n, n)])
-
-    def is_zero(self) -> bool:
-        return not (self._data if self.modulus == 2 else any(map(any, self._data)))
-
-    def _add(self, other):
-        mod = self.modulus
-        return tuple([
-            tuple([(x + y) % mod for x, y in zip(row1, row2)]) for row1, row2 in zip(self._data, other)
-        ])
-
-    def _neg(self):
-        mod = self.modulus
-        return tuple([tuple([-x % mod for x in row]) for row in self._data])
 
     def is_cocycle(self) -> bool:
         """Degree-2 cocycle condition D2 z = 0:
@@ -375,9 +350,9 @@ class Cochain2(_Cochain):
         with gh and hk read from the rows of the table.  At modulus 2 the law
         for one g is one n^2-bit int over (h, k), with the rows of z read
         through row g of the table for z(gh, k)."""
-        z, mod, table = self._data, self.modulus, self.model.table
+        mod, table = self.modulus, self.model.table
         if mod == 2:
-            ops = self.model._bits
+            z, ops = self._data, self.model._bits
             shifts = range(0, ops.n * ops.n, ops.n)
             rows = [z >> s & ops.full for s in shifts]
             return not any(
@@ -385,6 +360,7 @@ class Cochain2(_Cochain):
                 ^ ops.compose(z_g) ^ ops.spread(z_g) * ops.full
                 for row_g, z_g in zip(table, rows)
             )
+        z = self.values
         twist = [pow(chi, self.weight, mod) for chi in self.model.chi]
         return not any([
             (chi_g * z_hk - z_ghk + z_g[hk] - z_gh) % mod
@@ -404,7 +380,7 @@ def _check_compatible(c, d) -> None:
 
 
 def zero1(model: GaloisModel, modulus: int, weight: int) -> Cochain1:
-    return _new(Cochain1, model, modulus, weight, 0 if modulus == 2 else (0,) * model.order)
+    return _new(Cochain1, model, modulus, weight, _stored(modulus, [0] * model.order))
 
 
 def coboundary(c: Cochain1) -> Cochain2:
@@ -413,11 +389,11 @@ def coboundary(c: Cochain1) -> Cochain2:
     if mod == 2:
         return _new(Cochain2, model, 2, c.weight, model._bits.coboundary(c._data))
     v = c._data
-    rows = []
+    values = []
     for row, chi, v_g in zip(model.table, model.chi, v):
         chi_g = pow(chi, c.weight, mod)
-        rows.append(tuple([(v_g + chi_g * v_h - v[gh]) % mod for v_h, gh in zip(v, row)]))
-    return _new(Cochain2, model, mod, c.weight, tuple(rows))
+        values += [(v_g + chi_g * v_h - v[gh]) % mod for v_h, gh in zip(v, row)]
+    return _new(Cochain2, model, mod, c.weight, tuple(values))
 
 
 def cup(c: Cochain1, d: Cochain1) -> Cochain2:
@@ -432,12 +408,12 @@ def cup(c: Cochain1, d: Cochain1) -> Cochain2:
         return _new(Cochain2, model, 2, weight, d._data * model._bits.spread(c._data))
     right = d._data
     zero = (0,) * len(right)
-    rows = []
+    values = []
     for c_g, chi in zip(c._data, model.chi):
         left = c_g * pow(chi, d.weight, mod) % mod
         # d's values are reduced, so a left factor of 1 gives d's row itself.
-        rows.append(zero if left == 0 else right if left == 1 else tuple([left * x % mod for x in right]))
-    return _new(Cochain2, model, mod, weight, tuple(rows))
+        values += zero if left == 0 else right if left == 1 else [left * x % mod for x in right]
+    return _new(Cochain2, model, mod, weight, tuple(values))
 
 
 # (n choose 2) mod 2 depends only on n mod 4: residues 0,1,2,3 -> 0,0,1,1.
@@ -573,12 +549,8 @@ def _solutions(target: Cochain2) -> list[Cochain1]:
                     reached.append(gs)
                     steps.append((gs, g, s))
     walk = steps[len(gens):]  # the identity's steps reach the generators
-    t, n = target._data, model.order
-    # target(g, s) for each step of the walk
-    if modulus == 2:
-        walk_t = [t >> (g * n + s) & 1 for _, g, s in walk]
-    else:
-        walk_t = [t[g][s] for _, g, s in walk]
+    t, n = target._flat, model.order
+    walk_t = [t[g * n + s] for _, g, s in walk]  # target(g, s) for each step
     out = []
     for gen_values in itertools.product(range(modulus), repeat=len(gens)):
         values = [0] * n
@@ -586,7 +558,7 @@ def _solutions(target: Cochain2) -> list[Cochain1]:
             values[s] = v
         for (gs, g, s), t_gs in zip(walk, walk_t):
             values[gs] = (values[g] + twist[g] * values[s] - t_gs) % modulus
-        c = _new(Cochain1, model, modulus, weight, _pack(values) if modulus == 2 else tuple(values))
+        c = _new(Cochain1, model, modulus, weight, _stored(modulus, values))
         if coboundary(c) == target:
             out.append(c)
     return out
@@ -595,16 +567,14 @@ def _solutions(target: Cochain2) -> list[Cochain1]:
 def all_twisted_cocycles(model: GaloisModel, modulus: int, weight: int = 1) -> list[Cochain1]:
     """All cocycles c(gh) = c(g) + chi(g)^w c(h): the solutions of Dc = 0,
     in itertools.product order of their generator values."""
-    zero = 0 if modulus == 2 else ((0,) * model.order,) * model.order
+    zero = _stored(modulus, [0] * model.order**2)
     return _solutions(_new(Cochain2, model, modulus, weight, zero))
 
 
 def lift_cochains(b: Cochain1, a: Cochain1) -> list[Cochain1]:
     """All lifts (b,a)_c: the mod-2 cochains c on b's model, of weight
     b.weight + a.weight, with Dc = -(b cup a) mod 2, sorted by their values."""
-    # c's values in order, as a string of 0s and 1s
-    fmt = f"0{b.model.order}b"
-    return sorted(_solutions(-cup(b.reduce2(), a.reduce2())), key=lambda c: format(c.bits, fmt)[::-1])
+    return sorted(_solutions(-cup(b.reduce2(), a.reduce2())), key=lambda c: c.values)
 
 
 def f_homs(model: GaloisModel) -> list[Cochain1]:

@@ -355,8 +355,9 @@ def test_factor_int_trial_divides_each_cofactor_once(monkeypatch, n, primes):
     """factor_int divides out the primes <= 47 once, up front.  Every
     cofactor then goes to the kernel _is_rough_prime exactly once, never
     through is_prime's trial division: k prime factors above 47, with
-    multiplicity, leave 2k - 1 cofactors (k primes and k - 1 splits), or
-    k + 1 if they are k > 1 copies of one prime, split at once by its root."""
+    multiplicity, leave 2k - 1 cofactors (k primes and k - 1 splits), or 2
+    if they are k copies of one prime for a prime k, the power and its root,
+    which is certified once for all k copies."""
     seen = []
     kernel = arith._is_rough_prime
 
@@ -371,8 +372,8 @@ def test_factor_int_trial_divides_each_cofactor_once(monkeypatch, n, primes):
     monkeypatch.setattr(arith, "is_prime", forbidden)
     monkeypatch.setattr(arith, "_is_rough_prime", counted)
     factor_int(n)
-    assert len(seen) == (len(primes) + 1 if len(set(primes)) == 1 < len(primes) else 2 * len(primes) - 1)
-    assert sorted(m for m in seen if kernel(m)) == sorted(primes)
+    assert len(seen) == (2 if len(set(primes)) == 1 < len(primes) else 2 * len(primes) - 1)
+    assert sorted(m for m in seen if kernel(m)) == sorted(set(primes))
 
 
 def test_factor_int_splits_prime_powers_without_rho(monkeypatch):
@@ -387,6 +388,23 @@ def test_factor_int_splits_prime_powers_without_rho(monkeypatch):
     p = 999999999999989
     for n, want in ((p**2, {p: 2}), (p**3, {p: 3}), (p**6, {p: 6}), (47 * p**2, {47: 1, p: 2}), (53**3, {53: 3})):
         assert factor_int(n) == want
+
+
+@pytest.mark.parametrize("k", (3, 5))
+def test_factor_int_splits_a_composite_root_once(monkeypatch, k):
+    """A power of a composite root goes to rho once: the root of
+    (1000003 * 1000033)^k is split by one _pollard_rho call, and each of its
+    primes takes the exponent k."""
+    calls = []
+    rho = arith._pollard_rho
+
+    def counted(m):
+        calls.append(m)
+        return rho(m)
+
+    monkeypatch.setattr(arith, "_pollard_rho", counted)
+    assert factor_int((1000003 * 1000033) ** k) == {1000003: k, 1000033: k}
+    assert calls == [1000003 * 1000033]
 
 
 def test_prime_power_root_finds_every_prime_exponent():

@@ -232,10 +232,12 @@ def _cup_by_definition(c, d):
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=lambda m: m.name)
 def test_cochain_kernels_match_their_definitions(model):
-    """coboundary, cup, the two is_cocycle tests and the Cochain2 sums against
-    their definitions entry by entry, on random cochains of every modulus
-    2, 4, 8 and weight 0..3.  Random 2-cochains and cocycles with one entry
-    bumped are mostly no cocycles, so a test that always says True fails."""
+    """coboundary, cup, the two is_cocycle tests, the sums, negatives and
+    is_zero of both degrees against their definitions entry by entry, on
+    random cochains of every modulus 2, 4, 8 and weight 0..3; a Cochain2
+    built from the rows of a coboundary or a cup equals it and hashes like
+    it.  Random 2-cochains and cocycles with one entry bumped are mostly no
+    cocycles, so a test that always says True fails."""
     rng = random.Random(model.name)
     n = model.order
 
@@ -253,6 +255,15 @@ def test_cochain_kernels_match_their_definitions(model):
             dc, cd = coboundary(c), cup(c, d)
             assert dc.values == _coboundary_by_definition(c)
             assert cd.values == _cup_by_definition(c, d) and cd.weight == weight + d.weight
+            for z in (dc, cd):
+                from_rows = Cochain2(model, modulus, z.weight, z.values)
+                assert from_rows == z and hash(from_rows) == hash(z)
+                assert z.is_zero() == (not any(map(any, z.values)))
+            e = rand1(modulus, weight)
+            assert (c + e).values == tuple((x + y) % modulus for x, y in zip(c.values, e.values))
+            assert (c - e).values == tuple((x - y) % modulus for x, y in zip(c.values, e.values))
+            assert (-c).values == tuple(-x % modulus for x in c.values)
+            assert c.is_zero() == (not any(c.values)) and (c - c).is_zero()
             for c1 in (c, rng.choice(cocycles)):
                 verdicts1.add(c1.is_cocycle())
                 assert c1.is_cocycle() == _is_cocycle1_by_definition(c1)

@@ -201,6 +201,23 @@ def test_associativity_record_times_the_table_build(monkeypatch):
     assert associativity.seconds >= 0.1
 
 
+def test_dbchoose2_record_times_the_dataset_build(monkeypatch):
+    """The per-model dataset is built after the D compose D = 0 check and
+    timed inside the D(b choose 2) check, the first that reads it; the
+    record order is unchanged."""
+    build = verify._model_data
+
+    def slow_build(model):
+        time.sleep(0.1)
+        return build(model)
+
+    monkeypatch.setattr(verify, "_model_data", slow_build)
+    dd_zero, dbchoose2 = verify.identity_suite(klein_model())[:2]
+    assert (dd_zero.name, dbchoose2.name) == ("D compose D = 0", "D(b choose 2) identity")
+    assert dd_zero.passed and dbchoose2.passed
+    assert dd_zero.seconds < 0.1 <= dbchoose2.seconds
+
+
 def _flipped_e(mul_vec):
     """mul_vec with e shifted by one whenever the product's a and b are both
     odd (the moduli are even, so the parity survives reduction)."""
