@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, log2
 from typing import NamedTuple
 
@@ -238,12 +239,38 @@ def _prime_power_root(m: int) -> tuple[int, int]:
     return m, 1
 
 
+# An odd composite below 2^20 = 1024^2 has a prime factor below 1024, so the
+# primes 53..1021 split every cofactor below it that trial division leaves.
+_TABLE_LIMIT = 1 << 20
+
+
+@cache
+def _factor_table() -> tuple[tuple[int, ...], bytearray]:
+    """The primes 53..1021 and a 512 KiB least-prime-factor table over the
+    odd m < 2^20, built on first use.
+
+    Entry ``m >> 1`` of an odd m with no prime factor <= 47 is the 1-based
+    index into those primes of m's least prime factor if m is composite, and
+    0 if m is prime.  It is exact: Eratosthenes marks the multiples of each
+    p from p^2, from 1021 down to 53, so the least prime writes last.
+    """
+    # Below 53^2, no prime factor <= 47 means prime.
+    primes = tuple(p for p in range(53, 1024, 2) if all(p % q for q in _SMALL_PRIMES))
+    table = bytearray(_TABLE_LIMIT >> 1)
+    for i in range(len(primes), 0, -1):
+        p = primes[i - 1]
+        start = p * p >> 1
+        table[start::p] = bytes((i,)) * len(range(start, len(table), p))
+    return primes, table
+
+
 def factor_int(n: int) -> dict[int, int]:
     """Factor a positive integer into {prime: exponent}: divide out
-    ``_SMALL_PRIMES``, then certify each cofactor by ``_is_rough_prime``,
-    with no second trial division, or split it by its root or by rho.  The
-    stack holds (cofactor, exponent) pairs, so a root r of m = r^k is split
-    once, with its exponent times k."""
+    ``_SMALL_PRIMES``, then split each cofactor m below 2^20 completely by
+    ``_factor_table`` lookups (one below 53^2 = 2809 is prime), and certify
+    each larger one by ``_is_rough_prime``, with no second trial division, or
+    split it by its root or by rho.  The stack holds (cofactor, exponent)
+    pairs, so a root r of m = r^k is split once, with its exponent times k."""
     if n <= 0:
         raise ValueError("factor_int needs a positive integer")
     out: dict[int, int] = {}
@@ -254,11 +281,17 @@ def factor_int(n: int) -> dict[int, int]:
     stack = [(n, 1)] if n > 1 else []
     while stack:
         m, e = stack.pop()
-        if _is_rough_prime(m):
-            out[m] = out.get(m, 0) + e
+        if 2809 <= m < _TABLE_LIMIT:
+            primes, table = _factor_table()
+            while i := table[m >> 1]:
+                p = primes[i - 1]
+                out[p] = out.get(p, 0) + e
+                m //= p
+        elif m >= _TABLE_LIMIT and not _is_rough_prime(m):
+            r, k = _prime_power_root(m)
+            stack += [(r, e * k)] if k > 1 else [(f := _pollard_rho(m), e), (m // f, e)]
             continue
-        r, k = _prime_power_root(m)
-        stack += [(r, e * k)] if k > 1 else [(f := _pollard_rho(m), e), (m // f, e)]
+        out[m] = out.get(m, 0) + e
     return out
 
 

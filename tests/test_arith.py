@@ -1,7 +1,13 @@
+import itertools
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -349,20 +355,38 @@ def test_factor_int_around_53_squared(n):
         (2801**3, (2801,) * 3),
         (47 * 1000003 * 1000033, (1000003, 1000033)),
         (1000003 * 1000033 * 1000037, (1000003, 1000033, 1000037)),
+        (1048583 * 1000003, (1048583, 1000003)),
+        (5 * 1048583**3, (1048583,) * 3),
     ),
 )
 def test_factor_int_trial_divides_each_cofactor_once(monkeypatch, n, primes):
     """factor_int divides out the primes <= 47 once, up front.  Every
-    cofactor then goes to the kernel _is_rough_prime exactly once, never
-    through is_prime's trial division: k prime factors above 47, with
-    multiplicity, leave 2k - 1 cofactors (k primes and k - 1 splits), or 2
-    if they are k copies of one prime for a prime k, the power and its root,
-    which is certified once for all k copies."""
-    seen = []
+    cofactor from 2^20 up then goes to the kernel _is_rough_prime exactly
+    once, never through is_prime's trial division, and every cofactor from
+    53^2 up to 2^20 goes to the table instead.  Here a rough part below 2^20
+    leaves no cofactor from 2^20 up; k copies of one prime, for a prime k,
+    leave the power and the root if the root is at least 2^20; k distinct
+    primes, any two with a product from 2^20 up, leave the k - 1 splits and
+    each prime from 2^20 up."""
+    large = sum(p >= 2**20 for p in set(primes))
+    if math.prod(primes) < 2**20:
+        rough = 0
+    elif len(set(primes)) == 1 < len(primes):
+        rough = 1 + large
+    else:
+        rough = len(primes) - 1 + large
+    seen, looked = [], []
     kernel = arith._is_rough_prime
+    table_primes, table = arith._factor_table()
+
+    class Looked:
+        def __getitem__(self, j):
+            looked.append(2 * j + 1)
+            return table[j]
 
     def counted(m):
         assert all(m % p for p in arith._SMALL_PRIMES), m
+        assert m >= 2**20, m
         seen.append(m)
         return kernel(m)
 
@@ -371,9 +395,90 @@ def test_factor_int_trial_divides_each_cofactor_once(monkeypatch, n, primes):
 
     monkeypatch.setattr(arith, "is_prime", forbidden)
     monkeypatch.setattr(arith, "_is_rough_prime", counted)
-    factor_int(n)
-    assert len(seen) == (2 if len(set(primes)) == 1 < len(primes) else 2 * len(primes) - 1)
-    assert sorted(m for m in seen if kernel(m)) == sorted(set(primes))
+    monkeypatch.setattr(arith, "_factor_table", lambda: (table_primes, Looked()))
+    assert {p: e for p, e in factor_int(n).items() if p > 47} == {p: primes.count(p) for p in primes}
+    assert len(seen) == len(set(seen)) == rough
+    assert sorted(m for m in seen if kernel(m)) == sorted(p for p in set(primes) if p >= 2**20)
+    assert all(m < 2**20 for m in looked)
+    assert {p for p in primes if 2809 <= p < 2**20} <= set(looked)
+
+
+def test_factor_table_calls_m_prime_exactly_when_the_kernel_does():
+    """The table calls every odd m < 2^20 with no prime factor <= 47 prime
+    exactly when _is_rough_prime does, and names a prime factor of every
+    other.  About 0.6 s."""
+    table_primes, table = arith._factor_table()
+    rough = bytearray([1]) * len(table)  # entry j: the odd m = 2j + 1
+    rough[0] = 0
+    for p in arith._SMALL_PRIMES[1:]:
+        rough[p >> 1 :: p] = bytes(len(range(p >> 1, len(rough), p)))
+    odd = [2 * j + 1 for j in itertools.compress(range(len(rough)), rough)]
+    assert [m for m in odd if not table[m >> 1]] == [m for m in odd if arith._is_rough_prime(m)]
+    assert all(m % table_primes[table[m >> 1] - 1] == 0 for m in odd if table[m >> 1])
+
+
+def test_factor_int_matches_trial_division_around_the_table_limit(monkeypatch):
+    """factor_int agrees with trial division on 2^20 +- 5000, on the largest
+    table primes, around 53^2, and on 1000003 * 1000033; 1031 * 1033, just
+    above the limit, goes to rho.  About 0.5 s."""
+    cases = list(range(2**20 - 5000, 2**20 + 5001))
+    cases += [1048573, 1048575, 1048577, 1021**2, 1019 * 1021, 2801, 2809, 53 * 59 * 61]
+    cases += [1000003, 1000003 * 1000033]
+    assert [factor_int(n) for n in cases] == [_trial_division(n) for n in cases]
+
+    calls = []
+    rho = arith._pollard_rho
+
+    def counted(m):
+        calls.append(m)
+        return rho(m)
+
+    monkeypatch.setattr(arith, "_pollard_rho", counted)
+    assert factor_int(1031 * 1033) == {1031: 1, 1033: 1}
+    assert calls == [1031 * 1033]
+
+
+def test_factor_int_splits_small_composites_by_the_table_alone(monkeypatch):
+    """Every odd composite below 2e5 with no prime factor <= 47 is split by
+    table lookups, with no Miller-Rabin and no rho."""
+    composites = [
+        n for n in range(2809, 200_000, 2) if all(n % p for p in arith._SMALL_PRIMES) and not is_prime(n)
+    ]
+
+    def forbidden(m):
+        raise AssertionError(f"factor_int left the table on {m}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", forbidden)
+    monkeypatch.setattr(arith, "_is_rough_prime", forbidden)
+    split = [factor_int(n) for n in composites]
+    monkeypatch.undo()
+    for n, factors in zip(composites, split):
+        assert math.prod(p**e for p, e in factors.items()) == n and sum(factors.values()) > 1, n
+        assert all(is_prime(p) for p in factors), n
+
+
+@given(st.integers(min_value=1, max_value=2**24))
+def test_factor_int_matches_trial_division_across_the_table_limit(n):
+    assert factor_int(n) == _trial_division(n)
+
+
+def test_factor_table_is_built_on_the_first_cofactor_that_needs_it():
+    """Neither report(-1, 5), the warm-up call of the benchmark, nor a verify
+    pass builds the table; the first cofactor from 53^2 up to 2^20 does, once."""
+    code = (
+        "import nilobstruct\n"
+        "from nilobstruct import arith, verify\n"
+        "nilobstruct.report(-1, 5)\n"
+        "assert arith._factor_table.cache_info().currsize == 0\n"
+        "verify.run_suites(suite='cochain', max_order=2)\n"
+        "assert arith._factor_table.cache_info().currsize == 0\n"
+        "nilobstruct.report(53 * 59, 7)\n"
+        "nilobstruct.report(53 * 59, 7)\n"
+        "assert arith._factor_table.cache_info().misses == 1\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_factor_int_splits_prime_powers_without_rho(monkeypatch):
