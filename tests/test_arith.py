@@ -1,12 +1,11 @@
 import itertools
 import json
-import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -369,7 +368,7 @@ def test_factor_int_trial_divides_each_cofactor_once(monkeypatch, n, primes):
     primes, any two with a product from 2^20 up, leave the k - 1 splits and
     each prime from 2^20 up."""
     large = sum(p >= 2**20 for p in set(primes))
-    if math.prod(primes) < 2**20:
+    if prod(primes) < 2**20:
         rough = 0
     elif len(set(primes)) == 1 < len(primes):
         rough = 1 + large
@@ -453,7 +452,7 @@ def test_factor_int_splits_small_composites_by_the_table_alone(monkeypatch):
     split = [factor_int(n) for n in composites]
     monkeypatch.undo()
     for n, factors in zip(composites, split):
-        assert math.prod(p**e for p, e in factors.items()) == n and sum(factors.values()) > 1, n
+        assert prod(p**e for p, e in factors.items()) == n and sum(factors.values()) > 1, n
         assert all(is_prime(p) for p in factors), n
 
 
@@ -464,11 +463,13 @@ def test_factor_int_matches_trial_division_across_the_table_limit(n):
 
 def test_factor_table_is_built_on_the_first_cofactor_that_needs_it():
     """Neither report(-1, 5), the warm-up call of the benchmark, nor a verify
-    pass builds the table; the first cofactor from 53^2 up to 2^20 does, once."""
+    pass, nor a cofactor below 53^2 builds the table; the first cofactor from
+    53^2 up to 2^20 does, once."""
     code = (
         "import nilobstruct\n"
         "from nilobstruct import arith, verify\n"
         "nilobstruct.report(-1, 5)\n"
+        "assert arith.factor_int(2 * 2801) == {2: 1, 2801: 1}\n"
         "assert arith._factor_table.cache_info().currsize == 0\n"
         "verify.run_suites(suite='cochain', max_order=2)\n"
         "assert arith._factor_table.cache_info().currsize == 0\n"
