@@ -179,29 +179,56 @@ def _is_strong_lucas_prp(n: int) -> bool:
     return False
 
 
+class FactoringBudgetError(ValueError):
+    """Raised when rho reaches ``_RHO_MAX_R`` without splitting a cofactor."""
+
+
 # Brent's rho takes one gcd per this many steps: the product of the
 # differences is accumulated mod n in between.
 _RHO_BATCH = 128
+
+# The work bound of rho: Brent's r doubles each round, and a round with r
+# above this raises FactoringBudgetError.  With c = 1, psi_13 splits at
+# r = 2^19 and 100000000003 * 700000000009 at r = 2^18.
+_RHO_MAX_R = 1 << 21
 
 
 def _pollard_rho(n: int) -> int:
     """Brent's Pollard rho (Brent, BIT 1980); returns a nontrivial factor of
     composite odd n.
 
-    Each step makes one squaring and one product into q, with one gcd(q, n)
-    per batch of ``_RHO_BATCH`` steps.  A batch whose gcd is n is replayed
-    from its saved start one step at a time; a failed c moves to the next.
+    Each step makes one squaring, with one gcd(q, n) per batch of
+    ``_RHO_BATCH`` steps.  The differences x - y of four steps are multiplied
+    into q with one reduction mod n, so q is the same residue at every gcd
+    as with one reduction per step; r < 4 takes single steps.  A batch whose
+    gcd is n is replayed from its saved start one step at a time; a failed c
+    moves to the next.  Once r would pass ``_RHO_MAX_R``, after about 2^23
+    steps of one c, it raises FactoringBudgetError naming n.
     """
     for c in range(1, 100):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if r > _RHO_MAX_R:
+                raise FactoringBudgetError(f"no factor of {n} found within the rho work bound")
             x = y
-            for _ in range(r):
+            for _ in range(r >> 2):
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+            for _ in range(r & 3):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
+                m = min(_RHO_BATCH, r - k)
+                for _ in range(m >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(m & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = gcd(q, n)
@@ -269,8 +296,9 @@ def factor_int(n: int) -> dict[int, int]:
     ``_SMALL_PRIMES``, then split each cofactor m below 2^20 completely by
     ``_factor_table`` lookups (one below 53^2 = 2809 is prime), and certify
     each larger one by ``_is_rough_prime``, with no second trial division, or
-    split it by its root or by rho.  The stack holds (cofactor, exponent)
-    pairs, so a root r of m = r^k is split once, with its exponent times k."""
+    split it by its root or by rho, which raises FactoringBudgetError at its
+    work bound.  The stack holds (cofactor, exponent) pairs, so a root r of
+    m = r^k is split once, with its exponent times k."""
     if n <= 0:
         raise ValueError("factor_int needs a positive integer")
     out: dict[int, int] = {}

@@ -645,10 +645,23 @@ def _brent_one_gcd_per_step(n):
     raise ArithmeticError(n)
 
 
+def _seeded_semiprimes(count):
+    """count products of two primes drawn from (1021, 10^7)."""
+    rng = random.Random(35)
+
+    def prime():
+        while not is_prime(p := rng.randrange(1023, 10**7, 2)):
+            pass
+        return p
+
+    return [prime() * prime() for _ in range(count)]
+
+
 def test_pollard_rho_finds_a_proper_divisor():
-    """Every odd composite below 2e5 with no prime factor up to 47; for a
-    product of two primes the batched gcd, backtrack included, finds the
-    divisor a gcd per step finds."""
+    """Every odd composite below 2e5 with no prime factor up to 47, and 300
+    seeded products of two primes in (1021, 10^7), which run full batches
+    and some backtracks; for a product of two primes the batched gcd,
+    backtrack included, finds the divisor a gcd per step finds."""
     for n in range(53 * 53, 200_000, 2):
         if any(n % p == 0 for p in arith._SMALL_PRIMES):
             continue
@@ -659,3 +672,16 @@ def test_pollard_rho_finds_a_proper_divisor():
         assert 1 < d < n and n % d == 0, n
         if sum(factors.values()) == 2:
             assert d == _brent_one_gcd_per_step(n), n
+    for n in _seeded_semiprimes(300):
+        assert arith._pollard_rho(n) == _brent_one_gcd_per_step(n), n
+
+
+def test_rho_work_bound_refuses_with_exit_2(monkeypatch):
+    """With the cap of Brent's r lowered to 2^6, the 13-digit semiprime
+    1000003 * 1000033 (about 1000 steps) runs out of budget: factor_int
+    raises FactoringBudgetError naming it, and the CLI exits 2."""
+    n = 1000003 * 1000033
+    monkeypatch.setattr(arith, "_RHO_MAX_R", 1 << 6)
+    with pytest.raises(arith.FactoringBudgetError, match=f"of {n} "):
+        factor_int(n)
+    assert cli.main(["report", str(n), "5"]) == 2
