@@ -17,7 +17,13 @@ and act_vec work over the integers, and a caller reduces their output into a
 quotient with _reduce(v, spec.moduli).  These kernels, _reduce and the
 Magnus _embed_vec and _extract_vec are straight-line code with no helper
 calls (C(n + 1, 2) is written n(n + 1) >> 1), since one verify pass calls
-them some 10^5 times.
+them about 1.1 * 10^5 times, and the first pass of a process, which builds
+TOWER4's tables, 1.3 * 10^5 times.
+
+TOWER4's multiplication table and its Galois actions, on element indices,
+live here too: each row and each action is built from the kernels on first
+use and kept for the process, the section boundary reads them, and the
+nilpotent suite reads them all and certifies them against the Magnus oracle.
 
 The Magnus embedding x -> 1 + X, y -> 1 + Y into noncommutative power series
 truncated in degree 3 provides an independent oracle: collection products are
@@ -31,7 +37,6 @@ record.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -140,6 +145,66 @@ def _reduce(u: Vec, moduli: Vec) -> Vec:
 def all_elements(spec: QuotientSpec) -> list[Vec]:
     """Every reduced exponent vector of spec, in lexicographic order."""
     return list(itertools.product(*map(range, spec.moduli)))
+
+
+# ---------------------------------------------------------------------------
+# TOWER4's tables
+# ---------------------------------------------------------------------------
+
+# TOWER4 has 128 elements, so an element's index fits in a byte and a row
+# of a table is one 128-byte bytes object.  The index of (a, b, c, d, e) is
+# its position in all_elements(TOWER4), a*32 + b*8 + c*4 + d*2 + e.
+TOWER4_ELEMENTS = tuple(all_elements(TOWER4))
+
+# The memos: row i of the multiplication table, and the action of each
+# (chi mod 8, f).  Each is built on first use and kept for the process, so
+# a pass that needs a few rows builds only those.
+_TOWER4_ROWS: list[bytes | None] = [None] * len(TOWER4_ELEMENTS)
+_TOWER4_ACTIONS: dict[tuple[int, int], bytes] = {}
+
+
+def tower4_index(v: Vec) -> int:
+    """The index of v reduced into TOWER4, for any integer exponents.
+
+    TOWER4's moduli are powers of 2, so each reduction is a mask."""
+    a, b, c, d, e = v
+    return (a & 3) << 5 | (b & 3) << 3 | (c & 1) << 2 | (d & 1) << 1 | e & 1
+
+
+def tower4_row(i: int) -> bytes:
+    """Row i of TOWER4's multiplication table: byte j is the index of the
+    reduced mul_vec product of elements i and j."""
+    row = _TOWER4_ROWS[i]
+    if row is None:
+        g = TOWER4_ELEMENTS[i]
+        row = _TOWER4_ROWS[i] = bytes([tower4_index(mul_vec(g, h)) for h in TOWER4_ELEMENTS])
+    return row
+
+
+def tower4_action(chi: int, f: int) -> bytes:
+    """The action of (chi, f) on TOWER4, f 0 or 1: byte i is the index of
+    the reduced act_vec image of element i.  Mod TOWER4 it depends on chi
+    only mod 8."""
+    key = (chi % 8, f)
+    action = _TOWER4_ACTIONS.get(key)
+    if action is None:
+        action = _TOWER4_ACTIONS[key] = bytes([tower4_index(act_vec(g, *key)) for g in TOWER4_ELEMENTS])
+    return action
+
+
+def tower4_tables() -> tuple[list[bytes], dict[tuple[int, int], bytes]]:
+    """Every row of TOWER4's multiplication table, and the action of every
+    (chi, f) for chi in 1, 3, 5, 7 and f in 0, 1, in that order; what is not
+    built yet is built now."""
+    rows = [tower4_row(i) for i in range(len(TOWER4_ELEMENTS))]
+    return rows, {key: tower4_action(*key) for key in itertools.product((1, 3, 5, 7), (0, 1))}
+
+
+def _through(row: bytes) -> bytes:
+    """A bytes.translate table that reads row at each index: row padded to
+    256 bytes.  Every index into row is below its length, so no index
+    reaches the padding."""
+    return row.ljust(256, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +335,12 @@ def _extract_vec(s: tuple[int, ...], m: int) -> Vec:
 # Boundary of the set-theoretic section: the delta_n representing cochains
 # ---------------------------------------------------------------------------
 
+# bytes.translate tables on TOWER4 indices: _HEAD[w] keeps the first w
+# exponents of an index and clears the others, and _DIGIT[k] is bit k of
+# an index (e, d, c for k = 0, 1, 2) as the ASCII digit "0" or "1".
+_HEAD = {2: bytes([i & 0xF8 for i in range(256)]), 3: bytes([i & 0xFC for i in range(256)])}
+_DIGIT = tuple(bytes([48 + (i >> k & 1) for i in range(256)]) for k in range(3))
+
 
 def boundary_of_section(
     model: GaloisModel, p: list[tuple[int, ...]], fs: Sequence[Cochain1] | None = None
@@ -288,7 +359,9 @@ def boundary_of_section(
     level-2 boundary does not depend on f (act_vec moves only e by f), so
     level 2 reads no f.  The section is: a p whose values are not all pairs
     or all triples, or that breaks the cocycle law read off the same
-    products, is refused with an InvalidCocycleError.
+    products, is refused with an InvalidCocycleError.  The values may be
+    any integers; only their residues mod TOWER4's moduli matter.  Every
+    product is read from TOWER4's tables, on indices.
     """
     if len(p) != model.order:
         raise InvalidCocycleError("cocycle must assign a value to every element")
@@ -297,51 +370,47 @@ def boundary_of_section(
         raise InvalidCocycleError("section values must be all pairs or all triples")
     f_bits = [0] if fs is None or width == 2 else [f.bits for f in fs]
 
-    # Reduced exponent vectors in TOWER4, the reduced mul_vec and act_vec
-    # products the nilpotent suite checks.  The acted section
-    # g(s(p(h))) depends on g only through (chi(g) mod 8, f(g)), so it is
-    # computed once per such pair, and the products of row g once per
-    # distinct f(g) among fs: at most two rows per g, whatever the number
-    # of f.
-    moduli = TOWER4.moduli
-    n = model.order
-    columns = range(n)
-    sect = [_reduce((*t, 0, 0, 0)[:5], moduli) for t in p]
-    heads = [s[:width] for s in sect]
+    # The section as TOWER4 indices, each value padded with zeros.  The
+    # acted section g(s(p(h))) depends on g only through (chi(g) mod 8,
+    # f(g)), so it is one translate per such pair, and the products of row
+    # g one translate through row s(p(g)) per distinct f(g) among fs: at
+    # most two per g, whatever the number of f.
+    sect = bytes([tower4_index((*t, 0, 0, 0)[:5]) for t in p])
+    head = _HEAD[width]
     acted = {}
-    # rows[g][f(g)]: the (c, d, e) rows of the products of row g, each an
-    # n-bit int with bit h for the product of (g, h).
-    rows = []
-    for g, row in enumerate(model.table):
-        s_g, by_f = sect[g], {}
-        want = [heads[gh] for gh in row]
+    # products[g][f(g)]: byte h is the index of s(p(g)) g(s(p(h))).
+    products = []
+    for g, (row, chi) in enumerate(zip(model.table, model.chi)):
+        through_g, by_f = _through(tower4_row(sect[g])), {}
         for f_g in {f >> g & 1 for f in f_bits}:
-            key = (model.chi[g] % 8, f_g)
+            key = (chi % 8, f_g)
             if key not in acted:
-                acted[key] = [_reduce(act_vec(s_h, *key), moduli) for s_h in sect]
-            got = [_reduce(mul_vec(s_g, t_h), moduli) for t_h in acted[key]]
-            # Cocycle validation happens at the level the section covers: the
-            # first `width` coordinates of s(p(g)) g(s(p(h))) must reproduce
-            # s(p(gh)).  The row is compared as one list; only a mismatch
-            # walks h, to name the first bad (g, h).
-            if [got_h[:width] for got_h in got] != want:
-                h = next(h for h, (got_h, want_h) in enumerate(zip(got, want)) if got_h[:width] != want_h)
-                raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
-            # The boundary is z = got s(p(gh))^-1, so got = z s(p(gh)), and
-            # the section is 0 past the head.  At level 3, z holds only the
-            # central degree-3 letters, so got = s(p(gh)) z carries z's d and
-            # e.  At level 2, z is [x,y]^c times degree-3 letters, and moving
-            # it past s(p(gh)) changes only d and e, so got carries z's c.
-            # TOWER4 keeps c, d and e mod 2, so each is one bit.
-            by_f[f_g] = [sum(map(operator.lshift, bits, columns)) for bits in tuple(zip(*got))[2:]]
-        rows.append(by_f)
-    # Row g of a cochain is bits g*n .. g*n + n - 1 of its int.
-    shifts = range(0, n * n, n)
+                acted[key] = sect.translate(_through(tower4_action(*key)))
+            by_f[f_g] = acted[key].translate(through_g)
+        products.append(by_f)
+        # Cocycle validation happens at the level the section covers: the
+        # head of s(p(g)) g(s(p(h))) must be s(p(gh)), which is 0 past its
+        # head.  act_vec moves only e by f, so one product row per g
+        # decides.  Only a mismatch walks h, to name the first bad (g, h).
+        got, want = by_f[f_g].translate(head), bytes(map(sect.__getitem__, row))
+        if got != want:
+            h = next(h for h, (got_h, want_h) in enumerate(zip(got, want)) if got_h != want_h)
+            raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
 
-    def cochain(weight, coordinate, f):
-        row_bits = [by_f[f >> g & 1][coordinate] for g, by_f in enumerate(rows)]
-        return Cochain2.from_bits(model, weight, sum(map(operator.lshift, row_bits, shifts)))
+    # The boundary is z = got s(p(gh))^-1, so got = z s(p(gh)), and the
+    # section is 0 past the head.  At level 3, z holds only the central
+    # degree-3 letters, so got = s(p(gh)) z carries z's d and e.  At level
+    # 2, z is [x,y]^c times degree-3 letters, and moving it past s(p(gh))
+    # changes only d and e, so got carries z's c.  TOWER4 keeps c, d and e
+    # mod 2, so each is one bit of the index, and z(g, h) is bit g*n + h of
+    # its cochain: the rows of f joined in order of g and reversed, one
+    # ASCII digit per product, read in base 2.
+    def backwards(f):
+        return b"".join([by_f[f >> g & 1] for g, by_f in enumerate(products)])[::-1]
+
+    def cochain(weight, bit, z):
+        return Cochain2.from_bits(model, weight, int(z.translate(_DIGIT[bit]), 2))
 
     if width == 2:
-        return (cochain(2, 0, 0),)
-    return [(cochain(3, 1, f), cochain(3, 2, f)) for f in f_bits]
+        return (cochain(2, 2, backwards(0)),)
+    return [(cochain(3, 1, z), cochain(3, 0, z)) for z in map(backwards, f_bits)]

@@ -395,43 +395,19 @@ def run_cochain_suite(max_order: int = 8, exhaustive: bool = False, seed: int = 
 # ---------------------------------------------------------------------------
 
 
-def _tower4_table():
-    """TOWER4's elements, the multiplication table on their indices, and
-    act[chi, f]: for each element g, the index of act_vec(g, chi, f).  Each
-    entry is a mul_vec or act_vec product reduced into TOWER4: the suite's
-    only TOWER4 products and actions, which check_magnus certifies."""
-    els = nil.all_elements(nil.TOWER4)
-    moduli, reduce, mul = nil.TOWER4.moduli, nil._reduce, nil.mul_vec
-    index = {g: i for i, g in enumerate(els)}
-    table = [[index[reduce(mul(g, h), moduli)] for h in els] for g in els]
-    act = {
-        (chi, f): [index[reduce(nil.act_vec(g, chi, f), moduli)] for g in els]
-        for chi, f in itertools.product((1, 3, 5, 7), (0, 1))
-    }
-    return els, table, act
-
-
-def _through(row: bytes) -> bytes:
-    """A bytes.translate table that reads row at each index.  The table
-    checks hold rows of indices as bytes, since TOWER4 has 128 elements and
-    every index fits in a byte; the upper half, which no index reaches,
-    only pads the row to 256 bytes."""
-    return row + bytes(128)
-
-
-def check_associativity_tower4(tower4_table) -> CheckResult:
-    """All 128^3 triples associate, via the multiplication table of _tower4_table().
+def check_associativity_tower4(tables) -> CheckResult:
+    """All 128^3 triples associate, via the multiplication table of
+    nil.tower4_tables(), whose rows are bytes of element indices.
 
     For each i, one comparison covers every (j, k): the table, all rows
     joined and translated through row i, is i(jk); the rows ij joined in
     order of j are (ij)k.  Only a mismatch walks (j, k), to find the first
     bad triple."""
     result = CheckResult("TOWER4 exhaustive associativity", "TOWER4", 128**3)
-    els, table, _ = tower4_table
-    rows = [bytes(row) for row in table]
+    els, (rows, _) = nil.TOWER4_ELEMENTS, tables
     all_rows = b"".join(rows)
     for i, row_i in enumerate(rows):
-        if all_rows.translate(_through(row_i)) == b"".join([rows[ij] for ij in row_i]):
+        if all_rows.translate(nil._through(row_i)) == b"".join([rows[ij] for ij in row_i]):
             continue
         for j, ij in enumerate(row_i):
             row_ij, row_j = rows[ij], rows[j]
@@ -444,34 +420,33 @@ def check_associativity_tower4(tower4_table) -> CheckResult:
     return result
 
 
-def check_inverses_tower4(tower4_table) -> CheckResult:
+def check_inverses_tower4(tables) -> CheckResult:
     """g g^-1 = 1 = g^-1 g for the reduced inv_vec of every g, with both
-    products read from the multiplication table of _tower4_table(), whose
-    index 0 is the identity."""
+    products read from the multiplication table of nil.tower4_tables(),
+    whose index 0 is the identity."""
     result = CheckResult("TOWER4 inverses", "TOWER4", 128)
-    els, table, _ = tower4_table
-    index = {g: i for i, g in enumerate(els)}
-    for i, g in enumerate(els):
-        j = index[nil._reduce(nil.inv_vec(g), nil.TOWER4.moduli)]
-        if not table[i][j] == 0 == table[j][i]:
+    rows, _ = tables
+    for i, g in enumerate(nil.TOWER4_ELEMENTS):
+        j = nil.tower4_index(nil.inv_vec(g))
+        if not rows[i][j] == 0 == rows[j][i]:
             result.failures.append(str(g))
     return result
 
 
-def check_switch_identity(tower4_table) -> CheckResult:
+def check_switch_identity(tables) -> CheckResult:
     """x^b y^a = y^a x^b [x,y]^{ab} [[x,y],y]^{b C(a+1,2)} [[x,y],x]^{a C(b+1,2)},
-    with x^b, y^a and their product read from the table of _tower4_table()."""
+    with x^b, y^a and their product read from the table of nil.tower4_tables()."""
     result = CheckResult("generator switch law", "TOWER4, (a,b) mod 4", 16)
-    els, table, _ = tower4_table
-    index = {g: i for i, g in enumerate(els)}
+    els, (rows, _) = nil.TOWER4_ELEMENTS, tables
+    x, y = nil.tower4_index((0, 1, 0, 0, 0)), nil.tower4_index((1, 0, 0, 0, 0))
     # n-fold products, so that the check exercises the table
     x_pow, y_pow = [0], [0]
     for _ in range(3):
-        x_pow.append(table[x_pow[-1]][index[0, 1, 0, 0, 0]])
-        y_pow.append(table[y_pow[-1]][index[1, 0, 0, 0, 0]])
+        x_pow.append(rows[x_pow[-1]][x])
+        y_pow.append(rows[y_pow[-1]][y])
     for a, b in itertools.product(range(4), repeat=2):
         rhs = (a, b, a * b, a * (b * (b + 1) // 2), b * (a * (a + 1) // 2))
-        if els[table[x_pow[b]][y_pow[a]]] != nil._reduce(rhs, nil.TOWER4.moduli):
+        if els[rows[x_pow[b]][y_pow[a]]] != nil._reduce(rhs, nil.TOWER4.moduli):
             result.failures.append(f"a={a} b={b}")
     return result
 
@@ -508,17 +483,17 @@ def check_magnus(spec: nil.QuotientSpec, products, label: str) -> CheckResult:
     return result
 
 
-def _table_products(tower4_table, spec: nil.QuotientSpec):
+def _table_products(tables, spec: nil.QuotientSpec):
     """check_magnus's products for every pair of elements of spec, TOWER3
-    or TOWER4, read from the multiplication table of _tower4_table() and
-    reduced into spec: TOWER3's elements are TOWER4's with d = e = 0, and
-    its moduli divide TOWER4's.  Each element is embedded once, when
+    or TOWER4, read from the multiplication table of nil.tower4_tables()
+    and reduced into spec: TOWER3's elements are TOWER4's with d = e = 0,
+    and its moduli divide TOWER4's.  Each element is embedded once, when
     check_magnus reads the first product."""
-    els, table, _ = tower4_table
+    els, (rows, _) = nil.TOWER4_ELEMENTS, tables
     m, moduli = spec.magnus_modulus, spec.moduli
     reduced = [nil._reduce(g, moduli) for g in els]
     factors = [(i, (g, nil._embed_vec(g, m))) for i, g in enumerate(els) if reduced[i] == g]
-    yield from ((g, h, reduced[table[i][j]]) for i, g in factors for j, h in factors)
+    yield from ((g, h, reduced[rows[i][j]]) for i, g in factors for j, h in factors)
 
 
 def _series_products(spec: nil.QuotientSpec, pairs):
@@ -539,22 +514,21 @@ def check_magnus_roundtrip() -> CheckResult:
     return result
 
 
-def check_galois_automorphism(tower4_table) -> CheckResult:
+def check_galois_automorphism(tables) -> CheckResult:
     """g(xy) = g(x) g(y) for every (chi, f) and every pair, on indices: the
-    action and multiplication tables of _tower4_table().
+    action and multiplication tables of nil.tower4_tables().
 
     For each (chi, f), one comparison covers every (i, j): the table, all
     rows joined and translated through the action a, is a(ij); row a(i)
     read at a(j), one translate of a per i, is a(i) a(j).  Only a mismatch
     walks (i, j), to find the first bad pair."""
     result = CheckResult("galois_act is an automorphism", "TOWER4, all (chi, f)", 0)
-    els, table, act = tower4_table
-    rows = [bytes(row) for row in table]
+    els, (rows, act) = nil.TOWER4_ELEMENTS, tables
+    through = nil._through
     all_rows = b"".join(rows)
     for (chi, f), a in act.items():
-        a = bytes(a)
-        products_of_images = b"".join([a.translate(_through(rows[ai])) for ai in a])
-        if all_rows.translate(_through(a)) == products_of_images:
+        products_of_images = b"".join([a.translate(through(rows[ai])) for ai in a])
+        if all_rows.translate(through(a)) == products_of_images:
             result.cases += 128**2
             continue
         for i, row in enumerate(rows):
@@ -567,11 +541,11 @@ def check_galois_automorphism(tower4_table) -> CheckResult:
     return result
 
 
-def check_galois_composition(tower4_table) -> CheckResult:
+def check_galois_composition(tables) -> CheckResult:
     """(chi1, f1) after (chi2, f2) acts as (chi1 chi2, f1 + chi1^2 f2), on the
-    action tables of _tower4_table()."""
+    action tables of nil.tower4_tables()."""
     result = CheckResult("galois composition cocycle law", "TOWER4", 0)
-    els, _, act = tower4_table
+    els, (_, act) = nil.TOWER4_ELEMENTS, tables
     for chi1, chi2 in itertools.product((1, 3, 5, 7), repeat=2):
         for f1, f2 in itertools.product((0, 1), repeat=2):
             outer, inner = act[chi1, f1], act[chi2, f2]
@@ -593,26 +567,25 @@ def _compat_cases(rng: random.Random):
         yield case[:5], case[5:10], (1, 3, 5, 7)[case[10]], case[11] & 1
 
 
-def check_quotient_compat(tower4_table, rng: random.Random) -> CheckResult:
+def check_quotient_compat(tables, rng: random.Random) -> CheckResult:
     """Reducing FULL4(4) into TOWER4, and TOWER4 into TOWER3, respects the
     product and the Galois action, on 2000 random pairs: each side is
     reduced mod the coarser moduli, which divide the finer ones.  Only the
     FULL4(4) side calls mul_vec and act_vec; the others read the tables of
-    _tower4_table(), where TOWER3's elements are those with d = e = 0."""
+    nil.tower4_tables(), where TOWER3's elements are those with d = e = 0."""
     result = CheckResult("FULL4(4) -> TOWER4 -> TOWER3 compatibility", "projections", 0)
-    els, table, act = tower4_table
-    index = {g: i for i, g in enumerate(els)}
-    reduce = nil._reduce
+    els, (rows, act) = nil.TOWER4_ELEMENTS, tables
+    index, reduce = nil.tower4_index, nil._reduce
     m4, m3 = nil.TOWER4.moduli, nil.TOWER3.moduli
     for g, h, chi, f in _compat_cases(rng):
         result.cases += 1
-        i = index[reduce(g, m4)]
-        gh4 = els[table[i][index[reduce(h, m4)]]]
+        i = index(g)
+        gh4 = els[rows[i][index(h)]]
         if reduce(nil.mul_vec(g, h), m4) != gh4:
             result.failures.append(f"mul {g} {h}")
         if reduce(nil.act_vec(g, chi, f), m4) != els[act[chi, f][i]]:
             result.failures.append(f"act {g}")
-        gh3 = els[table[index[reduce(g, m3)]][index[reduce(h, m3)]]]
+        gh3 = els[rows[index(reduce(g, m3))][index(reduce(h, m3))]]
         if reduce(gh4, m3) != reduce(gh3, m3):
             result.failures.append(f"tower3 {g} {h}")
     return result
@@ -633,22 +606,23 @@ def run_nilpotent_suite(seed: int = 0) -> list[CheckResult]:
     # check_magnus draws these as it reads them, before
     # check_quotient_compat draws from rng.
     random_pairs = _series_products(spec8, _full4_8_pairs(rng))
-    # Built once per pass and read by every check of TOWER3 or TOWER4
-    # products; the first, associativity, is timed from the start of the build.
+    # Read by every check of TOWER3 or TOWER4 products.  What no earlier
+    # pass or section boundary built is built here, and timed inside the
+    # first check that reads the tables, associativity.
     start = time.perf_counter()
-    tower4_table = _tower4_table()
+    tables = nil.tower4_tables()
     return [
-        _timed(check_associativity_tower4, tower4_table, start=start),
-        _timed(check_inverses_tower4, tower4_table),
-        _timed(check_switch_identity, tower4_table),
+        _timed(check_associativity_tower4, tables, start=start),
+        _timed(check_inverses_tower4, tables),
+        _timed(check_switch_identity, tables),
         _timed(check_commutator_exact),
         _timed(check_magnus_roundtrip),
-        _timed(check_magnus, nil.TOWER3, _table_products(tower4_table, nil.TOWER3), "TOWER3 exhaustive"),
-        _timed(check_magnus, nil.TOWER4, _table_products(tower4_table, nil.TOWER4), "TOWER4 exhaustive"),
+        _timed(check_magnus, nil.TOWER3, _table_products(tables, nil.TOWER3), "TOWER3 exhaustive"),
+        _timed(check_magnus, nil.TOWER4, _table_products(tables, nil.TOWER4), "TOWER4 exhaustive"),
         _timed(check_magnus, spec8, random_pairs, "FULL4(8), 10^4 random pairs"),
-        _timed(check_galois_automorphism, tower4_table),
-        _timed(check_galois_composition, tower4_table),
-        _timed(check_quotient_compat, tower4_table, rng),
+        _timed(check_galois_automorphism, tables),
+        _timed(check_galois_composition, tables),
+        _timed(check_quotient_compat, tables, rng),
     ]
 
 

@@ -19,7 +19,6 @@ from nilobstruct.verify import (
     _model_data,
     _series_products,
     _table_products,
-    _tower4_table,
     check_associativity_tower4,
     check_boundary_n3,
     check_dcb_lemma,
@@ -36,6 +35,24 @@ from nilobstruct.verify import (
 )
 
 VERIFY_BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "verify_baseline.json"
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty TOWER4 memos for one test: tables built under a patched kernel
+    are built afresh and dropped when the test ends, so no patched row
+    reaches a later test."""
+    monkeypatch.setattr(nil, "_TOWER4_ROWS", [None] * 128)
+    monkeypatch.setattr(nil, "_TOWER4_ACTIONS", {})
+
+
+def _bumped(rows, i, j):
+    """rows with entry (i, j) moved on by one: a copy whose row i is a
+    bytearray, since the tables' rows are immutable bytes."""
+    rows = list(rows)
+    rows[i] = bytearray(rows[i])
+    rows[i][j] = (rows[i][j] + 1) % 128
+    return rows
 
 
 def test_all_suites_pass(oracle):
@@ -88,7 +105,7 @@ def test_dcb_lemma_exhaustive_on_every_standard_model():
 
 
 @pytest.mark.parametrize("bad_chi, checked", ((None, 1), (7, 6 * 128**2 + 1)))
-def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, bad_chi, checked):
+def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, fresh_tables, bad_chi, checked):
     """Shifting [x,y] by one breaks g(xy) = g(x) g(y) already at x = y = 1; the
     check stops at the first failing (chi, f, g, h) and counts the cases run."""
     act_vec = nil.act_vec
@@ -100,7 +117,7 @@ def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, bad_
         return a, b, c + 1, d, e
 
     monkeypatch.setattr(nil, "act_vec", shifted)
-    result = check_galois_automorphism(_tower4_table())
+    result = check_galois_automorphism(nil.tower4_tables())
     one = (0, 0, 0, 0, 0)
     assert not result.passed
     assert result.failures == [f"chi={bad_chi or 1} f=0 g={one} h={one}"]
@@ -110,20 +127,18 @@ def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, bad_
 def test_associativity_check_counts_the_triples_it_ran():
     """A wrong product stops the check at the first non-associating triple
     (i, j, k), and cases counts the triples checked up to and including it."""
-    els, table, act = _tower4_table()
-    table = [row[:] for row in table]
-    table[5][9] = (table[5][9] + 1) % 128
-    result = check_associativity_tower4((els, table, act))
+    rows, act = nil.tower4_tables()
+    result = check_associativity_tower4((_bumped(rows, 5, 9), act))
     assert not result.passed
-    index = {g: n for n, g in enumerate(els)}
+    index = {g: n for n, g in enumerate(nil.all_elements(nil.TOWER4))}
     i, j, k = (index[vec] for vec in ast.literal_eval(result.failures[0]))
     assert result.cases == (i * 128 + j) * 128 + k + 1 < 128**3
 
 
-def _associativity_by_triples(tower4_table):
+def _associativity_by_triples(tables):
     """Reference: the (failures, cases) of a walk over every triple (i, j, k)
     in order, stopping at the first one that does not associate."""
-    els, table, _ = tower4_table
+    els, (table, _) = nil.all_elements(nil.TOWER4), tables
     for i, j, k in itertools.product(range(128), repeat=3):
         if table[table[i][j]][k] != table[i][table[j][k]]:
             return [f"({els[i]}, {els[j]}, {els[k]})"], (i * 128 + j) * 128 + k + 1
@@ -134,20 +149,18 @@ def _associativity_by_triples(tower4_table):
 def test_associativity_check_finds_the_first_bad_triple_of_the_triple_walk(entry):
     """The row-at-a-time check reports the same first triple, with the same
     cases, as the walk over single triples."""
-    els, table, act = _tower4_table()
-    table = [row[:] for row in table]
-    i, j = entry
-    table[i][j] = (table[i][j] + 1) % 128
-    result = check_associativity_tower4((els, table, act))
+    rows, act = nil.tower4_tables()
+    bumped = (_bumped(rows, *entry), act)
+    result = check_associativity_tower4(bumped)
     assert not result.passed
-    assert (result.failures, result.cases) == _associativity_by_triples((els, table, act))
+    assert (result.failures, result.cases) == _associativity_by_triples(bumped)
 
 
-def _automorphism_by_pairs(tower4_table):
+def _automorphism_by_pairs(tables):
     """Reference: the (failures, cases) of a walk over every (chi, f, i, j)
     in order, stopping at the first pair whose product the action does not
     respect."""
-    els, table, act = tower4_table
+    els, (table, act) = nil.all_elements(nil.TOWER4), tables
     cases = 0
     for (chi, f), a in act.items():
         for i, j in itertools.product(range(128), repeat=2):
@@ -174,27 +187,29 @@ def test_automorphism_check_finds_the_first_bad_pair_of_the_pair_walk(corrupt, e
     with the same cases, as the walk over single pairs.  Every action
     fixes the elements of index 0 to 3, so 0 * h read as h + 1 for h < 3
     breaks no law; (0, 3) is the first entry the check can see."""
-    els, table, act = _tower4_table()
-    table = [row[:] for row in table]
-    act = {key: a[:] for key, a in act.items()}
-    row, column = entry
-    target = table if corrupt == "table" else act
-    target[row][column] = (target[row][column] + 1) % 128
-    result = check_galois_automorphism((els, table, act))
+    rows, act = nil.tower4_tables()
+    if corrupt == "table":
+        rows = _bumped(rows, *entry)
+    else:
+        key, column = entry
+        act = dict(act)
+        act[key] = bytearray(act[key])
+        act[key][column] = (act[key][column] + 1) % 128
+    result = check_galois_automorphism((rows, act))
     assert not result.passed
-    assert (result.failures, result.cases) == _automorphism_by_pairs((els, table, act))
+    assert (result.failures, result.cases) == _automorphism_by_pairs((rows, act))
 
 
-def test_associativity_record_times_the_table_build(monkeypatch):
-    """The TOWER4 table is built for the associativity check, and that
-    check's seconds include the build."""
-    build = verify._tower4_table
+def test_associativity_record_times_the_table_build(monkeypatch, fresh_tables):
+    """The TOWER4 tables are read first by the associativity check, and
+    that check's seconds include what is built for it."""
+    build = nil.tower4_tables
 
     def slow_build():
         time.sleep(0.1)
         return build()
 
-    monkeypatch.setattr(verify, "_tower4_table", slow_build)
+    monkeypatch.setattr(nil, "tower4_tables", slow_build)
     associativity = verify.run_nilpotent_suite()[0]
     assert associativity.name == "TOWER4 exhaustive associativity"
     assert associativity.passed
@@ -229,11 +244,11 @@ def _flipped_e(mul_vec):
     return wrong
 
 
-def test_magnus_check_catches_a_wrong_collection_on_tower4(monkeypatch):
+def test_magnus_check_catches_a_wrong_collection_on_tower4(monkeypatch, fresh_tables):
     """TOWER4 embeds each element once and reads the products from the
     table; a table built with a wrong product must still show."""
     monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
-    products = _table_products(_tower4_table(), nil.TOWER4)
+    products = _table_products(nil.tower4_tables(), nil.TOWER4)
     result = check_magnus(nil.TOWER4, products, "TOWER4 exhaustive")
     assert not result.passed
     assert result.cases == 128**2
@@ -267,18 +282,18 @@ def test_inverses_check_catches_a_wrong_inverse(monkeypatch):
         return a, b, c, d, e + u[1] % 2
 
     monkeypatch.setattr(nil, "inv_vec", wrong)
-    result = check_inverses_tower4(_tower4_table())
+    result = check_inverses_tower4(nil.tower4_tables())
     assert result.cases == 128
     assert len(result.failures) == 64
     assert result.failures[0] == "(0, 1, 0, 0, 0)"
 
 
-def test_switch_identity_check_catches_a_wrong_collection(monkeypatch):
+def test_switch_identity_check_catches_a_wrong_collection(monkeypatch, fresh_tables):
     """The powers x^b and y^a are read from products with a = 0 or b = 0, so
     a table built with _flipped_e is wrong only at x^b y^a, where a and b
     are both odd."""
     monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
-    result = check_switch_identity(_tower4_table())
+    result = check_switch_identity(nil.tower4_tables())
     assert result.cases == 16
     assert result.failures == ["a=1 b=1", "a=1 b=3", "a=3 b=1", "a=3 b=3"]
 
@@ -298,7 +313,7 @@ def test_magnus_roundtrip_check_catches_a_wrong_extraction(monkeypatch):
     assert result.failures[0] == "(0, 0, 1, 0, 0)"
 
 
-def test_galois_composition_check_catches_a_wrong_action(monkeypatch):
+def test_galois_composition_check_catches_a_wrong_action(monkeypatch, fresh_tables):
     """With e shifted by one on odd c under chi = 5 only, act(3) after act(5)
     is no longer act(7).  The check stops at the first failure: the seventh
     (chi1, chi2) pair, (3, 5), at f = (0, 0) and the fifth element."""
@@ -309,7 +324,7 @@ def test_galois_composition_check_catches_a_wrong_action(monkeypatch):
         return (a, b, c, d, e + 1) if chi == 5 and u[2] % 2 else (a, b, c, d, e)
 
     monkeypatch.setattr(nil, "act_vec", wrong)
-    result = check_galois_composition(_tower4_table())
+    result = check_galois_composition(nil.tower4_tables())
     assert result.cases == 6 * 4 * 128 + 5
     assert result.failures == ["chi=(3,5) f=(0,0) g=(0, 0, 1, 0, 0)"]
 
@@ -334,13 +349,13 @@ def _high_c_bit(kernel, coordinate):
     ),
 )
 def test_quotient_compat_check_catches_a_product_or_action_that_ignores_reduction(
-    monkeypatch, kernel, coordinate, first
+    monkeypatch, fresh_tables, kernel, coordinate, first
 ):
     """A product or action that reads a bit of c that TOWER4 drops no longer
     commutes with the reduction; every FULL4(4) draw with c >= 2 fails.  The
     TOWER4 side, read from a table of reduced elements, has c < 2."""
     monkeypatch.setattr(nil, kernel, _high_c_bit(getattr(nil, kernel), coordinate))
-    result = check_quotient_compat(_tower4_table(), random.Random(0))
+    result = check_quotient_compat(nil.tower4_tables(), random.Random(0))
     assert result.cases == 2000
     assert len(result.failures) == sum(g[2] >= 2 for g, *_ in _compat_cases(random.Random(0))) == 986
     assert result.failures[0] == first
@@ -568,36 +583,78 @@ def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
         verify.run_suites("cochain", max_order=4)
 
 
-def test_tower4_galois_actions_are_tabulated_once(monkeypatch):
-    """The build makes each product and each action once, the suite's only
-    TOWER4 products and actions.  The table checks, the Magnus checks on
-    TOWER3 and TOWER4, the inverses and switch-law checks, and the TOWER4
-    and TOWER3 sides of the compatibility check then read the tables: the
-    last makes one mul_vec and one act_vec call per case, on its FULL4(4)
-    draw."""
+def test_tower4_galois_actions_are_tabulated_once(monkeypatch, fresh_tables):
+    """Built from empty memos, the tables make each product and each action
+    once, the suite's only TOWER4 products and actions, and a second call
+    builds nothing.  The table checks, the Magnus checks on TOWER3 and
+    TOWER4, the inverses and switch-law checks, and the TOWER4 and TOWER3
+    sides of the compatibility check then read the tables: the last makes
+    one mul_vec and one act_vec call per case, on its FULL4(4) draw."""
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
-    tower4_table = _tower4_table()
+    tables = nil.tower4_tables()
     assert counts == {"mul_vec": 128**2, "act_vec": 1024}
-    assert check_associativity_tower4(tower4_table).passed
-    assert check_galois_automorphism(tower4_table).passed
-    assert check_galois_composition(tower4_table).passed
-    assert check_inverses_tower4(tower4_table).passed
-    assert check_switch_identity(tower4_table).passed
+    assert nil.tower4_tables() == tables
+    assert check_associativity_tower4(tables).passed
+    assert check_galois_automorphism(tables).passed
+    assert check_galois_composition(tables).passed
+    assert check_inverses_tower4(tables).passed
+    assert check_switch_identity(tables).passed
     for spec in (nil.TOWER3, nil.TOWER4):
-        assert check_magnus(spec, _table_products(tower4_table, spec), spec.name).cases == spec.order**2
+        assert check_magnus(spec, _table_products(tables, spec), spec.name).cases == spec.order**2
     assert counts == {"mul_vec": 128**2, "act_vec": 1024}
-    compat = check_quotient_compat(tower4_table, random.Random(0))
+    compat = check_quotient_compat(tables, random.Random(0))
     assert compat.passed and compat.cases == 2000
     assert counts == {"mul_vec": 128**2 + 2000, "act_vec": 1024 + 2000}
 
 
-def test_nilpotent_suite_forms_tower4_products_only_in_the_table_build(monkeypatch):
-    """Over one nilpotent pass, mul_vec runs 16,384 times for the table, 24
-    times for the exact commutator law (three products per a < 8), 10^4
-    times for the FULL4(8) pairs and 2000 times for the FULL4(4) cases, and
-    act_vec 1024 times for the table and 2000 times for the cases."""
+def test_nilpotent_suite_forms_tower4_products_only_in_the_table_build(monkeypatch, fresh_tables):
+    """Over a nilpotent pass from empty memos, mul_vec runs 16,384 times for
+    the table, 24 times for the exact commutator law (three products per
+    a < 8), 10^4 times for the FULL4(8) pairs and 2000 times for the
+    FULL4(4) cases, and act_vec 1024 times for the table and 2000 times for
+    the cases.  A second pass reads the kept tables and builds nothing."""
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
     assert all(r.passed for r in run_nilpotent_suite())
     assert counts == {"mul_vec": 128**2 + 24 + 10_000 + 2000, "act_vec": 1024 + 2000}
+    counts.clear()
+    assert all(r.passed for r in run_nilpotent_suite())
+    assert counts == {"mul_vec": 24 + 10_000 + 2000, "act_vec": 2000}
+
+
+def test_section_boundaries_build_only_the_rows_they_read(monkeypatch, fresh_tables):
+    """The cochain suite's section boundaries build the rows of the section
+    values they meet and the actions of the (chi mod 8, f) they meet, each
+    once, and no other: on the models of order <= 2, 28 of the 128 rows and
+    3 of the 8 actions."""
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
+    assert all(r.passed for r in verify.run_suites("cochain", max_order=2))
+    rows = [i for i, row in enumerate(nil._TOWER4_ROWS) if row is not None]
+    assert len(rows) == 28 and sorted(nil._TOWER4_ACTIONS) == [(1, 0), (7, 0), (7, 1)]
+    assert counts == {"mul_vec": 128 * 28, "act_vec": 128 * 3}
+
+
+def test_tables_kept_across_passes_change_no_record(monkeypatch, fresh_tables):
+    """Two full passes in one process, the first from empty memos and the
+    second on the tables the first kept, give the same records; afterwards
+    every kept row and action is bytes and equals a fresh build from the
+    reduced mul_vec and act_vec products, indexed by position in
+    all_elements(TOWER4)."""
+    first, second = (
+        [(r.name, r.scope, r.cases, r.passed) for r in verify.run_suites()] for _ in range(2)
+    )
+    assert first == second
+    assert all(passed for *_, passed in first)
+    els = nil.all_elements(nil.TOWER4)
+    index = {g: i for i, g in enumerate(els)}
+    moduli = nil.TOWER4.moduli
+    rows = nil._TOWER4_ROWS
+    assert all(type(row) is bytes for row in rows)
+    assert rows == [bytes([index[nil._reduce(nil.mul_vec(g, h), moduli)] for h in els]) for g in els]
+    actions = nil._TOWER4_ACTIONS
+    assert sorted(actions) == sorted(itertools.product((1, 3, 5, 7), (0, 1)))
+    for (chi, f), action in actions.items():
+        assert type(action) is bytes
+        assert action == bytes([index[nil._reduce(nil.act_vec(g, chi, f), moduli)] for g in els])
