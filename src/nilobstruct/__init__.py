@@ -2,9 +2,10 @@
 the thrice-punctured projective line over Q, Q_p (p odd) and R."""
 
 from .arith import factor, is_fourth_power_mod, legendre, parse_rational, sqrt_mod, valuation
-from .k2global import delta2_global, symbol_at_2, tame_symbol_odd
+from .k2global import symbol_at_2, tame_symbol_odd
 from .localclass import REAL, delta2_local
 from .obstruct import (
+    delta2_global,
     delta3_at,
     delta3_congruence,
     delta3_global_family,

@@ -6,7 +6,8 @@ K2(Q) splits as mu_2 (+) sum over odd primes of F_p^* via the tame symbols
 
 and the explicit symbol at 2 computed from 2-adic decompositions
 x = (-1)^i 2^j 5^k u with u a quotient of integers congruent to 1 mod 8.
-The class {b} cup {a} vanishes globally iff every symbol is trivial.
+The class {b} cup {a} vanishes globally iff every symbol is trivial;
+obstruct.report() lists the witnesses in its one pass over the primes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Point, _valuation, as_rational, local_data
-from .localclass import cup_qp, square_class_vu
+from .arith import _valuation, as_rational, local_data
 
 
 class TameSymbolValue(NamedTuple):
@@ -90,42 +90,3 @@ def _symbol_at_2(dec_b: tuple[int, int, int], dec_a: tuple[int, int, int]) -> Ta
     big_i, big_j, big_k = dec_a
     exponent = i * big_i + j * big_k + k * big_j
     return TameSymbolValue(2, -1 if exponent % 2 else 1)
-
-
-def delta2_global(b, a) -> Delta2GlobalVerdict:
-    """Global delta2 through K2(Q).
-
-    Only odd primes dividing ab can carry a nontrivial tame symbol, so the
-    check is finite: those primes plus the symbol at 2.  The mod-2 witnesses
-    are the symbols that are non-squares in F_p^* (resp. -1 at 2); the K2
-    witnesses are the symbols different from 1.  A tame symbol is a
-    non-square exactly where the local invariant b cup a is 1/2, so the odd
-    witnesses are read off the cups of the square classes.
-    """
-    point = Point.of(b, a)
-    invariants = [
-        cup_qp(square_class_vu(v_b, u_b, p), square_class_vu(v_a, u_a, p), p)
-        for p, v_b, u_b, v_a, u_a in point.local
-    ]
-    return delta2_global_point(point, invariants)
-
-
-def delta2_global_point(point: Point, invariants) -> Delta2GlobalVerdict:
-    """delta2_global of a factored point: the tame symbols at the odd primes
-    of point.local, then the symbol at 2, whose exponents of 2 are point.v2.
-    invariants holds the local invariant bit of b cup a at each odd prime of
-    point.local, in order; a tame symbol is a mod-2 witness iff its bit is 1."""
-    witnesses = []
-    k2_witnesses = []
-    for (p, v_b, u_b, v_a, u_a), inv in zip(point.local, invariants):
-        symbol = tame_symbol_vu(v_b, u_b, v_a, u_a, p)
-        if symbol.value != 1:
-            k2_witnesses.append(symbol)
-            if inv:
-                witnesses.append(symbol)
-    j_b, j_a = point.v2
-    two = _symbol_at_2(_decompose_2adic(point.b, j_b), _decompose_2adic(point.a, j_a))
-    if not two.trivial:
-        k2_witnesses.append(two)
-        witnesses.append(two)
-    return Delta2GlobalVerdict(not witnesses, tuple(witnesses), not k2_witnesses, tuple(k2_witnesses))

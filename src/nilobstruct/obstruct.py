@@ -19,9 +19,11 @@ and the Legendre power at p = 3 mod 4, gives the classes of b and a and of
 the square roots the cases take, so no root is computed (delta3_local_odd_vu
 says how, and why the choice of root does not matter).  The classes of -b,
 -a and ab are xors with each other and with the class of -1, which, like
-that of 2, is read from p mod 8.  report() hands the local invariants on to
-k2global.delta2_global_point, which lists the mod-2 witnesses from them.
-delta3_at is the one public local delta3 and the one border for a place.
+that of 2, is read from p mod 8.  So the verdict depends only on p mod 8,
+v mod 4 and the unit classes mod fourth powers: _delta3_odd reads it from a
+table that the criterion fills.  report() walks the primes once, for the
+entry, delta2 bit and tame symbol of each.  delta3_at is the one public
+local delta3 and the one border for a place.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .arith import (
     is_prime,
     local_data,
 )
-from .k2global import Delta2GlobalVerdict, delta2_global_point
+from .k2global import Delta2GlobalVerdict, _decompose_2adic, _symbol_at_2, tame_symbol_vu
 from .localclass import (
     REAL,
     Place,
@@ -155,6 +157,35 @@ def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta
     return Delta3LocalResult(p, status, (_TRACES_I[t_i], _TRACES_II[t_ii], _TRACES_III[t_iii]))
 
 
+# (status, cases) of delta3_local_odd_vu by (p mod 8, v_b mod 4, v_a mod 4,
+# j_b, j_a), filled on a miss and kept for the life of the process: at most
+# 2 * 16 * 10 keys at p = 1 mod 4 and 2 * 16 * 4 at p = 3 mod 4.
+_ODD_PLACES: dict = {}
+
+
+def _delta3_odd(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> tuple[str, tuple[CaseTrace, ...]]:
+    """(status, cases) of delta3_local_odd_vu, read from _ODD_PLACES.
+
+    j is the class of a unit mod fourth powers, from the criterion's one
+    modular power: the Legendre bit at p = 3 mod 4; at p = 1 mod 4 the
+    exponent of r = u^((p-1)/4) to the base i, the first of r_b, r_a that
+    is not +-1, so that the key reads r_b r_a = 1 as the criterion does.
+    """
+    if p & 3 == 1:
+        e = p >> 2
+        r_b, r_a = pow(u_b, e, p), pow(u_a, e, p)
+        j_b = 0 if r_b == 1 else 2 if r_b == p - 1 else 1
+        j_a = 0 if r_a == 1 else 2 if r_a == p - 1 else 1 if j_b != 1 or r_a == r_b else 3
+    else:
+        e = p >> 1
+        j_b, j_a = pow(u_b, e, p) != 1, pow(u_a, e, p) != 1
+    key = p & 7, v_b & 3, v_a & 3, j_b, j_a
+    entry = _ODD_PLACES.get(key)
+    if entry is None:
+        entry = _ODD_PLACES[key] = delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)[1:3]
+    return entry
+
+
 def delta3_congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
     """Congruence fast path for integer points with p dividing ab exactly once.
 
@@ -258,37 +289,61 @@ def delta3_at(b, a, place: Place) -> Delta3LocalResult:
     # is refused by type in local_data.
     if place == 2 and isinstance(place, int):
         raise UnsupportedPlaceError("local delta3 is not evaluated at the place 2")
-    return delta3_local_odd_vu(*local_data(b, a, place), place)
+    return Delta3LocalResult(place, *_delta3_odd(*local_data(b, a, place), place))
+
+
+def delta2_global(b, a) -> Delta2GlobalVerdict:
+    """Global delta2 through K2(Q), from report(): the mod-2 witnesses are
+    the symbols that are non-squares in F_p^* (resp. -1 at 2), the K2
+    witnesses those different from 1.  Only the odd primes dividing ab
+    and 2 can carry a nontrivial symbol."""
+    return report(b, a).delta2
 
 
 def report(b, a) -> ObstructionReport:
     """Full per-place delta2/delta3 report with fast-path and reciprocity
     notes, at the odd primes of Point.of(b, a) and then R; at every other
     odd place all classes involved are unit classes, so nothing can be
-    obstructed."""
+    obstructed.  One pass over the primes gives every entry."""
     point = Point.of(b, a)
     b, a = point.b, point.a
-    d3_local = [delta3_local_odd_vu(v_b, u_b, v_a, u_a, p) for p, v_b, u_b, v_a, u_a in point.local]
-    # delta3 is blocked exactly where local delta2 is 1/2.
-    d2_global = delta2_global_point(point, [int(r.status == BLOCKED) for r in d3_local])
-    d3_local.append(_REAL_PLACE[b.numerator < 0, a.numerator < 0])
-    d2_local = [(r.place, int(r.status == BLOCKED)) for r in d3_local]
+    d2_local, d3_local, witnesses, k2_witnesses = [], [], [], []
+    xor = 0
+    for p, v_b, u_b, v_a, u_a in point.local:
+        status, cases = _delta3_odd(v_b, u_b, v_a, u_a, p)
+        # delta3 is blocked exactly where local delta2 is 1/2, which is
+        # where the tame symbol is a non-square in F_p^*.
+        inv = int(status == BLOCKED)
+        xor ^= inv
+        d2_local.append((p, inv))
+        d3_local.append(Delta3LocalResult(p, status, cases))
+        symbol = tame_symbol_vu(v_b, u_b, v_a, u_a, p)
+        if symbol.value != 1:
+            k2_witnesses.append(symbol)
+            if inv:
+                witnesses.append(symbol)
+    real = _REAL_PLACE[b.numerator < 0, a.numerator < 0]
+    inv = int(real.status == BLOCKED)
+    xor ^= inv
+    d2_local.append((REAL, inv))
+    d3_local.append(real)
+    v2_b, v2_a = point.v2
+    two = _symbol_at_2(_decompose_2adic(b, v2_b), _decompose_2adic(a, v2_a))
+    if two.value != 1:
+        k2_witnesses.append(two)
+        witnesses.append(two)
+    d2_global = Delta2GlobalVerdict(not witnesses, tuple(witnesses), not k2_witnesses, tuple(k2_witnesses))
     notes = []
     if d2_global.zero != d2_global.k2_zero:
-        detail = ", ".join(f"({w.place}: {w.value})" for w in d2_global.k2_witnesses)
+        detail = ", ".join(f"({w.place}: {w.value})" for w in k2_witnesses)
         notes.append(
             "full K2 layer differs from the mod-2 layer: nontrivial symbols "
             f"{detail} are squares locally, so only delta2 mod 2 vanishes"
         )
-    xor = 0
-    for _, inv in d2_local:
-        xor ^= inv
-    # delta2_global_point lists the symbol at 2 among the K2 witnesses iff it is -1.
-    two_value = -1 if any(w.place == 2 for w in d2_global.k2_witnesses) else 1
-    consistent = (xor == 1) == (two_value == -1)
+    consistent = (xor == 1) == (two.value == -1)
     notes.append(
         f"reciprocity: XOR of odd/real invariants = {xor}, 2-adic symbol = "
-        f"{two_value:+d} ({'consistent' if consistent else 'INCONSISTENT'})"
+        f"{two.value:+d} ({'consistent' if consistent else 'INCONSISTENT'})"
     )
     if b.denominator == 1 and a.denominator == 1:
         for (p, v_b, _, v_a, _), (_, inv), local in zip(point.local, d2_local, d3_local):

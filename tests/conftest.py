@@ -1,6 +1,7 @@
 import hypothesis
 import pytest
 
+from nilobstruct import obstruct
 from nilobstruct.arith import is_prime
 from nilobstruct.cohomology import Cochain1, coboundary, cup
 from nilobstruct.verify import run_suites
@@ -38,6 +39,14 @@ IDENTITY_CHECKS = (
     "lift shift law",
     "fourth-power partner vanishing",
 )
+
+
+@pytest.fixture
+def fresh_odd_places(monkeypatch):
+    """An empty odd-place table for one test: entries filled under a patched
+    pow, criterion or symbol at 2 are dropped when the test ends, so none
+    reaches a later test's report() or delta3_at."""
+    monkeypatch.setattr(obstruct, "_ODD_PLACES", {})
 
 
 @pytest.fixture(scope="session")

@@ -229,7 +229,7 @@ def _fail_self_check(monkeypatch, word):
 
     DISAGREES: the congruence fast path at 5 for (-1, 5) reports the wrong
     delta2.  INCONSISTENT: (-1, -1) has real invariant 1/2 and symbol -1 at 2;
-    hiding that K2 witness breaks reciprocity.
+    reading that symbol as +1 breaks reciprocity.
     """
     from nilobstruct import obstruct
 
@@ -239,22 +239,21 @@ def _fail_self_check(monkeypatch, word):
             obstruct, "_congruence", lambda b, a, p: (not real_congruence(b, a, p)[0], None)
         )
         return "-1", "5"
-    real_global = obstruct.delta2_global_point
+    real_two = obstruct._symbol_at_2
 
-    def without_two(point, invariants):
-        verdict = real_global(point, invariants)
-        witnesses = tuple(w for w in verdict.k2_witnesses if w.place != 2)
-        assert witnesses != verdict.k2_witnesses
-        return verdict._replace(k2_witnesses=witnesses)
+    def trivial_two(dec_b, dec_a):
+        two = real_two(dec_b, dec_a)
+        assert two.value == -1
+        return two._replace(value=1)
 
-    monkeypatch.setattr(obstruct, "delta2_global_point", without_two)
+    monkeypatch.setattr(obstruct, "_symbol_at_2", trivial_two)
     return "-1", "-1"
 
 
 @pytest.mark.parametrize("command", ("delta2", "delta3", "report"))
 @pytest.mark.parametrize("as_json", (False, True))
 @pytest.mark.parametrize("word", ("INCONSISTENT", "DISAGREES"))
-def test_failed_self_check_exits_one_with_same_output(capsys, monkeypatch, command, as_json, word):
+def test_failed_self_check_exits_one_with_same_output(capsys, monkeypatch, fresh_odd_places, command, as_json, word):
     from nilobstruct import cli
     from nilobstruct.arith import parse_rational
     from nilobstruct.obstruct import report

@@ -6,14 +6,9 @@ from hypothesis import given, strategies as st
 
 from conftest import ODD_PRIMES_TO_97, next_prime
 from nilobstruct.arith import Point, legendre, local_part, valuation
-from nilobstruct.k2global import (
-    decompose_2adic,
-    delta2_global,
-    symbol_at_2,
-    tame_symbol_odd,
-)
+from nilobstruct.k2global import decompose_2adic, symbol_at_2, tame_symbol_odd
 from nilobstruct.localclass import REAL, delta2_local
-from nilobstruct.obstruct import report
+from nilobstruct.obstruct import delta2_global, report
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**5), max_value=Fraction(10**5), max_denominator=10**3

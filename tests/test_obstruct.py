@@ -1,6 +1,10 @@
 import collections
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +22,7 @@ from nilobstruct.obstruct import (
     OutOfFamilyError,
     RealLift,
     UnsupportedPlaceError,
+    delta2_global,
     delta3_at,
     delta3_congruence,
     delta3_global_family,
@@ -196,11 +201,12 @@ def _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p, root=sqrt_mod):
     return status, tuple(cases)
 
 
-def _grid():
-    """Local data (v_b, u_b, v_a, u_a, p) with p <= 23 and v_b, v_a in 0..3."""
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        for v_b in range(4):
-            for v_a in range(4):
+def _grid(primes=(3, 5, 7, 11, 13, 17, 19, 23), valuations=range(4)):
+    """Local data (v_b, u_b, v_a, u_a, p): every pair of units at each prime,
+    by default those up to 23, with v_b and v_a in 0..3."""
+    for p in primes:
+        for v_b in valuations:
+            for v_a in valuations:
                 for u_b in range(1, p):
                     for u_a in range(1, p):
                         yield v_b, u_b, v_a, u_a, p
@@ -275,6 +281,92 @@ class TestQuarticRootClass:
             delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)
             e = (p - 1) // 4 if p % 4 == 1 else (p - 1) // 2
             assert calls == [(u_b, e, p), (u_a, e, p)]
+
+
+def _criterion_entry(v_b, u_b, v_a, u_a, p):
+    got = delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)
+    return got.status, got.cases
+
+
+# The keys (p mod 8, v_b mod 4, v_a mod 4, j_b, j_a) that occur: at p = 1 mod 4
+# j_b is 0, 2 or 1 (the base i), and j_a is 0..3 with 3 only where j_b = 1.
+_ODD_PLACE_KEYS = 2 * 16 * 10 + 2 * 16 * 4
+
+
+class TestOddPlaceTable:
+    """The table that report() and delta3_at read at an odd place holds
+    what delta3_local_odd_vu gives, whichever prime filled the entry."""
+
+    def test_entries_filled_at_four_primes_serve_four_others(self, fresh_odd_places):
+        """Every class pair at 17, 5, 3 and 7 (one prime per residue mod 8)
+        fills every key; every class pair at 41, 13, 11 and 23 then finds
+        its entry, and it is the criterion's."""
+        for data in _grid((17, 5, 3, 7)):
+            obstruct._delta3_odd(*data)
+        filled = dict(obstruct._ODD_PLACES)
+        for data in _grid((41, 13, 11, 23)):
+            assert obstruct._delta3_odd(*data) == _criterion_entry(*data), data
+        assert obstruct._ODD_PLACES == filled
+
+    def test_table_size_is_bounded(self, fresh_odd_places):
+        """Valuations of either sign and every unit pair at two primes per
+        residue mod 4 reach exactly the keys counted above, within the 640
+        that p mod 8, v mod 4 and j in Z/4 allow."""
+        for data in _grid((3, 5, 7, 13, 17), range(-7, 8)):
+            obstruct._delta3_odd(*data)
+        assert len(obstruct._ODD_PLACES) == _ODD_PLACE_KEYS <= 640
+
+    def test_entry_is_the_criterion_across_primes(self, fresh_odd_places):
+        """One table for every example, so an entry written at one prime is
+        read at another: 16 places per example, primes as in
+        test_matches_canonical_roots_beyond_the_grid, valuations in -7..7,
+        and any units, each the residue mod p - 1, plus 1, of a draw below
+        10^15."""
+        small = st.sampled_from(PRIMES_BELOW_2000)
+        large = st.integers(10**6, 10**15 - 40).map(next_prime)
+        v, x = st.integers(-7, 7), st.integers(0, 10**15)
+        places = st.lists(st.tuples(st.one_of(small, large), v, x, v, x), min_size=16, max_size=16)
+
+        @given(places)
+        def entry_is_the_criterion(places):
+            for p, v_b, x_b, v_a, x_a in places:
+                data = v_b, x_b % (p - 1) + 1, v_a, x_a % (p - 1) + 1, p
+                assert obstruct._delta3_odd(*data) == _criterion_entry(*data), data
+
+        entry_is_the_criterion()
+        assert obstruct._ODD_PLACES
+
+    def test_report_and_delta3_at_read_the_table(self, monkeypatch, fresh_odd_places):
+        """Once every key is filled, report() and delta3_at call no criterion."""
+        for data in _grid((17, 5, 3, 7)):
+            obstruct._delta3_odd(*data)
+
+        def forbidden(*args):
+            raise AssertionError("the criterion ran on a filled table")
+
+        monkeypatch.setattr(obstruct, "delta3_local_odd_vu", forbidden)
+        rep = report(Fraction(-45, 7), 10 * 11**3)
+        assert [r.place for r in rep.delta3_local] == [3, 5, 7, 11, REAL]
+        assert delta3_at(-1, 5, 5).status == NONZERO
+
+    def test_families_and_the_oracle_leave_the_table_empty(self):
+        """The families call the criterion directly and verify never reads
+        the table; perfbench's warm-up report(-1, 5) fills one key."""
+        code = (
+            "import nilobstruct\n"
+            "from nilobstruct import obstruct\n"
+            "from nilobstruct.verify import run_suites\n"
+            "nilobstruct.delta3_global_family(13)\n"
+            "nilobstruct.delta3_specific_lift_family(13)\n"
+            "run_suites(suite='cochain', max_order=2)\n"
+            "print(len(obstruct._ODD_PLACES))\n"
+            "nilobstruct.report(-1, 5)\n"
+            "print(len(obstruct._ODD_PLACES))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
 
 
 def test_congruence_tests_fourth_powers_only_at_p_1_mod_4(monkeypatch):
@@ -478,8 +570,6 @@ def test_delta2_kernel_families():
         if x == 1:
             continue
         m = rng.randint(1, 5)
-        from nilobstruct.k2global import delta2_global
-
         for b, a in ((x, (1 - x) ** m), (((-x) ** m), x), ((1 - x) * -x, x)):
             verdict = delta2_global(b, a)
             assert verdict.zero and verdict.k2_zero

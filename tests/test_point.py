@@ -13,7 +13,7 @@ from conftest import kummer_real_cocycle
 from nilobstruct import arith, k2global, localclass, obstruct
 from nilobstruct.arith import InvalidPrimeError, Point, local_data
 from nilobstruct.cohomology import cyclic_model, delta3_closed_form, lift_cochains, zero1
-from nilobstruct.k2global import delta2_global, tame_symbol_odd
+from nilobstruct.k2global import symbol_at_2, tame_symbol_odd
 from nilobstruct.localclass import REAL, delta2_local
 from nilobstruct.obstruct import (
     BLOCKED,
@@ -22,6 +22,7 @@ from nilobstruct.obstruct import (
     Delta3LocalResult,
     RealLift,
     UnsupportedPlaceError,
+    delta2_global,
     delta3_at,
     report,
     report_json,
@@ -62,10 +63,14 @@ def test_report_entries_equal_standalone_functions(seed):
             assert inv == delta2_local(b, a, v)
         for r in rep.delta3_local:
             assert r == delta3_at(b, a, r.place)
-        assert rep.delta2 == delta2_global(b, a)
-        symbols = [tame_symbol_odd(b, a, p) for p in places[:-1]]
-        odd_witnesses = [w for w in rep.delta2.k2_witnesses if w.place != 2]
-        assert odd_witnesses == [s for s in symbols if not s.trivial]
+        # The global verdict rebuilt from the standalone symbols and the local
+        # bits: a symbol is a mod-2 witness iff it is not 1 and its bit is 1,
+        # and the symbol at 2 is one iff it is -1.
+        symbols = [tame_symbol_odd(b, a, p) for p in places[:-1]] + [symbol_at_2(b, a)]
+        bits = [inv for _, inv in rep.delta2_local[:-1]] + [1]
+        k2 = tuple(s for s in symbols if not s.trivial)
+        mod2 = tuple(s for s, bit in zip(symbols, bits) if bit and not s.trivial)
+        assert rep.delta2 == delta2_global(b, a) == (not mod2, mod2, not k2, k2)
 
 
 @pytest.mark.parametrize("b_sign", (1, -1))
@@ -192,7 +197,7 @@ def test_a_float_prime_is_refused_by_type(fn, p):
         fn(3, 5, p)
 
 
-def test_report_computes_the_symbol_at_2_once(monkeypatch):
+def test_report_computes_the_symbol_at_2_once(monkeypatch, fresh_odd_places):
     """report() takes the symbol at 2 once, through its kernel, from the
     decompositions that the public decompose_2adic gives."""
     calls = []
@@ -202,7 +207,7 @@ def test_report_computes_the_symbol_at_2_once(monkeypatch):
         calls.append((dec_b, dec_a))
         return kernel(dec_b, dec_a)
 
-    monkeypatch.setattr(k2global, "_symbol_at_2", counting)
+    monkeypatch.setattr(obstruct, "_symbol_at_2", counting)
     for b, a in ((-1, 5), (Fraction(12, 7), 10), (18, 5), (2, 2), (Fraction(-5, 48), Fraction(3**7, 2**9))):
         calls.clear()
         report(b, a)
@@ -226,25 +231,22 @@ def test_report_calls_no_public_per_place_evaluator(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", (1, 2))
-def test_consistent_iff_no_note_reports_a_failed_check(monkeypatch, seed):
+def test_consistent_iff_no_note_reports_a_failed_check(monkeypatch, fresh_odd_places, seed):
     """rep.consistent is False exactly when a note reads INCONSISTENT or
     DISAGREES; checked on honest reports and on reports whose fast path or
     symbol at 2 is corrupted."""
     real_congruence = obstruct._congruence
-    real_global = obstruct.delta2_global_point
+    real_two = obstruct._symbol_at_2
 
     def flipped_congruence(b, a, p):
         return not real_congruence(b, a, p)[0], None
 
-    def toggled_two(point, invariants):
-        verdict = real_global(point, invariants)
-        odd = tuple(w for w in verdict.k2_witnesses if w.place != 2)
-        if odd == verdict.k2_witnesses:
-            odd += (k2global.TameSymbolValue(2, -1),)
-        return verdict._replace(k2_witnesses=odd)
+    def toggled_two(dec_b, dec_a):
+        two = real_two(dec_b, dec_a)
+        return two._replace(value=-two.value)
 
     seen = set()
-    for patch in (None, ("_congruence", flipped_congruence), ("delta2_global_point", toggled_two)):
+    for patch in (None, ("_congruence", flipped_congruence), ("_symbol_at_2", toggled_two)):
         with monkeypatch.context() as m:
             if patch:
                 m.setattr(obstruct, *patch)
