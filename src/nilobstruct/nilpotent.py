@@ -14,11 +14,11 @@ plus centrality of the degree-3 letters and the commutation of [x,y] with x
 and y up to degree-3 corrections.  Cross terms are computed in exact integer
 arithmetic from the canonical representatives: the kernels mul_vec, inv_vec
 and act_vec work over the integers, and a caller reduces their output into a
-quotient with _reduce(v, spec.moduli).  These kernels, _reduce and the
-Magnus _embed_vec and _extract_vec are straight-line code with no helper
-calls (C(n + 1, 2) is written n(n + 1) >> 1), since one verify pass calls
-them about 1.1 * 10^5 times, and the first pass of a process, which builds
-TOWER4's tables, 1.3 * 10^5 times.
+quotient with _reduce(v, spec.moduli).  These kernels and _reduce are
+straight-line code with no helper calls (C(n + 1, 2) is written
+n(n + 1) >> 1), since one verify pass calls them about 3.6 * 10^4 times,
+and the first pass of a process, which builds TOWER4's tables,
+5.4 * 10^4 times.
 
 TOWER4's multiplication table and its Galois actions, on element indices,
 live here too: each row and each action is built from the kernels on first
@@ -30,8 +30,13 @@ truncated in degree 3 provides an independent oracle: collection products are
 required to agree with embed/series-multiply/extract round trips.  A series is
 the tuple of its coefficients on _WORDS, the nine words the extraction reads
 and the words below them, and a quotient's series arithmetic is exact mod
-its magnus_modulus.  QuotientSpec, a NamedTuple, is the engine's one
-record.
+its magnus_modulus.  The oracle runs on byte lanes: a batch of exponent
+vectors is five bytes, one per exponent, and each coefficient of a batch
+series is one int holding every vector's coefficient in its own byte, so
+_embed_lanes, _seriesmul_lanes and _extract_lanes take a few dozen big-int
+operations and bytes.translate calls per batch, whatever its size.  The
+exact integer product _seriesmul_vec derives the commutator series at
+import.  QuotientSpec, a NamedTuple, is the engine's one record.
 """
 
 from __future__ import annotations
@@ -211,7 +216,7 @@ def _through(row: bytes) -> bytes:
 # Magnus series oracle
 # ---------------------------------------------------------------------------
 
-# The words of degree <= 3 that _extract_vec reads, and the ones below them.
+# The words of degree <= 3 that _extract_lanes reads, and the ones below them.
 # The other six cubic words span an ideal of the series truncated in degree
 # 3, so dropping them is an algebra map: a product's coefficients on these
 # nine words depend only on its factors' coefficients on them.
@@ -286,12 +291,74 @@ _W2_SERIES = _commutator_series(_Z_SERIES, _ypow(1))
 # The degree-3 coefficients of [x,y], [[x,y],x] and [[x,y],y], one
 # (z, w1, w2) triple per word XXY, YYX.
 _CUBIC = tuple(zip(_Z_SERIES[7:], _W1_SERIES[7:], _W2_SERIES[7:]))
-(_Z_XXY, _W1_XXY, _W2_XXY), (_Z_YYX, _W1_YYX, _W2_YYX) = _CUBIC
 
 
-def _embed_vec(v: Vec, m: int) -> tuple[int, ...]:
-    """The coefficients mod m of the series of y^a x^b [x,y]^c [[x,y],x]^d
-    [[x,y],y]^e, for v = (a, b, c, d, e), written down with no series product.
+# ---------------------------------------------------------------------------
+# The Magnus oracle on byte lanes
+# ---------------------------------------------------------------------------
+
+# A batch of N exponent vectors is five bytes of length N, one per exponent:
+# byte i of each is an exponent of vector i, its lane.  A batch series is
+# the tuple of its coefficients on _WORDS[1:], each an int whose byte i is
+# lane i's coefficient mod the Magnus modulus m; the constant term is 1 in
+# every lane, since every series here is a group element's.  m is a power
+# of 2 and at most 16, so a lane sum of a few coefficients stays below 256,
+# with no carry into the next lane, and a mask takes it mod m; a lane
+# product packs its two factors into one byte as 16u + v and reads u*v mod
+# m from a 256-byte table by one bytes.translate.  A difference adds m
+# first, so no lane borrows.
+#
+# Per m, built on first use: the tables of the lane product, of C(n, 2) on
+# an exponent byte n, and of C(n + 1, 2) on a coefficient byte n, each mod
+# m; and per modulus q of a spec, the table of n mod q.
+_LANE_TABLES: dict[int, tuple[bytes, bytes, bytes]] = {}
+_MOD_TABLES: dict[int, bytes] = {}
+
+
+def _lane_tables(spec: QuotientSpec) -> tuple[int, tuple[bytes, bytes, bytes]]:
+    """spec's Magnus modulus m and its lane tables; a modulus that is no
+    power of 2 up to 16 is refused, since its lanes would wrap."""
+    m = spec.magnus_modulus
+    tables = _LANE_TABLES.get(m)
+    if tables is None:
+        if m > 16 or m & (m - 1):
+            raise ValueError(f"{spec} has Magnus modulus {m}: byte lanes need a power of 2 up to 16")
+        tables = _LANE_TABLES[m] = (
+            bytes([(n >> 4) * (n & 15) % m for n in range(256)]),
+            bytes([(n * (n - 1) >> 1) % m for n in range(256)]),
+            bytes([(n * (n + 1) >> 1) % m for n in range(256)]),
+        )
+    return m, tables
+
+
+def _mod_table(q: int) -> bytes:
+    table = _MOD_TABLES.get(q)
+    if table is None:
+        table = _MOD_TABLES[q] = bytes([n % q for n in range(256)])
+    return table
+
+
+def _ints(lanes: bytes) -> int:
+    return int.from_bytes(lanes, "little")
+
+
+def _masks(m: int, n: int) -> tuple[int, int]:
+    """The lane ints of m - 1 and of m in each of n lanes: the mask that
+    takes a lane sum mod m, and the multiple of m a difference adds."""
+    ones = _ints(b"\1" * n)
+    return ones * (m - 1), ones * m
+
+
+def _lane_mul(x: int, y: int, n: int, product: bytes) -> int:
+    """The lane products of x and y, whose lanes are below 16."""
+    return _ints((x << 4 | y).to_bytes(n, "little").translate(product))
+
+
+def _embed_lanes(spec: QuotientSpec, v: Sequence[bytes]) -> tuple[int, ...]:
+    """The batch series of the exponent lanes v = (a, b, c, d, e): lane i is
+    the series of y^a x^b [x,y]^c [[x,y],x]^d [[x,y],y]^e for lane i's
+    exponents, any byte values, with its coefficients mod spec's Magnus
+    modulus.
 
     The head (1 + Y)^a (1 + X)^b has the coefficient C(a, i) C(b, j) on
     Y^i X^j.  A commutator series is 1 + (degree >= 2 tail), so its n-th
@@ -299,36 +366,89 @@ def _embed_vec(v: Vec, m: int) -> tuple[int, ...]:
     commutator powers is 1 + c*Z + d*W1 + e*W2 with Z, W1, W2 the tails of
     _Z_SERIES, _W1_SERIES, _W2_SERIES: Z is XY - YX plus a cubic part, W1 and
     W2 are cubic.  Times the head, the only product of degree <= 3 left is
-    the head's degree-1 part bX + aY times c(XY - YX).
+    the head's degree-1 part bX + aY times c(XY - YX).  So XXY has the cross
+    term bc, and YYX the head's C(a, 2) b and the cross term -ac.
     """
-    a, b, c, d, e = v
-    ab2 = a * (a - 1) >> 1
-    # XXY has the cross term bc; YYX has the head's C(a, 2) b and the cross
-    # term -ac.
+    m, (product, binom, _) = _lane_tables(spec)
+    n = len(v[0])
+    low, up = _masks(m, n)
+    a, b, c, d, e = (_ints(x) & low for x in v)
+    yy, xx = _ints(v[0].translate(binom)), _ints(v[1].translate(binom))
+    # The cubic parts c*Z + d*W1 + e*W2 on XXY and YYX, each constant taken
+    # mod m, so that each term is below m^2 <= 256 before its mask.
+    xxy, yyx = (
+        (c * (z % m) & low) + (d * (w1 % m) & low) + (e * (w2 % m) & low) for z, w1, w2 in _CUBIC
+    )
     return (
-        1, b % m, a % m, (b * (b - 1) >> 1) % m, c % m, (a * b - c) % m, ab2 % m,
-        (b * c + c * _Z_XXY + d * _W1_XXY + e * _W2_XXY) % m,
-        (ab2 * b - a * c + c * _Z_YYX + d * _W1_YYX + e * _W2_YYX) % m,
+        b,
+        a,
+        xx,
+        c,
+        (_lane_mul(a, b, n, product) + up - c) & low,
+        yy,
+        (_lane_mul(b, c, n, product) + xxy) & low,
+        (_lane_mul(yy, b, n, product) + up - _lane_mul(a, c, n, product) + yyx) & low,
     )
 
 
-def _extract_vec(s: tuple[int, ...], m: int) -> Vec:
-    """The exponent vector mod m of a group-element series s, whose
-    coefficients need only be right mod m.
+def _seriesmul_lanes(spec: QuotientSpec, s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
+    """The lane-wise product of the batch series s and t of n lanes: the
+    coefficients of _seriesmul_vec with constant terms 1, mod spec's Magnus
+    modulus."""
+    m, (product, _, _) = _lane_tables(spec)
+    low, _ = _masks(m, n)
+    sx, sy, sxx, sxy, syx, syy, sxxy, syyx = s
+    tx, ty, txx, txy, tyx, tyy, txxy, tyyx = t
+
+    def mul(x, y):
+        return _lane_mul(x, y, n, product)
+
+    return (
+        (sx + tx) & low,
+        (sy + ty) & low,
+        (sxx + mul(sx, tx) + txx) & low,
+        (sxy + mul(sx, ty) + txy) & low,
+        (syx + mul(sy, tx) + tyx) & low,
+        (syy + mul(sy, ty) + tyy) & low,
+        (sxxy + mul(sx, txy) + mul(sxx, ty) + txxy) & low,
+        (syyx + mul(sy, tyx) + mul(syy, tx) + tyyx) & low,
+    )
+
+
+def _extract_lanes(spec: QuotientSpec, s: Sequence[int], n: int) -> tuple[bytes, ...]:
+    """The exponent lanes of the batch series s of n group elements,
+    reduced into spec.
 
     a, b, c are the coefficients of Y, X and XY.  d and e are read from the
     words XXY and YYX: [x,y] has neither, [[x,y],x] has -1 on XXY and 0 on
-    YYX, [[x,y],y] has 0 on XXY and +1 on YYX.  So by _embed_vec
+    YYX, [[x,y],y] has 0 on XXY and +1 on YYX.  So by _embed_lanes
 
         s[XXY] = bc - d,    s[YYX] = C(a, 2) b - ac + e,    s[YX] = ab - c,
 
     and d = bc - s[XXY], e = s[YYX] - a s[YX] + b C(a + 1, 2), because
-    C(a, 2) - a^2 + C(a + 1, 2) = 0.  a, b, c are reduced mod m before they
-    enter d and e, whose other terms are linear in the coefficients.
+    C(a, 2) - a^2 + C(a + 1, 2) = 0.  Each is taken mod the Magnus modulus
+    first, like the coefficients it comes from, and only then into spec:
+    for FULL4(3) and FULL4(6) that modulus (8, 16) is no multiple of 3 or
+    6, so reducing straight into spec would give another residue.
     """
-    _, b, a, _, c, yx, _, xxy, yyx = s
-    a, b, c = a % m, b % m, c % m
-    return (a, b, c, (b * c - xxy) % m, (yyx - a * yx + b * (a * (a + 1) >> 1)) % m)
+    m, (product, _, binom_up) = _lane_tables(spec)
+    low, up = _masks(m, n)
+    b, a, _, c, yx, _, xxy, yyx = s
+    a_up = _ints(a.to_bytes(n, "little").translate(binom_up))
+    d = (_lane_mul(b, c, n, product) + up - xxy) & low
+    e = (yyx + up - _lane_mul(a, yx, n, product) + _lane_mul(b, a_up, n, product)) & low
+    return tuple(
+        x.to_bytes(n, "little").translate(_mod_table(q)) for x, q in zip((a, b, c, d, e), spec.moduli)
+    )
+
+
+def magnus_lanes(spec: QuotientSpec, g: Sequence[bytes], h: Sequence[bytes]) -> tuple[bytes, ...]:
+    """The Magnus products of two batches of exponent lanes: lane i is the
+    extraction of the series product of the embeddings of lane i of g and
+    of h, reduced into spec."""
+    n = len(g[0])
+    product = _seriesmul_lanes(spec, _embed_lanes(spec, g), _embed_lanes(spec, h), n)
+    return _extract_lanes(spec, product, n)
 
 
 # ---------------------------------------------------------------------------

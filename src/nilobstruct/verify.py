@@ -466,51 +466,76 @@ def check_commutator_exact() -> CheckResult:
     return result
 
 
-def check_magnus(spec: nil.QuotientSpec, products, label: str) -> CheckResult:
-    """Every collection product equals its embed/multiply/extract product:
-    products yields ((g, g's series), (h, h's series), gh), with gh the
-    collection product reduced into spec, and gh must equal the extraction
-    of the series product, reduced the same way.  Each factor comes with
-    its series, so a caller whose factors repeat embeds each once."""
-    result = CheckResult("collection == magnus", label, 0)
-    m, moduli, reduce = spec.magnus_modulus, spec.moduli, nil._reduce
-    seriesmul, extract = nil._seriesmul_vec, nil._extract_vec
-    for (g, g_series), (h, h_series), gh in products:
-        result.cases += 1
-        magnus = reduce(extract(seriesmul(g_series, h_series), m), moduli)
-        if gh != magnus:
-            result.failures.append(f"{g} * {h}: {gh} != {magnus}")
+def check_magnus(spec: nil.QuotientSpec, batch, label: str) -> CheckResult:
+    """Every collection product equals its embed/multiply/extract product,
+    on one batch of nilpotent's byte lanes: batch is (g, h, gh), each five
+    exponent lanes, with gh the collection products reduced into spec, and
+    lane i of gh must equal nil.magnus_lanes's lane i.  One comparison
+    covers the batch; only a mismatch walks its lanes, to name every
+    failing pair."""
+    g, h, gh = batch
+    result = CheckResult("collection == magnus", label, len(g[0]))
+    magnus = nil.magnus_lanes(spec, g, h)
+    if b"".join(magnus) != b"".join(gh):
+        for g_i, h_i, gh_i, magnus_i in zip(zip(*g), zip(*h), zip(*gh), zip(*magnus)):
+            if gh_i != magnus_i:
+                result.failures.append(f"{g_i} * {h_i}: {gh_i} != {magnus_i}")
     return result
 
 
-def _table_products(tables, spec: nil.QuotientSpec):
-    """check_magnus's products for every pair of elements of spec, TOWER3
-    or TOWER4, read from the multiplication table of nil.tower4_tables()
-    and reduced into spec: TOWER3's elements are TOWER4's with d = e = 0,
-    and its moduli divide TOWER4's.  Each element is embedded once, when
-    check_magnus reads the first product."""
+def _timed_magnus(spec: nil.QuotientSpec, products, source, label: str) -> CheckResult:
+    """check_magnus on the batch products(spec, source), timed from before
+    the batch is built, so that FULL4(8)'s mul_vec products count in its
+    record."""
+    start = time.perf_counter()
+    return _timed(check_magnus, spec, products(spec, source), label, start=start)
+
+
+def _table_products(spec: nil.QuotientSpec, tables):
+    """check_magnus's batch of every pair of elements of spec, TOWER3 or
+    TOWER4, with the products read from the multiplication table of
+    nil.tower4_tables() and reduced into spec: TOWER3's elements are
+    TOWER4's with d = e = 0, and its moduli divide TOWER4's.  The pairs and
+    their products are TOWER4 indices, in order of g and then of h, and
+    each lane is one translate of them through an exponent of each index
+    reduced into spec."""
     els, (rows, _) = nil.TOWER4_ELEMENTS, tables
-    m, moduli = spec.magnus_modulus, spec.moduli
-    reduced = [nil._reduce(g, moduli) for g in els]
-    factors = [(i, (g, nil._embed_vec(g, m))) for i, g in enumerate(els) if reduced[i] == g]
-    yield from ((g, h, reduced[rows[i][j]]) for i, g in factors for j, h in factors)
+    reduced = [nil._reduce(g, spec.moduli) for g in els]
+    factors = bytes([i for i, g in enumerate(els) if reduced[i] == g])
+    g = b"".join([bytes([i]) * len(factors) for i in factors])
+    h = factors * len(factors)
+    gh = b"".join([factors.translate(nil._through(rows[i])) for i in factors])
+    exponents = [nil._through(bytes(column)) for column in zip(*reduced)]
+    return tuple(tuple(x.translate(e) for e in exponents) for x in (g, h, gh))
 
 
-def _series_products(spec: nil.QuotientSpec, pairs):
-    """check_magnus's products for pairs of exponent vectors: the reduced
-    mul_vec product, with each factor embedded where it is used, since
-    random pairs barely repeat and no series need outlive its pair."""
-    m, moduli = spec.magnus_modulus, spec.moduli
-    for g, h in pairs:
-        yield (g, nil._embed_vec(g, m)), (h, nil._embed_vec(h, m)), nil._reduce(nil.mul_vec(g, h), moduli)
+def _series_products(spec: nil.QuotientSpec, draw: bytes):
+    """check_magnus's batch of the pairs of exponent vectors in draw, ten
+    bytes per pair, g's exponents and then h's: the lanes of g and h are
+    sliced out of draw, and the reduced mul_vec product of each pair is
+    streamed into one bytes, five per pair, and sliced into lanes."""
+    vectors = zip(*[iter(draw)] * 5)
+    products = bytes(
+        itertools.chain.from_iterable(
+            map(nil._reduce, map(nil.mul_vec, vectors, vectors), itertools.repeat(spec.moduli))
+        )
+    )
+    return (
+        tuple(draw[k::10] for k in range(5)),
+        tuple(draw[k::10] for k in range(5, 10)),
+        tuple(products[k::5] for k in range(5)),
+    )
 
 
 def check_magnus_roundtrip() -> CheckResult:
+    """Every element of TOWER4, as one batch, is the extraction of its
+    embedding."""
     result = CheckResult("magnus round trip", "TOWER4", 128)
-    m, moduli = nil.TOWER4.magnus_modulus, nil.TOWER4.moduli
-    for g in nil.all_elements(nil.TOWER4):
-        if nil._reduce(nil._extract_vec(nil._embed_vec(g, m), m), moduli) != g:
-            result.failures.append(str(g))
+    spec, els = nil.TOWER4, nil.TOWER4_ELEMENTS
+    lanes = tuple(bytes(column) for column in zip(*els))
+    back = nil._extract_lanes(spec, nil._embed_lanes(spec, lanes), len(els))
+    if back != lanes:
+        result.failures = [str(g) for g, g_back in zip(els, zip(*back)) if g_back != g]
     return result
 
 
@@ -591,35 +616,32 @@ def check_quotient_compat(tables, rng: random.Random) -> CheckResult:
     return result
 
 
-def _full4_8_pairs(rng: random.Random):
-    """An iterator over 10^4 random pairs of exponent vectors mod 8.  Each
-    exponent is the low three bits of its own byte of one rng.randbytes
-    draw, which is uniform since 8 divides 256; the draw is made when the
-    first pair is read."""
-    vectors = zip(*[iter(rng.randbytes(10 * 10_000).translate(bytes(range(8)) * 32))] * 5)
-    yield from zip(vectors, vectors)
+def _full4_8_pairs(rng: random.Random) -> bytes:
+    """10^4 random pairs of exponent vectors mod 8, as one rng.randbytes
+    draw of ten bytes per pair, g's exponents and then h's.  Each exponent
+    is the low three bits of its byte, which is uniform since 8 divides
+    256."""
+    return rng.randbytes(10 * 10_000).translate(bytes(range(8)) * 32)
 
 
 def run_nilpotent_suite(seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
-    spec8 = nil.full4(8)
-    # check_magnus draws these as it reads them, before
-    # check_quotient_compat draws from rng.
-    random_pairs = _series_products(spec8, _full4_8_pairs(rng))
     # Read by every check of TOWER3 or TOWER4 products.  What no earlier
     # pass or section boundary built is built here, and timed inside the
     # first check that reads the tables, associativity.
     start = time.perf_counter()
     tables = nil.tower4_tables()
+    # The FULL4(8) pairs are drawn from rng before check_quotient_compat
+    # draws its cases.
     return [
         _timed(check_associativity_tower4, tables, start=start),
         _timed(check_inverses_tower4, tables),
         _timed(check_switch_identity, tables),
         _timed(check_commutator_exact),
         _timed(check_magnus_roundtrip),
-        _timed(check_magnus, nil.TOWER3, _table_products(tables, nil.TOWER3), "TOWER3 exhaustive"),
-        _timed(check_magnus, nil.TOWER4, _table_products(tables, nil.TOWER4), "TOWER4 exhaustive"),
-        _timed(check_magnus, spec8, random_pairs, "FULL4(8), 10^4 random pairs"),
+        _timed_magnus(nil.TOWER3, _table_products, tables, "TOWER3 exhaustive"),
+        _timed_magnus(nil.TOWER4, _table_products, tables, "TOWER4 exhaustive"),
+        _timed_magnus(nil.full4(8), _series_products, _full4_8_pairs(rng), "FULL4(8), 10^4 random pairs"),
         _timed(check_galois_automorphism, tables),
         _timed(check_galois_composition, tables),
         _timed(check_quotient_compat, tables, rng),

@@ -248,8 +248,8 @@ def test_magnus_check_catches_a_wrong_collection_on_tower4(monkeypatch, fresh_ta
     """TOWER4 embeds each element once and reads the products from the
     table; a table built with a wrong product must still show."""
     monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
-    products = _table_products(nil.tower4_tables(), nil.TOWER4)
-    result = check_magnus(nil.TOWER4, products, "TOWER4 exhaustive")
+    batch = _table_products(nil.TOWER4, nil.tower4_tables())
+    result = check_magnus(nil.TOWER4, batch, "TOWER4 exhaustive")
     assert not result.passed
     assert result.cases == 128**2
     # a and b of the product are both odd for a quarter of all pairs
@@ -266,7 +266,8 @@ def test_magnus_check_catches_a_wrong_collection_on_full4_8(monkeypatch):
     g, h, want = bad[0]
     wrong = (*want[:4], (want[4] + 1) % 8)
     monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
-    result = check_magnus(spec, _series_products(spec, pairs), "FULL4(8), 200 random pairs")
+    draw = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(pairs)))
+    result = check_magnus(spec, _series_products(spec, draw), "FULL4(8), 200 random pairs")
     assert not result.passed
     assert result.cases == 200
     assert len(result.failures) == len(bad) > 0
@@ -300,13 +301,13 @@ def test_switch_identity_check_catches_a_wrong_collection(monkeypatch, fresh_tab
 
 def test_magnus_roundtrip_check_catches_a_wrong_extraction(monkeypatch):
     """An extraction with d off by one for odd c fails on those 64 elements."""
-    extract = nil._extract_vec
+    extract = nil._extract_lanes
 
-    def wrong(s, m):
-        a, b, c, d, e = extract(s, m)
-        return a, b, c, d + c % 2, e
+    def wrong(spec, s, n):
+        a, b, c, d, e = extract(spec, s, n)
+        return a, b, c, bytes([d_i + c_i % 2 for d_i, c_i in zip(d, c)]), e
 
-    monkeypatch.setattr(nil, "_extract_vec", wrong)
+    monkeypatch.setattr(nil, "_extract_lanes", wrong)
     result = check_magnus_roundtrip()
     assert result.cases == 128
     assert len(result.failures) == 64
@@ -530,20 +531,18 @@ def test_all_f_kernels_match_one_f_calls(model):
 
 @pytest.mark.parametrize("seed", (0, 1))
 def test_full4_8_pairs_draw_in_range_by_seed(seed):
-    """10^4 pairs of exponent vectors mod 8, from one draw of 10^5 bytes:
-    two draws with the seed give the same pairs, the other seed gives
-    others, every value mod 8 occurs in every coordinate, and the rng is
-    left where one randbytes(10^5) leaves it."""
+    """10^4 pairs of exponent vectors mod 8, as one draw of 10^5 bytes, ten
+    per pair: two draws with the seed give the same pairs, the other seed
+    gives others, every value mod 8 occurs in every coordinate, and the rng
+    is left where one randbytes(10^5) leaves it."""
     rng, reference = random.Random(seed), random.Random(seed)
-    pairs = list(_full4_8_pairs(rng))
+    draw = _full4_8_pairs(rng)
     reference.randbytes(100_000)
     assert rng.random() == reference.random()
-    assert list(_full4_8_pairs(random.Random(seed))) == pairs
-    assert list(_full4_8_pairs(random.Random(1 - seed))) != pairs
-    assert len(pairs) == 10_000
-    vectors = [v for pair in pairs for v in pair]
-    assert all(len(v) == 5 for v in vectors)
-    assert all(set(column) == set(range(8)) for column in zip(*vectors))
+    assert _full4_8_pairs(random.Random(seed)) == draw
+    assert _full4_8_pairs(random.Random(1 - seed)) != draw
+    assert len(draw) == 10 * 10_000
+    assert all(set(draw[k::5]) == set(range(8)) for k in range(5))
 
 
 @pytest.mark.parametrize("seed", (0, 1))
@@ -601,7 +600,7 @@ def test_tower4_galois_actions_are_tabulated_once(monkeypatch, fresh_tables):
     assert check_inverses_tower4(tables).passed
     assert check_switch_identity(tables).passed
     for spec in (nil.TOWER3, nil.TOWER4):
-        assert check_magnus(spec, _table_products(tables, spec), spec.name).cases == spec.order**2
+        assert check_magnus(spec, _table_products(spec, tables), spec.name).cases == spec.order**2
     assert counts == {"mul_vec": 128**2, "act_vec": 1024}
     compat = check_quotient_compat(tables, random.Random(0))
     assert compat.passed and compat.cases == 2000
