@@ -22,8 +22,8 @@ and over R the cup is nontrivial exactly on ({-1}, {-1}).
 By the supplement laws the class of -1 is 1 iff p = 3 mod 4 and that of 2
 is 1 iff p = 3 or 5 mod 8, so neither costs a Legendre symbol.  The classes
 of the square roots that the delta3 cases take come from the quartic
-character of the units, with no root computed: obstruct.delta3_local_odd_vu
-reads them in the same residue pass as the classes of b and a.
+character of the units, with no root computed: obstruct._criterion reads
+them from the classes of b and a mod fourth powers.
 """
 
 from __future__ import annotations

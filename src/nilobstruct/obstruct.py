@@ -15,14 +15,12 @@ ever emitted for the proven (-p^3, p) family; outside it the report carries
 local vectors only.
 
 At an odd place one modular power per unit, u^((p-1)/4) at p = 1 mod 4
-and the Legendre power at p = 3 mod 4, gives the classes of b and a and of
-the square roots the cases take, so no root is computed (delta3_local_odd_vu
-says how, and why the choice of root does not matter).  The classes of -b,
--a and ab are xors with each other and with the class of -1, which, like
-that of 2, is read from p mod 8.  So the verdict depends only on p mod 8,
-v mod 4 and the unit classes mod fourth powers: _delta3_odd reads it from a
-table that the criterion fills.  report() walks the primes once, for the
-entry, delta2 bit and tame symbol of each.  delta3_at is the one public
+and the Legendre power at p = 3 mod 4, gives its class mod fourth powers.
+With p mod 8 and v mod 4 that is the key of a table that _delta3_odd
+reads and _criterion fills from the key alone, so no root is computed and
+no patched pow can write a wrong entry (_criterion's docstring says why
+the choice of root does not matter).  report() walks the primes once, for
+the entry, delta2 bit and tame symbol of each.  delta3_at is the one public
 local delta3 and the one border for a place.
 """
 
@@ -107,69 +105,20 @@ _TRACES_II = (CaseTrace("ii", True, 0), CaseTrace("ii", True, 1), CaseTrace("ii"
 _TRACES_III = (CaseTrace("iii", True, 0), CaseTrace("iii", True, 1), CaseTrace("iii", False, 0))
 
 
-def delta3_local_odd_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> Delta3LocalResult:
-    """Three-case local delta3 mod 2 at a certified odd prime p, from the
-    local data (see arith.local_data), with one modular power per unit.
-
-    A case applies when its square's class, an xor of the classes of b, a
-    and -1, is trivial.  It then takes the class of one square root of that
-    square: -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a), and a root of
-    p^(2k) u has the class p^k times the root's unit class.  The other root
-    differs by {-1}, which changes the case's value by {-1} cup partner, and
-    that is 0 once delta2 = b cup a vanishes:
-      (i)   {-b} = 0 gives {-1} cup a = b cup a;
-      (ii)  {-a} = 0 gives {-1} cup b = a cup b;
-      (iii) {ab} = 0 gives {-1} cup a = a cup a = b cup a.
-    So every case trace, not only the verdict, is independent of the root.
-
-    For p = 1 mod 4, r = u^((p-1)/4) is +-1 for a residue u and a square
-    root of -1 otherwise.  A unit square's roots are squares iff it is a
-    fourth power: -u is one iff r (-1)^((p-1)/4) = 1, and u_b u_a iff
-    r_b r_a = 1.  For p = 3 mod 4 the root that is itself a square is taken,
-    so its unit class is trivial and one Legendre power per unit is all.
-    """
-    if p % 4 == 1:
-        e = (p - 1) // 4
-        r_b, r_a = pow(u_b, e, p), pow(u_a, e, p)
-        n_b, n_a = r_b * r_b % p != 1, r_a * r_a % p != 1
-        sign = 1 if p % 8 == 1 else p - 1  # (-1)^((p-1)/4) mod p
-        root_b, root_a, root_ab = r_b != sign, r_a != sign, r_b * r_a % p != 1
-        neg_one = 0
-    else:
-        e = (p - 1) // 2
-        n_b, n_a = pow(u_b, e, p) != 1, pow(u_a, e, p) != 1
-        root_b = root_a = root_ab = 0
-        neg_one = 1
-    cls_b = v_b % 2 << 1 | n_b
-    cls_a = v_a % 2 << 1 | n_a
-    if cup_qp(cls_b, cls_a, p):
-        return Delta3LocalResult(p, BLOCKED, ())
-
-    # The class of 2 by the second supplement law.  Case (ii)'s term {2} cup a
-    # is not computed: the case applies only when a has the class of -1, and
-    # {2} cup {-1} = 0 at every odd p, since both are unit classes
-    # (Steinberg: -1 = 1 - 2).
-    two = p % 8 in (3, 5)
-    t_i = 2 if cls_b ^ neg_one else cup_qp(v_b // 2 % 2 << 1 | (two ^ root_b), cls_a, p)
-    t_ii = 2 if cls_a ^ neg_one else cup_qp(v_a // 2 % 2 << 1 | (two ^ root_a), cls_b, p)
-    t_iii = 2 if cls_b ^ cls_a else cup_qp((v_b + v_a) // 2 % 2 << 1 | (two ^ root_ab), cls_a, p)
-    status = NONZERO if 1 in (t_i, t_ii, t_iii) else ZERO
-    return Delta3LocalResult(p, status, (_TRACES_I[t_i], _TRACES_II[t_ii], _TRACES_III[t_iii]))
-
-
-# (status, cases) of delta3_local_odd_vu by (p mod 8, v_b mod 4, v_a mod 4,
+# (status, cases) of the criterion by its key (p mod 8, v_b mod 4, v_a mod 4,
 # j_b, j_a), filled on a miss and kept for the life of the process: at most
 # 2 * 16 * 10 keys at p = 1 mod 4 and 2 * 16 * 4 at p = 3 mod 4.
 _ODD_PLACES: dict = {}
 
 
 def _delta3_odd(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> tuple[str, tuple[CaseTrace, ...]]:
-    """(status, cases) of delta3_local_odd_vu, read from _ODD_PLACES.
+    """(status, cases) of local delta3 mod 2 at a certified odd prime p,
+    from the local data (see arith.local_data), read from _ODD_PLACES.
 
-    j is the class of a unit mod fourth powers, from the criterion's one
-    modular power: the Legendre bit at p = 3 mod 4; at p = 1 mod 4 the
-    exponent of r = u^((p-1)/4) to the base i, the first of r_b, r_a that
-    is not +-1, so that the key reads r_b r_a = 1 as the criterion does.
+    j is the class of a unit mod fourth powers, from one modular power per
+    unit: the Legendre bit at p = 3 mod 4; at p = 1 mod 4 the exponent of
+    r = u^((p-1)/4) to the base i, the first of r_b, r_a that is not +-1,
+    so that j_b + j_a = 0 mod 4 iff r_b r_a = 1.
     """
     if p & 3 == 1:
         e = p >> 2
@@ -182,8 +131,51 @@ def _delta3_odd(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> tuple[str, tu
     key = p & 7, v_b & 3, v_a & 3, j_b, j_a
     entry = _ODD_PLACES.get(key)
     if entry is None:
-        entry = _ODD_PLACES[key] = delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)[1:3]
+        entry = _ODD_PLACES[key] = _criterion(key)
     return entry
+
+
+def _criterion(key: tuple) -> tuple[str, tuple[CaseTrace, ...]]:
+    """The three-case criterion on a key (q, w_b, w_a, j_b, j_a) of
+    _delta3_odd: w = v mod 4, and q = p mod 8 stands in for p, since the
+    class of 2, that of -1 and cup_qp read no more.
+
+    A case applies when its square's class, an xor of the classes of b, a
+    and -1, is trivial.  It then takes the class of one square root of that
+    square: -b is (v_b, -u_b) and ab is (v_b + v_a, u_b u_a), and a root of
+    p^(2k) u has the class p^k times the root's unit class.  The other root
+    differs by {-1}, which changes the case's value by {-1} cup partner, and
+    that is 0 once delta2 = b cup a vanishes:
+      (i)   {-b} = 0 gives {-1} cup a = b cup a;
+      (ii)  {-a} = 0 gives {-1} cup b = a cup b;
+      (iii) {ab} = 0 gives {-1} cup a = a cup a = b cup a.
+    So every case trace, not only the verdict, is independent of the root.
+
+    u is a residue iff j is even.  For p = 1 mod 4 a unit square's roots
+    are squares iff it is a fourth power: -u is one iff j is that of -1,
+    0 at p = 1 mod 8 and 2 at p = 5 mod 8, and u_b u_a iff j_b + j_a = 0
+    mod 4.  For p = 3 mod 4 the root that is itself a square is taken, so
+    its unit class is trivial.
+    """
+    q, w_b, w_a, j_b, j_a = key
+    neg_one = q & 3 == 3
+    sign = 0 if q == 1 else 2
+    root_b, root_a, root_ab = (0, 0, 0) if neg_one else (j_b != sign, j_a != sign, (j_b + j_a) & 3 != 0)
+    cls_b = (w_b & 1) << 1 | j_b & 1
+    cls_a = (w_a & 1) << 1 | j_a & 1
+    if cup_qp(cls_b, cls_a, q):
+        return BLOCKED, ()
+
+    # The class of 2 by the second supplement law.  Case (ii)'s term {2} cup a
+    # is not computed: the case applies only when a has the class of -1, and
+    # {2} cup {-1} = 0 at every odd p, since both are unit classes
+    # (Steinberg: -1 = 1 - 2).
+    two = q in (3, 5)
+    t_i = 2 if cls_b ^ neg_one else cup_qp(w_b & 2 | (two ^ root_b), cls_a, q)
+    t_ii = 2 if cls_a ^ neg_one else cup_qp(w_a & 2 | (two ^ root_a), cls_b, q)
+    t_iii = 2 if cls_b ^ cls_a else cup_qp((w_b + w_a) & 2 | (two ^ root_ab), cls_a, q)
+    status = NONZERO if 1 in (t_i, t_ii, t_iii) else ZERO
+    return status, (_TRACES_I[t_i], _TRACES_II[t_ii], _TRACES_III[t_iii])
 
 
 def delta3_congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
@@ -259,13 +251,13 @@ def delta3_global_family(p: int) -> GlobalFamilyResult:
     if not is_prime(p) or p % 8 != 5:
         raise OutOfFamilyError(f"{p} is not a prime congruent to 5 mod 8")
     # -p^3 and p have the local data (3, p - 1) and (1, 1) at p.
-    local = delta3_local_odd_vu(3, p - 1, 1, 1, p)
+    status, cases = _delta3_odd(3, p - 1, 1, 1, p)
     real = _REAL_PLACE[True, False]  # -p^3 < 0 < p
-    if local.status != ZERO or real.status != ZERO:
+    if status != ZERO or real.status != ZERO:
         raise AssertionError(f"family hypothesis failed at p={p}")  # pragma: no cover
     trace = (
         f"local delta3 at {p} is ZERO for some lift (case trace: "
-        + ", ".join(f"{t.case}:{'n/a' if not t.applicable else t.cup}" for t in local.cases)
+        + ", ".join(f"{t.case}:{'n/a' if not t.applicable else t.cup}" for t in cases)
         + ")",
         "at R a vanishing lift exists (the two lifts differ by {-1}): "
         + ", ".join(f"{l.label} -> ({l.comp_x},{l.comp_y})" for l in real.real_lifts),

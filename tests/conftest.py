@@ -43,9 +43,10 @@ IDENTITY_CHECKS = (
 
 @pytest.fixture
 def fresh_odd_places(monkeypatch):
-    """An empty odd-place table for one test: entries filled under a patched
-    pow, criterion or symbol at 2 are dropped when the test ends, so none
-    reaches a later test's report() or delta3_at."""
+    """An empty odd-place table for one test: a test that counts the
+    modular powers of a miss starts from no entry, and entries filled under
+    a patched criterion are dropped when the test ends, so none reaches a
+    later test's report() or delta3_at."""
     monkeypatch.setattr(obstruct, "_ODD_PLACES", {})
 
 

@@ -24,7 +24,7 @@ def square_class(x, p):
 
 def sqrt_class(x, p):
     """The class of the square root of the local square x that
-    obstruct.delta3_local_odd_vu takes, read back from its case (i) at the
+    obstruct._criterion takes, read back from its case (i) at the
     point (-x, a), where -b = x.  That case's cup is {2 sqrt(x)} cup a: with
     a a non-residue unit it is the root's p bit, and at p = 1 mod 4, with
     a = p, it is the unit bit of {2} times the root.  At p = 3 mod 4 the

@@ -26,7 +26,6 @@ from nilobstruct.obstruct import (
     delta3_at,
     delta3_congruence,
     delta3_global_family,
-    delta3_local_odd_vu,
     delta3_specific_lift_family,
     report,
 )
@@ -95,10 +94,10 @@ class TestDelta3LocalOdd:
             x = p * rng.choice([k for k in range(-40, 41) if k])
             assert delta3_at((1 - x) * -x, x, p).status == ZERO
 
-    def test_root_choice_independence(self):
+    def test_root_choice_independence(self, filled_odd_places):
         """The other square root -r has the class of r times {-1}: the
         canonical-root reference with the other root p - sqrt_mod(u, p) gives
-        the verdict and every case trace of delta3_local_odd_vu."""
+        the verdict and every case trace that _delta3_odd reads."""
         rng = random.Random(17)
         points = []
         while len(points) < 200:
@@ -110,10 +109,10 @@ class TestDelta3LocalOdd:
         other_class = 0
         for b, a, p in points:
             data = local_data(b, a, p)
-            got = delta3_local_odd_vu(*data, p)
-            assert (got.status, got.cases) == _delta3_with_canonical_roots(*data, p, root=_other_root)
+            status, cases = obstruct._delta3_odd(*data, p)
+            assert (status, cases) == _delta3_with_canonical_roots(*data, p, root=_other_root)
             # At p = 3 mod 4 -1 is a non-residue, so the other root's class differs.
-            other_class += p % 4 == 3 and any(t.applicable for t in got.cases)
+            other_class += p % 4 == 3 and any(t.applicable for t in cases)
         assert other_class
 
     def test_fourth_power_coset_invariance(self):
@@ -161,7 +160,7 @@ def test_every_class_pair_at_one_prime_per_residue_mod_8(p):
 
 
 def test_two_cup_minus_one_vanishes_at_every_odd_prime_below_10_4():
-    """{2} cup {-1} = 0 at every odd p, the reason delta3_local_odd_vu
+    """{2} cup {-1} = 0 at every odd p, the reason obstruct._criterion
     drops case (ii)'s term {2} cup a: that case applies only when a has
     the class of -1.  The classes are those of the supplement laws."""
     primes = [p for p in range(3, 10_000, 2) if is_prime(p)]
@@ -179,7 +178,7 @@ def _other_root(u, p):
 def _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p, root=sqrt_mod):
     """(status, cases) of the three-case loop with each root's class taken
     from the canonical Tonelli-Shanks root sqrt_mod (or from root(u, p)): a
-    reference for delta3_local_odd_vu that computes every root."""
+    reference for obstruct._delta3_odd that computes every root."""
     cls_b = square_class_vu(v_b, u_b, p)
     cls_a = square_class_vu(v_a, u_a, p)
     if cup_qp(cls_b, cls_a, p):
@@ -212,25 +211,40 @@ def _grid(primes=(3, 5, 7, 11, 13, 17, 19, 23), valuations=range(4)):
                         yield v_b, u_b, v_a, u_a, p
 
 
+# The keys (p mod 8, v_b mod 4, v_a mod 4, j_b, j_a) that occur: at p = 1 mod 4
+# j_b is 0, 2 or 1 (the base i), and j_a is 0..3 with 3 only where j_b = 1.
+_ODD_PLACE_KEYS = 2 * 16 * 10 + 2 * 16 * 4
+
+
+@pytest.fixture
+def filled_odd_places(fresh_odd_places):
+    """The odd-place table after every class pair at 17, 5, 3 and 7, one
+    prime per residue mod 8, which fills every key (see
+    test_table_size_is_bounded): a test then reads at any prime entries
+    written at these four, so a key that loses a class shows as a mismatch
+    with the canonical-root reference.  Returns a copy of the table."""
+    for data in _grid((17, 5, 3, 7)):
+        obstruct._delta3_odd(*data)
+    return dict(obstruct._ODD_PLACES)
+
+
 def _canonical_root_mismatches():
-    """The grid points where delta3_local_odd_vu differs from the
-    canonical-root loop."""
-    bad = []
-    for data in _grid():
-        got = delta3_local_odd_vu(*data)
-        if (got.status, got.cases) != _delta3_with_canonical_roots(*data):
-            bad.append(data)
-    return bad
+    """The grid points where _delta3_odd differs from the canonical-root
+    loop."""
+    return [data for data in _grid() if obstruct._delta3_odd(*data) != _delta3_with_canonical_roots(*data)]
 
 
 PRIMES_BELOW_2000 = tuple(filter(is_prime, range(3, 2000, 2)))
 
 
 class TestQuarticRootClass:
-    def test_matches_canonical_roots_on_a_full_grid(self):
+    def test_matches_canonical_roots_on_a_full_grid(self, filled_odd_places):
+        """Every unit pair at the primes up to 23 finds its key among those
+        filled at 17, 5, 3 and 7, and the entry is the reference's."""
         assert _canonical_root_mismatches() == []
+        assert obstruct._ODD_PLACES == filled_odd_places
 
-    def test_grid_sees_a_wrong_unit_bit(self, monkeypatch):
+    def test_grid_sees_a_wrong_unit_bit(self, monkeypatch, fresh_odd_places):
         """Dropping the quartic bit at p = 1 mod 4 must show on the grid: a
         pow that reads u^((p-1)/4) = +-1 as (-1)^((p-1)/4) keeps every square
         class but takes the roots of every unit square for squares."""
@@ -246,23 +260,34 @@ class TestQuarticRootClass:
         assert bad
         assert all(p % 4 == 1 for *_, p in bad)
 
-    @given(st.data())
-    def test_matches_canonical_roots_beyond_the_grid(self, data):
-        """Primes below 2000, and primes of 7 to 15 digits, where the kernel
-        reads every class from u^((p-1)/4) or u^((p-1)/2) alone."""
+    def test_matches_canonical_roots_beyond_the_grid(self, filled_odd_places):
+        """Primes below 2000, and primes of 7 to 15 digits, where every
+        class is read from u^((p-1)/4) or u^((p-1)/2) alone: 16 places per
+        example, valuations in -7..7 and any units, each read from the
+        table filled at 17, 5, 3 and 7.  Shrinking is left out, as the
+        assertion names the failing place."""
         small = st.sampled_from(PRIMES_BELOW_2000)
         large = st.integers(10**6, 10**15 - 40).map(next_prime)
-        p = data.draw(st.one_of(small, large), label="p")
-        v_b, v_a = data.draw(st.tuples(st.integers(0, 7), st.integers(0, 7)), label="v_b, v_a")
-        units = st.integers(1, p - 1)
-        u_b, u_a = data.draw(st.tuples(units, units), label="u_b, u_a")
-        got = delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)
-        assert (got.status, got.cases) == _delta3_with_canonical_roots(v_b, u_b, v_a, u_a, p)
+        valuations = st.integers(-7, 7)
 
-    def test_two_legendre_symbols_per_place(self, monkeypatch):
+        @settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
+        @given(st.data())
+        def matches_canonical_roots(data):
+            for _ in range(16):
+                p = data.draw(st.one_of(small, large), label="p")
+                units = st.integers(1, p - 1)
+                v_b, u_b, v_a, u_a = data.draw(st.tuples(valuations, units, valuations, units), label="place")
+                place = v_b, u_b, v_a, u_a, p
+                assert obstruct._delta3_odd(*place) == _delta3_with_canonical_roots(*place), place
+
+        matches_canonical_roots()
+        assert obstruct._ODD_PLACES == filled_odd_places
+
+    def test_two_legendre_symbols_per_place(self, monkeypatch, fresh_odd_places):
         """One residue pass: each place costs exactly two modular powers, of
         u_b and u_a, to (p-1)/4 at p = 1 mod 4 and to (p-1)/2 at p = 3 mod 4,
-        and no Legendre symbol or quartic test beside them."""
+        on a miss that fills its key as on a hit, and no Legendre symbol or
+        quartic test beside them."""
         calls = []
 
         def counting_pow(base, exp, mod):
@@ -270,43 +295,28 @@ class TestQuarticRootClass:
             return pow(base, exp, mod)
 
         def forbidden(*args):
-            raise AssertionError("delta3_local_odd_vu took a second residue test")
+            raise AssertionError("the odd-place decider took a second residue test")
 
         monkeypatch.setattr(obstruct, "pow", counting_pow, raising=False)
         for module in (arith, localclass, obstruct):
             for name in ("_legendre", "_is_fourth_power_mod"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
+        misses = 0
         for v_b, u_b, v_a, u_a, p in _grid():
-            calls.clear()
-            delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)
             e = (p - 1) // 4 if p % 4 == 1 else (p - 1) // 2
-            assert calls == [(u_b, e, p), (u_a, e, p)]
-
-
-def _criterion_entry(v_b, u_b, v_a, u_a, p):
-    got = delta3_local_odd_vu(v_b, u_b, v_a, u_a, p)
-    return got.status, got.cases
-
-
-# The keys (p mod 8, v_b mod 4, v_a mod 4, j_b, j_a) that occur: at p = 1 mod 4
-# j_b is 0, 2 or 1 (the base i), and j_a is 0..3 with 3 only where j_b = 1.
-_ODD_PLACE_KEYS = 2 * 16 * 10 + 2 * 16 * 4
+            for _ in range(2):
+                filled = len(obstruct._ODD_PLACES)
+                calls.clear()
+                obstruct._delta3_odd(v_b, u_b, v_a, u_a, p)
+                assert calls == [(u_b, e, p), (u_a, e, p)]
+                misses += len(obstruct._ODD_PLACES) - filled
+        assert misses == _ODD_PLACE_KEYS
 
 
 class TestOddPlaceTable:
-    """The table that report() and delta3_at read at an odd place holds
-    what delta3_local_odd_vu gives, whichever prime filled the entry."""
-
-    def test_entries_filled_at_four_primes_serve_four_others(self, fresh_odd_places):
-        """Every class pair at 17, 5, 3 and 7 (one prime per residue mod 8)
-        fills every key; every class pair at 41, 13, 11 and 23 then finds
-        its entry, and it is the criterion's."""
-        for data in _grid((17, 5, 3, 7)):
-            obstruct._delta3_odd(*data)
-        filled = dict(obstruct._ODD_PLACES)
-        for data in _grid((41, 13, 11, 23)):
-            assert obstruct._delta3_odd(*data) == _criterion_entry(*data), data
-        assert obstruct._ODD_PLACES == filled
+    """The table that report(), delta3_at and delta3_global_family read at
+    an odd place; its entries are checked against the canonical-root
+    reference by TestQuarticRootClass."""
 
     def test_table_size_is_bounded(self, fresh_odd_places):
         """Valuations of either sign and every unit pair at two primes per
@@ -316,45 +326,21 @@ class TestOddPlaceTable:
             obstruct._delta3_odd(*data)
         assert len(obstruct._ODD_PLACES) == _ODD_PLACE_KEYS <= 640
 
-    def test_entry_is_the_criterion_across_primes(self, fresh_odd_places):
-        """One table for every example, so an entry written at one prime is
-        read at another: 16 places per example, primes as in
-        test_matches_canonical_roots_beyond_the_grid, valuations in -7..7,
-        and any units, each the residue mod p - 1, plus 1, of a draw below
-        10^15.  Shrinking is left out: it would replay examples against
-        entries that later examples wrote, so a failure is reported at its
-        first failing example instead."""
-        small = st.sampled_from(PRIMES_BELOW_2000)
-        large = st.integers(10**6, 10**15 - 40).map(next_prime)
-        v, x = st.integers(-7, 7), st.integers(0, 10**15)
-        places = st.lists(st.tuples(st.one_of(small, large), v, x, v, x), min_size=16, max_size=16)
-
-        @settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
-        @given(places)
-        def entry_is_the_criterion(places):
-            for p, v_b, x_b, v_a, x_a in places:
-                data = v_b, x_b % (p - 1) + 1, v_a, x_a % (p - 1) + 1, p
-                assert obstruct._delta3_odd(*data) == _criterion_entry(*data), data
-
-        entry_is_the_criterion()
-        assert obstruct._ODD_PLACES
-
-    def test_report_and_delta3_at_read_the_table(self, monkeypatch, fresh_odd_places):
+    def test_report_and_delta3_at_read_the_table(self, monkeypatch, filled_odd_places):
         """Once every key is filled, report() and delta3_at call no criterion."""
-        for data in _grid((17, 5, 3, 7)):
-            obstruct._delta3_odd(*data)
 
         def forbidden(*args):
             raise AssertionError("the criterion ran on a filled table")
 
-        monkeypatch.setattr(obstruct, "delta3_local_odd_vu", forbidden)
+        monkeypatch.setattr(obstruct, "_criterion", forbidden)
         rep = report(Fraction(-45, 7), 10 * 11**3)
         assert [r.place for r in rep.delta3_local] == [3, 5, 7, 11, REAL]
         assert delta3_at(-1, 5, 5).status == NONZERO
 
-    def test_families_and_the_oracle_leave_the_table_empty(self):
-        """The families call the criterion directly and verify never reads
-        the table; perfbench's warm-up report(-1, 5) fills one key."""
+    def test_the_family_fills_one_key_and_the_oracle_none(self):
+        """delta3_global_family reads the table as report() does, and at 13
+        fills one key; the specific lift and verify never read it, and
+        perfbench's warm-up report(-1, 5) fills a second key."""
         code = (
             "import nilobstruct\n"
             "from nilobstruct import obstruct\n"
@@ -369,7 +355,7 @@ class TestOddPlaceTable:
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "1"]
+        assert proc.stdout.split() == ["1", "2"]
 
 
 def test_congruence_tests_fourth_powers_only_at_p_1_mod_4(monkeypatch):
