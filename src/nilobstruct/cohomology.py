@@ -2,8 +2,8 @@
 
 A GaloisModel is a finite group G given by a multiplication table together
 with a character chi: G -> (Z/2^k)^* (lifted mod 48 when the weight-2 unit
-cocycle f is needed).  Inhomogeneous cochains on G with Z/m coefficients
-twisted by chi^w support the coboundary
+cocycle f is needed).  Inhomogeneous cochains on G with Z/m coefficients,
+m = 2, 4 or 8, twisted by chi^w support the coboundary
 
     Dc(g, h) = c(g) + chi(g)^w c(h) - c(gh)
 
@@ -12,22 +12,19 @@ degree-1/2 identities used by the obstruction evaluators are checkable here
 on every twisted cocycle and every lift, because they are cochain identities
 valid over any profinite group with any character.  Cocycles (Dc = 0), the
 admissible f and the lifts (Dc = -(b cup a)) are listed by one solver: a
-solution of Dc = t is fixed by its values on generators.  A cochain's
-values are in one order at every modulus, c(g) at index g and z(g, h) at
-index g*n + h: at modulus 2 as the bits of one int, on which these
-operations are a few int operations (see _BitOps), and at any other modulus
-as one flat tuple.
+solution of Dc = t is fixed by its values on generators.  At every modulus
+a cochain is one int of byte lanes, c(g) in byte g and z(g, h) in byte
+g*n + h, on which these operations are a few int operations and byte
+translates (see _Lanes).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import lshift
-from typing import NamedTuple
 
 
 class InvalidDefiningSystemError(ValueError):
@@ -85,8 +82,8 @@ class GaloisModel:
         return range(self.order)
 
     @cached_property
-    def _bits(self) -> "_BitOps":
-        return _bit_ops(self)
+    def _lanes(self) -> "_Lanes":
+        return _Lanes(self)
 
 
 def _table_from_op(elems: list, op) -> tuple[tuple[int, ...], ...]:
@@ -149,112 +146,131 @@ def extra_models() -> tuple[GaloisModel, ...]:
     return (s3_model(), cyclic_model(8, 3))
 
 
-class _BitOps(NamedTuple):
-    """A model's mod-2 cochain operations on bits.  A mod-2 1-cochain on a
-    group of order n is an n-bit int whose bit g is c(g); a mod-2 2-cochain
-    an n^2-bit int whose bit g*n + h is z(g, h).  chi is odd, so chi^w is 1
-    mod 2 and no operation reads a twist."""
+# The moduli a cochain may have: each divides 8, so a value fits in the low
+# three bits of a byte lane (see _Lanes).
+_MODULI = (2, 4, 8)
 
-    n: int
-    full: int  # 2^n - 1: every element
-    spread: Callable[[int], int]
-    compose: Callable[[int], int]
-    coboundary: Callable[[int], int]
-    rho: int  # (chi - 1)/2 mod 2
+# _MUL[m][u | v << 3] = u v mod m for u, v < 8.
+_MUL = {m: bytes([(i & 7) * (i >> 3) % m for i in range(256)]) for m in _MODULI}
 
 
-def _bit_ops(model: GaloisModel) -> _BitOps:
-    """The model's _BitOps, built once per model from O(n) ints, none of
-    size 2^n."""
-    n = model.order
-    full = (1 << n) - 1
-    low, top, top_shift = full >> 1, n - 1, (n - 1) * n
-    diag = sum(1 << (g * n) for g in range(n))  # c * diag has c in every row
-    sieve = diag & ~(1 << top_shift)  # bit g*n for g < n - 1
-    rep = sum(1 << (g * top) for g in range(top))  # copies of an (n - 1)-bit int
-    products = [0] * n  # products[k]: the bits (g, h) with gh = k
-    for g, row in enumerate(model.table):
-        for h, gh in enumerate(row):
-            products[gh] |= 1 << (g * n + h)
-
-    def spread(u: int) -> int:
-        """Bit g of u moved to bit g*n, so that v * spread(u) is the cup
-        (g, h) -> u(g) v(h) of an n-bit v, with no carries.  Copy g of u's
-        low n - 1 bits, at g*(n - 1), has its bit g at g*n; u's top bit goes
-        alone."""
-        return ((u & low) * rep & sieve) | (u >> top) << top_shift
-
-    def compose(c: int) -> int:
-        """(g, h) -> c(gh): the union of products[k] over the k with c(k) = 1."""
-        out = 0
-        for mask in products:
-            if c & 1:
-                out |= mask
-            c >>= 1
-        return out
-
-    def coboundary(c: int) -> int:
-        """Dc(g, h) = c(g) + c(h) + c(gh) mod 2."""
-        return spread(c) * full ^ c * diag ^ compose(c)
-
-    rho = _pack([(chi - 1) // 2 % 2 for chi in model.chi])
-    return _BitOps(n, full, spread, compose, coboundary, rho)
+def _lane_mul(u: int, v: int, n: int, modulus: int) -> int:
+    """The n lanes of u times those of v mod modulus, lane by lane: one
+    translate of the lanes u | v << 3 through _MUL."""
+    return int.from_bytes((u | v << 3).to_bytes(n, "little").translate(_MUL[modulus]), "little")
 
 
-def _pack(values) -> int:
-    """The int whose bit i is values[i], for values of 0 and 1."""
-    return int("".join(map(str, reversed(values))), 2)
+def _check_modulus(modulus: int) -> None:
+    if modulus not in _MODULI:
+        raise ValueError(f"modulus {modulus} is not 2, 4 or 8")
 
 
-def _unpack(bits: int, count: int) -> tuple[int, ...]:
-    """The first count bits of bits, bit 0 first."""
-    return tuple(map(int, reversed(format(bits, f"0{count}b"))))
+class _Lanes:
+    """A model's cochain operations on byte lanes, built once per model from
+    O(n) ints and the n^2 bytes of its table (so n <= 256).  A cochain of
+    modulus m on a group of order n is an int whose byte g holds c(g)
+    (degree 1) or whose byte g*n + h holds z(g, h) (degree 2), each value in
+    0..m - 1.  m divides 8, so chi(g)^w is read mod m from chi(g) mod 8 (w
+    odd) or 1 (w even), and masking every lane with m - 1 reduces it mod m.
+    An operation adds m in a lane before it subtracts a value, so that no
+    lane goes below 0, and keeps every lane below 256, so that none carries
+    into the next: at most 7 + 49 + 8 in a coboundary, 49 in a cup or a lane
+    product, and 49 + 7 in the 2-cocycle law."""
+
+    def __init__(self, model: GaloisModel):
+        n = model.order
+        chi = [x % 8 for x in model.chi]
+        self.n = n
+        self.table = bytes([gh for row in model.table for gh in row])  # byte g*n + h: gh
+        ones1 = int.from_bytes(b"\1" * n, "little")
+        ones2 = int.from_bytes(b"\1" * (n * n), "little")
+        # By degree, then by modulus: 1 in every lane, m - 1 (the mask) and
+        # m (added before a subtraction).
+        self.ones = (None, ones1, ones2)
+        self.mask = (None, *({m: (m - 1) * ones for m in _MODULI} for ones in (ones1, ones2)))
+        self.base = (None, *({m: m * ones for m in _MODULI} for ones in (ones1, ones2)))
+
+        low, top, top_shift = 0xFF * (ones1 >> 8), 8 * (n - 1), 8 * (n - 1) * n
+        rep = sum(1 << 8 * g * (n - 1) for g in range(n - 1))  # copies of an (n - 1)-lane int
+        sieve = sum(0xFF << 8 * g * n for g in range(n - 1))  # byte g*n for g < n - 1
+
+        def spread(u: int) -> int:
+            """Byte g of u moved to byte g*n, so that v * spread(u) holds
+            u(g) v(h) at (g, h), lane by lane.  Copy g of u's low n - 1
+            bytes, at byte g*(n - 1), has its byte g at g*n, and no two
+            copies overlap; u's top byte goes alone."""
+            return (u & low) * rep & sieve | (u >> top) << top_shift
+
+        self.spread = spread
+        # chi(g) mod 8 in byte g; diag[w & 1] holds chi(g)^w mod 8 in byte
+        # g*n, so that c * diag holds chi(g)^w c(h) at (g, h).
+        self.chi = int.from_bytes(bytes(chi), "little")
+        self.diag = (spread(ones1), spread(self.chi))
+        self.rho = int.from_bytes(bytes([(x - 1) // 2 % 2 for x in model.chi]), "little")
+
+    def compose(self, c: int) -> int:
+        """(g, h) -> c(gh): the table translated through c's bytes."""
+        return int.from_bytes(self.table.translate(c.to_bytes(256, "little")), "little")
+
+    @cached_property
+    def law(self) -> tuple[bytes, bytes, bytes, tuple[int, int], dict[int, int]]:
+        """What the 2-cocycle law reads, over the n^3 lanes (g, h, k) at byte
+        (g*n + h)*n + k: three translate tables of byte indices into the
+        lanes of a 2-cochain z, which read z(gh, k), z(g, hk) and z(g, h)
+        there; the diagonal by weight parity that, times z, holds
+        chi(g)^w z(h, k) there; and the mask by modulus.  An index must fit
+        in a byte, so the law needs n <= 16."""
+        n = self.n
+        if n > 16:
+            raise ValueError(f"the 2-cocycle test needs a model of order at most 16, not {n}")
+        ones3 = int.from_bytes(b"\1" * n**3, "little")
+        gh_k = b"".join([bytes(range(gh * n, gh * n + n)) for gh in self.table])
+        g_hk = bytes([g * n + hk for g in range(n) for hk in self.table])
+        g_h = bytes([i for i in range(n * n) for _ in range(n)])
+        chi = self.chi.to_bytes(n, "little")
+        diag = (sum(1 << 8 * g * n * n for g in range(n)), sum(t << 8 * g * n * n for g, t in enumerate(chi)))
+        return gh_k, g_hk, g_h, diag, {m: (m - 1) * ones3 for m in _MODULI}
 
 
-def _stored(modulus: int, values):
-    """The stored data of values in bit order: their int of bits at modulus
-    2, their tuple otherwise."""
-    return _pack(values) if modulus == 2 else tuple(values)
-
-
-def _new(cls, model: GaloisModel, modulus: int, weight: int, data):
-    """A cochain from its stored data (see _stored), unchecked."""
+def _new(cls, model: GaloisModel, modulus: int, weight: int, lanes: int):
+    """A cochain from its lanes, unchecked."""
     c = object.__new__(cls)
     c.model = model
     c.modulus = modulus
     c.weight = weight
-    c._data = data
+    c.lanes = lanes
     return c
 
 
 class _Cochain:
-    """What Cochain1 and Cochain2 share.  A cochain stores its values in bit
-    order, c(g) at g and z(g, h) at g*n + h: at modulus 2 as the bits of one
-    int (see _BitOps), at other moduli as a flat tuple.  ``_flat`` reads
-    them as a tuple either way, and ``bits`` reads the int.  Two cochains
-    are equal when their model, modulus, weight and values are, and hash by
-    their stored values.  No operation changes a cochain."""
+    """What Cochain1 and Cochain2 share.  A cochain stores its values as the
+    byte lanes of one int, ``lanes``, at every modulus: c(g) in byte g and
+    z(g, h) in byte g*n + h (see _Lanes).  ``values`` reads them as tuples.
+    Two cochains are equal when their model, modulus, weight and lanes are,
+    and hash by their modulus, weight and lanes.  No operation changes a
+    cochain."""
 
-    __slots__ = ("model", "modulus", "weight", "_data")
+    __slots__ = ("model", "modulus", "weight", "lanes")
     _degree = 1
 
     def __init__(self, model: GaloisModel, modulus: int, weight: int, values: Sequence[int]):
+        _check_modulus(modulus)
         if len(values) != model.order**self._degree:
             raise ValueError("wrong number of values")
         if any([v % modulus != v for v in values]):
             raise ValueError("values not reduced")
         self.model, self.modulus, self.weight = model, modulus, weight
-        self._data = _stored(modulus, values)
+        self.lanes = int.from_bytes(bytes(values), "little")
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.model, self.modulus, self.weight, self._data) == (
-            other.model, other.modulus, other.weight, other._data
+        return (self.model, self.modulus, self.weight, self.lanes) == (
+            other.model, other.modulus, other.weight, other.lanes
         )
 
     def __hash__(self):
-        return hash((self.modulus, self.weight, self._data))
+        return hash((self.modulus, self.weight, self.lanes))
 
     def __repr__(self):
         return (
@@ -263,65 +279,57 @@ class _Cochain:
         )
 
     @classmethod
-    def from_bits(cls, model: GaloisModel, weight: int, bits: int):
-        """The mod-2 cochain on model with value bit g of bits at g (a
-        Cochain1), or bit g*n + h at (g, h) (a Cochain2)."""
-        return _new(cls, model, 2, weight, bits)
+    def from_lanes(cls, model: GaloisModel, modulus: int, weight: int, lanes: int):
+        """The cochain on model with value byte g of lanes at g (a Cochain1),
+        or byte g*n + h at (g, h) (a Cochain2); each byte must be reduced
+        mod modulus, which is not checked."""
+        _check_modulus(modulus)
+        return _new(cls, model, modulus, weight, lanes)
 
-    @property
-    def bits(self) -> int:
-        if self.modulus != 2:
-            raise ValueError(f"a mod-{self.modulus} cochain has no bits")
-        return self._data
-
-    @property
-    def _flat(self) -> tuple[int, ...]:
-        """The values in bit order."""
-        if self.modulus == 2:
-            return _unpack(self._data, self.model.order**self._degree)
-        return self._data
+    def _bytes(self) -> bytes:
+        return self.lanes.to_bytes(self.model.order**self._degree, "little")
 
     def is_zero(self) -> bool:
-        return not (self._data if self.modulus == 2 else any(self._data))
+        return not self.lanes
 
     def __add__(self, other):
         _check_compatible(self, other)
-        x, y, mod = self._data, other._data, self.modulus
-        data = x ^ y if mod == 2 else tuple([(u + v) % mod for u, v in zip(x, y)])
-        return _new(type(self), self.model, mod, self.weight, data)
+        mask = self.model._lanes.mask[self._degree][self.modulus]
+        return _new(type(self), self.model, self.modulus, self.weight, self.lanes + other.lanes & mask)
 
     def __neg__(self):
         # -z is z at modulus 2.
-        mod = self.modulus
-        if mod == 2:
+        if self.modulus == 2:
             return self
-        return _new(type(self), self.model, mod, self.weight, tuple([-x % mod for x in self._data]))
+        lanes, m, d = self.model._lanes, self.modulus, self._degree
+        return _new(type(self), self.model, m, self.weight, lanes.base[d][m] - self.lanes & lanes.mask[d][m])
 
     def __sub__(self, other):
-        return self + (-other)
+        _check_compatible(self, other)
+        lanes, m, d = self.model._lanes, self.modulus, self._degree
+        x = self.lanes + lanes.base[d][m] - other.lanes & lanes.mask[d][m]
+        return _new(type(self), self.model, m, self.weight, x)
 
 
 class Cochain1(_Cochain):
     """Degree-1 cochain: values on G in Z/modulus, coefficients chi^weight."""
 
     __slots__ = ()
-    values = _Cochain._flat
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self._bytes())
 
     def pointwise_mul(self, other: "Cochain1") -> "Cochain1":
         """The product cochain (cd)(g) = c(g) d(g); weights add."""
         if self.model is not other.model or self.modulus != other.modulus:
             raise ValueError("pointwise product needs one model and one modulus")
         mod = self.modulus
-        if mod == 2:
-            product = self._data & other._data
-        else:
-            product = tuple([x * y % mod for x, y in zip(self._data, other._data)])
+        product = _lane_mul(self.lanes, other.lanes, self.model.order, mod)
         return _new(Cochain1, self.model, mod, self.weight + other.weight, product)
 
     def reduce2(self) -> "Cochain1":
-        if self.modulus == 2:
-            return self
-        return _new(Cochain1, self.model, 2, self.weight, _pack([v % 2 for v in self._data]))
+        return _new(Cochain1, self.model, 2, self.weight, self.lanes & self.model._lanes.ones[1])
 
     def is_cocycle(self) -> bool:
         return coboundary(self).is_zero()
@@ -341,33 +349,21 @@ class Cochain2(_Cochain):
 
     @property
     def values(self) -> tuple[tuple[int, ...], ...]:
-        n, flat = self.model.order, self._flat
-        return tuple([flat[g : g + n] for g in range(0, n * n, n)])
+        n, flat = self.model.order, self._bytes()
+        return tuple([tuple(flat[g : g + n]) for g in range(0, n * n, n)])
 
     def is_cocycle(self) -> bool:
         """Degree-2 cocycle condition D2 z = 0:
         chi(g)^w z(h, k) - z(gh, k) + z(g, hk) - z(g, h) = 0 for all g, h, k,
-        with gh and hk read from the rows of the table.  At modulus 2 the law
-        for one g is one n^2-bit int over (h, k), with the rows of z read
-        through row g of the table for z(gh, k)."""
-        mod, table = self.modulus, self.model.table
-        if mod == 2:
-            z, ops = self._data, self.model._bits
-            shifts = range(0, ops.n * ops.n, ops.n)
-            rows = [z >> s & ops.full for s in shifts]
-            return not any(
-                z ^ sum(map(lshift, map(rows.__getitem__, row_g), shifts))
-                ^ ops.compose(z_g) ^ ops.spread(z_g) * ops.full
-                for row_g, z_g in zip(table, rows)
-            )
-        z = self.values
-        twist = [pow(chi, self.weight, mod) for chi in self.model.chi]
-        return not any([
-            (chi_g * z_hk - z_ghk + z_g[hk] - z_gh) % mod
-            for row_g, chi_g, z_g in zip(table, twist, z)
-            for z_h, row_h, gh, z_gh in zip(z, table, row_g, z_g)
-            for z_hk, z_ghk, hk in zip(z_h, z[gh], row_h)
-        ])
+        as chi(g)^w z(h, k) + z(g, hk) = z(gh, k) + z(g, h) mod m on one
+        n^3-lane int per side (see _Lanes.law); a model of order above 16
+        is refused."""
+        gh_k, g_hk, g_h, diag, mask = self.model._lanes.law
+        z = self.lanes
+        read = z.to_bytes(256, "little")
+        left = z * diag[self.weight & 1] + int.from_bytes(g_hk.translate(read), "little")
+        right = int.from_bytes(gh_k.translate(read), "little") + int.from_bytes(g_h.translate(read), "little")
+        return left & mask[self.modulus] == right & mask[self.modulus]
 
 
 def _check_compatible(c, d) -> None:
@@ -380,60 +376,50 @@ def _check_compatible(c, d) -> None:
 
 
 def zero1(model: GaloisModel, modulus: int, weight: int) -> Cochain1:
-    return _new(Cochain1, model, modulus, weight, _stored(modulus, [0] * model.order))
+    _check_modulus(modulus)
+    return _new(Cochain1, model, modulus, weight, 0)
 
 
 def coboundary(c: Cochain1) -> Cochain2:
-    """Dc(g,h) = c(g) + chi(g)^w c(h) - c(gh)."""
-    model, mod = c.model, c.modulus
-    if mod == 2:
-        return _new(Cochain2, model, 2, c.weight, model._bits.coboundary(c._data))
-    v = c._data
-    values = []
-    for row, chi, v_g in zip(model.table, model.chi, v):
-        chi_g = pow(chi, c.weight, mod)
-        values += [(v_g + chi_g * v_h - v[gh]) % mod for v_h, gh in zip(v, row)]
-    return _new(Cochain2, model, mod, c.weight, tuple(values))
+    """Dc(g,h) = c(g) + chi(g)^w c(h) - c(gh): c(g) spread along row g, c
+    times the twisted diagonal, and c read through the table."""
+    model, mod, x = c.model, c.modulus, c.lanes
+    lanes = model._lanes
+    dc = (
+        lanes.spread(x) * lanes.ones[1]
+        + x * lanes.diag[c.weight & 1]
+        + lanes.base[2][mod]
+        - lanes.compose(x)
+    )
+    return _new(Cochain2, model, mod, c.weight, dc & lanes.mask[2][mod])
 
 
 def cup(c: Cochain1, d: Cochain1) -> Cochain2:
-    """(c cup d)(g,h) = c(g) * chi(g)^{w_d} * d(h); weights add.  At modulus 2
-    chi(g)^{w_d} is 1, and the cup is d's bits times c's bits spread out."""
+    """(c cup d)(g,h) = c(g) * chi(g)^{w_d} * d(h); weights add: d's lanes
+    times the twisted c spread out."""
     if c.model is not d.model:
         raise ValueError("cup of cochains on different models")
     if c.modulus != d.modulus:
         raise ValueError(f"cup needs a common modulus, got {c.modulus} and {d.modulus}")
-    model, mod, weight = c.model, c.modulus, c.weight + d.weight
-    if mod == 2:
-        return _new(Cochain2, model, 2, weight, d._data * model._bits.spread(c._data))
-    right = d._data
-    zero = (0,) * len(right)
-    values = []
-    for c_g, chi in zip(c._data, model.chi):
-        left = c_g * pow(chi, d.weight, mod) % mod
-        # d's values are reduced, so a left factor of 1 gives d's row itself.
-        values += zero if left == 0 else right if left == 1 else [left * x % mod for x in right]
-    return _new(Cochain2, model, mod, weight, tuple(values))
-
-
-# (n choose 2) mod 2 depends only on n mod 4: residues 0,1,2,3 -> 0,0,1,1.
-_BINOM2_MOD2 = (0, 0, 1, 1)
-
-
-def _binom2_bits(c: Cochain1) -> int:
-    return _pack([_BINOM2_MOD2[v] for v in c._data])
+    model, mod, u = c.model, c.modulus, c.lanes
+    lanes = model._lanes
+    # chi is odd, so chi(g)^{w_d} is 1 at modulus 2 and at an even w_d.
+    if d.weight & 1 and mod != 2:
+        u = _lane_mul(u, lanes.chi, lanes.n, mod)
+    return _new(Cochain2, model, mod, c.weight + d.weight, d.lanes * lanes.spread(u) & lanes.mask[2][mod])
 
 
 def binom2(c: Cochain1) -> Cochain1:
-    """Pointwise profinite binomial coefficient (c choose 2), mod 4 -> mod 2."""
+    """Pointwise profinite binomial coefficient (c choose 2), mod 4 -> mod 2:
+    for v in 0..3 it is bit 1 of v."""
     if c.modulus != 4:
         raise ValueError("binom2 is defined on mod-4 cochains")
-    return _new(Cochain1, c.model, 2, 2 * c.weight, _binom2_bits(c))
+    return _new(Cochain1, c.model, 2, 2 * c.weight, c.lanes >> 1 & c.model._lanes.ones[1])
 
 
 def chi_minus1_over2(model: GaloisModel) -> Cochain1:
     """The mod-2 cocycle (chi-1)/2, i.e. the Kummer class of -1."""
-    return _new(Cochain1, model, 2, 1, model._bits.rho)
+    return _new(Cochain1, model, 2, 1, model._lanes.rho)
 
 
 def f_cocycle(model: GaloisModel) -> Cochain1:
@@ -441,7 +427,7 @@ def f_cocycle(model: GaloisModel) -> Cochain1:
     if model.chi_mod % 48 != 0:
         raise ValueError("f_cocycle needs chi values lifted mod 48")
     # chi's values are units mod chi_mod, so mod 48 as well.
-    return _new(Cochain1, model, 2, 2, _pack([(chi * chi - 1) // 24 % 2 for chi in model.chi]))
+    return Cochain1(model, 2, 2, [(chi * chi - 1) // 24 % 2 for chi in model.chi])
 
 
 def massey_triple(
@@ -497,14 +483,18 @@ def delta3_cocycle_direct(
     delta3_closed_form asks; nothing is checked here.
     """
     model = b.model
-    spread = model._bits.spread
-    r = chi_minus1_over2(model)._data
-    b2, a2, c2 = b.reduce2()._data, a.reduce2()._data, c._data
-    hb, ha = _binom2_bits(b), _binom2_bits(a)
-    x = spread(c2) * b2 ^ spread(hb ^ b2) * a2 ^ spread(b2) * (a2 & b2) ^ spread(r) * c2
-    y0 = spread(c2) * a2 ^ spread(b2) * ha ^ spread(b2 & ~r) * a2 ^ spread(r) * c2
-    comp_x = _new(Cochain2, model, 2, 3, x)
-    return [(comp_x, _new(Cochain2, model, 2, 3, y0 ^ spread(f._data) * a2)) for f in fs]
+    lanes = model._lanes
+    spread, ones2 = lanes.spread, lanes.ones[2]
+    r = lanes.rho
+    b2, a2, c2 = b.reduce2().lanes, a.reduce2().lanes, c.lanes
+    hb, ha = binom2(b).lanes, binom2(a).lanes
+    # Every term is 0 or 1 in a lane but spread(hb + b2) * a2, at most 2,
+    # so no lane of x or y0 + spread(f) * a2 passes 5; its low bit is the
+    # lane mod 2.
+    x = spread(c2) * b2 + spread(hb + b2) * a2 + spread(b2) * (a2 & b2) + spread(r) * c2
+    y0 = spread(c2) * a2 + spread(b2) * ha + spread(b2 & ~r) * a2 + spread(r) * c2
+    comp_x = _new(Cochain2, model, 2, 3, x & ones2)
+    return [(comp_x, _new(Cochain2, model, 2, 3, y0 + spread(f.lanes) * a2 & ones2)) for f in fs]
 
 
 def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[Cochain1, Cochain1]:
@@ -549,7 +539,7 @@ def _solutions(target: Cochain2) -> list[Cochain1]:
                     reached.append(gs)
                     steps.append((gs, g, s))
     walk = steps[len(gens):]  # the identity's steps reach the generators
-    t, n = target._flat, model.order
+    t, n = target._bytes(), model.order
     walk_t = [t[g * n + s] for _, g, s in walk]  # target(g, s) for each step
     out = []
     for gen_values in itertools.product(range(modulus), repeat=len(gens)):
@@ -558,7 +548,7 @@ def _solutions(target: Cochain2) -> list[Cochain1]:
             values[s] = v
         for (gs, g, s), t_gs in zip(walk, walk_t):
             values[gs] = (values[g] + twist[g] * values[s] - t_gs) % modulus
-        c = _new(Cochain1, model, modulus, weight, _stored(modulus, values))
+        c = _new(Cochain1, model, modulus, weight, int.from_bytes(bytes(values), "little"))
         if coboundary(c) == target:
             out.append(c)
     return out
@@ -567,8 +557,8 @@ def _solutions(target: Cochain2) -> list[Cochain1]:
 def all_twisted_cocycles(model: GaloisModel, modulus: int, weight: int = 1) -> list[Cochain1]:
     """All cocycles c(gh) = c(g) + chi(g)^w c(h): the solutions of Dc = 0,
     in itertools.product order of their generator values."""
-    zero = _stored(modulus, [0] * model.order**2)
-    return _solutions(_new(Cochain2, model, modulus, weight, zero))
+    _check_modulus(modulus)
+    return _solutions(_new(Cochain2, model, modulus, weight, 0))
 
 
 def lift_cochains(b: Cochain1, a: Cochain1) -> list[Cochain1]:

@@ -456,10 +456,10 @@ def magnus_lanes(spec: QuotientSpec, g: Sequence[bytes], h: Sequence[bytes]) -> 
 # ---------------------------------------------------------------------------
 
 # bytes.translate tables on TOWER4 indices: _HEAD[w] keeps the first w
-# exponents of an index and clears the others, and _DIGIT[k] is bit k of
-# an index (e, d, c for k = 0, 1, 2) as the ASCII digit "0" or "1".
+# exponents of an index and clears the others, and _BIT[k] is bit k of an
+# index (e, d, c for k = 0, 1, 2) as the byte 0 or 1.
 _HEAD = {2: bytes([i & 0xF8 for i in range(256)]), 3: bytes([i & 0xFC for i in range(256)])}
-_DIGIT = tuple(bytes([48 + (i >> k & 1) for i in range(256)]) for k in range(3))
+_BIT = tuple(bytes([i >> k & 1 for i in range(256)]) for k in range(3))
 
 
 def boundary_of_section(
@@ -488,7 +488,7 @@ def boundary_of_section(
     width = len(p[0])
     if width not in (2, 3) or any(len(t) != width for t in p):
         raise InvalidCocycleError("section values must be all pairs or all triples")
-    f_bits = [0] if fs is None or width == 2 else [f.bits for f in fs]
+    f_lanes = [0] if fs is None or width == 2 else [f.lanes for f in fs]
 
     # The section as TOWER4 indices, each value padded with zeros.  The
     # acted section g(s(p(h))) depends on g only through (chi(g) mod 8,
@@ -502,7 +502,7 @@ def boundary_of_section(
     products = []
     for g, (row, chi) in enumerate(zip(model.table, model.chi)):
         through_g, by_f = _through(tower4_row(sect[g])), {}
-        for f_g in {f >> g & 1 for f in f_bits}:
+        for f_g in {f >> 8 * g & 1 for f in f_lanes}:
             key = (chi % 8, f_g)
             if key not in acted:
                 acted[key] = sect.translate(_through(tower4_action(*key)))
@@ -522,15 +522,15 @@ def boundary_of_section(
     # degree-3 letters, so got = s(p(gh)) z carries z's d and e.  At level
     # 2, z is [x,y]^c times degree-3 letters, and moving it past s(p(gh))
     # changes only d and e, so got carries z's c.  TOWER4 keeps c, d and e
-    # mod 2, so each is one bit of the index, and z(g, h) is bit g*n + h of
-    # its cochain: the rows of f joined in order of g and reversed, one
-    # ASCII digit per product, read in base 2.
-    def backwards(f):
-        return b"".join([by_f[f >> g & 1] for g, by_f in enumerate(products)])[::-1]
+    # mod 2, so each is one bit of the index, and z(g, h) is byte g*n + h
+    # of its cochain's lanes: the rows of f joined in order of g, one
+    # product per byte, each translated to its bit.
+    def rows(f):
+        return b"".join([by_f[f >> 8 * g & 1] for g, by_f in enumerate(products)])
 
     def cochain(weight, bit, z):
-        return Cochain2.from_bits(model, weight, int(z.translate(_DIGIT[bit]), 2))
+        return Cochain2.from_lanes(model, 2, weight, int.from_bytes(z.translate(_BIT[bit]), "little"))
 
     if width == 2:
-        return (cochain(2, 2, backwards(0)),)
-    return [(cochain(3, 1, z), cochain(3, 0, z)) for z in map(backwards, f_bits)]
+        return (cochain(2, 2, rows(0)),)
+    return [(cochain(3, 1, z), cochain(3, 0, z)) for z in map(rows, f_lanes)]

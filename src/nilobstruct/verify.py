@@ -112,7 +112,8 @@ def _model_data(model: GaloisModel):
 def check_binomial_addition() -> CheckResult:
     """(d1+d2 choose 2) - (d1 choose 2) - (d2 choose 2) = d1 d2 mod 2, on Z/4."""
     result = CheckResult("binomial addition law", "Z/4 x Z/4", 16)
-    t = coh._BINOM2_MOD2
+    # binom2 of the cochain g -> g on Z/4: t[d] = (d choose 2) mod 2.
+    t = binom2(Cochain1(coh.cyclic_model(4, 1), 4, 0, (0, 1, 2, 3))).values
     for d1 in range(4):
         for d2 in range(4):
             if (t[(d1 + d2) % 4] - t[d1] - t[d2]) % 2 != d1 * d2 % 2:
@@ -222,18 +223,18 @@ def check_boundary_n3(model: GaloisModel, data) -> CheckResult:
     section boundary is taken once per lift for all f, and D(w_x) is added
     to the closed form's x component once per lift, since that component
     does not depend on f.  The cocycle law of each distinct boundary is
-    checked once, through a memo keyed by its bits that ends with the
-    check: every boundary here has modulus 2 and weight 3, so its bits name
-    it.
+    checked once, through a memo keyed by its lanes that ends with the
+    check: every boundary here has modulus 2 and weight 3, so its lanes
+    name it.
     """
     result = CheckResult("level-3 boundary == delta3 formulas", model.name, 0)
     _, homs, lifts = data
     cocycle = {}
 
     def is_cocycle(z):
-        ok = cocycle.get(z.bits)
+        ok = cocycle.get(z.lanes)
         if ok is None:
-            ok = cocycle[z.bits] = z.is_cocycle()
+            ok = cocycle[z.lanes] = z.is_cocycle()
         return ok
 
     for b, a, c, forms in lifts:
@@ -297,17 +298,18 @@ def check_lift_shift(model: GaloisModel, data) -> CheckResult:
     rho = chi_minus1_over2(model)
     _, homs, lifts = data
     zero = homs.index(coh.zero1(model, 2, 2))
-    # b and a are mod-4 cocycles, keyed by their values; c by its bits.
-    closed = {(b.values, a.values, c.bits): forms[zero][0] for b, a, c, forms in lifts}
+    # Keyed by lanes: every b and a is a mod-4 cocycle of weight 1, and
+    # every c a mod-2 cochain of weight 2, on the model.
+    closed = {(b.lanes, a.lanes, c.lanes): forms[zero][0] for b, a, c, forms in lifts}
     for (b, a), pair in _by_pair(lifts):
         minus_b, minus_a = b.reduce2() + rho, a.reduce2() + rho
         shifts = [(eps, cup(minus_b, eps), cup(minus_a, eps)) for eps in homs]
         for _, _, c, _ in pair:
-            base = closed[b.values, a.values, c.bits]
+            base = closed[b.lanes, a.lanes, c.lanes]
             for eps, x_shift, y_shift in shifts:
                 result.cases += 1
                 shifted_c = c + eps
-                shifted = closed.get((b.values, a.values, shifted_c.bits))
+                shifted = closed.get((b.lanes, a.lanes, shifted_c.lanes))
                 if shifted is None:
                     result.failures.append(f"not a lift: b={b.values} a={a.values} c={shifted_c.values}")
                     continue

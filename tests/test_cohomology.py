@@ -281,13 +281,13 @@ def test_cochain_kernels_match_their_definitions(model):
     assert verdicts1 == verdicts2 == {True, False}
 
 
-def _mod2_samples(model, rng, count):
-    """The mod-2 value tuples of 1-cochains on model: every one at order <= 4,
-    and a seeded sample of count at the larger orders."""
+def _samples(model, modulus, rng, count):
+    """The value tuples of mod-modulus 1-cochains on model: every one when
+    there are at most 16, a seeded sample of count otherwise."""
     n = model.order
-    if n <= 4:
-        return list(itertools.product((0, 1), repeat=n))
-    return [tuple(rng.randrange(2) for _ in range(n)) for _ in range(count)]
+    if modulus**n <= 16:
+        return list(itertools.product(range(modulus), repeat=n))
+    return [tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(count)]
 
 
 def _rows(model, flat):
@@ -298,53 +298,127 @@ def _rows(model, flat):
 @pytest.mark.parametrize("model", standard_models() + extra_models(), ids=lambda m: m.name)
 @pytest.mark.parametrize("weight", (1, 2, 3))
 def test_mod2_bits_match_the_tuple_definitions(model, weight):
-    """At modulus 2 a cochain is an int of bits; cup, coboundary, +,
-    pointwise_mul, both is_cocycle and the values view agree with the tuple
-    definitions, on every cochain and every pair of cochains at order <= 4
-    and on a seeded sample at orders 6 and 8.  The 2-cochains are every
-    coboundary, cup and sum built so, a seeded sample of random ones (all
-    of them at order 2), and each of those with one entry flipped."""
+    """At moduli 2, 4 and 8 a cochain is an int whose byte g holds c(g), or
+    byte g*n + h z(g, h); cup, coboundary, +, -, pointwise_mul, both
+    is_cocycle, from_lanes and the values view agree with the tuple
+    definitions, on every cochain and every pair of cochains where there
+    are at most 16 (every mod-2 cochain at order <= 4) and on a seeded
+    sample elsewhere.  The 2-cochains are every coboundary, cup and sum
+    built so, a seeded sample of random ones (all mod-2 ones at order 2),
+    and each of those with one entry moved."""
     rng = random.Random(f"{model.name} {weight}")
     n = model.order
-    singles = _mod2_samples(model, rng, 48)
-    pairs = list(itertools.product(singles, repeat=2)) if n <= 4 else list(zip(singles, reversed(singles)))
-    twos = set()
-    for u, v in pairs:
-        c, d = Cochain1(model, 2, weight, u), Cochain1(model, 2, weight, v)
-        assert (c.values, d.values) == (u, v)
-        assert c.bits == sum(x << g for g, x in enumerate(u))
-        dc, cd = coboundary(c), cup(c, d)
-        assert dc.values == _coboundary_by_definition(c)
-        assert (cd.values, cd.weight) == (_cup_by_definition(c, d), 2 * weight)
-        assert (c + d).values == (c - d).values == tuple((x + y) % 2 for x, y in zip(u, v))
-        assert c.pointwise_mul(d).values == tuple(x * y for x, y in zip(u, v))
+    for modulus in (2, 4, 8):
+        singles = _samples(model, modulus, rng, 48)
+        if len(singles) <= 16:
+            pairs = list(itertools.product(singles, repeat=2))
+        else:
+            pairs = list(zip(singles, reversed(singles)))
+        twos = set()
+        for u, v in pairs:
+            c, d = Cochain1(model, modulus, weight, u), Cochain1(model, modulus, weight, v)
+            assert (c.values, d.values) == (u, v)
+            assert c.lanes == sum(x << 8 * g for g, x in enumerate(u))
+            assert Cochain1.from_lanes(model, modulus, weight, c.lanes) == c
+            dc, cd = coboundary(c), cup(c, d)
+            assert dc.values == _coboundary_by_definition(c)
+            assert (cd.values, cd.weight) == (_cup_by_definition(c, d), 2 * weight)
+            assert (c + d).values == tuple((x + y) % modulus for x, y in zip(u, v))
+            assert (c - d).values == tuple((x - y) % modulus for x, y in zip(u, v))
+            assert c.pointwise_mul(d).values == tuple(x * y % modulus for x, y in zip(u, v))
+            assert c.is_cocycle() == _is_cocycle1_by_definition(c)
+            dd = coboundary(d)
+            assert (dc + dd).values == tuple(
+                tuple((x + y) % modulus for x, y in zip(r, s)) for r, s in zip(dc.values, dd.values)
+            )
+            twos.update((dc.values, cd.values, (dc + dd).values))
+        if n == 2 and modulus == 2:
+            twos.update(_rows(model, flat) for flat in itertools.product((0, 1), repeat=4))
+        twos.update(_rows(model, [rng.randrange(modulus) for _ in range(n * n)]) for _ in range(64))
+        verdicts = set()
+        for values in list(twos):
+            g, h = rng.randrange(n), rng.randrange(n)
+            moved = [list(row) for row in values]
+            moved[g][h] = (moved[g][h] + rng.randrange(1, modulus)) % modulus
+            for rows in (values, tuple(map(tuple, moved))):
+                z = Cochain2(model, modulus, weight, rows)
+                assert z.values == rows
+                lanes = sum(x << 8 * (g * n + h) for g, row in enumerate(rows) for h, x in enumerate(row))
+                assert z.lanes == lanes and Cochain2.from_lanes(model, modulus, weight, lanes) == z
+                assert z.is_zero() == (not any(map(any, rows)))
+                verdicts.add(z.is_cocycle())
+                assert z.is_cocycle() == _is_cocycle2_by_definition(z)
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("model", (cyclic_model(8, 3), s3_model()), ids=lambda m: m.name)
+@pytest.mark.parametrize("weight", range(4))
+def test_lane_kernels_at_the_carry_extremes(model, weight):
+    """At modulus 8 every lane holds up to 7, so a coboundary sums up to
+    7 + 49 + 8 in a lane, a cup or a lane product up to 49, and the
+    2-cocycle law up to 49 + 7; none may carry into the next lane.  On the
+    all-7 cochains, and on random ones, every operation agrees with its
+    definition: coboundary, cup, +, -, negation, pointwise_mul, both
+    is_cocycle, reduce2, and binom2 on the all-3 and random mod-4
+    cochains."""
+    rng = random.Random(f"{model.name} {weight}")
+    n = model.order
+    sevens = Cochain1(model, 8, weight, (7,) * n)
+    cochains = [sevens] + [Cochain1(model, 8, weight, tuple(rng.randrange(8) for _ in range(n))) for _ in range(8)]
+    twos = [Cochain2(model, 8, weight, ((7,) * n,) * n)]
+    for c in cochains:
+        for d in (sevens, rng.choice(cochains), Cochain1(model, 8, 1 - weight % 2, (7,) * n)):
+            cd = cup(c, d)
+            assert cd.values == _cup_by_definition(c, d)
+            assert c.pointwise_mul(d).values == tuple(x * y % 8 for x, y in zip(c.values, d.values))
+            twos.append(cd)
+        e = rng.choice(cochains)
+        assert (c + e).values == tuple((x + y) % 8 for x, y in zip(c.values, e.values))
+        assert (c - e).values == tuple((x - y) % 8 for x, y in zip(c.values, e.values))
+        assert (-c).values == tuple(-x % 8 for x in c.values)
+        assert c.reduce2().values == tuple(x % 2 for x in c.values)
         assert c.is_cocycle() == _is_cocycle1_by_definition(c)
-        dd = coboundary(d)
-        assert (dc + dd).values == tuple(
-            tuple((x + y) % 2 for x, y in zip(r, s)) for r, s in zip(dc.values, dd.values)
-        )
-        twos.update((dc.values, cd.values, (dc + dd).values))
-    if n == 2:
-        twos.update(_rows(model, flat) for flat in itertools.product((0, 1), repeat=4))
-    twos.update(_rows(model, [rng.randrange(2) for _ in range(n * n)]) for _ in range(64))
-    verdicts = set()
-    for values in list(twos):
-        g, h = rng.randrange(n), rng.randrange(n)
-        flipped = [list(row) for row in values]
-        flipped[g][h] ^= 1
-        for rows in (values, tuple(map(tuple, flipped))):
-            z = Cochain2(model, 2, weight, rows)
-            assert z.values == rows
-            assert z.bits == sum(x << (g * n + h) for g, row in enumerate(rows) for h, x in enumerate(row))
-            assert z.is_zero() == (not any(map(any, rows)))
-            verdicts.add(z.is_cocycle())
-            assert z.is_cocycle() == _is_cocycle2_by_definition(z)
-    assert verdicts == {True, False}
+        dc = coboundary(c)
+        assert dc.values == _coboundary_by_definition(c)
+        random_z = Cochain2(model, 8, weight, tuple(tuple(rng.randrange(8) for _ in range(n)) for _ in range(n)))
+        twos += [dc, random_z]
+    for z in twos:
+        assert z.is_cocycle() == _is_cocycle2_by_definition(z)
+        w = rng.choice(twos)
+        if w.weight == z.weight:
+            rows = list(zip(z.values, w.values))
+            assert (z + w).values == tuple(tuple((x + y) % 8 for x, y in zip(r, s)) for r, s in rows)
+            assert (z - w).values == tuple(tuple((x - y) % 8 for x, y in zip(r, s)) for r, s in rows)
+        assert (-z).values == tuple(tuple(-x % 8 for x in row) for row in z.values)
+    for values in [(3,) * n] + [tuple(rng.randrange(4) for _ in range(n)) for _ in range(8)]:
+        b = Cochain1(model, 4, weight, values)
+        assert binom2(b).values == tuple(v * (v - 1) // 2 % 2 for v in values)
+
+
+@pytest.mark.parametrize("modulus", (3, 6, 16))
+def test_other_moduli_are_refused(modulus):
+    model = cyclic_model(2, 7)
+    for build in (
+        lambda: Cochain1(model, modulus, 1, (0, 0)),
+        lambda: Cochain2(model, modulus, 1, ((0, 0), (0, 0))),
+        lambda: Cochain1.from_lanes(model, modulus, 1, 0),
+        lambda: zero1(model, modulus, 1),
+        lambda: all_twisted_cocycles(model, modulus, 1),
+    ):
+        with pytest.raises(ValueError, match=f"modulus {modulus} is not 2, 4 or 8"):
+            build()
+
+
+def test_cocycle_law_needs_order_at_most_16():
+    # Z/17 with the trivial character: the law's byte indices would pass 255.
+    z = coboundary(zero1(cyclic_model(17, 1), 2, 1))
+    with pytest.raises(ValueError, match="order at most 16, not 17"):
+        z.is_cocycle()
 
 
 @pytest.mark.parametrize("model", standard_models() + extra_models(), ids=lambda m: m.name)
 def test_mod2_reductions_match_the_tuple_definitions(model):
-    """reduce2 and binom2 of mod-4 cochains, as bits, against v mod 2 and
+    """reduce2 and binom2 of mod-4 cochains, as lanes, against v mod 2 and
     C(v, 2) mod 2: every mod-4 cochain at order <= 4, a seeded sample at
     orders 6 and 8."""
     rng = random.Random(model.name)
