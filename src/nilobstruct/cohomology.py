@@ -12,18 +12,25 @@ degree-1/2 identities used by the obstruction evaluators are checkable here
 on every twisted cocycle and every lift, because they are cochain identities
 valid over any profinite group with any character.  Cocycles (Dc = 0), the
 admissible f and the lifts (Dc = -(b cup a)) are listed by one solver: a
-solution of Dc = t is fixed by its values on generators.  At every modulus
-a cochain is one int of byte lanes, c(g) in byte g and z(g, h) in byte
-g*n + h, on which these operations are a few int operations and byte
-translates (see _Lanes).
+solution of Dc = t is fixed by its values on generators.
+
+At every modulus a cochain is one int of byte lanes, and it carries a batch
+axis: a batch of L cochains on one model, modulus and weight (its cases) is
+one cochain whose byte g*L + i holds case i's c(g), or whose byte
+(g*n + h)*L + i holds case i's z(g, h).  A single cochain is the batch of
+one, L = 1, with c(g) in byte g and z(g, h) in byte g*n + h.  Every
+operation acts on all cases at once, in a few int operations, byte
+translates and joins of L-byte blocks whatever L is (see _Lanes), and the
+failing cases of a comparison are read off one folded int.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 
 
@@ -82,8 +89,10 @@ class GaloisModel:
         return range(self.order)
 
     @cached_property
-    def _lanes(self) -> "_Lanes":
-        return _Lanes(self)
+    def _lanes(self) -> "_Layouts":
+        """The layout of each batch size, _lanes[L], built on first use and
+        kept with the model."""
+        return _Layouts(self)
 
 
 def _table_from_op(elems: list, op) -> tuple[tuple[int, ...], ...]:
@@ -91,8 +100,12 @@ def _table_from_op(elems: list, op) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(index[op(a, b)] for b in elems) for a in elems)
 
 
+@cache
 def cyclic_model(n: int, chi_gen: int) -> GaloisModel:
-    """Cyclic group of order n with chi(generator) = chi_gen mod 8."""
+    """Cyclic group of order n with chi(generator) = chi_gen mod 8; built
+    once per (n, chi_gen), as are units_model, standard_models and
+    extra_models, so that a model, its checked table and its batch layouts
+    live for the process."""
     if pow(chi_gen, n, 8) != 1:
         raise ValueError("chi_gen does not define a character on Z/n")
     elems = list(range(n))
@@ -108,6 +121,7 @@ def klein_model() -> GaloisModel:
     return GaloisModel(table, (1, 7, 1, 7), 8, name="Z/2xZ/2")
 
 
+@cache
 def units_model(n: int) -> GaloisModel:
     """(Z/n)^* with chi the identity character mod n; n must be even, as
     GaloisModel needs chi odd."""
@@ -130,6 +144,7 @@ def s3_model() -> GaloisModel:
     return GaloisModel(table, tuple(chi), 8, name="S3")
 
 
+@cache
 def standard_models() -> tuple[GaloisModel, ...]:
     """The four models of order at most 4 that the verify suite always runs."""
     return (
@@ -140,6 +155,7 @@ def standard_models() -> tuple[GaloisModel, ...]:
     )
 
 
+@cache
 def extra_models() -> tuple[GaloisModel, ...]:
     """The larger models, S3 and Z/8; the verify suite runs each one whose
     order is within its max group order."""
@@ -165,31 +181,71 @@ def _check_modulus(modulus: int) -> None:
         raise ValueError(f"modulus {modulus} is not 2, 4 or 8")
 
 
-class _Lanes:
-    """A model's cochain operations on byte lanes, built once per model from
-    O(n) ints and the n^2 bytes of its table (so n <= 256).  A cochain of
-    modulus m on a group of order n is an int whose byte g holds c(g)
-    (degree 1) or whose byte g*n + h holds z(g, h) (degree 2), each value in
-    0..m - 1.  m divides 8, so chi(g)^w is read mod m from chi(g) mod 8 (w
-    odd) or 1 (w even), and masking every lane with m - 1 reduces it mod m.
-    An operation adds m in a lane before it subtracts a value, so that no
-    lane goes below 0, and keeps every lane below 256, so that none carries
-    into the next: at most 7 + 49 + 8 in a coboundary, 49 in a cup or a lane
-    product, and 49 + 7 in the 2-cocycle law."""
+class _Layouts(dict):
+    """A model's _Lanes by batch size: a missing one is built and kept."""
 
     def __init__(self, model: GaloisModel):
-        n = model.order
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, cases: int) -> "_Lanes":
+        lanes = self[cases] = _Lanes(self.model, cases)
+        return lanes
+
+
+def _repeated(values: Sequence[int], size: int) -> int:
+    """The int whose block k of size bytes holds values[k] in every byte."""
+    return int.from_bytes(b"".join([bytes([v]) * size for v in values]), "little")
+
+
+class _Lanes:
+    """A model's cochain operations on a batch of L cases, built once per
+    model and L (see GaloisModel._lanes) from O(n^2 L)-byte ints and index
+    bytes, and the 2-cocycle law's O(n^3 L) on first use.  A 1-cochain is n
+    blocks of L bytes, block g holding c(g) of every case, and a 2-cochain
+    n^2 blocks, block g*n + h holding z(g, h); so L = 1 is one value per
+    byte.  Each value is in 0..m - 1 and m divides 8, so chi(g)^w is read
+    mod m from chi(g) mod 8 (w odd) or 1 (w even), and masking every lane
+    with m - 1 reduces it mod m.
+
+    An operation reads a cochain's blocks at the positions of an index: its
+    rows (c(g) at (g, h)), the table (c(gh) at (g, h)) and the three
+    readings of the 2-cocycle law.  At L > 1 the blocks are sliced and
+    joined (gather), n^2 or n^3 of them per call, whatever L is; columns
+    (c(h) at (g, h)) repeat the whole cochain, and a lane product is one
+    translate through _MUL, or an AND at modulus 2.  At L = 1 a block is a
+    byte, an index is one bytes.translate, and the rows, the twist by
+    chi(g) and the cup are int multiplications (spread): a row's one value
+    times the lanes, which L > 1 cannot use, since a row then holds L values.
+    The form is selected by L alone.
+
+    An operation adds m in a lane before it subtracts a value, so that no
+    lane goes below 0, and keeps every lane below 256, so that none carries
+    into the next: a coboundary sums at most 7 + 49 + 8 in a lane at L = 1
+    and 7 + 7 + 8 at L > 1, a cup or a lane product at most 49, and the
+    2-cocycle law at most 49 + 7 at L = 1 and 7 + 7 at L > 1."""
+
+    def __init__(self, model: GaloisModel, cases: int):
+        n, L = model.order, cases
         chi = [x % 8 for x in model.chi]
-        self.n = n
-        self.table = bytes([gh for row in model.table for gh in row])  # byte g*n + h: gh
-        ones1 = int.from_bytes(b"\1" * n, "little")
-        ones2 = int.from_bytes(b"\1" * (n * n), "little")
+        self.n, self.cases = n, L
+        ones1 = int.from_bytes(b"\1" * (n * L), "little")
+        ones2 = int.from_bytes(b"\1" * (n * n * L), "little")
         # By degree, then by modulus: 1 in every lane, m - 1 (the mask) and
         # m (added before a subtraction).
         self.ones = (None, ones1, ones2)
         self.mask = (None, *({m: (m - 1) * ones for m in _MODULI} for ones in (ones1, ones2)))
         self.base = (None, *({m: m * ones for m in _MODULI} for ones in (ones1, ones2)))
-
+        # chi(g) mod 8 and (chi(g) - 1)/2 mod 2 in every lane of block g.
+        self.chi = _repeated(chi, L)
+        self.rho = _repeated([(x - 1) // 2 % 2 for x in model.chi], L)
+        # The blocks of a 1-cochain read at (g, h): g (its rows) and gh.
+        self.rows = bytes([g for g in range(n) for _ in range(n)])
+        self.table = bytes([gh for row in model.table for gh in row])
+        if L > 1:
+            # chi(g) mod 8 in every lane of row g of a 2-cochain.
+            self.chi_rows = _repeated(chi, n * L)
+            return
         low, top, top_shift = 0xFF * (ones1 >> 8), 8 * (n - 1), 8 * (n - 1) * n
         rep = sum(1 << 8 * g * (n - 1) for g in range(n - 1))  # copies of an (n - 1)-lane int
         sieve = sum(0xFF << 8 * g * n for g in range(n - 1))  # byte g*n for g < n - 1
@@ -202,55 +258,122 @@ class _Lanes:
             return (u & low) * rep & sieve | (u >> top) << top_shift
 
         self.spread = spread
-        # chi(g) mod 8 in byte g; diag[w & 1] holds chi(g)^w mod 8 in byte
-        # g*n, so that c * diag holds chi(g)^w c(h) at (g, h).
-        self.chi = int.from_bytes(bytes(chi), "little")
+        # diag[w & 1] holds chi(g)^w mod 8 in byte g*n, so that c * diag
+        # holds chi(g)^w c(h) at (g, h).
         self.diag = (spread(ones1), spread(self.chi))
-        self.rho = int.from_bytes(bytes([(x - 1) // 2 % 2 for x in model.chi]), "little")
 
-    def compose(self, c: int) -> int:
-        """(g, h) -> c(gh): the table translated through c's bytes."""
-        return int.from_bytes(self.table.translate(c.to_bytes(256, "little")), "little")
+    def gather(self, x: int, blocks: int, *indices: bytes) -> list[int]:
+        """For each index, the L-byte blocks of x (which has the given number
+        of blocks) at its positions, joined.  At L = 1 the callers translate
+        x's bytes through the index instead."""
+        L = self.cases
+        data = x.to_bytes(blocks * L, "little")
+        parts = [data[i : i + L] for i in range(0, blocks * L, L)]
+        return [int.from_bytes(b"".join(map(parts.__getitem__, index)), "little") for index in indices]
+
+    def columns(self, x: int, blocks: int) -> int:
+        """The cochain x of the given number of blocks repeated n times: x(h)
+        at (g, h), or z(h, k) at (g, h, k)."""
+        return int.from_bytes(x.to_bytes(blocks * self.cases, "little") * self.n, "little")
+
+    def coboundary(self, x: int, weight: int, modulus: int) -> int:
+        """c(g) + chi(g)^w c(h) + m - c(gh) at (g, h), masked, for the
+        1-cochain x: its rows, its columns twisted, and x read through the
+        table."""
+        n, L = self.n, self.cases
+        if L == 1:
+            composed = int.from_bytes(self.table.translate(x.to_bytes(256, "little")), "little")
+            dc = self.spread(x) * self.ones[1] + x * self.diag[weight & 1] + self.base[2][modulus] - composed
+        else:
+            rows, composed = self.gather(x, n, self.rows, self.table)
+            cols = self.columns(x, n)
+            if weight & 1 and modulus != 2:
+                cols = _lane_mul(cols, self.chi_rows, n * n * L, modulus)
+            dc = rows + cols + self.base[2][modulus] - composed
+        return dc & self.mask[2][modulus]
+
+    def outer(self, u: int, v: int, modulus: int) -> int:
+        """u(g) v(h) mod modulus at (g, h), for the 1-cochains u and v."""
+        n, L = self.n, self.cases
+        if L == 1:
+            return v * self.spread(u) & self.mask[2][modulus]
+        (rows,) = self.gather(u, n, self.rows)
+        cols = self.columns(v, n)
+        return rows & cols if modulus == 2 else _lane_mul(rows, cols, n * n * L, modulus)
+
+    def failing(self, diff: int, blocks: int) -> list[int]:
+        """The cases whose lane is nonzero in some block of diff, in order:
+        the blocks folded by OR, halving their number at each step."""
+        L = self.cases
+        while blocks > 1:
+            half = blocks // 2
+            diff = diff >> 8 * L * half | diff & (1 << 8 * L * half) - 1
+            blocks -= half
+        return [i for i, x in enumerate(diff.to_bytes(L, "little")) if x]
 
     @cached_property
-    def law(self) -> tuple[bytes, bytes, bytes, tuple[int, int], dict[int, int]]:
-        """What the 2-cocycle law reads, over the n^3 lanes (g, h, k) at byte
-        (g*n + h)*n + k: three translate tables of byte indices into the
-        lanes of a 2-cochain z, which read z(gh, k), z(g, hk) and z(g, h)
-        there; the diagonal by weight parity that, times z, holds
-        chi(g)^w z(h, k) there; and the mask by modulus.  An index must fit
+    def law(self) -> tuple[bytes, bytes, bytes, object, dict[int, int]]:
+        """What the 2-cocycle law reads, over the n^3 blocks (g, h, k) at
+        position (g*n + h)*n + k: three indices of the blocks of a 2-cochain
+        z, which read z(gh, k), z(g, hk) and z(g, h) there; the twist, which
+        with z's columns holds chi(g)^w z(h, k) there (at L = 1 the diagonal
+        by weight parity that z is multiplied by, at L > 1 chi(g) mod 8 in
+        every lane of block g); and the mask by modulus.  An index must fit
         in a byte, so the law needs n <= 16."""
-        n = self.n
+        n, L = self.n, self.cases
         if n > 16:
             raise ValueError(f"the 2-cocycle test needs a model of order at most 16, not {n}")
-        ones3 = int.from_bytes(b"\1" * n**3, "little")
+        ones3 = int.from_bytes(b"\1" * (n**3 * L), "little")
         gh_k = b"".join([bytes(range(gh * n, gh * n + n)) for gh in self.table])
         g_hk = bytes([g * n + hk for g in range(n) for hk in self.table])
         g_h = bytes([i for i in range(n * n) for _ in range(n)])
-        chi = self.chi.to_bytes(n, "little")
-        diag = (sum(1 << 8 * g * n * n for g in range(n)), sum(t << 8 * g * n * n for g, t in enumerate(chi)))
-        return gh_k, g_hk, g_h, diag, {m: (m - 1) * ones3 for m in _MODULI}
+        chi = self.chi.to_bytes(n * L, "little")[::L]
+        if L == 1:
+            twist = (sum(1 << 8 * g * n * n for g in range(n)), sum(t << 8 * g * n * n for g, t in enumerate(chi)))
+        else:
+            twist = _repeated(chi, n * n * L)
+        return gh_k, g_hk, g_h, twist, {m: (m - 1) * ones3 for m in _MODULI}
+
+    def law_sides(self, z: int, weight: int, modulus: int) -> tuple[int, int]:
+        """chi(g)^w z(h, k) + z(g, hk) and z(gh, k) + z(g, h) mod m, over the
+        n^3 blocks (g, h, k), for the 2-cochain z."""
+        gh_k, g_hk, g_h, twist, mask = self.law
+        if self.cases == 1:
+            read = z.to_bytes(256, "little")
+            left = z * twist[weight & 1] + int.from_bytes(g_hk.translate(read), "little")
+            right = int.from_bytes(gh_k.translate(read), "little") + int.from_bytes(g_h.translate(read), "little")
+            return left & mask[modulus], right & mask[modulus]
+        n2 = self.n * self.n
+        z_g_hk, z_gh_k, z_g_h = self.gather(z, n2, g_hk, gh_k, g_h)
+        left = self.columns(z, n2)
+        if weight & 1 and modulus != 2:
+            left = _lane_mul(left, twist, n2 * self.n * self.cases, modulus)
+        return left + z_g_hk & mask[modulus], z_gh_k + z_g_h & mask[modulus]
 
 
-def _new(cls, model: GaloisModel, modulus: int, weight: int, lanes: int):
+def _new(cls, model: GaloisModel, modulus: int, weight: int, lanes: int, cases: int = 1):
     """A cochain from its lanes, unchecked."""
     c = object.__new__(cls)
     c.model = model
     c.modulus = modulus
     c.weight = weight
     c.lanes = lanes
+    c.cases = cases
     return c
 
 
 class _Cochain:
     """What Cochain1 and Cochain2 share.  A cochain stores its values as the
-    byte lanes of one int, ``lanes``, at every modulus: c(g) in byte g and
-    z(g, h) in byte g*n + h (see _Lanes).  ``values`` reads them as tuples.
-    Two cochains are equal when their model, modulus, weight and lanes are,
-    and hash by their modulus, weight and lanes.  No operation changes a
+    byte lanes of one int, ``lanes``, at every modulus, for a batch of
+    ``cases`` cases: case i's c(g) in byte g*L + i and z(g, h) in byte
+    (g*n + h)*L + i (see _Lanes).  A cochain built from values is a batch
+    of one; pack joins batches of one into a batch, and case reads one
+    back.  ``values`` reads a batch of one as tuples.  Two cochains are
+    equal when their model, modulus, weight, cases and lanes are, and hash
+    by their modulus, weight, cases and lanes.  No operation changes a
     cochain."""
 
-    __slots__ = ("model", "modulus", "weight", "lanes")
+    __slots__ = ("model", "modulus", "weight", "lanes", "cases")
     _degree = 1
 
     def __init__(self, model: GaloisModel, modulus: int, weight: int, values: Sequence[int]):
@@ -259,56 +382,102 @@ class _Cochain:
             raise ValueError("wrong number of values")
         if any([v % modulus != v for v in values]):
             raise ValueError("values not reduced")
-        self.model, self.modulus, self.weight = model, modulus, weight
+        self.model, self.modulus, self.weight, self.cases = model, modulus, weight, 1
         self.lanes = int.from_bytes(bytes(values), "little")
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.model, self.modulus, self.weight, self.lanes) == (
-            other.model, other.modulus, other.weight, other.lanes
+        return (self.model, self.modulus, self.weight, self.cases, self.lanes) == (
+            other.model, other.modulus, other.weight, other.cases, other.lanes
         )
 
     def __hash__(self):
-        return hash((self.modulus, self.weight, self.lanes))
+        return hash((self.modulus, self.weight, self.cases, self.lanes))
 
     def __repr__(self):
-        return (
-            f"{type(self).__name__}(model={self.model.name!r}, modulus={self.modulus}, "
-            f"weight={self.weight}, values={self.values})"
-        )
+        shown = f"values={self.values}" if self.cases == 1 else f"cases={self.cases}"
+        return f"{type(self).__name__}(model={self.model.name!r}, modulus={self.modulus}, weight={self.weight}, {shown})"
 
     @classmethod
-    def from_lanes(cls, model: GaloisModel, modulus: int, weight: int, lanes: int):
-        """The cochain on model with value byte g of lanes at g (a Cochain1),
-        or byte g*n + h at (g, h) (a Cochain2); each byte must be reduced
-        mod modulus, which is not checked."""
+    def from_lanes(cls, model: GaloisModel, modulus: int, weight: int, lanes: int, cases: int = 1):
+        """The batch of cases on model whose case i has value byte g*L + i
+        of lanes at g (a Cochain1), or byte (g*n + h)*L + i at (g, h) (a
+        Cochain2); each byte must be reduced mod modulus, which is not
+        checked."""
         _check_modulus(modulus)
-        return _new(cls, model, modulus, weight, lanes)
+        return _new(cls, model, modulus, weight, lanes, cases)
+
+    @classmethod
+    def pack(cls, cochains: Sequence["_Cochain"]):
+        """The batch whose case i is cochains[i], each a batch of one on one
+        model, with one modulus and one weight: byte p of case i goes to
+        byte p*L + i."""
+        first = cochains[0]
+        model, modulus, weight = first.model, first.modulus, first.weight
+        if not all(
+            type(c) is cls and c.model is model and c.modulus == modulus and c.weight == weight and c.cases == 1
+            for c in cochains
+        ):
+            raise ValueError(f"pack needs {cls.__name__}s of one case, one model, modulus and weight")
+        size = model.order**cls._degree
+        joined = b"".join([c.lanes.to_bytes(size, "little") for c in cochains])
+        lanes = b"".join([joined[p::size] for p in range(size)])
+        return _new(cls, model, modulus, weight, int.from_bytes(lanes, "little"), len(cochains))
+
+    def _blocks(self) -> int:
+        return self.model.order**self._degree
 
     def _bytes(self) -> bytes:
-        return self.lanes.to_bytes(self.model.order**self._degree, "little")
+        return self.lanes.to_bytes(self._blocks() * self.cases, "little")
+
+    def case(self, i: int):
+        """Case i of the batch, as a batch of one."""
+        if not 0 <= i < self.cases:
+            raise IndexError(f"case {i} of a batch of {self.cases}")
+        lanes = int.from_bytes(self._bytes()[i :: self.cases], "little")
+        return _new(type(self), self.model, self.modulus, self.weight, lanes)
+
+    def select(self, indices: Sequence[int]):
+        """The batch of the cases at indices, in their order: one itemgetter
+        of the indices per block."""
+        data, L = self._bytes(), self.cases
+        get = operator.itemgetter(*indices) if len(indices) > 1 else lambda block: [block[i] for i in indices]
+        lanes = b"".join([bytes(get(data[p : p + L])) for p in range(0, len(data), L)])
+        return _new(type(self), self.model, self.modulus, self.weight, int.from_bytes(lanes, "little"), len(indices))
+
+    def nonzero_cases(self) -> list[int]:
+        """The cases of the batch that are not zero, in order."""
+        return self.model._lanes[self.cases].failing(self.lanes, self._blocks()) if self.lanes else []
+
+    def differing_cases(self, other) -> list[int]:
+        """The cases in which self and other, compatible batches, differ, in
+        order: one xor of the lanes, folded."""
+        _check_compatible(self, other)
+        if self.lanes == other.lanes:
+            return []
+        return self.model._lanes[self.cases].failing(self.lanes ^ other.lanes, self._blocks())
 
     def is_zero(self) -> bool:
         return not self.lanes
 
     def __add__(self, other):
         _check_compatible(self, other)
-        mask = self.model._lanes.mask[self._degree][self.modulus]
-        return _new(type(self), self.model, self.modulus, self.weight, self.lanes + other.lanes & mask)
+        mask = self.model._lanes[self.cases].mask[self._degree][self.modulus]
+        return _new(type(self), self.model, self.modulus, self.weight, self.lanes + other.lanes & mask, self.cases)
 
     def __neg__(self):
         # -z is z at modulus 2.
         if self.modulus == 2:
             return self
-        lanes, m, d = self.model._lanes, self.modulus, self._degree
-        return _new(type(self), self.model, m, self.weight, lanes.base[d][m] - self.lanes & lanes.mask[d][m])
+        lanes, m, d = self.model._lanes[self.cases], self.modulus, self._degree
+        return _new(type(self), self.model, m, self.weight, lanes.base[d][m] - self.lanes & lanes.mask[d][m], self.cases)
 
     def __sub__(self, other):
         _check_compatible(self, other)
-        lanes, m, d = self.model._lanes, self.modulus, self._degree
+        lanes, m, d = self.model._lanes[self.cases], self.modulus, self._degree
         x = self.lanes + lanes.base[d][m] - other.lanes & lanes.mask[d][m]
-        return _new(type(self), self.model, m, self.weight, x)
+        return _new(type(self), self.model, m, self.weight, x, self.cases)
 
 
 class Cochain1(_Cochain):
@@ -318,20 +487,25 @@ class Cochain1(_Cochain):
 
     @property
     def values(self) -> tuple[int, ...]:
+        _single(self)
         return tuple(self._bytes())
 
     def pointwise_mul(self, other: "Cochain1") -> "Cochain1":
         """The product cochain (cd)(g) = c(g) d(g); weights add."""
         if self.model is not other.model or self.modulus != other.modulus:
             raise ValueError("pointwise product needs one model and one modulus")
-        mod = self.modulus
-        product = _lane_mul(self.lanes, other.lanes, self.model.order, mod)
-        return _new(Cochain1, self.model, mod, self.weight + other.weight, product)
+        if self.cases != other.cases:
+            raise ValueError(f"batch size mismatch {self.cases} != {other.cases}")
+        mod, L = self.modulus, self.cases
+        product = _lane_mul(self.lanes, other.lanes, self.model.order * L, mod)
+        return _new(Cochain1, self.model, mod, self.weight + other.weight, product, L)
 
     def reduce2(self) -> "Cochain1":
-        return _new(Cochain1, self.model, 2, self.weight, self.lanes & self.model._lanes.ones[1])
+        L = self.cases
+        return _new(Cochain1, self.model, 2, self.weight, self.lanes & self.model._lanes[L].ones[1], L)
 
     def is_cocycle(self) -> bool:
+        """Whether every case is a cocycle."""
         return coboundary(self).is_zero()
 
 
@@ -349,21 +523,30 @@ class Cochain2(_Cochain):
 
     @property
     def values(self) -> tuple[tuple[int, ...], ...]:
+        _single(self)
         n, flat = self.model.order, self._bytes()
         return tuple([tuple(flat[g : g + n]) for g in range(0, n * n, n)])
 
     def is_cocycle(self) -> bool:
-        """Degree-2 cocycle condition D2 z = 0:
+        """Degree-2 cocycle condition D2 z = 0 in every case:
         chi(g)^w z(h, k) - z(gh, k) + z(g, hk) - z(g, h) = 0 for all g, h, k,
         as chi(g)^w z(h, k) + z(g, hk) = z(gh, k) + z(g, h) mod m on one
-        n^3-lane int per side (see _Lanes.law); a model of order above 16
+        n^3-block int per side (see _Lanes.law); a model of order above 16
         is refused."""
-        gh_k, g_hk, g_h, diag, mask = self.model._lanes.law
-        z = self.lanes
-        read = z.to_bytes(256, "little")
-        left = z * diag[self.weight & 1] + int.from_bytes(g_hk.translate(read), "little")
-        right = int.from_bytes(gh_k.translate(read), "little") + int.from_bytes(g_h.translate(read), "little")
-        return left & mask[self.modulus] == right & mask[self.modulus]
+        left, right = self.model._lanes[self.cases].law_sides(self.lanes, self.weight, self.modulus)
+        return left == right
+
+    def non_cocycle_cases(self) -> list[int]:
+        """The cases of the batch that break the 2-cocycle law, in order."""
+        left, right = self.model._lanes[self.cases].law_sides(self.lanes, self.weight, self.modulus)
+        if left == right:
+            return []
+        return self.model._lanes[self.cases].failing(left ^ right, self.model.order**3)
+
+
+def _single(c) -> None:
+    if c.cases != 1:
+        raise ValueError(f"a batch of {c.cases} cases has no one tuple of values; read a case")
 
 
 def _check_compatible(c, d) -> None:
@@ -373,6 +556,8 @@ def _check_compatible(c, d) -> None:
         raise ValueError(f"modulus mismatch {c.modulus} != {d.modulus}")
     if c.weight != d.weight:
         raise ValueError(f"weight mismatch {c.weight} != {d.weight}")
+    if c.cases != d.cases:
+        raise ValueError(f"batch size mismatch {c.cases} != {d.cases}")
 
 
 def zero1(model: GaloisModel, modulus: int, weight: int) -> Cochain1:
@@ -381,32 +566,28 @@ def zero1(model: GaloisModel, modulus: int, weight: int) -> Cochain1:
 
 
 def coboundary(c: Cochain1) -> Cochain2:
-    """Dc(g,h) = c(g) + chi(g)^w c(h) - c(gh): c(g) spread along row g, c
-    times the twisted diagonal, and c read through the table."""
-    model, mod, x = c.model, c.modulus, c.lanes
-    lanes = model._lanes
-    dc = (
-        lanes.spread(x) * lanes.ones[1]
-        + x * lanes.diag[c.weight & 1]
-        + lanes.base[2][mod]
-        - lanes.compose(x)
-    )
-    return _new(Cochain2, model, mod, c.weight, dc & lanes.mask[2][mod])
+    """Dc(g,h) = c(g) + chi(g)^w c(h) - c(gh): c's rows, its columns
+    twisted, and c read through the table."""
+    L = c.cases
+    dc = c.model._lanes[L].coboundary(c.lanes, c.weight, c.modulus)
+    return _new(Cochain2, c.model, c.modulus, c.weight, dc, L)
 
 
 def cup(c: Cochain1, d: Cochain1) -> Cochain2:
-    """(c cup d)(g,h) = c(g) * chi(g)^{w_d} * d(h); weights add: d's lanes
-    times the twisted c spread out."""
+    """(c cup d)(g,h) = c(g) * chi(g)^{w_d} * d(h); weights add: the lane
+    product of the twisted c's rows and d's columns."""
     if c.model is not d.model:
         raise ValueError("cup of cochains on different models")
     if c.modulus != d.modulus:
         raise ValueError(f"cup needs a common modulus, got {c.modulus} and {d.modulus}")
-    model, mod, u = c.model, c.modulus, c.lanes
-    lanes = model._lanes
+    if c.cases != d.cases:
+        raise ValueError(f"batch size mismatch {c.cases} != {d.cases}")
+    model, mod, u, L = c.model, c.modulus, c.lanes, c.cases
+    lanes = model._lanes[L]
     # chi is odd, so chi(g)^{w_d} is 1 at modulus 2 and at an even w_d.
     if d.weight & 1 and mod != 2:
-        u = _lane_mul(u, lanes.chi, lanes.n, mod)
-    return _new(Cochain2, model, mod, c.weight + d.weight, d.lanes * lanes.spread(u) & lanes.mask[2][mod])
+        u = _lane_mul(u, lanes.chi, lanes.n * L, mod)
+    return _new(Cochain2, model, mod, c.weight + d.weight, lanes.outer(u, d.lanes, mod), L)
 
 
 def binom2(c: Cochain1) -> Cochain1:
@@ -414,12 +595,14 @@ def binom2(c: Cochain1) -> Cochain1:
     for v in 0..3 it is bit 1 of v."""
     if c.modulus != 4:
         raise ValueError("binom2 is defined on mod-4 cochains")
-    return _new(Cochain1, c.model, 2, 2 * c.weight, c.lanes >> 1 & c.model._lanes.ones[1])
+    L = c.cases
+    return _new(Cochain1, c.model, 2, 2 * c.weight, c.lanes >> 1 & c.model._lanes[L].ones[1], L)
 
 
-def chi_minus1_over2(model: GaloisModel) -> Cochain1:
-    """The mod-2 cocycle (chi-1)/2, i.e. the Kummer class of -1."""
-    return _new(Cochain1, model, 2, 1, model._lanes.rho)
+def chi_minus1_over2(model: GaloisModel, cases: int = 1) -> Cochain1:
+    """The mod-2 cocycle (chi-1)/2, i.e. the Kummer class of -1, in every
+    one of cases cases."""
+    return _new(Cochain1, model, 2, 1, model._lanes[cases].rho, cases)
 
 
 def f_cocycle(model: GaloisModel) -> Cochain1:
@@ -457,7 +640,7 @@ def delta3_closed_form(
     cochain with Dc = -(b cup a), as lift_cochains gives) and each f a mod-2
     cocycle on that model (see check_f); nothing is checked again here.
     """
-    rho = chi_minus1_over2(b.model)
+    rho = chi_minus1_over2(b.model, b.cases)
     b2, a2 = b.reduce2(), a.reduce2()
     comp_x = -cup(b2 + rho, c) - cup(binom2(b), a2)
     comp_y0 = cup(a2 + rho, a2.pointwise_mul(b2) - c) + cup(binom2(a), b2)
@@ -482,19 +665,21 @@ def delta3_cocycle_direct(
     not depend on f, so every pair shares one.  The inputs must be as
     delta3_closed_form asks; nothing is checked here.
     """
-    model = b.model
-    lanes = model._lanes
-    spread, ones2 = lanes.spread, lanes.ones[2]
+    model, L = b.model, b.cases
+    lanes = model._lanes[L]
+
+    def term(u, v):
+        return lanes.outer(u, v, 2)
+
     r = lanes.rho
     b2, a2, c2 = b.reduce2().lanes, a.reduce2().lanes, c.lanes
     hb, ha = binom2(b).lanes, binom2(a).lanes
-    # Every term is 0 or 1 in a lane but spread(hb + b2) * a2, at most 2,
-    # so no lane of x or y0 + spread(f) * a2 passes 5; its low bit is the
-    # lane mod 2.
-    x = spread(c2) * b2 + spread(hb + b2) * a2 + spread(b2) * (a2 & b2) + spread(r) * c2
-    y0 = spread(c2) * a2 + spread(b2) * ha + spread(b2 & ~r) * a2 + spread(r) * c2
-    comp_x = _new(Cochain2, model, 2, 3, x & ones2)
-    return [(comp_x, _new(Cochain2, model, 2, 3, y0 + spread(f.lanes) * a2 & ones2)) for f in fs]
+    # Each term is u(g) v(h) with u, v in 0, 1, so a sum mod 2 is an xor;
+    # C(b + 1, 2) = C(b, 2) + b is hb ^ b2.
+    x = term(c2, b2) ^ term(hb ^ b2, a2) ^ term(b2, a2 & b2) ^ term(r, c2)
+    y0 = term(c2, a2) ^ term(b2, ha) ^ term(b2 & ~r, a2) ^ term(r, c2)
+    comp_x = _new(Cochain2, model, 2, 3, x, L)
+    return [(comp_x, _new(Cochain2, model, 2, 3, y0 ^ term(f.lanes, a2), L)) for f in fs]
 
 
 def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[Cochain1, Cochain1]:

@@ -42,6 +42,7 @@ import.  QuotientSpec, a NamedTuple, is the engine's one record.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -463,7 +464,7 @@ _BIT = tuple(bytes([i >> k & 1 for i in range(256)]) for k in range(3))
 
 
 def boundary_of_section(
-    model: GaloisModel, p: list[tuple[int, ...]], fs: Sequence[Cochain1] | None = None
+    model: GaloisModel, p: Sequence[tuple[int, ...]], fs: Sequence[Cochain1] | None = None, cases: int = 1
 ) -> tuple[Cochain2] | list[tuple[Cochain2, Cochain2]]:
     """Extract the kernel coordinates of (g,h) -> s(p(g)) g(s(p(h))) s(p(gh))^-1.
 
@@ -479,58 +480,102 @@ def boundary_of_section(
     level-2 boundary does not depend on f (act_vec moves only e by f), so
     level 2 reads no f.  The section is: a p whose values are not all pairs
     or all triples, or that breaks the cocycle law read off the same
-    products, is refused with an InvalidCocycleError.  The values may be
-    any integers; only their residues mod TOWER4's moduli matter.  Every
-    product is read from TOWER4's tables, on indices.
+    products in some case, is refused with an InvalidCocycleError naming
+    the first such case and its first (g, h).  Every product is read from
+    TOWER4's tables, on indices.
+
+    The section is a batch of L = cases sections, as the cochains of
+    cohomology are: each value of p is an int whose byte i is case i's
+    value, each f a batch of L, and each output cochain a batch of L.  A
+    single section is the batch of one, whose values may be any integers;
+    in a batch a value may be any byte.  Only the residues mod TOWER4's
+    moduli matter.
     """
     if len(p) != model.order:
         raise InvalidCocycleError("cocycle must assign a value to every element")
     width = len(p[0])
     if width not in (2, 3) or any(len(t) != width for t in p):
         raise InvalidCocycleError("section values must be all pairs or all triples")
+    n, L = model.order, cases
+    ones = int.from_bytes(b"\1" * L, "little")
+    lane = 0xFF * ones
     f_lanes = [0] if fs is None or width == 2 else [f.lanes for f in fs]
 
-    # The section as TOWER4 indices, each value padded with zeros.  The
-    # acted section g(s(p(h))) depends on g only through (chi(g) mod 8,
-    # f(g)), so it is one translate per such pair, and the products of row
-    # g one translate through row s(p(g)) per distinct f(g) among fs: at
-    # most two per g, whatever the number of f.
-    sect = bytes([tower4_index((*t, 0, 0, 0)[:5]) for t in p])
-    head = _HEAD[width]
+    # The section as TOWER4 indices, a, b and c masked lane by lane to
+    # TOWER4's moduli: block g holds s(p(g)) of every case, and the section
+    # is the blocks joined, at byte h*L + i.
+    blocks = []
+    for t in p:
+        index = (t[0] & 3 * ones) << 5 | (t[1] & 3 * ones) << 3
+        if width == 3:
+            index |= (t[2] & ones) << 2
+        blocks.append(index.to_bytes(L, "little"))
+    sect = b"".join(blocks)
+
+    # The acted section g(s(p(h))) depends on g only through (chi(g) mod 8,
+    # f(g)), so it is one translate of the section per such pair that
+    # occurs; where f(g) differs between cases, each case's lanes are taken
+    # from its f(g)'s translate.
     acted = {}
-    # products[g][f(g)]: byte h is the index of s(p(g)) g(s(p(h))).
-    products = []
-    for g, (row, chi) in enumerate(zip(model.table, model.chi)):
-        through_g, by_f = _through(tower4_row(sect[g])), {}
-        for f_g in {f >> 8 * g & 1 for f in f_lanes}:
-            key = (chi % 8, f_g)
-            if key not in acted:
-                acted[key] = sect.translate(_through(tower4_action(*key)))
-            by_f[f_g] = acted[key].translate(through_g)
-        products.append(by_f)
-        # Cocycle validation happens at the level the section covers: the
-        # head of s(p(g)) g(s(p(h))) must be s(p(gh)), which is 0 past its
-        # head.  act_vec moves only e by f, so one product row per g
-        # decides.  Only a mismatch walks h, to name the first bad (g, h).
-        got, want = by_f[f_g].translate(head), bytes(map(sect.__getitem__, row))
-        if got != want:
-            h = next(h for h, (got_h, want_h) in enumerate(zip(got, want)) if got_h != want_h)
-            raise InvalidCocycleError(f"not a 1-cocycle at ({g}, {h})")
+
+    def act(key):
+        if key not in acted:
+            acted[key] = sect.translate(_through(tower4_action(*key)))
+        return acted[key]
+
+    def acted_rows(f):
+        """Byte (g*n + h)*L + i: g(s(p(h))) in case i, under f."""
+        out = []
+        for g, chi in enumerate(model.chi):
+            f_g = f >> 8 * L * g & lane
+            if f_g in (0, ones):
+                out.append(act((chi % 8, f_g & 1)))
+                continue
+            take = int.from_bytes(f_g.to_bytes(L, "little") * n, "little") * 0xFF
+            zero, one = (int.from_bytes(act((chi % 8, f_bit)), "little") for f_bit in (0, 1))
+            out.append((zero & ~take | one & take).to_bytes(n * L, "little"))
+        return b"".join(out)
+
+    # Each product s(p(g)) g(s(p(h))) is read from the joined rows of the
+    # section values that occur, and no others: one 2-byte lane per (g, h,
+    # case), holding the position of s(p(g))'s row and the acted index,
+    # read through the joined rows by one map.
+    values = sorted(set(sect))
+    joined = b"".join([_through(tower4_row(v)) for v in values])
+    position = bytearray(256)
+    for k, v in enumerate(values):
+        position[v] = k
+    row_of = b"".join([block.translate(position) * n for block in blocks])
+    low = 0 if sys.byteorder == "little" else 1
+
+    def products(f):
+        lanes = bytearray(2 * n * n * L)
+        lanes[low::2], lanes[1 - low :: 2] = acted_rows(f), row_of
+        return bytes(map(joined.__getitem__, memoryview(lanes).cast("H")))
+
+    by_f = [products(f) for f in f_lanes]
+    # Cocycle validation happens at the level the section covers: the head
+    # of s(p(g)) g(s(p(h))) must be s(p(gh)), which is 0 past its head.
+    # act_vec moves only e by f, so the products under any one f decide.
+    # Only a mismatch walks the lanes, to name the first bad case and its
+    # first (g, h).
+    got = by_f[0].translate(_HEAD[width])
+    want = b"".join([blocks[gh] for row in model.table for gh in row])
+    if got != want:
+        case, at = min((j % L, j // L) for j, (x, y) in enumerate(zip(got, want)) if x != y)
+        where = f" in case {case}" if L > 1 else ""
+        raise InvalidCocycleError(f"not a 1-cocycle at {divmod(at, n)}{where}")
 
     # The boundary is z = got s(p(gh))^-1, so got = z s(p(gh)), and the
     # section is 0 past the head.  At level 3, z holds only the central
     # degree-3 letters, so got = s(p(gh)) z carries z's d and e.  At level
     # 2, z is [x,y]^c times degree-3 letters, and moving it past s(p(gh))
     # changes only d and e, so got carries z's c.  TOWER4 keeps c, d and e
-    # mod 2, so each is one bit of the index, and z(g, h) is byte g*n + h
-    # of its cochain's lanes: the rows of f joined in order of g, one
-    # product per byte, each translated to its bit.
-    def rows(f):
-        return b"".join([by_f[f >> 8 * g & 1] for g, by_f in enumerate(products)])
-
+    # mod 2, so each is one bit of the index, and each product's byte is
+    # z(g, h) of its case, translated to its bit.
     def cochain(weight, bit, z):
-        return Cochain2.from_lanes(model, 2, weight, int.from_bytes(z.translate(_BIT[bit]), "little"))
+        return Cochain2.from_lanes(model, 2, weight, int.from_bytes(z.translate(_BIT[bit]), "little"), L)
 
     if width == 2:
-        return (cochain(2, 2, rows(0)),)
-    return [(cochain(3, 1, z), cochain(3, 0, z)) for z in map(rows, f_lanes)]
+        return (cochain(2, 2, by_f[0]),)
+    return [(cochain(3, 1, z), cochain(3, 0, z)) for z in by_f]

@@ -17,7 +17,6 @@ D(c*b) resp. D(c*a + (a choose 2)*b); see delta3_correction_cochains).
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from . import cohomology as coh
 from . import nilpotent as nil
 from .cohomology import (
     Cochain1,
+    Cochain2,
     GaloisModel,
     all_twisted_cocycles,
     binom2,
@@ -84,29 +84,79 @@ def _timed(check, *args, start: float | None = None) -> CheckResult:
     return result
 
 
+@dataclass
+class _Level3:
+    """Every level-3 case of one model as one batch: case j*F + k is lift j
+    of lifts with f = homs[k], F = len(homs).  b, a and f are the batches
+    of each case's b, a and f, and each pair holds the (x, y)
+    components of one formula on every case: the closed forms, the direct
+    cocycles, the corrections D(w_x) and D(w_y), the section boundary and
+    the Massey products with the canonical defining systems."""
+
+    lifts: list[tuple[Cochain1, Cochain1, Cochain1]]
+    homs: list[Cochain1]
+    b: Cochain1
+    a: Cochain1
+    f: Cochain1
+    closed: tuple[Cochain2, Cochain2]
+    direct: tuple[Cochain2, Cochain2]
+    corrections: tuple[Cochain2, Cochain2]
+    boundary: tuple[Cochain2, Cochain2]
+    massey: tuple[Cochain2, Cochain2]
+
+    @property
+    def cases(self) -> int:
+        return self.b.cases
+
+    def lift(self, case: int) -> tuple[Cochain1, Cochain1, Cochain1]:
+        return self.lifts[case // len(self.homs)]
+
+
+def _section(*cochains: Cochain1) -> list[tuple[int, ...]]:
+    """The section of nil.boundary_of_section whose values at g are the
+    cochains' blocks g, for a batch of their cases."""
+    L = cochains[0].cases
+    block = (1 << 8 * L) - 1
+    return [tuple(x.lanes >> 8 * L * g & block for x in cochains) for g in cochains[0].model.elements()]
+
+
+def _massey(b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1) -> tuple[Cochain2, Cochain2]:
+    """The Massey products of the closed forms' components, with the
+    canonical defining systems: <b + r, b, a> with (-(b choose 2), -c), and
+    minus <a + r, a, b> with (-(a choose 2), c - ab), less f cup a."""
+    rho = chi_minus1_over2(b.model, b.cases)
+    b2, a2 = b.reduce2(), a.reduce2()
+    mx = massey_triple(b2 + rho, b2, a2, -binom2(b), -c)
+    minus_my = massey_triple(a2 + rho, a2, b2, -binom2(a), c - a2.pointwise_mul(b2))
+    return mx, -minus_my - cup(f, a2)
+
+
 def _model_data(model: GaloisModel):
-    """(cocs, homs, lifts): the twisted mod-4 cocycles, and on a model of order
-    <= 4 the admissible f and every lift (b, a, c, forms) of a pair of cocs;
-    forms holds (closed form, direct cocycles) per f, in homs order, from one
-    call of each delta3 formula per lift for all the homs at once.  The
-    delta3 formulas check nothing: the solver yields only c with Dc = target,
-    the lifts they ask for, identity_suite checks the homs once with check_f,
-    and the section boundary checks each lift's section, so nothing is
-    checked here either.
-    Larger models get no homs and no lifts: lifts are cheap at any order, but
-    the level-3 checks of S3 and Z/8 would change the check list that
+    """(cocs, homs, level3): the twisted mod-4 cocycles, and on a model of
+    order <= 4 the admissible f and the _Level3 batch of every lift (b, a,
+    c) of a pair of cocs with every f.  Each formula, the section boundary
+    and the Massey products run once, on the whole batch.  The delta3
+    formulas check nothing: the solver yields only c with Dc = target, the
+    lifts they ask for, identity_suite checks the homs once with check_f,
+    and the section boundary checks the section of every case, so nothing
+    is checked here either; the boundary runs before the Massey products,
+    whose defining systems a non-lift would break.
+    Larger models get no homs and no level3: lifts are cheap at any order,
+    but the level-3 checks of S3 and Z/8 would change the check list that
     perfbench/verify_baseline.json records exactly."""
     cocs = all_twisted_cocycles(model, 4, 1)
     if model.order > 4:
-        return cocs, [], []
+        return cocs, [], None
     homs = f_homs(model)
-    closed, direct = coh.delta3_closed_form, coh.delta3_cocycle_direct
-    lifts = []
-    for b in cocs:
-        for a in cocs:
-            for c in lift_cochains(b, a):
-                lifts.append((b, a, c, list(zip(closed(b, a, c, homs), direct(b, a, c, homs)))))
-    return cocs, homs, lifts
+    lifts = [(b, a, c) for b in cocs for a in cocs for c in lift_cochains(b, a)]
+    b, a, c = (Cochain1.pack([lift[k] for lift in lifts for _ in homs]) for k in range(3))
+    f = Cochain1.pack(homs * len(lifts))
+    [closed] = coh.delta3_closed_form(b, a, c, (f,))
+    [direct] = coh.delta3_cocycle_direct(b, a, c, (f,))
+    corrections = tuple(map(coboundary, delta3_correction_cochains(b, a, c)))
+    [boundary] = nil.boundary_of_section(model, _section(a, b, c), (f,), cases=b.cases)
+    level3 = _Level3(lifts, homs, b, a, f, closed, direct, corrections, boundary, _massey(b, a, c, f))
+    return cocs, homs, level3
 
 
 def check_binomial_addition() -> CheckResult:
@@ -203,120 +253,110 @@ def check_cup_cocycle(model: GaloisModel, data) -> CheckResult:
 
 
 def check_boundary_n2(model: GaloisModel, data) -> CheckResult:
-    """Section boundary at level 2 equals b cup a pointwise."""
-    result = CheckResult("level-2 boundary == b cup a", model.name, 0)
-    cocycles, _, _ = data
-    for b in cocycles:
-        for a in cocycles:
-            result.cases += 1
-            (bd,) = nil.boundary_of_section(model, list(zip(a.values, b.values)))
-            if bd != cup(b.reduce2(), a.reduce2()):
-                result.failures.append(f"b={b.values} a={a.values}")
+    """Section boundary at level 2 equals b cup a pointwise, on one batch of
+    every pair (b, a) of cocycles."""
+    pairs = [(b, a) for b in data[0] for a in data[0]]
+    result = CheckResult("level-2 boundary == b cup a", model.name, len(pairs))
+    b, a = (Cochain1.pack(column) for column in zip(*pairs))
+    (bd,) = nil.boundary_of_section(model, _section(a, b), cases=len(pairs))
+    for i in bd.differing_cases(cup(b.reduce2(), a.reduce2())):
+        b_i, a_i = pairs[i]
+        result.failures.append(f"b={b_i.values} a={a_i.values}")
     return result
+
+
+def _differing(z: tuple[Cochain2, Cochain2], w: tuple[Cochain2, Cochain2]) -> set[int]:
+    """The cases in which the pairs z and w differ in either component."""
+    return {*z[0].differing_cases(w[0]), *z[1].differing_cases(w[1])}
 
 
 def check_boundary_n3(model: GaloisModel, data) -> CheckResult:
     """Level-3 boundary == direct cocycles pointwise == closed forms + D(corr).
 
     Runs over every twisted mod-4 cocycle pair admitting a lift, every valid
-    c, and every admissible f, against the formulas stored in ``data``.  The
-    section boundary is taken once per lift for all f, and D(w_x) is added
-    to the closed form's x component once per lift, since that component
-    does not depend on f.  The cocycle law of each distinct boundary is
-    checked once, through a memo keyed by its lanes that ends with the
-    check: every boundary here has modulus 2 and weight 3, so its lanes
-    name it.
+    c, and every admissible f: the level-3 batch of ``data``, whose
+    comparisons and 2-cocycle laws each run once on every case.  Only the
+    failing cases are walked, in case order.
     """
-    result = CheckResult("level-3 boundary == delta3 formulas", model.name, 0)
-    _, homs, lifts = data
-    cocycle = {}
-
-    def is_cocycle(z):
-        ok = cocycle.get(z.lanes)
-        if ok is None:
-            ok = cocycle[z.lanes] = z.is_cocycle()
-        return ok
-
-    for b, a, c, forms in lifts:
-        p = list(zip(a.values, b.values, c.values))
-        dwx, dwy = (coboundary(w) for w in delta3_correction_cochains(b, a, c))
-        # The closed form's x component is one cochain for every f.
-        corrected_x = forms[0][0][0] + dwx
-        for bd, (closed, direct) in zip(nil.boundary_of_section(model, p, homs), forms):
-            bd_x, bd_y = bd
-            result.cases += 1
-            if bd != direct:
-                result.failures.append(f"direct: b={b.values} a={a.values} c={c.values}")
-            if bd != (corrected_x, closed[1] + dwy):
-                result.failures.append(f"closed+D: b={b.values} a={a.values} c={c.values}")
-            if not (is_cocycle(bd_x) and is_cocycle(bd_y)):
-                result.failures.append(f"not cocycle: b={b.values} a={a.values} c={c.values}")
+    level3 = data[2]
+    result = CheckResult("level-3 boundary == delta3 formulas", model.name, level3.cases)
+    bd = level3.boundary
+    corrected = tuple(z + dw for z, dw in zip(level3.closed, level3.corrections))
+    direct, closed = _differing(bd, level3.direct), _differing(bd, corrected)
+    not_cocycle = {*bd[0].non_cocycle_cases(), *bd[1].non_cocycle_cases()}
+    for i in sorted(direct | closed | not_cocycle):
+        b, a, c = level3.lift(i)
+        where = f"b={b.values} a={a.values} c={c.values}"
+        if i in direct:
+            result.failures.append(f"direct: {where}")
+        if i in closed:
+            result.failures.append(f"closed+D: {where}")
+        if i in not_cocycle:
+            result.failures.append(f"not cocycle: {where}")
     return result
-
-
-def _by_pair(lifts):
-    """The lifts grouped by their pair (b, a): one group per run of lifts
-    with one pair, as _model_data lists them."""
-    return itertools.groupby(lifts, key=operator.itemgetter(0, 1))
 
 
 def check_massey(model: GaloisModel, data) -> CheckResult:
-    """Massey products with the canonical defining systems equal the closed forms.
-
-    The Massey products do not depend on f, so they are taken once per lift
-    and compared with the closed form stored for every f in ``data``; what
-    depends on (b, a) and f alone is built once per pair.
-    """
-    result = CheckResult("massey == closed form", model.name, 0)
-    rho = chi_minus1_over2(model)
-    _, homs, lifts = data
-    for (b, a), pair in _by_pair(lifts):
-        b2, a2 = b.reduce2(), a.reduce2()
-        alpha_x, alpha_y = b2 + rho, a2 + rho
-        minus_hb, minus_ha, ab = -binom2(b), -binom2(a), a2.pointwise_mul(b2)
-        f_cups = [cup(f, a2) for f in homs]
-        for _, _, c, forms in pair:
-            mx = massey_triple(alpha_x, b2, a2, minus_hb, -c)
-            minus_my = massey_triple(alpha_y, a2, b2, minus_ha, c - ab)
-            for f_cup, (closed, _) in zip(f_cups, forms):
-                result.cases += 1
-                my = -minus_my - f_cup
-                if (mx, my) != closed:
-                    result.failures.append(f"b={b.values} a={a.values} c={c.values}")
+    """Massey products with the canonical defining systems equal the closed
+    forms, on every case of the level-3 batch."""
+    level3 = data[2]
+    result = CheckResult("massey == closed form", model.name, level3.cases)
+    for i in sorted(_differing(level3.massey, level3.closed)):
+        b, a, c = level3.lift(i)
+        result.failures.append(f"b={b.values} a={a.values} c={c.values}")
     return result
+
+
+def _select_pair(z: tuple[Cochain2, Cochain2], indices: list[int]) -> tuple[Cochain2, Cochain2]:
+    """The cases at indices of the pair z of mod-2 batches of one weight,
+    in one select: x rides in bit 0 of each lane and y in bit 1."""
+    x, y = z
+    model, L = x.model, len(indices)
+    both = Cochain2.from_lanes(model, 2, x.weight, x.lanes | y.lanes << 1, x.cases).select(indices).lanes
+    ones = model._lanes[L].ones[2]
+    return tuple(Cochain2.from_lanes(model, 2, x.weight, both >> bit & ones, L) for bit in (0, 1))
 
 
 def check_lift_shift(model: GaloisModel, data) -> CheckResult:
     """Changing c by a cocycle eps shifts delta3 by ({-b} cup eps, {-a} cup eps).
 
     The lifts of (b, a) are a coset of the weight-2 mod-2 cocycles, i.e. of
-    the f in ``data``, so every c + eps is looked up among its lifts, by the
-    closed form stored at f = 0.  The shifts depend on (b, a) and eps alone,
-    so they are built once per pair.
+    the f in ``data``, so every c + eps, an xor of lanes, is looked up among
+    its lifts.  The cases are those of the level-3 batch, with eps = f:
+    case j*F + k shifts lift j by homs[k], and both its closed form and the
+    shifted lift's are read at f = 0, as one selection of cases each.
     """
-    result = CheckResult("lift shift law", model.name, 0)
-    rho = chi_minus1_over2(model)
-    _, homs, lifts = data
+    level3 = data[2]
+    homs, F = level3.homs, len(level3.homs)
+    result = CheckResult("lift shift law", model.name, level3.cases)
     zero = homs.index(coh.zero1(model, 2, 2))
     # Keyed by lanes: every b and a is a mod-4 cocycle of weight 1, and
     # every c a mod-2 cochain of weight 2, on the model.
-    closed = {(b.lanes, a.lanes, c.lanes): forms[zero][0] for b, a, c, forms in lifts}
-    for (b, a), pair in _by_pair(lifts):
-        minus_b, minus_a = b.reduce2() + rho, a.reduce2() + rho
-        shifts = [(eps, cup(minus_b, eps), cup(minus_a, eps)) for eps in homs]
-        for _, _, c, _ in pair:
-            base = closed[b.lanes, a.lanes, c.lanes]
-            for eps, x_shift, y_shift in shifts:
-                result.cases += 1
-                shifted_c = c + eps
-                shifted = closed.get((b.lanes, a.lanes, shifted_c.lanes))
-                if shifted is None:
-                    result.failures.append(f"not a lift: b={b.values} a={a.values} c={shifted_c.values}")
-                    continue
-                if shifted[0] - base[0] != x_shift:
-                    result.failures.append(f"x-shift b={b.values} eps={eps.values}")
-                if shifted[1] - base[1] != y_shift:
-                    result.failures.append(f"y-shift a={a.values} eps={eps.values}")
+    keys = [(b.lanes, a.lanes, c.lanes) for b, a, c in level3.lifts]
+    index = {key: j for j, key in enumerate(keys)}
+    eps_lanes = [eps.lanes for eps in homs]
+    found = [index.get((b, a, c ^ eps)) for b, a, c in keys for eps in eps_lanes]
+    missing = {i for i, k in enumerate(found) if k is None}
+    # A case whose c + eps is no lift reads its own lift on both sides.
+    base = [i - i % F + zero for i in range(level3.cases)]
+    shifted = [j if k is None else k * F + zero for j, k in zip(base, found)]
+    rho = chi_minus1_over2(model, level3.cases)
+    bad = []
+    moved = zip(_select_pair(level3.closed, shifted), _select_pair(level3.closed, base), (level3.b, level3.a))
+    for z_shifted, z_base, x in moved:
+        shift = cup(x.reduce2() + rho, level3.f)
+        bad.append(set((z_shifted - z_base).differing_cases(shift)))
+    for i in sorted(missing.union(*bad)):
+        b, a, c = level3.lift(i)
+        eps = homs[i % F]
+        if i in missing:
+            shifted_c = Cochain1.from_lanes(model, 2, c.weight, c.lanes ^ eps.lanes)
+            result.failures.append(f"not a lift: b={b.values} a={a.values} c={shifted_c.values}")
+            continue
+        if i in bad[0]:
+            result.failures.append(f"x-shift b={b.values} eps={eps.values}")
+        if i in bad[1]:
+            result.failures.append(f"y-shift a={a.values} eps={eps.values}")
     return result
 
 
@@ -325,18 +365,24 @@ def check_fourth_power_lift(model: GaloisModel, data) -> CheckResult:
 
     Cochain shadow of the (b, fourth power) family: the second coordinate of
     such a point has trivial mod-4 Kummer cocycle everywhere.  The (b, 0, 0)
-    are the lifts of ``data`` with a = 0 and c = 0, one for each b.
+    are the lifts of ``data`` with a = 0 and c = 0, one for each b, and
+    their cases, with every f, are selected from the level-3 batch.
     """
-    result = CheckResult("fourth-power partner vanishing", model.name, 0)
-    for b, a, c, forms in data[2]:
-        if not (a.is_zero() and c.is_zero()):
-            continue
-        for (comp_x, comp_y), direct in forms:
-            result.cases += 1
-            if not (comp_x.is_zero() and comp_y.is_zero()):
-                result.failures.append(f"closed b={b.values}")
-            if not (direct[0].is_zero() and direct[1].is_zero()):
-                result.failures.append(f"direct b={b.values}")
+    level3 = data[2]
+    F = len(level3.homs)
+    lifts = [j for j, (_, a, c) in enumerate(level3.lifts) if a.is_zero() and c.is_zero()]
+    cases = [j * F + k for j in lifts for k in range(F)]
+    result = CheckResult("fourth-power partner vanishing", model.name, len(cases))
+    closed, direct = (
+        {*x.select(cases).nonzero_cases(), *y.select(cases).nonzero_cases()}
+        for x, y in (level3.closed, level3.direct)
+    )
+    for i, case in enumerate(cases):
+        b = level3.lift(case)[0]
+        if i in closed:
+            result.failures.append(f"closed b={b.values}")
+        if i in direct:
+            result.failures.append(f"direct b={b.values}")
     return result
 
 
@@ -357,12 +403,13 @@ def check_fbar_mod48() -> CheckResult:
 
 def identity_suite(model: GaloisModel, exhaustive: bool = False, seed: int = 0) -> list[CheckResult]:
     """Every degree-1/2 identity over one model, and every level-3 check where
-    _model_data(model) has lifts.  The dataset is built after the D compose
-    D = 0 check, which does not read it, and timed inside the D(b choose 2)
-    check, the first that does.  check_f runs once here on the model's f,
-    the oracle's one check of f: the delta3 formulas and the section
-    boundary take f unchecked, and the boundary, called once per lift for
-    all f, still checks each lift's section."""
+    _model_data(model) has a level-3 batch.  The dataset, with every
+    level-3 formula, boundary and Massey product of the batch, is built
+    after the D compose D = 0 check, which does not read it, and timed
+    inside the D(b choose 2) check, the first that does.  check_f runs once
+    here on the model's f, the oracle's one check of f: the delta3 formulas
+    and the section boundary take f unchecked, and the boundary, called
+    once for the whole batch, still checks the section of every case."""
     rng = random.Random(seed)
     dd_zero = _timed(check_dd_zero, model)
     start = time.perf_counter()
@@ -376,7 +423,7 @@ def identity_suite(model: GaloisModel, exhaustive: bool = False, seed: int = 0) 
         _timed(check_cup_cocycle, model, data),
         _timed(check_boundary_n2, model, data),
     ]
-    if data[2]:
+    if data[2] is not None:
         for check in (check_boundary_n3, check_massey, check_lift_shift, check_fourth_power_lift):
             results.append(_timed(check, model, data))
     return results

@@ -12,6 +12,12 @@ hypothesis.settings.register_profile(
 hypothesis.settings.register_profile(
     "thorough", max_examples=500, deadline=None
 )
+# scripts/mutants.py runs its tests under this profile: a mutant is killed
+# by the first failing example, so that example is not shrunk.
+hypothesis.settings.register_profile(
+    "mutants", max_examples=60, deadline=None, database=None,
+    phases=(hypothesis.Phase.explicit, hypothesis.Phase.generate),
+)
 hypothesis.settings.load_profile("default")
 
 ODD_PRIMES_TO_97 = (

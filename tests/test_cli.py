@@ -250,6 +250,32 @@ def _fail_self_check(monkeypatch, word):
     return "-1", "-1"
 
 
+@pytest.mark.parametrize("as_json", (False, True))
+def test_a_wrong_fast_path_delta3_alone_exits_one(capsys, monkeypatch, fresh_odd_places, as_json):
+    """The fast path's delta3 verdict is a self-check of its own: with its
+    delta2 kept and its delta3 flipped wherever it decides one, (-1, 5),
+    where it decides delta3 at 5, gets a "delta3 DISAGREES" note, is not
+    consistent, and the CLI exits 1, as text and as --json."""
+    from nilobstruct import obstruct
+    from nilobstruct.arith import parse_rational
+
+    real_congruence = obstruct._congruence
+
+    def flipped_delta3(b, a, p):
+        d2_zero, d3_zero = real_congruence(b, a, p)
+        return d2_zero, None if d3_zero is None else not d3_zero
+
+    monkeypatch.setattr(obstruct, "_congruence", flipped_delta3)
+    bad = obstruct.report(parse_rational("-1"), parse_rational("5"))
+    assert [note for note in bad.notes if note.startswith("congruence fast path")] == [
+        "congruence fast path at 5: delta2 agrees, delta3 DISAGREES"
+    ]
+    assert not bad.consistent
+    code, out = run(capsys, "report", "-1", "5", *(["--json"] if as_json else []))
+    assert code == 1
+    assert "delta3 DISAGREES" in out
+
+
 @pytest.mark.parametrize("command", ("delta2", "delta3", "report"))
 @pytest.mark.parametrize("as_json", (False, True))
 @pytest.mark.parametrize("word", ("INCONSISTENT", "DISAGREES"))

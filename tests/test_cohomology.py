@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import IDENTITY_CHECKS, is_lift, kummer_real_cocycle, lookup
 from nilobstruct.cohomology import (
@@ -32,6 +33,12 @@ from nilobstruct.cohomology import (
 )
 from nilobstruct.cohomology import _solutions
 from nilobstruct.nilpotent import boundary_of_section
+
+
+def _twin(model):
+    """A second model equal to model but not the same object: the model
+    builders are cached, so calling one again returns model itself."""
+    return GaloisModel(model.table, model.chi, model.chi_mod, model.name)
 
 
 class TestModels:
@@ -78,7 +85,7 @@ class TestModels:
         good = Cochain1(model, 2, 2, (0, 1))
         check_f(model, zero1(model, 2, 2), good)
         boundary_of_section(model, p, (good,))
-        for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(cyclic_model(2, 7), 2, 2, (0, 1))):
+        for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(_twin(model), 2, 2, (0, 1))):
             with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
                 check_f(model, f)
             with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
@@ -160,7 +167,7 @@ class TestCochainChecks:
     def test_pointwise_mul_needs_one_model_and_modulus(self):
         model = cyclic_model(2, 7)
         c = zero1(model, 4, 1)
-        for other in (zero1(cyclic_model(2, 7), 4, 1), zero1(model, 2, 1)):
+        for other in (zero1(_twin(model), 4, 1), zero1(model, 2, 1)):
             with pytest.raises(ValueError, match="pointwise product needs one model and one modulus"):
                 c.pointwise_mul(other)
 
@@ -174,7 +181,7 @@ class TestCochainChecks:
 
         c = cochain(model, 4, 1)
         for other, message in (
-            (cochain(cyclic_model(2, 7), 4, 1), "cochains live on different models"),
+            (cochain(_twin(model), 4, 1), "cochains live on different models"),
             (cochain(model, 2, 1), "modulus mismatch 4 != 2"),
             (cochain(model, 4, 2), "weight mismatch 1 != 2"),
         ):
@@ -570,7 +577,7 @@ class TestDelta3Forms:
         good = Cochain1(model, 2, 2, (0, 1))
         check_f(model, good)
         formula(z4, z4, c, (good,))
-        for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(cyclic_model(2, 7), 2, 2, (0, 1))):
+        for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(_twin(model), 2, 2, (0, 1))):
             with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
                 check_f(model, f)
 
@@ -637,7 +644,8 @@ class TestEnumeration:
 
     def test_lift_cochains_rejects_a_on_another_model(self):
         # a second model of the same order: the values alone would pass
-        model, other = cyclic_model(2, 7), cyclic_model(2, 7)
+        model = cyclic_model(2, 7)
+        other = _twin(model)
         with pytest.raises(ValueError):
             lift_cochains(zero1(model, 4, 1), zero1(other, 4, 1))
 
@@ -672,3 +680,104 @@ def test_klein_chi_choice_admits_odd_cocycles():
     model = klein_model()
     cocs = all_twisted_cocycles(model, 4, 1)
     assert any(any(v % 2 for v in c.values) for c in cocs)
+
+
+# The models the batch axis is tested on: the two order-4 models whose
+# level-3 cases the oracle batches, and the larger S3 and Z/8.
+BATCH_MODELS = (klein_model(), units_model(8), s3_model(), cyclic_model(8, 3))
+
+
+@st.composite
+def _batch_cases(draw):
+    """(model, modulus, weights, cases): a batch of 1 to 64 cases, each a
+    triple of value tuples (c, d, e) on the model at the modulus, with the
+    all-(m - 1) tuple, where lanes carry most, drawn often."""
+    model = draw(st.sampled_from(BATCH_MODELS))
+    modulus = draw(st.sampled_from((2, 4, 8)))
+    weights = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    n = model.order
+    values = st.one_of(st.just((modulus - 1,) * n), st.tuples(*[st.integers(0, modulus - 1)] * n))
+    cases = draw(st.lists(st.tuples(values, values, values), min_size=1, max_size=64))
+    return model, modulus, weights, cases
+
+
+@given(_batch_cases())
+def test_batch_case_i_is_the_single_case_operation(drawn):
+    """Case i of a batch's coboundary, cup, +, -, negation, pointwise_mul,
+    reduce2, binom2, both is_cocycle and the failing-case lists equals the
+    operation on case i alone, and a single case's lanes are one value per
+    byte with every operation as its definition gives.  At L = 1 the twist
+    and the cup are int multiplications and at L > 1 lane products of
+    joined blocks, so this shows the two forms agree."""
+    model, modulus, (w, w_d), cases = drawn
+    cs = [Cochain1(model, modulus, w, u) for u, _, _ in cases]
+    ds = [Cochain1(model, modulus, w_d, v) for _, v, _ in cases]
+    es = [Cochain1(model, modulus, w, x) for _, _, x in cases]
+    c, d, e = (Cochain1.pack(batch) for batch in (cs, ds, es))
+    L = len(cases)
+    assert c.cases == L and [c.case(i) for i in range(L)] == cs
+    for c_i in cs[:2]:
+        assert c_i.lanes == sum(x << 8 * g for g, x in enumerate(c_i.values))
+        assert coboundary(c_i).values == _coboundary_by_definition(c_i)
+    assert cup(cs[0], ds[0]).values == _cup_by_definition(cs[0], ds[0])
+    twos = [coboundary(c), cup(c, d), coboundary(c) + coboundary(e), -cup(d, c)]
+    singles = [
+        [coboundary(c_i) for c_i in cs],
+        [cup(c_i, d_i) for c_i, d_i in zip(cs, ds)],
+        [coboundary(c_i) + coboundary(e_i) for c_i, e_i in zip(cs, es)],
+        [-cup(d_i, c_i) for c_i, d_i in zip(cs, ds)],
+    ]
+    ones = [c + e, c - e, -c, c.pointwise_mul(d), c.reduce2()]
+    one_singles = [
+        [c_i + e_i for c_i, e_i in zip(cs, es)],
+        [c_i - e_i for c_i, e_i in zip(cs, es)],
+        [-c_i for c_i in cs],
+        [c_i.pointwise_mul(d_i) for c_i, d_i in zip(cs, ds)],
+        [c_i.reduce2() for c_i in cs],
+    ]
+    if modulus == 4:
+        ones.append(binom2(c))
+        one_singles.append([binom2(c_i) for c_i in cs])
+    for batch, want in zip(twos + ones, singles + one_singles):
+        assert [batch.case(i) for i in range(L)] == want
+        assert type(batch).pack(want) == batch
+    for batch, want in zip(twos, singles):
+        assert batch.non_cocycle_cases() == [i for i, z in enumerate(want) if not z.is_cocycle()]
+        assert batch.is_cocycle() == all(z.is_cocycle() for z in want)
+    assert c.is_cocycle() == all(c_i.is_cocycle() for c_i in cs)
+    assert c.differing_cases(e) == [i for i in range(L) if cs[i] != es[i]]
+    assert c.nonzero_cases() == [i for i in range(L) if not cs[i].is_zero()]
+    picked = [L - 1 - i // 2 for i in range(L)]
+    assert [c.select(picked).case(i) for i in range(L)] == [cs[j] for j in picked]
+
+
+@pytest.mark.parametrize("model", BATCH_MODELS, ids=lambda m: m.name)
+def test_failing_cases_name_each_case_once_to_the_last(model):
+    """A batch that differs from another, or breaks the 2-cocycle law, in
+    exactly one case names that case, first, last or between; a batch
+    of one names case 0."""
+    n = model.order
+    zero2 = Cochain2(model, 2, 1, ((0,) * n,) * n)
+    not_cocycle = next(
+        z for flat in itertools.product((0, 1), repeat=n * n)
+        if not (z := Cochain2(model, 2, 1, _rows(model, flat))).is_cocycle()
+    )
+    for L in (1, 2, 5, 64):
+        for bad in sorted({0, L // 2, L - 1}):
+            z = Cochain2.pack([not_cocycle if i == bad else zero2 for i in range(L)])
+            zeros = Cochain2.pack([zero2] * L)
+            assert z.non_cocycle_cases() == [bad] and not z.is_cocycle()
+            assert z.differing_cases(zeros) == z.nonzero_cases() == [bad]
+            assert zeros.non_cocycle_cases() == [] and zeros.is_cocycle()
+
+
+def test_batches_need_one_size():
+    model = klein_model()
+    one, two = zero1(model, 2, 1), Cochain1.pack([zero1(model, 2, 1)] * 2)
+    for operation in (lambda: one + two, lambda: cup(one, two), lambda: one.pointwise_mul(two)):
+        with pytest.raises(ValueError, match="batch size mismatch 1 != 2"):
+            operation()
+    with pytest.raises(ValueError, match="pack needs Cochain1s of one case"):
+        Cochain1.pack([one, two])
+    with pytest.raises(ValueError, match="no one tuple of values"):
+        two.values

@@ -10,6 +10,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from nilobstruct import nilpotent as nil
 from nilobstruct.cohomology import (
+    Cochain1,
     all_twisted_cocycles,
     cyclic_model,
     extra_models,
@@ -531,6 +532,53 @@ def test_boundary_of_section_reads_only_residues(model):
             assert _outcome(boundary_of_section, model, _unreduced(p, rng)) == _outcome(
                 boundary_of_section, model, p
             )
+
+
+def _batch_section(sections, rng):
+    """The sections as one batch section: at each element, each coordinate
+    an int whose byte i is section i's value there, moved by a random
+    multiple of TOWER4's modulus that keeps it a byte."""
+    n, width = len(sections[0]), len(sections[0][0])
+    return [
+        tuple(
+            int.from_bytes(bytes([s[g][k] % m + m * rng.randrange(256 // m) for s in sections]), "little")
+            for k, m in zip(range(width), (4, 4, 2))
+        )
+        for g in range(n)
+    ]
+
+
+@pytest.mark.parametrize("model", standard_models() + extra_models(), ids=lambda m: m.name)
+def test_batch_boundary_is_the_boundary_of_each_section(model):
+    """A batch of every level-2 section, and one of every level-3 section
+    with every f (an f per case), give in case i the boundary of section i
+    alone; a batch with refused sections among good ones is refused with
+    the first refused section's text, naming its case."""
+    rng = random.Random(model.name)
+    cocycles = all_twisted_cocycles(model, 4, 1)
+    fs = f_homs(model)
+    pairs = [list(zip(a.values, b.values)) for b in cocycles for a in cocycles]
+    (batch,) = boundary_of_section(model, _batch_section(pairs, rng), cases=len(pairs))
+    assert batch.cases == len(pairs)
+    assert [batch.case(i) for i in range(len(pairs))] == [boundary_of_section(model, p)[0] for p in pairs]
+    triples = [
+        list(zip(a.values, b.values, c.values)) for b in cocycles for a in cocycles for c in lift_cochains(b, a)
+    ]
+    cases = [(p, f) for p in triples for f in fs]
+    f_batch = Cochain1.pack([f for _, f in cases])
+    [(x, y)] = boundary_of_section(model, _batch_section([p for p, _ in cases], rng), (f_batch,), cases=len(cases))
+    for i, (p, f) in enumerate(cases):
+        assert (x.case(i), y.case(i)) == boundary_of_section(model, p, (f,))[0]
+    for width, good in ((2, pairs), (3, triples)):
+        outcomes = [(p, _outcome(boundary_of_section, model, p)) for p in _one_point_sections(model, width)]
+        refused = [(p, text) for p, (verdict, text) in outcomes if verdict == "refused"]
+        assert refused
+        for bad, text in refused:
+            for at in sorted({0, len(good) // 2, len(good)}):
+                sections = good[:at] + [bad] + good[at:] + [bad]
+                with pytest.raises(InvalidCocycleError) as refusal:
+                    boundary_of_section(model, _batch_section(sections, rng), cases=len(sections))
+                assert str(refusal.value) == f"{text} in case {at}"
 
 
 def test_tower4_index_is_the_position_of_the_reduced_vector():

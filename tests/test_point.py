@@ -233,20 +233,25 @@ def test_report_calls_no_public_per_place_evaluator(monkeypatch):
 @pytest.mark.parametrize("seed", (1, 2))
 def test_consistent_iff_no_note_reports_a_failed_check(monkeypatch, fresh_odd_places, seed):
     """rep.consistent is False exactly when a note reads INCONSISTENT or
-    DISAGREES; checked on honest reports and on reports whose fast path or
-    symbol at 2 is corrupted."""
+    DISAGREES; checked on honest reports and on reports whose fast path
+    (its delta2, or its delta3 alone) or symbol at 2 is corrupted."""
     real_congruence = obstruct._congruence
     real_two = obstruct._symbol_at_2
 
     def flipped_congruence(b, a, p):
         return not real_congruence(b, a, p)[0], None
 
+    def flipped_delta3(b, a, p):
+        d2_zero, d3_zero = real_congruence(b, a, p)
+        return d2_zero, None if d3_zero is None else not d3_zero
+
     def toggled_two(dec_b, dec_a):
         two = real_two(dec_b, dec_a)
         return two._replace(value=-two.value)
 
     seen = set()
-    for patch in (None, ("_congruence", flipped_congruence), ("_symbol_at_2", toggled_two)):
+    patches = (("_congruence", flipped_congruence), ("_congruence", flipped_delta3), ("_symbol_at_2", toggled_two))
+    for patch in (None, *patches):
         with monkeypatch.context() as m:
             if patch:
                 m.setattr(obstruct, *patch)

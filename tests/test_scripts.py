@@ -109,3 +109,28 @@ def test_specific_lift_scan_runs():
     proc = run_script("specific_lift_scan.py", "--max-p", "5000")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "tests" / "specific_lift_scan.txt").read_text()
+
+
+def _load_script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_edits_one_place_and_names_existing_tests():
+    """Every old string of the mutant gate occurs exactly once in its file,
+    so each mutant still edits the code it was written for; labels are
+    unique and every listed test file exists.  An old string that occurs
+    twice, or not at all, is reported."""
+    gate = _load_script("mutants")
+    assert gate.check_olds() == []
+    labels = [m.label for m in gate.MUTANTS]
+    assert len(labels) == len(set(labels)) >= 26
+    assert all((ROOT / test).is_file() for m in gate.MUTANTS for test in m.tests)
+    first = gate.MUTANTS[0]
+    broken = [first._replace(old="no such line, anywhere"), first._replace(old="\n")]
+    problems = gate.check_olds(broken)
+    assert problems[0] == f"{first.label}: old string occurs 0 times in {first.file}"
+    assert problems[1].startswith(f"{first.label}: old string occurs ") and len(problems) == 2

@@ -1,5 +1,6 @@
 import ast
 import collections
+import dataclasses
 import itertools
 import json
 import random
@@ -366,69 +367,70 @@ def test_quotient_compat_check_catches_a_product_or_action_that_ignores_reductio
 def test_boundary_n3_check_records_a_boundary_that_is_no_cocycle(monkeypatch):
     """A level-3 boundary with one entry flipped is no cocycle on the Klein
     group (the law fails at (g, h, k) = (1, 1, k) for k not 0 or 1).  It is
-    flipped for every f but 0, so a memo that answered for the lift, not
-    for the values, would pass the flipped ones."""
+    flipped in every case whose f is not 0, so a law that answered for the
+    lift, not for each case's values, would pass the flipped ones."""
     boundary = nil.boundary_of_section
 
-    def flipped(model, p, fs):
+    def flipped(model, p, fs, cases):
         out = []
-        for f, (x, y) in zip(fs, boundary(model, p, fs)):
-            if not f.is_zero():
-                rows = [list(row) for row in x.values]
-                rows[1][1] ^= 1
-                x = coh.Cochain2(model, 2, x.weight, tuple(map(tuple, rows)))
-            out.append((x, y))
+        for f, (x, y) in zip(fs, boundary(model, p, fs, cases=cases)):
+            at = model.order + 1  # the block of (1, 1)
+            lanes = x.lanes
+            for i in f.nonzero_cases():
+                lanes ^= 1 << 8 * (at * cases + i)
+            out.append((coh.Cochain2.from_lanes(model, 2, x.weight, lanes, cases), y))
         return out
 
     model = klein_model()
-    data = _model_data(model)
     monkeypatch.setattr(nil, "boundary_of_section", flipped)
+    data = _model_data(model)
     result = check_boundary_n3(model, data)
     assert result.cases == 768
     missed = [line for line in result.failures if line.startswith("not cocycle: ")]
-    b, a, c, _ = data[2][0]
+    b, a, c = data[2].lifts[0]
     # the Klein group has 4 f, one of them 0
     assert len(missed) == 768 * 3 // 4
     assert missed[0] == f"not cocycle: b={b.values} a={a.values} c={c.values}"
 
 
 def test_boundary_n3_check_tests_each_distinct_boundary_once(monkeypatch):
-    """The cocycle law runs once per distinct boundary values, and on every
-    one of them."""
+    """The cocycle law runs once per boundary component, on one batch that
+    holds every case's boundary values in its own lane, so it tests each
+    case once and every one of them: the batch's case i is the boundary of
+    case i's section alone."""
     model = klein_model()
-    data = _model_data(model)
-    _, homs, lifts = data
-    boundaries = set()
-    for b, a, c, _ in lifts:
-        p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
-        for pair in nil.boundary_of_section(model, p, homs):
-            boundaries.update(z.values for z in pair)
-    checked = collections.Counter()
-    is_cocycle = coh.Cochain2.is_cocycle
+    _, homs, level3 = _model_data(model)
+    for i in range(0, level3.cases, 37):
+        (b, a, c), f = level3.lift(i), homs[i % len(homs)]
+        p = list(zip(a.values, b.values, c.values))
+        [single] = nil.boundary_of_section(model, p, (f,))
+        assert tuple(z.case(i) for z in level3.boundary) == single
+    checked = []
+    law = coh.Cochain2.non_cocycle_cases
 
     def counting(self):
-        checked[self.values] += 1
-        return is_cocycle(self)
+        checked.append(self.cases)
+        return law(self)
 
-    monkeypatch.setattr(coh.Cochain2, "is_cocycle", counting)
-    assert check_boundary_n3(model, data).passed
-    assert set(checked) == boundaries
-    assert set(checked.values()) == {1}
-    assert len(boundaries) < 2 * 768
+    monkeypatch.setattr(coh.Cochain2, "non_cocycle_cases", counting)
+    assert check_boundary_n3(model, (None, homs, level3)).passed
+    assert checked == [768, 768]
 
 
 def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
-    """A closed form that picks up c(gh) whenever c is nonzero no longer shifts
-    by a cup product; the check still runs every (lift, eps) case."""
+    """A closed form that picks up c(gh) in every case whose c is nonzero no
+    longer shifts by a cup product; the check still runs every (lift, eps)
+    case."""
     closed_form = coh.delta3_closed_form
 
     def wrong(b, a, c, fs):
-        forms = closed_form(b, a, c, fs)
-        if c.is_zero():
-            return forms
         m = c.model
-        extra = tuple(tuple(c.values[m.mul(g, h)] for h in m.elements()) for g in m.elements())
-        return [(x + coh.Cochain2(m, 2, x.weight, extra), y) for x, y in forms]
+        extras = []
+        for i in range(c.cases):
+            c_i = c.case(i).values
+            extras.append(coh.Cochain2(m, 2, 3, tuple(tuple(c_i[m.mul(g, h)] for h in m.elements()) for g in m.elements())))
+        extra = coh.Cochain2.pack(extras)
+        return [(x + extra, y) for x, y in closed_form(b, a, c, fs)]
 
     model = klein_model()
     monkeypatch.setattr(coh, "delta3_closed_form", wrong)
@@ -439,11 +441,24 @@ def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
     assert all(line.startswith("x-shift ") for line in result.failures)
 
 
+def _without_first_lift(level3):
+    """The level-3 batch with its first lift and the cases of that lift
+    dropped."""
+    keep = range(len(level3.homs), level3.cases)
+    fields = {
+        name: getattr(level3, name).select(keep) for name in ("b", "a", "f")
+    } | {
+        name: tuple(z.select(keep) for z in getattr(level3, name))
+        for name in ("closed", "direct", "corrections", "boundary", "massey")
+    }
+    return dataclasses.replace(level3, lifts=level3.lifts[1:], **fields)
+
+
 def test_lift_shift_check_records_a_missing_lift():
     model = klein_model()
-    cocs, homs, lifts = _model_data(model)
-    b, a, c, _ = lifts[0]
-    result = check_lift_shift(model, (cocs, homs, lifts[1:]))
+    cocs, homs, level3 = _model_data(model)
+    b, a, c = level3.lifts[0]
+    result = check_lift_shift(model, (cocs, homs, _without_first_lift(level3)))
     assert not result.passed
     assert result.cases == 768 - len(homs)
     # every other lift of (b, a) reaches the missing c by exactly one eps
@@ -463,9 +478,9 @@ def _count_calls(monkeypatch, counts, *targets):
 
 
 def test_identity_suite_builds_each_value_once(monkeypatch):
-    """Each formula runs once per lift, for all f at once (the Klein group
-    has 4 f, so a quarter of the level-3 cases), and the cocycles are listed
-    once for the model and once inside f_homs."""
+    """Each formula runs once per model, on the batch of every (lift, f)
+    case (the Klein group has 192 lifts and 4 f), and the cocycles are
+    listed once for the model and once inside f_homs."""
     counts = collections.Counter()
     _count_calls(
         monkeypatch, counts,
@@ -476,23 +491,24 @@ def test_identity_suite_builds_each_value_once(monkeypatch):
     results = identity_suite(model)
     (level3,) = lookup(results, [("level-3 boundary == delta3 formulas", model.name)])
     assert level3.cases == 768
-    assert counts == {"delta3_closed_form": 192, "delta3_cocycle_direct": 192, "all_twisted_cocycles": 2}
+    assert counts == {"delta3_closed_form": 1, "delta3_cocycle_direct": 1, "all_twisted_cocycles": 2}
 
 
 def test_identity_suite_checks_each_f_once(monkeypatch):
     """identity_suite checks the model's f once with check_f; the section
-    boundary, which takes f unchecked, runs once per level-2 case (with no
-    f) and once per lift, for all f at once."""
+    boundary, which takes f unchecked, runs once for the batch of level-2
+    cases (with no f) and once for the batch of every lift with every f."""
     model = klein_model()
-    _, _, lifts = _model_data(model)
+    _, _, level3 = _model_data(model)
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, (coh, "check_f"), (nil, "boundary_of_section"))
     n2, n3 = lookup(
         identity_suite(model),
         [("level-2 boundary == b cup a", model.name), ("level-3 boundary == delta3 formulas", model.name)],
     )
-    assert n3.cases == 4 * len(lifts)
-    assert counts == {"check_f": 1, "boundary_of_section": n2.cases + len(lifts)}
+    assert n2.cases == 64
+    assert n3.cases == 4 * len(level3.lifts)
+    assert counts == {"check_f": 1, "boundary_of_section": 2}
 
 
 def test_model_data_validates_nothing(monkeypatch):
@@ -509,24 +525,33 @@ def test_model_data_validates_nothing(monkeypatch):
         return is_cocycle(self)
 
     monkeypatch.setattr(coh.Cochain1, "is_cocycle", counting)
-    cocs, homs, lifts = _model_data(klein_model())
-    assert len(lifts) == 192 and len(homs) == 4
+    cocs, homs, level3 = _model_data(klein_model())
+    assert len(level3.lifts) == 192 and len(homs) == 4
     assert checked == {}
 
 
 @pytest.mark.parametrize("model", standard_models(), ids=lambda m: m.name)
 def test_all_f_kernels_match_one_f_calls(model):
     """On every lift, entry i of each level-3 kernel called with all the
-    model's f equals the same call with f_homs[i] alone."""
-    _, homs, lifts = _model_data(model)
-    for b, a, c, _ in lifts:
+    model's f equals the same call with f_homs[i] alone, and case j*F + i
+    of the level-3 batch (lift j, F f) equals that one-case call too."""
+    _, homs, level3 = _model_data(model)
+    batch = {
+        coh.delta3_closed_form: level3.closed,
+        coh.delta3_cocycle_direct: level3.direct,
+        nil.boundary_of_section: level3.boundary,
+    }
+    for j, (b, a, c) in enumerate(level3.lifts):
         p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
         for kernel, args in (
             (coh.delta3_closed_form, (b, a, c)),
             (coh.delta3_cocycle_direct, (b, a, c)),
             (nil.boundary_of_section, (model, p)),
         ):
-            assert kernel(*args, homs) == [kernel(*args, (f,))[0] for f in homs]
+            one_f = [kernel(*args, (f,))[0] for f in homs]
+            assert kernel(*args, homs) == one_f
+            for i, pair in enumerate(one_f):
+                assert tuple(z.case(j * len(homs) + i) for z in batch[kernel]) == pair
 
 
 @pytest.mark.parametrize("seed", (0, 1))
