@@ -210,20 +210,17 @@ class _Lanes:
 
     An operation reads a cochain's blocks at the positions of an index: its
     rows (c(g) at (g, h)), the table (c(gh) at (g, h)) and the three
-    readings of the 2-cocycle law.  At L > 1 the blocks are sliced and
-    joined (gather), n^2 or n^3 of them per call, whatever L is; columns
-    (c(h) at (g, h)) repeat the whole cochain, and a lane product is one
-    translate through _MUL, or an AND at modulus 2.  At L = 1 a block is a
-    byte, an index is one bytes.translate, and the rows, the twist by
-    chi(g) and the cup are int multiplications (spread): a row's one value
-    times the lanes, which L > 1 cannot use, since a row then holds L values.
-    The form is selected by L alone.
+    readings of the 2-cocycle law.  The blocks are sliced and joined
+    (gather), n^2 or n^3 of them per call, whatever L is, or at L = 1,
+    where a block is a byte, read by one translate; columns (c(h) at
+    (g, h)) repeat the whole cochain, and a lane product, which also twists
+    by chi(g), is one translate through _MUL, or an AND at modulus 2.
 
     An operation adds m in a lane before it subtracts a value, so that no
     lane goes below 0, and keeps every lane below 256, so that none carries
-    into the next: a coboundary sums at most 7 + 49 + 8 in a lane at L = 1
-    and 7 + 7 + 8 at L > 1, a cup or a lane product at most 49, and the
-    2-cocycle law at most 49 + 7 at L = 1 and 7 + 7 at L > 1."""
+    into the next, for any L: a coboundary sums at most 7 + 7 + 8 in a
+    lane, a lane product is read from _MUL, and the 2-cocycle law sums at
+    most 7 + 7."""
 
     def __init__(self, model: GaloisModel, cases: int):
         n, L = model.order, cases
@@ -236,37 +233,23 @@ class _Lanes:
         self.ones = (None, ones1, ones2)
         self.mask = (None, *({m: (m - 1) * ones for m in _MODULI} for ones in (ones1, ones2)))
         self.base = (None, *({m: m * ones for m in _MODULI} for ones in (ones1, ones2)))
-        # chi(g) mod 8 and (chi(g) - 1)/2 mod 2 in every lane of block g.
+        # chi(g) mod 8 and (chi(g) - 1)/2 mod 2 in every lane of block g, and
+        # chi(g) mod 8 in every lane of row g of a 2-cochain.
         self.chi = _repeated(chi, L)
         self.rho = _repeated([(x - 1) // 2 % 2 for x in model.chi], L)
+        self.chi_rows = _repeated(chi, n * L)
         # The blocks of a 1-cochain read at (g, h): g (its rows) and gh.
         self.rows = bytes([g for g in range(n) for _ in range(n)])
         self.table = bytes([gh for row in model.table for gh in row])
-        if L > 1:
-            # chi(g) mod 8 in every lane of row g of a 2-cochain.
-            self.chi_rows = _repeated(chi, n * L)
-            return
-        low, top, top_shift = 0xFF * (ones1 >> 8), 8 * (n - 1), 8 * (n - 1) * n
-        rep = sum(1 << 8 * g * (n - 1) for g in range(n - 1))  # copies of an (n - 1)-lane int
-        sieve = sum(0xFF << 8 * g * n for g in range(n - 1))  # byte g*n for g < n - 1
-
-        def spread(u: int) -> int:
-            """Byte g of u moved to byte g*n, so that v * spread(u) holds
-            u(g) v(h) at (g, h), lane by lane.  Copy g of u's low n - 1
-            bytes, at byte g*(n - 1), has its byte g at g*n, and no two
-            copies overlap; u's top byte goes alone."""
-            return (u & low) * rep & sieve | (u >> top) << top_shift
-
-        self.spread = spread
-        # diag[w & 1] holds chi(g)^w mod 8 in byte g*n, so that c * diag
-        # holds chi(g)^w c(h) at (g, h).
-        self.diag = (spread(ones1), spread(self.chi))
 
     def gather(self, x: int, blocks: int, *indices: bytes) -> list[int]:
         """For each index, the L-byte blocks of x (which has the given number
-        of blocks) at its positions, joined.  At L = 1 the callers translate
-        x's bytes through the index instead."""
+        of blocks) at its positions, joined.  A block of one byte is read by
+        translating the index through x's bytes."""
         L = self.cases
+        if L == 1:
+            data = x.to_bytes(256, "little")
+            return [int.from_bytes(index.translate(data), "little") for index in indices]
         data = x.to_bytes(blocks * L, "little")
         parts = [data[i : i + L] for i in range(0, blocks * L, L)]
         return [int.from_bytes(b"".join(map(parts.__getitem__, index)), "little") for index in indices]
@@ -280,26 +263,19 @@ class _Lanes:
         """c(g) + chi(g)^w c(h) + m - c(gh) at (g, h), masked, for the
         1-cochain x: its rows, its columns twisted, and x read through the
         table."""
-        n, L = self.n, self.cases
-        if L == 1:
-            composed = int.from_bytes(self.table.translate(x.to_bytes(256, "little")), "little")
-            dc = self.spread(x) * self.ones[1] + x * self.diag[weight & 1] + self.base[2][modulus] - composed
-        else:
-            rows, composed = self.gather(x, n, self.rows, self.table)
-            cols = self.columns(x, n)
-            if weight & 1 and modulus != 2:
-                cols = _lane_mul(cols, self.chi_rows, n * n * L, modulus)
-            dc = rows + cols + self.base[2][modulus] - composed
-        return dc & self.mask[2][modulus]
+        n = self.n
+        rows, composed = self.gather(x, n, self.rows, self.table)
+        cols = self.columns(x, n)
+        if weight & 1 and modulus != 2:
+            cols = _lane_mul(cols, self.chi_rows, n * n * self.cases, modulus)
+        return rows + cols + self.base[2][modulus] - composed & self.mask[2][modulus]
 
     def outer(self, u: int, v: int, modulus: int) -> int:
         """u(g) v(h) mod modulus at (g, h), for the 1-cochains u and v."""
-        n, L = self.n, self.cases
-        if L == 1:
-            return v * self.spread(u) & self.mask[2][modulus]
+        n = self.n
         (rows,) = self.gather(u, n, self.rows)
         cols = self.columns(v, n)
-        return rows & cols if modulus == 2 else _lane_mul(rows, cols, n * n * L, modulus)
+        return rows & cols if modulus == 2 else _lane_mul(rows, cols, n * n * self.cases, modulus)
 
     def failing(self, diff: int, blocks: int) -> list[int]:
         """The cases whose lane is nonzero in some block of diff, in order:
@@ -312,14 +288,13 @@ class _Lanes:
         return [i for i, x in enumerate(diff.to_bytes(L, "little")) if x]
 
     @cached_property
-    def law(self) -> tuple[bytes, bytes, bytes, object, dict[int, int]]:
+    def law(self) -> tuple[bytes, bytes, bytes, int, dict[int, int]]:
         """What the 2-cocycle law reads, over the n^3 blocks (g, h, k) at
         position (g*n + h)*n + k: three indices of the blocks of a 2-cochain
-        z, which read z(gh, k), z(g, hk) and z(g, h) there; the twist, which
-        with z's columns holds chi(g)^w z(h, k) there (at L = 1 the diagonal
-        by weight parity that z is multiplied by, at L > 1 chi(g) mod 8 in
-        every lane of block g); and the mask by modulus.  An index must fit
-        in a byte, so the law needs n <= 16."""
+        z, which read z(gh, k), z(g, hk) and z(g, h) there; the twist,
+        chi(g) mod 8 in every lane of block g, whose lane product with z's
+        columns holds chi(g)^w z(h, k) there at an odd w; and the mask by
+        modulus.  An index must fit in a byte, so the law needs n <= 16."""
         n, L = self.n, self.cases
         if n > 16:
             raise ValueError(f"the 2-cocycle test needs a model of order at most 16, not {n}")
@@ -327,22 +302,13 @@ class _Lanes:
         gh_k = b"".join([bytes(range(gh * n, gh * n + n)) for gh in self.table])
         g_hk = bytes([g * n + hk for g in range(n) for hk in self.table])
         g_h = bytes([i for i in range(n * n) for _ in range(n)])
-        chi = self.chi.to_bytes(n * L, "little")[::L]
-        if L == 1:
-            twist = (sum(1 << 8 * g * n * n for g in range(n)), sum(t << 8 * g * n * n for g, t in enumerate(chi)))
-        else:
-            twist = _repeated(chi, n * n * L)
+        twist = _repeated(self.chi.to_bytes(n * L, "little")[::L], n * n * L)
         return gh_k, g_hk, g_h, twist, {m: (m - 1) * ones3 for m in _MODULI}
 
     def law_sides(self, z: int, weight: int, modulus: int) -> tuple[int, int]:
         """chi(g)^w z(h, k) + z(g, hk) and z(gh, k) + z(g, h) mod m, over the
         n^3 blocks (g, h, k), for the 2-cochain z."""
         gh_k, g_hk, g_h, twist, mask = self.law
-        if self.cases == 1:
-            read = z.to_bytes(256, "little")
-            left = z * twist[weight & 1] + int.from_bytes(g_hk.translate(read), "little")
-            right = int.from_bytes(gh_k.translate(read), "little") + int.from_bytes(g_h.translate(read), "little")
-            return left & mask[modulus], right & mask[modulus]
         n2 = self.n * self.n
         z_g_hk, z_gh_k, z_g_h = self.gather(z, n2, g_hk, gh_k, g_h)
         left = self.columns(z, n2)
@@ -625,33 +591,26 @@ def massey_triple(
     return cup(A, gamma) + cup(alpha, B)
 
 
-def delta3_closed_form(
-    b: Cochain1, a: Cochain1, c: Cochain1, fs: Sequence[Cochain1]
-) -> list[tuple[Cochain2, Cochain2]]:
-    """The two closed-form delta3 2-cochains for the lift (b,a)_c, one pair
-    per f of fs, in the order of fs.
+def delta3_closed_form(b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1) -> tuple[Cochain2, Cochain2]:
+    """The two closed-form delta3 2-cochains for the lift (b,a)_c and f.
 
     Component along [[x,y],x]:  -(b + (chi-1)/2) cup c - (b choose 2) cup a
     Component along [[x,y],y]:  (a + (chi-1)/2) cup (ab - c)
                                 + (a choose 2) cup b - f cup a
-    All values mod 2.  The x component does not depend on f, so every pair
-    shares one; the y component is its f = 0 part minus f cup a.  b and a
-    must be mod-4 twisted cocycles on one model, c a lift of them (a mod-2
-    cochain with Dc = -(b cup a), as lift_cochains gives) and each f a mod-2
-    cocycle on that model (see check_f); nothing is checked again here.
+    All values mod 2.  b and a must be mod-4 twisted cocycles on one model,
+    c a lift of them (a mod-2 cochain with Dc = -(b cup a), as
+    lift_cochains gives) and f a mod-2 cocycle on that model (see check_f),
+    all batches of one size; nothing but the size is checked again here.
     """
     rho = chi_minus1_over2(b.model, b.cases)
     b2, a2 = b.reduce2(), a.reduce2()
     comp_x = -cup(b2 + rho, c) - cup(binom2(b), a2)
-    comp_y0 = cup(a2 + rho, a2.pointwise_mul(b2) - c) + cup(binom2(a), b2)
-    return [(comp_x, comp_y0 - cup(f, a2)) for f in fs]
+    comp_y = cup(a2 + rho, a2.pointwise_mul(b2) - c) + cup(binom2(a), b2) - cup(f, a2)
+    return comp_x, comp_y
 
 
-def delta3_cocycle_direct(
-    b: Cochain1, a: Cochain1, c: Cochain1, fs: Sequence[Cochain1]
-) -> list[tuple[Cochain2, Cochain2]]:
-    """The boundary-of-section cocycles for delta3, written out directly, one
-    pair per f of fs, in the order of fs.
+def delta3_cocycle_direct(b: Cochain1, a: Cochain1, c: Cochain1, f: Cochain1) -> tuple[Cochain2, Cochain2]:
+    """The boundary-of-section cocycles for delta3, written out directly.
 
     These are the raw normal-form coordinates of s(p(g)) g s(p(h)) s(p(gh))^-1
     and differ from the closed forms by explicit coboundaries (see verify):
@@ -661,11 +620,13 @@ def delta3_cocycle_direct(
 
     mod 2, with r = (chi - 1)/2.  Each term is a row mask times a column
     mask.  C(b + 1, 2) = C(b, 2) + b, and C(chi a + 1, 2) is C(a, 2) where
-    chi = 3 mod 4 and C(a, 2) + a where chi = 1 mod 4.  The x component does
-    not depend on f, so every pair shares one.  The inputs must be as
-    delta3_closed_form asks; nothing is checked here.
+    chi = 3 mod 4 and C(a, 2) + a where chi = 1 mod 4.  The inputs must be
+    as delta3_closed_form asks; nothing but the batch size is checked here.
     """
     model, L = b.model, b.cases
+    for x in (a, c, f):
+        if x.cases != L:
+            raise ValueError(f"batch size mismatch {x.cases} != {L}")
     lanes = model._lanes[L]
 
     def term(u, v):
@@ -677,9 +638,8 @@ def delta3_cocycle_direct(
     # Each term is u(g) v(h) with u, v in 0, 1, so a sum mod 2 is an xor;
     # C(b + 1, 2) = C(b, 2) + b is hb ^ b2.
     x = term(c2, b2) ^ term(hb ^ b2, a2) ^ term(b2, a2 & b2) ^ term(r, c2)
-    y0 = term(c2, a2) ^ term(b2, ha) ^ term(b2 & ~r, a2) ^ term(r, c2)
-    comp_x = _new(Cochain2, model, 2, 3, x, L)
-    return [(comp_x, _new(Cochain2, model, 2, 3, y0 ^ term(f.lanes, a2), L)) for f in fs]
+    y = term(c2, a2) ^ term(b2, ha) ^ term(b2 & ~r, a2) ^ term(r, c2) ^ term(f.lanes, a2)
+    return _new(Cochain2, model, 2, 3, x, L), _new(Cochain2, model, 2, 3, y, L)
 
 
 def delta3_correction_cochains(b: Cochain1, a: Cochain1, c: Cochain1) -> tuple[Cochain1, Cochain1]:

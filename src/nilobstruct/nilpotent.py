@@ -464,32 +464,31 @@ _BIT = tuple(bytes([i >> k & 1 for i in range(256)]) for k in range(3))
 
 
 def boundary_of_section(
-    model: GaloisModel, p: Sequence[tuple[int, ...]], fs: Sequence[Cochain1] | None = None, cases: int = 1
-) -> tuple[Cochain2] | list[tuple[Cochain2, Cochain2]]:
+    model: GaloisModel, p: Sequence[tuple[int, ...]], f: Cochain1 | None = None, cases: int = 1
+) -> tuple[Cochain2] | tuple[Cochain2, Cochain2]:
     """Extract the kernel coordinates of (g,h) -> s(p(g)) g(s(p(h))) s(p(gh))^-1.
 
     The level n of the section is the width of its values.  For n = 2, p
     lists pairs (a, b) mod 4 per group element (a twisted cocycle into the
     abelianization) and the output is the one-tuple of the [x,y]-coordinate
     mod 2.  For n = 3, p lists triples (a, b, c) forming a cocycle into the
-    level-3 tower group and the output is a list with one pair of degree-3
-    coordinates mod 2 per f of fs, in the order of fs.  The Galois action
-    uses chi mod 8 and the mod-2 cocycle f on the model, the same cochains
-    the delta3 formulas take; None means fs = (0,).  Each f must be a mod-2
-    cocycle on model (see cohomology.check_f); it is not checked here.  The
-    level-2 boundary does not depend on f (act_vec moves only e by f), so
-    level 2 reads no f.  The section is: a p whose values are not all pairs
-    or all triples, or that breaks the cocycle law read off the same
-    products in some case, is refused with an InvalidCocycleError naming
-    the first such case and its first (g, h).  Every product is read from
-    TOWER4's tables, on indices.
+    level-3 tower group and the output is the pair of degree-3 coordinates
+    mod 2.  The Galois action uses chi mod 8 and the mod-2 cocycle f on the
+    model, the same cochains the delta3 formulas take; None means f = 0.
+    f must be a mod-2 cocycle on model (see cohomology.check_f); it is not
+    checked here.  The level-2 boundary does not depend on f (act_vec
+    moves only e by f), so level 2 reads no f.  The section is checked: a
+    p whose values are not all pairs or all triples, or that breaks the
+    cocycle law read off the same products in some case, is refused with
+    an InvalidCocycleError naming the first such case and its first
+    (g, h).  Every product is read from TOWER4's tables, on indices.
 
     The section is a batch of L = cases sections, as the cochains of
     cohomology are: each value of p is an int whose byte i is case i's
-    value, each f a batch of L, and each output cochain a batch of L.  A
-    single section is the batch of one, whose values may be any integers;
-    in a batch a value may be any byte.  Only the residues mod TOWER4's
-    moduli matter.
+    value, f a batch of L (any other size is refused with a ValueError),
+    and each output cochain a batch of L.  A single section is the batch
+    of one, whose values may be any integers; in a batch a value may be any
+    byte.  Only the residues mod TOWER4's moduli matter.
     """
     if len(p) != model.order:
         raise InvalidCocycleError("cocycle must assign a value to every element")
@@ -499,7 +498,9 @@ def boundary_of_section(
     n, L = model.order, cases
     ones = int.from_bytes(b"\1" * L, "little")
     lane = 0xFF * ones
-    f_lanes = [0] if fs is None or width == 2 else [f.lanes for f in fs]
+    if f is not None and f.cases != L:
+        raise ValueError(f"batch size mismatch {f.cases} != {L}")
+    f_values = 0 if f is None or width == 2 else f.lanes
 
     # The section as TOWER4 indices, a, b and c masked lane by lane to
     # TOWER4's moduli: block g holds s(p(g)) of every case, and the section
@@ -515,7 +516,8 @@ def boundary_of_section(
     # The acted section g(s(p(h))) depends on g only through (chi(g) mod 8,
     # f(g)), so it is one translate of the section per such pair that
     # occurs; where f(g) differs between cases, each case's lanes are taken
-    # from its f(g)'s translate.
+    # from its f(g)'s translate.  Row g of acted_rows, byte (g*n + h)*L + i,
+    # holds g(s(p(h))) in case i.
     acted = {}
 
     def act(key):
@@ -523,18 +525,15 @@ def boundary_of_section(
             acted[key] = sect.translate(_through(tower4_action(*key)))
         return acted[key]
 
-    def acted_rows(f):
-        """Byte (g*n + h)*L + i: g(s(p(h))) in case i, under f."""
-        out = []
-        for g, chi in enumerate(model.chi):
-            f_g = f >> 8 * L * g & lane
-            if f_g in (0, ones):
-                out.append(act((chi % 8, f_g & 1)))
-                continue
-            take = int.from_bytes(f_g.to_bytes(L, "little") * n, "little") * 0xFF
-            zero, one = (int.from_bytes(act((chi % 8, f_bit)), "little") for f_bit in (0, 1))
-            out.append((zero & ~take | one & take).to_bytes(n * L, "little"))
-        return b"".join(out)
+    acted_rows = []
+    for g, chi in enumerate(model.chi):
+        f_g = f_values >> 8 * L * g & lane
+        if f_g in (0, ones):
+            acted_rows.append(act((chi % 8, f_g & 1)))
+            continue
+        take = int.from_bytes(f_g.to_bytes(L, "little") * n, "little") * 0xFF
+        zero, one = (int.from_bytes(act((chi % 8, f_bit)), "little") for f_bit in (0, 1))
+        acted_rows.append((zero & ~take | one & take).to_bytes(n * L, "little"))
 
     # Each product s(p(g)) g(s(p(h))) is read from the joined rows of the
     # section values that occur, and no others: one 2-byte lane per (g, h,
@@ -548,18 +547,15 @@ def boundary_of_section(
     row_of = b"".join([block.translate(position) * n for block in blocks])
     low = 0 if sys.byteorder == "little" else 1
 
-    def products(f):
-        lanes = bytearray(2 * n * n * L)
-        lanes[low::2], lanes[1 - low :: 2] = acted_rows(f), row_of
-        return bytes(map(joined.__getitem__, memoryview(lanes).cast("H")))
-
-    by_f = [products(f) for f in f_lanes]
+    lanes = bytearray(2 * n * n * L)
+    lanes[low::2], lanes[1 - low :: 2] = b"".join(acted_rows), row_of
+    products = bytes(map(joined.__getitem__, memoryview(lanes).cast("H")))
     # Cocycle validation happens at the level the section covers: the head
     # of s(p(g)) g(s(p(h))) must be s(p(gh)), which is 0 past its head.
-    # act_vec moves only e by f, so the products under any one f decide.
-    # Only a mismatch walks the lanes, to name the first bad case and its
-    # first (g, h).
-    got = by_f[0].translate(_HEAD[width])
+    # act_vec moves only e by f, so f does not change the verdict.  Only a
+    # mismatch walks the lanes, to name the first bad case and its first
+    # (g, h).
+    got = products.translate(_HEAD[width])
     want = b"".join([blocks[gh] for row in model.table for gh in row])
     if got != want:
         case, at = min((j % L, j // L) for j, (x, y) in enumerate(zip(got, want)) if x != y)
@@ -577,5 +573,5 @@ def boundary_of_section(
         return Cochain2.from_lanes(model, 2, weight, int.from_bytes(z.translate(_BIT[bit]), "little"), L)
 
     if width == 2:
-        return (cochain(2, 2, by_f[0]),)
-    return [(cochain(3, 1, z), cochain(3, 0, z)) for z in by_f]
+        return (cochain(2, 2, products),)
+    return cochain(3, 1, products), cochain(3, 0, products)

@@ -151,10 +151,10 @@ def _model_data(model: GaloisModel):
     lifts = [(b, a, c) for b in cocs for a in cocs for c in lift_cochains(b, a)]
     b, a, c = (Cochain1.pack([lift[k] for lift in lifts for _ in homs]) for k in range(3))
     f = Cochain1.pack(homs * len(lifts))
-    [closed] = coh.delta3_closed_form(b, a, c, (f,))
-    [direct] = coh.delta3_cocycle_direct(b, a, c, (f,))
+    closed = coh.delta3_closed_form(b, a, c, f)
+    direct = coh.delta3_cocycle_direct(b, a, c, f)
     corrections = tuple(map(coboundary, delta3_correction_cochains(b, a, c)))
-    [boundary] = nil.boundary_of_section(model, _section(a, b, c), (f,), cases=b.cases)
+    boundary = nil.boundary_of_section(model, _section(a, b, c), f, cases=b.cases)
     level3 = _Level3(lifts, homs, b, a, f, closed, direct, corrections, boundary, _massey(b, a, c, f))
     return cocs, homs, level3
 

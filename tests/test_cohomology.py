@@ -84,7 +84,7 @@ class TestModels:
         p = [(0, 0, 0)] * model.order
         good = Cochain1(model, 2, 2, (0, 1))
         check_f(model, zero1(model, 2, 2), good)
-        boundary_of_section(model, p, (good,))
+        boundary_of_section(model, p, good)
         for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(_twin(model), 2, 2, (0, 1))):
             with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
                 check_f(model, f)
@@ -362,12 +362,12 @@ def test_mod2_bits_match_the_tuple_definitions(model, weight):
 @pytest.mark.parametrize("weight", range(4))
 def test_lane_kernels_at_the_carry_extremes(model, weight):
     """At modulus 8 every lane holds up to 7, so a coboundary sums up to
-    7 + 49 + 8 in a lane, a cup or a lane product up to 49, and the
-    2-cocycle law up to 49 + 7; none may carry into the next lane.  On the
-    all-7 cochains, and on random ones, every operation agrees with its
-    definition: coboundary, cup, +, -, negation, pointwise_mul, both
-    is_cocycle, reduce2, and binom2 on the all-3 and random mod-4
-    cochains."""
+    7 + 7 + 8 in a lane, a lane product reads 7 | 7 << 3 from its table,
+    and the 2-cocycle law sums up to 7 + 7; none may carry into the next
+    lane.  On the all-7 cochains, and on random ones, every operation
+    agrees with its definition: coboundary, cup, +, -, negation,
+    pointwise_mul, both is_cocycle, reduce2, and binom2 on the all-3 and
+    random mod-4 cochains."""
     rng = random.Random(f"{model.name} {weight}")
     n = model.order
     sevens = Cochain1(model, 8, weight, (7,) * n)
@@ -564,7 +564,7 @@ class TestDelta3Forms:
         c = zero1(model, 2, 2)
         f = zero1(model, 2, 2)
         assert is_lift(z4, z4, c)
-        [(comp_x, comp_y)] = delta3_closed_form(z4, z4, c, (f,))
+        comp_x, comp_y = delta3_closed_form(z4, z4, c, f)
         assert comp_x.is_zero() and comp_y.is_zero()
 
     @pytest.mark.parametrize("formula", (delta3_closed_form, delta3_cocycle_direct))
@@ -576,7 +576,7 @@ class TestDelta3Forms:
         c = zero1(model, 2, 2)
         good = Cochain1(model, 2, 2, (0, 1))
         check_f(model, good)
-        formula(z4, z4, c, (good,))
+        formula(z4, z4, c, good)
         for f in (Cochain1(model, 2, 2, (1, 0)), Cochain1(_twin(model), 2, 2, (0, 1))):
             with pytest.raises(InvalidCocycleError, match="f must be a mod-2 cocycle"):
                 check_f(model, f)
@@ -706,9 +706,9 @@ def test_batch_case_i_is_the_single_case_operation(drawn):
     """Case i of a batch's coboundary, cup, +, -, negation, pointwise_mul,
     reduce2, binom2, both is_cocycle and the failing-case lists equals the
     operation on case i alone, and a single case's lanes are one value per
-    byte with every operation as its definition gives.  At L = 1 the twist
-    and the cup are int multiplications and at L > 1 lane products of
-    joined blocks, so this shows the two forms agree."""
+    byte with every operation as its definition gives.  Every batch size,
+    L = 1 among them, runs the same joins and lane products, so this shows
+    that they keep each case in its own lane."""
     model, modulus, (w, w_d), cases = drawn
     cs = [Cochain1(model, modulus, w, u) for u, _, _ in cases]
     ds = [Cochain1(model, modulus, w_d, v) for _, v, _ in cases]
@@ -777,6 +777,13 @@ def test_batches_need_one_size():
     for operation in (lambda: one + two, lambda: cup(one, two), lambda: one.pointwise_mul(two)):
         with pytest.raises(ValueError, match="batch size mismatch 1 != 2"):
             operation()
+    # The section boundary and the direct delta3 form read f by its blocks,
+    # so an f of another size would be read at the wrong lanes.
+    four = zero1(model, 4, 1)
+    with pytest.raises(ValueError, match="batch size mismatch 2 != 1"):
+        delta3_cocycle_direct(four, four, zero1(model, 2, 2), Cochain1.pack([zero1(model, 2, 2)] * 2))
+    with pytest.raises(ValueError, match="batch size mismatch 1 != 2"):
+        boundary_of_section(model, [(0, 0, 0)] * model.order, zero1(model, 2, 2), cases=2)
     with pytest.raises(ValueError, match="pack needs Cochain1s of one case"):
         Cochain1.pack([one, two])
     with pytest.raises(ValueError, match="no one tuple of values"):

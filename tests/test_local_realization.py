@@ -93,7 +93,7 @@ def test_specific_lift_realizes_two_cup_p(p):
     # (this is the documented weight shift, not an oversight).
     assert is_lift(b, kp, c0)
     want = cup(k2, kp.reduce2())
-    for z in delta3_cocycle_direct(b, kp, c0, (f,))[0]:
+    for z in delta3_cocycle_direct(b, kp, c0, f):
         assert z.is_cocycle()
         assert values_differ_by_coboundary(z, want)
         assert values_are_coboundary(z) == (p % 8 == 1)
@@ -115,7 +115,7 @@ def test_closed_form_agrees_on_the_model(p):
     )
     assert is_lift(b, kp, c0)
     want = cup(k2, kp.reduce2())
-    for z in delta3_closed_form(b, kp, c0, (f,))[0]:
+    for z in delta3_closed_form(b, kp, c0, f):
         assert z.is_cocycle()
         assert values_differ_by_coboundary(z, want)
 

@@ -268,7 +268,7 @@ class TestBoundary:
         (bd,) = boundary_of_section(model, p2)
         assert bd.is_zero()
         p3 = [(0, 0, 0)] * model.order
-        [(d, e)] = boundary_of_section(model, p3)
+        d, e = boundary_of_section(model, p3)
         assert d.is_zero() and e.is_zero()
 
     def test_level2_product_formula(self):
@@ -482,9 +482,7 @@ def test_boundary_of_section_matches_element_route(model):
             ]
             for f in fs:
                 for p, n in [(p2, 2)] + [(p3, 3) for p3 in lifts]:
-                    got = boundary_of_section(model, p, (f,))
-                    if n == 3:
-                        (got,) = got
+                    got = boundary_of_section(model, p, f)
                     assert [bd.values for bd in got] == [
                         tuple(rows) for rows in _boundary_by_elements(model, p, n, f)
                     ]
@@ -501,8 +499,7 @@ def test_boundary_of_section_matches_element_route(model):
                 refused += 1
             else:
                 assert got[0] == "ok"
-                bd = got[1] if width == 2 else got[1][0]
-                assert [z.values for z in bd] == [tuple(rows) for rows in want[1]]
+                assert [z.values for z in got[1]] == [tuple(rows) for rows in want[1]]
         assert refused
 
 
@@ -516,17 +513,24 @@ def _unreduced(p, rng):
 def test_boundary_of_section_reads_only_residues(model):
     """A section whose values are moved by multiples of TOWER4's moduli, to
     negative or unreduced values such as a = -1 or b = 5, has the boundary
-    of its reduced form at both levels, or is refused with the same text."""
+    of its reduced form at both levels, or is refused with the same text.
+    So does a level-3 batch of the section with every f, whose values are
+    moved within a byte."""
     rng = random.Random(model.order)
     cocycles = all_twisted_cocycles(model, 4, 1)
     fs = f_homs(model)
+    f_batch = Cochain1.pack(fs)
     for b in cocycles:
         for a in cocycles:
             p2 = list(zip(a.values, b.values))
             assert boundary_of_section(model, _unreduced(p2, rng)) == boundary_of_section(model, p2)
             for c in lift_cochains(b, a):
                 p3 = list(zip(a.values, b.values, c.values))
-                assert boundary_of_section(model, _unreduced(p3, rng), fs) == boundary_of_section(model, p3, fs)
+                assert boundary_of_section(model, _unreduced(p3, rng)) == boundary_of_section(model, p3)
+                F = len(fs)
+                reduced = [tuple(int.from_bytes(bytes([x % m]) * F, "little") for x, m in zip(t, (4, 4, 2))) for t in p3]
+                moved = _batch_section([p3] * F, rng)
+                assert boundary_of_section(model, moved, f_batch, F) == boundary_of_section(model, reduced, f_batch, F)
     for width in (2, 3):
         for p in _one_point_sections(model, width):
             assert _outcome(boundary_of_section, model, _unreduced(p, rng)) == _outcome(
@@ -566,9 +570,9 @@ def test_batch_boundary_is_the_boundary_of_each_section(model):
     ]
     cases = [(p, f) for p in triples for f in fs]
     f_batch = Cochain1.pack([f for _, f in cases])
-    [(x, y)] = boundary_of_section(model, _batch_section([p for p, _ in cases], rng), (f_batch,), cases=len(cases))
+    x, y = boundary_of_section(model, _batch_section([p for p, _ in cases], rng), f_batch, cases=len(cases))
     for i, (p, f) in enumerate(cases):
-        assert (x.case(i), y.case(i)) == boundary_of_section(model, p, (f,))[0]
+        assert (x.case(i), y.case(i)) == boundary_of_section(model, p, f)
     for width, good in ((2, pairs), (3, triples)):
         outcomes = [(p, _outcome(boundary_of_section, model, p)) for p in _one_point_sections(model, width)]
         refused = [(p, text) for p, (verdict, text) in outcomes if verdict == "refused"]

@@ -371,15 +371,13 @@ def test_boundary_n3_check_records_a_boundary_that_is_no_cocycle(monkeypatch):
     lift, not for each case's values, would pass the flipped ones."""
     boundary = nil.boundary_of_section
 
-    def flipped(model, p, fs, cases):
-        out = []
-        for f, (x, y) in zip(fs, boundary(model, p, fs, cases=cases)):
-            at = model.order + 1  # the block of (1, 1)
-            lanes = x.lanes
-            for i in f.nonzero_cases():
-                lanes ^= 1 << 8 * (at * cases + i)
-            out.append((coh.Cochain2.from_lanes(model, 2, x.weight, lanes, cases), y))
-        return out
+    def flipped(model, p, f, cases):
+        x, y = boundary(model, p, f, cases=cases)
+        at = model.order + 1  # the block of (1, 1)
+        lanes = x.lanes
+        for i in f.nonzero_cases():
+            lanes ^= 1 << 8 * (at * cases + i)
+        return coh.Cochain2.from_lanes(model, 2, x.weight, lanes, cases), y
 
     model = klein_model()
     monkeypatch.setattr(nil, "boundary_of_section", flipped)
@@ -403,7 +401,7 @@ def test_boundary_n3_check_tests_each_distinct_boundary_once(monkeypatch):
     for i in range(0, level3.cases, 37):
         (b, a, c), f = level3.lift(i), homs[i % len(homs)]
         p = list(zip(a.values, b.values, c.values))
-        [single] = nil.boundary_of_section(model, p, (f,))
+        single = nil.boundary_of_section(model, p, f)
         assert tuple(z.case(i) for z in level3.boundary) == single
     checked = []
     law = coh.Cochain2.non_cocycle_cases
@@ -423,14 +421,15 @@ def test_lift_shift_check_catches_a_non_cup_shift(monkeypatch):
     case."""
     closed_form = coh.delta3_closed_form
 
-    def wrong(b, a, c, fs):
+    def wrong(b, a, c, f):
         m = c.model
         extras = []
         for i in range(c.cases):
             c_i = c.case(i).values
             extras.append(coh.Cochain2(m, 2, 3, tuple(tuple(c_i[m.mul(g, h)] for h in m.elements()) for g in m.elements())))
         extra = coh.Cochain2.pack(extras)
-        return [(x + extra, y) for x, y in closed_form(b, a, c, fs)]
+        x, y = closed_form(b, a, c, f)
+        return x + extra, y
 
     model = klein_model()
     monkeypatch.setattr(coh, "delta3_closed_form", wrong)
@@ -532,25 +531,30 @@ def test_model_data_validates_nothing(monkeypatch):
 
 @pytest.mark.parametrize("model", standard_models(), ids=lambda m: m.name)
 def test_all_f_kernels_match_one_f_calls(model):
-    """On every lift, entry i of each level-3 kernel called with all the
-    model's f equals the same call with f_homs[i] alone, and case j*F + i
-    of the level-3 batch (lift j, F f) equals that one-case call too."""
+    """On every lift, case i of each level-3 kernel called on the batch of
+    the lift with all the model's F f equals the one-case call with
+    f_homs[i], and case j*F + i of the level-3 batch (lift j) equals that
+    one-case call too."""
     _, homs, level3 = _model_data(model)
     batch = {
         coh.delta3_closed_form: level3.closed,
         coh.delta3_cocycle_direct: level3.direct,
         nil.boundary_of_section: level3.boundary,
     }
+    f_batch = coh.Cochain1.pack(homs)
     for j, (b, a, c) in enumerate(level3.lifts):
         p = [(a.values[g], b.values[g], c.values[g]) for g in model.elements()]
-        for kernel, args in (
-            (coh.delta3_closed_form, (b, a, c)),
-            (coh.delta3_cocycle_direct, (b, a, c)),
-            (nil.boundary_of_section, (model, p)),
+        bs, as_, cs = (coh.Cochain1.pack([x] * len(homs)) for x in (b, a, c))
+        for kernel, one, all_f in (
+            (coh.delta3_closed_form, (b, a, c), (bs, as_, cs)),
+            (coh.delta3_cocycle_direct, (b, a, c), (bs, as_, cs)),
+            (nil.boundary_of_section, (model, p), (model, verify._section(as_, bs, cs))),
         ):
-            one_f = [kernel(*args, (f,))[0] for f in homs]
-            assert kernel(*args, homs) == one_f
-            for i, pair in enumerate(one_f):
+            kwargs = {"cases": len(homs)} if kernel is nil.boundary_of_section else {}
+            got = kernel(*all_f, f_batch, **kwargs)
+            for i, f in enumerate(homs):
+                pair = kernel(*one, f)
+                assert tuple(z.case(i) for z in got) == pair
                 assert tuple(z.case(j * len(homs) + i) for z in batch[kernel]) == pair
 
 
