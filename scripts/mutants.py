@@ -144,6 +144,28 @@ MUTANTS = (
         "sign of f in act_vec",
         ("tests/test_nilpotent.py",),
     ),
+    # The Magnus kernels on byte lanes.
+    Mutant(
+        NIL,
+        "(_lane_mul(b, c, n, m) + up - d) & low",
+        "(_lane_mul(b, c, n, m) + d) & low",
+        "embedding adds d on XXY instead of subtracting it",
+        ("tests/test_nilpotent.py",),
+    ),
+    Mutant(
+        NIL,
+        "up - _lane_mul(a, c, n, m) + e) & low",
+        "up - _lane_mul(a, c, n, m)) & low",
+        "embedding drops e from YYX",
+        ("tests/test_nilpotent.py",),
+    ),
+    Mutant(
+        NIL,
+        "_BINOM_UP = {m: bytes([(n * (n + 1) >> 1) % m for n in range(256)]) for m in _MUL}",
+        "_BINOM_UP = {m: bytes([(n * (n - 1) >> 1) % m for n in range(256)]) for m in _MUL}",
+        "extraction reads C(a, 2) for C(a + 1, 2)",
+        ("tests/test_nilpotent.py",),
+    ),
     # The cochain kernels.
     Mutant(
         COH,
@@ -161,8 +183,8 @@ MUTANTS = (
     ),
     Mutant(
         COH,
-        "_MUL = {m: bytes([(i & 7) * (i >> 3) % m for i in range(256)]) for m in _MODULI}",
-        "_MUL = {m: bytes([(i & 7) * (i >> 3) % 8 for i in range(256)]) for m in _MODULI}",
+        "_MUL = {m: bytes([(i >> 4) * (i & 15) % m for i in range(256)]) for m in (2, 4, 8, 16)}",
+        "_MUL = {m: bytes([(i >> 4) * (i & 15) % 8 for i in range(256)]) for m in (2, 4, 8, 16)}",
         "_MUL mod 8 at every modulus",
         ("tests/test_cohomology.py",),
     ),

@@ -166,14 +166,21 @@ def extra_models() -> tuple[GaloisModel, ...]:
 # three bits of a byte lane (see _Lanes).
 _MODULI = (2, 4, 8)
 
-# _MUL[m][u | v << 3] = u v mod m for u, v < 8.
-_MUL = {m: bytes([(i & 7) * (i >> 3) % m for i in range(256)]) for m in _MODULI}
+# _MUL[m][u << 4 | v] = u v mod m for u, v < 16: the lane products of both
+# oracle engines, the cochains' at the moduli above and the Magnus series'
+# (nilpotent) at every power of 2 up to 16.
+_MUL = {m: bytes([(i >> 4) * (i & 15) % m for i in range(256)]) for m in (2, 4, 8, 16)}
+
+
+def _ones(n: int) -> int:
+    """The int of n byte lanes that each hold 1."""
+    return int.from_bytes(b"\1" * n, "little")
 
 
 def _lane_mul(u: int, v: int, n: int, modulus: int) -> int:
-    """The n lanes of u times those of v mod modulus, lane by lane: one
-    translate of the lanes u | v << 3 through _MUL."""
-    return int.from_bytes((u | v << 3).to_bytes(n, "little").translate(_MUL[modulus]), "little")
+    """The n lanes of u times those of v mod modulus, lane by lane, for
+    lanes below 16: one translate of the lanes u << 4 | v through _MUL."""
+    return int.from_bytes((u << 4 | v).to_bytes(n, "little").translate(_MUL[modulus]), "little")
 
 
 def _check_modulus(modulus: int) -> None:
@@ -226,8 +233,7 @@ class _Lanes:
         n, L = model.order, cases
         chi = [x % 8 for x in model.chi]
         self.n, self.cases = n, L
-        ones1 = int.from_bytes(b"\1" * (n * L), "little")
-        ones2 = int.from_bytes(b"\1" * (n * n * L), "little")
+        ones1, ones2 = _ones(n * L), _ones(n * n * L)
         # By degree, then by modulus: 1 in every lane, m - 1 (the mask) and
         # m (added before a subtraction).
         self.ones = (None, ones1, ones2)
@@ -298,7 +304,7 @@ class _Lanes:
         n, L = self.n, self.cases
         if n > 16:
             raise ValueError(f"the 2-cocycle test needs a model of order at most 16, not {n}")
-        ones3 = int.from_bytes(b"\1" * (n**3 * L), "little")
+        ones3 = _ones(n**3 * L)
         gh_k = b"".join([bytes(range(gh * n, gh * n + n)) for gh in self.table])
         g_hk = bytes([g * n + hk for g in range(n) for hk in self.table])
         g_h = bytes([i for i in range(n * n) for _ in range(n)])
@@ -378,7 +384,9 @@ class _Cochain:
     def pack(cls, cochains: Sequence["_Cochain"]):
         """The batch whose case i is cochains[i], each a batch of one on one
         model, with one modulus and one weight: byte p of case i goes to
-        byte p*L + i."""
+        byte p*L + i.  A batch needs at least one case."""
+        if not cochains:
+            raise ValueError(f"pack needs at least one {cls.__name__}")
         first = cochains[0]
         model, modulus, weight = first.model, first.modulus, first.weight
         if not all(
@@ -406,8 +414,12 @@ class _Cochain:
 
     def select(self, indices: Sequence[int]):
         """The batch of the cases at indices, in their order: one itemgetter
-        of the indices per block."""
+        of the indices per block.  An index outside 0..L - 1 is refused as
+        case refuses it."""
         data, L = self._bytes(), self.cases
+        if indices and not 0 <= min(indices) <= max(indices) < L:
+            bad = min(indices) if min(indices) < 0 else max(indices)
+            raise IndexError(f"case {bad} of a batch of {L}")
         get = operator.itemgetter(*indices) if len(indices) > 1 else lambda block: [block[i] for i in indices]
         lanes = b"".join([bytes(get(data[p : p + L])) for p in range(0, len(data), L)])
         return _new(type(self), self.model, self.modulus, self.weight, int.from_bytes(lanes, "little"), len(indices))

@@ -16,9 +16,9 @@ arithmetic from the canonical representatives: the kernels mul_vec, inv_vec
 and act_vec work over the integers, and a caller reduces their output into a
 quotient with _reduce(v, spec.moduli).  These kernels and _reduce are
 straight-line code with no helper calls (C(n + 1, 2) is written
-n(n + 1) >> 1), since one verify pass calls them about 3.6 * 10^4 times,
-and the first pass of a process, which builds TOWER4's tables,
-5.4 * 10^4 times.
+n(n + 1) >> 1), since one verify pass calls them about 2.4 * 10^4 times,
+and the first pass of a process, which builds TOWER4's tables, about
+4.2 * 10^4 times.
 
 TOWER4's multiplication table and its Galois actions, on element indices,
 live here too: each row and each action is built from the kernels on first
@@ -34,9 +34,9 @@ its magnus_modulus.  The oracle runs on byte lanes: a batch of exponent
 vectors is five bytes, one per exponent, and each coefficient of a batch
 series is one int holding every vector's coefficient in its own byte, so
 _embed_lanes, _seriesmul_lanes and _extract_lanes take a few dozen big-int
-operations and bytes.translate calls per batch, whatever its size.  The
-exact integer product _seriesmul_vec derives the commutator series at
-import.  QuotientSpec, a NamedTuple, is the engine's one record.
+operations and bytes.translate calls per batch, whatever its size.  Their
+lane products and masks are cohomology's, the ones the cochain engine
+uses.  QuotientSpec, a NamedTuple, is the engine's one record.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import sys
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .cohomology import Cochain1, Cochain2, GaloisModel, InvalidCocycleError
+from .cohomology import _MUL, Cochain1, Cochain2, GaloisModel, InvalidCocycleError, _lane_mul, _ones
 
 
 class QuotientSpec(NamedTuple):
@@ -84,10 +84,6 @@ def full4(m: int) -> QuotientSpec:
     if not isinstance(m, int) or m < 2:
         raise ValueError("FULL4 modulus must be an int of at least 2")
     return QuotientSpec(f"FULL4({m})", (m,) * 5, 1 << (2 * m - 1).bit_length())
-
-
-def _binom2(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 Vec = tuple[int, int, int, int, int]
@@ -214,7 +210,7 @@ def _through(row: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Magnus series oracle
+# Magnus series oracle on byte lanes
 # ---------------------------------------------------------------------------
 
 # The words of degree <= 3 that _extract_lanes reads, and the ones below them.
@@ -222,114 +218,31 @@ def _through(row: bytes) -> bytes:
 # 3, so dropping them is an algebra map: a product's coefficients on these
 # nine words depend only on its factors' coefficients on them.
 _WORDS = ("", "X", "Y", "XX", "XY", "YX", "YY", "XXY", "YYX")
-_WIDX = {w: i for i, w in enumerate(_WORDS)}
-_NWORDS = len(_WORDS)
-
-
-def _seriesmul_vec(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    # Coefficient of word w: the sum of s[u] * t[v] over the splits w = uv,
-    # written out for every word of _WORDS.
-    s0, sx, sy, sxx, sxy, syx, syy, sxxy, syyx = s
-    t0, tx, ty, txx, txy, tyx, tyy, txxy, tyyx = t
-    return (
-        s0 * t0,
-        s0 * tx + sx * t0,
-        s0 * ty + sy * t0,
-        s0 * txx + sx * tx + sxx * t0,
-        s0 * txy + sx * ty + sxy * t0,
-        s0 * tyx + sy * tx + syx * t0,
-        s0 * tyy + sy * ty + syy * t0,
-        s0 * txxy + sx * txy + sxx * ty + sxxy * t0,
-        s0 * tyyx + sy * tyx + syy * tx + syyx * t0,
-    )
-
-
-def _seriesinv_vec(s: tuple[int, ...]) -> tuple[int, ...]:
-    if s[0] != 1:
-        raise ValueError("only unit series (constant term 1) are invertible")
-    u = list(s)
-    u[0] = 0
-    u = tuple(u)
-    uu = _seriesmul_vec(u, u)
-    uuu = _seriesmul_vec(uu, u)
-    one = _series_one()
-    return tuple(o - a + b - c for o, a, b, c in zip(one, u, uu, uuu))
-
-
-def _series_one() -> tuple[int, ...]:
-    return (1,) + (0,) * (_NWORDS - 1)
-
-
-def _xpow(b: int) -> tuple[int, ...]:
-    s = [0] * _NWORDS
-    s[_WIDX[""]] = 1
-    s[_WIDX["X"]] = b
-    s[_WIDX["XX"]] = _binom2(b)
-    return tuple(s)
-
-
-def _ypow(a: int) -> tuple[int, ...]:
-    s = [0] * _NWORDS
-    s[_WIDX[""]] = 1
-    s[_WIDX["Y"]] = a
-    s[_WIDX["YY"]] = _binom2(a)
-    return tuple(s)
-
-
-def _commutator_series(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    return _seriesmul_vec(
-        _seriesmul_vec(s, t), _seriesmul_vec(_seriesinv_vec(s), _seriesinv_vec(t))
-    )
-
-
-# Exact truncated series of the basic commutators, computed once from the
-# generator embeddings rather than written down by hand.
-_Z_SERIES = _commutator_series(_xpow(1), _ypow(1))
-_W1_SERIES = _commutator_series(_Z_SERIES, _xpow(1))
-_W2_SERIES = _commutator_series(_Z_SERIES, _ypow(1))
-
-
-# The degree-3 coefficients of [x,y], [[x,y],x] and [[x,y],y], one
-# (z, w1, w2) triple per word XXY, YYX.
-_CUBIC = tuple(zip(_Z_SERIES[7:], _W1_SERIES[7:], _W2_SERIES[7:]))
-
-
-# ---------------------------------------------------------------------------
-# The Magnus oracle on byte lanes
-# ---------------------------------------------------------------------------
 
 # A batch of N exponent vectors is five bytes of length N, one per exponent:
 # byte i of each is an exponent of vector i, its lane.  A batch series is
 # the tuple of its coefficients on _WORDS[1:], each an int whose byte i is
 # lane i's coefficient mod the Magnus modulus m; the constant term is 1 in
 # every lane, since every series here is a group element's.  m is a power
-# of 2 and at most 16, so a lane sum of a few coefficients stays below 256,
-# with no carry into the next lane, and a mask takes it mod m; a lane
-# product packs its two factors into one byte as 16u + v and reads u*v mod
-# m from a 256-byte table by one bytes.translate.  A difference adds m
-# first, so no lane borrows.
+# of 2 and at most 16, a modulus of cohomology's lane-product table _MUL,
+# so a lane sum of a few coefficients stays below 256, with no carry into
+# the next lane, a mask takes it mod m, and a lane product is one
+# _lane_mul.  A difference adds m first, so no lane borrows.
 #
-# Per m, built on first use: the tables of the lane product, of C(n, 2) on
-# an exponent byte n, and of C(n + 1, 2) on a coefficient byte n, each mod
-# m; and per modulus q of a spec, the table of n mod q.
-_LANE_TABLES: dict[int, tuple[bytes, bytes, bytes]] = {}
+# Per m, C(n, 2) on an exponent byte n and C(n + 1, 2) on a coefficient
+# byte n, mod m; and per modulus q of a spec, built on first use, n mod q.
+_BINOM = {m: bytes([(n * (n - 1) >> 1) % m for n in range(256)]) for m in _MUL}
+_BINOM_UP = {m: bytes([(n * (n + 1) >> 1) % m for n in range(256)]) for m in _MUL}
 _MOD_TABLES: dict[int, bytes] = {}
 
 
-def _lane_tables(spec: QuotientSpec) -> tuple[int, tuple[bytes, bytes, bytes]]:
-    """spec's Magnus modulus m and its lane tables; a modulus that is no
-    power of 2 up to 16 is refused, since its lanes would wrap."""
+def _magnus_modulus(spec: QuotientSpec) -> int:
+    """spec's Magnus modulus m; one that _MUL does not hold is refused,
+    since its lanes would wrap."""
     m = spec.magnus_modulus
-    tables = _LANE_TABLES.get(m)
-    if tables is None:
-        if m > 16 or m & (m - 1):
-            raise ValueError(f"{spec} has Magnus modulus {m}: byte lanes need a power of 2 up to 16")
-        tables = _LANE_TABLES[m] = (
-            bytes([(n >> 4) * (n & 15) % m for n in range(256)]),
-            bytes([(n * (n - 1) >> 1) % m for n in range(256)]),
-            bytes([(n * (n + 1) >> 1) % m for n in range(256)]),
-        )
-    return m, tables
+    if m not in _MUL:
+        raise ValueError(f"{spec} has Magnus modulus {m}: byte lanes need a power of 2 up to 16")
+    return m
 
 
 def _mod_table(q: int) -> bytes:
@@ -343,18 +256,6 @@ def _ints(lanes: bytes) -> int:
     return int.from_bytes(lanes, "little")
 
 
-def _masks(m: int, n: int) -> tuple[int, int]:
-    """The lane ints of m - 1 and of m in each of n lanes: the mask that
-    takes a lane sum mod m, and the multiple of m a difference adds."""
-    ones = _ints(b"\1" * n)
-    return ones * (m - 1), ones * m
-
-
-def _lane_mul(x: int, y: int, n: int, product: bytes) -> int:
-    """The lane products of x and y, whose lanes are below 16."""
-    return _ints((x << 4 | y).to_bytes(n, "little").translate(product))
-
-
 def _embed_lanes(spec: QuotientSpec, v: Sequence[bytes]) -> tuple[int, ...]:
     """The batch series of the exponent lanes v = (a, b, c, d, e): lane i is
     the series of y^a x^b [x,y]^c [[x,y],x]^d [[x,y],y]^e for lane i's
@@ -365,44 +266,41 @@ def _embed_lanes(spec: QuotientSpec, v: Sequence[bytes]) -> tuple[int, ...]:
     Y^i X^j.  A commutator series is 1 + (degree >= 2 tail), so its n-th
     power is 1 + n * tail up to degree 3, and the product of the three
     commutator powers is 1 + c*Z + d*W1 + e*W2 with Z, W1, W2 the tails of
-    _Z_SERIES, _W1_SERIES, _W2_SERIES: Z is XY - YX plus a cubic part, W1 and
-    W2 are cubic.  Times the head, the only product of degree <= 3 left is
-    the head's degree-1 part bX + aY times c(XY - YX).  So XXY has the cross
-    term bc, and YYX the head's C(a, 2) b and the cross term -ac.
+    [x,y], [[x,y],x] and [[x,y],y]: Z is XY - YX and has no XXY or YYX, W1
+    is -1 on XXY and 0 on YYX, W2 is 0 on XXY and +1 on YYX (the tests
+    derive these from the commutator series).  Times the head, the only
+    product of degree <= 3 left is the head's degree-1 part bX + aY times
+    c(XY - YX).  So XXY has bc - d, and YYX C(a, 2) b - ac + e.
     """
-    m, (product, binom, _) = _lane_tables(spec)
+    m = _magnus_modulus(spec)
     n = len(v[0])
-    low, up = _masks(m, n)
+    ones = _ones(n)
+    low, up = (m - 1) * ones, m * ones
     a, b, c, d, e = (_ints(x) & low for x in v)
-    yy, xx = _ints(v[0].translate(binom)), _ints(v[1].translate(binom))
-    # The cubic parts c*Z + d*W1 + e*W2 on XXY and YYX, each constant taken
-    # mod m, so that each term is below m^2 <= 256 before its mask.
-    xxy, yyx = (
-        (c * (z % m) & low) + (d * (w1 % m) & low) + (e * (w2 % m) & low) for z, w1, w2 in _CUBIC
-    )
+    yy, xx = _ints(v[0].translate(_BINOM[m])), _ints(v[1].translate(_BINOM[m]))
     return (
         b,
         a,
         xx,
         c,
-        (_lane_mul(a, b, n, product) + up - c) & low,
+        (_lane_mul(a, b, n, m) + up - c) & low,
         yy,
-        (_lane_mul(b, c, n, product) + xxy) & low,
-        (_lane_mul(yy, b, n, product) + up - _lane_mul(a, c, n, product) + yyx) & low,
+        (_lane_mul(b, c, n, m) + up - d) & low,
+        (_lane_mul(yy, b, n, m) + up - _lane_mul(a, c, n, m) + e) & low,
     )
 
 
 def _seriesmul_lanes(spec: QuotientSpec, s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
-    """The lane-wise product of the batch series s and t of n lanes: the
-    coefficients of _seriesmul_vec with constant terms 1, mod spec's Magnus
-    modulus."""
-    m, (product, _, _) = _lane_tables(spec)
-    low, _ = _masks(m, n)
+    """The lane-wise product of the batch series s and t of n lanes, mod
+    spec's Magnus modulus: on each word w, the sum of s[u] t[v] over the
+    splits w = uv, with constant terms 1."""
+    m = _magnus_modulus(spec)
+    low = (m - 1) * _ones(n)
     sx, sy, sxx, sxy, syx, syy, sxxy, syyx = s
     tx, ty, txx, txy, tyx, tyy, txxy, tyyx = t
 
     def mul(x, y):
-        return _lane_mul(x, y, n, product)
+        return _lane_mul(x, y, n, m)
 
     return (
         (sx + tx) & low,
@@ -421,8 +319,7 @@ def _extract_lanes(spec: QuotientSpec, s: Sequence[int], n: int) -> tuple[bytes,
     reduced into spec.
 
     a, b, c are the coefficients of Y, X and XY.  d and e are read from the
-    words XXY and YYX: [x,y] has neither, [[x,y],x] has -1 on XXY and 0 on
-    YYX, [[x,y],y] has 0 on XXY and +1 on YYX.  So by _embed_lanes
+    words XXY and YYX: by _embed_lanes
 
         s[XXY] = bc - d,    s[YYX] = C(a, 2) b - ac + e,    s[YX] = ab - c,
 
@@ -432,12 +329,13 @@ def _extract_lanes(spec: QuotientSpec, s: Sequence[int], n: int) -> tuple[bytes,
     for FULL4(3) and FULL4(6) that modulus (8, 16) is no multiple of 3 or
     6, so reducing straight into spec would give another residue.
     """
-    m, (product, _, binom_up) = _lane_tables(spec)
-    low, up = _masks(m, n)
+    m = _magnus_modulus(spec)
+    ones = _ones(n)
+    low, up = (m - 1) * ones, m * ones
     b, a, _, c, yx, _, xxy, yyx = s
-    a_up = _ints(a.to_bytes(n, "little").translate(binom_up))
-    d = (_lane_mul(b, c, n, product) + up - xxy) & low
-    e = (yyx + up - _lane_mul(a, yx, n, product) + _lane_mul(b, a_up, n, product)) & low
+    a_up = _ints(a.to_bytes(n, "little").translate(_BINOM_UP[m]))
+    d = (_lane_mul(b, c, n, m) + up - xxy) & low
+    e = (yyx + up - _lane_mul(a, yx, n, m) + _lane_mul(b, a_up, n, m)) & low
     return tuple(
         x.to_bytes(n, "little").translate(_mod_table(q)) for x, q in zip((a, b, c, d, e), spec.moduli)
     )
@@ -496,7 +394,7 @@ def boundary_of_section(
     if width not in (2, 3) or any(len(t) != width for t in p):
         raise InvalidCocycleError("section values must be all pairs or all triples")
     n, L = model.order, cases
-    ones = int.from_bytes(b"\1" * L, "little")
+    ones = _ones(L)
     lane = 0xFF * ones
     if f is not None and f.cases != L:
         raise ValueError(f"batch size mismatch {f.cases} != {L}")

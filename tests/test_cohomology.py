@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import IDENTITY_CHECKS, is_lift, kummer_real_cocycle, lookup
 from nilobstruct.cohomology import (
@@ -31,7 +31,7 @@ from nilobstruct.cohomology import (
     units_model,
     zero1,
 )
-from nilobstruct.cohomology import _solutions
+from nilobstruct.cohomology import _MUL, _lane_mul, _ones, _solutions
 from nilobstruct.nilpotent import boundary_of_section
 
 
@@ -788,3 +788,37 @@ def test_batches_need_one_size():
         Cochain1.pack([one, two])
     with pytest.raises(ValueError, match="no one tuple of values"):
         two.values
+
+
+def test_pack_of_no_cochains_is_refused():
+    for cls in (Cochain1, Cochain2):
+        with pytest.raises(ValueError, match=f"pack needs at least one {cls.__name__}"):
+            cls.pack([])
+
+
+def test_select_refuses_an_index_outside_the_batch_as_case_does():
+    model = klein_model()
+    batch = Cochain1.pack([Cochain1(model, 4, 1, (0, v, 2, v)) for v in range(3)])
+    for bad, indices in ((-1, [-1]), (3, [3]), (-1, [0, -1, 5]), (5, [2, 5, 1]), (-4, [-4, 0])):
+        with pytest.raises(IndexError) as by_case:
+            batch.case(bad)
+        with pytest.raises(IndexError) as by_select:
+            batch.select(indices)
+        assert str(by_select.value) == str(by_case.value) == f"case {bad} of a batch of 3"
+
+
+_lane_pairs = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=64)
+
+
+@pytest.mark.parametrize("modulus", sorted(_MUL))
+@example([(15, 15)] * 64)
+@given(_lane_pairs)
+def test_lane_mul_is_the_product_mod_m_in_every_lane(modulus, pairs):
+    """The one lane product of both oracle engines, at every modulus of
+    its table (the cochains' 2, 4, 8 and the Magnus series' up to 16), on
+    0 to 64 lanes below 16: lane i is u_i v_i mod m, with no carry between
+    lanes even where every lane is 15."""
+    n = len(pairs)
+    u, v = (int.from_bytes(bytes(column), "little") for column in zip(*pairs)) if pairs else (0, 0)
+    assert _ones(n).to_bytes(n, "little") == b"\1" * n
+    assert list(_lane_mul(u, v, n, modulus).to_bytes(n, "little")) == [x * y % modulus for x, y in pairs]

@@ -25,7 +25,6 @@ from nilobstruct.nilpotent import (
     InvalidCocycleError,
     QuotientSpec,
     _reduce,
-    _seriesmul_vec,
     act_vec,
     boundary_of_section,
     full4,
@@ -80,8 +79,71 @@ def extract(spec, s):
     return tuple(x[0] for x in nil._extract_lanes(spec, s[1:], 1))
 
 
+# The scalar Magnus series: a series is the tuple of its integer
+# coefficients on nil._WORDS.  These are the references of the byte-lane
+# kernel, and derive the commutator series whose cubic coefficients
+# _embed_lanes and _extract_lanes write out.
+_WIDX = {w: i for i, w in enumerate(nil._WORDS)}
+_NWORDS = len(nil._WORDS)
+
+
+def _seriesmul_vec(s, t):
+    # Coefficient of word w: the sum of s[u] * t[v] over the splits w = uv,
+    # written out for every word of _WORDS.
+    s0, sx, sy, sxx, sxy, syx, syy, sxxy, syyx = s
+    t0, tx, ty, txx, txy, tyx, tyy, txxy, tyyx = t
+    return (
+        s0 * t0,
+        s0 * tx + sx * t0,
+        s0 * ty + sy * t0,
+        s0 * txx + sx * tx + sxx * t0,
+        s0 * txy + sx * ty + sxy * t0,
+        s0 * tyx + sy * tx + syx * t0,
+        s0 * tyy + sy * ty + syy * t0,
+        s0 * txxy + sx * txy + sxx * ty + sxxy * t0,
+        s0 * tyyx + sy * tyx + syy * tx + syyx * t0,
+    )
+
+
+def _seriesinv_vec(s):
+    """The inverse of a unit series 1 + u: 1 - u + u^2 - u^3 up to degree 3."""
+    assert s[0] == 1, "only unit series (constant term 1) are invertible"
+    u = (0, *s[1:])
+    uu = _seriesmul_vec(u, u)
+    uuu = _seriesmul_vec(uu, u)
+    return tuple(int(i == 0) - x + y - z for i, (x, y, z) in enumerate(zip(u, uu, uuu)))
+
+
+def _power_series(word, n):
+    """(1 + W)^n for the letter W of word: 1 + nW + C(n, 2) WW."""
+    s = [0] * _NWORDS
+    s[0], s[_WIDX[word]], s[_WIDX[word * 2]] = 1, n, n * (n - 1) // 2
+    return tuple(s)
+
+
+def _xpow(b):
+    return _power_series("X", b)
+
+
+def _ypow(a):
+    return _power_series("Y", a)
+
+
+def _commutator_series(s, t):
+    return _seriesmul_vec(_seriesmul_vec(s, t), _seriesmul_vec(_seriesinv_vec(s), _seriesinv_vec(t)))
+
+
+# The exact truncated series of the basic commutators, from the generator
+# embeddings, and their degree-3 coefficients: one (z, w1, w2) triple per
+# word XXY, YYX.
+_Z_SERIES = _commutator_series(_xpow(1), _ypow(1))
+_W1_SERIES = _commutator_series(_Z_SERIES, _xpow(1))
+_W2_SERIES = _commutator_series(_Z_SERIES, _ypow(1))
+_CUBIC = tuple(zip(_Z_SERIES[7:], _W1_SERIES[7:], _W2_SERIES[7:]))
+
+
 def coeff(s, word):
-    return s[nil._WIDX[word]]
+    return s[_WIDX[word]]
 
 
 def rand_element(spec, rng):
@@ -315,7 +377,7 @@ def test_seriesmul_matches_word_convolution():
     for _ in range(2000):
         s = tuple(rng.randint(-50, 50) for _ in nil._WORDS)
         t = tuple(rng.randint(-50, 50) for _ in nil._WORDS)
-        assert nil._seriesmul_vec(s, t) == _word_convolution(s, t)
+        assert _seriesmul_vec(s, t) == _word_convolution(s, t)
 
 
 # Every word in X, Y of degree <= 3.
@@ -332,8 +394,18 @@ def test_seriesmul_is_the_projection_of_the_full_degree_3_product():
         s = tuple(rng.randint(-50, 50) for _ in _ALL_WORDS)
         t = tuple(rng.randint(-50, 50) for _ in _ALL_WORDS)
         full = _word_convolution(s, t, _ALL_WORDS)
-        projected = nil._seriesmul_vec(*([x[i] for i in keep] for x in (s, t)))
+        projected = _seriesmul_vec(*([x[i] for i in keep] for x in (s, t)))
         assert projected == tuple(full[i] for i in keep)
+
+
+def test_cubic_coefficients_of_the_commutators():
+    """The degree-3 coefficients that _embed_lanes and _extract_lanes write
+    out, derived from the commutator series: on XXY only [[x,y],x]
+    contributes, with -1, and on YYX only [[x,y],y], with +1; [x,y] is
+    XY - YX below degree 3, and the letters of degree 3 have nothing there."""
+    assert _CUBIC == ((0, -1, 0), (0, 0, 1))
+    assert _Z_SERIES[:7] == (1, 0, 0, 0, 1, -1, 0)
+    assert _W1_SERIES[:7] == _W2_SERIES[:7] == (1, 0, 0, 0, 0, 0, 0)
 
 
 def test_extraction_round_trips_full4_8():
@@ -353,10 +425,10 @@ def _embed_by_products(spec, g):
     [[x,y],x]^d and [[x,y],y]^e, with its coefficients mod spec's Magnus
     modulus, as _embed_lanes gives them."""
     a, b, c, d, e = g
-    s = _seriesmul_vec(nil._ypow(a), nil._xpow(b))
-    s = _seriesmul_vec(s, _central_pow(nil._Z_SERIES, c))
-    s = _seriesmul_vec(s, _central_pow(nil._W1_SERIES, d))
-    s = _seriesmul_vec(s, _central_pow(nil._W2_SERIES, e))
+    s = _seriesmul_vec(_ypow(a), _xpow(b))
+    s = _seriesmul_vec(s, _central_pow(_Z_SERIES, c))
+    s = _seriesmul_vec(s, _central_pow(_W1_SERIES, d))
+    s = _seriesmul_vec(s, _central_pow(_W2_SERIES, e))
     return tuple(x % spec.magnus_modulus for x in s)
 
 
@@ -366,8 +438,8 @@ def _extract_by_division(spec, s):
     1 + d*W1 + e*W2 (W1 is -1 on XXY, W2 is +1 on YYX)."""
     m = spec.magnus_modulus
     a, b, c = coeff(s, "Y") % m, coeff(s, "X") % m, coeff(s, "XY") % m
-    head_inv = _seriesmul_vec(_central_pow(nil._Z_SERIES, -c), nil._xpow(-b))
-    tail = _seriesmul_vec(_seriesmul_vec(head_inv, nil._ypow(-a)), s)
+    head_inv = _seriesmul_vec(_central_pow(_Z_SERIES, -c), _xpow(-b))
+    tail = _seriesmul_vec(_seriesmul_vec(head_inv, _ypow(-a)), s)
     d = -coeff(tail, "XXY") % m
     e = coeff(tail, "YYX") % m
     return _reduce((a, b, c, d, e), spec.moduli)
@@ -649,7 +721,7 @@ def _ref_embed_vec(v, m):
     head = (b * c, ab2 * b - a * c)
     return (
         1, b % m, a % m, _ref_binom2(b) % m, c % m, (a * b - c) % m, ab2 % m,
-        *[(h + c * z + d * w1 + e * w2) % m for h, (z, w1, w2) in zip(head, nil._CUBIC)],
+        *[(h + c * z + d * w1 + e * w2) % m for h, (z, w1, w2) in zip(head, _CUBIC)],
     )
 
 
