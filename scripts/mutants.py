@@ -169,8 +169,8 @@ MUTANTS = (
     # The cochain kernels.
     Mutant(
         COH,
-        "twist, {m: (m - 1) * ones3 for m in _MODULI}",
-        "twist, {m: (min(m, 4) - 1) * ones3 for m in _MODULI}",
+        "n2, mask = self.n * self.n, (modulus - 1) * ones3",
+        "n2, mask = self.n * self.n, (min(modulus, 4) - 1) * ones3",
         "cocycle law blind at modulus 8",
         ("tests/test_cohomology.py",),
     ),
@@ -259,6 +259,35 @@ MUTANTS = (
         "row_of = b\"\".join([block.translate(position) * n for block in blocks[::-1]])",
         "batch boundary reads the rows of the wrong elements",
         ("tests/test_nilpotent.py",),
+    ),
+    # The batched identity checks and the batched lift solver.
+    Mutant(
+        "src/nilobstruct/verify.py",
+        "coh._lane_mul(coboundary(cs).lanes, factor.lanes, n * n * cs.cases, 4)",
+        "coh._lane_mul(coboundary(cs).lanes, factor.lanes >> 8, n * n * cs.cases, 4)",
+        "D(cb) factor read from the next case",
+        ("tests/test_verify.py",),
+    ),
+    Mutant(
+        "src/nilobstruct/verify.py",
+        "b_i, a_i = pairs[i]",
+        "b_i, a_i = pairs[(i + 1) % len(pairs)]",
+        "pair checks name pair i + 1",
+        ("tests/test_verify.py",),
+    ),
+    Mutant(
+        COH,
+        "values[g] + values[s] * pow(model.chi[g], weight, m) + m * ones",
+        "values[g] + values[s] + m * ones",
+        "solver walk without its twist",
+        ("tests/test_cohomology.py",),
+    ),
+    Mutant(
+        COH,
+        "run = m ** (len(gens) - 1 - j) * T\n        values[s] = int.from_bytes(b\"\".join([bytes([v]) * run for v in range(m)]) * m**j,",
+        "run = m**j * T\n        values[s] = int.from_bytes(b\"\".join([bytes([v]) * run for v in range(m)]) * m ** (len(gens) - 1 - j),",
+        "solver candidates in reversed digit order",
+        ("tests/test_cohomology.py",),
     ),
 )
 

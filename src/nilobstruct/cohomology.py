@@ -60,13 +60,13 @@ class GaloisModel:
             raise ValueError("multiplication table is empty")
         if any(len(row) != n for row in self.table):
             raise ValueError("multiplication table is not square")
+        if any(not 0 <= x < n for row in self.table for x in row):
+            raise ValueError(f"multiplication table has an entry outside 0..{n - 1}")
         if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
             raise ValueError("index 0 is not an identity")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.mul(self.mul(i, j), k) != self.mul(i, self.mul(j, k)):
-                        raise ValueError("multiplication table is not associative")
+        triples = itertools.product(range(n), repeat=3)
+        if any(self.mul(self.mul(i, j), k) != self.mul(i, self.mul(j, k)) for i, j, k in triples):
+            raise ValueError("multiplication table is not associative")
         if len(self.chi) != n:
             raise ValueError("chi must assign a unit to every element")
         for i in range(n):
@@ -218,8 +218,7 @@ class _Lanes:
     An operation reads a cochain's blocks at the positions of an index: its
     rows (c(g) at (g, h)), the table (c(gh) at (g, h)) and the three
     readings of the 2-cocycle law.  The blocks are sliced and joined
-    (gather), n^2 or n^3 of them per call, whatever L is, or at L = 1,
-    where a block is a byte, read by one translate; columns (c(h) at
+    (gather), n^2 or n^3 of them per call, whatever L is; columns (c(h) at
     (g, h)) repeat the whole cochain, and a lane product, which also twists
     by chi(g), is one translate through _MUL, or an AND at modulus 2.
 
@@ -250,12 +249,8 @@ class _Lanes:
 
     def gather(self, x: int, blocks: int, *indices: bytes) -> list[int]:
         """For each index, the L-byte blocks of x (which has the given number
-        of blocks) at its positions, joined.  A block of one byte is read by
-        translating the index through x's bytes."""
+        of blocks) at its positions, joined."""
         L = self.cases
-        if L == 1:
-            data = x.to_bytes(256, "little")
-            return [int.from_bytes(index.translate(data), "little") for index in indices]
         data = x.to_bytes(blocks * L, "little")
         parts = [data[i : i + L] for i in range(0, blocks * L, L)]
         return [int.from_bytes(b"".join(map(parts.__getitem__, index)), "little") for index in indices]
@@ -294,13 +289,13 @@ class _Lanes:
         return [i for i, x in enumerate(diff.to_bytes(L, "little")) if x]
 
     @cached_property
-    def law(self) -> tuple[bytes, bytes, bytes, int, dict[int, int]]:
+    def law(self) -> tuple[bytes, bytes, bytes, int, int]:
         """What the 2-cocycle law reads, over the n^3 blocks (g, h, k) at
         position (g*n + h)*n + k: three indices of the blocks of a 2-cochain
         z, which read z(gh, k), z(g, hk) and z(g, h) there; the twist,
         chi(g) mod 8 in every lane of block g, whose lane product with z's
-        columns holds chi(g)^w z(h, k) there at an odd w; and the mask by
-        modulus.  An index must fit in a byte, so the law needs n <= 16."""
+        columns holds chi(g)^w z(h, k) there at an odd w; and 1 in each lane,
+        scaled to each call's mask.  Indices are bytes, so n <= 16."""
         n, L = self.n, self.cases
         if n > 16:
             raise ValueError(f"the 2-cocycle test needs a model of order at most 16, not {n}")
@@ -309,18 +304,18 @@ class _Lanes:
         g_hk = bytes([g * n + hk for g in range(n) for hk in self.table])
         g_h = bytes([i for i in range(n * n) for _ in range(n)])
         twist = _repeated(self.chi.to_bytes(n * L, "little")[::L], n * n * L)
-        return gh_k, g_hk, g_h, twist, {m: (m - 1) * ones3 for m in _MODULI}
+        return gh_k, g_hk, g_h, twist, ones3
 
     def law_sides(self, z: int, weight: int, modulus: int) -> tuple[int, int]:
         """chi(g)^w z(h, k) + z(g, hk) and z(gh, k) + z(g, h) mod m, over the
         n^3 blocks (g, h, k), for the 2-cochain z."""
-        gh_k, g_hk, g_h, twist, mask = self.law
-        n2 = self.n * self.n
+        gh_k, g_hk, g_h, twist, ones3 = self.law
+        n2, mask = self.n * self.n, (modulus - 1) * ones3
         z_g_hk, z_gh_k, z_g_h = self.gather(z, n2, g_hk, gh_k, g_h)
         left = self.columns(z, n2)
         if weight & 1 and modulus != 2:
             left = _lane_mul(left, twist, n2 * self.n * self.cases, modulus)
-        return left + z_g_hk & mask[modulus], z_gh_k + z_g_h & mask[modulus]
+        return left + z_g_hk & mask, z_gh_k + z_g_h & mask
 
 
 def _new(cls, model: GaloisModel, modulus: int, weight: int, lanes: int, cases: int = 1):
@@ -506,13 +501,9 @@ class Cochain2(_Cochain):
         return tuple([tuple(flat[g : g + n]) for g in range(0, n * n, n)])
 
     def is_cocycle(self) -> bool:
-        """Degree-2 cocycle condition D2 z = 0 in every case:
-        chi(g)^w z(h, k) - z(gh, k) + z(g, hk) - z(g, h) = 0 for all g, h, k,
-        as chi(g)^w z(h, k) + z(g, hk) = z(gh, k) + z(g, h) mod m on one
-        n^3-block int per side (see _Lanes.law); a model of order above 16
-        is refused."""
-        left, right = self.model._lanes[self.cases].law_sides(self.lanes, self.weight, self.modulus)
-        return left == right
+        """D2 z = 0 in every case: chi(g)^w z(h, k) + z(g, hk) = z(gh, k) +
+        z(g, h) for all g, h, k (see _Lanes.law); order above 16 is refused."""
+        return not self.non_cocycle_cases()
 
     def non_cocycle_cases(self) -> list[int]:
         """The cases of the batch that break the 2-cocycle law, in order."""
@@ -675,18 +666,18 @@ def check_f(model: GaloisModel, *fs: Cochain1) -> None:
         raise InvalidCocycleError("f must be a mod-2 cocycle on the model")
 
 
-def _solutions(target: Cochain2) -> list[Cochain1]:
-    """Every c with c(1) = 0 and Dc = target, on target's model with its
-    modulus and weight, in itertools.product order of the generator values
-    that fix it.  The generators are picked greedily: the least element not
-    yet reached joins them, and the group is walked again from the identity
-    by right multiplication, c(gs) = c(g) + chi(g)^w c(s) - target(g, s),
-    until the walk reaches every element."""
-    model, modulus, weight = target.model, target.modulus, target.weight
-    twist = [pow(chi, weight, modulus) for chi in model.chi]
-    gens: list[int] = []
-    reached, steps = [0], []
-    while len(reached) < model.order:
+def _solutions(targets: Cochain2) -> list[list[Cochain1]]:
+    """For each case t of targets, every c with c(1) = 0 and Dc = target t,
+    in itertools.product order of the values on the generators that fix it.
+    The generators are picked greedily, the least element not yet reached
+    joining them, until a walk from the identity by right multiplication
+    reaches every element.  Case k*T + t of one batch is candidate k of
+    target t, and each step is one lane op, c(gs) = c(g) + chi(g)^w c(s) +
+    m - target(g, s), masked; one coboundary of the batch, compared with
+    the targets repeated K times, keeps the solutions."""
+    model, m, weight, T = targets.model, targets.modulus, targets.weight, targets.cases
+    n, gens, reached, steps = model.order, [], [0], []
+    while len(reached) < n:
         gens.append(min(set(model.elements()) - set(reached)))
         reached, steps = [0], []
         for g in reached:
@@ -695,33 +686,43 @@ def _solutions(target: Cochain2) -> list[Cochain1]:
                 if gs not in reached:
                     reached.append(gs)
                     steps.append((gs, g, s))
-    walk = steps[len(gens):]  # the identity's steps reach the generators
-    t, n = target._bytes(), model.order
-    walk_t = [t[g * n + s] for _, g, s in walk]  # target(g, s) for each step
-    out = []
-    for gen_values in itertools.product(range(modulus), repeat=len(gens)):
-        values = [0] * n
-        for s, v in zip(gens, gen_values):
-            values[s] = v
-        for (gs, g, s), t_gs in zip(walk, walk_t):
-            values[gs] = (values[g] + twist[g] * values[s] - t_gs) % modulus
-        c = _new(Cochain1, model, modulus, weight, int.from_bytes(bytes(values), "little"))
-        if coboundary(c) == target:
-            out.append(c)
-    return out
+    K = m ** len(gens)
+    L, ones = K * T, _ones(K * T)
+    # Generator j holds digit j of k, the first the most significant.
+    values = [0] * n
+    for j, s in enumerate(gens):
+        run = m ** (len(gens) - 1 - j) * T
+        values[s] = int.from_bytes(b"".join([bytes([v]) * run for v in range(m)]) * m**j, "little")
+    target = targets._bytes()
+    for gs, g, s in steps[len(gens):]:  # the identity's steps reach the generators
+        t_gs = int.from_bytes(target[(g * n + s) * T : (g * n + s + 1) * T] * K, "little")
+        values[gs] = values[g] + values[s] * pow(model.chi[g], weight, m) + m * ones - t_gs & (m - 1) * ones
+    lanes = b"".join([v.to_bytes(L, "little") for v in values])
+    c = _new(Cochain1, model, m, weight, int.from_bytes(lanes, "little"), L)
+    repeated = int.from_bytes(b"".join([target[p : p + T] * K for p in range(0, n * n * T, T)]), "little")
+    wrong = set(coboundary(c).differing_cases(_new(Cochain2, model, m, weight, repeated, L)))
+    solutions = [[i for i in range(t, L, T) if i not in wrong] for t in range(T)]
+    return [[_new(Cochain1, model, m, weight, int.from_bytes(lanes[i::L], "little")) for i in ok] for ok in solutions]
 
 
 def all_twisted_cocycles(model: GaloisModel, modulus: int, weight: int = 1) -> list[Cochain1]:
     """All cocycles c(gh) = c(g) + chi(g)^w c(h): the solutions of Dc = 0,
     in itertools.product order of their generator values."""
     _check_modulus(modulus)
-    return _solutions(_new(Cochain2, model, modulus, weight, 0))
+    return _solutions(_new(Cochain2, model, modulus, weight, 0))[0]
+
+
+def lifts_by_case(b: Cochain1, a: Cochain1) -> list[list[Cochain1]]:
+    """For each case i of the batches b and a, in one solve, all lifts
+    (b_i, a_i)_c: the mod-2 cochains c on b's model, of weight b.weight +
+    a.weight, with Dc = -(b_i cup a_i) mod 2, sorted by their values."""
+    return [sorted(lifts, key=lambda c: c.values) for lifts in _solutions(-cup(b.reduce2(), a.reduce2()))]
 
 
 def lift_cochains(b: Cochain1, a: Cochain1) -> list[Cochain1]:
-    """All lifts (b,a)_c: the mod-2 cochains c on b's model, of weight
-    b.weight + a.weight, with Dc = -(b cup a) mod 2, sorted by their values."""
-    return sorted(_solutions(-cup(b.reduce2(), a.reduce2())), key=lambda c: c.values)
+    """The lifts of lifts_by_case for b and a, each a batch of one."""
+    _single(b)
+    return lifts_by_case(b, a)[0]
 
 
 def f_homs(model: GaloisModel) -> list[Cochain1]:

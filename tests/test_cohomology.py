@@ -25,6 +25,7 @@ from nilobstruct.cohomology import (
     f_homs,
     klein_model,
     lift_cochains,
+    lifts_by_case,
     massey_triple,
     s3_model,
     standard_models,
@@ -62,8 +63,11 @@ class TestModels:
             # Z/3 but for 2 * 2 = 0: (1 * 1) * 2 = 0 while 1 * (1 * 2) = 1
             (((0, 1, 2), (1, 2, 0), (2, 0, 0)), (1, 1, 1), "multiplication table is not associative"),
             (((0, 1), (1, 0)), (1,), "chi must assign a unit to every element"),
+            # 1 * 1 = 5 would be read as an index by the associativity check
+            (((0, 1), (1, 5)), (1, 1), r"multiplication table has an entry outside 0\.\.1"),
+            (((0, 1), (1, -1)), (1, 1), r"multiplication table has an entry outside 0\.\.1"),
         ),
-        ids=("square", "identity", "associative", "chi-length"),
+        ids=("square", "identity", "associative", "chi-length", "entry-above", "entry-negative"),
     )
     def test_malformed_model_rejected(self, table, chi, message):
         with pytest.raises(ValueError, match=message):
@@ -460,9 +464,68 @@ def test_mod2_solutions_match_brute_force(model, weight):
     for rows in targets:
         want = by_target.get(rows, [])
         missed += not want
-        got = [c.values for c in _solutions(Cochain2(model, 2, weight, rows))]
+        got = [c.values for c in _solutions(Cochain2(model, 2, weight, rows))[0]]
         assert sorted(got) == want and len(set(got)) == len(got)
     assert missed > 0
+
+
+def _solutions_by_candidate(target):
+    """Reference for _solutions on one target: each candidate's values are
+    walked on a list, as integers mod m, and its coboundary compared with
+    the target, one candidate at a time.  Generators are picked greedily,
+    the least element not yet reached joining them, and the group walked
+    again from the identity until the walk reaches every element."""
+    model, modulus, weight = target.model, target.modulus, target.weight
+    twist = [pow(chi, weight, modulus) for chi in model.chi]
+    gens, reached, steps = [], [0], []
+    while len(reached) < model.order:
+        gens.append(min(set(model.elements()) - set(reached)))
+        reached, steps = [0], []
+        for g in reached:
+            for s in gens:
+                gs = model.mul(g, s)
+                if gs not in reached:
+                    reached.append(gs)
+                    steps.append((gs, g, s))
+    t = target.values
+    out = []
+    for gen_values in itertools.product(range(modulus), repeat=len(gens)):
+        values = [0] * model.order
+        for s, v in zip(gens, gen_values):
+            values[s] = v
+        for gs, g, s in steps[len(gens):]:
+            values[gs] = (values[g] + twist[g] * values[s] - t[g][s]) % modulus
+        c = Cochain1(model, modulus, weight, values)
+        if coboundary(c) == target:
+            out.append(c)
+    return out
+
+
+@st.composite
+def _solver_targets(draw):
+    """A batch of 1 to 8 targets on one model of the verify suite at one
+    modulus and weight: each the coboundary of a cochain with c(1) = 0, so
+    that it has solutions, or random values, which mostly have none."""
+    model = draw(st.sampled_from(standard_models() + extra_models()))
+    modulus, weight, n = draw(st.sampled_from((2, 4, 8))), draw(st.integers(0, 3)), model.order
+    value = st.integers(0, modulus - 1)
+    targets = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            targets.append(coboundary(Cochain1(model, modulus, weight, (0, *draw(st.tuples(*[value] * (n - 1)))))))
+        else:
+            targets.append(Cochain2(model, modulus, weight, _rows(model, draw(st.tuples(*[value] * (n * n))))))
+    return targets
+
+
+@given(_solver_targets())
+def test_batched_solver_is_the_per_candidate_solver(targets):
+    """One batched solve of several targets gives, for each, the solutions
+    of the per-candidate walk, in the same order, on every model of the
+    verify suite at moduli 2, 4 and 8."""
+    got = _solutions(Cochain2.pack(targets))
+    assert got == [_solutions_by_candidate(t) for t in targets]
+    assert all(c.cases == 1 for solutions in got for c in solutions)
 
 
 class TestBinom2:
@@ -648,6 +711,15 @@ class TestEnumeration:
         other = _twin(model)
         with pytest.raises(ValueError):
             lift_cochains(zero1(model, 4, 1), zero1(other, 4, 1))
+
+    def test_lift_cochains_takes_one_pair(self):
+        # a batch of pairs is solved by lifts_by_case, one list per pair
+        model = klein_model()
+        cocs = all_twisted_cocycles(model, 4, 1)
+        b, a = Cochain1.pack(cocs[:2]), Cochain1.pack(cocs[2:4])
+        with pytest.raises(ValueError, match="a batch of 2 cases"):
+            lift_cochains(b, a)
+        assert lifts_by_case(b, a) == [lift_cochains(x, y) for x, y in zip(cocs[:2], cocs[2:4])]
 
     def test_f_homs_are_cocycles(self):
         for model in standard_models():

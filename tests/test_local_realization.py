@@ -58,7 +58,7 @@ def values_differ_by_coboundary(z, w):
     target = tuple(
         tuple((x - y) % 2 for x, y in zip(r1, r2)) for r1, r2 in zip(z.values, w.values)
     )
-    return bool(_solutions(Cochain2(z.model, 2, 2, target)))
+    return bool(_solutions(Cochain2(z.model, 2, 2, target))[0])
 
 
 def values_are_coboundary(z):

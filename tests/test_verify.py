@@ -595,18 +595,19 @@ def test_compat_cases_draw_in_range_by_seed(seed):
 def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
     """A cochain c with Dc != -(b cup a) slipped in among the lifts is refused
     by boundary_of_section, whose section is then no cocycle; the delta3
-    formulas, which check no lift, have already run on it."""
-    lift_cochains = verify.lift_cochains
+    formulas, which check no lift, have already run on it.  It is added after
+    the lifts of the first pair that has any, by the one solve of every
+    pair."""
+    lifts_by_case = verify.lifts_by_case
 
     def with_a_non_lift(b, a):
-        lifts = lift_cochains(b, a)
-        if not lifts:
-            return lifts
+        by_case = lifts_by_case(b, a)
+        lifts = next(lifts for lifts in by_case if lifts)
         c = lifts[0]
-        bump = coh.Cochain1(c.model, 2, c.weight, tuple(int(g == 1) for g in c.model.elements()))
-        return [*lifts, c + bump]
+        lifts.append(c + coh.Cochain1(c.model, 2, c.weight, tuple(int(g == 1) for g in c.model.elements())))
+        return by_case
 
-    monkeypatch.setattr(verify, "lift_cochains", with_a_non_lift)
+    monkeypatch.setattr(verify, "lifts_by_case", with_a_non_lift)
     with pytest.raises(coh.InvalidCocycleError, match=r"not a 1-cocycle at \(1, 2\)"):
         verify.run_suites("cochain", max_order=4)
 
@@ -686,3 +687,166 @@ def test_tables_kept_across_passes_change_no_record(monkeypatch, fresh_tables):
     for (chi, f), action in actions.items():
         assert type(action) is bytes
         assert action == bytes([index[nil._reduce(nil.act_vec(g, chi, f), moduli)] for g in els])
+
+
+# Per-case references of the batched identity checks: each case is its own
+# cochain, a batch of one, and the cochain functions are looked up on
+# cohomology at call time, so that a test's patch reaches them.
+
+
+def _dd_zero_by_case(model):
+    result = verify.CheckResult("D compose D = 0", model.name, 0)
+    for modulus, weight in ((2, 1), (2, 2), (4, 1), (4, 2)):
+        for values in itertools.product(range(modulus), repeat=model.order - 1):
+            c = coh.Cochain1(model, modulus, weight, (0, *values))
+            result.cases += 1
+            if not coh.coboundary(c).is_cocycle():
+                result.failures.append(f"m={modulus} w={weight} c={c.values}")
+        if model.order > 4:
+            break
+    return result
+
+
+def _dbchoose2_by_case(model, data):
+    result = verify.CheckResult("D(b choose 2) identity", model.name, 0)
+    rho = coh.chi_minus1_over2(model)
+    for b in data[0]:
+        result.cases += 1
+        if coh.coboundary(coh.binom2(b)) != -coh.cup(b.reduce2() + rho, b.reduce2()):
+            result.failures.append(f"b={b.values}")
+    return result
+
+
+def _dcb_by_case(model, data, rng, exhaustive):
+    result = verify.CheckResult("D(cb) product rule", model.name, 0)
+    n = model.order
+    if exhaustive and n <= 4:
+        cochains = [coh.Cochain1(model, 4, 2, (0, *values)) for values in itertools.product(range(4), repeat=n - 1)]
+    else:
+        cochains = [coh.Cochain1(model, 4, 2, (0, *(rng.randrange(4) for _ in range(n - 1)))) for _ in range(32)]
+    dcs = [coh.coboundary(c).values for c in cochains]
+    for b in data[0]:
+        # b(g) + chi(g) b(h) mod 4, the factor of Dc(g, h); b has weight 1.
+        factor = [[(b_g + chi * b_h) % 4 for b_h in b.values] for b_g, chi in zip(b.values, model.chi)]
+        for c, dc in zip(cochains, dcs):
+            result.cases += 1
+            lhs = coh.coboundary(c.pointwise_mul(b)) + coh.cup(b, c) + coh.cup(c, b)
+            rhs = tuple(tuple(x * y % 4 for x, y in zip(dc_g, f_g)) for dc_g, f_g in zip(dc, factor))
+            if lhs.values != rhs:
+                result.failures.append(f"b={b.values} c={c.values}")
+    return result
+
+
+def _graded_symmetry_by_case(model, data):
+    result = verify.CheckResult("graded symmetry via D(ab)", model.name, 0)
+    for b in data[0]:
+        for a in data[0]:
+            result.cases += 1
+            if coh.cup(b, a) + coh.cup(a, b) != -coh.coboundary(a.pointwise_mul(b)):
+                result.failures.append(f"b={b.values} a={a.values}")
+    return result
+
+
+def _cup_cocycle_by_case(model, data):
+    result = verify.CheckResult("cup of cocycles is a cocycle", model.name, 0)
+    for b in data[0]:
+        for a in data[0]:
+            result.cases += 1
+            if not coh.cup(b, a).is_cocycle():
+                result.failures.append(f"b={b.values} a={a.values}")
+    return result
+
+
+def _bumped_where(fn, pick):
+    """fn, a coboundary or cup, with entry (1, 1) of its 2-cochain moved on
+    by one in each case whose arguments' values pick accepts: a fault that
+    depends on each case alone, so that a batch and its cases alone meet
+    it alike."""
+
+    def wrong(*args):
+        z = fn(*args)
+        lanes, L, at = z.lanes, z.cases, z.model.order + 1
+        for i in range(L):
+            if pick(*(x.case(i).values for x in args)):
+                shift = 8 * (at * L + i)
+                v = lanes >> shift & 0xFF
+                lanes += ((v + 1) % z.modulus - v) << shift
+        return coh.Cochain2.from_lanes(z.model, z.modulus, z.weight, lanes, L)
+
+    return wrong
+
+
+# (batched check, its reference, the function the fault patches, which
+# cases it breaks); D(cb) runs sampled and exhaustive, with one rng seed.
+_FAULTS = {
+    "dd_zero": (
+        lambda m, d: verify.check_dd_zero(m), lambda m, d: _dd_zero_by_case(m), "coboundary", lambda c: c[1] == 1,
+    ),
+    "dbchoose2": (verify.check_dbchoose2, _dbchoose2_by_case, "coboundary", lambda x: x[1] == 1),
+    "dcb-sampled": (
+        lambda m, d: verify.check_dcb_lemma(m, d, random.Random(3), False),
+        lambda m, d: _dcb_by_case(m, d, random.Random(3), False),
+        "cup", lambda u, v: u[1] == 1 and v[-1] != 0,
+    ),
+    "dcb-exhaustive": (
+        lambda m, d: verify.check_dcb_lemma(m, d, random.Random(3), True),
+        lambda m, d: _dcb_by_case(m, d, random.Random(3), True),
+        "cup", lambda u, v: u[1] == 1 and v[-1] != 0,
+    ),
+    "graded-symmetry": (verify.check_graded_symmetry, _graded_symmetry_by_case, "cup", lambda u, v: u[1] == 1),
+    "cup-cocycle": (verify.check_cup_cocycle, _cup_cocycle_by_case, "cup", lambda u, v: u[1] % 2 and v[1] != 0),
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_batched_check_fails_as_its_per_case_reference(monkeypatch, fault):
+    """Under a fault that breaks some of its cases but not all, each batched
+    identity check gives the cases and the failure lines, in order, of the
+    loop over single cases that it replaced, on every model of the suite."""
+    check, reference, name, pick = _FAULTS[fault]
+    data = {model: _model_data(model) for model in standard_models() + coh.extra_models()}
+    wrong = _bumped_where(getattr(coh, name), pick)
+    monkeypatch.setattr(coh, name, wrong)
+    monkeypatch.setattr(verify, name, wrong)
+    partial = 0
+    for model, model_data in data.items():
+        got, want = check(model, model_data), reference(model, model_data)
+        assert (got.name, got.cases, got.failures) == (want.name, want.cases, want.failures)
+        partial += 0 < len(got.failures) < got.cases
+    assert partial > 0
+
+
+# coboundary and cup calls of each batched check and of the lift solve on a
+# model; D compose D = 0 makes one per (modulus, weight) it runs.
+_CALLS = {
+    "dd_zero": (
+        lambda m, d: verify.check_dd_zero(m), lambda m: {"coboundary": 4 if m.order <= 4 else 1},
+    ),
+    "dbchoose2": (verify.check_dbchoose2, lambda m: {"coboundary": 1, "cup": 1}),
+    "dcb": (lambda m, d: verify.check_dcb_lemma(m, d, random.Random(0), False), lambda m: {"coboundary": 2, "cup": 2}),
+    "dcb-exhaustive": (
+        lambda m, d: verify.check_dcb_lemma(m, d, random.Random(0), True), lambda m: {"coboundary": 2, "cup": 2},
+    ),
+    "graded-symmetry": (verify.check_graded_symmetry, lambda m: {"coboundary": 1, "cup": 2}),
+    "cup-cocycle": (verify.check_cup_cocycle, lambda m: {"cup": 1}),
+    "lift-solve": (
+        lambda m, d: coh.lifts_by_case(*(coh.Cochain1.pack(x) for x in zip(*itertools.product(d[0], repeat=2)))),
+        lambda m: {"coboundary": 1, "cup": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _CALLS)
+def test_batched_checks_make_a_fixed_number_of_cochain_calls(monkeypatch, name):
+    """Each batched check, and the one lift solve of a model's pairs, makes
+    the same coboundary and cup calls on every model, whatever its number
+    of cases (D(cb) 16 to 512, the pairs 16 to 64, D compose D = 0 2 to
+    128 per (modulus, weight))."""
+    run, want = _CALLS[name]
+    data = {model: _model_data(model) for model in standard_models() + coh.extra_models()}
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, (coh, "coboundary"), (coh, "cup"), (verify, "coboundary"), (verify, "cup"))
+    for model, model_data in data.items():
+        counts.clear()
+        run(model, model_data)
+        assert counts == want(model), model.name
