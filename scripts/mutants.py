@@ -166,6 +166,36 @@ MUTANTS = (
         "extraction reads C(a, 2) for C(a + 1, 2)",
         ("tests/test_nilpotent.py",),
     ),
+    # The collection kernels on byte lanes and the lookup that reads the
+    # compatibility check's TOWER4 side.
+    Mutant(
+        NIL,
+        " + _lane_mul(b1a2, b2, n, m),",
+        ",",
+        "mul_lanes without its b1 a2 b2 term",
+        ("tests/test_nilpotent.py",),
+    ),
+    Mutant(
+        NIL,
+        "b1_up = _ints(g[1].translate(_BINOM_UP[m]))",
+        'b1_up = _ints(b1.to_bytes(n, "little").translate(_BINOM_UP[m]))',
+        "mul_lanes reads C(b1 + 1, 2) from the masked lane",
+        ("tests/test_nilpotent.py",),
+    ),
+    Mutant(
+        NIL,
+        "+ up - _lane_mul(_ints(f) & low, xa, n, m)",
+        "+ _lane_mul(_ints(f) & low, xa, n, m)",
+        "sign of f in act_lanes",
+        ("tests/test_nilpotent.py",),
+    ),
+    Mutant(
+        "src/nilobstruct/verify.py",
+        "ij = nil._lookup(rows, i, j)",
+        "ij = nil._lookup(rows, j, i)",
+        "compatibility reads the TOWER4 table at (j, i)",
+        ("tests/test_verify.py",),
+    ),
     # The cochain kernels.
     Mutant(
         COH,
@@ -255,8 +285,8 @@ MUTANTS = (
     ),
     Mutant(
         NIL,
-        "row_of = b\"\".join([block.translate(position) * n for block in blocks])",
-        "row_of = b\"\".join([block.translate(position) * n for block in blocks[::-1]])",
+        "row_of = b\"\".join([block * n for block in blocks])",
+        "row_of = b\"\".join([block * n for block in blocks[::-1]])",
         "batch boundary reads the rows of the wrong elements",
         ("tests/test_nilpotent.py",),
     ),

@@ -14,29 +14,36 @@ plus centrality of the degree-3 letters and the commutation of [x,y] with x
 and y up to degree-3 corrections.  Cross terms are computed in exact integer
 arithmetic from the canonical representatives: the kernels mul_vec, inv_vec
 and act_vec work over the integers, and a caller reduces their output into a
-quotient with _reduce(v, spec.moduli).  These kernels and _reduce are
-straight-line code with no helper calls (C(n + 1, 2) is written
-n(n + 1) >> 1), since one verify pass calls them about 2.4 * 10^4 times,
-and the first pass of a process, which builds TOWER4's tables, about
-4.2 * 10^4 times.
+quotient with _reduce(v, spec.moduli).  They are the exact layer and the
+tests' reference; a verify pass calls them only for the exact commutator
+law and the inverses check (24 mul_vec and 144 inv_vec calls).
+
+Every product and action formed in bulk runs on byte lanes: a batch of
+exponent vectors is five bytes, one per exponent, byte i of each holding
+vector i's exponent, and mul_lanes and act_lanes return a batch's reduced
+products or images in a few dozen big-int operations and bytes.translate
+calls, whatever its size.  A verify pass makes three such batches of
+products (TOWER4's table in a fresh process, the 10^4 FULL4(8) pairs and
+the 2000 FULL4(4) cases) and two of actions.
 
 TOWER4's multiplication table and its Galois actions, on element indices,
-live here too: each row and each action is built from the kernels on first
-use and kept for the process, the section boundary reads them, and the
-nilpotent suite reads them all and certifies them against the Magnus oracle.
+live here too: built whole on first use, as one batch of all 128^2
+products and one of all 1024 images, and kept for the process; the section
+boundary reads them, and the nilpotent suite reads them all and certifies
+them against the Magnus oracle.
 
 The Magnus embedding x -> 1 + X, y -> 1 + Y into noncommutative power series
 truncated in degree 3 provides an independent oracle: collection products are
 required to agree with embed/series-multiply/extract round trips.  A series is
 the tuple of its coefficients on _WORDS, the nine words the extraction reads
 and the words below them, and a quotient's series arithmetic is exact mod
-its magnus_modulus.  The oracle runs on byte lanes: a batch of exponent
-vectors is five bytes, one per exponent, and each coefficient of a batch
-series is one int holding every vector's coefficient in its own byte, so
-_embed_lanes, _seriesmul_lanes and _extract_lanes take a few dozen big-int
-operations and bytes.translate calls per batch, whatever its size.  Their
-lane products and masks are cohomology's, the ones the cochain engine
-uses.  QuotientSpec, a NamedTuple, is the engine's one record.
+its magnus_modulus.  The oracle runs on byte lanes too: each coefficient
+of a batch series is one int holding every vector's coefficient in its own
+byte, so _embed_lanes, _seriesmul_lanes and _extract_lanes, like the
+collection kernels, take a few dozen big-int operations per batch.  Both
+sides' lane products and masks are cohomology's, the ones the cochain
+engine uses, and the tests check each lane kernel against its scalar
+reference.  QuotientSpec, a NamedTuple, is the engine's one record.
 """
 
 from __future__ import annotations
@@ -150,6 +157,93 @@ def all_elements(spec: QuotientSpec) -> list[Vec]:
 
 
 # ---------------------------------------------------------------------------
+# Collection on byte lanes
+# ---------------------------------------------------------------------------
+
+# A batch of N exponent vectors is five bytes of length N, one per exponent:
+# byte i of each is an exponent of vector i, its lane.  The lane kernels
+# below and the Magnus oracle's compute mod a power of 2 m of at most 16, a
+# modulus of cohomology's lane-product table _MUL, so a lane sum of a few
+# residues stays below 256, with no carry into the next lane, a mask takes
+# it mod m or mod any divisor of m, and a lane product is one _lane_mul.  A
+# difference adds m first, so no lane borrows.
+#
+# Per m: C(n, 2), C(n + 1, 2) and (n - 1) // 2 of a byte n, mod m, each read
+# from the raw byte, since it depends on n mod 2m.
+_BINOM = {m: bytes([(n * (n - 1) >> 1) % m for n in range(256)]) for m in _MUL}
+_BINOM_UP = {m: bytes([(n * (n + 1) >> 1) % m for n in range(256)]) for m in _MUL}
+_HALF = {m: bytes([(n - 1) // 2 % m for n in range(256)]) for m in _MUL}
+
+
+def _ints(lanes: bytes) -> int:
+    return int.from_bytes(lanes, "little")
+
+
+def _collection_modulus(spec: QuotientSpec) -> int:
+    """The modulus m the lane kernels compute spec's products in: its
+    largest modulus, which must be in _MUL and a multiple of the others, so
+    that every reduction into spec is a mask.  Any other spec is refused,
+    since its lanes would wrap."""
+    m = max(spec.moduli)
+    if m not in _MUL or any(m % q for q in spec.moduli):
+        raise ValueError(f"{spec} has moduli {spec.moduli}: byte lanes need powers of 2 up to 16")
+    return m
+
+
+def _masked(spec: QuotientSpec, lanes: Sequence[int], n: int) -> tuple[bytes, ...]:
+    """The five lane ints of n lanes, each below 256, reduced into spec's
+    moduli by masks."""
+    ones = _ones(n)
+    return tuple((x & (q - 1) * ones).to_bytes(n, "little") for x, q in zip(lanes, spec.moduli))
+
+
+def mul_lanes(spec: QuotientSpec, g: Sequence[bytes], h: Sequence[bytes]) -> tuple[bytes, ...]:
+    """The collection products of two batches of exponent lanes, reduced
+    into spec: lane i is _reduce(mul_vec(g_i, h_i), spec.moduli), for
+    exponents of any byte value.  mul_vec's formulas mod m, with C(b1 + 1,
+    2) and C(a2 + 1, 2) read from the raw bytes of b1 and a2."""
+    m = _collection_modulus(spec)
+    n = len(g[0])
+    low = (m - 1) * _ones(n)
+    a1, b1, c1, d1, e1 = (_ints(x) & low for x in g)
+    a2, b2, c2, d2, e2 = (_ints(x) & low for x in h)
+    b1_up = _ints(g[1].translate(_BINOM_UP[m]))
+    a2_up = _ints(h[0].translate(_BINOM_UP[m]))
+    b1a2 = _lane_mul(b1, a2, n, m)
+    return _masked(spec, (
+        a1 + a2,
+        b1 + b2,
+        c1 + c2 + b1a2,
+        d1 + d2 + _lane_mul(c1, b2, n, m) + _lane_mul(a2, b1_up, n, m) + _lane_mul(b1a2, b2, n, m),
+        e1 + e2 + _lane_mul(c1, a2, n, m) + _lane_mul(b1, a2_up, n, m),
+    ), n)
+
+
+def act_lanes(spec: QuotientSpec, g: Sequence[bytes], chi: bytes, f: bytes) -> tuple[bytes, ...]:
+    """The Galois action on a batch of exponent lanes, reduced into spec:
+    lane i is _reduce(act_vec(g_i, chi_i, f_i), spec.moduli), with chi and f
+    lanes too, every value any byte.  act_vec's formulas mod m, with
+    (chi - 1) // 2 read from the raw byte of chi."""
+    m = _collection_modulus(spec)
+    n = len(g[0])
+    ones = _ones(n)
+    low, up = (m - 1) * ones, m * ones
+    a, b, c, d, e = (_ints(x) & low for x in g)
+    x = _ints(chi) & low
+    x2 = _lane_mul(x, x, n, m)
+    x3 = _lane_mul(x2, x, n, m)
+    rc = _lane_mul(_lane_mul(_ints(chi.translate(_HALF[m])), x2, n, m), c, n, m)
+    xa = _lane_mul(x, a, n, m)
+    return _masked(spec, (
+        xa,
+        _lane_mul(x, b, n, m),
+        _lane_mul(x2, c, n, m),
+        _lane_mul(x3, d, n, m) + up - rc,
+        _lane_mul(x3, e, n, m) + up - rc + up - _lane_mul(_ints(f) & low, xa, n, m),
+    ), n)
+
+
+# ---------------------------------------------------------------------------
 # TOWER4's tables
 # ---------------------------------------------------------------------------
 
@@ -158,11 +252,9 @@ def all_elements(spec: QuotientSpec) -> list[Vec]:
 # its position in all_elements(TOWER4), a*32 + b*8 + c*4 + d*2 + e.
 TOWER4_ELEMENTS = tuple(all_elements(TOWER4))
 
-# The memos: row i of the multiplication table, and the action of each
-# (chi mod 8, f).  Each is built on first use and kept for the process, so
-# a pass that needs a few rows builds only those.
-_TOWER4_ROWS: list[bytes | None] = [None] * len(TOWER4_ELEMENTS)
-_TOWER4_ACTIONS: dict[tuple[int, int], bytes] = {}
+# The memo of tower4_tables(): None until its first call, then (rows,
+# actions), kept for the process.
+_TOWER4_TABLES: tuple[list[bytes], dict[tuple[int, int], bytes]] | None = None
 
 
 def tower4_index(v: Vec) -> int:
@@ -173,33 +265,44 @@ def tower4_index(v: Vec) -> int:
     return (a & 3) << 5 | (b & 3) << 3 | (c & 1) << 2 | (d & 1) << 1 | e & 1
 
 
-def tower4_row(i: int) -> bytes:
-    """Row i of TOWER4's multiplication table: byte j is the index of the
-    reduced mul_vec product of elements i and j."""
-    row = _TOWER4_ROWS[i]
-    if row is None:
-        g = TOWER4_ELEMENTS[i]
-        row = _TOWER4_ROWS[i] = bytes([tower4_index(mul_vec(g, h)) for h in TOWER4_ELEMENTS])
-    return row
-
-
-def tower4_action(chi: int, f: int) -> bytes:
-    """The action of (chi, f) on TOWER4, f 0 or 1: byte i is the index of
-    the reduced act_vec image of element i.  Mod TOWER4 it depends on chi
-    only mod 8."""
-    key = (chi % 8, f)
-    action = _TOWER4_ACTIONS.get(key)
-    if action is None:
-        action = _TOWER4_ACTIONS[key] = bytes([tower4_index(act_vec(g, *key)) for g in TOWER4_ELEMENTS])
-    return action
+def _tower4_indices(v: Sequence[bytes]) -> bytes:
+    """tower4_index of each lane of the exponent lanes v, any byte values."""
+    n = len(v[0])
+    ones = _ones(n)
+    a, b, c, d, e = map(_ints, v)
+    index = (a & 3 * ones) << 5 | (b & 3 * ones) << 3 | (c & ones) << 2 | (d & ones) << 1 | e & ones
+    return index.to_bytes(n, "little")
 
 
 def tower4_tables() -> tuple[list[bytes], dict[tuple[int, int], bytes]]:
-    """Every row of TOWER4's multiplication table, and the action of every
-    (chi, f) for chi in 1, 3, 5, 7 and f in 0, 1, in that order; what is not
-    built yet is built now."""
-    rows = [tower4_row(i) for i in range(len(TOWER4_ELEMENTS))]
-    return rows, {key: tower4_action(*key) for key in itertools.product((1, 3, 5, 7), (0, 1))}
+    """TOWER4's multiplication table and Galois actions on element indices,
+    built whole on the first call and kept for the process.
+
+    Row i of the table is a 128-byte bytes whose byte j is the index of the
+    product of elements i and j; the action of (chi, f), for chi in 1, 3,
+    5, 7 and f in 0, 1, in that order, has at byte i the index of element
+    i's image, and mod TOWER4 depends on chi only mod 8.  All 128^2
+    products are one mul_lanes batch and all 8 * 128 images one act_lanes
+    batch."""
+    global _TOWER4_TABLES
+    if _TOWER4_TABLES is None:
+        n = len(TOWER4_ELEMENTS)
+        keys = list(itertools.product((1, 3, 5, 7), (0, 1)))
+        exponents = [_through(bytes(column)) for column in zip(*TOWER4_ELEMENTS)]
+
+        def batch(indices):
+            """The exponent lanes of the elements at indices."""
+            return [indices.translate(x) for x in exponents]
+
+        every = bytes(range(n))
+        products = _tower4_indices(mul_lanes(TOWER4, batch(b"".join([bytes([i]) * n for i in every])), batch(every * n)))
+        chi, f = (b"".join([bytes([key[k]]) * n for key in keys]) for k in (0, 1))
+        images = _tower4_indices(act_lanes(TOWER4, batch(every * len(keys)), chi, f))
+        _TOWER4_TABLES = (
+            [products[i * n : (i + 1) * n] for i in range(n)],
+            {key: images[k * n : (k + 1) * n] for k, key in enumerate(keys)},
+        )
+    return _TOWER4_TABLES
 
 
 def _through(row: bytes) -> bytes:
@@ -207,6 +310,17 @@ def _through(row: bytes) -> bytes:
     256 bytes.  Every index into row is below its length, so no index
     reaches the padding."""
     return row.ljust(256, b"\0")
+
+
+def _lookup(rows: Sequence[bytes], i: bytes, j: bytes) -> bytes:
+    """Byte k is rows[i[k]][j[k]], for rows of at most 256 bytes: one map
+    over 2-byte lanes, each holding (i[k], j[k]), through the rows joined,
+    each padded to 256 bytes."""
+    joined = b"".join(map(_through, rows))
+    lanes = bytearray(2 * len(i))
+    low = 0 if sys.byteorder == "little" else 1
+    lanes[low::2], lanes[1 - low :: 2] = j, i
+    return bytes(map(joined.__getitem__, memoryview(lanes).cast("H")))
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +333,10 @@ def _through(row: bytes) -> bytes:
 # nine words depend only on its factors' coefficients on them.
 _WORDS = ("", "X", "Y", "XX", "XY", "YX", "YY", "XXY", "YYX")
 
-# A batch of N exponent vectors is five bytes of length N, one per exponent:
-# byte i of each is an exponent of vector i, its lane.  A batch series is
-# the tuple of its coefficients on _WORDS[1:], each an int whose byte i is
-# lane i's coefficient mod the Magnus modulus m; the constant term is 1 in
-# every lane, since every series here is a group element's.  m is a power
-# of 2 and at most 16, a modulus of cohomology's lane-product table _MUL,
-# so a lane sum of a few coefficients stays below 256, with no carry into
-# the next lane, a mask takes it mod m, and a lane product is one
-# _lane_mul.  A difference adds m first, so no lane borrows.
-#
-# Per m, C(n, 2) on an exponent byte n and C(n + 1, 2) on a coefficient
-# byte n, mod m; and per modulus q of a spec, built on first use, n mod q.
-_BINOM = {m: bytes([(n * (n - 1) >> 1) % m for n in range(256)]) for m in _MUL}
-_BINOM_UP = {m: bytes([(n * (n + 1) >> 1) % m for n in range(256)]) for m in _MUL}
-_MOD_TABLES: dict[int, bytes] = {}
+# A batch series is the tuple of its coefficients on _WORDS[1:], each an
+# int whose byte i is lane i's coefficient mod the Magnus modulus m, a
+# modulus of _MUL; the constant term is 1 in every lane, since every series
+# here is a group element's.
 
 
 def _magnus_modulus(spec: QuotientSpec) -> int:
@@ -245,15 +348,15 @@ def _magnus_modulus(spec: QuotientSpec) -> int:
     return m
 
 
+# n mod q of a byte n, per modulus q of a spec, built on first use.
+_MOD_TABLES: dict[int, bytes] = {}
+
+
 def _mod_table(q: int) -> bytes:
     table = _MOD_TABLES.get(q)
     if table is None:
         table = _MOD_TABLES[q] = bytes([n % q for n in range(256)])
     return table
-
-
-def _ints(lanes: bytes) -> int:
-    return int.from_bytes(lanes, "little")
 
 
 def _embed_lanes(spec: QuotientSpec, v: Sequence[bytes]) -> tuple[int, ...]:
@@ -416,11 +519,12 @@ def boundary_of_section(
     # occurs; where f(g) differs between cases, each case's lanes are taken
     # from its f(g)'s translate.  Row g of acted_rows, byte (g*n + h)*L + i,
     # holds g(s(p(h))) in case i.
+    rows, actions = tower4_tables()
     acted = {}
 
     def act(key):
         if key not in acted:
-            acted[key] = sect.translate(_through(tower4_action(*key)))
+            acted[key] = sect.translate(_through(actions[key]))
         return acted[key]
 
     acted_rows = []
@@ -433,21 +537,11 @@ def boundary_of_section(
         zero, one = (int.from_bytes(act((chi % 8, f_bit)), "little") for f_bit in (0, 1))
         acted_rows.append((zero & ~take | one & take).to_bytes(n * L, "little"))
 
-    # Each product s(p(g)) g(s(p(h))) is read from the joined rows of the
-    # section values that occur, and no others: one 2-byte lane per (g, h,
-    # case), holding the position of s(p(g))'s row and the acted index,
-    # read through the joined rows by one map.
-    values = sorted(set(sect))
-    joined = b"".join([_through(tower4_row(v)) for v in values])
-    position = bytearray(256)
-    for k, v in enumerate(values):
-        position[v] = k
-    row_of = b"".join([block.translate(position) * n for block in blocks])
-    low = 0 if sys.byteorder == "little" else 1
-
-    lanes = bytearray(2 * n * n * L)
-    lanes[low::2], lanes[1 - low :: 2] = b"".join(acted_rows), row_of
-    products = bytes(map(joined.__getitem__, memoryview(lanes).cast("H")))
+    # Each product s(p(g)) g(s(p(h))) is read from the table in one
+    # _lookup: at byte (g*n + h)*L + i, the row of s(p(g)) in case i, block
+    # g repeated for every h, at the acted index.
+    row_of = b"".join([block * n for block in blocks])
+    products = _lookup(rows, row_of, b"".join(acted_rows))
     # Cocycle validation happens at the level the section covers: the head
     # of s(p(g)) g(s(p(h))) must be s(p(gh)), which is 0 past its head.
     # act_vec moves only e by f, so f does not change the verdict.  Only a

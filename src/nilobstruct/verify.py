@@ -169,10 +169,16 @@ def _model_data(model: GaloisModel):
         return cocs, [], None
     homs = f_homs(model)
     pairs = [(b, a) for b in cocs for a in cocs]
-    solved = lifts_by_case(*(Cochain1.pack(column) for column in zip(*pairs)))
+    bs, as_ = (Cochain1.pack(column) for column in zip(*pairs))
+    solved = lifts_by_case(bs, as_)
     lifts = [(b, a, c) for (b, a), cs in zip(pairs, solved) for c in cs]
-    b, a, c = (Cochain1.pack([lift[k] for lift in lifts for _ in homs]) for k in range(3))
-    f = Cochain1.pack(homs * len(lifts))
+    # Each batch is packed once, of the pairs, the lifts' c or the homs, and
+    # spread to the cases by one select: lift j is case j*F + k for each k.
+    owner = [p for p, cs in enumerate(solved) for _ in cs]
+    spread = [j for j in range(len(lifts)) for _ in homs]
+    b, a = (x.select([owner[j] for j in spread]) for x in (bs, as_))
+    c = Cochain1.pack([lift[2] for lift in lifts]).select(spread)
+    f = Cochain1.pack(homs).select(list(range(len(homs))) * len(lifts))
     closed = coh.delta3_closed_form(b, a, c, f)
     direct = coh.delta3_cocycle_direct(b, a, c, f)
     corrections = tuple(map(coboundary, delta3_correction_cochains(b, a, c)))
@@ -533,8 +539,8 @@ def check_magnus(spec: nil.QuotientSpec, batch, label: str) -> CheckResult:
 
 def _timed_magnus(spec: nil.QuotientSpec, products, source, label: str) -> CheckResult:
     """check_magnus on the batch products(spec, source), timed from before
-    the batch is built, so that FULL4(8)'s mul_vec products count in its
-    record."""
+    the batch is built, so that FULL4(8)'s collection products, one
+    nil.mul_lanes batch, count in its record."""
     start = time.perf_counter()
     return _timed(check_magnus, spec, products(spec, source), label, start=start)
 
@@ -560,19 +566,10 @@ def _table_products(spec: nil.QuotientSpec, tables):
 def _series_products(spec: nil.QuotientSpec, draw: bytes):
     """check_magnus's batch of the pairs of exponent vectors in draw, ten
     bytes per pair, g's exponents and then h's: the lanes of g and h are
-    sliced out of draw, and the reduced mul_vec product of each pair is
-    streamed into one bytes, five per pair, and sliced into lanes."""
-    vectors = zip(*[iter(draw)] * 5)
-    products = bytes(
-        itertools.chain.from_iterable(
-            map(nil._reduce, map(nil.mul_vec, vectors, vectors), itertools.repeat(spec.moduli))
-        )
-    )
-    return (
-        tuple(draw[k::10] for k in range(5)),
-        tuple(draw[k::10] for k in range(5, 10)),
-        tuple(products[k::5] for k in range(5)),
-    )
+    sliced out of draw, and their collection products are one
+    nil.mul_lanes batch, reduced into spec."""
+    g, h = (tuple(draw[k::10] for k in range(start, start + 5)) for start in (0, 5))
+    return g, h, nil.mul_lanes(spec, g, h)
 
 
 def check_magnus_roundtrip() -> CheckResult:
@@ -616,13 +613,20 @@ def check_galois_automorphism(tables) -> CheckResult:
 
 def check_galois_composition(tables) -> CheckResult:
     """(chi1, f1) after (chi2, f2) acts as (chi1 chi2, f1 + chi1^2 f2), on the
-    action tables of nil.tower4_tables()."""
+    action tables of nil.tower4_tables().
+
+    For each (chi1, chi2, f1, f2), one comparison covers every element: the
+    inner action translated through the outer one.  Only a mismatch walks
+    the elements, to find the first bad one."""
     result = CheckResult("galois composition cocycle law", "TOWER4", 0)
     els, (_, act) = nil.TOWER4_ELEMENTS, tables
     for chi1, chi2 in itertools.product((1, 3, 5, 7), repeat=2):
         for f1, f2 in itertools.product((0, 1), repeat=2):
             outer, inner = act[chi1, f1], act[chi2, f2]
             both = act[chi1 * chi2 % 8, (f1 + chi1 * chi1 * f2) % 2]
+            if inner.translate(nil._through(outer)) == both:
+                result.cases += len(els)
+                continue
             for i, g in enumerate(els):
                 result.cases += 1
                 if outer[inner[i]] != both[i]:
@@ -632,33 +636,47 @@ def check_galois_composition(tables) -> CheckResult:
 
 
 def _compat_cases(rng: random.Random):
-    """2000 random (g, h, chi, f): g and h with exponents mod 4, chi one of
-    1, 3, 5, 7, and f mod 2.  Each value is the low bits of its own byte of
-    one rng.randbytes draw, which is uniform since 4 and 2 divide 256."""
+    """2000 random (g, h, chi, f) as byte lanes: g and h five lanes each,
+    with exponents mod 4, chi one lane of 1, 3, 5 or 7, and f one lane mod
+    2.  Case k's values are the low bits of its own 12 bytes of one
+    rng.randbytes draw, which is uniform since 4 and 2 divide 256."""
     draws = rng.randbytes(12 * 2000).translate(bytes(range(4)) * 64)
-    for case in zip(*[iter(draws)] * 12):
-        yield case[:5], case[5:10], (1, 3, 5, 7)[case[10]], case[11] & 1
+    g, h = (tuple(draws[k::12] for k in range(start, start + 5)) for start in (0, 5))
+    return g, h, draws[10::12].translate(bytes((1, 3, 5, 7)) * 64), draws[11::12].translate(bytes((0, 1)) * 128)
 
 
 def check_quotient_compat(tables, rng: random.Random) -> CheckResult:
     """Reducing FULL4(4) into TOWER4, and TOWER4 into TOWER3, respects the
     product and the Galois action, on 2000 random pairs.  Each side is a
-    TOWER4 index: tower4_index reduces FULL4(4)'s products, and an index
-    masked with 0xFC (d = e = 0) is its reduction into TOWER3.  Only the
-    FULL4(4) side calls mul_vec and act_vec; the others read the tables of
-    nil.tower4_tables()."""
-    result = CheckResult("FULL4(4) -> TOWER4 -> TOWER3 compatibility", "projections", 0)
+    TOWER4 index, of every case at once: the FULL4(4) side is one
+    nil.mul_lanes and one nil.act_lanes batch, its lanes turned into
+    indices by masks; the TOWER4 side reads the tables of
+    nil.tower4_tables() by nil._lookup; and an index masked with 0xFC (d =
+    e = 0) is its reduction into TOWER3.  Only the cases on which a side
+    differs are walked, in order, each naming its g (and h)."""
     rows, act = tables
-    index = nil.tower4_index
-    for g, h, chi, f in _compat_cases(rng):
-        result.cases += 1
-        i, j = index(g), index(h)
-        if index(nil.mul_vec(g, h)) != rows[i][j]:
-            result.failures.append(f"mul {g} {h}")
-        if index(nil.act_vec(g, chi, f)) != act[chi, f][i]:
-            result.failures.append(f"act {g}")
-        if rows[i][j] & 0xFC != rows[i & 0xFC][j & 0xFC] & 0xFC:
-            result.failures.append(f"tower3 {g} {h}")
+    g, h, chi, f = _compat_cases(rng)
+    n = len(chi)
+    result = CheckResult("FULL4(4) -> TOWER4 -> TOWER3 compatibility", "projections", n)
+    full4 = nil.full4(4)
+    i, j = nil._tower4_indices(g), nil._tower4_indices(h)
+    ij = nil._lookup(rows, i, j)
+    # The action of (chi, f) is act's entry chi - 1 + f, in its key order.
+    which = (nil._ints(chi) + nil._ints(f) - coh._ones(n)).to_bytes(n, "little")
+    tower3 = nil._HEAD[3]
+    sides = (
+        (nil._tower4_indices(nil.mul_lanes(full4, g, h)), ij),
+        (nil._tower4_indices(nil.act_lanes(full4, g, chi, f)), nil._lookup(list(act.values()), which, i)),
+        (nil._lookup(rows, i.translate(tower3), j.translate(tower3)).translate(tower3), ij.translate(tower3)),
+    )
+    if all(x == y for x, y in sides):
+        return result
+    bad = [[x_k != y_k for x_k, y_k in zip(x, y)] for x, y in sides]
+    for k in range(n):
+        g_k, h_k = tuple(x[k] for x in g), tuple(x[k] for x in h)
+        for label, side in zip((f"mul {g_k} {h_k}", f"act {g_k}", f"tower3 {g_k} {h_k}"), bad):
+            if side[k]:
+                result.failures.append(label)
     return result
 
 
@@ -672,9 +690,9 @@ def _full4_8_pairs(rng: random.Random) -> bytes:
 
 def run_nilpotent_suite(seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
-    # Read by every check of TOWER3 or TOWER4 products.  What no earlier
-    # pass or section boundary built is built here, and timed inside the
-    # first check that reads the tables, associativity.
+    # Read by every check of TOWER3 or TOWER4 products.  If no earlier pass
+    # or section boundary built them, they are built here, whole, and timed
+    # inside the first check that reads them, associativity.
     start = time.perf_counter()
     tables = nil.tower4_tables()
     # The FULL4(8) pairs are drawn from rng before check_quotient_compat

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from nilobstruct import nilpotent as nil
 from nilobstruct.cohomology import (
@@ -798,3 +798,52 @@ def test_batch_magnus_kernel_refuses_a_modulus_a_lane_cannot_hold():
         ):
             with pytest.raises(ValueError, match=re.escape(spec.name)):
                 kernel(spec, *args)
+
+
+# The collection kernels on byte lanes, against the scalar kernels.  C(n + 1,
+# 2) and (n - 1) // 2 mod m depend on n mod 2m, so every exponent, chi and f
+# ranges over all bytes: a kernel that read them from lanes masked mod m
+# passes every reduced input of the verify pass and fails here.
+_COLLECTION_SPECS = (TOWER3, TOWER4, *map(full4, (2, 4, 8, 16)))
+_byte = st.integers(0, 255)
+_byte_vectors = st.tuples(*[_byte] * 5)
+
+
+def _with_uniform_examples(test):
+    """test with the explicit examples of 64 cases whose every exponent,
+    chi and f is m - 1, for m the spec's largest modulus, or 255, on every
+    spec."""
+    for spec in _COLLECTION_SPECS:
+        for value in (max(spec.moduli) - 1, 255):
+            test = example(spec, [((value,) * 5, (value,) * 5, value, value)] * 64)(test)
+    return test
+
+
+@_with_uniform_examples
+@settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(st.sampled_from(_COLLECTION_SPECS), st.lists(st.tuples(_byte_vectors, _byte_vectors, _byte, _byte), max_size=64))
+def test_collection_lane_kernels_match_the_scalar_kernels_lane_by_lane(spec, cases):
+    """mul_lanes and act_lanes on a batch of 0 to 64 cases (g, h, chi, f)
+    of any byte values, and on all-(m - 1) and all-255 lanes: lane i is the
+    reduced mul_vec and act_vec of case i.  Shrinking is left out, as for
+    the Magnus kernel, and each assertion names its case."""
+    n = len(cases)
+    gs, hs, chis, fs = (list(column) for column in zip(*cases)) if cases else ([], [], [], [])
+    products = nil.mul_lanes(spec, lanes(gs), lanes(hs))
+    images = nil.act_lanes(spec, lanes(gs), bytes(chis), bytes(fs))
+    assert all(len(x) == n for x in (*products, *images))
+    for i, (g, h, chi, f) in enumerate(cases):
+        assert tuple(x[i] for x in products) == _reduce(mul_vec(g, h), spec.moduli), (g, h)
+        assert tuple(x[i] for x in images) == _reduce(act_vec(g, chi, f), spec.moduli), (g, chi, f)
+
+
+def test_collection_lane_kernels_refuse_a_modulus_a_lane_cannot_hold():
+    """FULL4(3) and FULL4(6) cannot be reduced by masks: both lane kernels
+    refuse them with a ValueError naming the spec, rather than wrap a
+    lane."""
+    g = lanes([(5, 5, 5, 5, 5)])
+    for spec in (full4(3), full4(6)):
+        with pytest.raises(ValueError, match=re.escape(spec.name)):
+            nil.mul_lanes(spec, g, g)
+        with pytest.raises(ValueError, match=re.escape(spec.name)):
+            nil.act_lanes(spec, g, b"\x03", b"\x01")

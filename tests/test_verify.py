@@ -40,11 +40,10 @@ VERIFY_BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "verify_ba
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty TOWER4 memos for one test: tables built under a patched kernel
-    are built afresh and dropped when the test ends, so no patched row
-    reaches a later test."""
-    monkeypatch.setattr(nil, "_TOWER4_ROWS", [None] * 128)
-    monkeypatch.setattr(nil, "_TOWER4_ACTIONS", {})
+    """An empty TOWER4 memo for one test: tables built under a patched
+    kernel are built afresh and dropped when the test ends, so no patched
+    row reaches a later test."""
+    monkeypatch.setattr(nil, "_TOWER4_TABLES", None)
 
 
 def _bumped(rows, i, j):
@@ -109,15 +108,14 @@ def test_dcb_lemma_exhaustive_on_every_standard_model():
 def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, fresh_tables, bad_chi, checked):
     """Shifting [x,y] by one breaks g(xy) = g(x) g(y) already at x = y = 1; the
     check stops at the first failing (chi, f, g, h) and counts the cases run."""
-    act_vec = nil.act_vec
+    act_lanes = nil.act_lanes
 
-    def shifted(u, chi, f):
-        a, b, c, d, e = act_vec(u, chi, f)
-        if bad_chi not in (None, chi):
-            return a, b, c, d, e
-        return a, b, c + 1, d, e
+    def shifted(spec, g, chi, f):
+        a, b, c, d, e = act_lanes(spec, g, chi, f)
+        q = spec.moduli[2]
+        return a, b, bytes([(c_i + (bad_chi in (None, chi_i))) % q for c_i, chi_i in zip(c, chi)]), d, e
 
-    monkeypatch.setattr(nil, "act_vec", shifted)
+    monkeypatch.setattr(nil, "act_lanes", shifted)
     result = check_galois_automorphism(nil.tower4_tables())
     one = (0, 0, 0, 0, 0)
     assert not result.passed
@@ -234,13 +232,15 @@ def test_dbchoose2_record_times_the_dataset_build(monkeypatch):
     assert dd_zero.seconds < 0.1 <= dbchoose2.seconds
 
 
-def _flipped_e(mul_vec):
-    """mul_vec with e shifted by one whenever the product's a and b are both
-    odd (the moduli are even, so the parity survives reduction)."""
+def _flipped_e(mul_lanes):
+    """mul_lanes with e moved on by one in every lane whose product's a and
+    b are both odd (the moduli are even, so the parity survives
+    reduction)."""
 
-    def wrong(u, v):
-        a, b, c, d, e = mul_vec(u, v)
-        return (a, b, c, d, e + 1) if a % 2 and b % 2 else (a, b, c, d, e)
+    def wrong(spec, g, h):
+        a, b, c, d, e = mul_lanes(spec, g, h)
+        q = spec.moduli[4]
+        return a, b, c, d, bytes([(e_i + (a_i & b_i & 1)) % q for a_i, b_i, e_i in zip(a, b, e)])
 
     return wrong
 
@@ -248,7 +248,7 @@ def _flipped_e(mul_vec):
 def test_magnus_check_catches_a_wrong_collection_on_tower4(monkeypatch, fresh_tables):
     """TOWER4 embeds each element once and reads the products from the
     table; a table built with a wrong product must still show."""
-    monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
+    monkeypatch.setattr(nil, "mul_lanes", _flipped_e(nil.mul_lanes))
     batch = _table_products(nil.TOWER4, nil.tower4_tables())
     result = check_magnus(nil.TOWER4, batch, "TOWER4 exhaustive")
     assert not result.passed
@@ -266,7 +266,7 @@ def test_magnus_check_catches_a_wrong_collection_on_full4_8(monkeypatch):
     bad = [(g, h, gh) for (g, h), gh in zip(pairs, right) if gh[0] % 2 and gh[1] % 2]
     g, h, want = bad[0]
     wrong = (*want[:4], (want[4] + 1) % 8)
-    monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
+    monkeypatch.setattr(nil, "mul_lanes", _flipped_e(nil.mul_lanes))
     draw = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(pairs)))
     result = check_magnus(spec, _series_products(spec, draw), "FULL4(8), 200 random pairs")
     assert not result.passed
@@ -294,7 +294,7 @@ def test_switch_identity_check_catches_a_wrong_collection(monkeypatch, fresh_tab
     """The powers x^b and y^a are read from products with a = 0 or b = 0, so
     a table built with _flipped_e is wrong only at x^b y^a, where a and b
     are both odd."""
-    monkeypatch.setattr(nil, "mul_vec", _flipped_e(nil.mul_vec))
+    monkeypatch.setattr(nil, "mul_lanes", _flipped_e(nil.mul_lanes))
     result = check_switch_identity(nil.tower4_tables())
     assert result.cases == 16
     assert result.failures == ["a=1 b=1", "a=1 b=3", "a=3 b=1", "a=3 b=3"]
@@ -319,25 +319,28 @@ def test_galois_composition_check_catches_a_wrong_action(monkeypatch, fresh_tabl
     """With e shifted by one on odd c under chi = 5 only, act(3) after act(5)
     is no longer act(7).  The check stops at the first failure: the seventh
     (chi1, chi2) pair, (3, 5), at f = (0, 0) and the fifth element."""
-    act_vec = nil.act_vec
+    act_lanes = nil.act_lanes
 
-    def wrong(u, chi, f):
-        a, b, c, d, e = act_vec(u, chi, f)
-        return (a, b, c, d, e + 1) if chi == 5 and u[2] % 2 else (a, b, c, d, e)
+    def wrong(spec, g, chi, f):
+        a, b, c, d, e = act_lanes(spec, g, chi, f)
+        q = spec.moduli[4]
+        return a, b, c, d, bytes([(e_i + (chi_i == 5) * (c_i & 1)) % q for e_i, chi_i, c_i in zip(e, chi, g[2])])
 
-    monkeypatch.setattr(nil, "act_vec", wrong)
+    monkeypatch.setattr(nil, "act_lanes", wrong)
     result = check_galois_composition(nil.tower4_tables())
     assert result.cases == 6 * 4 * 128 + 5
     assert result.failures == ["chi=(3,5) f=(0,0) g=(0, 0, 1, 0, 0)"]
 
 
 def _high_c_bit(kernel, coordinate):
-    """kernel (mul_vec or act_vec) with one output coordinate shifted by
-    c // 2 of its first argument: a bit that reduction into TOWER4 drops."""
+    """kernel (mul_lanes or act_lanes) with one output coordinate moved on,
+    in each lane, by c // 2 of its first batch: a bit that reduction into
+    TOWER4 drops."""
 
-    def wrong(u, *args):
-        out = list(kernel(u, *args))
-        out[coordinate] += u[2] // 2
+    def wrong(spec, g, *args):
+        out = list(kernel(spec, g, *args))
+        q = spec.moduli[coordinate]
+        out[coordinate] = bytes([(x + c // 2) % q for x, c in zip(out[coordinate], g[2])])
         return tuple(out)
 
     return wrong
@@ -346,8 +349,8 @@ def _high_c_bit(kernel, coordinate):
 @pytest.mark.parametrize(
     "kernel, coordinate, first",
     (
-        ("mul_vec", 3, "mul (2, 2, 3, 3, 1) (0, 2, 3, 0, 3)"),
-        ("act_vec", 4, "act (2, 2, 3, 3, 1)"),
+        ("mul_lanes", 3, "mul (2, 2, 3, 3, 1) (0, 2, 3, 0, 3)"),
+        ("act_lanes", 4, "act (2, 2, 3, 3, 1)"),
     ),
 )
 def test_quotient_compat_check_catches_a_product_or_action_that_ignores_reduction(
@@ -359,7 +362,7 @@ def test_quotient_compat_check_catches_a_product_or_action_that_ignores_reductio
     monkeypatch.setattr(nil, kernel, _high_c_bit(getattr(nil, kernel), coordinate))
     result = check_quotient_compat(nil.tower4_tables(), random.Random(0))
     assert result.cases == 2000
-    assert len(result.failures) == sum(g[2] >= 2 for g, *_ in _compat_cases(random.Random(0))) == 986
+    assert len(result.failures) == sum(c >= 2 for c in _compat_cases(random.Random(0))[0][2]) == 986
     assert result.failures[0] == first
     assert all(line.startswith(first.split()[0] + " ") for line in result.failures)
 
@@ -576,20 +579,24 @@ def test_full4_8_pairs_draw_in_range_by_seed(seed):
 
 @pytest.mark.parametrize("seed", (0, 1))
 def test_compat_cases_draw_in_range_by_seed(seed):
-    """2000 cases (g, h, chi, f) from one draw of 24,000 bytes: g and h mod
-    4, chi in (1, 3, 5, 7), f mod 2, every value occurring; two draws with
-    the seed give the same cases, the other seed gives others, and the rng
-    is left where one randbytes(24000) leaves it."""
+    """2000 cases (g, h, chi, f), as lanes, from one draw of 24,000 bytes:
+    case k reads bytes 12k to 12k + 11, g and h mod 4, chi in (1, 3, 5,
+    7), f mod 2, every value occurring; two draws with the seed give the
+    same cases, the other seed gives others, and the rng is left where one
+    randbytes(24000) leaves it."""
     rng, reference = random.Random(seed), random.Random(seed)
-    cases = list(_compat_cases(rng))
-    reference.randbytes(24_000)
+    g, h, chi, f = cases = _compat_cases(rng)
+    draw = reference.randbytes(24_000)
     assert rng.random() == reference.random()
-    assert list(_compat_cases(random.Random(seed))) == cases
-    assert list(_compat_cases(random.Random(1 - seed))) != cases
-    assert len(cases) == 2000
-    gs, hs, chis, fs = zip(*cases)
-    assert all(set(column) == set(range(4)) for column in zip(*gs, *hs))
-    assert set(chis) == {1, 3, 5, 7} and set(fs) == {0, 1}
+    assert _compat_cases(random.Random(seed)) == cases
+    assert _compat_cases(random.Random(1 - seed)) != cases
+    assert all(len(lane) == 2000 for lane in (*g, *h, chi, f))
+    for k in range(2000):
+        at = draw[12 * k : 12 * k + 12]
+        assert [x[k] for x in (*g, *h)] == [v % 4 for v in at[:10]]
+        assert (chi[k], f[k]) == ((1, 3, 5, 7)[at[10] % 4], at[11] % 2)
+    assert all(set(lane) == set(range(4)) for lane in (*g, *h))
+    assert set(chi) == {1, 3, 5, 7} and set(f) == {0, 1}
 
 
 def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
@@ -612,18 +619,36 @@ def test_a_non_lift_still_stops_the_cochain_suite(monkeypatch):
         verify.run_suites("cochain", max_order=4)
 
 
+def _count_kernels(monkeypatch, counts):
+    """Count the calls of the scalar kernels mul_vec and act_vec, and the
+    calls and lanes of the lane kernels: counts["mul_lanes"] is their
+    calls and counts["mul_lanes lanes"] the lanes of those calls."""
+    _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
+    for name in ("mul_lanes", "act_lanes"):
+        fn = getattr(nil, name)
+
+        def counting(spec, g, *args, _fn=fn, _name=name):
+            counts[_name] += 1
+            counts[_name + " lanes"] += len(g[0])
+            return _fn(spec, g, *args)
+
+        monkeypatch.setattr(nil, name, counting)
+
+
 def test_tower4_galois_actions_are_tabulated_once(monkeypatch, fresh_tables):
     """Built from empty memos, the tables make each product and each action
-    once, the suite's only TOWER4 products and actions, and a second call
-    builds nothing.  The table checks, the Magnus checks on TOWER3 and
-    TOWER4, the inverses and switch-law checks, and the TOWER4 and TOWER3
-    sides of the compatibility check then read the tables: the last makes
-    one mul_vec and one act_vec call per case, on its FULL4(4) draw."""
+    once, in one lane batch each, the suite's only TOWER4 products and
+    actions, and a second call builds nothing.  The table checks, the
+    Magnus checks on TOWER3 and TOWER4, the inverses and switch-law checks,
+    and the TOWER4 and TOWER3 sides of the compatibility check then read
+    the tables: the last makes one batch of products and one of actions,
+    a lane per case, on its FULL4(4) draw."""
     counts = collections.Counter()
-    _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
+    _count_kernels(monkeypatch, counts)
     tables = nil.tower4_tables()
-    assert counts == {"mul_vec": 128**2, "act_vec": 1024}
-    assert nil.tower4_tables() == tables
+    build = {"mul_lanes": 1, "mul_lanes lanes": 128**2, "act_lanes": 1, "act_lanes lanes": 1024}
+    assert counts == build
+    assert nil.tower4_tables() is tables
     assert check_associativity_tower4(tables).passed
     assert check_galois_automorphism(tables).passed
     assert check_galois_composition(tables).passed
@@ -631,38 +656,46 @@ def test_tower4_galois_actions_are_tabulated_once(monkeypatch, fresh_tables):
     assert check_switch_identity(tables).passed
     for spec in (nil.TOWER3, nil.TOWER4):
         assert check_magnus(spec, _table_products(spec, tables), spec.name).cases == spec.order**2
-    assert counts == {"mul_vec": 128**2, "act_vec": 1024}
+    assert counts == build
     compat = check_quotient_compat(tables, random.Random(0))
     assert compat.passed and compat.cases == 2000
-    assert counts == {"mul_vec": 128**2 + 2000, "act_vec": 1024 + 2000}
+    assert counts == {"mul_lanes": 2, "mul_lanes lanes": 128**2 + 2000, "act_lanes": 2, "act_lanes lanes": 1024 + 2000}
 
 
 def test_nilpotent_suite_forms_tower4_products_only_in_the_table_build(monkeypatch, fresh_tables):
-    """Over a nilpotent pass from empty memos, mul_vec runs 16,384 times for
-    the table, 24 times for the exact commutator law (three products per
-    a < 8), 10^4 times for the FULL4(8) pairs and 2000 times for the
-    FULL4(4) cases, and act_vec 1024 times for the table and 2000 times for
-    the cases.  A second pass reads the kept tables and builds nothing."""
+    """Over a full pass from empty memos, mul_vec runs only for the exact
+    commutator law (three products per a < 8, 24 calls) and act_vec not at
+    all; mul_lanes makes one batch for the table (built by the first
+    section boundary), one for the 10^4 FULL4(8) pairs and one for the 2000
+    FULL4(4) cases, and act_lanes one for the table's 1024 images and one
+    for the cases.  A second nilpotent pass reads the kept tables and
+    builds nothing."""
     counts = collections.Counter()
-    _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
-    assert all(r.passed for r in run_nilpotent_suite())
-    assert counts == {"mul_vec": 128**2 + 24 + 10_000 + 2000, "act_vec": 1024 + 2000}
+    _count_kernels(monkeypatch, counts)
+    assert all(r.passed for r in verify.run_suites())
+    assert counts == {
+        "mul_vec": 24,
+        "mul_lanes": 3,
+        "mul_lanes lanes": 128**2 + 10_000 + 2000,
+        "act_lanes": 2,
+        "act_lanes lanes": 1024 + 2000,
+    }
     counts.clear()
     assert all(r.passed for r in run_nilpotent_suite())
-    assert counts == {"mul_vec": 24 + 10_000 + 2000, "act_vec": 2000}
+    assert counts == {"mul_vec": 24, "mul_lanes": 2, "mul_lanes lanes": 10_000 + 2000, "act_lanes": 1, "act_lanes lanes": 2000}
 
 
-def test_section_boundaries_build_only_the_rows_they_read(monkeypatch, fresh_tables):
-    """The cochain suite's section boundaries build the rows of the section
-    values they meet and the actions of the (chi mod 8, f) they meet, each
-    once, and no other: on the models of order <= 2, 28 of the 128 rows and
-    3 of the 8 actions."""
+def test_section_boundaries_build_the_tables_in_one_batch(monkeypatch, fresh_tables):
+    """The cochain suite's first section boundary builds TOWER4's whole
+    tables, every row and every action, in one mul_lanes and one act_lanes
+    batch, and no boundary calls a scalar kernel: on the models of order
+    <= 2 as on any."""
     counts = collections.Counter()
-    _count_calls(monkeypatch, counts, (nil, "mul_vec"), (nil, "act_vec"))
+    _count_kernels(monkeypatch, counts)
     assert all(r.passed for r in verify.run_suites("cochain", max_order=2))
-    rows = [i for i, row in enumerate(nil._TOWER4_ROWS) if row is not None]
-    assert len(rows) == 28 and sorted(nil._TOWER4_ACTIONS) == [(1, 0), (7, 0), (7, 1)]
-    assert counts == {"mul_vec": 128 * 28, "act_vec": 128 * 3}
+    rows, actions = nil._TOWER4_TABLES
+    assert len(rows) == 128 and sorted(actions) == sorted(itertools.product((1, 3, 5, 7), (0, 1)))
+    assert counts == {"mul_lanes": 1, "mul_lanes lanes": 128**2, "act_lanes": 1, "act_lanes lanes": 1024}
 
 
 def test_tables_kept_across_passes_change_no_record(monkeypatch, fresh_tables):
@@ -679,10 +712,9 @@ def test_tables_kept_across_passes_change_no_record(monkeypatch, fresh_tables):
     els = nil.all_elements(nil.TOWER4)
     index = {g: i for i, g in enumerate(els)}
     moduli = nil.TOWER4.moduli
-    rows = nil._TOWER4_ROWS
+    rows, actions = nil._TOWER4_TABLES
     assert all(type(row) is bytes for row in rows)
     assert rows == [bytes([index[nil._reduce(nil.mul_vec(g, h), moduli)] for h in els]) for g in els]
-    actions = nil._TOWER4_ACTIONS
     assert sorted(actions) == sorted(itertools.product((1, 3, 5, 7), (0, 1)))
     for (chi, f), action in actions.items():
         assert type(action) is bytes
