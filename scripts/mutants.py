@@ -166,7 +166,8 @@ MUTANTS = (
         "extraction reads C(a, 2) for C(a + 1, 2)",
         ("tests/test_nilpotent.py",),
     ),
-    # The collection kernels on byte lanes and the lookup that reads the
+    # The collection kernels on byte lanes, and the product kernel on TOWER4
+    # index lanes that reads the section boundary's products and the
     # compatibility check's TOWER4 side.
     Mutant(
         NIL,
@@ -191,10 +192,24 @@ MUTANTS = (
     ),
     Mutant(
         "src/nilobstruct/verify.py",
-        "ij = nil._lookup(rows, i, j)",
-        "ij = nil._lookup(rows, j, i)",
+        "ij = nil.tower4_products(tables, i, j)",
+        "ij = nil.tower4_products(tables, j, i)",
         "compatibility reads the TOWER4 table at (j, i)",
         ("tests/test_verify.py",),
+    ),
+    Mutant(
+        NIL,
+        " ^ (x & 3 * ones)",
+        "",
+        "tower4_products drops i's d and e",
+        ("tests/test_nilpotent.py",),
+    ),
+    Mutant(
+        NIL,
+        "c1 = (x >> 2 & ones) * 0xFF",
+        "c1 = 0",
+        "tower4_products reads S_0 in every lane",
+        ("tests/test_nilpotent.py",),
     ),
     # The cochain kernels.
     Mutant(
@@ -271,9 +286,9 @@ MUTANTS = (
     ),
     Mutant(
         COH,
-        "lanes = b\"\".join([joined[p::size] for p in range(size)])",
-        "lanes = b\"\".join([joined[p::size][::-1] for p in range(size)])",
-        "pack reverses the cases",
+        "b\"\".join([joined[p::size] for p in range(size)])",
+        "b\"\".join([joined[p::size][::-1] for p in range(size)])",
+        "pack, select and repeat reverse the cases",
         ("tests/test_cohomology.py",),
     ),
     Mutant(
@@ -303,6 +318,20 @@ MUTANTS = (
         "b_i, a_i = pairs[i]",
         "b_i, a_i = pairs[(i + 1) % len(pairs)]",
         "pair checks name pair i + 1",
+        ("tests/test_verify.py",),
+    ),
+    Mutant(
+        COH,
+        "joined = b\"\".join([data[i::L] * k for i, k in enumerate(counts) if k])",
+        "joined = b\"\".join([data[i::L] * k for i, k in enumerate(counts[1:] + counts[:1]) if k])",
+        "repeat gives case i the count of case i + 1",
+        ("tests/test_cohomology.py",),
+    ),
+    Mutant(
+        "src/nilobstruct/verify.py",
+        "b, a = (x.repeat([len(cs) * F for cs in solved]) for x in (bs, as_))",
+        "b, a = (x.repeat([len(cs) * F for cs in solved[1:] + solved[:1]]) for x in (bs, as_))",
+        "level-3 spread repeats each pair by the next pair's lift count",
         ("tests/test_verify.py",),
     ),
     Mutant(

@@ -27,7 +27,6 @@ failing cases of a comparison are read off one folded int.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -318,6 +317,12 @@ class _Lanes:
         return left + z_g_hk & mask, z_gh_k + z_g_h & mask
 
 
+def _case_major_to_lanes(joined: bytes, size: int) -> int:
+    """The lanes of the batch whose cases' values, size bytes each, are
+    joined case after case: byte p of case i goes to byte p*L + i."""
+    return int.from_bytes(b"".join([joined[p::size] for p in range(size)]), "little")
+
+
 def _new(cls, model: GaloisModel, modulus: int, weight: int, lanes: int, cases: int = 1):
     """A cochain from its lanes, unchecked."""
     c = object.__new__(cls)
@@ -335,10 +340,11 @@ class _Cochain:
     ``cases`` cases: case i's c(g) in byte g*L + i and z(g, h) in byte
     (g*n + h)*L + i (see _Lanes).  A cochain built from values is a batch
     of one; pack joins batches of one into a batch, and case reads one
-    back.  ``values`` reads a batch of one as tuples.  Two cochains are
-    equal when their model, modulus, weight, cases and lanes are, and hash
-    by their modulus, weight, cases and lanes.  No operation changes a
-    cochain."""
+    back; select, repeat and tile take a batch's cases into another, in
+    C-level slices and joins whatever their number.  ``values`` reads a
+    batch of one as tuples.  Two cochains are equal when their model,
+    modulus, weight, cases and lanes are, and hash by their modulus,
+    weight, cases and lanes.  No operation changes a cochain."""
 
     __slots__ = ("model", "modulus", "weight", "lanes", "cases")
     _degree = 1
@@ -390,9 +396,8 @@ class _Cochain:
         ):
             raise ValueError(f"pack needs {cls.__name__}s of one case, one model, modulus and weight")
         size = model.order**cls._degree
-        joined = b"".join([c.lanes.to_bytes(size, "little") for c in cochains])
-        lanes = b"".join([joined[p::size] for p in range(size)])
-        return _new(cls, model, modulus, weight, int.from_bytes(lanes, "little"), len(cochains))
+        lanes = _case_major_to_lanes(b"".join([c.lanes.to_bytes(size, "little") for c in cochains]), size)
+        return _new(cls, model, modulus, weight, lanes, len(cochains))
 
     def _blocks(self) -> int:
         return self.model.order**self._degree
@@ -404,20 +409,49 @@ class _Cochain:
         """Case i of the batch, as a batch of one."""
         if not 0 <= i < self.cases:
             raise IndexError(f"case {i} of a batch of {self.cases}")
-        lanes = int.from_bytes(self._bytes()[i :: self.cases], "little")
-        return _new(type(self), self.model, self.modulus, self.weight, lanes)
+        return self._with_lanes(int.from_bytes(self._bytes()[i :: self.cases], "little"), 1)
+
+    def _with_lanes(self, lanes: int, cases: int):
+        return _new(type(self), self.model, self.modulus, self.weight, lanes, cases)
 
     def select(self, indices: Sequence[int]):
-        """The batch of the cases at indices, in their order: one itemgetter
-        of the indices per block.  An index outside 0..L - 1 is refused as
-        case refuses it."""
+        """The batch of the cases at indices, in their order: each case's
+        values, one strided slice of the lanes, joined case after case and
+        sliced back into blocks, as pack does.  An index outside 0..L - 1 is
+        refused as case refuses it."""
         data, L = self._bytes(), self.cases
         if indices and not 0 <= min(indices) <= max(indices) < L:
             bad = min(indices) if min(indices) < 0 else max(indices)
             raise IndexError(f"case {bad} of a batch of {L}")
-        get = operator.itemgetter(*indices) if len(indices) > 1 else lambda block: [block[i] for i in indices]
-        lanes = b"".join([bytes(get(data[p : p + L])) for p in range(0, len(data), L)])
-        return _new(type(self), self.model, self.modulus, self.weight, int.from_bytes(lanes, "little"), len(indices))
+        joined = b"".join([data[i::L] for i in indices])
+        return self._with_lanes(_case_major_to_lanes(joined, self._blocks()), len(indices))
+
+    def repeat(self, counts: Sequence[int]):
+        """The batch in which case i is repeated counts[i] times, in order; a
+        count may be 0.  As select, with each case's values repeated as
+        bytes; where every count is one k, every byte of the lanes is
+        repeated k times instead, by k slice assignments."""
+        L = self.cases
+        if len(counts) != L or min(counts, default=0) < 0:
+            raise ValueError(f"repeat needs a count of at least 0 for each of {L} cases")
+        data = self._bytes()
+        if len(set(counts)) == 1:
+            k = counts[0]
+            repeated = bytearray(len(data) * k)
+            for j in range(k):
+                repeated[j::k] = data
+            return self._with_lanes(int.from_bytes(repeated, "little"), L * k)
+        joined = b"".join([data[i::L] * k for i, k in enumerate(counts) if k])
+        return self._with_lanes(_case_major_to_lanes(joined, self._blocks()), sum(counts))
+
+    def tile(self, times: int):
+        """The whole batch repeated times times: each block repeated as
+        bytes."""
+        if times < 0:
+            raise ValueError(f"tile needs a count of at least 0, not {times}")
+        data, L = self._bytes(), self.cases
+        lanes = b"".join([data[p : p + L] * times for p in range(0, len(data), L)])
+        return self._with_lanes(int.from_bytes(lanes, "little"), L * times)
 
     def nonzero_cases(self) -> list[int]:
         """The cases of the batch that are not zero, in order."""

@@ -28,9 +28,12 @@ the 2000 FULL4(4) cases) and two of actions.
 
 TOWER4's multiplication table and its Galois actions, on element indices,
 live here too: built whole on first use, as one batch of all 128^2
-products and one of all 1024 images, and kept for the process; the section
-boundary reads them, and the nilpotent suite reads them all and certifies
-them against the Magnus oracle.
+products and one of all 1024 images, and kept for the process with what is
+derived from the table, its rows padded to translate tables and the two
+sub-tables of tower4_products.  That kernel reads a batch of TOWER4
+products on index lanes in two translates and a few big-int operations;
+the section boundary reads its products by it, and the nilpotent suite
+reads the tables and certifies them against the Magnus oracle.
 
 The Magnus embedding x -> 1 + X, y -> 1 + Y into noncommutative power series
 truncated in degree 3 provides an independent oracle: collection products are
@@ -43,7 +46,8 @@ byte, so _embed_lanes, _seriesmul_lanes and _extract_lanes, like the
 collection kernels, take a few dozen big-int operations per batch.  Both
 sides' lane products and masks are cohomology's, the ones the cochain
 engine uses, and the tests check each lane kernel against its scalar
-reference.  QuotientSpec, a NamedTuple, is the engine's one record.
+reference.  QuotientSpec and Tower4Tables, NamedTuples, are the engine's
+records.
 """
 
 from __future__ import annotations
@@ -252,9 +256,35 @@ def act_lanes(spec: QuotientSpec, g: Sequence[bytes], chi: bytes, f: bytes) -> t
 # its position in all_elements(TOWER4), a*32 + b*8 + c*4 + d*2 + e.
 TOWER4_ELEMENTS = tuple(all_elements(TOWER4))
 
-# The memo of tower4_tables(): None until its first call, then (rows,
-# actions), kept for the process.
-_TOWER4_TABLES: tuple[list[bytes], dict[tuple[int, int], bytes]] | None = None
+
+class Tower4Tables(NamedTuple):
+    """TOWER4's multiplication table and Galois actions on element indices,
+    with what is derived from the table.
+
+    Row i of rows is a 128-byte bytes whose byte j is the index of the
+    product of elements i and j; actions[chi, f], for chi in 1, 3, 5, 7 and
+    f in 0, 1, in that order, has at byte i the index of element i's image.
+    through[i] is row i padded to 256 bytes, a bytes.translate table that
+    reads it, and halves the two sub-tables tower4_products reads."""
+
+    rows: Sequence[bytes]
+    actions: dict[tuple[int, int], bytes]
+    through: list[bytes]
+    halves: tuple[bytes, bytes]
+
+
+def tower4_tables_from(rows: Sequence[bytes], actions: dict[tuple[int, int], bytes]) -> Tower4Tables:
+    """The tables with these rows and actions, and what is derived from the
+    rows: each padded to 256 bytes, and the halves S_0, S_1, where S_c at
+    (a1, b1) << 4 | (a2, b2) is the index of the product of (a1, b1, c, 0,
+    0) and (a2, b2, 0, 0, 0)."""
+    halves = tuple(bytes([rows[k >> 4 << 3 | c << 2][(k & 15) << 3] for k in range(256)]) for c in (0, 1))
+    return Tower4Tables(rows, actions, [_through(row) for row in rows], halves)
+
+
+# The memo of tower4_tables(): None until its first call, then the tables,
+# kept for the process.
+_TOWER4_TABLES: Tower4Tables | None = None
 
 
 def tower4_index(v: Vec) -> int:
@@ -274,16 +304,11 @@ def _tower4_indices(v: Sequence[bytes]) -> bytes:
     return index.to_bytes(n, "little")
 
 
-def tower4_tables() -> tuple[list[bytes], dict[tuple[int, int], bytes]]:
-    """TOWER4's multiplication table and Galois actions on element indices,
-    built whole on the first call and kept for the process.
-
-    Row i of the table is a 128-byte bytes whose byte j is the index of the
-    product of elements i and j; the action of (chi, f), for chi in 1, 3,
-    5, 7 and f in 0, 1, in that order, has at byte i the index of element
-    i's image, and mod TOWER4 depends on chi only mod 8.  All 128^2
-    products are one mul_lanes batch and all 8 * 128 images one act_lanes
-    batch."""
+def tower4_tables() -> Tower4Tables:
+    """TOWER4's tables, built whole on the first call and kept for the
+    process: all 128^2 products are one mul_lanes batch and all 8 * 128
+    images one act_lanes batch, and the action of (chi, f) mod TOWER4
+    depends on chi only mod 8."""
     global _TOWER4_TABLES
     if _TOWER4_TABLES is None:
         n = len(TOWER4_ELEMENTS)
@@ -298,11 +323,33 @@ def tower4_tables() -> tuple[list[bytes], dict[tuple[int, int], bytes]]:
         products = _tower4_indices(mul_lanes(TOWER4, batch(b"".join([bytes([i]) * n for i in every])), batch(every * n)))
         chi, f = (b"".join([bytes([key[k]]) * n for key in keys]) for k in (0, 1))
         images = _tower4_indices(act_lanes(TOWER4, batch(every * len(keys)), chi, f))
-        _TOWER4_TABLES = (
+        _TOWER4_TABLES = tower4_tables_from(
             [products[i * n : (i + 1) * n] for i in range(n)],
             {key: images[k * n : (k + 1) * n] for k, key in enumerate(keys)},
         )
     return _TOWER4_TABLES
+
+
+def tower4_products(tables: Tower4Tables, i: bytes, j: bytes) -> bytes:
+    """Byte k is the index of the product of elements i[k] and j[k] of
+    TOWER4, rows[i[k]][j[k]], for indices below 128.
+
+    (0, 0, 0, d, e) is central in TOWER4, right multiplication by (0, 0, c,
+    d, e) only adds c, d and e, and TOWER4 keeps c, d and e mod 2, so
+
+        rows[i][j] = rows[i & 0xFC][j & 0xF8] ^ (i & 3) ^ (j & 7):
+
+    the product of (a1, b1, c1, 0, 0) and (a2, b2, 0, 0, 0), with i's d, e
+    and j's c, d, e xored into its bits.  That product is halves[c1] at
+    (a1, b1) << 4 | (a2, b2), so every lane is read by two translates of
+    those bytes, one picked per lane by c1, and a few big-int operations."""
+    n = len(i)
+    ones = _ones(n)
+    x, y = _ints(i), _ints(j)
+    ab = ((x & 0x78 * ones) << 1 | y >> 3 & 0x0F * ones).to_bytes(n, "little")
+    s0, s1 = (_ints(ab.translate(half)) for half in tables.halves)
+    c1 = (x >> 2 & ones) * 0xFF
+    return ((s0 ^ (s0 ^ s1) & c1) ^ (x & 3 * ones) ^ (y & 7 * ones)).to_bytes(n, "little")
 
 
 def _through(row: bytes) -> bytes:
@@ -482,7 +529,10 @@ def boundary_of_section(
     p whose values are not all pairs or all triples, or that breaks the
     cocycle law read off the same products in some case, is refused with
     an InvalidCocycleError naming the first such case and its first
-    (g, h).  Every product is read from TOWER4's tables, on indices.
+    (g, h).  Every product is read from TOWER4's tables, on indices: the
+    acted section by one translate per (chi mod 8, f) that occurs, and the
+    products s(p(g)) g(s(p(h))) of every (g, h, case) by one
+    tower4_products call.
 
     The section is a batch of L = cases sections, as the cochains of
     cohomology are: each value of p is an int whose byte i is case i's
@@ -519,12 +569,12 @@ def boundary_of_section(
     # occurs; where f(g) differs between cases, each case's lanes are taken
     # from its f(g)'s translate.  Row g of acted_rows, byte (g*n + h)*L + i,
     # holds g(s(p(h))) in case i.
-    rows, actions = tower4_tables()
+    tables = tower4_tables()
     acted = {}
 
     def act(key):
         if key not in acted:
-            acted[key] = sect.translate(_through(actions[key]))
+            acted[key] = sect.translate(_through(tables.actions[key]))
         return acted[key]
 
     acted_rows = []
@@ -538,10 +588,10 @@ def boundary_of_section(
         acted_rows.append((zero & ~take | one & take).to_bytes(n * L, "little"))
 
     # Each product s(p(g)) g(s(p(h))) is read from the table in one
-    # _lookup: at byte (g*n + h)*L + i, the row of s(p(g)) in case i, block
-    # g repeated for every h, at the acted index.
+    # tower4_products: at byte (g*n + h)*L + i, s(p(g)) in case i, block g
+    # repeated for every h, times the acted index.
     row_of = b"".join([block * n for block in blocks])
-    products = _lookup(rows, row_of, b"".join(acted_rows))
+    products = tower4_products(tables, row_of, b"".join(acted_rows))
     # Cocycle validation happens at the level the section covers: the head
     # of s(p(g)) g(s(p(h))) must be s(p(gh)), which is 0 past its head.
     # act_vec moves only e by f, so f does not change the verdict.  Only a

@@ -17,6 +17,7 @@ D(c*b) resp. D(c*a + (a choose 2)*b); see delta3_correction_cochains).
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -155,7 +156,10 @@ def _model_data(model: GaloisModel):
     order <= 4 the admissible f and the _Level3 batch of every lift (b, a,
     c) of a pair of cocs with every f.  Each formula, the section boundary
     and the Massey products run once, on the whole batch, and the lifts of
-    every pair of cocs come from one solve.  The delta3 formulas check
+    every pair of cocs come from one solve.  b, a, c and f are each packed
+    once, of the pairs, the lifts' c or the homs, and spread to the cases
+    by Cochain1.repeat and tile, whose slices and bytes repetition run in C
+    whatever the number of cases.  The delta3 formulas check
     nothing: the solver yields only c with Dc = target, the lifts they ask
     for, identity_suite checks the homs once with check_f, and the section
     boundary checks the section of every case, so nothing is checked here
@@ -168,17 +172,17 @@ def _model_data(model: GaloisModel):
     if model.order > 4:
         return cocs, [], None
     homs = f_homs(model)
+    F = len(homs)
     pairs = [(b, a) for b in cocs for a in cocs]
     bs, as_ = (Cochain1.pack(column) for column in zip(*pairs))
     solved = lifts_by_case(bs, as_)
     lifts = [(b, a, c) for (b, a), cs in zip(pairs, solved) for c in cs]
-    # Each batch is packed once, of the pairs, the lifts' c or the homs, and
-    # spread to the cases by one select: lift j is case j*F + k for each k.
-    owner = [p for p, cs in enumerate(solved) for _ in cs]
-    spread = [j for j in range(len(lifts)) for _ in homs]
-    b, a = (x.select([owner[j] for j in spread]) for x in (bs, as_))
-    c = Cochain1.pack([lift[2] for lift in lifts]).select(spread)
-    f = Cochain1.pack(homs).select(list(range(len(homs))) * len(lifts))
+    # Lift j is case j*F + k for each k: each pair is repeated F times per
+    # lift (a pair with no lift drops out), each c F times, and the homs are
+    # tiled.
+    b, a = (x.repeat([len(cs) * F for cs in solved]) for x in (bs, as_))
+    c = Cochain1.pack([lift[2] for lift in lifts]).repeat([F] * len(lifts))
+    f = Cochain1.pack(homs).tile(len(lifts))
     closed = coh.delta3_closed_form(b, a, c, f)
     direct = coh.delta3_cocycle_direct(b, a, c, f)
     corrections = tuple(map(coboundary, delta3_correction_cochains(b, a, c)))
@@ -233,17 +237,19 @@ def check_dcb_lemma(model: GaloisModel, data, rng: random.Random, exhaustive: bo
         rows = [(0, *values) for values in itertools.product(range(4), repeat=n - 1)]
     else:
         rows = [(0, *(rng.randrange(4) for _ in range(n - 1))) for _ in range(32)]
-    C = len(rows)
-    result = CheckResult("D(cb) product rule", model.name, len(cocs) * C)
-    cs = _batch(Cochain1, model, 4, 2, rows, times=len(cocs))
-    bs = _batch(Cochain1, model, 4, 1, [b.values for b in cocs for _ in rows])
+    C, B = len(rows), len(cocs)
+    result = CheckResult("D(cb) product rule", model.name, B * C)
+    cs = _batch(Cochain1, model, 4, 2, rows, times=B)
+    bs = Cochain1.pack(cocs).repeat([C] * B)
     lhs = coboundary(cs.pointwise_mul(bs)) + cup(bs, cs) + cup(cs, bs)
-    # b has weight 1: its factor at (g, h) is b(g) + chi(g) b(h) mod 4.
-    factors = [[(b_g + chi * b_h) % 4 for b_g, chi in zip(b.values, model.chi) for b_h in b.values] for b in cocs]
-    factor = _batch(Cochain2, model, 4, 3, [f for f in factors for _ in rows])
+    # b has weight 1: its factor at (g, h) is b(g) + chi(g) b(h) mod 4, read
+    # from each b's values once.
+    values = [b.values for b in cocs]
+    factors = [[(b_g + chi * b_h) % 4 for b_g, chi in zip(v, model.chi) for b_h in v] for v in values]
+    factor = _batch(Cochain2, model, 4, 3, factors).repeat([C] * B)
     rhs = coh._lane_mul(coboundary(cs).lanes, factor.lanes, n * n * cs.cases, 4)
     for i in lhs.differing_cases(Cochain2.from_lanes(model, 4, 3, rhs, cs.cases)):
-        result.failures.append(f"b={cocs[i // C].values} c={rows[i % C]}")
+        result.failures.append(f"b={values[i // C]} c={rows[i % C]}")
     return result
 
 
@@ -312,14 +318,15 @@ def check_massey(model: GaloisModel, data) -> CheckResult:
     return result
 
 
-def _select_pair(z: tuple[Cochain2, Cochain2], indices: list[int]) -> tuple[Cochain2, Cochain2]:
-    """The cases at indices of the pair z of mod-2 batches of one weight,
-    in one select: x rides in bit 0 of each lane and y in bit 1."""
+def _pair_cases(z: tuple[Cochain2, Cochain2], take) -> tuple[Cochain2, Cochain2]:
+    """The cases that take (a select or repeat) takes of the pair z of
+    mod-2 batches of one weight, in one call: x rides in bit 0 of each lane
+    and y in bit 1."""
     x, y = z
-    model, L = x.model, len(indices)
-    both = Cochain2.from_lanes(model, 2, x.weight, x.lanes | y.lanes << 1, x.cases).select(indices).lanes
-    ones = model._lanes[L].ones[2]
-    return tuple(Cochain2.from_lanes(model, 2, x.weight, both >> bit & ones, L) for bit in (0, 1))
+    model = x.model
+    both = take(Cochain2.from_lanes(model, 2, x.weight, x.lanes | y.lanes << 1, x.cases))
+    ones = model._lanes[both.cases].ones[2]
+    return tuple(Cochain2.from_lanes(model, 2, x.weight, both.lanes >> bit & ones, both.cases) for bit in (0, 1))
 
 
 def check_lift_shift(model: GaloisModel, data) -> CheckResult:
@@ -329,7 +336,8 @@ def check_lift_shift(model: GaloisModel, data) -> CheckResult:
     the f in ``data``, so every c + eps, an xor of lanes, is looked up among
     its lifts.  The cases are those of the level-3 batch, with eps = f:
     case j*F + k shifts lift j by homs[k], and both its closed form and the
-    shifted lift's are read at f = 0, as one selection of cases each.
+    shifted lift's are read at f = 0: the shifted side as one selection of
+    cases, and the base side as each lift's case at f = 0 repeated F times.
     """
     level3 = data[2]
     homs, F = level3.homs, len(level3.homs)
@@ -343,11 +351,15 @@ def check_lift_shift(model: GaloisModel, data) -> CheckResult:
     found = [index.get((b, a, c ^ eps)) for b, a, c in keys for eps in eps_lanes]
     missing = {i for i, k in enumerate(found) if k is None}
     # A case whose c + eps is no lift reads its own lift on both sides.
-    base = [i - i % F + zero for i in range(level3.cases)]
-    shifted = [j if k is None else k * F + zero for j, k in zip(base, found)]
+    shifted = [(i - i % F if k is None else k * F) + zero for i, k in enumerate(found)]
+    lifts_at_zero = range(zero, level3.cases, F)
     rho = chi_minus1_over2(model, level3.cases)
     bad = []
-    moved = zip(_select_pair(level3.closed, shifted), _select_pair(level3.closed, base), (level3.b, level3.a))
+    moved = zip(
+        _pair_cases(level3.closed, lambda z: z.select(shifted)),
+        _pair_cases(level3.closed, lambda z: z.select(lifts_at_zero).repeat([F] * len(keys))),
+        (level3.b, level3.a),
+    )
     for z_shifted, z_base, x in moved:
         shift = cup(x.reduce2() + rho, level3.f)
         bad.append(set((z_shifted - z_base).differing_cases(shift)))
@@ -455,13 +467,13 @@ def check_associativity_tower4(tables) -> CheckResult:
 
     For each i, one comparison covers every (j, k): the table, all rows
     joined and translated through row i, is i(jk); the rows ij joined in
-    order of j are (ij)k.  Only a mismatch walks (j, k), to find the first
-    bad triple."""
+    order of j are (ij)k, gathered by one itemgetter of row i's entries.
+    Only a mismatch walks (j, k), to find the first bad triple."""
     result = CheckResult("TOWER4 exhaustive associativity", "TOWER4", 128**3)
-    els, (rows, _) = nil.TOWER4_ELEMENTS, tables
+    els, rows = nil.TOWER4_ELEMENTS, tables.rows
     all_rows = b"".join(rows)
     for i, row_i in enumerate(rows):
-        if all_rows.translate(nil._through(row_i)) == b"".join([rows[ij] for ij in row_i]):
+        if all_rows.translate(tables.through[i]) == b"".join(operator.itemgetter(*row_i)(rows)):
             continue
         for j, ij in enumerate(row_i):
             row_ij, row_j = rows[ij], rows[j]
@@ -479,7 +491,7 @@ def check_inverses_tower4(tables) -> CheckResult:
     products read from the multiplication table of nil.tower4_tables(),
     whose index 0 is the identity."""
     result = CheckResult("TOWER4 inverses", "TOWER4", 128)
-    rows, _ = tables
+    rows = tables.rows
     for i, g in enumerate(nil.TOWER4_ELEMENTS):
         j = nil.tower4_index(nil.inv_vec(g))
         if not rows[i][j] == 0 == rows[j][i]:
@@ -491,7 +503,7 @@ def check_switch_identity(tables) -> CheckResult:
     """x^b y^a = y^a x^b [x,y]^{ab} [[x,y],y]^{b C(a+1,2)} [[x,y],x]^{a C(b+1,2)},
     with x^b, y^a and their product read from the table of nil.tower4_tables()."""
     result = CheckResult("generator switch law", "TOWER4, (a,b) mod 4", 16)
-    rows, _ = tables
+    rows = tables.rows
     x, y = nil.tower4_index((0, 1, 0, 0, 0)), nil.tower4_index((1, 0, 0, 0, 0))
     # n-fold products, so that the check exercises the table
     x_pow, y_pow = [0], [0]
@@ -553,12 +565,12 @@ def _table_products(spec: nil.QuotientSpec, tables):
     their products are TOWER4 indices, in order of g and then of h, and
     each lane is one translate of them through an exponent of each index
     reduced into spec."""
-    els, (rows, _) = nil.TOWER4_ELEMENTS, tables
+    els = nil.TOWER4_ELEMENTS
     reduced = [nil._reduce(g, spec.moduli) for g in els]
     factors = bytes([i for i, g in enumerate(els) if reduced[i] == g])
     g = b"".join([bytes([i]) * len(factors) for i in factors])
     h = factors * len(factors)
-    gh = b"".join([factors.translate(nil._through(rows[i])) for i in factors])
+    gh = b"".join([factors.translate(tables.through[i]) for i in factors])
     exponents = [nil._through(bytes(column)) for column in zip(*reduced)]
     return tuple(tuple(x.translate(e) for e in exponents) for x in (g, h, gh))
 
@@ -593,12 +605,11 @@ def check_galois_automorphism(tables) -> CheckResult:
     read at a(j), one translate of a per i, is a(i) a(j).  Only a mismatch
     walks (i, j), to find the first bad pair."""
     result = CheckResult("galois_act is an automorphism", "TOWER4, all (chi, f)", 0)
-    els, (rows, act) = nil.TOWER4_ELEMENTS, tables
-    through = nil._through
+    els, (rows, act, through, _) = nil.TOWER4_ELEMENTS, tables
     all_rows = b"".join(rows)
     for (chi, f), a in act.items():
-        products_of_images = b"".join([a.translate(through(rows[ai])) for ai in a])
-        if all_rows.translate(through(a)) == products_of_images:
+        products_of_images = b"".join([a.translate(through[ai]) for ai in a])
+        if all_rows.translate(nil._through(a)) == products_of_images:
             result.cases += 128**2
             continue
         for i, row in enumerate(rows):
@@ -619,7 +630,7 @@ def check_galois_composition(tables) -> CheckResult:
     inner action translated through the outer one.  Only a mismatch walks
     the elements, to find the first bad one."""
     result = CheckResult("galois composition cocycle law", "TOWER4", 0)
-    els, (_, act) = nil.TOWER4_ELEMENTS, tables
+    els, act = nil.TOWER4_ELEMENTS, tables.actions
     for chi1, chi2 in itertools.product((1, 3, 5, 7), repeat=2):
         for f1, f2 in itertools.product((0, 1), repeat=2):
             outer, inner = act[chi1, f1], act[chi2, f2]
@@ -651,23 +662,23 @@ def check_quotient_compat(tables, rng: random.Random) -> CheckResult:
     TOWER4 index, of every case at once: the FULL4(4) side is one
     nil.mul_lanes and one nil.act_lanes batch, its lanes turned into
     indices by masks; the TOWER4 side reads the tables of
-    nil.tower4_tables() by nil._lookup; and an index masked with 0xFC (d =
-    e = 0) is its reduction into TOWER3.  Only the cases on which a side
-    differs are walked, in order, each naming its g (and h)."""
-    rows, act = tables
+    nil.tower4_tables(), its products by nil.tower4_products and its
+    actions by nil._lookup; and an index masked with 0xFC (d = e = 0) is
+    its reduction into TOWER3.  Only the cases on which a side differs are
+    walked, in order, each naming its g (and h)."""
     g, h, chi, f = _compat_cases(rng)
     n = len(chi)
     result = CheckResult("FULL4(4) -> TOWER4 -> TOWER3 compatibility", "projections", n)
     full4 = nil.full4(4)
     i, j = nil._tower4_indices(g), nil._tower4_indices(h)
-    ij = nil._lookup(rows, i, j)
+    ij = nil.tower4_products(tables, i, j)
     # The action of (chi, f) is act's entry chi - 1 + f, in its key order.
     which = (nil._ints(chi) + nil._ints(f) - coh._ones(n)).to_bytes(n, "little")
     tower3 = nil._HEAD[3]
     sides = (
         (nil._tower4_indices(nil.mul_lanes(full4, g, h)), ij),
-        (nil._tower4_indices(nil.act_lanes(full4, g, chi, f)), nil._lookup(list(act.values()), which, i)),
-        (nil._lookup(rows, i.translate(tower3), j.translate(tower3)).translate(tower3), ij.translate(tower3)),
+        (nil._tower4_indices(nil.act_lanes(full4, g, chi, f)), nil._lookup(list(tables.actions.values()), which, i)),
+        (nil.tower4_products(tables, i.translate(tower3), j.translate(tower3)).translate(tower3), ij.translate(tower3)),
     )
     if all(x == y for x, y in sides):
         return result

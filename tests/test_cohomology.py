@@ -879,6 +879,54 @@ def test_select_refuses_an_index_outside_the_batch_as_case_does():
         assert str(by_select.value) == str(by_case.value) == f"case {bad} of a batch of 3"
 
 
+@st.composite
+def _spread_cases(draw):
+    """(batch, cases, counts, times): a Cochain1 or Cochain2 batch of 1 to
+    32 cases on a model of BATCH_MODELS at modulus 2, 4 or 8, with the
+    all-(m - 1) case drawn often; a count of 0 to 3 per case, with one count
+    for every case (0 among them) drawn often; and a tile count of 0 to
+    3."""
+    model = draw(st.sampled_from(BATCH_MODELS))
+    modulus = draw(st.sampled_from((2, 4, 8)))
+    cls = draw(st.sampled_from((Cochain1, Cochain2)))
+    size = model.order ** (1 if cls is Cochain1 else 2)
+    values = st.one_of(st.just((modulus - 1,) * size), st.tuples(*[st.integers(0, modulus - 1)] * size))
+    flat = draw(st.lists(values, min_size=1, max_size=32))
+    if cls is Cochain1:
+        cases = [Cochain1(model, modulus, 1, v) for v in flat]
+    else:
+        cases = [Cochain2(model, modulus, 1, _rows(model, v)) for v in flat]
+    L = len(cases)
+    uniform = st.integers(0, 3).map(lambda k: [k] * L)
+    counts = draw(st.one_of(uniform, st.lists(st.integers(0, 3), min_size=L, max_size=L)))
+    return cls.pack(cases), cases, counts, draw(st.integers(0, 3))
+
+
+@given(_spread_cases())
+def test_repeat_and_tile_are_selects_of_the_same_indices(drawn):
+    """repeat(counts) is the select of each case i counts[i] times, and
+    tile(times) the select of every case in order, times times, for both
+    degrees at every modulus, all-(m - 1) lanes and zero counts among
+    them; and each case of the result is the case it repeats."""
+    batch, cases, counts, times = drawn
+    L = len(cases)
+    repeated = [i for i, k in enumerate(counts) for _ in range(k)]
+    got = batch.repeat(counts)
+    assert got == batch.select(repeated)
+    assert [got.case(k) for k in range(got.cases)] == [cases[i] for i in repeated]
+    assert batch.tile(times) == batch.select(list(range(L)) * times)
+
+
+def test_repeat_and_tile_refuse_a_count_below_0_or_of_the_wrong_length():
+    model = klein_model()
+    batch = Cochain1.pack([Cochain1(model, 4, 1, (0, v, 2, v)) for v in range(3)])
+    for counts in ([1, 1], [1, 1, 1, 1], [1, -1, 1]):
+        with pytest.raises(ValueError, match="repeat needs a count of at least 0 for each of 3 cases"):
+            batch.repeat(counts)
+    with pytest.raises(ValueError, match="tile needs a count of at least 0, not -1"):
+        batch.tile(-1)
+
+
 _lane_pairs = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=64)
 
 

@@ -847,3 +847,58 @@ def test_collection_lane_kernels_refuse_a_modulus_a_lane_cannot_hold():
             nil.mul_lanes(spec, g, g)
         with pytest.raises(ValueError, match=re.escape(spec.name)):
             nil.act_lanes(spec, g, b"\x03", b"\x01")
+
+
+# The product kernel on TOWER4 index lanes, against the two-byte-lane
+# lookup through the table's rows.
+_EVERY_I = bytes(i for i in range(128) for _ in range(128))
+_EVERY_J = bytes(range(128)) * 128
+
+
+def test_tower4_products_is_the_lookup_at_every_pair():
+    """At all 128^2 index pairs the kernel reads the table, as _lookup
+    through its rows does."""
+    tables = nil.tower4_tables()
+    products = nil.tower4_products(tables, _EVERY_I, _EVERY_J)
+    assert products == nil._lookup(tables.rows, _EVERY_I, _EVERY_J) == b"".join(tables.rows)
+
+
+def test_tower4_product_is_the_reduced_corner_with_the_low_bits_xored():
+    """rows[i][j] = rows[i & 0xFC][j & 0xF8] ^ (i & 3) ^ (j & 7) on the
+    built table: the law the kernel reads the products by, since (0, 0, 0,
+    d, e) is central, right multiplication by (0, 0, c, d, e) only adds c,
+    d and e, and TOWER4 keeps them mod 2."""
+    rows = nil.tower4_tables().rows
+    for i, j in itertools.product(range(128), repeat=2):
+        assert rows[i][j] == rows[i & 0xFC][j & 0xF8] ^ (i & 3) ^ (j & 7), (i, j)
+
+
+def test_tower4_tables_derive_their_sub_tables_from_the_rows():
+    """The kept tables are those tower4_tables_from derives from their
+    rows and actions: each row padded to 256 bytes, and S_c at (a1, b1) <<
+    4 | (a2, b2) the index of (a1, b1, c, 0, 0) (a2, b2, 0, 0, 0)."""
+    tables = nil.tower4_tables()
+    assert tables == nil.tower4_tables_from(tables.rows, tables.actions)
+    assert all(t == row + bytes(128) for t, row in zip(tables.through, tables.rows))
+    for c, half in enumerate(tables.halves):
+        for (a1, b1), (a2, b2) in itertools.product(itertools.product(range(4), repeat=2), repeat=2):
+            want = nil.tower4_index(mul_vec((a1, b1, c, 0, 0), (a2, b2, 0, 0, 0)))
+            assert half[(a1 * 4 + b1) << 4 | a2 * 4 + b2] == want
+
+
+_index_pairs = st.lists(st.tuples(st.integers(0, 127), st.integers(0, 127)), max_size=64)
+
+
+@example([(127, 127)] * 64)
+@example([(i, 127 - i) for i in range(3, 128, 4)])
+@given(_index_pairs)
+def test_tower4_products_matches_the_lookup_lane_by_lane(pairs):
+    """On 0 to 64 lanes of any indices below 128, i with d and e set among
+    them as the compatibility check passes it, and all-127 lanes: lane k
+    is the lookup of (i[k], j[k]) through the table's rows."""
+    tables = nil.tower4_tables()
+    i, j = (bytes(column) for column in zip(*pairs)) if pairs else (b"", b"")
+    got = nil.tower4_products(tables, i, j)
+    assert len(got) == len(pairs)
+    assert got == nil._lookup(tables.rows, i, j)
+    assert list(got) == [tables.rows[i_k][j_k] for i_k, j_k in pairs]

@@ -126,8 +126,8 @@ def test_galois_automorphism_check_fails_on_a_non_automorphism(monkeypatch, fres
 def test_associativity_check_counts_the_triples_it_ran():
     """A wrong product stops the check at the first non-associating triple
     (i, j, k), and cases counts the triples checked up to and including it."""
-    rows, act = nil.tower4_tables()
-    result = check_associativity_tower4((_bumped(rows, 5, 9), act))
+    rows, act, *_ = nil.tower4_tables()
+    result = check_associativity_tower4(nil.tower4_tables_from(_bumped(rows, 5, 9), act))
     assert not result.passed
     index = {g: n for n, g in enumerate(nil.all_elements(nil.TOWER4))}
     i, j, k = (index[vec] for vec in ast.literal_eval(result.failures[0]))
@@ -137,7 +137,7 @@ def test_associativity_check_counts_the_triples_it_ran():
 def _associativity_by_triples(tables):
     """Reference: the (failures, cases) of a walk over every triple (i, j, k)
     in order, stopping at the first one that does not associate."""
-    els, (table, _) = nil.all_elements(nil.TOWER4), tables
+    els, table = nil.all_elements(nil.TOWER4), tables.rows
     for i, j, k in itertools.product(range(128), repeat=3):
         if table[table[i][j]][k] != table[i][table[j][k]]:
             return [f"({els[i]}, {els[j]}, {els[k]})"], (i * 128 + j) * 128 + k + 1
@@ -148,8 +148,8 @@ def _associativity_by_triples(tables):
 def test_associativity_check_finds_the_first_bad_triple_of_the_triple_walk(entry):
     """The row-at-a-time check reports the same first triple, with the same
     cases, as the walk over single triples."""
-    rows, act = nil.tower4_tables()
-    bumped = (_bumped(rows, *entry), act)
+    rows, act, *_ = nil.tower4_tables()
+    bumped = nil.tower4_tables_from(_bumped(rows, *entry), act)
     result = check_associativity_tower4(bumped)
     assert not result.passed
     assert (result.failures, result.cases) == _associativity_by_triples(bumped)
@@ -159,7 +159,7 @@ def _automorphism_by_pairs(tables):
     """Reference: the (failures, cases) of a walk over every (chi, f, i, j)
     in order, stopping at the first pair whose product the action does not
     respect."""
-    els, (table, act) = nil.all_elements(nil.TOWER4), tables
+    els, (table, act, *_) = nil.all_elements(nil.TOWER4), tables
     cases = 0
     for (chi, f), a in act.items():
         for i, j in itertools.product(range(128), repeat=2):
@@ -186,7 +186,7 @@ def test_automorphism_check_finds_the_first_bad_pair_of_the_pair_walk(corrupt, e
     with the same cases, as the walk over single pairs.  Every action
     fixes the elements of index 0 to 3, so 0 * h read as h + 1 for h < 3
     breaks no law; (0, 3) is the first entry the check can see."""
-    rows, act = nil.tower4_tables()
+    rows, act, *_ = nil.tower4_tables()
     if corrupt == "table":
         rows = _bumped(rows, *entry)
     else:
@@ -194,9 +194,10 @@ def test_automorphism_check_finds_the_first_bad_pair_of_the_pair_walk(corrupt, e
         act = dict(act)
         act[key] = bytearray(act[key])
         act[key][column] = (act[key][column] + 1) % 128
-    result = check_galois_automorphism((rows, act))
+    tables = nil.tower4_tables_from(rows, act)
+    result = check_galois_automorphism(tables)
     assert not result.passed
-    assert (result.failures, result.cases) == _automorphism_by_pairs((rows, act))
+    assert (result.failures, result.cases) == _automorphism_by_pairs(tables)
 
 
 def test_associativity_record_times_the_table_build(monkeypatch, fresh_tables):
@@ -288,6 +289,39 @@ def test_inverses_check_catches_a_wrong_inverse(monkeypatch):
     assert result.cases == 128
     assert len(result.failures) == 64
     assert result.failures[0] == "(0, 1, 0, 0, 0)"
+
+
+def test_sub_tables_are_built_and_dropped_with_the_table(monkeypatch, fresh_tables):
+    """The padded rows and the sub-tables of tower4_products live in the
+    one memo with the table.  After the right tables are built and the memo
+    emptied, as fresh_tables does, a build under _flipped_e leaves no stale
+    sub-table behind: the kernel and the section boundary read the flipped
+    table.  Once the memo is emptied again, the next build reads the right
+    one, and the level-3 boundary of Z/4, which the flip changes in 16
+    cases, is the one the right tables gave."""
+    i = bytes(k for k in range(128) for _ in range(128))
+    j = bytes(range(128)) * 128
+    model = coh.cyclic_model(4, 3)
+    level3 = _model_data(model)[2]
+    right = nil.tower4_tables()
+    c = coh.Cochain1.pack([lift[2] for lift in level3.lifts]).repeat([len(level3.homs)] * len(level3.lifts))
+    section = verify._section(level3.a, level3.b, c)
+
+    def boundary():
+        return nil.boundary_of_section(model, section, level3.f, cases=level3.cases)
+
+    monkeypatch.setattr(nil, "_TOWER4_TABLES", None)
+    with monkeypatch.context() as patch:
+        patch.setattr(nil, "mul_lanes", _flipped_e(nil.mul_lanes))
+        flipped = nil.tower4_tables()
+    assert nil.tower4_tables() is flipped
+    assert flipped == nil.tower4_tables_from(flipped.rows, flipped.actions)
+    assert flipped.rows != right.rows and flipped.halves != right.halves and flipped.through != right.through
+    assert nil.tower4_products(flipped, i, j) == b"".join(flipped.rows)
+    assert boundary() != level3.boundary
+    monkeypatch.setattr(nil, "_TOWER4_TABLES", None)
+    assert nil.tower4_tables() == right
+    assert boundary() == level3.boundary
 
 
 def test_switch_identity_check_catches_a_wrong_collection(monkeypatch, fresh_tables):
@@ -532,6 +566,64 @@ def test_model_data_validates_nothing(monkeypatch):
     assert checked == {}
 
 
+def _level3_by_select(model):
+    """Reference: the level-3 batch of model as it was built by one select
+    per spread: b and a from the packed pairs at each case's pair, c from
+    the packed lifts at each case's lift, and f from the packed homs at
+    each case's k; then every formula, the section boundary and the Massey
+    products on those batches."""
+    cocs, homs = coh.all_twisted_cocycles(model, 4, 1), coh.f_homs(model)
+    pairs = [(b, a) for b in cocs for a in cocs]
+    bs, as_ = (coh.Cochain1.pack(column) for column in zip(*pairs))
+    solved = coh.lifts_by_case(bs, as_)
+    lifts = [(b, a, c) for (b, a), cs in zip(pairs, solved) for c in cs]
+    owner = [p for p, cs in enumerate(solved) for _ in cs]
+    spread = [j for j in range(len(lifts)) for _ in homs]
+    b, a = (x.select([owner[j] for j in spread]) for x in (bs, as_))
+    c = coh.Cochain1.pack([lift[2] for lift in lifts]).select(spread)
+    f = coh.Cochain1.pack(homs).select(list(range(len(homs))) * len(lifts))
+    return {
+        "lifts": lifts, "homs": homs, "b": b, "a": a, "f": f,
+        "closed": coh.delta3_closed_form(b, a, c, f),
+        "direct": coh.delta3_cocycle_direct(b, a, c, f),
+        "corrections": tuple(map(coh.coboundary, coh.delta3_correction_cochains(b, a, c))),
+        "boundary": nil.boundary_of_section(model, verify._section(a, b, c), f, cases=b.cases),
+        "massey": verify._massey(b, a, c, f),
+    }
+
+
+@pytest.mark.parametrize("model", standard_models(), ids=lambda m: m.name)
+def test_level3_spreads_equal_the_select_built_batch(model):
+    """The level-3 batch spread by bytes repetition has the cases and lanes
+    of every field of the batch built by one select per spread, on every
+    model that has one; (Z/2 and Z/2xZ/2 have pairs with no lift, whose
+    count 0 drops them.)"""
+    level3 = _model_data(model)[2]
+    for name, want in _level3_by_select(model).items():
+        assert getattr(level3, name) == want, name
+    assert level3.cases == len(level3.lifts) * len(level3.homs)
+
+
+@pytest.mark.parametrize("exhaustive", (False, True))
+def test_dcb_lemma_reads_each_cocycles_values_once(monkeypatch, exhaustive):
+    """check_dcb_lemma reads Cochain1.values once per cocycle b, not once
+    per (b, c) row, on every model of the suite: counted by wrapping the
+    values property once each model's data is built."""
+    data = {model: _model_data(model) for model in standard_models() + coh.extra_models()}
+    values = coh.Cochain1.values
+    counts = collections.Counter()
+
+    def counting(self):
+        counts["values"] += 1
+        return values.fget(self)
+
+    monkeypatch.setattr(coh.Cochain1, "values", property(counting))
+    for model, model_data in data.items():
+        counts.clear()
+        assert check_dcb_lemma(model, model_data, random.Random(0), exhaustive).passed
+        assert counts["values"] == len(model_data[0]), model.name
+
+
 @pytest.mark.parametrize("model", standard_models(), ids=lambda m: m.name)
 def test_all_f_kernels_match_one_f_calls(model):
     """On every lift, case i of each level-3 kernel called on the batch of
@@ -693,7 +785,7 @@ def test_section_boundaries_build_the_tables_in_one_batch(monkeypatch, fresh_tab
     counts = collections.Counter()
     _count_kernels(monkeypatch, counts)
     assert all(r.passed for r in verify.run_suites("cochain", max_order=2))
-    rows, actions = nil._TOWER4_TABLES
+    rows, actions, *_ = nil._TOWER4_TABLES
     assert len(rows) == 128 and sorted(actions) == sorted(itertools.product((1, 3, 5, 7), (0, 1)))
     assert counts == {"mul_lanes": 1, "mul_lanes lanes": 128**2, "act_lanes": 1, "act_lanes lanes": 1024}
 
@@ -712,7 +804,7 @@ def test_tables_kept_across_passes_change_no_record(monkeypatch, fresh_tables):
     els = nil.all_elements(nil.TOWER4)
     index = {g: i for i, g in enumerate(els)}
     moduli = nil.TOWER4.moduli
-    rows, actions = nil._TOWER4_TABLES
+    rows, actions, *_ = nil._TOWER4_TABLES
     assert all(type(row) is bytes for row in rows)
     assert rows == [bytes([index[nil._reduce(nil.mul_vec(g, h), moduli)] for h in els]) for g in els]
     assert sorted(actions) == sorted(itertools.product((1, 3, 5, 7), (0, 1)))
