@@ -429,18 +429,11 @@ class _Cochain:
     def repeat(self, counts: Sequence[int]):
         """The batch in which case i is repeated counts[i] times, in order; a
         count may be 0.  As select, with each case's values repeated as
-        bytes; where every count is one k, every byte of the lanes is
-        repeated k times instead, by k slice assignments."""
+        bytes."""
         L = self.cases
         if len(counts) != L or min(counts, default=0) < 0:
             raise ValueError(f"repeat needs a count of at least 0 for each of {L} cases")
         data = self._bytes()
-        if len(set(counts)) == 1:
-            k = counts[0]
-            repeated = bytearray(len(data) * k)
-            for j in range(k):
-                repeated[j::k] = data
-            return self._with_lanes(int.from_bytes(repeated, "little"), L * k)
         joined = b"".join([data[i::L] * k for i, k in enumerate(counts) if k])
         return self._with_lanes(_case_major_to_lanes(joined, self._blocks()), sum(counts))
 

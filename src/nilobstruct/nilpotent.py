@@ -589,7 +589,10 @@ def boundary_of_section(
 
     # Each product s(p(g)) g(s(p(h))) is read from the table in one
     # tower4_products: at byte (g*n + h)*L + i, s(p(g)) in case i, block g
-    # repeated for every h, times the acted index.
+    # repeated for every h, times the acted index.  tower4_products reads
+    # only the table's halves and builds the rest by its law; that is exact
+    # because the nilpotent suite certifies every entry of the table against
+    # the Magnus oracle, not because this read checks it.
     row_of = b"".join([block * n for block in blocks])
     products = tower4_products(tables, row_of, b"".join(acted_rows))
     # Cocycle validation happens at the level the section covers: the head

@@ -17,7 +17,6 @@ D(c*b) resp. D(c*a + (a choose 2)*b); see delta3_correction_cochains).
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -467,13 +466,13 @@ def check_associativity_tower4(tables) -> CheckResult:
 
     For each i, one comparison covers every (j, k): the table, all rows
     joined and translated through row i, is i(jk); the rows ij joined in
-    order of j are (ij)k, gathered by one itemgetter of row i's entries.
-    Only a mismatch walks (j, k), to find the first bad triple."""
+    order of j are (ij)k.  Only a mismatch walks (j, k), to find the first
+    bad triple."""
     result = CheckResult("TOWER4 exhaustive associativity", "TOWER4", 128**3)
     els, rows = nil.TOWER4_ELEMENTS, tables.rows
     all_rows = b"".join(rows)
     for i, row_i in enumerate(rows):
-        if all_rows.translate(tables.through[i]) == b"".join(operator.itemgetter(*row_i)(rows)):
+        if all_rows.translate(tables.through[i]) == b"".join([rows[ij] for ij in row_i]):
             continue
         for j, ij in enumerate(row_i):
             row_ij, row_j = rows[ij], rows[j]
@@ -665,7 +664,14 @@ def check_quotient_compat(tables, rng: random.Random) -> CheckResult:
     nil.tower4_tables(), its products by nil.tower4_products and its
     actions by nil._lookup; and an index masked with 0xFC (d = e = 0) is
     its reduction into TOWER3.  Only the cases on which a side differs are
-    walked, in order, each naming its g (and h)."""
+    walked, in order, each naming its g (and h).
+
+    tower4_products reads only the table's halves, the products
+    rows[i & 0xFC][j & 0xF8], and builds every other entry by the law it
+    states, which this pass does not check.  The product sides are exact
+    only because the "collection == magnus" check on "TOWER4 exhaustive"
+    certifies every entry of the table; they are no independent evidence
+    for the table away from those corners."""
     g, h, chi, f = _compat_cases(rng)
     n = len(chi)
     result = CheckResult("FULL4(4) -> TOWER4 -> TOWER3 compatibility", "projections", n)
