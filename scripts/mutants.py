@@ -89,23 +89,37 @@ MUTANTS = (
     ),
     Mutant(
         OBS,
-        "return True, p & 3 == 3 or _is_fourth_power_mod(s, p)",
-        "return True, p & 3 != 3 and _is_fourth_power_mod(s, p)",
+        "return (True, True) if pow(s, p >> 1, p) == 1 else (False, None)",
+        "return (True, False) if pow(s, p >> 1, p) == 1 else (False, None)",
         "fast path: no fourth powers at p = 3 mod 4",
         ("tests/test_point.py",),
     ),
     Mutant(
         OBS,
-        "consistent = consistent and d2_ok and d3_ok",
-        "consistent = consistent and d2_ok",
+        "return (True, t == 1) if t == 1 or t == p - 1 else (False, None)",
+        "return (True, t == 1) if t == 1 else (False, None)",
+        "fast path reads only t == 1 as a square",
+        ("tests/test_point.py",),
+    ),
+    Mutant(
+        OBS,
+        "fast_ok = fast_ok and d2_ok and d3_ok",
+        "fast_ok = fast_ok and d2_ok",
         "fast path: delta3 disagreement ignored",
         ("tests/test_point.py", "tests/test_cli.py"),
     ),
     Mutant(
         "src/nilobstruct/k2global.py",
-        "        value = (p - value) % p\n",
-        "        value = value % p\n",
+        "return p - value if v_b & v_a & 1 else value",
+        "return value",
         "tame symbol without its sign",
+        ("tests/test_k2global.py",),
+    ),
+    Mutant(
+        "src/nilobstruct/k2global.py",
+        "value = pow(u_b, v_a, p) if v_a else 1",
+        "value = pow(u_b, v_a, p) if v_a > 0 else 1",
+        "tame symbol skips a nonzero exponent",
         ("tests/test_k2global.py",),
     ),
     Mutant(
@@ -315,9 +329,16 @@ MUTANTS = (
     ),
     Mutant(
         "src/nilobstruct/verify.py",
-        "b_i, a_i = pairs[i]",
-        "b_i, a_i = pairs[(i + 1) % len(pairs)]",
+        'a={cocs[i % K].values}")',
+        'a={cocs[(i + 1) % K].values}")',
         "pair checks name pair i + 1",
+        ("tests/test_verify.py",),
+    ),
+    Mutant(
+        "src/nilobstruct/verify.py",
+        "return batch.repeat([K] * K), batch.tile(K)",
+        "return batch.tile(K), batch.repeat([K] * K)",
+        "pair batches give case i*K + j the pair (cocs[j], cocs[i])",
         ("tests/test_verify.py",),
     ),
     Mutant(

@@ -352,12 +352,14 @@ class Factorization(NamedTuple):
 def factor(x) -> Factorization:
     """Exact signed factorization of a nonzero rational."""
     value = as_rational(x)
-    return Factorization(1 if value > 0 else -1, tuple(sorted(_exponents(value).items())))
+    exponents = _exponents(*value.as_integer_ratio())
+    return Factorization(1 if value > 0 else -1, tuple(sorted(exponents.items())))
 
 
-def _exponents(value: Fraction) -> dict[int, int]:
-    """{p: v_p(value) != 0}, from one factor_int call per integer part > 1."""
-    num, den = abs(value.numerator), value.denominator
+def _exponents(num: int, den: int) -> dict[int, int]:
+    """{p: v_p(num/den) != 0} of a fraction in lowest terms with den > 0,
+    from one factor_int call per integer part > 1."""
+    num = abs(num)
     exponents = factor_int(num) if num > 1 else {}
     if den > 1:
         for p, e in factor_int(den).items():
@@ -515,13 +517,14 @@ class Point(NamedTuple):
     @classmethod
     def of(cls, b, a) -> "Point":
         b, a = as_rational(b), as_rational(a)
-        exp_b, exp_a = _exponents(b), _exponents(a)
-        local = []
         (n_b, d_b), (n_a, d_a) = b.as_integer_ratio(), a.as_integer_ratio()
-        for p in sorted((exp_b.keys() | exp_a.keys()) - {2}):
+        exp_b, exp_a = _exponents(n_b, d_b), _exponents(n_a, d_a)
+        v2 = exp_b.pop(2, 0), exp_a.pop(2, 0)
+        local = []
+        for p in sorted(exp_b.keys() | exp_a.keys()):
             v_b, v_a = exp_b.get(p, 0), exp_a.get(p, 0)
             local.append((p, v_b, _unit_residue(n_b, d_b, v_b, p), v_a, _unit_residue(n_a, d_a, v_a, p)))
-        return cls(b, a, tuple(local), (exp_b.get(2, 0), exp_a.get(2, 0)))
+        return cls(b, a, tuple(local), v2)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(entry[0] for entry in self.local)

@@ -46,17 +46,19 @@ class Delta2GlobalVerdict(NamedTuple):
 
 def tame_symbol_odd(b, a, p: int) -> TameSymbolValue:
     """Tame symbol (b,a)_p in F_p^* at an odd prime p."""
-    return tame_symbol_vu(*local_data(b, a, p), p)
+    return TameSymbolValue(p, tame_symbol_vu(*local_data(b, a, p), p))
 
 
-def tame_symbol_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> TameSymbolValue:
-    """tame_symbol_odd from the local data (see arith.local_data) at a certified odd prime."""
+def tame_symbol_vu(v_b: int, u_b: int, v_a: int, u_a: int, p: int) -> int:
+    """The value in 1..p-1 of tame_symbol_odd, from the local data (see
+    arith.local_data) at a certified odd prime."""
     # With b = p^v_b * u_b and a = p^v_a * u_a the uniformizer powers cancel
-    # and the symbol reduces to a pure unit expression mod p.
-    value = pow(u_b, v_a, p) * pow(u_a, -v_b, p) % p
-    if (v_b * v_a) % 2 == 1:
-        value = (p - value) % p
-    return TameSymbolValue(p, value)
+    # and the symbol reduces to a pure unit expression mod p, whose factor
+    # to the exponent 0 is 1 and takes no power.
+    value = pow(u_b, v_a, p) if v_a else 1
+    if v_b:
+        value = value * pow(u_a, -v_b, p) % p
+    return p - value if v_b & v_a & 1 else value
 
 
 # Residue of the odd part mod 8 -> (i, k) in the decomposition

@@ -16,15 +16,14 @@ arithmetic from the canonical representatives: the kernels mul_vec, inv_vec
 and act_vec work over the integers, and a caller reduces their output into a
 quotient with _reduce(v, spec.moduli).  They are the exact layer and the
 tests' reference; a verify pass calls them only for the exact commutator
-law and the inverses check (24 mul_vec and 144 inv_vec calls).
+law and the inverses check.
 
 Every product and action formed in bulk runs on byte lanes: a batch of
 exponent vectors is five bytes, one per exponent, byte i of each holding
 vector i's exponent, and mul_lanes and act_lanes return a batch's reduced
 products or images in a few dozen big-int operations and bytes.translate
-calls, whatever its size.  A verify pass makes three such batches of
-products (TOWER4's table in a fresh process, the 10^4 FULL4(8) pairs and
-the 2000 FULL4(4) cases) and two of actions.
+calls, whatever its size.  A verify pass forms its bulk products and
+actions as such batches, TOWER4's table among them.
 
 TOWER4's multiplication table and its Galois actions, on element indices,
 live here too: built whole on first use, as one batch of all 128^2

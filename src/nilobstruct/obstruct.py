@@ -20,8 +20,10 @@ With p mod 8 and v mod 4 that is the key of a table that _delta3_odd
 reads and _criterion fills from the key alone, so no root is computed and
 no patched pow can write a wrong entry (_criterion's docstring says why
 the choice of root does not matter).  report() walks the primes once, for
-the entry, delta2 bit and tame symbol of each.  delta3_at is the one public
-local delta3 and the one border for a place.
+the entry, delta2 bit and tame symbol of each, and on an integer point the
+congruence fast path, one more modular power of a + b at a prime dividing
+ab once.  delta3_at is the one public local delta3 and the one border for
+a place.
 """
 
 from __future__ import annotations
@@ -31,15 +33,13 @@ from typing import NamedTuple
 
 from .arith import (
     Point,
-    _is_fourth_power_mod,
-    _legendre,
     _valuation,
     as_rational,
     check_odd_prime,
     is_prime,
     local_data,
 )
-from .k2global import Delta2GlobalVerdict, _decompose_2adic, _symbol_at_2, tame_symbol_vu
+from .k2global import Delta2GlobalVerdict, TameSymbolValue, _decompose_2adic, _symbol_at_2, tame_symbol_vu
 from .localclass import (
     REAL,
     Place,
@@ -193,11 +193,15 @@ def delta3_congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
 
 
 def _congruence(b: int, a: int, p: int) -> tuple[bool, bool | None]:
+    """delta3_congruence on trusted input, from one modular power of
+    s = a + b, a unit mod p since p divides exactly one of a and b."""
     s = (a + b) % p
-    if _legendre(s, p) != 1:
-        return False, None
-    # At p = 3 mod 4 every square is a fourth power.
-    return True, p & 3 == 3 or _is_fourth_power_mod(s, p)
+    if p & 3 == 3:
+        # At p = 3 mod 4 every square is a fourth power.
+        return (True, True) if pow(s, p >> 1, p) == 1 else (False, None)
+    # t = s^((p-1)/4) is +-1 iff s is a square, and 1 iff s is a fourth power.
+    t = pow(s, p >> 2, p)
+    return (True, t == 1) if t == 1 or t == p - 1 else (False, None)
 
 
 # delta3 mod 2 at R for each sign pattern (b < 0, a < 0): the components of
@@ -296,11 +300,15 @@ def report(b, a) -> ObstructionReport:
     """Full per-place delta2/delta3 report with fast-path and reciprocity
     notes, at the odd primes of Point.of(b, a) and then R; at every other
     odd place all classes involved are unit classes, so nothing can be
-    obstructed.  One pass over the primes gives every entry."""
+    obstructed.  One pass over the primes gives every entry, and on an
+    integer point the congruence fast path at each prime dividing ab once,
+    whose notes follow the reciprocity note."""
     point = Point.of(b, a)
     b, a = point.b, point.a
-    d2_local, d3_local, witnesses, k2_witnesses = [], [], [], []
-    xor = 0
+    num_b, num_a = b.numerator, a.numerator
+    integral = b.denominator == a.denominator == 1
+    d2_local, d3_local, witnesses, k2_witnesses, fast_notes = [], [], [], [], []
+    xor, fast_ok = 0, True
     for p, v_b, u_b, v_a, u_a in point.local:
         status, cases = _delta3_odd(v_b, u_b, v_a, u_a, p)
         # delta3 is blocked exactly where local delta2 is 1/2, which is
@@ -309,12 +317,22 @@ def report(b, a) -> ObstructionReport:
         xor ^= inv
         d2_local.append((p, inv))
         d3_local.append(Delta3LocalResult(p, status, cases))
-        symbol = tame_symbol_vu(v_b, u_b, v_a, u_a, p)
-        if symbol.value != 1:
+        value = tame_symbol_vu(v_b, u_b, v_a, u_a, p)
+        if value != 1:
+            symbol = TameSymbolValue(p, value)
             k2_witnesses.append(symbol)
             if inv:
                 witnesses.append(symbol)
-    real = _REAL_PLACE[b.numerator < 0, a.numerator < 0]
+        if integral and v_b + v_a == 1:
+            d2_zero, d3_zero = _congruence(num_b, num_a, p)
+            d2_ok = d2_zero == (inv == 0)
+            d3_ok = d3_zero is None or d3_zero == (status == ZERO)
+            fast_ok = fast_ok and d2_ok and d3_ok
+            fast_notes.append(
+                f"congruence fast path at {p}: delta2 {'agrees' if d2_ok else 'DISAGREES'}"
+                + ("" if d3_zero is None else f", delta3 {'agrees' if d3_ok else 'DISAGREES'}")
+            )
+    real = _REAL_PLACE[num_b < 0, num_a < 0]
     inv = int(real.status == BLOCKED)
     xor ^= inv
     d2_local.append((REAL, inv))
@@ -332,25 +350,14 @@ def report(b, a) -> ObstructionReport:
             "full K2 layer differs from the mod-2 layer: nontrivial symbols "
             f"{detail} are squares locally, so only delta2 mod 2 vanishes"
         )
-    consistent = (xor == 1) == (two.value == -1)
+    reciprocal = (xor == 1) == (two.value == -1)
     notes.append(
         f"reciprocity: XOR of odd/real invariants = {xor}, 2-adic symbol = "
-        f"{two.value:+d} ({'consistent' if consistent else 'INCONSISTENT'})"
+        f"{two.value:+d} ({'consistent' if reciprocal else 'INCONSISTENT'})"
     )
-    if b.denominator == 1 and a.denominator == 1:
-        for (p, v_b, _, v_a, _), (_, inv), local in zip(point.local, d2_local, d3_local):
-            if v_b + v_a != 1:
-                continue
-            d2_zero, d3_zero = _congruence(b.numerator, a.numerator, p)
-            d2_ok = d2_zero == (inv == 0)
-            d3_ok = d3_zero is None or d3_zero == (local.status == ZERO)
-            consistent = consistent and d2_ok and d3_ok
-            notes.append(
-                f"congruence fast path at {p}: delta2 {'agrees' if d2_ok else 'DISAGREES'}"
-                + ("" if d3_zero is None else f", delta3 {'agrees' if d3_ok else 'DISAGREES'}")
-            )
+    notes += fast_notes
     return ObstructionReport(
-        b, a, tuple(d2_local), d2_global, tuple(d3_local), tuple(notes), consistent
+        b, a, tuple(d2_local), d2_global, tuple(d3_local), tuple(notes), reciprocal and fast_ok
     )
 
 

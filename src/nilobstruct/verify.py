@@ -142,12 +142,18 @@ def _pair_check(name: str, model: GaloisModel, cocs: list[Cochain1], failing) ->
     """The check name on one batch of every pair (b, a) of cocs, b first:
     failing lists the failing cases of the batches of their b and a, and
     each one's pair is named, in case order."""
-    pairs = [(b, a) for b in cocs for a in cocs]
-    result = CheckResult(name, model.name, len(pairs))
-    for i in failing(*(Cochain1.pack(column) for column in zip(*pairs))):
-        b_i, a_i = pairs[i]
-        result.failures.append(f"b={b_i.values} a={a_i.values}")
+    K = len(cocs)
+    result = CheckResult(name, model.name, K * K)
+    for i in failing(*_pair_batches(cocs)):
+        result.failures.append(f"b={cocs[i // K].values} a={cocs[i % K].values}")
     return result
+
+
+def _pair_batches(cocs: list[Cochain1]) -> tuple[Cochain1, Cochain1]:
+    """The batches of b and of a over every pair (b, a) of cocs, case
+    i*K + j being (cocs[i], cocs[j]): cocs packed once, repeated and tiled."""
+    batch, K = Cochain1.pack(cocs), len(cocs)
+    return batch.repeat([K] * K), batch.tile(K)
 
 
 def _model_data(model: GaloisModel):
@@ -156,7 +162,7 @@ def _model_data(model: GaloisModel):
     c) of a pair of cocs with every f.  Each formula, the section boundary
     and the Massey products run once, on the whole batch, and the lifts of
     every pair of cocs come from one solve.  b, a, c and f are each packed
-    once, of the pairs, the lifts' c or the homs, and spread to the cases
+    once, of cocs, the lifts' c or the homs, and spread to the cases
     by Cochain1.repeat and tile, whose slices and bytes repetition run in C
     whatever the number of cases.  The delta3 formulas check
     nothing: the solver yields only c with Dc = target, the lifts they ask
@@ -173,7 +179,7 @@ def _model_data(model: GaloisModel):
     homs = f_homs(model)
     F = len(homs)
     pairs = [(b, a) for b in cocs for a in cocs]
-    bs, as_ = (Cochain1.pack(column) for column in zip(*pairs))
+    bs, as_ = _pair_batches(cocs)
     solved = lifts_by_case(bs, as_)
     lifts = [(b, a, c) for (b, a), cs in zip(pairs, solved) for c in cs]
     # Lift j is case j*F + k for each k: each pair is repeated F times per
@@ -229,13 +235,16 @@ def check_dbchoose2(model: GaloisModel, data) -> CheckResult:
 def check_dcb_lemma(model: GaloisModel, data, rng: random.Random, exhaustive: bool) -> CheckResult:
     """D(cb) + b cup c + c cup b = Dc(g,h) (b(g) + chi(g)^w b(h)), mod 4, for
     every mod-4 cocycle b and every mod-4 c with c(1) = 0 if exhaustive on
-    a model of order <= 4, else 32 such c from rng.  Case i*C + j of one
-    batch is (b_i, c_j); the factor is read from b_i's values, not cup."""
+    a model of order <= 4, else 32 such c from one rng.randbytes draw per
+    model.  Case i*C + j of one batch is (b_i, c_j); the factor is read
+    from b_i's values, not cup."""
     cocs, n = data[0], model.order
     if exhaustive and n <= 4:
         rows = [(0, *values) for values in itertools.product(range(4), repeat=n - 1)]
     else:
-        rows = [(0, *(rng.randrange(4) for _ in range(n - 1))) for _ in range(32)]
+        # One draw per model, each byte's low two bits a value mod 4.
+        draw = rng.randbytes(32 * (n - 1)).translate(bytes(range(4)) * 64)
+        rows = [(0, *draw[k * (n - 1) : (k + 1) * (n - 1)]) for k in range(32)]
     C, B = len(rows), len(cocs)
     result = CheckResult("D(cb) product rule", model.name, B * C)
     cs = _batch(Cochain1, model, 4, 2, rows, times=B)

@@ -10,8 +10,16 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import ODD_PRIMES_TO_97, is_lift, kummer_real_cocycle, next_prime
-from nilobstruct import arith, localclass, obstruct
-from nilobstruct.arith import InvalidPrimeError, Point, is_prime, legendre, local_data, sqrt_mod
+from nilobstruct import arith, k2global, localclass, obstruct
+from nilobstruct.arith import (
+    InvalidPrimeError,
+    Point,
+    is_fourth_power_mod,
+    is_prime,
+    legendre,
+    local_data,
+    sqrt_mod,
+)
 from nilobstruct.localclass import REAL, cup_qp, delta2_local, square_class_vu
 from nilobstruct.obstruct import (
     BLOCKED,
@@ -359,31 +367,121 @@ class TestOddPlaceTable:
 
 
 def test_congruence_tests_fourth_powers_only_at_p_1_mod_4(monkeypatch):
-    """At p = 3 mod 4 every square is a fourth power, so the congruence
-    fast path takes no fourth-power test there; its answers still equal
-    the Legendre symbol and the fourth-power test of a + b."""
-    fourth_power = arith.is_fourth_power_mod
-    tested = []
+    """The congruence fast path takes one modular power of s = a + b per
+    place: s^((p-1)/4) at p = 1 mod 4, which is +-1 iff s is a square and 1
+    iff it is a fourth power, and the Legendre power s^((p-1)/2) at
+    p = 3 mod 4, where every square is a fourth power; no Legendre symbol or
+    fourth-power test beside it.  Its answers still equal the Legendre
+    symbol and the fourth-power test of a + b."""
+    calls = []
 
-    def counting(s, p):
-        tested.append(p)
-        return fourth_power(s, p)
+    def counting_pow(base, exp, mod):
+        calls.append((base, exp, mod))
+        return pow(base, exp, mod)
 
-    monkeypatch.setattr(obstruct, "_is_fourth_power_mod", counting)
-    squares = collections.Counter()
+    def forbidden(*args):
+        raise AssertionError("the fast path took a second residue test")
+
+    places = []
     for b in range(-40, 41):
         for a in range(-40, 41):
-            if not (a and b):
-                continue
-            report(b, a)
-            for p in Point.of(b, a).primes():
-                if a * b % p == 0 != a * b % (p * p):
-                    square = legendre(a + b, p) == 1
-                    want = (square, fourth_power(a + b, p) if square else None)
-                    assert delta3_congruence(b, a, p) == want
-                    squares[p % 4] += square
-    assert tested and all(p % 4 == 1 for p in tested)
-    assert squares[3] > 100 and squares[1] > 100
+            if a and b:
+                places += [(b, a, p) for p in Point.of(b, a).primes() if a * b % p == 0 != a * b % (p * p)]
+    wants = []
+    for b, a, p in places:
+        square = legendre(a + b, p) == 1
+        wants.append((square, is_fourth_power_mod(a + b, p) if square else None))
+    monkeypatch.setattr(obstruct, "pow", counting_pow, raising=False)
+    for name in ("_legendre", "_is_fourth_power_mod", "legendre", "is_fourth_power_mod"):
+        monkeypatch.setattr(obstruct, name, forbidden, raising=False)
+    squares = collections.Counter()
+    for (b, a, p), want in zip(places, wants):
+        calls.clear()
+        assert delta3_congruence(b, a, p) == want
+        assert calls == [((a + b) % p, (p - 1) // 4 if p % 4 == 1 else (p - 1) // 2, p)]
+        squares[p % 4, want[1]] += 1
+    assert min(squares[1, True], squares[1, False], squares[3, True]) > 100
+
+
+def _unit_times(p: int, n: int) -> int:
+    """n moved off the multiples of p: n itself, or n + 1 if p divides n."""
+    return n + 1 if n % p == 0 else n
+
+
+def _next_prime_mod_4(n: int, r: int) -> int:
+    """The least prime >= n that is r mod 4."""
+    p = next_prime(n)
+    while p % 4 != r:
+        p = next_prime(p + 1)
+    return p
+
+
+@given(
+    st.tuples(st.integers(3, 10**9) | st.integers(10**9, 10**12), st.sampled_from((1, 3))).map(
+        lambda nr: _next_prime_mod_4(*nr)
+    ),
+    st.integers(1, 10**15),
+    st.integers(-(10**15), 10**15).filter(bool),
+    st.booleans(),
+    st.booleans(),
+)
+def test_congruence_is_the_residue_tests_of_a_plus_b_at_large_primes(p, k, unit, negative, swap):
+    """At primes up to 10^12 of both residues mod 4, where each test is read
+    from one power of a + b, the fast path equals the Legendre symbol and
+    the fourth-power test of a + b on a point whose ab p divides once."""
+    multiple = p * _unit_times(p, k) * (-1 if negative else 1)
+    unit = _unit_times(p, unit)
+    b, a = (unit, multiple) if swap else (multiple, unit)
+    square = legendre(a + b, p) == 1
+    assert delta3_congruence(b, a, p) == (square, is_fourth_power_mod(a + b, p) if square else None)
+
+
+def test_report_takes_only_the_powers_its_output_needs(monkeypatch):
+    """Per odd place report() takes two modular powers in _delta3_odd, one
+    in _congruence at a prime dividing an integer point's ab once and none
+    elsewhere, and in tame_symbol_vu one per nonzero exponent, so none to
+    the exponent 0; every output is that of the unpatched report()."""
+    points = [
+        (b, a)
+        for b in (-63, -45, -10, -7, -2, -1, 3, 5, 12, 25, 99, Fraction(5, 21), Fraction(-98, 15))
+        for a in (-50, -13, -3, 1, 6, 7, 49, 121, Fraction(3, 7), Fraction(-1, 45))
+    ]
+    wanted = [report(b, a) for b, a in points]
+    exponents = []
+
+    def counting_pow(base, exp, mod):
+        exponents.append(exp)
+        return pow(base, exp, mod)
+
+    taken = collections.defaultdict(list)
+
+    def per_call(name, fn):
+        def wrapped(*args):
+            start = len(exponents)
+            out = fn(*args)
+            taken[name].append(exponents[start:])
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(obstruct, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(k2global, "pow", counting_pow, raising=False)
+    for name in ("_delta3_odd", "_congruence", "tame_symbol_vu"):
+        monkeypatch.setattr(obstruct, name, per_call(name, getattr(obstruct, name)))
+    fast_places = 0
+    for (b, a), want in zip(points, wanted):
+        local = Point.of(b, a).local
+        taken.clear()
+        exponents.clear()
+        assert report(b, a) == want
+        integral = Fraction(b).denominator == Fraction(a).denominator == 1
+        fast = [p for p, v_b, _, v_a, _ in local if integral and v_b + v_a == 1]
+        assert [len(calls) for calls in taken["_delta3_odd"]] == [2] * len(local)
+        assert [len(calls) for calls in taken["_congruence"]] == [1] * len(fast)
+        assert taken["tame_symbol_vu"] == [[e for e in (v_a, -v_b) if e] for _, v_b, _, v_a, _ in local]
+        assert len(exponents) == 2 * len(local) + len(fast) + sum(map(len, taken["tame_symbol_vu"]))
+        fast_places += len(fast)
+    assert fast_places > 50
 
 
 class TestCongruence:

@@ -847,7 +847,10 @@ def _dcb_by_case(model, data, rng, exhaustive):
     if exhaustive and n <= 4:
         cochains = [coh.Cochain1(model, 4, 2, (0, *values)) for values in itertools.product(range(4), repeat=n - 1)]
     else:
-        cochains = [coh.Cochain1(model, 4, 2, (0, *(rng.randrange(4) for _ in range(n - 1)))) for _ in range(32)]
+        # The check's draw: 32 cochains from one rng.randbytes per model,
+        # each value the low two bits of its byte.
+        draw = rng.randbytes(32 * (n - 1))
+        cochains = [coh.Cochain1(model, 4, 2, (0, *(x % 4 for x in draw[k * (n - 1) : (k + 1) * (n - 1)]))) for k in range(32)]
     dcs = [coh.coboundary(c).values for c in cochains]
     for b in data[0]:
         # b(g) + chi(g) b(h) mod 4, the factor of Dc(g, h); b has weight 1.
